@@ -1,6 +1,6 @@
 # Convenience targets for the Measures-in-SQL reproduction.
 
-.PHONY: test test-slow bench report snapshot compare shell tpch serve server-smoke replay-smoke examples lint validate all
+.PHONY: test test-slow bench bench-selftest report snapshot compare shell tpch serve server-smoke replay-smoke examples lint validate all
 
 # The committed perf baseline the regression gate compares against.
 BASELINE ?= benchmarks/BENCH_2026-08-07.json
@@ -14,6 +14,11 @@ test-slow:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The repo's benchmark (python -m bench, BENCHMARK.json) checking itself:
+# the contract, the oracles, exact call counts, trace coverage.
+bench-selftest:
+	python -m bench --selftest
 
 report:
 	python -m benchmarks.report

@@ -53,8 +53,8 @@ GUARDED_MEMBERS = frozenset(
         "plan_query",
         "lint",
         "_execute_statement",
-        "_execute_plain",
-        "_run_traced_statement",
+        "_execute_observed",
+        "_run_query",
         "create_table_from_rows",
     ]
 )
@@ -62,8 +62,13 @@ GUARDED_MEMBERS = frozenset(
 #: ``<path relative to repro/>::<dotted function>`` -> justification.
 #: An entry covers the function and everything lexically nested in it.
 ALLOWLIST: dict[str, str] = {
-    "server/session.py::Session._plan_for": (
-        "only called from prepare(), inside its rwlock.read() scope"
+    "server/session.py::Session._planned": (
+        "only called from prepare() and _replay(), inside the caller's "
+        "rwlock.read() scope"
+    ),
+    "server/session.py::Session._replay": (
+        "only called from the run hook _run_read() hands to "
+        "_execute_observed, inside its rwlock.read() scope"
     ),
     "server/session.py::SessionManager.invalidate_for": (
         "only called from _run_write(), inside its rwlock.write() scope"

@@ -25,18 +25,27 @@ paper's Listing 5), and ``EXPLAIN EXPAND <query>`` does the same inside SQL.
 from __future__ import annotations
 
 import dataclasses
+from time import perf_counter
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.catalog import Catalog, MaterializedView, TableSchema
 from repro.catalog.schema import Column
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
+from repro.engine.progress import QueryRegistry, current_query_id
 from repro.errors import BindError, CatalogError, SqlError
+from repro.introspect import (
+    fingerprint_statement,
+    install_system_tables,
+    is_introspection_plan,
+    plan_shape,
+)
 from repro.matview import analyze_definition, maintenance, rewrite_query
 from repro.plan.optimizer import optimize
 from repro.result import Result, ResultColumn
 from repro.semantics.binder import Binder
 from repro.sql import ast, parse_statement, parse_statements
+from repro.sql.printer import to_sql
 from repro.storage.locks import RWLock
 from repro.types import parse_type_name
 
@@ -53,18 +62,57 @@ class PlannedQuery:
     plus every table the bound plan scans, lowercased) drives cache
     invalidation; ``strategy``/``plan_shape`` reproduce the plan hash the
     flip detector watches, so cached replays never look like plan changes.
+    The fields after ``reports`` are what a *cached* plan needs;
+    :meth:`Database.plan_query` fills them, the direct API's internal
+    planning leaves them at their defaults.
     """
 
-    sql: str
     query: ast.Query
     plan: Any
     columns: tuple
     strategy: str
     reports: tuple
-    relations: frozenset
-    plan_shape: Optional[str]
-    fingerprint: Optional[str]
-    normalized: Optional[str]
+    sql: Optional[str] = None
+    relations: frozenset = frozenset()
+    plan_shape: Optional[str] = None
+    fingerprint: Optional[str] = None
+    normalized: Optional[str] = None
+
+
+def _new_profiler():
+    from repro.profile import Profiler
+
+    return Profiler()
+
+
+def _text_result(column: str, lines: list) -> Result:
+    """A one-VARCHAR-column result, one row per line (EXPLAIN output)."""
+    from repro.types import VARCHAR
+
+    return Result(
+        columns=[ResultColumn(column, VARCHAR)],
+        rows=[(line,) for line in lines],
+        rowcount=len(lines),
+    )
+
+
+def _printed(node: ast.Node) -> Optional[str]:
+    """Canonical SQL of ``node``, or None for one the printer cannot
+    canonicalize (it still executes and is metered)."""
+    try:
+        return to_sql(node)
+    except Exception:
+        return None
+
+
+def _fingerprint(statement: ast.Statement) -> tuple:
+    """``(fingerprint, normalized_sql)``, or ``(None, None)`` for a
+    statement the printer cannot canonicalize: it just has no
+    stat_statements row."""
+    try:
+        return fingerprint_statement(statement)
+    except Exception:
+        return None, None
 
 
 class Database:
@@ -124,9 +172,9 @@ class Database:
         or True to track without telemetry.
     record_to:
         Attach the workload flight recorder (:mod:`repro.history`): every
-        executed statement — canonical SQL, bind params, session,
-        traceparent, fingerprint, strategy, outcome, wall time, rows —
-        is appended to a JSON-lines journal at this path (or to a
+        executed statement, one that fails to parse included — SQL, bind
+        params, session, traceparent, fingerprint, strategy, outcome, wall
+        time, rows — is appended to a JSON-lines journal at this path (or to a
         pre-built :class:`~repro.history.JournalWriter`).  Replay it with
         ``python -m repro.history replay <journal> --diff``.
     """
@@ -181,14 +229,6 @@ class Database:
         self.last_stats: Optional[ExecutionContext] = None
         #: QueryProfile of the most recent profiled query (see last_profile).
         self._last_profile = None
-        #: CandidateReports of the most recent top-level query's summary
-        #: rewrite (telemetry uses them to label the execution strategy).
-        self._last_rewrite_reports: list = []
-        #: Bound plan of the most recent profiled query (telemetry hashes
-        #: it for plan-flip detection; None when telemetry is off).
-        self._last_plan = None
-        from repro.engine.progress import QueryRegistry
-
         #: Per-query memory budget in bytes; None = unlimited.  Mutable:
         #: the shell's \connect-ed admin can tighten it at runtime.
         self.memory_limit_bytes = memory_limit_bytes
@@ -209,13 +249,16 @@ class Database:
                 if isinstance(record_to, JournalWriter)
                 else JournalWriter(record_to)
             )
-        from repro.introspect import install_system_tables
-
         # The repro_* system tables always exist — with telemetry off they
         # bind and scan normally and simply return no rows.
         install_system_tables(self)
 
     # -- statement execution ----------------------------------------------
+    #
+    # One pipeline, four steps, each written once (DESIGN.md, "Statement
+    # pipeline"): parse (_parse) -> plan (_plan) -> run (_run) -> emit
+    # (_emit).  _execute_observed strings them together for every entry
+    # point that telemetry, the profiler or the recorder watches.
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Result:
         """Parse and execute a single SQL statement.
@@ -223,222 +266,164 @@ class Database:
         ``params`` supplies values for positional ``?`` placeholders, in
         order (DB-API style).
         """
-        if self.telemetry is not None:
-            return self._execute_traced(sql, params)
-        if not self.profile_enabled:
-            return self._execute_plain(parse_statement(sql), params)
-        from repro.profile import Profiler
-
-        profiler = Profiler()
-        with profiler.phase("parse"):
-            statement = parse_statement(sql)
-        if isinstance(statement, ast.QueryStatement) and self.recorder is None:
-            # The profiler carries the parse span into the query pipeline so
-            # the finished profile covers the whole statement.
-            return self._run_query(statement.query, params, profiler=profiler)
-        return self._execute_plain(statement, params)
+        profiled = self.telemetry is not None or self.profile_enabled
+        if not profiled and self.recorder is None:
+            # The plain early exit: nothing watches, so no clock, record,
+            # fingerprint or printed SQL is built.
+            return self._execute_statement(parse_statement(sql), params)
+        # The profiler carries the parse span into the query pipeline so the
+        # finished profile covers the whole statement.
+        profiler = _new_profiler() if profiled else None
+        statement = self._parse(sql, profiler)
+        return self._execute_observed(statement, params, sql=sql, profiler=profiler)
 
     def execute_script(self, sql: str) -> list[Result]:
         """Execute a semicolon-separated script; returns one Result each."""
-        if self.telemetry is not None:
-            try:
-                statements = parse_statements(sql)
-            except SqlError as exc:
-                self.telemetry.record_error(exc, sql=sql)
-                raise
-            return [self._run_traced_statement(s) for s in statements]
-        return [self._execute_plain(s) for s in parse_statements(sql)]
+        statements = self._parse(sql, parser=parse_statements)
+        return [self._execute_observed(s) for s in statements]
 
-    def _execute_traced(self, sql: str, params: Sequence[Any] = ()) -> Result:
-        """Telemetry-on :meth:`execute`: meter, log, and trace the statement."""
-        from repro.profile import Profiler
-
-        profiler = Profiler()
+    def _parse(self, sql: str, profiler=None, *, parser=parse_statement):
+        """The **parse** step.  A failure is emitted like any other failed
+        statement: it is part of the workload, and replaying the journal
+        must reproduce it as an error, not skip it."""
         try:
+            if profiler is None:
+                return parser(sql)
             with profiler.phase("parse"):
-                statement = parse_statement(sql)
+                return parser(sql)
         except SqlError as exc:
-            self.telemetry.record_error(exc, sql=sql)
+            self._emit(None, sql, error=exc)
             raise
-        return self._run_traced_statement(
-            statement, params, sql=sql, profiler=profiler
-        )
 
-    def _execute_plain(
-        self, statement: ast.Statement, params: Sequence[Any] = ()
-    ) -> Result:
-        """Telemetry-off execution; journals to the recorder when attached.
-
-        Without a recorder this is exactly ``_execute_statement`` — the
-        zero-overhead path stays zero-overhead.
-        """
-        if self.recorder is None:
-            return self._execute_statement(statement, params)
-        import time as _time
-
-        from repro.introspect import fingerprint_statement
-        from repro.sql.printer import to_sql
-        from repro.telemetry import statement_kind
-
-        try:
-            sql = to_sql(statement)
-        except Exception:
-            sql = None
-        try:
-            fingerprint, _ = fingerprint_statement(statement)
-        except Exception:
-            fingerprint = None
-        kind = statement_kind(statement)
-        start = _time.perf_counter()
-        try:
-            result = self._execute_statement(statement, params)
-        except SqlError as exc:
-            self.recorder.record(
-                sql=sql,
-                params=params,
-                fingerprint=fingerprint,
-                kind=kind,
-                wall_ms=(_time.perf_counter() - start) * 1000.0,
-                error=exc,
-            )
-            raise
-        self.recorder.record(
-            sql=sql,
-            params=params,
-            fingerprint=fingerprint,
-            kind=kind,
-            wall_ms=(_time.perf_counter() - start) * 1000.0,
-            result=result,
-        )
-        return result
-
-    def _run_traced_statement(
+    def _execute_observed(
         self,
         statement: ast.Statement,
         params: Sequence[Any] = (),
         *,
         sql: Optional[str] = None,
         profiler=None,
+        run=None,
+        strategy: Optional[str] = None,
     ) -> Result:
-        """Execute one parsed statement with telemetry recording.
+        """Run one parsed statement and emit its outcome.
 
-        Queries run under a profiler (telemetry needs the span tree and
-        counters even when ``profile=False``); other statements are wall
-        timed.  Every SqlError is counted in ``errors_total`` before it
-        propagates.
+        ``run(profiler)`` replaces the default plan -> run step (the
+        session's plan cache, a strategy experiment); like
+        :meth:`_run_query` it returns ``(Result, PlannedQuery | None,
+        QueryProfile | None)``.  Telemetry needs a span tree and counters
+        for every query, so queries run under a profiler whenever it is on,
+        even with ``profile=False``; other statements are wall timed.
         """
-        import time as _time
-
-        from repro.introspect import (
-            fingerprint_statement,
-            is_introspection_plan,
-            plan_shape,
+        is_query = isinstance(statement, ast.QueryStatement)
+        if profiler is None and is_query and self.telemetry is not None:
+            profiler = _new_profiler()
+        start = perf_counter()
+        try:
+            if run is not None:
+                outcome = run(profiler)
+            elif is_query:
+                outcome = self._run_query(statement.query, params, profiler)
+            else:
+                outcome = self._execute_statement(statement, params), None, None
+        except SqlError as exc:
+            self._emit(
+                statement, sql, params, start=start, strategy=strategy,
+                profiler=profiler, error=exc,
+            )
+            raise
+        self._emit(
+            statement, sql, params, start=start, strategy=strategy,
+            outcome=outcome,
         )
+        return outcome[0]
+
+    def _emit(
+        self,
+        statement: Optional[ast.Statement],
+        sql: Optional[str],
+        params: Sequence[Any] = (),
+        *,
+        start: Optional[float] = None,
+        strategy: Optional[str] = None,
+        profiler=None,
+        outcome=None,
+        error: Optional[SqlError] = None,
+    ) -> None:
+        """The **emit** step: report one finished statement to telemetry and
+        the flight recorder — the only place either is told about one.
+
+        ``statement`` is None when parsing failed; ``sql`` None means "print
+        the statement".  ``outcome`` is the ``(result, planned, profile)``
+        of a success.  ``strategy`` names a forced expansion strategy;
+        otherwise a query reports what its plan decided (``summary`` or
+        ``interpreter``) and a failed or plan-less statement reports none.
+        ``telemetry`` and ``recorder`` are read here, per statement: the
+        shell toggles both at run time.
+        """
+        telemetry, recorder = self.telemetry, self.recorder
+        if telemetry is None and recorder is None:
+            return
         from repro.telemetry import statement_kind
 
-        telemetry = self.telemetry
-        kind = statement_kind(statement)
-        if sql is None:
-            from repro.sql.printer import to_sql
+        wall_ms = 0.0 if start is None else (perf_counter() - start) * 1000.0
+        result, planned, profile = outcome or (None, None, None)
+        kind = fingerprint = normalized = None
+        if statement is not None:
+            kind = statement_kind(statement)
+            if sql is None:
+                sql = _printed(statement)
+            if planned is not None and planned.fingerprint is not None:
+                fingerprint, normalized = planned.fingerprint, planned.normalized
+            else:
+                fingerprint, normalized = _fingerprint(statement)
+        if strategy is None and planned is not None:
+            strategy = planned.strategy
+        if telemetry is not None:
+            ident = {"sql": sql, "fingerprint": fingerprint, "query_text": normalized}
+            if error is not None:
+                from repro.errors import ResourceExhausted
 
-            try:
-                sql = to_sql(statement)
-            except Exception:
-                sql = None
-        try:
-            fingerprint, normalized = fingerprint_statement(statement)
-        except Exception:
-            # A statement the printer cannot canonicalize still executes
-            # and is metered; it just has no stat_statements row.
-            fingerprint = normalized = None
-        start = _time.perf_counter()
-        try:
-            if isinstance(statement, ast.QueryStatement) and not isinstance(
-                statement.query, ast.ShowStats
-            ):
-                if profiler is None:
-                    from repro.profile import Profiler
-
-                    profiler = Profiler()
-                self._last_rewrite_reports = []
-                self._last_plan = None
-                result = self._run_query(
-                    statement.query, params, profiler=profiler
+                if isinstance(error, ResourceExhausted):
+                    # The budget fired mid-execution; freeze what the
+                    # profiler saw up to the failing operator into the
+                    # slow-query log.
+                    telemetry.record_resource_exhausted(
+                        error, sql=sql, profiler=profiler
+                    )
+                telemetry.record_error(error, **ident)
+            elif profile is None:
+                telemetry.record_statement(
+                    kind, wall_ms, rowcount=result.rowcount, **ident
                 )
+            else:
+                # A strategy experiment reports no plan (planned is None):
+                # the expanded plan's hash differs per strategy by
+                # construction, and a deliberate experiment is not a flip.
+                plan = shape = None
+                if planned is not None:
+                    plan = planned.plan
+                    shape = planned.plan_shape or plan_shape(plan)
                 telemetry.record_query(
                     kind,
-                    self._last_profile,
+                    profile,
                     rows=len(result.rows),
-                    sql=sql,
-                    reports=self._last_rewrite_reports,
-                    fingerprint=fingerprint,
-                    query_text=normalized,
-                    plan_shape=(
-                        None
-                        if self._last_plan is None
-                        else plan_shape(self._last_plan)
-                    ),
-                    introspection=is_introspection_plan(self._last_plan),
+                    reports=() if planned is None else planned.reports,
+                    plan_shape=shape,
+                    introspection=is_introspection_plan(plan),
+                    strategy=strategy,
+                    **ident,
                 )
-                if self.recorder is not None:
-                    self.recorder.record(
-                        sql=sql,
-                        params=params,
-                        fingerprint=fingerprint,
-                        strategy=(
-                            "summary"
-                            if any(
-                                r.status == "hit"
-                                for r in self._last_rewrite_reports
-                            )
-                            else "interpreter"
-                        ),
-                        kind=kind,
-                        wall_ms=(_time.perf_counter() - start) * 1000.0,
-                        result=result,
-                    )
-                return result
-            result = self._execute_statement(statement, params)
-        except SqlError as exc:
-            from repro.errors import ResourceExhausted
-
-            if isinstance(exc, ResourceExhausted) and profiler is not None:
-                # The budget fired mid-execution; freeze what the profiler
-                # saw up to the failing operator into the slow-query log.
-                telemetry.record_resource_exhausted(
-                    exc, sql=sql, profiler=profiler
-                )
-            telemetry.record_error(
-                exc, sql=sql, fingerprint=fingerprint, query_text=normalized
-            )
-            if self.recorder is not None:
-                self.recorder.record(
-                    sql=sql,
-                    params=params,
-                    fingerprint=fingerprint,
-                    kind=kind,
-                    wall_ms=(_time.perf_counter() - start) * 1000.0,
-                    error=exc,
-                )
-            raise
-        telemetry.record_statement(
-            kind,
-            (_time.perf_counter() - start) * 1000.0,
-            rowcount=result.rowcount,
-            sql=sql,
-            fingerprint=fingerprint,
-            query_text=normalized,
-        )
-        if self.recorder is not None:
-            self.recorder.record(
+        if recorder is not None:
+            recorder.record(
                 sql=sql,
                 params=params,
                 fingerprint=fingerprint,
+                strategy=strategy,
                 kind=kind,
-                wall_ms=(_time.perf_counter() - start) * 1000.0,
+                wall_ms=wall_ms,
                 result=result,
+                error=error,
             )
-        return result
 
     def query(self, sql: str) -> Result:
         """Alias of :meth:`execute` for read-only use."""
@@ -448,7 +433,7 @@ class Database:
         self, statement: ast.Statement, params: Sequence[Any] = ()
     ) -> Result:
         if isinstance(statement, ast.QueryStatement):
-            return self._run_query(statement.query, params)
+            return self._run_query(statement.query, params)[0]
         if isinstance(statement, ast.CreateTable):
             return self._create_table(statement)
         if isinstance(statement, ast.CreateTableAs):
@@ -487,13 +472,8 @@ class Database:
         if isinstance(statement, ast.ExplainPlan):
             return self._explain(statement)
         if isinstance(statement, ast.ExplainExpand):
-            sql = self.expand_query(statement.query)
-            from repro.types import VARCHAR
-
-            return Result(
-                columns=[ResultColumn("expanded_sql", VARCHAR)],
-                rows=[(sql,)],
-                rowcount=1,
+            return _text_result(
+                "expanded_sql", [self.expand_query(statement.query)]
             )
         raise SqlError(f"cannot execute {type(statement).__name__}")
 
@@ -542,52 +522,71 @@ class Database:
         query: ast.Query,
         params: Sequence[Any] = (),
         profiler=None,
-    ) -> Result:
+    ):
+        """Plan and run one query for the direct API:
+        ``(Result, PlannedQuery | None, QueryProfile | None)``.
+
+        Unlike :meth:`execute_planned` this owns the Database-wide slots —
+        ``last_stats``, ``last_profile()`` and the per-view summary latency
+        — so it is for single-threaded (or write-locked) callers only.
+        """
         if isinstance(query, ast.ShowStats):
             # Answered from the telemetry registry, not the planner; the
             # binder rejects nested uses (lint rule RP112).
-            return self._show_stats()
-        # Internal queries (summary refresh/delta) never auto-profile; they
-        # would clobber the user-visible last_profile().
-        if (
-            profiler is None
-            and self.profile_enabled
-            and not self._suppress_summaries
-        ):
-            from repro.profile import Profiler
+            return self._show_stats(), None, None
+        # Internal queries (summary refresh/delta) never auto-profile or
+        # register progress; they would clobber the user-visible
+        # last_profile() and running-queries view.
+        internal = self._suppress_summaries
+        if profiler is None and self.profile_enabled and not internal:
+            profiler = _new_profiler()
+        track = not internal and self.progress_enabled()
+        start = perf_counter()
+        # Dataflow facts ride on the plan nodes: the profiler folds them
+        # into the operator tree and the progress tables report them as
+        # estimated rows next to the actuals; nobody else reads them.
+        planned = self._plan(query, profiler, facts=profiler is not None or track)
+        result, profile, self.last_stats = self._run(
+            planned, params, profiler, None, track
+        )
+        if planned.reports:
+            self._record_summary_latency(
+                planned.reports, (perf_counter() - start) * 1000.0
+            )
+        if profile is not None:
+            self._last_profile = profile
+        return result, planned, profile
 
-            profiler = Profiler()
+    def _plan(
+        self, query: ast.Query, profiler=None, *, facts: bool, record: bool = True
+    ) -> PlannedQuery:
+        """The **plan** step: summary rewrite -> bind -> optimize/validate
+        -> (``facts``) dataflow analysis.
+
+        ``record=False`` (EXPLAIN) leaves the per-view hit/reject counters
+        and their telemetry mirror untouched.  The result carries only what
+        planning decided; :meth:`plan_query` adds the printed and hashed
+        fields a cached plan needs.
+        """
         tracer = profiler.tracer if profiler is not None else None
-        original_query = query
-
-        outcome = None
+        strategy, reports, rewritten = "interpreter", (), query
         if self.summaries_enabled and not self._suppress_summaries:
             span = tracer.begin("rewrite", "phase") if tracer is not None else None
-            outcome = rewrite_query(self.catalog, query)
-            if span is not None:
-                if outcome.used is not None:
+            outcome = rewrite_query(self.catalog, query, record=record)
+            if outcome.used is not None:
+                strategy = "summary"
+                if span is not None:
                     span.meta["summary"] = outcome.used.name
+            if span is not None:
                 tracer.end(span)
-            if self.telemetry is not None:
+            if record and self.telemetry is not None:
                 # Mirrors what rewrite_query(record=True) just added to the
                 # per-view SummaryStats, keeping the lifetime hit/miss
                 # counters consistent with summary_stats().
                 self.telemetry.record_rewrite(outcome)
-                self._last_rewrite_reports = outcome.reports
-            query = outcome.query
-        # Hit/miss latency is only measured when a summary was at least a
-        # candidate, so queries that never touch a summary pay nothing.
-        watch_summaries = outcome is not None and (
-            outcome.used is not None or bool(outcome.reports)
-        )
-        if watch_summaries:
-            import time as _time
-
-            latency_start = _time.perf_counter()
-
+            reports, rewritten = tuple(outcome.reports), outcome.query
         span = tracer.begin("bind", "phase") if tracer is not None else None
-        binder = Binder(self.catalog)
-        plan, columns = binder.bind_query_top(query)
+        plan, columns = Binder(self.catalog).bind_query_top(rewritten)
         if tracer is not None:
             tracer.end(span)
         if self.optimizer_enabled:
@@ -600,72 +599,68 @@ class Database:
             from repro.analysis.validator import check_plan
 
             check_plan(plan, "binding")
-        track_progress = (
-            not self._suppress_summaries and self.progress_enabled()
-        )
-        if profiler is not None or track_progress:
-            # Dataflow facts ride on the plan nodes: the profiler folds
-            # them into the operator tree (types/keys/cardinality bounds
-            # per node), the progress tables report them as estimated
-            # rows next to the actuals, and the cardinality bounds are
-            # the input for cost-based strategy selection (ROADMAP).
+        if facts:
             from repro.analysis.dataflow import analyze_plan
 
             analyze_plan(plan, self.catalog)
-        progress = None
-        if track_progress:
-            from repro.sql.printer import to_sql as _to_sql
+        return PlannedQuery(query, plan, tuple(columns), strategy, reports)
 
-            try:
-                progress_sql = _to_sql(original_query)
-            except Exception:
-                progress_sql = ""
-            progress = self._start_progress(progress_sql, plan)
+    def _run(self, planned: PlannedQuery, params, profiler, cancel_event, track):
+        """The **run** step: execute a planned query in a fresh
+        :class:`ExecutionContext`; ``(Result, QueryProfile | None, ctx)``.
+
+        Touches no Database-wide slot, so any number of sessions can run
+        the same plan concurrently.  ``track`` registers the execution in
+        the running-queries directory for its duration.
+        """
+        sql = planned.sql
+        if sql is None and (track or profiler is not None):
+            sql = _printed(planned.query)
+        progress = self._start_progress(sql or "", planned.plan) if track else None
         ctx = ExecutionContext(
             self.catalog,
             enable_cache=self.cache_enabled,
             params=params,
             profiler=profiler,
+            cancel_event=cancel_event,
             progress=progress,
         )
+        tracer = profiler.tracer if profiler is not None else None
         span = tracer.begin("execute", "phase") if tracer is not None else None
-        if progress is None:
-            rows = execute_plan(plan, ctx)
-        else:
-            from repro.engine.progress import current_query_id
-
-            # current_query_id is how a query over the running-queries
-            # tables avoids observing itself in the registry snapshot.
-            query_token = current_query_id.set(progress.query_id)
-            try:
-                rows = execute_plan(plan, ctx)
-            finally:
-                current_query_id.reset(query_token)
+        # current_query_id is how a query over the running-queries tables
+        # avoids observing itself in the registry snapshot.
+        token = None if progress is None else current_query_id.set(progress.query_id)
+        try:
+            rows = execute_plan(planned.plan, ctx)
+        finally:
+            if progress is not None:
+                current_query_id.reset(token)
                 self.running.finish(progress)
         if tracer is not None:
             tracer.end(span)
-        self.last_stats = ctx
-        if watch_summaries:
-            elapsed_ms = (_time.perf_counter() - latency_start) * 1000.0
-            if outcome.used is not None:
-                outcome.used.stats.record_hit_latency(elapsed_ms)
-            else:
-                for report in outcome.reports:
-                    view = self.catalog.get(report.view)
-                    if isinstance(view, MaterializedView):
-                        view.stats.record_miss_latency(elapsed_ms)
-        if profiler is not None:
-            from repro.sql.printer import to_sql
-
-            self._last_plan = plan
-            self._last_profile = profiler.finish(
-                plan, ctx, len(rows), sql=to_sql(original_query)
-            )
-        return Result(
-            columns=[ResultColumn(c.name, c.dtype) for c in columns],
+        profile = (
+            None
+            if profiler is None
+            else profiler.finish(planned.plan, ctx, len(rows), sql=sql)
+        )
+        result = Result(
+            columns=[ResultColumn(c.name, c.dtype) for c in planned.columns],
             rows=rows,
             rowcount=len(rows),
         )
+        return result, profile, ctx
+
+    def _record_summary_latency(self, reports, elapsed_ms: float) -> None:
+        """Attribute a query's wall time to the summary that answered it,
+        or — when none did — to every candidate that could not."""
+        hit = next((r for r in reports if r.status == "hit"), None)
+        if hit is not None:
+            self.catalog.get(hit.view).stats.record_hit_latency(elapsed_ms)
+            return
+        for report in reports:
+            view = self.catalog.get(report.view)
+            if isinstance(view, MaterializedView):
+                view.stats.record_miss_latency(elapsed_ms)
 
     # -- planned execution (the query server's path) -------------------------
 
@@ -682,61 +677,29 @@ class Database:
         """
         if isinstance(query, ast.ShowStats):
             raise SqlError("SHOW STATS has no plan; execute it directly")
-        from repro.introspect import fingerprint_statement, plan_shape
         from repro.plan.logical import Scan
-        from repro.sql.printer import to_sql
         from repro.sql.visitor import find_all
 
         statement = ast.QueryStatement(query)
         if sql is None:
             sql = to_sql(statement)
-        try:
-            fingerprint, normalized = fingerprint_statement(statement)
-        except Exception:
-            fingerprint = normalized = None
-        reports: tuple = ()
-        rewritten = query
-        if self.summaries_enabled and not self._suppress_summaries:
-            outcome = rewrite_query(self.catalog, query)
-            if self.telemetry is not None:
-                self.telemetry.record_rewrite(outcome)
-            reports = tuple(outcome.reports)
-            rewritten = outcome.query
-        binder = Binder(self.catalog)
-        plan, columns = binder.bind_query_top(rewritten)
-        if self.optimizer_enabled:
-            plan = optimize(plan, validate=self.validate_enabled)
-        elif self.validate_enabled:
-            from repro.analysis.validator import check_plan
-
-            check_plan(plan, "binding")
-        from repro.analysis.dataflow import analyze_plan
-
+        fingerprint, normalized = _fingerprint(statement)
         # Facts (types/nullability/keys/cardinality bounds) travel with the
         # cached plan; DML invalidation bounds how stale the bounds can get.
-        analyze_plan(plan, self.catalog)
-        strategy = (
-            "summary"
-            if any(r.status == "hit" for r in reports)
-            else "interpreter"
-        )
+        planned = self._plan(query, facts=True)
         relations = {
             ref.name.lower() for ref in find_all(query, ast.TableName)
         }
         relations.update(
             node.table_name.lower()
-            for node in plan.walk()
+            for node in planned.plan.walk()
             if isinstance(node, Scan)
         )
-        return PlannedQuery(
+        return dataclasses.replace(
+            planned,
             sql=sql,
-            query=query,
-            plan=plan,
-            columns=tuple(columns),
-            strategy=strategy,
-            reports=reports,
             relations=frozenset(relations),
-            plan_shape=plan_shape(plan),
+            plan_shape=plan_shape(planned.plan),
             fingerprint=fingerprint,
             normalized=normalized,
         )
@@ -760,43 +723,8 @@ class Database:
         ``threading.Event``) aborts execution at the next operator
         boundary with :class:`~repro.errors.QueryCancelled`.
         """
-        progress = (
-            self._start_progress(planned.sql, planned.plan)
-            if self.progress_enabled()
-            else None
-        )
-        ctx = ExecutionContext(
-            self.catalog,
-            enable_cache=self.cache_enabled,
-            params=params,
-            profiler=profiler,
-            cancel_event=cancel_event,
-            progress=progress,
-        )
-        tracer = profiler.tracer if profiler is not None else None
-        span = tracer.begin("execute", "phase") if tracer is not None else None
-        if progress is None:
-            rows = execute_plan(planned.plan, ctx)
-        else:
-            from repro.engine.progress import current_query_id
-
-            query_token = current_query_id.set(progress.query_id)
-            try:
-                rows = execute_plan(planned.plan, ctx)
-            finally:
-                current_query_id.reset(query_token)
-                self.running.finish(progress)
-        if tracer is not None:
-            tracer.end(span)
-        profile = (
-            None
-            if profiler is None
-            else profiler.finish(planned.plan, ctx, len(rows), sql=planned.sql)
-        )
-        result = Result(
-            columns=[ResultColumn(c.name, c.dtype) for c in planned.columns],
-            rows=rows,
-            rowcount=len(rows),
+        result, profile, _ = self._run(
+            planned, params, profiler, cancel_event, self.progress_enabled()
         )
         return result, profile
 
@@ -856,15 +784,8 @@ class Database:
         return Result(message=f"table {statement.name} created")
 
     def _create_table_as(self, statement: ast.CreateTableAs) -> Result:
-        from repro.types import UNKNOWN, VARCHAR
-
-        result = self._run_query(statement.query)
-        schema = TableSchema(
-            [
-                Column(c.name, VARCHAR if c.dtype.unwrap() is UNKNOWN else c.dtype.unwrap())
-                for c in result.columns
-            ]
-        )
+        result = self._run_query(statement.query)[0]
+        schema = maintenance.result_schema(result)
         replaced = statement.or_replace and statement.name in self.catalog
         table = self.catalog.create_table(
             statement.name, schema, or_replace=statement.or_replace
@@ -950,7 +871,7 @@ class Database:
 
     def _insert(self, statement: ast.Insert, params: Sequence[Any] = ()) -> Result:
         table = self.catalog.base_table(statement.table)
-        result = self._run_query(statement.source, params)
+        result = self._run_query(statement.source, params)[0]
         expected = (
             len(statement.columns)
             if statement.columns
@@ -1054,7 +975,6 @@ class Database:
 
     def _explain(self, statement: ast.ExplainPlan) -> Result:
         from repro.plan.logical import plan_tree_string
-        from repro.types import VARCHAR
 
         if statement.query is None:
             # EXPLAIN over DDL/DML parses (lint rule RP111 flags it) but has
@@ -1080,29 +1000,18 @@ class Database:
             ] or ["lint: clean"]
         if statement.analyze:
             return self._explain_analyze(statement, lint_lines)
-        summary_lines: list[str] = []
-        if self.summaries_enabled and not self._suppress_summaries:
-            # record=False: EXPLAIN reports the decision without inflating
-            # the per-view hit/reject counters.
-            outcome = rewrite_query(self.catalog, query, record=False)
-            summary_lines = outcome.explain_lines()
-            query = outcome.query
-        binder = Binder(self.catalog)
-        plan, _ = binder.bind_query_top(query)
-        if self.optimizer_enabled:
-            plan = optimize(plan, validate=self.validate_enabled)
+        # record=False: EXPLAIN reports the summary decision without
+        # inflating the per-view hit/reject counters.
+        planned = self._plan(query, facts=False, record=False)
+        plan = planned.plan
+        summary_lines = [f"summary: {r.describe()}" for r in planned.reports]
         if statement.types:
             from repro.analysis.dataflow import explain_types_lines
 
             plan_lines = explain_types_lines(plan, self.catalog)
         else:
             plan_lines = plan_tree_string(plan).splitlines()
-        lines = lint_lines + summary_lines + plan_lines
-        return Result(
-            columns=[ResultColumn("plan", VARCHAR)],
-            rows=[(line,) for line in lines],
-            rowcount=len(lines),
-        )
+        return _text_result("plan", lint_lines + summary_lines + plan_lines)
 
     def _explain_analyze(
         self, statement: ast.ExplainPlan, lint_lines: list[str]
@@ -1114,32 +1023,25 @@ class Database:
         DML-visible side effects of the execution happen); the result rows
         are discarded and the annotated plan is returned instead.
         """
-        from repro.profile import Profiler
-        from repro.types import VARCHAR
-
-        profiler = Profiler()
-        self._run_query(statement.query, profiler=profiler)
-        profile = self._last_profile
+        _, planned, profile = self._run_query(
+            statement.query, profiler=_new_profiler()
+        )
         types_lines: list[str] = []
-        if statement.types and self._last_plan is not None:
+        if statement.types:
             # (ANALYZE, TYPES): the observed tree first, then the same plan
             # with the statically inferred facts, so predicted bounds can be
             # read next to what actually happened.
             from repro.analysis.dataflow import explain_types_lines
 
             types_lines = ["types:"] + explain_types_lines(
-                self._last_plan, self.catalog
+                planned.plan, self.catalog
             )
-        lines = (
+        return _text_result(
+            "plan",
             lint_lines
             + profile.plan_lines()
             + types_lines
-            + profile.summary_lines()
-        )
-        return Result(
-            columns=[ResultColumn("plan", VARCHAR)],
-            rows=[(line,) for line in lines],
-            rowcount=len(lines),
+            + profile.summary_lines(),
         )
 
     def last_profile(self):
@@ -1255,20 +1157,10 @@ class Database:
         """Serialize captured query traces to OTel-flavored JSON
         (schema ``repro-trace-v1``); an empty envelope when telemetry is
         off.  Always valid JSON (round-trips through ``json.loads``)."""
-        import json as _json
-
         if self.telemetry is None:
-            from repro.telemetry import TRACE_SCHEMA
+            from repro.telemetry import TraceBuffer
 
-            return _json.dumps(
-                {
-                    "schema": TRACE_SCHEMA,
-                    "trace_count": 0,
-                    "traces_dropped": 0,
-                    "traces": [],
-                },
-                indent=indent,
-            )
+            return TraceBuffer().export_json(indent=indent)
         return self.telemetry.traces.export_json(indent=indent)
 
     # -- static analysis ------------------------------------------------------
@@ -1318,9 +1210,7 @@ class Database:
             self.telemetry.record_expansion(strategy)
         if not self.profile_enabled:
             return expand_to_sql(self, query, strategy=strategy)
-        from repro.profile import Profiler
-
-        profiler = Profiler()
+        profiler = _new_profiler()
         with profiler.phase("expand"):
             sql = expand_to_sql(
                 self, query, strategy=strategy, tracer=profiler.tracer
@@ -1348,86 +1238,23 @@ class Database:
         """
         if strategy == "interpreter":
             return self.execute(sql, params)
-        import time as _time
-
-        from repro.introspect import fingerprint_statement
-
-        try:
-            statement = parse_statement(sql)
-        except SqlError as exc:
-            if self.telemetry is not None:
-                self.telemetry.record_error(exc, sql=sql)
-            raise
+        statement = self._parse(sql)
         if not isinstance(statement, ast.QueryStatement) or isinstance(
             statement.query, ast.ShowStats
         ):
             raise SqlError("execute_with_strategy() requires a query")
-        try:
-            fingerprint, normalized = fingerprint_statement(statement)
-        except Exception:
-            fingerprint = normalized = None
-        profiler = None
-        if self.telemetry is not None:
-            from repro.profile import Profiler
 
-            profiler = Profiler()
-        start = _time.perf_counter()
-        try:
-            expanded_sql = self.expand_query(
-                statement.query, strategy=strategy
+        def run(profiler):
+            expanded = parse_statement(
+                self.expand_query(statement.query, strategy=strategy)
             )
-            expanded = parse_statement(expanded_sql)
-            self._last_rewrite_reports = []
-            self._last_plan = None
-            result = self._run_query(
-                expanded.query, params, profiler=profiler
-            )
-        except SqlError as exc:
-            if self.telemetry is not None:
-                self.telemetry.record_error(
-                    exc,
-                    sql=sql,
-                    fingerprint=fingerprint,
-                    query_text=normalized,
-                )
-            if self.recorder is not None:
-                self.recorder.record(
-                    sql=sql,
-                    params=params,
-                    fingerprint=fingerprint,
-                    strategy=strategy,
-                    kind="select",
-                    wall_ms=(_time.perf_counter() - start) * 1000.0,
-                    error=exc,
-                )
-            raise
-        wall_ms = (_time.perf_counter() - start) * 1000.0
-        if self.telemetry is not None:
-            # plan_shape=None: the expanded plan's hash would differ per
-            # strategy by construction, and a deliberate experiment is
-            # not a plan flip.
-            self.telemetry.record_query(
-                "select",
-                self._last_profile,
-                rows=len(result.rows),
-                sql=sql,
-                reports=(),
-                fingerprint=fingerprint,
-                query_text=normalized,
-                plan_shape=None,
-                strategy=strategy,
-            )
-        if self.recorder is not None:
-            self.recorder.record(
-                sql=sql,
-                params=params,
-                fingerprint=fingerprint,
-                strategy=strategy,
-                kind="select",
-                wall_ms=wall_ms,
-                result=result,
-            )
-        return result
+            result, _, profile = self._run_query(expanded.query, params, profiler)
+            # The expanded plan is not the statement's plan: report none.
+            return result, None, profile
+
+        return self._execute_observed(
+            statement, params, sql=sql, run=run, strategy=strategy
+        )
 
     # -- convenience ------------------------------------------------------------
 

@@ -108,6 +108,10 @@ def _evaluate_measure_impl(
             ctx.measure_cache_hits += 1
             return ctx.measure_cache[cache_key]
 
+    if ctx.watched:
+        # An uncached evaluation filters the whole source relation: the
+        # phase a VISIBLE query spends its time in must see a cancel too.
+        ctx.checkpoint()
     filtered = _context_rows(node.measure, terms, ctx, env)
     result = evaluate_formula(node.measure.formula, filtered, env, ctx)
     if cache_key is not None:
@@ -156,7 +160,16 @@ def _context_rows(measure, terms: list[Term], ctx: ExecutionContext, env) -> lis
         candidates = [rows[i] for i in candidate_indexes]
     if not other_terms:
         return list(candidates)
-    return [row for row in candidates if _accept(other_terms, row, ctx)]
+    # A VISIBLE term's test is itself a scan of the group's rows, so this
+    # is the quadratic loop: it checkpoints like the executor's row loops.
+    watched = ctx.watched
+    kept = []
+    for index, row in enumerate(candidates):
+        if watched and not index & 0xFF:
+            ctx.checkpoint(buffered_rows=len(kept))
+        if _accept(other_terms, row, ctx):
+            kept.append(row)
+    return kept
 
 
 def _dimension_index(measure, term: EqTerm, ctx: ExecutionContext, rows):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime
 from typing import Any, Optional
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, QueryCancelled
 from repro.semantics import bound as b
 from repro.types import (
     BOOLEAN,
@@ -84,6 +84,9 @@ class ExecutionContext:
         #: zero-cost-when-off discipline as the profiler: None means one
         #: attribute check per operator and per 256-row checkpoint.
         self.progress = progress
+        #: True when anything reads :meth:`checkpoint`; row loops hoist it
+        #: into a local so an unwatched row pays one truthiness test.
+        self.watched = cancel_event is not None or progress is not None
         self.subquery_cache: dict = {}
         self.measure_cache: dict = {}
         self.source_rows_cache: dict = {}
@@ -109,6 +112,22 @@ class ExecutionContext:
         self.rows_scanned = 0
         self.hash_joins = 0
         self.nested_loop_joins = 0
+
+    def checkpoint(self, plan=None, buffered_rows: int = 0) -> None:
+        """The one cancellation / progress / memory checkpoint.
+
+        Row loops call it every 256 rows (``if watched and not index &
+        0xFF``) and measure evaluation once per evaluation, so a cancel or
+        a budget breach lands within a bounded amount of work wherever the
+        query is.  ``plan`` is the operator whose loop this is (None: the
+        one currently running); ``buffered_rows`` is how many rows the loop
+        has buffered so far, projected against the memory budget.
+        """
+        cancel = self.cancel_event
+        if cancel is not None and cancel.is_set():
+            raise QueryCancelled("query cancelled")
+        if self.progress is not None:
+            self.progress.tick(plan, buffered_rows)
 
 
 def _attach_span(exc: ExecutionError, expr: b.BoundExpr) -> ExecutionError:

@@ -127,19 +127,14 @@ def _execute_values(plan: plans.ValuesPlan, ctx: ExecutionContext, outer_env) ->
 def _execute_filter(plan: plans.Filter, ctx: ExecutionContext, outer_env) -> list[tuple]:
     rows = execute_plan(plan.input, ctx, outer_env)
     kept = []
-    cancel = ctx.cancel_event
-    progress = ctx.progress
-    watched = cancel is not None or progress is not None
+    # Row loops dominate long queries, so cancellation and progress ticks
+    # land in them too (ctx.checkpoint, every 256 rows), not just at
+    # operator boundaries.  ``watched`` is hoisted so the untracked hot
+    # path pays one local truthiness test per row and no call.
+    watched = ctx.watched
     for index, row in enumerate(rows):
-        # Predicate loops dominate long queries, so cancellation and
-        # progress ticks land here too (every 256 rows), not just at
-        # operator boundaries.  ``watched`` is hoisted so the untracked
-        # hot path pays one local truthiness test per row.
         if watched and not index & 0xFF:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("query cancelled")
-            if progress is not None:
-                progress.tick(plan, len(kept))
+            ctx.checkpoint(plan, len(kept))
         env = EvalEnv(row, outer_env)
         if evaluate(plan.predicate, env, ctx) is True:
             kept.append(row)
@@ -149,7 +144,10 @@ def _execute_filter(plan: plans.Filter, ctx: ExecutionContext, outer_env) -> lis
 def _execute_project(plan: plans.Project, ctx: ExecutionContext, outer_env) -> list[tuple]:
     rows = execute_plan(plan.input, ctx, outer_env)
     output = []
-    for row in rows:
+    watched = ctx.watched
+    for index, row in enumerate(rows):
+        if watched and not index & 0xFF:
+            ctx.checkpoint(plan, len(output))
         env = EvalEnv(row, outer_env)
         output.append(tuple(evaluate(expr, env, ctx) for expr in plan.exprs))
     return output
@@ -162,16 +160,11 @@ def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tu
     right_width = len(plan.right.schema)
     output: list[tuple] = []
 
-    cancel = ctx.cancel_event
-    progress = ctx.progress
-    watched = cancel is not None or progress is not None
+    watched = ctx.watched
     if plan.kind == "CROSS":
         for index, left in enumerate(left_rows):
             if watched and not index & 0xFF:
-                if cancel is not None and cancel.is_set():
-                    raise QueryCancelled("query cancelled")
-                if progress is not None:
-                    progress.tick(plan, len(output))
+                ctx.checkpoint(plan, len(output))
             for right in right_rows:
                 output.append(left + right)
         return output
@@ -195,10 +188,7 @@ def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tu
     right_matched = [False] * len(right_rows)
     for left_index, left in enumerate(left_rows):
         if watched and not left_index & 0xFF:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("query cancelled")
-            if progress is not None:
-                progress.tick(plan, len(output))
+            ctx.checkpoint(plan, len(output))
         matched = False
         for right_index, right in enumerate(right_rows):
             combined = left + right
@@ -284,16 +274,12 @@ def _hash_join(
     if ctx.profiler is not None:
         ctx.profiler.operator_count(plan, "hash_build_rows", len(right_rows))
         ctx.profiler.operator_count(plan, "hash_probes", len(left_rows))
-    cancel = ctx.cancel_event
     progress = ctx.progress
-    watched = cancel is not None or progress is not None
+    watched = ctx.watched
     table: dict[tuple, list[int]] = {}
     for index, right in enumerate(right_rows):
         if watched and not index & 0xFF:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("query cancelled")
-            if progress is not None:
-                progress.tick(plan, index)
+            ctx.checkpoint(plan, index)
         key = tuple(right[r] for _, r in equi_keys)
         if any(k is None for k in key):
             continue  # NULL keys never match under SQL '='
@@ -313,10 +299,7 @@ def _hash_join(
     right_matched = [False] * len(right_rows)
     for probe_index, left in enumerate(left_rows):
         if watched and not probe_index & 0xFF:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("query cancelled")
-            if progress is not None:
-                progress.tick(plan, len(output))
+            ctx.checkpoint(plan, len(output))
         key = tuple(left[l] for l, _ in equi_keys)
         matched = False
         if not any(k is None for k in key):
@@ -345,7 +328,10 @@ def _nested_loop_fallback(
 ) -> list[tuple]:
     output: list[tuple] = []
     right_matched = [False] * len(right_rows)
-    for left in left_rows:
+    watched = ctx.watched
+    for left_index, left in enumerate(left_rows):
+        if watched and not left_index & 0xFF:
+            ctx.checkpoint(plan, len(output))
         matched = False
         for right_index, right in enumerate(right_rows):
             combined = left + right
@@ -371,16 +357,11 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
     output: list[tuple] = []
 
     # Pre-compute every group expression once per input row.
-    cancel = ctx.cancel_event
-    progress = ctx.progress
-    watched = cancel is not None or progress is not None
+    watched = ctx.watched
     keyed_rows: list[tuple[tuple, tuple]] = []
     for row_index, row in enumerate(input_rows):
         if watched and not row_index & 0xFF:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("query cancelled")
-            if progress is not None:
-                progress.tick(plan, len(keyed_rows))
+            ctx.checkpoint(plan, len(keyed_rows))
         env = EvalEnv(row, outer_env)
         keys = tuple(evaluate(expr, env, ctx) for expr in plan.group_exprs)
         keyed_rows.append((keys, row))
@@ -404,7 +385,9 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
             groups[()] = []
             order.append(())
 
-        for group_key in order:
+        for group_index, group_key in enumerate(order):
+            if watched and not group_index & 0xFF:
+                ctx.checkpoint(plan, len(output))
             group_rows = groups[group_key]
             key_by_position = dict(zip(active, group_key))
             out_keys = tuple(
@@ -454,7 +437,10 @@ def _execute_sort(plan: plans.Sort, ctx: ExecutionContext, outer_env) -> list[tu
     if not plan.keys:
         return rows
     decorated = []
-    for row in rows:
+    watched = ctx.watched
+    for index, row in enumerate(rows):
+        if watched and not index & 0xFF:
+            ctx.checkpoint(plan, len(decorated))
         env = EvalEnv(row, outer_env)
         keys = tuple(evaluate(spec.expr, env, ctx) for spec in plan.keys)
         decorated.append(keys + (row,))

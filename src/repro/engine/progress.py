@@ -6,10 +6,11 @@ observers (the ``repro_running_queries`` / ``repro_query_progress``
 system tables, the HTTP sidecar's ``/queries``, the shell's ``\\top``).
 All mutations are plain attribute stores of immutable values (ints,
 strings), so under the GIL a reader always sees a value that *was* true
-at some point; no torn reads are possible.  The executor feeds it by
-piggybacking on the existing 256-row cancellation checkpoints, so with
-tracking off the hot loops pay one extra ``is None`` check per 256 rows
-and nothing else.
+at some point; no torn reads are possible.  The executor feeds it from
+the one cancellation checkpoint (``ExecutionContext.checkpoint``: every
+256 rows of a row loop, once per measure evaluation), so with tracking
+and cancellation off the hot loops pay one truthiness test per row and
+nothing else.
 
 The same object carries the per-query memory budget: materialization
 sites (operator output buffers, hash-join build tables, aggregate key
@@ -54,8 +55,8 @@ current_query_id: contextvars.ContextVar[str] = contextvars.ContextVar(
 #: Byte estimate used for a row before the first real row is sampled.
 _DEFAULT_ROW_BYTES = 80
 
-#: Rows between two progress ticks; mirrors the executor's cancellation
-#: checkpoint mask (``not index & 0xFF``).
+#: Rows between two progress ticks; mirrors the row loops' checkpoint
+#: mask (``not index & 0xFF``).
 TICK_ROWS = 256
 
 
@@ -131,6 +132,7 @@ class ProgressState:
         "memory_limit_bytes",
         "finished",
         "_operators",
+        "_running",
         "_row_bytes",
         "_next_op",
     )
@@ -160,6 +162,11 @@ class ProgressState:
         #: id(plan node) -> OperatorProgress, insertion-ordered; readers
         #: materialize ``list(values())`` which is atomic under the GIL.
         self._operators: dict = {}
+        #: Entries of the operators entered and not yet exited, innermost
+        #: last: a finished nested operator (a measure's source plan, a
+        #: correlated subquery) hands ``current_operator`` back to the one
+        #: that is still running.
+        self._running: list = []
         #: id(plan node) -> sampled bytes per output row.
         self._row_bytes: dict = {}
         self._next_op = itertools.count(1)
@@ -190,6 +197,7 @@ class ProgressState:
     def enter_operator(self, plan: Any) -> None:
         entry = self._entry(plan)
         entry.state = "running"
+        self._running.append(entry)
         self.current_operator = entry.label
 
     def exit_operator(self, plan: Any, rows: list) -> None:
@@ -199,6 +207,10 @@ class ProgressState:
         entry.calls += 1
         entry.rows_out += len(rows)
         entry.state = "done"
+        running = self._running
+        running.pop()
+        if running:
+            self.current_operator = running[-1].label
         self.rows_processed += len(rows)
         if rows:
             per_row = self._row_bytes.get(id(plan))
@@ -208,16 +220,21 @@ class ProgressState:
             self.memory_bytes += len(rows) * per_row
             self._check_budget(entry.label)
 
-    def tick(self, plan: Any, buffered_rows: int = 0) -> None:
-        """A 256-row checkpoint inside an operator loop.
+    def tick(self, plan: Any = None, buffered_rows: int = 0) -> None:
+        """One executor checkpoint (``ExecutionContext.checkpoint``).
 
         Advances the rows-processed counter, pins the current operator,
         and — when a budget is set — projects the loop's growing buffer
         against it, so a runaway join dies mid-flight instead of after
-        materializing its output.
+        materializing its output.  ``plan`` None charges the innermost
+        running operator: measure evaluation ticks from inside whichever
+        operator evaluates the measure.
         """
-        entry = self._operators.get(id(plan))
-        if entry is None:
+        if plan is None:
+            if not self._running:
+                return
+            entry = self._running[-1]
+        else:
             entry = self._entry(plan)
         self.current_operator = entry.label
         self.rows_processed += TICK_ROWS

@@ -49,7 +49,7 @@ def compute_rows(db: "Database", view_query: ast.Select):
         # engine's internal load is still observable.
         db.telemetry.record_internal_query()
     try:
-        return db._run_query(copy.deepcopy(view_query))
+        return db._run_query(copy.deepcopy(view_query))[0]
     finally:
         db._suppress_summaries = previous
 

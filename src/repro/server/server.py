@@ -221,6 +221,9 @@ class QueryServer:
                 )
                 payload = encode_result(result)
             elif op == "close":
+                # Before the reply, so "closed" is true when the client
+                # reads it (the connection handler's own close is a no-op).
+                self.manager.close_session(session)
                 await send({"id": op_id, "ok": True, "result": {"closed": True}})
                 return False
             else:

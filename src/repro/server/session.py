@@ -26,9 +26,9 @@ asyncio server in :mod:`repro.server.server`.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import threading
-import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import Any, Optional, Sequence
@@ -37,8 +37,9 @@ from repro.catalog import MaterializedView
 from repro.errors import SqlError
 from repro.result import Result
 from repro.server.plancache import PlanCache
-from repro.sql import ast, parse_statement
-from repro.telemetry import statement_kind
+from repro.sql import ast
+from repro.sql.printer import to_sql
+from repro.telemetry import current_session, current_traceparent
 
 __all__ = ["Session", "SessionManager"]
 
@@ -98,8 +99,7 @@ class Session:
         its trace id and the telemetry events carry it.
         """
         with self._statement_scope(sql, traceparent):
-            statement = self._parse(sql)
-            return self._run(statement, sql, params)
+            return self._run(self.db._parse(sql), sql, params)
 
     def prepare(self, sql: str) -> str:
         """Parse (and for queries, plan) ``sql``; returns a handle.
@@ -110,12 +110,19 @@ class Session:
         replans; the handle never dangles.
         """
         with self._statement_scope(sql):
-            statement = self._parse(sql)
+            statement = self.db._parse(sql)
             if isinstance(statement, ast.QueryStatement) and not isinstance(
                 statement.query, ast.ShowStats
             ):
+                key = to_sql(statement)
                 with self.db.rwlock.read():
-                    self._plan_for(statement)
+                    try:
+                        self._planned(statement, key)
+                    except SqlError as exc:
+                        # A query that cannot be planned fails here, not at
+                        # execution: journal it where it happened.
+                        self.db._emit(statement, key, error=exc)
+                        raise
             handle = f"{self.id}_p{next(self._prepared_seq)}"
             self._prepared[handle] = (sql, statement)
             return handle
@@ -137,15 +144,6 @@ class Session:
 
     def deallocate(self, handle: str) -> None:
         self._prepared.pop(handle, None)
-
-    def _plan_for(self, statement: ast.QueryStatement) -> None:
-        """Prime the shared cache with this statement's plan (a prepare)."""
-        from repro.sql.printer import to_sql
-
-        key = to_sql(statement)
-        if self.manager.plan_cache.get(key) is None:
-            planned = self.db.plan_query(statement.query, sql=key)
-            self.manager.plan_cache.put(planned)
 
     def cancel(self) -> None:
         """Abort the statement currently executing in this session (if
@@ -172,8 +170,6 @@ class Session:
         # A cancel targets the in-flight statement; one arriving between
         # statements is deliberately dropped here.
         self.cancel_event.clear()
-        from repro.telemetry import current_session, current_traceparent
-
         token = current_session.set(self.id)
         trace_token = current_traceparent.set(traceparent or "")
         try:
@@ -181,18 +177,6 @@ class Session:
         finally:
             current_traceparent.reset(trace_token)
             current_session.reset(token)
-
-    def _parse(self, sql: str) -> ast.Statement:
-        try:
-            return parse_statement(sql)
-        except SqlError as exc:
-            if self.db.telemetry is not None:
-                self.db.telemetry.record_error(exc, sql=sql)
-            if self.db.recorder is not None:
-                # Parse failures are part of the workload: replaying the
-                # journal must reproduce them as errors, not skip them.
-                self.db.recorder.record(sql=sql, error=exc)
-            raise
 
     def _run(
         self, statement: ast.Statement, sql: str, params: Sequence[Any]
@@ -208,116 +192,58 @@ class Session:
         params: Sequence[Any],
     ) -> Result:
         db = self.db
-        manager = self.manager
         with db.rwlock.read():
             if isinstance(statement.query, ast.ShowStats):
                 # Answered from the registry; no plan, nothing to cache.
-                if db.telemetry is not None:
-                    return db._run_traced_statement(statement, params, sql=sql)
-                return db._execute_plain(statement, params)
-            manager.sync_plan_flips()
-            from repro.sql.printer import to_sql
-
+                return db._execute_observed(statement, params, sql=sql)
+            self.manager.sync_plan_flips()
             key = to_sql(statement)
-            planned = manager.plan_cache.get(key)
-            cached = planned is not None
-            telemetry = db.telemetry
-            recorder = db.recorder
-            if telemetry is not None:
-                if cached:
-                    telemetry.plan_cache_hits_total.inc()
-                else:
-                    telemetry.plan_cache_misses_total.inc()
-            start = time.perf_counter()
-            try:
-                if planned is None:
-                    planned = db.plan_query(statement.query, sql=key)
-                    manager.plan_cache.put(planned)
-                profiler = None
-                if telemetry is not None:
-                    from repro.profile import Profiler
-
-                    profiler = Profiler()
-                result, profile = db.execute_planned(
-                    planned,
-                    params,
-                    cancel_event=self.cancel_event,
-                    profiler=profiler,
-                )
-            except SqlError as exc:
-                if telemetry is not None:
-                    from repro.errors import ResourceExhausted
-
-                    if isinstance(exc, ResourceExhausted):
-                        # Freeze the partial profile into the slow-query
-                        # log before the statement unwinds: a budget
-                        # breach is precisely when the operator breakdown
-                        # matters and the query will never finish it.
-                        telemetry.record_resource_exhausted(
-                            exc, sql=key, profiler=profiler
-                        )
-                    fp = norm = None
-                    if planned is not None:
-                        fp, norm = planned.fingerprint, planned.normalized
-                    telemetry.record_error(
-                        exc, sql=key, fingerprint=fp, query_text=norm
-                    )
-                if recorder is not None:
-                    recorder.record(
-                        sql=key,
-                        params=params,
-                        fingerprint=(
-                            planned.fingerprint if planned is not None else None
-                        ),
-                        strategy=(
-                            planned.strategy if planned is not None else None
-                        ),
-                        kind=statement_kind(statement),
-                        wall_ms=(time.perf_counter() - start) * 1000.0,
-                        error=exc,
-                    )
-                raise
-            if recorder is not None:
-                recorder.record(
-                    sql=key,
-                    params=params,
-                    fingerprint=planned.fingerprint,
-                    strategy=planned.strategy,
-                    kind=statement_kind(statement),
-                    wall_ms=(time.perf_counter() - start) * 1000.0,
-                    result=result,
-                )
-            if telemetry is not None:
-                from repro.introspect import is_introspection_plan
-
-                telemetry.record_query(
-                    statement_kind(statement),
-                    profile,
-                    rows=len(result.rows),
-                    sql=key,
-                    # A cache hit never re-ran the rewriter; replaying the
-                    # cold run's reports would double-count summary hits.
-                    reports=() if cached else planned.reports,
-                    fingerprint=planned.fingerprint,
-                    query_text=planned.normalized,
-                    plan_shape=planned.plan_shape,
-                    strategy=planned.strategy,
-                    introspection=is_introspection_plan(planned.plan),
-                )
-                # If that observation flipped the plan, evict the
-                # fingerprint's cached variants before anyone replays them.
-                manager.sync_plan_flips()
+            result = db._execute_observed(
+                statement,
+                params,
+                sql=key,
+                run=lambda profiler: self._replay(statement, key, params, profiler),
+            )
+            # If that observation flipped the plan, evict the fingerprint's
+            # cached variants before anyone replays them.
+            self.manager.sync_plan_flips()
             return result
+
+    def _replay(self, statement: ast.QueryStatement, key: str, params, profiler):
+        """The session's plan -> run step: the plan comes from the shared
+        cache.  Returns what ``Database._run_query`` returns."""
+        planned = self._planned(statement, key)
+        result, profile = self.db.execute_planned(
+            planned, params, cancel_event=self.cancel_event, profiler=profiler
+        )
+        return result, planned, profile
+
+    def _planned(self, statement: ast.QueryStatement, key: str):
+        """The statement's plan from the shared cache (``key`` is its
+        canonical text), planned cold and cached on a miss."""
+        cache = self.manager.plan_cache
+        telemetry = self.db.telemetry
+        planned = cache.get(key)
+        if planned is not None:
+            if telemetry is not None:
+                telemetry.plan_cache_hits_total.inc()
+            return planned
+        if telemetry is not None:
+            telemetry.plan_cache_misses_total.inc()
+        planned = self.db.plan_query(statement.query, sql=key)
+        # A cache hit never re-runs the rewriter, so the cached copy drops
+        # the cold run's reports: replaying them would double-count summary
+        # hits.  Its strategy and plan shape stay, keeping the plan hash
+        # stable for cached executions.
+        cache.put(dataclasses.replace(planned, reports=()))
+        return planned
 
     def _run_write(
         self, statement: ast.Statement, sql: str, params: Sequence[Any]
     ) -> Result:
         db = self.db
         with db.rwlock.write():
-            if db.telemetry is not None:
-                result = db._run_traced_statement(statement, params, sql=sql)
-            else:
-                result = db._execute_plain(statement, params)
+            result = db._execute_observed(statement, params, sql=sql)
             # Invalidate while still exclusive: no reader can replay a
             # stale plan between the mutation and the eviction.
             self.manager.invalidate_for(statement)

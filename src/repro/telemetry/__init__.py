@@ -284,7 +284,7 @@ class Telemetry:
         query_text: Optional[str] = None,
         plan_shape: Optional[str] = None,
         introspection: bool = False,
-        strategy: Optional[str] = None,
+        strategy: str = "interpreter",
     ) -> None:
         """Record one completed query (kind select/explain/...): metrics,
         a lifecycle event, the trace, and — if slow — a slow-log entry.
@@ -298,11 +298,12 @@ class Telemetry:
         same exclusion internal maintenance gets — so the database
         observing itself never skews the statistics being observed.
 
-        ``strategy`` overrides the strategy derived from ``reports``.  A
-        plan-cache hit replays a stored plan without re-running the
-        rewriter, so no reports exist; the session passes the strategy the
-        cold run decided, keeping the plan hash stable and the flip
-        detector quiet for cached executions.
+        ``strategy`` is what planning decided (``summary`` or
+        ``interpreter``) or the expansion strategy the caller forced;
+        ``reports`` only detail the event.  A plan-cache hit replays a
+        stored plan without re-running the rewriter, so it has no reports
+        but the cold run's strategy, keeping the plan hash stable and the
+        flip detector quiet for cached executions.
         """
         session = current_session.get()
         traceparent = current_traceparent.get()
@@ -320,12 +321,6 @@ class Telemetry:
             }
             for r in reports
         ]
-        if strategy is None:
-            strategy = (
-                "summary"
-                if any(r["status"] == "hit" for r in report_dicts)
-                else "interpreter"
-            )
         duration_ms = profile.total_ms
         if fingerprint is not None:
             from repro.introspect.fingerprint import plan_hash

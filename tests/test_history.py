@@ -143,6 +143,26 @@ class TestDatabaseRecording:
         assert report.clean
         assert report.errors_reproduced == 2
 
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_parse_errors_journal_and_reproduce(self, tmp_path, telemetry):
+        """A statement that does not parse is part of the workload for the
+        direct API too, exactly as it is for a session."""
+        path = journal_path(tmp_path)
+        db = Database(telemetry=telemetry, record_to=path)
+        with pytest.raises(SqlError):
+            db.execute("SELEC 1")
+        db.execute("SELECT 1")
+        db.recorder.close()
+        _, entries = read_journal(path)
+        assert [(e.sql, e.outcome) for e in entries] == [
+            ("SELEC 1", "error"),
+            ("SELECT 1", "ok"),
+        ]
+        assert entries[0].error["class"] == "ParseError"
+        assert entries[0].kind is None and entries[0].fingerprint is None
+        report = replay_journal(path, diff=True)
+        assert report.clean and report.errors_reproduced == 1
+
     def test_replay_diverges_when_error_becomes_success(self, tmp_path):
         """A statement recorded as an error but succeeding on replay is a
         divergence, not a silent pass."""

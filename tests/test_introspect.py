@@ -327,11 +327,14 @@ def test_explain_shape_matches_plan_shape_helper():
     assert entry["last_plan_hash"] is not None
     assert entry["last_strategy"] == "interpreter"
     # The hash is reproducible from the components the helper exposes.
-    shape = plan_shape(db._last_plan) if db._last_plan else None
-    # _last_plan belongs to the most recent query; re-run to repopulate.
-    db.execute("SELECT g, SUM(v) FROM t GROUP BY g")
-    shape = plan_shape(db._last_plan)
-    assert plan_hash("interpreter", shape) == entry["last_plan_hash"]
+    from repro.sql import parse_query
+
+    planned = db.plan_query(parse_query("SELECT g, SUM(v) FROM t GROUP BY g"))
+    assert planned.plan_shape == plan_shape(planned.plan)
+    assert (
+        plan_hash(planned.strategy, planned.plan_shape)
+        == entry["last_plan_hash"]
+    )
 
 
 # -- the acceptance query: measures over system tables -------------------------

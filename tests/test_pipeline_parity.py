@@ -1,0 +1,123 @@
+"""One statement pipeline: every entry point reports a statement the same way.
+
+The same workload — the paper's fifteen listings, one DML, one bind error
+and one parse error — goes through ``Database.execute``,
+``Database.execute_script``, ``Session.execute`` and ``Session.prepare`` /
+``execute_prepared``, each on its own database with telemetry and the
+flight recorder attached.  The journals must agree entry by entry and the
+per-fingerprint statistics row by row.  (The journal's ``sql`` field is the
+caller's text on some paths and the canonical text on others; it is not
+compared.)
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.errors import SqlError
+from repro.history import (
+    JournalWriter,
+    build_bootstrap_database,
+    read_journal,
+    replay_journal,
+)
+from repro.server import SessionManager
+from repro.workloads.listings import all_listing_sql
+
+
+def workload() -> list:
+    listings = all_listing_sql(build_bootstrap_database("listings"))
+    assert len(listings) == 15
+    return list(listings.values()) + [
+        "INSERT INTO Orders VALUES ('Acme', 'Celia', '2024-01-05', 9, 3)",
+        "SELECT nope FROM Orders",
+        "SELEC 1",
+    ]
+
+
+def via_prepared(session, sql):
+    session.execute_prepared(session.prepare(sql))
+
+
+#: name -> run one statement, given the database and a session on it.
+ENTRY_POINTS = {
+    "execute": lambda db, session, sql: db.execute(sql),
+    "execute_script": lambda db, session, sql: db.execute_script(sql),
+    "session": lambda db, session, sql: session.execute(sql),
+    "prepared": lambda db, session, sql: via_prepared(session, sql),
+}
+
+
+def record(name: str, tmp_path):
+    """Run the workload through one entry point;
+    ``(journal path, journal, stats)``."""
+    path = str(tmp_path / f"{name}.jsonl")
+    db = build_bootstrap_database("listings", telemetry=True)
+    # Attached after the bootstrap: the journal and the statistics hold the
+    # workload only, not the preload every replay re-applies itself.
+    db.recorder = JournalWriter(path, bootstrap="listings")
+    db.reset_stats()
+    session = SessionManager(db).open_session()
+    for sql in workload():
+        try:
+            ENTRY_POINTS[name](db, session, sql)
+        except SqlError:
+            pass
+    db.recorder.close()
+    _, entries = read_journal(path)
+    journal = [
+        (
+            e.kind,
+            e.fingerprint,
+            e.strategy,
+            e.outcome,
+            None if e.error is None else e.error["class"],
+            e.digest,
+        )
+        for e in entries
+    ]
+    stats = sorted(
+        (s["fingerprint"], s["calls"], s["errors"], s["last_strategy"])
+        for s in db.stat_statements()
+    )
+    return path, journal, stats
+
+
+@pytest.fixture(scope="module")
+def recordings(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("parity")
+    return {name: record(name, tmp_path) for name in ENTRY_POINTS}
+
+
+def test_reference_journal_has_every_statement(recordings):
+    _, journal, stats = recordings["execute"]
+    assert len(journal) == 18
+    assert [entry[3] for entry in journal] == ["ok"] * 16 + ["error"] * 2
+    assert [entry[0] for entry in journal] == ["select"] * 15 + [
+        "insert",
+        "select",
+        None,
+    ]
+    assert [entry[2] for entry in journal] == ["interpreter"] * 15 + [None] * 3
+    assert [entry[4] for entry in journal[16:]] == ["BindError", "ParseError"]
+    # Listings 4/5 and 10/11 are different statements: 15 + the DML + the
+    # bind error, which has a fingerprint; the parse error has none.
+    assert len(stats) == 17
+    assert sum(errors for _, _, errors, _ in stats) == 1
+
+
+@pytest.mark.parametrize("name", ["execute_script", "session", "prepared"])
+def test_entry_point_agrees_with_execute(recordings, name):
+    _, reference_journal, reference_stats = recordings["execute"]
+    _, journal, stats = recordings[name]
+    assert journal == reference_journal
+    assert stats == reference_stats
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_every_journal_replays_byte_identical(recordings, name):
+    path, journal, _ = recordings[name]
+    report = replay_journal(path, diff=True)
+    assert report.clean, [d.render() for d in report.divergences]
+    assert report.replayed == len(journal)
+    assert report.errors_reproduced == 2

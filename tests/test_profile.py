@@ -207,6 +207,21 @@ def test_database_profile_flag(paper_db):
     assert profile.sql is not None and "SELECT" in profile.sql
 
 
+def test_recorder_does_not_change_the_profile_phases(tmp_path):
+    """profile=True covers the same phases, parse included, whether or not
+    the flight recorder is attached."""
+
+    def phases(**kwargs) -> list:
+        db = Database(profile=True, **kwargs)
+        db.execute("CREATE TABLE t (x INTEGER)")
+        db.execute("SELECT x FROM t WHERE x > 1")
+        return [c.name for c in db.last_profile().root_span.children]
+
+    alone = phases()
+    assert alone == ["parse", "rewrite", "bind", "optimize", "execute"]
+    assert phases(record_to=str(tmp_path / "journal.jsonl")) == alone
+
+
 def test_profile_serialization_stability(paper_db):
     paper_db.profile_enabled = True
     paper_db.execute("SELECT COUNT(*) FROM Orders")

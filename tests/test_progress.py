@@ -346,6 +346,64 @@ class TestCancellationLatency:
                 pytest.fail("query never observed mid-flight in 5 rounds")
 
 
+    def test_cancel_lands_promptly_during_measure_evaluation(self):
+        """Cancel ``visible_orders_by_region`` at three offsets spread over
+        its run.  Nearly all of that run is the per-group
+        ``AT (VISIBLE)`` evaluation inside the final Project, so every
+        offset lands there: the progress tables must show that operator
+        live and advancing, and each cancel must take within 250 ms."""
+        from repro.errors import QueryCancelled
+        from repro.server import SessionManager
+
+        db = tpch_measure_database(0.002, telemetry=True)
+        manager = SessionManager(db)
+        runner, watcher = manager.open_session(), manager.open_session()
+        runner.execute(VISIBLE)  # plans it; the timed run replays the plan
+        started = time.monotonic()
+        runner.execute(VISIBLE)
+        full_run = time.monotonic() - started
+
+        def watch():
+            return watcher.execute(
+                "SELECT current_operator, rows_processed "
+                "FROM repro_running_queries"
+            ).rows
+
+        for fraction in (0.15, 0.4, 0.65):
+            for _ in range(3):  # a run that beats its own offset is retried
+                outcome = {}
+
+                def run_doomed():
+                    try:
+                        runner.execute(VISIBLE)
+                    except QueryCancelled:
+                        outcome["cancelled_at"] = time.monotonic()
+
+                thread = threading.Thread(target=run_doomed)
+                thread.start()
+                while thread.is_alive() and not len(db.running):
+                    time.sleep(0.001)
+                time.sleep(full_run * fraction)
+                before = after = watch()
+                deadline = time.monotonic() + 0.25
+                while after == before and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                    after = watch()
+                cancel_sent = time.monotonic()
+                runner.cancel()
+                thread.join(timeout=10)
+                assert not thread.is_alive(), "cancel did not take"
+                if "cancelled_at" in outcome:
+                    break
+            else:
+                pytest.fail(f"never caught the query {fraction:.0%} in")
+            latency = outcome["cancelled_at"] - cancel_sent
+            assert latency < 0.25, f"cancel at {fraction:.0%}: {latency:.3f}s"
+            assert len(before) == len(after) == 1
+            assert before[0][0] == after[0][0] == "Project"
+            assert after[0][1] > before[0][1], "measure evaluation never ticks"
+
+
 # -- concurrent readers (satellite) ------------------------------------------
 
 
