@@ -3,7 +3,7 @@
 .PHONY: test test-slow bench bench-selftest report snapshot compare shell tpch serve server-smoke replay-smoke examples lint validate all
 
 # The committed perf baseline the regression gate compares against.
-BASELINE ?= benchmarks/BENCH_2026-08-07.json
+BASELINE ?= benchmarks/BENCH_2026-09-27.json
 
 test:
 	pytest tests/

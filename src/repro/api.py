@@ -30,6 +30,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from repro.catalog import Catalog, MaterializedView, TableSchema
 from repro.catalog.schema import Column
+from repro.engine.compile import compile_expr
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
 from repro.engine.progress import QueryRegistry, current_query_id
@@ -915,19 +916,19 @@ class Database:
         return expr_binder, bound_where
 
     def _matching_indexes(self, table, bound_where, params=()) -> list[int]:
-        from repro.engine.evaluator import EvalEnv, evaluate
-
+        if bound_where is None:
+            return list(range(len(table.table.rows)))
         ctx = ExecutionContext(
             self.catalog, enable_cache=self.cache_enabled, params=params
         )
-        matches = []
-        for index, row in enumerate(table.table.rows):
-            if bound_where is None or evaluate(bound_where, EvalEnv(row), ctx) is True:
-                matches.append(index)
-        return matches
+        matches = compile_expr(bound_where)
+        return [
+            index
+            for index, row in enumerate(table.table.rows)
+            if matches(row, None, ctx) is True
+        ]
 
     def _update(self, statement: ast.Update, params: Sequence[Any] = ()) -> Result:
-        from repro.engine.evaluator import EvalEnv, evaluate
         from repro.types import coerce_value
 
         table = self.catalog.base_table(statement.table)
@@ -937,18 +938,17 @@ class Database:
         targets = []
         for assignment in statement.assignments:
             index = table.schema.index_of(assignment.column)
-            targets.append((index, expr_binder.bind(assignment.value)))
+            targets.append((index, compile_expr(expr_binder.bind(assignment.value))))
         ctx = ExecutionContext(
             self.catalog, enable_cache=self.cache_enabled, params=params
         )
         rows = table.table.rows
         count = 0
         for row_index in self._matching_indexes(table, bound_where, params):
-            env = EvalEnv(rows[row_index])
             updated = list(rows[row_index])
-            for column_index, value_expr in targets:
+            for column_index, value_of in targets:
                 updated[column_index] = coerce_value(
-                    evaluate(value_expr, env, ctx),
+                    value_of(rows[row_index], None, ctx),
                     table.schema.columns[column_index].dtype,
                 )
             rows[row_index] = tuple(updated)

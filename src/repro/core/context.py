@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
+from repro.engine.compile import compile_expr
 from repro.semantics.bound import BoundExpr, walk
-from repro.types import is_not_distinct
+from repro.types import is_not_distinct, sql_eq
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.modifiers import BoundModifier
@@ -108,12 +109,8 @@ class EqTerm(Term):
         return self.dim_key or fingerprint(self.source_expr)
 
     def test(self, source_row: tuple, ctx: "ExecutionContext") -> bool:
-        from repro.engine.evaluator import EvalEnv, evaluate
-
-        actual = evaluate(self.source_expr, EvalEnv(source_row), ctx)
+        actual = compile_expr(self.source_expr)(source_row, None, ctx)
         if self.strict:
-            from repro.types import sql_eq
-
             return sql_eq(actual, self.value) is True
         return is_not_distinct(actual, self.value)
 
@@ -140,10 +137,7 @@ class PredTerm(Term):
     dim_key: Optional[str] = None
 
     def test(self, source_row: tuple, ctx: "ExecutionContext") -> bool:
-        from repro.engine.evaluator import EvalEnv, evaluate
-
-        env = EvalEnv(source_row, self.parent_env)
-        return evaluate(self.pred, env, ctx) is True
+        return compile_expr(self.pred)(source_row, self.parent_env, ctx) is True
 
     def cache_key(self) -> tuple:
         return ("pred", self.label, self.key_values)
@@ -168,23 +162,20 @@ class VisibleTerm(Term):
     dim_key: Optional[str] = None
 
     def test(self, source_row: tuple, ctx: "ExecutionContext") -> bool:
-        from repro.engine.evaluator import EvalEnv, evaluate
-
-        env = EvalEnv(source_row)
-        substituted = [
-            None
-            if expr is None
-            else evaluate(expr, env, ctx)
-            for expr in self.offset_dim_exprs
-        ]
+        substituted = tuple(
+            [
+                None if expr is None else compile_expr(expr)(source_row, None, ctx)
+                for expr in self.offset_dim_exprs
+            ]
+        )
+        preds = [compile_expr(pred) for pred in self.preds]
+        start, end, parent = self.range_start, self.range_end, self.parent_env
         for group_row in self.group_rows:
-            candidate = (
-                group_row[: self.range_start]
-                + tuple(substituted)
-                + group_row[self.range_end :]
-            )
-            row_env = EvalEnv(candidate, self.parent_env)
-            if all(evaluate(p, row_env, ctx) is True for p in self.preds):
+            candidate = group_row[:start] + substituted + group_row[end:]
+            for pred in preds:
+                if pred(candidate, parent, ctx) is not True:
+                    break
+            else:
                 return True
         return False
 
@@ -207,10 +198,9 @@ class SemiMatchTerm(Term):
     dim_key: Optional[str] = None
 
     def test(self, source_row: tuple, ctx: "ExecutionContext") -> bool:
-        from repro.engine.evaluator import EvalEnv, evaluate
-
-        env = EvalEnv(source_row)
-        projection = tuple(evaluate(expr, env, ctx) for expr in self.dim_exprs)
+        projection = [
+            compile_expr(expr)(source_row, None, ctx) for expr in self.dim_exprs
+        ]
         for row in self.rows:
             if all(
                 is_not_distinct(row[offset], value)

@@ -22,12 +22,8 @@ from repro.core.context import (
     VisibleTerm,
 )
 from repro.core.modifiers import apply_modifiers
-from repro.engine.evaluator import (
-    EvalEnv,
-    ExecutionContext,
-    evaluate,
-    evaluate_formula,
-)
+from repro.engine.compile import compile_expr, compile_formula
+from repro.engine.evaluator import EvalEnv, ExecutionContext
 from repro.errors import ExecutionError
 from repro.semantics import bound as b
 
@@ -113,7 +109,7 @@ def _evaluate_measure_impl(
         # phase a VISIBLE query spends its time in must see a cancel too.
         ctx.checkpoint()
     filtered = _context_rows(node.measure, terms, ctx, env)
-    result = evaluate_formula(node.measure.formula, filtered, env, ctx)
+    result = compile_formula(node.measure.formula)(filtered, env, ctx)
     if cache_key is not None:
         ctx.measure_cache[cache_key] = result
     return result
@@ -178,11 +174,14 @@ def _dimension_index(measure, term: EqTerm, ctx: ExecutionContext, rows):
     cache = ctx.dim_indexes
     if key in cache:
         return cache[key]
+    dimension = compile_expr(term.source_expr)
     index: dict = {}
+    watched = ctx.watched
     try:
         for position, row in enumerate(rows):
-            value = evaluate(term.source_expr, EvalEnv(row), ctx)
-            index.setdefault(value, []).append(position)
+            if watched and not position & 0xFF:
+                ctx.checkpoint(buffered_rows=position)
+            index.setdefault(dimension(row, None, ctx), []).append(position)
     except TypeError:
         cache[key] = None  # unhashable dimension values: no index
         return None
@@ -236,7 +235,11 @@ def _base_terms(
             # This dimension is rolled up in the current grouping set, so it
             # contributes no term (paper Listing 8's grand-total row).
             continue
-        value = evaluate(term_spec.value_expr, env, ctx) if env is not None else None
+        value = (
+            None
+            if env is None
+            else compile_expr(term_spec.value_expr)(env.row, env.parent, ctx)
+        )
         terms.append(EqTerm(term_spec.dim_key, term_spec.source_expr, value))
     return terms
 
@@ -248,10 +251,7 @@ def source_rows_for(
     from repro.engine.executor import execute_plan
 
     plan = measure.group.source_plan
-    cache = getattr(ctx, "source_rows_cache", None)
-    if cache is None:
-        cache = {}
-        ctx.source_rows_cache = cache
+    cache = ctx.source_rows_cache
     key = id(plan)
     if key not in cache:
         # Source plans are self-contained (the defining query's FROM/WHERE),

@@ -23,6 +23,7 @@ from repro.core.context import (
     Term,
     VisibleTerm,
 )
+from repro.engine.compile import compile_expr
 from repro.errors import MeasureError
 from repro.semantics import bound as b
 
@@ -135,8 +136,6 @@ def _evaluate_set_value(
     env: Optional["EvalEnv"],
     ctx: "ExecutionContext",
 ) -> Any:
-    from repro.engine.evaluator import evaluate
-
     def lookup(dim_key: str) -> Any:
         # CURRENT dim: the single value the context pins the dimension to,
         # NULL when the dimension is unconstrained (paper section 3.5).
@@ -148,7 +147,7 @@ def _evaluate_set_value(
         return None
 
     substituted = substitute_current(modifier.value_expr, lookup)
-    return evaluate(substituted, env, ctx)
+    return compile_expr(substituted)(env.row, env.parent, ctx)
 
 
 def substitute_current(expr: b.BoundExpr, lookup) -> b.BoundExpr:
@@ -188,13 +187,11 @@ def _build_where_terms(
     env: Optional["EvalEnv"],
     ctx: "ExecutionContext",
 ) -> list[Term]:
-    from repro.engine.evaluator import EvalEnv, evaluate
-
     terms: list[Term] = []
     for source_expr, value_expr in modifier.eq_pairs:
         # The value side references the call site at depth 1.  dim_key=None:
         # these are predicate terms, not removable dimension terms.
-        value = evaluate(value_expr, EvalEnv((), env), ctx)
+        value = compile_expr(value_expr)((), env, ctx)
         terms.append(EqTerm(None, source_expr, value, strict=True))
     if modifier.pred is not None:
         key_values: tuple = ()

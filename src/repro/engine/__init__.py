@@ -1,6 +1,7 @@
-"""Execution engine: evaluator, operators, functions, aggregates, windows."""
+"""Execution engine: expression compiler, operators, functions, aggregates, windows."""
 
-from repro.engine.evaluator import EvalEnv, ExecutionContext, evaluate
+from repro.engine.compile import compile_expr
+from repro.engine.evaluator import EvalEnv, ExecutionContext
 from repro.engine.executor import execute_plan
 
-__all__ = ["EvalEnv", "ExecutionContext", "evaluate", "execute_plan"]
+__all__ = ["EvalEnv", "ExecutionContext", "compile_expr", "execute_plan"]

@@ -1,18 +1,28 @@
 """Plan interpreter: materialized, operator-at-a-time execution.
 
 :func:`execute_plan` walks a :class:`~repro.plan.logical.LogicalPlan` and
-returns a list of tuples.  Correlated subqueries re-enter through
-:func:`~repro.engine.evaluator.evaluate`, passing the enclosing
+returns a list of tuples.  Each operator compiles its expressions to closures
+the first time it runs (:mod:`repro.engine.compile`) and keeps them on the
+plan node; its row loop only calls them.  Correlated subqueries re-enter
+through their closure, passing the enclosing
 :class:`~repro.engine.evaluator.EvalEnv` so that
 :class:`~repro.semantics.bound.BoundOuterColumn` references resolve.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from operator import itemgetter
+from typing import Optional
 
 from repro.catalog.objects import BaseTable, SystemTable
-from repro.engine.evaluator import EvalEnv, ExecutionContext, evaluate
+from repro.engine.compile import (
+    compile_aggregate,
+    compile_expr,
+    compile_rows,
+    memo,
+    row_getter,
+)
+from repro.engine.evaluator import EvalEnv, ExecutionContext
 from repro.engine.window import compute_window_column
 from repro.errors import ExecutionError, QueryCancelled
 from repro.plan import logical as plans
@@ -118,92 +128,77 @@ def _execute_system_scan(
 
 
 def _execute_values(plan: plans.ValuesPlan, ctx: ExecutionContext, outer_env) -> list[tuple]:
-    env = EvalEnv((), outer_env)
     return [
-        tuple(evaluate(cell, env, ctx) for cell in row) for row in plan.rows
+        tuple([compile_expr(cell)((), outer_env, ctx) for cell in row])
+        for row in plan.rows
     ]
 
 
 def _execute_filter(plan: plans.Filter, ctx: ExecutionContext, outer_env) -> list[tuple]:
     rows = execute_plan(plan.input, ctx, outer_env)
-    kept = []
-    # Row loops dominate long queries, so cancellation and progress ticks
-    # land in them too (ctx.checkpoint, every 256 rows), not just at
-    # operator boundaries.  ``watched`` is hoisted so the untracked hot
-    # path pays one local truthiness test per row and no call.
-    watched = ctx.watched
-    for index, row in enumerate(rows):
-        if watched and not index & 0xFF:
-            ctx.checkpoint(plan, len(kept))
-        env = EvalEnv(row, outer_env)
-        if evaluate(plan.predicate, env, ctx) is True:
-            kept.append(row)
+    predicate = compile_expr(plan.predicate)
+    kept: list[tuple] = []
+    for batch in ctx.batches(rows, plan, kept):
+        kept += [row for row in batch if predicate(row, outer_env, ctx) is True]
     return kept
 
 
 def _execute_project(plan: plans.Project, ctx: ExecutionContext, outer_env) -> list[tuple]:
     rows = execute_plan(plan.input, ctx, outer_env)
-    output = []
-    watched = ctx.watched
-    for index, row in enumerate(rows):
-        if watched and not index & 0xFF:
-            ctx.checkpoint(plan, len(output))
-        env = EvalEnv(row, outer_env)
-        output.append(tuple(evaluate(expr, env, ctx) for expr in plan.exprs))
+    project = memo(plan, "_project", lambda plan: compile_rows(plan.exprs))
+    output: list[tuple] = []
+    for batch in ctx.batches(rows, plan, output):
+        output += project(batch, outer_env, ctx)
     return output
 
 
 def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tuple]:
     left_rows = execute_plan(plan.left, ctx, outer_env)
     right_rows = execute_plan(plan.right, ctx, outer_env)
-    left_width = len(plan.left.schema)
-    right_width = len(plan.right.schema)
-    output: list[tuple] = []
 
-    watched = ctx.watched
     if plan.kind == "CROSS":
-        for index, left in enumerate(left_rows):
-            if watched and not index & 0xFF:
-                ctx.checkpoint(plan, len(output))
-            for right in right_rows:
-                output.append(left + right)
+        output: list[tuple] = []
+        for batch in ctx.batches(left_rows, plan, output):
+            output += [left + right for left in batch for right in right_rows]
         return output
 
     if plan.kind not in ("INNER", "LEFT", "RIGHT", "FULL"):
         raise ExecutionError(f"unknown join kind {plan.kind}")
 
-    equi_keys, residual = _extract_equi_keys(plan.condition, left_width)
-    if equi_keys:
+    compiled = memo(plan, "_join", _compile_join)
+    if compiled[0] is not None:
         ctx.hash_joins += 1
-        return _hash_join(
-            plan, left_rows, right_rows, left_width, right_width,
-            equi_keys, residual, ctx, outer_env,
-        )
-
+        return _hash_join(plan, left_rows, right_rows, compiled, ctx, outer_env)
     ctx.nested_loop_joins += 1
     if ctx.profiler is not None:
         ctx.profiler.operator_count(
             plan, "comparisons", len(left_rows) * len(right_rows)
         )
-    right_matched = [False] * len(right_rows)
-    for left_index, left in enumerate(left_rows):
-        if watched and not left_index & 0xFF:
-            ctx.checkpoint(plan, len(output))
-        matched = False
-        for right_index, right in enumerate(right_rows):
-            combined = left + right
-            env = EvalEnv(combined, outer_env)
-            if plan.condition is None or evaluate(plan.condition, env, ctx) is True:
-                output.append(combined)
-                matched = True
-                right_matched[right_index] = True
-        if not matched and plan.kind in ("LEFT", "FULL"):
-            output.append(left + (None,) * right_width)
-    if plan.kind in ("RIGHT", "FULL"):
-        for right_index, right in enumerate(right_rows):
-            if not right_matched[right_index]:
-                output.append((None,) * left_width + right)
-    return output
+    return _nested_loop_join(plan, left_rows, right_rows, ctx, outer_env)
+
+
+def _compile_join(plan: plans.Join) -> tuple:
+    """``(left key getter, right key getter, composite, residual closure)``;
+    the getters are None when no equi-key qualifies and the join runs as a
+    nested loop.  One key column is hashed bare, several as a tuple (which is
+    what ``itemgetter`` returns either way); ``composite`` says which."""
+    equi_keys, residual = _extract_equi_keys(plan.condition, len(plan.left.schema))
+    if not equi_keys:
+        return None, None, False, None
+    tests = [compile_expr(conjunct) for conjunct in residual]
+
+    def passes(row, outer, ctx):
+        for test in tests:
+            if test(row, outer, ctx) is not True:
+                return False
+        return True
+
+    return (
+        itemgetter(*[left for left, _ in equi_keys]),
+        itemgetter(*[right for _, right in equi_keys]),
+        len(equi_keys) > 1,
+        passes if tests else None,
+    )
 
 
 def _extract_equi_keys(
@@ -259,145 +254,136 @@ def _conjuncts_of(expr) -> list:
     return [expr]
 
 
-def _hash_join(
-    plan: plans.Join,
-    left_rows: list[tuple],
-    right_rows: list[tuple],
-    left_width: int,
-    right_width: int,
-    equi_keys: list[tuple[int, int]],
-    residual: list,
-    ctx: ExecutionContext,
-    outer_env,
-) -> list[tuple]:
+def _hash_join(plan: plans.Join, left_rows, right_rows, compiled, ctx, outer_env) -> list[tuple]:
     """Equi-hash join with residual predicate and outer-join padding."""
+    left_key, right_key, composite, residual = compiled
     if ctx.profiler is not None:
         ctx.profiler.operator_count(plan, "hash_build_rows", len(right_rows))
         ctx.profiler.operator_count(plan, "hash_probes", len(left_rows))
-    progress = ctx.progress
-    watched = ctx.watched
     table: dict[tuple, list[int]] = {}
-    for index, right in enumerate(right_rows):
+    watched = ctx.watched
+    for index, key in enumerate(map(right_key, right_rows)):
         if watched and not index & 0xFF:
             ctx.checkpoint(plan, index)
-        key = tuple(right[r] for _, r in equi_keys)
-        if any(k is None for k in key):
+        if key is None or composite and None in key:
             continue  # NULL keys never match under SQL '='
         try:
             table.setdefault(key, []).append(index)
         except TypeError:
             # Unhashable key value: bail out to the nested loop path.
-            return _nested_loop_fallback(
-                plan, left_rows, right_rows, left_width, right_width, ctx, outer_env
-            )
-    if progress is not None and right_rows:
+            return _nested_loop_join(plan, left_rows, right_rows, ctx, outer_env)
+    if ctx.progress is not None and right_rows:
         # The build table holds one key tuple + list slot per non-NULL
         # build row; 64 bytes/entry approximates that bucket state.
-        progress.account_bytes(plan, 64 * len(right_rows))
+        ctx.progress.account_bytes(plan, 64 * len(right_rows))
 
+    lookup = table.get
+    if residual is not None or plan.kind in ("RIGHT", "FULL"):
+        return _match_loop(
+            plan, left_rows, right_rows, lambda left: lookup(left_key(left), ()),
+            residual, ctx, outer_env,
+        )
+    # Nothing to test per match and nothing to remember about the build side:
+    # one comprehension per batch.  A LEFT join's unmatched probe row
+    # "matches" a padding row appended to the build rows.
+    no_match: tuple = ()
+    if plan.kind == "LEFT":
+        no_match = (len(right_rows),)
+        right_rows = right_rows + [(None,) * len(plan.right.schema)]
     output: list[tuple] = []
-    right_matched = [False] * len(right_rows)
-    for probe_index, left in enumerate(left_rows):
-        if watched and not probe_index & 0xFF:
-            ctx.checkpoint(plan, len(output))
-        key = tuple(left[l] for l, _ in equi_keys)
-        matched = False
-        if not any(k is None for k in key):
-            for right_index in table.get(key, ()):
-                combined = left + right_rows[right_index]
-                if residual:
-                    env = EvalEnv(combined, outer_env)
-                    if not all(
-                        evaluate(p, env, ctx) is True for p in residual
-                    ):
-                        continue
-                output.append(combined)
-                matched = True
-                right_matched[right_index] = True
-        if not matched and plan.kind in ("LEFT", "FULL"):
-            output.append(left + (None,) * right_width)
-    if plan.kind in ("RIGHT", "FULL"):
-        for right_index, right in enumerate(right_rows):
-            if not right_matched[right_index]:
-                output.append((None,) * left_width + right)
+    for batch in ctx.batches(left_rows, plan, output):
+        output += [
+            left + right_rows[right_index]
+            for left, key in zip(batch, map(left_key, batch))
+            for right_index in lookup(key, no_match)
+        ]
     return output
 
 
-def _nested_loop_fallback(
-    plan, left_rows, right_rows, left_width, right_width, ctx, outer_env
-) -> list[tuple]:
+def _nested_loop_join(plan: plans.Join, left_rows, right_rows, ctx, outer_env) -> list[tuple]:
+    """The join with no usable equi-key (or an unhashable one): every pair."""
+    every = range(len(right_rows))
+    condition = None if plan.condition is None else compile_expr(plan.condition)
+    return _match_loop(
+        plan, left_rows, right_rows, lambda left: every, condition, ctx, outer_env
+    )
+
+
+def _match_loop(plan: plans.Join, left_rows, right_rows, candidates, test, ctx, outer_env):
+    """Join each left row with the right rows at ``candidates(left)`` (their
+    indexes) that pass ``test`` (None: all do), padding for the outer kinds."""
     output: list[tuple] = []
+    pad_left = plan.kind in ("LEFT", "FULL")
+    right_padding = (None,) * len(plan.right.schema)
     right_matched = [False] * len(right_rows)
     watched = ctx.watched
     for left_index, left in enumerate(left_rows):
         if watched and not left_index & 0xFF:
             ctx.checkpoint(plan, len(output))
         matched = False
-        for right_index, right in enumerate(right_rows):
-            combined = left + right
-            env = EvalEnv(combined, outer_env)
-            if plan.condition is None or evaluate(plan.condition, env, ctx) is True:
+        for right_index in candidates(left):
+            combined = left + right_rows[right_index]
+            if test is None or test(combined, outer_env, ctx) is True:
                 output.append(combined)
                 matched = True
                 right_matched[right_index] = True
-        if not matched and plan.kind in ("LEFT", "FULL"):
-            output.append(left + (None,) * right_width)
+        if pad_left and not matched:
+            output.append(left + right_padding)
     if plan.kind in ("RIGHT", "FULL"):
-        for right_index, right in enumerate(right_rows):
-            if not right_matched[right_index]:
-                output.append((None,) * left_width + right)
+        left_padding = (None,) * len(plan.left.schema)
+        output += [
+            left_padding + right
+            for right, matched in zip(right_rows, right_matched)
+            if not matched
+        ]
     return output
 
 
 def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) -> list[tuple]:
-    from repro.engine.aggregates import make_accumulator
-
     input_rows = execute_plan(plan.input, ctx, outer_env)
+    group_keys, aggregates = memo(plan, "_aggregate", lambda plan: (
+        compile_rows(plan.group_exprs),
+        [compile_aggregate(call) for call in plan.agg_calls],
+    ))
     key_count = len(plan.group_exprs)
     output: list[tuple] = []
 
     # Pre-compute every group expression once per input row.
-    watched = ctx.watched
-    keyed_rows: list[tuple[tuple, tuple]] = []
-    for row_index, row in enumerate(input_rows):
-        if watched and not row_index & 0xFF:
-            ctx.checkpoint(plan, len(keyed_rows))
-        env = EvalEnv(row, outer_env)
-        keys = tuple(evaluate(expr, env, ctx) for expr in plan.group_exprs)
-        keyed_rows.append((keys, row))
+    keys_of_rows: list[tuple] = []
+    for batch in ctx.batches(input_rows, plan, keys_of_rows):
+        keys_of_rows += group_keys(batch, outer_env, ctx)
 
+    watched = ctx.watched
     for active in plan.grouping_sets:
-        active_set = frozenset(active)
         bitmap = 0
         for position in range(key_count):
-            if position not in active_set:
+            if position not in active:
                 bitmap |= 1 << position
+        # A grouping set over every key, in order, groups by the keys as is.
+        pick = None if list(active) == list(range(key_count)) else row_getter(active)
         groups: dict[tuple, list[tuple]] = {}
-        order: list[tuple] = []
-        for keys, row in keyed_rows:
-            group_key = tuple(keys[i] for i in active)
-            if group_key not in groups:
-                groups[group_key] = []
-                order.append(group_key)
-            groups[group_key].append(row)
+        for keys, row in zip(keys_of_rows, input_rows):
+            group_key = keys if pick is None else pick(keys)
+            group = groups.get(group_key)
+            if group is None:
+                groups[group_key] = [row]
+            else:
+                group.append(row)
         if not groups and not active:
             # A global grouping set emits one row even over empty input.
             groups[()] = []
-            order.append(())
 
-        for group_index, group_key in enumerate(order):
+        for group_index, (group_key, group_rows) in enumerate(groups.items()):
             if watched and not group_index & 0xFF:
                 ctx.checkpoint(plan, len(output))
-            group_rows = groups[group_key]
-            key_by_position = dict(zip(active, group_key))
-            out_keys = tuple(
-                key_by_position.get(i) for i in range(key_count)
+            if pick is None:
+                row_out = group_key
+            else:
+                key_by_position = dict(zip(active, group_key))
+                row_out = tuple([key_by_position.get(i) for i in range(key_count)])
+            row_out += tuple(
+                [aggregate(group_rows, outer_env, ctx) for aggregate in aggregates]
             )
-            agg_values = tuple(
-                _accumulate(call, group_rows, outer_env, ctx)
-                for call in plan.agg_calls
-            )
-            row_out: tuple = out_keys + agg_values
             if plan.has_grouping_id:
                 row_out += (bitmap,)
             if plan.capture_rows:
@@ -408,26 +394,26 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
     return output
 
 
-def _accumulate(
-    call: b.BoundAggCall,
-    rows: list[tuple],
-    outer_env: Optional[EvalEnv],
-    ctx: ExecutionContext,
-) -> Any:
-    from repro.engine.evaluator import _run_aggregate
-
-    return _run_aggregate(call, rows, outer_env, ctx)
-
-
 def _execute_window(plan: plans.Window, ctx: ExecutionContext, outer_env) -> list[tuple]:
     rows = execute_plan(plan.input, ctx, outer_env)
     columns = [
-        compute_window_column(call, rows, outer_env, ctx) for call in plan.calls
+        compute_window_column(call, rows, outer_env, ctx, plan) for call in plan.calls
     ]
     return [
         row + tuple(column[index] for column in columns)
         for index, row in enumerate(rows)
     ]
+
+
+def _compile_sort(plan: plans.Sort) -> tuple:
+    specs = []
+    for index, spec in enumerate(plan.keys):
+        nulls_first = spec.nulls_first
+        if nulls_first is None:
+            # Default: NULLs last ascending, first descending (PostgreSQL).
+            nulls_first = spec.descending
+        specs.append((index, spec.descending, nulls_first))
+    return compile_rows([spec.expr for spec in plan.keys]), specs
 
 
 def _execute_sort(plan: plans.Sort, ctx: ExecutionContext, outer_env) -> list[tuple]:
@@ -436,34 +422,23 @@ def _execute_sort(plan: plans.Sort, ctx: ExecutionContext, outer_env) -> list[tu
     rows = execute_plan(plan.input, ctx, outer_env)
     if not plan.keys:
         return rows
-    decorated = []
-    watched = ctx.watched
-    for index, row in enumerate(rows):
-        if watched and not index & 0xFF:
-            ctx.checkpoint(plan, len(decorated))
-        env = EvalEnv(row, outer_env)
-        keys = tuple(evaluate(spec.expr, env, ctx) for spec in plan.keys)
-        decorated.append(keys + (row,))
-    specs = []
-    for index, spec in enumerate(plan.keys):
-        nulls_first = spec.nulls_first
-        if nulls_first is None:
-            # Default: NULLs last ascending, first descending (PostgreSQL).
-            nulls_first = spec.descending
-        specs.append((index, spec.descending, nulls_first))
-    ordered = sort_rows(decorated, specs)
-    return [entry[-1] for entry in ordered]
+    sort_keys, specs = memo(plan, "_sort", _compile_sort)
+    decorated: list[tuple] = []
+    for batch in ctx.batches(rows, plan, decorated):
+        decorated += [
+            keys + (row,) for keys, row in zip(sort_keys(batch, outer_env, ctx), batch)
+        ]
+    return [entry[-1] for entry in sort_rows(decorated, specs)]
 
 
 def _execute_limit(plan: plans.Limit, ctx: ExecutionContext, outer_env) -> list[tuple]:
     rows = execute_plan(plan.input, ctx, outer_env)
-    env = EvalEnv((), outer_env)
     offset = 0
     if plan.offset is not None:
-        value = evaluate(plan.offset, env, ctx)
+        value = compile_expr(plan.offset)((), outer_env, ctx)
         offset = max(int(value), 0) if value is not None else 0
     if plan.limit is not None:
-        value = evaluate(plan.limit, env, ctx)
+        value = compile_expr(plan.limit)((), outer_env, ctx)
         if value is None:
             return rows[offset:]
         limit = max(int(value), 0)
@@ -472,14 +447,7 @@ def _execute_limit(plan: plans.Limit, ctx: ExecutionContext, outer_env) -> list[
 
 
 def _execute_distinct(plan: plans.Distinct, ctx: ExecutionContext, outer_env) -> list[tuple]:
-    rows = execute_plan(plan.input, ctx, outer_env)
-    seen: set = set()
-    output = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            output.append(row)
-    return output
+    return _dedupe(execute_plan(plan.input, ctx, outer_env))
 
 
 def _execute_setop(plan: plans.SetOpPlan, ctx: ExecutionContext, outer_env) -> list[tuple]:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.engine.aggregates import is_aggregate_function, make_accumulator
-from repro.engine.evaluator import EvalEnv, ExecutionContext, evaluate
+from repro.engine.compile import compile_expr, compile_rows, memo
+from repro.engine.evaluator import EvalEnv, ExecutionContext
 from repro.errors import ExecutionError, UnsupportedError
 from repro.semantics import bound as b
 from repro.types import SortKey
@@ -41,45 +42,85 @@ def is_window_only_function(name: str) -> bool:
     return name.upper() in RANKING_FUNCTIONS
 
 
+def _compile_window(call: b.BoundWindowCall) -> tuple:
+    """``(partition keys, order keys, argument closures, frame start and end
+    offset closures)`` of one call."""
+    offsets = (call.frame[2], call.frame[4]) if call.frame else ()
+    return (
+        compile_rows(call.partition_by),
+        compile_rows([spec.expr for spec in call.order_by]),
+        [compile_expr(arg) for arg in call.args],
+        [None if offset is None else compile_expr(offset) for offset in offsets],
+    )
+
+
+class _Frame:
+    """What the per-partition routines share: the call, the input rows, each
+    row's ORDER BY key tuple (by row index; empty without ORDER BY), the
+    call's compiled arguments and frame offsets, and the scope they evaluate
+    in."""
+
+    __slots__ = ("call", "rows", "keys", "args", "offsets", "outer_env", "ctx", "plan")
+
+    def __init__(self, call, rows, keys, args, offsets, outer_env, ctx, plan):
+        self.call = call
+        self.rows = rows
+        self.keys = keys
+        self.args = args
+        self.offsets = offsets
+        self.outer_env = outer_env
+        self.ctx = ctx
+        self.plan = plan
+
+    def arg(self, number: int, index: int) -> Any:
+        """Argument ``number`` of the call over input row ``index``."""
+        return self.args[number](self.rows[index], self.outer_env, self.ctx)
+
+
 def compute_window_column(
     call: b.BoundWindowCall,
     rows: list[tuple],
     outer_env: Optional[EvalEnv],
     ctx: ExecutionContext,
+    plan=None,
 ) -> list[Any]:
     """Compute one window call over ``rows``; returns one value per input row
-    in the original row order."""
+    in the original row order.  ``plan`` is the Window operator the loops'
+    checkpoints are charged to."""
+    partition_keys, order_keys, args, offsets = memo(call, "_window", _compile_window)
     results: list[Any] = [None] * len(rows)
+    keys_of_rows: list[tuple] = []
+    for batch in ctx.batches(rows, plan):
+        keys_of_rows += partition_keys(batch, outer_env, ctx)
     partitions: dict[tuple, list[int]] = {}
-    for index, row in enumerate(rows):
-        env = EvalEnv(row, outer_env)
-        key = tuple(evaluate(expr, env, ctx) for expr in call.partition_by)
+    for index, key in enumerate(keys_of_rows):
         partitions.setdefault(key, []).append(index)
     if ctx.profiler is not None:
         ctx.profiler.bump("window_calls")
         ctx.profiler.bump("window_partitions", len(partitions))
 
+    keys = order_keys(rows, outer_env, ctx) if call.order_by else []
+    frame = _Frame(call, rows, keys, args, offsets, outer_env, ctx, plan)
+    watched = ctx.watched
+    unchecked = 0  # rows computed since the last checkpoint
     for indexes in partitions.values():
-        ordered = _order_partition(call, rows, indexes, outer_env, ctx)
-        _compute_partition(call, rows, ordered, results, outer_env, ctx)
+        unchecked += len(indexes)
+        if watched and unchecked >= 256:
+            ctx.checkpoint(plan)
+            unchecked = 0
+        _compute_partition(frame, _order_partition(frame, indexes), results)
     return results
 
 
-def _order_partition(
-    call: b.BoundWindowCall,
-    rows: list[tuple],
-    indexes: list[int],
-    outer_env: Optional[EvalEnv],
-    ctx: ExecutionContext,
-) -> list[int]:
-    if not call.order_by:
+def _order_partition(frame: _Frame, indexes: list[int]) -> list[int]:
+    order_by = frame.call.order_by
+    if not order_by:
         return indexes
+    keys = frame.keys
 
     def decorate(index: int):
-        env = EvalEnv(rows[index], outer_env)
-        keys = []
-        for spec in call.order_by:
-            value = evaluate(spec.expr, env, ctx)
+        decorated = []
+        for spec, value in zip(order_by, keys[index]):
             nulls_first = spec.nulls_first
             if nulls_first is None:
                 nulls_first = spec.descending
@@ -87,8 +128,8 @@ def _order_partition(
                 null_rank = 0 if nulls_first else 2
             else:
                 null_rank = 1
-            keys.append((null_rank, _Directed(SortKey(value), spec.descending)))
-        return tuple(keys)
+            decorated.append((null_rank, _Directed(SortKey(value), spec.descending)))
+        return tuple(decorated)
 
     return sorted(indexes, key=decorate)
 
@@ -111,47 +152,31 @@ class _Directed:
         return self.key == other.key
 
 
-def _order_keys(
-    call: b.BoundWindowCall,
-    row: tuple,
-    outer_env: Optional[EvalEnv],
-    ctx: ExecutionContext,
-) -> tuple:
-    env = EvalEnv(row, outer_env)
-    return tuple(evaluate(spec.expr, env, ctx) for spec in call.order_by)
-
-
-def _compute_partition(
-    call: b.BoundWindowCall,
-    rows: list[tuple],
-    ordered: list[int],
-    results: list[Any],
-    outer_env: Optional[EvalEnv],
-    ctx: ExecutionContext,
-) -> None:
+def _compute_partition(frame: _Frame, ordered: list[int], results: list[Any]) -> None:
+    call, ctx, plan = frame.call, frame.ctx, frame.plan
     func = call.func.upper()
     size = len(ordered)
+    watched = ctx.watched
 
     if func in ("ROW_NUMBER", "RANK", "DENSE_RANK", "PERCENT_RANK", "CUME_DIST", "NTILE"):
-        keys = [_order_keys(call, rows[i], outer_env, ctx) for i in ordered]
-        _rank_functions(func, call, ordered, keys, results, rows, outer_env, ctx)
+        _rank_functions(func, frame, ordered, results)
         return
 
     if func in ("LAG", "LEAD"):
-        offset_expr = call.args[1] if len(call.args) > 1 else None
-        default_expr = call.args[2] if len(call.args) > 2 else None
+        has_offset = len(call.args) > 1
+        has_default = len(call.args) > 2
         for position, index in enumerate(ordered):
-            env = EvalEnv(rows[index], outer_env)
+            if watched and not position & 0xFF:
+                ctx.checkpoint(plan)
             step = 1
-            if offset_expr is not None:
-                step_val = evaluate(offset_expr, env, ctx)
+            if has_offset:
+                step_val = frame.arg(1, index)
                 step = int(step_val) if step_val is not None else 1
             target = position - step if func == "LAG" else position + step
             if 0 <= target < size:
-                target_env = EvalEnv(rows[ordered[target]], outer_env)
-                results[index] = evaluate(call.args[0], target_env, ctx)
-            elif default_expr is not None:
-                results[index] = evaluate(default_expr, env, ctx)
+                results[index] = frame.arg(0, ordered[target])
+            elif has_default:
+                results[index] = frame.arg(2, index)
             else:
                 results[index] = None
         return
@@ -160,36 +185,35 @@ def _compute_partition(
         # Default frame semantics: FIRST_VALUE sees the first row; LAST_VALUE
         # with ORDER BY sees up to the current row's peer group.
         for position, index in enumerate(ordered):
+            if watched and not position & 0xFF:
+                ctx.checkpoint(plan)
             if func == "FIRST_VALUE":
                 source = ordered[0]
             elif call.order_by:
-                end = _peer_end(call, rows, ordered, position, outer_env, ctx)
-                source = ordered[end]
+                source = ordered[_peer_end(frame, ordered, position)]
             else:
                 source = ordered[-1]
-            env = EvalEnv(rows[source], outer_env)
-            results[index] = evaluate(call.args[0], env, ctx)
+            results[index] = frame.arg(0, source)
         return
 
     if not is_aggregate_function(func) and func not in ("FIRST_VALUE", "LAST_VALUE"):
         raise ExecutionError(f"unknown window function {func}")
 
     if call.frame is None:
-        _aggregate_default_frame(call, rows, ordered, results, outer_env, ctx)
+        _aggregate_default_frame(frame, ordered, results)
         return
 
     for position, index in enumerate(ordered):
-        start, end = _frame_bounds(call, rows, ordered, position, outer_env, ctx)
+        if watched and not position & 0xFF:
+            ctx.checkpoint(plan)
+        start, end = _frame_bounds(frame, ordered, position)
         accumulator = make_accumulator(func, call.star)
         seen: set = set()
         for frame_position in range(start, end + 1):
-            if not (0 <= frame_position < size):
-                continue
-            frame_env = EvalEnv(rows[ordered[frame_position]], outer_env)
             if call.star:
                 accumulator.add(True)
                 continue
-            value = evaluate(call.args[0], frame_env, ctx)
+            value = frame.arg(0, ordered[frame_position])
             if call.distinct:
                 if value is None or value in seen:
                     continue
@@ -198,29 +222,22 @@ def _compute_partition(
         results[index] = accumulator.result()
 
 
-def _aggregate_default_frame(
-    call: b.BoundWindowCall,
-    rows: list[tuple],
-    ordered: list[int],
-    results: list[Any],
-    outer_env: Optional[EvalEnv],
-    ctx: ExecutionContext,
-) -> None:
+def _aggregate_default_frame(frame: _Frame, ordered: list[int], results: list[Any]) -> None:
     """O(n) evaluation of aggregate windows with the default frame.
 
     Without ORDER BY the frame is the whole partition (one aggregation);
     with ORDER BY it is RANGE UNBOUNDED PRECEDING .. CURRENT ROW, which we
     compute incrementally, assigning each peer group the running result.
     """
+    call = frame.call
     accumulator = make_accumulator(call.func, call.star)
     seen: set = set()
 
     def add(index: int) -> None:
-        env = EvalEnv(rows[index], outer_env)
         if call.star:
             accumulator.add(True)
             return
-        value = evaluate(call.args[0], env, ctx)
+        value = frame.arg(0, index)
         if call.distinct:
             if value is None or value in seen:
                 return
@@ -235,13 +252,10 @@ def _aggregate_default_frame(
             results[index] = value
         return
 
-    keys = [_order_keys(call, rows[i], outer_env, ctx) for i in ordered]
     position = 0
     size = len(ordered)
     while position < size:
-        end = position
-        while end + 1 < size and keys[end + 1] == keys[position]:
-            end += 1
+        end = _peer_end(frame, ordered, position)
         for cursor in range(position, end + 1):
             add(ordered[cursor])
         value = accumulator.result()
@@ -250,20 +264,10 @@ def _aggregate_default_frame(
         position = end + 1
 
 
-def _rank_functions(
-    func: str,
-    call: b.BoundWindowCall,
-    ordered: list[int],
-    keys: list[tuple],
-    results: list[Any],
-    rows: list[tuple],
-    outer_env: Optional[EvalEnv],
-    ctx: ExecutionContext,
-) -> None:
+def _rank_functions(func: str, frame: _Frame, ordered: list[int], results: list[Any]) -> None:
     size = len(ordered)
     if func == "NTILE":
-        env = EvalEnv(rows[ordered[0]], outer_env) if ordered else None
-        buckets = int(evaluate(call.args[0], env, ctx)) if call.args else 1
+        buckets = int(frame.arg(0, ordered[0])) if frame.args else 1
         if buckets <= 0:
             raise ExecutionError("NTILE bucket count must be positive")
         base, extra = divmod(size, buckets)
@@ -276,6 +280,7 @@ def _rank_functions(
                     position += 1
         return
 
+    keys = [frame.keys[index] for index in ordered] if frame.keys else [()] * size
     rank = 0
     dense = 0
     previous: Optional[tuple] = None
@@ -306,40 +311,23 @@ def _rank_functions(
             results[index] = count / size
 
 
-def _peer_end(
-    call: b.BoundWindowCall,
-    rows: list[tuple],
-    ordered: list[int],
-    position: int,
-    outer_env: Optional[EvalEnv],
-    ctx: ExecutionContext,
-) -> int:
-    current = _order_keys(call, rows[ordered[position]], outer_env, ctx)
+def _peer_end(frame: _Frame, ordered: list[int], position: int) -> int:
+    """Position of the last row with ``position``'s ORDER BY keys."""
+    keys = frame.keys
+    current = keys[ordered[position]]
     end = position
-    while end + 1 < len(ordered):
-        if _order_keys(call, rows[ordered[end + 1]], outer_env, ctx) != current:
-            break
+    while end + 1 < len(ordered) and keys[ordered[end + 1]] == current:
         end += 1
     return end
 
 
-def _frame_bounds(
-    call: b.BoundWindowCall,
-    rows: list[tuple],
-    ordered: list[int],
-    position: int,
-    outer_env: Optional[EvalEnv],
-    ctx: ExecutionContext,
-) -> tuple[int, int]:
+def _frame_bounds(frame: _Frame, ordered: list[int], position: int) -> tuple[int, int]:
+    """First and last frame position of ``position``'s row."""
+    call, keys = frame.call, frame.keys
     size = len(ordered)
-    if call.frame is None:
-        if not call.order_by:
-            return 0, size - 1
-        return 0, _peer_end(call, rows, ordered, position, outer_env, ctx)
+    unit, start_kind, _, end_kind, _ = call.frame
 
-    unit, start_kind, start_off, end_kind, end_off = call.frame
-
-    def resolve(kind: str, offset_expr, *, is_start: bool) -> int:
+    def resolve(kind: str, offset_arg: int, *, is_start: bool) -> int:
         if kind == "UNBOUNDED_PRECEDING":
             return 0
         if kind == "UNBOUNDED_FOLLOWING":
@@ -349,20 +337,19 @@ def _frame_bounds(
                 if is_start:
                     # First peer of the current row.
                     start = position
-                    current = _order_keys(call, rows[ordered[position]], outer_env, ctx)
-                    while start > 0 and _order_keys(
-                        call, rows[ordered[start - 1]], outer_env, ctx
-                    ) == current:
+                    current = keys[ordered[position]]
+                    while start > 0 and keys[ordered[start - 1]] == current:
                         start -= 1
                     return start
-                return _peer_end(call, rows, ordered, position, outer_env, ctx)
+                return _peer_end(frame, ordered, position)
             return position
         if unit == "RANGE":
             raise UnsupportedError("RANGE frames with offsets are not supported")
-        env = EvalEnv(rows[ordered[position]], outer_env)
-        delta = int(evaluate(offset_expr, env, ctx))
+        delta = int(frame.offsets[offset_arg](
+            frame.rows[ordered[position]], frame.outer_env, frame.ctx
+        ))
         return position - delta if kind == "PRECEDING" else position + delta
 
-    start = resolve(start_kind, start_off, is_start=True)
-    end = resolve(end_kind, end_off, is_start=False)
+    start = resolve(start_kind, 0, is_start=True)
+    end = resolve(end_kind, 1, is_start=False)
     return max(start, 0), min(end, size - 1)

@@ -247,10 +247,11 @@ def fold_constants(expr: b.BoundExpr) -> b.BoundExpr:
         if isinstance(node, b.BoundLiteral):
             return node
         if _is_pure(node):
-            from repro.engine.evaluator import EvalEnv, ExecutionContext, evaluate
+            from repro.engine.compile import compile_expr
+            from repro.engine.evaluator import ExecutionContext
 
             try:
-                value = evaluate(node, EvalEnv(()), ExecutionContext(None))
+                value = compile_expr(node)((), None, ExecutionContext(None))
             except SqlError:
                 return node  # fold nothing that errors (e.g. 1/0 under CASE)
             return b.BoundLiteral(value, infer_literal_type(value))

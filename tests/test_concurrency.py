@@ -308,3 +308,45 @@ class TestNoTornReads:
         for t in threads:
             t.join()
         assert mismatches == []
+
+
+# -- satellite: racing first executions of one cached plan ----------------------
+
+
+class TestLazyCompilation:
+    THREADS = 8
+
+    def test_first_execution_of_a_shared_plan_races_safely(self):
+        """Operators compile their expressions on first execution and keep
+        the closures on the plan; eight threads running one never-executed
+        plan at once must all compute the single-thread rows."""
+        import sys
+
+        from repro.sql import parse_query
+        from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
+
+        db = tpch_measure_database(0.001)
+        sql = TPCH_QUERIES["revenue_yoy_by_year"]
+        expected = db.execute(sql).rows
+        planned = db.plan_query(parse_query(sql))
+        barrier = threading.Barrier(self.THREADS)
+        results: list = [None] * self.THREADS
+
+        def run(i):
+            barrier.wait(timeout=30)
+            results[i] = db.execute_planned(planned)[0].rows
+
+        threads = [
+            threading.Thread(target=run, args=(i,)) for i in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' compiles
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * self.THREADS

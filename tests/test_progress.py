@@ -25,6 +25,13 @@ from repro.server import ClientError, ServerThread, connect
 from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
 
 VISIBLE = TPCH_QUERIES["visible_orders_by_region"]
+#: Every lineitem aggregates a 200-row frame: the Window operator's
+#: per-partition loops are nearly all of the run.
+WINDOW = (
+    "SELECT l_orderkey, SUM(l_extendedprice) OVER (PARTITION BY l_suppkey "
+    "ORDER BY l_shipdate ROWS BETWEEN 200 PRECEDING AND CURRENT ROW) "
+    "FROM lineitem"
+)
 
 
 def _poll(conn, sql, predicate, *, timeout=30.0, interval=0.05):
@@ -346,21 +353,27 @@ class TestCancellationLatency:
                 pytest.fail("query never observed mid-flight in 5 rounds")
 
 
-    def test_cancel_lands_promptly_during_measure_evaluation(self):
-        """Cancel ``visible_orders_by_region`` at three offsets spread over
-        its run.  Nearly all of that run is the per-group
-        ``AT (VISIBLE)`` evaluation inside the final Project, so every
-        offset lands there: the progress tables must show that operator
-        live and advancing, and each cancel must take within 250 ms."""
+    @pytest.mark.parametrize(
+        "sql, operator",
+        [(VISIBLE, "Project"), (WINDOW, "Window")],
+        ids=["visible", "window"],
+    )
+    def test_cancel_lands_promptly_inside_a_long_operator(self, sql, operator):
+        """Cancel a query at three offsets spread over its run.  Nearly all
+        of ``visible_orders_by_region`` is the per-group ``AT (VISIBLE)``
+        evaluation inside the final Project, nearly all of the window query
+        the Window operator's frame loops, so every offset lands there: the
+        progress tables must show that operator live and advancing, and
+        each cancel must take within 250 ms."""
         from repro.errors import QueryCancelled
         from repro.server import SessionManager
 
         db = tpch_measure_database(0.002, telemetry=True)
         manager = SessionManager(db)
         runner, watcher = manager.open_session(), manager.open_session()
-        runner.execute(VISIBLE)  # plans it; the timed run replays the plan
+        runner.execute(sql)  # plans it; the timed run replays the plan
         started = time.monotonic()
-        runner.execute(VISIBLE)
+        runner.execute(sql)
         full_run = time.monotonic() - started
 
         def watch():
@@ -375,7 +388,7 @@ class TestCancellationLatency:
 
                 def run_doomed():
                     try:
-                        runner.execute(VISIBLE)
+                        runner.execute(sql)
                     except QueryCancelled:
                         outcome["cancelled_at"] = time.monotonic()
 
@@ -400,8 +413,8 @@ class TestCancellationLatency:
             latency = outcome["cancelled_at"] - cancel_sent
             assert latency < 0.25, f"cancel at {fraction:.0%}: {latency:.3f}s"
             assert len(before) == len(after) == 1
-            assert before[0][0] == after[0][0] == "Project"
-            assert after[0][1] > before[0][1], "measure evaluation never ticks"
+            assert before[0][0] == after[0][0] == operator
+            assert after[0][1] > before[0][1], f"{operator} never ticks"
 
 
 # -- concurrent readers (satellite) ------------------------------------------

@@ -749,11 +749,21 @@ def test_compare_wrong_schema_message_names_both_schemas(tmp_path):
     assert "\n" not in message
 
 
-def test_committed_baseline_compares_clean_against_itself():
+#: The committed perf baseline (``BASELINE`` in the Makefile, the CI gate).
+COMMITTED_BASELINE = "benchmarks/BENCH_2026-09-27.json"
+
+
+def test_committed_baseline_has_every_section_and_compares_clean_against_itself():
     from benchmarks.report import compare_snapshots
 
-    baseline = "benchmarks/BENCH_2026-08-06.json"
-    assert compare_snapshots(baseline, baseline, out=io.StringIO()) == 0
+    with open(COMMITTED_BASELINE) as handle:
+        payload = json.load(handle)
+    # A section missing here is a section the gate silently skips.
+    assert {"listings", "tpch", "server", "observability", "meta"} <= set(payload)
+    assert (
+        compare_snapshots(COMMITTED_BASELINE, COMMITTED_BASELINE, out=io.StringIO())
+        == 0
+    )
 
 
 def tpch_section(queries: dict) -> dict:
@@ -878,19 +888,17 @@ def test_snapshot_meta_shape():
 
 
 def test_compare_ignores_meta_and_tolerates_snapshots_lacking_it(tmp_path):
-    """--compare never reads meta: a new snapshot that carries one gates
-    cleanly against the committed baseline that predates the section."""
-    from benchmarks.report import compare_snapshots, snapshot_meta
+    """--compare never reads meta: the committed baseline, which carries
+    one, gates cleanly against a snapshot from before the section existed."""
+    from benchmarks.report import compare_snapshots
 
-    baseline = "benchmarks/BENCH_2026-08-07.json"
-    with open(baseline) as handle:
+    with open(COMMITTED_BASELINE) as handle:
         payload = json.load(handle)
-    assert "meta" not in payload  # the committed baseline predates meta
-    payload["meta"] = snapshot_meta()
-    new = tmp_path / "fresh.json"
-    new.write_text(json.dumps(payload, default=str))
+    del payload["meta"]
+    old = tmp_path / "premeta.json"
+    old.write_text(json.dumps(payload))
     out = io.StringIO()
-    assert compare_snapshots(baseline, str(new), out=out) == 0
+    assert compare_snapshots(str(old), COMMITTED_BASELINE, out=out) == 0
     assert "git_commit" not in out.getvalue()
 
 
