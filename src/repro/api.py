@@ -39,6 +39,7 @@ from repro.introspect import (
     fingerprint_statement,
     install_system_tables,
     is_introspection_plan,
+    plan_hash,
     plan_shape,
 )
 from repro.matview import analyze_definition, maintenance, rewrite_query
@@ -137,8 +138,8 @@ class Database:
         environment flag; cheap enough for test suites, off for benchmarks.
     profile:
         Profile every query: phase timings (parse/rewrite/bind/optimize/
-        execute), per-operator row counts and wall time, and measure-cache
-        behaviour.  The resulting :class:`~repro.profile.QueryProfile` is
+        dataflow/execute), per-operator row counts and wall time, and
+        measure-cache behaviour.  The resulting :class:`~repro.profile.QueryProfile` is
         available from :meth:`last_profile`.  Off by default — when off, the
         executor pays a single ``is None`` check per operator and no timers
         run.  ``EXPLAIN ANALYZE`` profiles a single query regardless of
@@ -148,9 +149,8 @@ class Database:
         metrics (:meth:`metrics`, :meth:`metrics_text`, ``SHOW STATS``), a
         structured event log (:meth:`events`), and a trace export
         (:meth:`export_traces`).  Pass True for defaults or a pre-built
-        :class:`~repro.telemetry.Telemetry` to configure capacities and
-        sinks.  Off by default; when off, the query path pays one ``is
-        None`` check.
+        :class:`~repro.telemetry.Telemetry` to configure an event sink.
+        Off by default; when off, the query path pays one ``is None`` check.
     slow_query_ms:
         Capture SQL, duration, and the full QueryProfile of every statement
         at or over this wall-time threshold (:meth:`slow_queries`).  Setting
@@ -272,18 +272,29 @@ class Database:
             # The plain early exit: nothing watches, so no clock, record,
             # fingerprint or printed SQL is built.
             return self._execute_statement(parse_statement(sql), params)
+        # The statement's one clock starts before the parse: wall_ms is
+        # what the caller waited for.
+        start = perf_counter()
         # The profiler carries the parse span into the query pipeline so the
         # finished profile covers the whole statement.
         profiler = _new_profiler() if profiled else None
-        statement = self._parse(sql, profiler)
-        return self._execute_observed(statement, params, sql=sql, profiler=profiler)
+        statement = self._parse(sql, profiler, start=start)
+        return self._execute_observed(
+            statement, params, sql=sql, profiler=profiler, start=start
+        )
 
     def execute_script(self, sql: str) -> list[Result]:
-        """Execute a semicolon-separated script; returns one Result each."""
+        """Execute a semicolon-separated script; returns one Result each.
+
+        The script is parsed once for all its statements, so each
+        statement's ``wall_ms`` starts after the parse and covers its own
+        plan and run only."""
         statements = self._parse(sql, parser=parse_statements)
         return [self._execute_observed(s) for s in statements]
 
-    def _parse(self, sql: str, profiler=None, *, parser=parse_statement):
+    def _parse(
+        self, sql: str, profiler=None, *, parser=parse_statement, start=None
+    ):
         """The **parse** step.  A failure is emitted like any other failed
         statement: it is part of the workload, and replaying the journal
         must reproduce it as an error, not skip it."""
@@ -293,7 +304,7 @@ class Database:
             with profiler.phase("parse"):
                 return parser(sql)
         except SqlError as exc:
-            self._emit(None, sql, error=exc)
+            self._emit(None, sql, start=start, error=exc)
             raise
 
     def _execute_observed(
@@ -305,6 +316,7 @@ class Database:
         profiler=None,
         run=None,
         strategy: Optional[str] = None,
+        start: Optional[float] = None,
     ) -> Result:
         """Run one parsed statement and emit its outcome.
 
@@ -314,11 +326,14 @@ class Database:
         QueryProfile | None)``.  Telemetry needs a span tree and counters
         for every query, so queries run under a profiler whenever it is on,
         even with ``profile=False``; other statements are wall timed.
+        ``start`` is the caller's clock when it began before the parse;
+        without one the statement's wall time starts here.
         """
         is_query = isinstance(statement, ast.QueryStatement)
         if profiler is None and is_query and self.telemetry is not None:
             profiler = _new_profiler()
-        start = perf_counter()
+        if start is None:
+            start = perf_counter()
         try:
             if run is not None:
                 outcome = run(profiler)
@@ -350,8 +365,11 @@ class Database:
         outcome=None,
         error: Optional[SqlError] = None,
     ) -> None:
-        """The **emit** step: report one finished statement to telemetry and
-        the flight recorder — the only place either is told about one.
+        """The **emit** step: build the one
+        :class:`~repro.telemetry.record.StatementRecord` of a finished
+        statement and hand it to telemetry and the flight recorder — the
+        only place a record is built and the only place either is told
+        about a statement.
 
         ``statement`` is None when parsing failed; ``sql`` None means "print
         the statement".  ``outcome`` is the ``(result, planned, profile)``
@@ -364,10 +382,14 @@ class Database:
         telemetry, recorder = self.telemetry, self.recorder
         if telemetry is None and recorder is None:
             return
-        from repro.telemetry import statement_kind
+        from repro.telemetry import StatementRecord, statement_kind
 
         wall_ms = 0.0 if start is None else (perf_counter() - start) * 1000.0
         result, planned, profile = outcome or (None, None, None)
+        if error is not None and profiler is not None:
+            # The query failed mid-flight (a memory budget fired, say);
+            # freeze what the profiler saw up to the failing operator.
+            profile = profiler.finish(sql=sql)
         kind = fingerprint = normalized = None
         if statement is not None:
             kind = statement_kind(statement)
@@ -379,52 +401,34 @@ class Database:
                 fingerprint, normalized = _fingerprint(statement)
         if strategy is None and planned is not None:
             strategy = planned.strategy
+        phash, introspection = None, False
+        if planned is not None and telemetry is not None:
+            # Only telemetry reads these two.  A strategy experiment
+            # reports no plan (planned is None): the expanded plan's hash
+            # differs per strategy by construction, and a deliberate
+            # experiment is not a flip.
+            plan = planned.plan
+            phash = plan_hash(strategy, planned.plan_shape or plan_shape(plan))
+            introspection = is_introspection_plan(plan)
+        record = StatementRecord(
+            sql=sql,
+            kind=kind,
+            params=params,
+            fingerprint=fingerprint,
+            query_text=normalized,
+            strategy=strategy,
+            plan_hash=phash,
+            reports=() if planned is None else planned.reports,
+            introspection=introspection,
+            error=error,
+            wall_ms=wall_ms,
+            result=result,
+            profile=profile,
+        )
         if telemetry is not None:
-            ident = {"sql": sql, "fingerprint": fingerprint, "query_text": normalized}
-            if error is not None:
-                from repro.errors import ResourceExhausted
-
-                if isinstance(error, ResourceExhausted):
-                    # The budget fired mid-execution; freeze what the
-                    # profiler saw up to the failing operator into the
-                    # slow-query log.
-                    telemetry.record_resource_exhausted(
-                        error, sql=sql, profiler=profiler
-                    )
-                telemetry.record_error(error, **ident)
-            elif profile is None:
-                telemetry.record_statement(
-                    kind, wall_ms, rowcount=result.rowcount, **ident
-                )
-            else:
-                # A strategy experiment reports no plan (planned is None):
-                # the expanded plan's hash differs per strategy by
-                # construction, and a deliberate experiment is not a flip.
-                plan = shape = None
-                if planned is not None:
-                    plan = planned.plan
-                    shape = planned.plan_shape or plan_shape(plan)
-                telemetry.record_query(
-                    kind,
-                    profile,
-                    rows=len(result.rows),
-                    reports=() if planned is None else planned.reports,
-                    plan_shape=shape,
-                    introspection=is_introspection_plan(plan),
-                    strategy=strategy,
-                    **ident,
-                )
+            telemetry.observe(record)
         if recorder is not None:
-            recorder.record(
-                sql=sql,
-                params=params,
-                fingerprint=fingerprint,
-                strategy=strategy,
-                kind=kind,
-                wall_ms=wall_ms,
-                result=result,
-                error=error,
-            )
+            recorder.record(record)
 
     def query(self, sql: str) -> Result:
         """Alias of :meth:`execute` for read-only use."""
@@ -603,7 +607,10 @@ class Database:
         if facts:
             from repro.analysis.dataflow import analyze_plan
 
+            span = tracer.begin("dataflow", "phase") if tracer is not None else None
             analyze_plan(plan, self.catalog)
+            if tracer is not None:
+                tracer.end(span)
         return PlannedQuery(query, plan, tuple(columns), strategy, reports)
 
     def _run(self, planned: PlannedQuery, params, profiler, cancel_event, track):
@@ -1112,9 +1119,7 @@ class Database:
         """Detected plan flips, oldest first (``repro_plan_flips`` as
         dicts): statements whose plan hash changed between executions.
         Empty when telemetry is off."""
-        if self.telemetry is None:
-            return []
-        return [f.as_dict() for f in self.telemetry.statements.flips()]
+        return [] if self.telemetry is None else self.telemetry.statements.flips()
 
     def strategy_stats(self) -> list:
         """Per-(fingerprint, strategy) timing history, first-seen order.
@@ -1238,7 +1243,8 @@ class Database:
         """
         if strategy == "interpreter":
             return self.execute(sql, params)
-        statement = self._parse(sql)
+        start = perf_counter()
+        statement = self._parse(sql, start=start)
         if not isinstance(statement, ast.QueryStatement) or isinstance(
             statement.query, ast.ShowStats
         ):
@@ -1253,7 +1259,7 @@ class Database:
             return result, None, profile
 
         return self._execute_observed(
-            statement, params, sql=sql, run=run, strategy=strategy
+            statement, params, sql=sql, run=run, strategy=strategy, start=start
         )
 
     # -- convenience ------------------------------------------------------------

@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 from repro.errors import CatalogError
 from repro.types import DataType
 
-__all__ = ["Column", "TableSchema"]
+__all__ = ["Column", "RowType", "TableSchema"]
 
 
 @dataclass(frozen=True)
@@ -70,3 +70,23 @@ class TableSchema:
     def of(pairs: Iterable[tuple[str, DataType]]) -> "TableSchema":
         """Build a schema from ``(name, type)`` pairs."""
         return TableSchema([Column(name, dtype) for name, dtype in pairs])
+
+
+class RowType:
+    """Mixin for an object that is one row of a system table.
+
+    ``COLUMNS`` — ``(name, type)`` pairs, each naming an attribute of the
+    object — is the one declaration of the table's columns: the tuple a scan
+    returns, the dict the Python accessors return and (through
+    :meth:`TableSchema.of`) the table's schema are all read off it.
+    """
+
+    __slots__ = ()
+
+    COLUMNS: tuple = ()
+
+    def as_row(self) -> tuple:
+        return tuple(getattr(self, name) for name, _ in self.COLUMNS)
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name, _ in self.COLUMNS}

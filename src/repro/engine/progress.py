@@ -36,7 +36,9 @@ import time
 from datetime import datetime, timezone
 from typing import Any, List, Optional
 
+from repro.catalog.schema import RowType
 from repro.errors import ResourceExhausted
+from repro.types import DOUBLE, INTEGER, VARCHAR
 
 __all__ = [
     "OperatorProgress",
@@ -70,13 +72,24 @@ def _estimate_row_bytes(row: tuple) -> int:
         return _DEFAULT_ROW_BYTES
 
 
-class OperatorProgress:
+class OperatorProgress(RowType):
     """Live per-operator counters: estimated vs actual rows.
 
     ``est_rows_min`` / ``est_rows_max`` come from the dataflow analyzer's
     cardinality bounds (``plan.facts``); ``rows_out`` / ``calls`` are what
     actually happened so far.  ``state`` walks pending -> running -> done.
     """
+
+    #: The ``repro_query_progress`` columns after the leading ``query_id``.
+    COLUMNS = (
+        ("op_id", INTEGER),
+        ("operator", VARCHAR),
+        ("est_rows_min", INTEGER),
+        ("est_rows_max", INTEGER),
+        ("rows_out", INTEGER),
+        ("calls", INTEGER),
+        ("state", VARCHAR),
+    )
 
     __slots__ = (
         "op_id",
@@ -103,21 +116,30 @@ class OperatorProgress:
         self.calls = 0
         self.state = "pending"
 
-    def as_row(self, query_id: str) -> tuple:
-        return (
-            query_id,
-            self.op_id,
-            self.label,
-            self.est_rows_min,
-            self.est_rows_max,
-            self.rows_out,
-            self.calls,
-            self.state,
-        )
+    @property
+    def operator(self) -> str:
+        return self.label
 
 
-class ProgressState:
+class ProgressState(RowType):
     """One running query's live counters; single writer, lock-free readers."""
+
+    #: The ``repro_running_queries`` columns, which are also the keys of
+    #: ``as_dict`` (the JSON shape the HTTP sidecar's ``/queries`` serves).
+    COLUMNS = (
+        ("query_id", VARCHAR),
+        ("session_id", VARCHAR),
+        ("sql", VARCHAR),
+        ("traceparent", VARCHAR),
+        ("started", VARCHAR),
+        ("elapsed_ms", DOUBLE),
+        ("rows_processed", INTEGER),
+        ("current_operator", VARCHAR),
+        ("memory_bytes", INTEGER),
+        ("memory_limit_bytes", INTEGER),
+    )
+    #: The ``repro_query_progress`` columns.
+    OPERATOR_COLUMNS = COLUMNS[:1] + OperatorProgress.COLUMNS
 
     __slots__ = (
         "query_id",
@@ -147,15 +169,16 @@ class ProgressState:
         memory_limit_bytes: Optional[int] = None,
     ):
         self.query_id = query_id
-        self.session_id = session_id
-        self.sql = sql
-        self.traceparent = traceparent
+        # Stored the way the columns read: SQL NULL, not "", when unset.
+        self.session_id = session_id or None
+        self.sql = sql or None
+        self.traceparent = traceparent or None
         self.started = datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         )
         self.started_ns = time.perf_counter_ns()
         self.rows_processed = 0
-        self.current_operator = ""
+        self.current_operator: Optional[str] = None
         self.memory_bytes = 0
         self.memory_limit_bytes = memory_limit_bytes
         self.finished = False
@@ -267,44 +290,14 @@ class ProgressState:
 
     @property
     def elapsed_ms(self) -> float:
-        return (time.perf_counter_ns() - self.started_ns) / 1e6
-
-    def as_row(self) -> tuple:
-        """The ``repro_running_queries`` row for this query."""
-        return (
-            self.query_id,
-            self.session_id or None,
-            self.sql or None,
-            self.traceparent or None,
-            self.started,
-            round(self.elapsed_ms, 3),
-            self.rows_processed,
-            self.current_operator or None,
-            self.memory_bytes,
-            self.memory_limit_bytes,
-        )
+        return round((time.perf_counter_ns() - self.started_ns) / 1e6, 3)
 
     def operator_rows(self) -> List[tuple]:
         """The ``repro_query_progress`` rows, plan-registration order."""
         return [
-            entry.as_row(self.query_id)
+            (self.query_id,) + entry.as_row()
             for entry in list(self._operators.values())
         ]
-
-    def as_dict(self) -> dict:
-        """JSON shape served by the HTTP sidecar's ``/queries``."""
-        return {
-            "query_id": self.query_id,
-            "session_id": self.session_id or None,
-            "sql": self.sql or None,
-            "traceparent": self.traceparent or None,
-            "started": self.started,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-            "rows_processed": self.rows_processed,
-            "current_operator": self.current_operator or None,
-            "memory_bytes": self.memory_bytes,
-            "memory_limit_bytes": self.memory_limit_bytes,
-        }
 
 
 class QueryRegistry:

@@ -33,8 +33,8 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import QueryCancelled
 from repro.server.protocol import dumps_line, encode_result, error_payload
+from repro.telemetry.record import utc_now
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -47,12 +47,6 @@ __all__ = [
 ]
 
 JOURNAL_SCHEMA = "repro-journal-v1"
-
-
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(
-        timespec="microseconds"
-    )
 
 
 def result_digest(result: Any) -> str:
@@ -157,7 +151,7 @@ class JournalWriter:
         self._write(
             {
                 "schema": JOURNAL_SCHEMA,
-                "created": _utc_now(),
+                "created": utc_now(),
                 "bootstrap": bootstrap,
             }
         )
@@ -166,43 +160,25 @@ class JournalWriter:
         self._fh.write(dumps_line(obj).decode("utf-8"))
         self._fh.flush()
 
-    def record(
-        self,
-        *,
-        sql: Optional[str],
-        params: Sequence[Any] = (),
-        fingerprint: Optional[str] = None,
-        strategy: Optional[str] = None,
-        kind: Optional[str] = None,
-        wall_ms: float = 0.0,
-        result: Any = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        """Append one executed statement (or its failure) to the journal."""
-        from repro.telemetry import current_session, current_traceparent
-
-        if error is None:
-            outcome = "ok"
-            error_obj = None
-        elif isinstance(error, QueryCancelled):
-            outcome = "cancelled"
-            error_obj = error_payload(error)
-        else:
-            outcome = "error"
-            error_obj = error_payload(error)
+    def record(self, record: Any) -> None:
+        """Append one finished statement: the ``repro-journal-v1`` line is a
+        projection of its :class:`~repro.telemetry.record.StatementRecord`
+        (plus the digest of the attached result), so it reports the same
+        identity, outcome and wall time as every other sink."""
+        error, result = record.error, record.result
         entry = {
-            "ts": _utc_now(),
-            "session": current_session.get(),
-            "traceparent": current_traceparent.get(),
-            "sql": sql,
-            "params": encode_params(params),
-            "fingerprint": fingerprint,
-            "strategy": strategy,
-            "kind": kind,
-            "outcome": outcome,
-            "error": error_obj,
-            "wall_ms": round(wall_ms, 3),
-            "rows": None if result is None else result.rowcount,
+            "ts": record.ts,
+            "session": record.session,
+            "traceparent": record.traceparent,
+            "sql": record.sql,
+            "params": encode_params(record.params),
+            "fingerprint": record.fingerprint,
+            "strategy": record.strategy,
+            "kind": record.kind,
+            "outcome": record.outcome,
+            "error": None if error is None else error_payload(error),
+            "wall_ms": round(record.wall_ms, 3),
+            "rows": record.rows,
             "digest": None if result is None else result_digest(result),
         }
         with self._lock:

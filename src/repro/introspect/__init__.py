@@ -28,7 +28,6 @@ from repro.introspect.fingerprint import (
     plan_shape,
 )
 from repro.introspect.statements import (
-    PlanFlip,
     StatementEntry,
     StatementStatsStore,
     StrategyEntry,
@@ -37,7 +36,6 @@ from repro.introspect.tables import SYSTEM_TABLE_NAMES, install_system_tables
 
 __all__ = [
     "SYSTEM_TABLE_NAMES",
-    "PlanFlip",
     "StatementEntry",
     "StatementStatsStore",
     "StrategyEntry",

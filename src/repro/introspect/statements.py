@@ -1,97 +1,120 @@
 """Per-fingerprint statement statistics and the plan-flip log.
 
 The :class:`StatementStatsStore` is the storage behind the
-``repro_stat_statements`` and ``repro_plan_flips`` system tables: one
-entry per statement fingerprint accumulating calls, wall time, rows, and
-errors, plus the last observed execution strategy and plan hash.  When a
+``repro_stat_statements``, ``repro_strategy_stats`` and ``repro_plan_flips``
+system tables: one entry per statement fingerprint accumulating calls, wall
+time, rows, and errors, plus the last observed execution strategy and plan
+hash; one entry per (fingerprint, strategy) with the same timing; and a
+bounded ring of plan flips.  It is fed one
+:class:`~repro.telemetry.record.StatementRecord` at a time.  When a
 fingerprint's plan hash *changes* between executions, :meth:`observe`
-returns a :class:`PlanFlip` describing the transition; the Telemetry
-facade turns that into a ``plan_flip`` event and a ``plan_flips_total``
-increment.
+returns the flip; the Telemetry facade turns that into a ``plan_flip``
+event and a ``plan_flips_total`` increment.
 
-Everything here is plain bookkeeping — no clocks beyond the flip
-timestamp, and the flip log is a bounded ring like every other telemetry
-buffer.  The store is thread-safe: concurrent sessions observe into the
-same fingerprint entry, so every mutation and every read happens under
-one store lock, and :meth:`reset` clears the entries *and* the flip ring
-atomically — a reader can never see a flip whose fingerprint is already
-gone from the statistics.
+Everything here is plain bookkeeping — no clock at all: wall time and the
+flip timestamp are the record's.  The store is thread-safe: concurrent
+sessions observe into the same fingerprint entry, so every mutation and
+every read happens under one store lock, and :meth:`reset` clears the
+entries *and* the flip ring atomically — a reader can never see a flip
+whose fingerprint is already gone from the statistics.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import threading
-from collections import deque
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.catalog.schema import RowType
+from repro.types import DOUBLE, INTEGER, VARCHAR
+
 __all__ = [
+    "FLIP_COLUMNS",
     "StatementEntry",
     "StrategyEntry",
-    "PlanFlip",
     "StatementStatsStore",
 ]
 
+#: Plan flips one store retains.
+FLIP_CAPACITY = 200
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="microseconds")
+#: The ``repro_plan_flips`` columns; a flip is the ring entry (a dict)
+#: holding exactly these keys.
+FLIP_COLUMNS = (
+    ("seq", INTEGER),
+    ("ts", VARCHAR),
+    ("fingerprint", VARCHAR),
+    ("query", VARCHAR),
+    ("old_strategy", VARCHAR),
+    ("new_strategy", VARCHAR),
+    ("old_plan_hash", VARCHAR),
+    ("new_plan_hash", VARCHAR),
+)
 
 
-@dataclass
-class StatementEntry:
-    """Lifetime statistics for one statement fingerprint."""
+class _WallStats(RowType):
+    """Calls, total / min / max wall ms and rows over a set of executions.
 
-    fingerprint: str
-    query: str  # normalized (literal-free) text
-    calls: int = 0
-    total_wall_ms: float = 0.0
-    min_wall_ms: Optional[float] = None
-    max_wall_ms: Optional[float] = None
-    rows_returned: int = 0
-    errors: int = 0
-    last_strategy: Optional[str] = None
-    last_plan_hash: Optional[str] = None
+    These are distributive aggregates, so the per-fingerprint row is the
+    sub-total of the fingerprint's per-strategy rows; both kinds of row
+    accumulate through the one :meth:`add`.
+    """
+
+    TIMING = (
+        ("calls", INTEGER),
+        ("total_wall_ms", DOUBLE),
+        ("mean_wall_ms", DOUBLE),
+        ("min_wall_ms", DOUBLE),
+        ("max_wall_ms", DOUBLE),
+        ("rows_returned", INTEGER),
+    )
+
+    def __init__(self, fingerprint: str, query: str):
+        self.fingerprint = fingerprint
+        self.query = query  # normalized (literal-free) text
+        self.calls = 0
+        self.total_wall_ms = 0.0
+        self.min_wall_ms: Optional[float] = None
+        self.max_wall_ms: Optional[float] = None
+        self.rows_returned = 0
 
     @property
     def mean_wall_ms(self) -> float:
         return self.total_wall_ms / self.calls if self.calls else 0.0
 
-    def as_row(self) -> tuple:
-        """The ``repro_stat_statements`` row, in column order."""
-        return (
-            self.fingerprint,
-            self.query,
-            self.calls,
-            self.total_wall_ms,
-            self.mean_wall_ms,
-            self.min_wall_ms,
-            self.max_wall_ms,
-            self.rows_returned,
-            self.errors,
-            self.last_strategy,
-            self.last_plan_hash,
+    def add(self, wall_ms: float, rows: int) -> None:
+        """Fold one completed execution in."""
+        if self.calls:
+            self.min_wall_ms = min(self.min_wall_ms, wall_ms)
+            self.max_wall_ms = max(self.max_wall_ms, wall_ms)
+        else:
+            self.min_wall_ms = self.max_wall_ms = wall_ms
+        self.calls += 1
+        self.total_wall_ms += wall_ms
+        self.rows_returned += rows
+
+
+class StatementEntry(_WallStats):
+    """Lifetime statistics for one statement fingerprint."""
+
+    COLUMNS = (
+        (("fingerprint", VARCHAR), ("query", VARCHAR))
+        + _WallStats.TIMING
+        + (
+            ("errors", INTEGER),
+            ("last_strategy", VARCHAR),
+            ("last_plan_hash", VARCHAR),
         )
+    )
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "fingerprint": self.fingerprint,
-            "query": self.query,
-            "calls": self.calls,
-            "total_wall_ms": self.total_wall_ms,
-            "mean_wall_ms": self.mean_wall_ms,
-            "min_wall_ms": self.min_wall_ms,
-            "max_wall_ms": self.max_wall_ms,
-            "rows_returned": self.rows_returned,
-            "errors": self.errors,
-            "last_strategy": self.last_strategy,
-            "last_plan_hash": self.last_plan_hash,
-        }
+    def __init__(self, fingerprint: str, query: str):
+        super().__init__(fingerprint, query)
+        self.errors = 0
+        self.last_strategy: Optional[str] = None
+        self.last_plan_hash: Optional[str] = None
 
 
-@dataclass
-class StrategyEntry:
+class StrategyEntry(_WallStats):
     """Lifetime statistics for one (fingerprint, strategy) pair.
 
     This is the timing *history* behind ``repro_strategy_stats``: where
@@ -101,93 +124,28 @@ class StrategyEntry:
     and a cost-based chooser can compare them.
     """
 
-    fingerprint: str
-    strategy: str
-    query: str  # normalized (literal-free) text
-    calls: int = 0
-    total_wall_ms: float = 0.0
-    min_wall_ms: Optional[float] = None
-    max_wall_ms: Optional[float] = None
-    rows_returned: int = 0
+    COLUMNS = (
+        (("fingerprint", VARCHAR), ("strategy", VARCHAR), ("query", VARCHAR))
+        + _WallStats.TIMING
+    )
 
-    @property
-    def mean_wall_ms(self) -> float:
-        return self.total_wall_ms / self.calls if self.calls else 0.0
-
-    def as_row(self) -> tuple:
-        """The ``repro_strategy_stats`` row, in column order."""
-        return (
-            self.fingerprint,
-            self.strategy,
-            self.query,
-            self.calls,
-            self.total_wall_ms,
-            self.mean_wall_ms,
-            self.min_wall_ms,
-            self.max_wall_ms,
-            self.rows_returned,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "fingerprint": self.fingerprint,
-            "strategy": self.strategy,
-            "query": self.query,
-            "calls": self.calls,
-            "total_wall_ms": self.total_wall_ms,
-            "mean_wall_ms": self.mean_wall_ms,
-            "min_wall_ms": self.min_wall_ms,
-            "max_wall_ms": self.max_wall_ms,
-            "rows_returned": self.rows_returned,
-        }
-
-
-@dataclass
-class PlanFlip:
-    """One detected plan change for a statement fingerprint."""
-
-    seq: int
-    ts: str
-    fingerprint: str
-    query: str
-    old_strategy: Optional[str]
-    new_strategy: Optional[str]
-    old_plan_hash: str
-    new_plan_hash: str
-
-    def as_row(self) -> tuple:
-        return (
-            self.seq,
-            self.ts,
-            self.fingerprint,
-            self.query,
-            self.old_strategy,
-            self.new_strategy,
-            self.old_plan_hash,
-            self.new_plan_hash,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "ts": self.ts,
-            "fingerprint": self.fingerprint,
-            "query": self.query,
-            "old_strategy": self.old_strategy,
-            "new_strategy": self.new_strategy,
-            "old_plan_hash": self.old_plan_hash,
-            "new_plan_hash": self.new_plan_hash,
-        }
+    def __init__(self, fingerprint: str, strategy: str, query: str):
+        super().__init__(fingerprint, query)
+        self.strategy = strategy
 
 
 class StatementStatsStore:
     """Fingerprint-keyed statement statistics plus the flip ring."""
 
-    def __init__(self, *, flip_capacity: int = 200):
+    def __init__(self) -> None:
+        # Imported here, not at module level: the row types above are needed
+        # by every Database (the system tables' schemas), the telemetry
+        # package only by one that has telemetry on.
+        from repro.telemetry.events import Ring
+
         self._entries: Dict[str, StatementEntry] = {}
         self._strategy: Dict[Tuple[str, str], StrategyEntry] = {}
-        self._flips: deque = deque(maxlen=flip_capacity)
-        self._flip_seq = 0
+        self._flips = Ring(FLIP_CAPACITY)
         #: One lock for the whole store: entry mutation, flip append, and
         #: reset must be atomic with respect to concurrent sessions.
         self._lock = threading.Lock()
@@ -196,129 +154,69 @@ class StatementStatsStore:
         with self._lock:
             return len(self._entries)
 
-    def _entry(self, fingerprint: str, query: str) -> StatementEntry:
-        entry = self._entries.get(fingerprint)
-        if entry is None:
-            entry = StatementEntry(fingerprint, query)
-            self._entries[fingerprint] = entry
-        return entry
+    def observe(self, record: Any) -> Optional[Dict[str, Any]]:
+        """Fold one finished, fingerprinted statement in; returns the flip,
+        if any.
 
-    def observe(
-        self,
-        fingerprint: str,
-        query: str,
-        duration_ms: float,
-        *,
-        rows: int = 0,
-        strategy: Optional[str] = None,
-        plan_hash: Optional[str] = None,
-    ) -> Optional[PlanFlip]:
-        """Record one completed execution; returns the flip, if any.
-
-        A flip is a *change* of plan hash: the first hash seen for a
+        A failed execution counts an error — never a call, never a flip.  A
+        flip is a *change* of plan hash: the first hash seen for a
         fingerprint only seeds the detector, and statements with no plan
-        (``plan_hash`` None — DDL, utilities) never flip or overwrite a
-        stored hash.
+        (``plan_hash`` None — DDL, utilities, strategy experiments) never
+        flip or overwrite a stored hash.
         """
+        fingerprint = record.fingerprint
+        query = record.query_text
+        if query is None:
+            query = record.sql or ""
         with self._lock:
-            return self._observe_locked(
-                fingerprint,
-                query,
-                duration_ms,
-                rows=rows,
-                strategy=strategy,
-                plan_hash=plan_hash,
-            )
-
-    def _observe_locked(
-        self,
-        fingerprint: str,
-        query: str,
-        duration_ms: float,
-        *,
-        rows: int,
-        strategy: Optional[str],
-        plan_hash: Optional[str],
-    ) -> Optional[PlanFlip]:
-        entry = self._entry(fingerprint, query)
-        entry.calls += 1
-        entry.total_wall_ms += duration_ms
-        entry.min_wall_ms = (
-            duration_ms
-            if entry.min_wall_ms is None
-            else min(entry.min_wall_ms, duration_ms)
-        )
-        entry.max_wall_ms = (
-            duration_ms
-            if entry.max_wall_ms is None
-            else max(entry.max_wall_ms, duration_ms)
-        )
-        entry.rows_returned += rows
-        if strategy is not None:
-            key = (fingerprint, strategy)
-            per = self._strategy.get(key)
-            if per is None:
-                per = StrategyEntry(fingerprint, strategy, query)
-                self._strategy[key] = per
-            per.calls += 1
-            per.total_wall_ms += duration_ms
-            per.min_wall_ms = (
-                duration_ms
-                if per.min_wall_ms is None
-                else min(per.min_wall_ms, duration_ms)
-            )
-            per.max_wall_ms = (
-                duration_ms
-                if per.max_wall_ms is None
-                else max(per.max_wall_ms, duration_ms)
-            )
-            per.rows_returned += rows
-        flip: Optional[PlanFlip] = None
-        if plan_hash is not None:
-            if (
-                entry.last_plan_hash is not None
-                and entry.last_plan_hash != plan_hash
-            ):
-                self._flip_seq += 1
-                flip = PlanFlip(
-                    seq=self._flip_seq,
-                    ts=_utc_now(),
-                    fingerprint=fingerprint,
-                    query=query,
-                    old_strategy=entry.last_strategy,
-                    new_strategy=strategy,
-                    old_plan_hash=entry.last_plan_hash,
-                    new_plan_hash=plan_hash,
+            entry = self._entries.get(fingerprint)
+            if entry is None:
+                entry = self._entries[fingerprint] = StatementEntry(
+                    fingerprint, query
                 )
-                self._flips.append(flip)
-            entry.last_plan_hash = plan_hash
-        if strategy is not None:
+            if record.outcome != "ok":
+                entry.errors += 1
+                return None
+            strategy = record.strategy_label
+            per = self._strategy.get((fingerprint, strategy))
+            if per is None:
+                per = self._strategy[fingerprint, strategy] = StrategyEntry(
+                    fingerprint, strategy, query
+                )
+            entry.add(record.wall_ms, record.rows)
+            per.add(record.wall_ms, record.rows)
+            flip = None
+            if record.plan_hash is not None:
+                if entry.last_plan_hash not in (None, record.plan_hash):
+                    flip = self._flips.append(
+                        ts=record.ts,
+                        fingerprint=fingerprint,
+                        query=query,
+                        old_strategy=entry.last_strategy,
+                        new_strategy=strategy,
+                        old_plan_hash=entry.last_plan_hash,
+                        new_plan_hash=record.plan_hash,
+                    )
+                entry.last_plan_hash = record.plan_hash
             entry.last_strategy = strategy
-        return flip
-
-    def record_error(self, fingerprint: str, query: str) -> None:
-        """Count a failed execution (never a call, never a flip)."""
-        with self._lock:
-            self._entry(fingerprint, query).errors += 1
+            return flip
 
     def entries(self) -> List[StatementEntry]:
         """All entries, in first-seen order (point-in-time copies)."""
-        with self._lock:
-            return [dataclasses.replace(e) for e in self._entries.values()]
+        return self.snapshot()[0]
 
-    def flips(self) -> List[PlanFlip]:
+    def flips(self) -> List[Dict[str, Any]]:
         """Retained plan flips, oldest first."""
         with self._lock:
-            return list(self._flips)
+            return self._flips.tail()
 
     def strategy_entries(self) -> List[StrategyEntry]:
         """Per-(fingerprint, strategy) history, in first-seen order."""
-        with self._lock:
-            return [dataclasses.replace(e) for e in self._strategy.values()]
+        return self.snapshot()[2]
 
     def snapshot(
         self,
-    ) -> Tuple[List[StatementEntry], List[PlanFlip], List[StrategyEntry]]:
+    ) -> Tuple[List[StatementEntry], List[Dict[str, Any]], List[StrategyEntry]]:
         """Entries, flips, and strategy history under one lock acquisition.
 
         This is the consistency primitive behind the
@@ -330,9 +228,9 @@ class StatementStatsStore:
         """
         with self._lock:
             return (
-                [dataclasses.replace(e) for e in self._entries.values()],
-                list(self._flips),
-                [dataclasses.replace(e) for e in self._strategy.values()],
+                [copy.copy(e) for e in self._entries.values()],
+                self._flips.tail(),
+                [copy.copy(e) for e in self._strategy.values()],
             )
 
     def reset(self) -> None:

@@ -24,6 +24,12 @@ from typing import TYPE_CHECKING
 
 from repro.catalog.objects import BaseTable, SystemTable, View
 from repro.catalog.schema import Column, TableSchema
+from repro.engine.progress import ProgressState, current_query_id
+from repro.introspect.statements import (
+    FLIP_COLUMNS,
+    StatementEntry,
+    StrategyEntry,
+)
 from repro.types import BOOLEAN, DOUBLE, INTEGER, VARCHAR
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,23 +67,6 @@ def _stat_text(value) -> "str | None":
 def install_system_tables(db: "Database") -> None:
     """Register the ``repro_*`` introspection tables in ``db``'s catalog."""
 
-    def stat_statements() -> list[tuple]:
-        if db.telemetry is None:
-            return []
-        return [e.as_row() for e in db.telemetry.statements.entries()]
-
-    def plan_flips() -> list[tuple]:
-        if db.telemetry is None:
-            return []
-        return [f.as_row() for f in db.telemetry.statements.flips()]
-
-    def strategy_stats() -> list[tuple]:
-        if db.telemetry is None:
-            return []
-        return [
-            e.as_row() for e in db.telemetry.statements.strategy_entries()
-        ]
-
     def statements_group() -> dict[str, list[tuple]]:
         """All three statement tables from ONE locked read of the store.
 
@@ -97,7 +86,9 @@ def install_system_tables(db: "Database") -> None:
         entries, flips, strategies = db.telemetry.statements.snapshot()
         return {
             "repro_stat_statements": [e.as_row() for e in entries],
-            "repro_plan_flips": [f.as_row() for f in flips],
+            "repro_plan_flips": [
+                tuple(flip[name] for name, _ in FLIP_COLUMNS) for flip in flips
+            ],
             "repro_strategy_stats": [s.as_row() for s in strategies],
         }
 
@@ -230,8 +221,6 @@ def install_system_tables(db: "Database") -> None:
         Database around every tracked execution) is excluded, so a query
         polling the registry never observes itself.
         """
-        from repro.engine.progress import current_query_id
-
         states = db.running.snapshot(exclude=current_query_id.get())
         progress_rows: list[tuple] = []
         for state in states:
@@ -248,20 +237,8 @@ def install_system_tables(db: "Database") -> None:
     register(
         SystemTable(
             "repro_stat_statements",
-            _schema(
-                ("fingerprint", VARCHAR),
-                ("query", VARCHAR),
-                ("calls", INTEGER),
-                ("total_wall_ms", DOUBLE),
-                ("mean_wall_ms", DOUBLE),
-                ("min_wall_ms", DOUBLE),
-                ("max_wall_ms", DOUBLE),
-                ("rows_returned", INTEGER),
-                ("errors", INTEGER),
-                ("last_strategy", VARCHAR),
-                ("last_plan_hash", VARCHAR),
-            ),
-            stat_statements,
+            TableSchema.of(StatementEntry.COLUMNS),
+            lambda: statements_group()["repro_stat_statements"],
             comment="per-fingerprint statement statistics",
             group="statements",
         )
@@ -269,17 +246,8 @@ def install_system_tables(db: "Database") -> None:
     register(
         SystemTable(
             "repro_plan_flips",
-            _schema(
-                ("seq", INTEGER),
-                ("ts", VARCHAR),
-                ("fingerprint", VARCHAR),
-                ("query", VARCHAR),
-                ("old_strategy", VARCHAR),
-                ("new_strategy", VARCHAR),
-                ("old_plan_hash", VARCHAR),
-                ("new_plan_hash", VARCHAR),
-            ),
-            plan_flips,
+            TableSchema.of(FLIP_COLUMNS),
+            lambda: statements_group()["repro_plan_flips"],
             comment="plan-hash changes detected per statement fingerprint",
             group="statements",
         )
@@ -287,18 +255,8 @@ def install_system_tables(db: "Database") -> None:
     register(
         SystemTable(
             "repro_strategy_stats",
-            _schema(
-                ("fingerprint", VARCHAR),
-                ("strategy", VARCHAR),
-                ("query", VARCHAR),
-                ("calls", INTEGER),
-                ("total_wall_ms", DOUBLE),
-                ("mean_wall_ms", DOUBLE),
-                ("min_wall_ms", DOUBLE),
-                ("max_wall_ms", DOUBLE),
-                ("rows_returned", INTEGER),
-            ),
-            strategy_stats,
+            TableSchema.of(StrategyEntry.COLUMNS),
+            lambda: statements_group()["repro_strategy_stats"],
             comment="per-(fingerprint, strategy) timing history",
             group="statements",
         )
@@ -379,18 +337,7 @@ def install_system_tables(db: "Database") -> None:
     register(
         SystemTable(
             "repro_running_queries",
-            _schema(
-                ("query_id", VARCHAR),
-                ("session_id", VARCHAR),
-                ("sql", VARCHAR),
-                ("traceparent", VARCHAR),
-                ("started", VARCHAR),
-                ("elapsed_ms", DOUBLE),
-                ("rows_processed", INTEGER),
-                ("current_operator", VARCHAR),
-                ("memory_bytes", INTEGER),
-                ("memory_limit_bytes", INTEGER),
-            ),
+            TableSchema.of(ProgressState.COLUMNS),
             lambda: running_group()["repro_running_queries"],
             comment="queries executing right now (the observer is excluded)",
             group="running",
@@ -399,16 +346,7 @@ def install_system_tables(db: "Database") -> None:
     register(
         SystemTable(
             "repro_query_progress",
-            _schema(
-                ("query_id", VARCHAR),
-                ("op_id", INTEGER),
-                ("operator", VARCHAR),
-                ("est_rows_min", INTEGER),
-                ("est_rows_max", INTEGER),
-                ("rows_out", INTEGER),
-                ("calls", INTEGER),
-                ("state", VARCHAR),
-            ),
+            TableSchema.of(ProgressState.OPERATOR_COLUMNS),
             lambda: running_group()["repro_query_progress"],
             comment="per-operator estimated-vs-actual rows for running queries",
             group="running",

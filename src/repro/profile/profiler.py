@@ -25,10 +25,11 @@ from typing import Any, Optional
 from repro.profile.metrics import OperatorMetrics
 from repro.profile.tracer import Span, Tracer
 
-__all__ = ["Profiler", "QueryProfile"]
+__all__ = ["CTX_COUNTERS", "Profiler", "QueryProfile"]
 
-#: ExecutionContext counters copied into every profile, in report order.
-_CTX_COUNTERS = (
+#: ExecutionContext counters copied into every profile, in report order;
+#: telemetry mirrors each as a ``<name>_total`` lifetime metric.
+CTX_COUNTERS = (
     "rows_scanned",
     "subquery_executions",
     "subquery_cache_hits",
@@ -164,7 +165,7 @@ class Profiler:
         operator_tree = self._freeze_tree(plan) if plan is not None else None
         counters = dict(self.counters)
         if ctx is not None:
-            for name in _CTX_COUNTERS:
+            for name in CTX_COUNTERS:
                 counters[name] = getattr(ctx, name)
         spans_dropped = self.tracer.dropped
         if spans_dropped:

@@ -31,6 +31,7 @@ import itertools
 import threading
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from time import perf_counter
 from typing import Any, Optional, Sequence
 
 from repro.catalog import MaterializedView
@@ -98,8 +99,10 @@ class Session:
         statement to the caller's distributed trace: captured spans adopt
         its trace id and the telemetry events carry it.
         """
+        start = perf_counter()  # before the parse: what the caller waits for
         with self._statement_scope(sql, traceparent):
-            return self._run(self.db._parse(sql), sql, params)
+            statement = self.db._parse(sql, start=start)
+            return self._run(statement, sql, params, start)
 
     def prepare(self, sql: str) -> str:
         """Parse (and for queries, plan) ``sql``; returns a handle.
@@ -109,8 +112,9 @@ class Session:
         cache later drops the plan (DDL, eviction), execution transparently
         replans; the handle never dangles.
         """
+        start = perf_counter()
         with self._statement_scope(sql):
-            statement = self.db._parse(sql)
+            statement = self.db._parse(sql, start=start)
             if isinstance(statement, ast.QueryStatement) and not isinstance(
                 statement.query, ast.ShowStats
             ):
@@ -121,7 +125,7 @@ class Session:
                     except SqlError as exc:
                         # A query that cannot be planned fails here, not at
                         # execution: journal it where it happened.
-                        self.db._emit(statement, key, error=exc)
+                        self.db._emit(statement, key, start=start, error=exc)
                         raise
             handle = f"{self.id}_p{next(self._prepared_seq)}"
             self._prepared[handle] = (sql, statement)
@@ -135,12 +139,13 @@ class Session:
         traceparent: Optional[str] = None,
     ) -> Result:
         """Run a prepared statement, binding ``params`` to its ``?``s."""
+        start = perf_counter()
         try:
             sql, statement = self._prepared[handle]
         except KeyError:
             raise SqlError(f"unknown prepared statement {handle!r}") from None
         with self._statement_scope(sql, traceparent):
-            return self._run(statement, sql, params)
+            return self._run(statement, sql, params, start)
 
     def deallocate(self, handle: str) -> None:
         self._prepared.pop(handle, None)
@@ -179,23 +184,28 @@ class Session:
             current_session.reset(token)
 
     def _run(
-        self, statement: ast.Statement, sql: str, params: Sequence[Any]
+        self, statement: ast.Statement, sql: str, params: Sequence[Any], start
     ) -> Result:
+        """``start`` is the entry point's clock, handed down to the emit
+        step so the statement's wall time includes the lock wait."""
         if isinstance(statement, ast.QueryStatement):
-            return self._run_read(statement, sql, params)
-        return self._run_write(statement, sql, params)
+            return self._run_read(statement, sql, params, start)
+        return self._run_write(statement, sql, params, start)
 
     def _run_read(
         self,
         statement: ast.QueryStatement,
         sql: str,
         params: Sequence[Any],
+        start: float,
     ) -> Result:
         db = self.db
         with db.rwlock.read():
             if isinstance(statement.query, ast.ShowStats):
                 # Answered from the registry; no plan, nothing to cache.
-                return db._execute_observed(statement, params, sql=sql)
+                return db._execute_observed(
+                    statement, params, sql=sql, start=start
+                )
             self.manager.sync_plan_flips()
             key = to_sql(statement)
             result = db._execute_observed(
@@ -203,6 +213,7 @@ class Session:
                 params,
                 sql=key,
                 run=lambda profiler: self._replay(statement, key, params, profiler),
+                start=start,
             )
             # If that observation flipped the plan, evict the fingerprint's
             # cached variants before anyone replays them.
@@ -239,11 +250,13 @@ class Session:
         return planned
 
     def _run_write(
-        self, statement: ast.Statement, sql: str, params: Sequence[Any]
+        self, statement: ast.Statement, sql: str, params: Sequence[Any], start
     ) -> Result:
         db = self.db
         with db.rwlock.write():
-            result = db._execute_observed(statement, params, sql=sql)
+            result = db._execute_observed(
+                statement, params, sql=sql, start=start
+            )
             # Invalidate while still exclusive: no reader can replay a
             # stale plan between the mutation and the eviction.
             self.manager.invalidate_for(statement)
@@ -327,11 +340,11 @@ class SessionManager:
             return
         flips = telemetry.statements.flips()
         with self._lock:
-            fresh = [f for f in flips if f.seq > self._flip_seq]
+            fresh = [f for f in flips if f["seq"] > self._flip_seq]
             if fresh:
-                self._flip_seq = max(f.seq for f in fresh)
+                self._flip_seq = max(f["seq"] for f in fresh)
         for flip in fresh:
-            self.plan_cache.evict_fingerprint(flip.fingerprint, "flip")
+            self.plan_cache.evict_fingerprint(flip["fingerprint"], "flip")
 
     def invalidate_for(self, statement: ast.Statement) -> None:
         """Evict plans a just-executed write statement may have staled."""

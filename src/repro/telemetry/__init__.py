@@ -18,11 +18,17 @@ All metric names, label sets, and schemas are documented in
 
 from __future__ import annotations
 
-import contextvars
 import re
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.telemetry.events import EventLog, SlowQueryLog
+from repro.errors import ResourceExhausted
+from repro.profile.profiler import CTX_COUNTERS
+from repro.telemetry.events import EventLog, Ring, SlowQueryLog
+from repro.telemetry.record import (
+    StatementRecord,
+    current_session,
+    current_traceparent,
+)
 from repro.telemetry.registry import (
     DEFAULT_DURATION_BUCKETS_MS,
     Counter,
@@ -39,7 +45,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "EventLog",
+    "Ring",
     "SlowQueryLog",
+    "StatementRecord",
     "TraceBuffer",
     "TRACE_SCHEMA",
     "DEFAULT_DURATION_BUCKETS_MS",
@@ -50,24 +58,6 @@ __all__ = [
 ]
 
 _CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
-
-#: The session id attached to telemetry recorded from the current execution
-#: context, or "" for direct Database API use.  The query server sets it
-#: around each statement it runs; a ContextVar (rather than a thread-local)
-#: survives the ``asyncio.to_thread`` hop between the event loop and the
-#: worker thread that actually executes the statement.
-current_session: contextvars.ContextVar[str] = contextvars.ContextVar(
-    "repro_current_session", default=""
-)
-
-#: The W3C ``traceparent`` propagated with the current statement, or ""
-#: when the caller sent none.  Set by the session layer from the wire
-#: protocol's optional ``traceparent`` field; read at capture time so the
-#: exported trace joins the caller's distributed trace instead of minting
-#: a fresh id.  Same ContextVar rationale as ``current_session``.
-current_traceparent: contextvars.ContextVar[str] = contextvars.ContextVar(
-    "repro_current_traceparent", default=""
-)
 
 #: ``version-trace_id-parent_span_id-flags`` per the W3C Trace Context
 #: recommendation; all-zero trace/span ids are invalid per spec.
@@ -113,49 +103,33 @@ def statement_kind(statement: Any) -> str:
     return _CAMEL.sub("_", type(statement).__name__).lower()
 
 
-#: ExecutionContext counters mirrored as lifetime totals, profile name ->
-#: metric name.
-_PROFILE_COUNTER_METRICS = (
-    ("rows_scanned", "rows_scanned_total"),
-    ("subquery_executions", "subquery_executions_total"),
-    ("subquery_cache_hits", "subquery_cache_hits_total"),
-    ("measure_evaluations", "measure_evaluations_total"),
-    ("measure_cache_hits", "measure_cache_hits_total"),
-    ("hash_joins", "hash_joins_total"),
-    ("nested_loop_joins", "nested_loop_joins_total"),
-)
-
-
 class Telemetry:
     """One Database's lifetime observability state.
 
     Composes a :class:`MetricsRegistry`, an :class:`EventLog`, an optional
-    :class:`SlowQueryLog`, and a :class:`TraceBuffer`.  The Database calls
-    the ``record_*`` methods at the query boundary and from the matview /
-    expansion / winmagic / lint paths; nothing here reads a clock except
-    event timestamping, which only happens when telemetry is on.
+    :class:`SlowQueryLog`, and a :class:`TraceBuffer`.  The Database hands
+    :meth:`observe` one :class:`StatementRecord` per finished statement and
+    calls the ``record_*`` feeds from the matview / expansion / winmagic /
+    lint paths; nothing here reads a clock except the timestamping of the
+    non-statement events, which only happens when telemetry is on.
     """
 
     def __init__(
         self,
         *,
         slow_query_ms: Optional[float] = None,
-        event_capacity: int = 1000,
-        trace_capacity: int = 100,
-        slow_log_capacity: int = 100,
         event_sink: Any = None,
-        duration_buckets: Sequence[float] = DEFAULT_DURATION_BUCKETS_MS,
     ):
         self.registry = MetricsRegistry()
-        self.events = EventLog(capacity=event_capacity, sink=event_sink)
-        self.traces = TraceBuffer(capacity=trace_capacity)
+        self.events = EventLog(sink=event_sink)
+        self.traces = TraceBuffer()
         self.slow_query_ms = (
             None if slow_query_ms is None else float(slow_query_ms)
         )
         self.slow_log = (
             None
             if self.slow_query_ms is None
-            else SlowQueryLog(self.slow_query_ms, capacity=slow_log_capacity)
+            else SlowQueryLog(self.slow_query_ms)
         )
 
         reg = self.registry
@@ -168,7 +142,6 @@ class Telemetry:
             "query_duration_ms",
             "Statement wall time in milliseconds.",
             ("kind",),
-            buckets=duration_buckets,
         )
         self.rows_returned_total = reg.counter(
             "rows_returned_total", "Result rows returned to callers."
@@ -265,238 +238,97 @@ class Telemetry:
             ("reason",),
         )
         self._profile_counters = tuple(
-            (src, reg.counter(name, f"Lifetime total of the per-query "
-                              f"'{src}' profile counter."))
-            for src, name in _PROFILE_COUNTER_METRICS
+            (src, reg.counter(f"{src}_total", f"Lifetime total of the "
+                              f"per-query '{src}' profile counter."))
+            for src in CTX_COUNTERS
         )
 
-    # -- query boundary ------------------------------------------------------
+    # -- statement boundary --------------------------------------------------
 
-    def record_query(
-        self,
-        kind: str,
-        profile: Any,
-        *,
-        rows: int,
-        sql: Optional[str] = None,
-        reports: Iterable[Any] = (),
-        fingerprint: Optional[str] = None,
-        query_text: Optional[str] = None,
-        plan_shape: Optional[str] = None,
-        introspection: bool = False,
-        strategy: str = "interpreter",
-    ) -> None:
-        """Record one completed query (kind select/explain/...): metrics,
-        a lifecycle event, the trace, and — if slow — a slow-log entry.
+    def observe(self, record: StatementRecord) -> None:
+        """Fold one finished statement into every sink: metrics, statement
+        statistics (and the flip they may detect), its lifecycle event, the
+        trace and — if slow, or killed by its memory budget — the slow log.
 
-        ``fingerprint``/``query_text`` key the statement into the
-        per-fingerprint statistics store; ``plan_shape`` (the bound plan's
-        operator tree) combines with the decided strategy into the plan
-        hash the flip detector watches.  ``introspection`` marks a query
-        that scans only system tables: it increments
-        ``introspection_queries_total`` and touches *nothing else*, the
-        same exclusion internal maintenance gets — so the database
-        observing itself never skews the statistics being observed.
-
-        ``strategy`` is what planning decided (``summary`` or
-        ``interpreter``) or the expansion strategy the caller forced;
-        ``reports`` only detail the event.  A plan-cache hit replays a
-        stored plan without re-running the rewriter, so it has no reports
-        but the cold run's strategy, keeping the plan hash stable and the
-        flip detector quiet for cached executions.
+        Everything reported is read off ``record``; nothing is re-derived.
+        An ``introspection`` query (one that scans only system tables)
+        increments ``introspection_queries_total`` and touches *nothing
+        else*, the same exclusion internal maintenance gets — so the
+        database observing itself never skews the statistics being
+        observed.  A plan-cache hit replays a stored plan without
+        re-running the rewriter, so its record has no reports but the cold
+        run's strategy and plan hash, keeping the flip detector quiet for
+        cached executions.
         """
-        session = current_session.get()
-        traceparent = current_traceparent.get()
-        if session:
-            self.session_statements_total.inc(session=session)
-        if introspection:
+        if record.session:
+            self.session_statements_total.inc(session=record.session)
+        if record.introspection:
             self.introspection_queries_total.inc()
             return
-        report_dicts = [
-            {
-                "view": getattr(r.view, "name", r.view),
-                "status": r.status,
-                "reason": r.reason,
-                "rule": r.rule,
-            }
-            for r in reports
-        ]
-        duration_ms = profile.total_ms
-        if fingerprint is not None:
-            from repro.introspect.fingerprint import plan_hash
-
-            phash = (
-                None if plan_shape is None else plan_hash(strategy, plan_shape)
-            )
-            flip = self.statements.observe(
-                fingerprint,
-                query_text if query_text is not None else (sql or ""),
-                duration_ms,
-                rows=rows,
-                strategy=strategy,
-                plan_hash=phash,
-            )
+        if record.fingerprint is not None:
+            flip = self.statements.observe(record)
             if flip is not None:
                 self.plan_flips_total.inc()
-                self.events.record("plan_flip", **flip.as_dict())
-        self.queries_total.inc(kind=kind, strategy=strategy)
-        self.query_duration_ms.observe(duration_ms, kind=kind)
-        self.rows_returned_total.inc(rows)
-        counters = profile.counters
-        for src, metric in self._profile_counters:
-            amount = counters.get(src, 0)
-            if amount:
-                metric.inc(amount)
-        if profile.spans_dropped:
-            self.spans_dropped_total.inc(profile.spans_dropped)
-        phases = {
-            child.name: round(child.duration_ms, 3)
-            for child in profile.root_span.children
-            if child.kind == "phase"
-        }
-        event: Dict[str, Any] = {
-            "kind": kind,
-            "strategy": strategy,
-            "duration_ms": round(duration_ms, 3),
-            "rows": rows,
-            "phases": phases,
-            "sql": sql,
-        }
-        if session:
-            event["session"] = session
-        if traceparent:
-            event["traceparent"] = traceparent
-        if report_dicts:
-            event["summary"] = report_dicts
-        if profile.spans_dropped:
-            event["spans_dropped"] = profile.spans_dropped
-        self.events.record("query", **event)
-        self.traces.capture(
-            profile.root_span,
-            sql=sql,
-            spans_dropped=profile.spans_dropped,
-            traceparent=traceparent or None,
-        )
-        if (
-            self.slow_log is not None
-            and duration_ms >= self.slow_log.threshold_ms
-        ):
-            self.slow_queries_total.inc()
-            self.slow_log.add(sql, round(duration_ms, 3), profile.to_dict())
-            slow_event: Dict[str, Any] = {
-                "sql": sql,
-                "duration_ms": round(duration_ms, 3),
-                "threshold_ms": self.slow_log.threshold_ms,
-            }
-            if traceparent:
-                # A slow query correlates across sessions and services by
-                # the caller's trace context, not just by SQL text.
-                slow_event["traceparent"] = traceparent
-            self.events.record("slow_query", **slow_event)
-
-    def record_statement(
-        self,
-        kind: str,
-        duration_ms: float,
-        *,
-        rowcount: int = 0,
-        sql: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-        query_text: Optional[str] = None,
-    ) -> None:
-        """Record one non-query statement (DDL/DML/utility)."""
-        session = current_session.get()
-        if session:
-            self.session_statements_total.inc(session=session)
-        if fingerprint is not None:
-            # No bound plan, so no plan hash: statements can never flip,
-            # and observe() never overwrites a stored hash with None.
-            self.statements.observe(
-                fingerprint,
-                query_text if query_text is not None else (sql or ""),
-                duration_ms,
-                rows=rowcount,
-                strategy="none",
+                self.events.record(
+                    "plan_flip",
+                    **{k: v for k, v in flip.items() if k != "seq"},
+                )
+        self.events.record(**record.lifecycle_event())
+        if record.error is not None:
+            self.errors_total.inc(**{"class": type(record.error).__name__})
+            if isinstance(record.error, ResourceExhausted):
+                self._observe_exhausted(record)
+            return
+        kind = record.kind
+        self.queries_total.inc(kind=kind, strategy=record.strategy_label)
+        self.query_duration_ms.observe(record.wall_ms, kind=kind)
+        profile = record.profile
+        if profile is not None:
+            self.rows_returned_total.inc(record.rows)
+            for src, metric in self._profile_counters:
+                amount = record.counters.get(src, 0)
+                if amount:
+                    metric.inc(amount)
+            if profile.spans_dropped:
+                self.spans_dropped_total.inc(profile.spans_dropped)
+            self.traces.capture(
+                profile.root_span,
+                sql=record.sql,
+                spans_dropped=profile.spans_dropped,
+                traceparent=record.traceparent or None,
+                ts=record.ts,
             )
-        self.queries_total.inc(kind=kind, strategy="none")
-        self.query_duration_ms.observe(duration_ms, kind=kind)
-        detail: Dict[str, Any] = {
-            "kind": kind,
-            "duration_ms": round(duration_ms, 3),
-            "rowcount": rowcount,
-            "sql": sql,
-        }
-        if session:
-            detail["session"] = session
-        self.events.record("statement", **detail)
-        if (
-            self.slow_log is not None
-            and duration_ms >= self.slow_log.threshold_ms
-        ):
+        if self.slow_log is not None and record.wall_ms >= self.slow_query_ms:
             self.slow_queries_total.inc()
-            self.slow_log.add(sql, round(duration_ms, 3), None)
+            self._log_slow(record)
             self.events.record(
-                "slow_query",
-                sql=sql,
-                duration_ms=round(duration_ms, 3),
-                threshold_ms=self.slow_log.threshold_ms,
+                **record.event("slow_query", threshold_ms=self.slow_query_ms)
             )
 
-    def record_error(
-        self,
-        exc: BaseException,
-        *,
-        sql: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-        query_text: Optional[str] = None,
-    ) -> None:
-        if fingerprint is not None:
-            self.statements.record_error(
-                fingerprint, query_text if query_text is not None else (sql or "")
-            )
-        self.errors_total.inc(**{"class": type(exc).__name__})
-        detail: Dict[str, Any] = {
-            "error_class": type(exc).__name__,
-            "message": str(exc),
-            "sql": sql,
-        }
-        session = current_session.get()
-        if session:
-            detail["session"] = session
-        traceparent = current_traceparent.get()
-        if traceparent:
-            # Cancels and failures correlate across sessions by the
-            # caller's propagated trace context.
-            detail["traceparent"] = traceparent
-        self.events.record("error", **detail)
+    def _log_slow(self, record: StatementRecord) -> None:
+        profile = record.profile
+        self.slow_log.add(
+            record.sql,
+            round(record.wall_ms, 3),
+            None if profile is None else profile.to_dict(),
+            ts=record.ts,
+        )
 
-    def record_resource_exhausted(
-        self, exc: BaseException, *, sql: Optional[str], profiler: Any
-    ) -> None:
+    def _observe_exhausted(self, record: StatementRecord) -> None:
         """A query died on its memory budget: keep its *partial* profile.
 
-        The profiler was live when :class:`ResourceExhausted` fired, so
-        freezing it now captures everything up to the failing operator —
+        The profiler was live when :class:`ResourceExhausted` fired, so the
+        record's profile holds everything up to the failing operator —
         exactly the evidence needed to size a budget or fix the query.
         The entry goes to the slow-query log (when configured) regardless
         of the duration threshold: an OOM-averted query is always worth
         keeping.
         """
-        profile = None if profiler is None else profiler.finish(sql=sql)
-        duration_ms = 0.0 if profile is None else round(profile.total_ms, 3)
         if self.slow_log is not None:
-            self.slow_log.add(
-                sql, duration_ms, None if profile is None else profile.to_dict()
-            )
-        detail: Dict[str, Any] = {
-            "sql": sql,
-            "message": str(exc),
-            "duration_ms": duration_ms,
-        }
-        traceparent = current_traceparent.get()
-        if traceparent:
-            detail["traceparent"] = traceparent
-        self.events.record("resource_exhausted", **detail)
+            self._log_slow(record)
+        self.events.record(
+            **record.event("resource_exhausted", message=str(record.error))
+        )
 
     # -- subsystem feeds -----------------------------------------------------
 

@@ -1,14 +1,15 @@
-"""Structured event log and slow-query log.
+"""The bounded ring every telemetry buffer is, and the two logs built on it.
 
-Events are plain dicts with a monotonically increasing ``seq`` and an
-ISO-8601 UTC ``ts``.  The log is a bounded ring buffer so a long-lived
-Database cannot grow without limit; an optional *sink* (any object with a
-``write`` method) receives each event as one JSON line the moment it is
-recorded, which is how the log is tailed to a file.
+Entries are plain dicts with a monotonically increasing ``seq`` and an
+ISO-8601 UTC ``ts``.  A :class:`Ring` is bounded so a long-lived Database
+cannot grow without limit; the event log, the slow-query log, the trace
+buffer and the plan-flip log are all instances of it.
 
-The slow-query log is a separate, smaller ring holding the full
-:meth:`QueryProfile.to_dict` of every query whose wall time met the
-configured threshold.
+The event log adds an optional *sink* (any object with a ``write``
+method) that receives each event as one JSON line the moment it is
+recorded, which is how the log is tailed to a file.  The slow-query log
+is a smaller ring holding the full :meth:`QueryProfile.to_dict` of every
+query whose wall time met the configured threshold.
 """
 
 from __future__ import annotations
@@ -16,59 +17,77 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
 
-__all__ = ["EventLog", "SlowQueryLog"]
+from repro.telemetry.record import utc_now
+
+__all__ = ["Ring", "EventLog", "SlowQueryLog"]
+
+#: Ring sizes of one Telemetry.  No caller ever asked for another size.
+EVENT_CAPACITY = 1000
+SLOW_LOG_CAPACITY = 100
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="microseconds")
+class Ring:
+    """Bounded ring buffer of ``seq``/``ts``-stamped dict entries."""
 
-
-class EventLog:
-    """Bounded ring buffer of query-lifecycle events."""
-
-    def __init__(self, capacity: int = 1000, sink: Any = None):
+    def __init__(self, capacity: int):
         if capacity < 1:
-            raise ValueError("event log capacity must be >= 1")
+            raise ValueError("ring capacity must be >= 1")
         self.capacity = capacity
-        self.sink = sink
-        self._events: deque = deque(maxlen=capacity)
+        self._entries: deque = deque(maxlen=capacity)
         self._seq = 0
         #: Guards seq assignment + append so concurrent sessions cannot
-        #: interleave (two events sharing a seq, or a torn tail() read).
+        #: interleave (two entries sharing a seq, or a torn tail() read).
         self._lock = threading.Lock()
-        #: Events that fell off the ring (observable data loss).
+        #: Entries that fell off the ring (observable data loss).
         self.dropped = 0
 
-    def record(self, event: str, **fields: Any) -> Dict[str, Any]:
-        """Append one event; returns the stored dict (with seq/ts added)."""
+    def append(self, **fields: Any) -> Dict[str, Any]:
+        """Append one entry; returns the stored dict.  ``seq`` is assigned
+        here; ``ts`` is now unless ``fields`` brings the statement's own."""
         with self._lock:
             self._seq += 1
-            entry: Dict[str, Any] = {
-                "seq": self._seq,
-                "ts": _utc_now(),
-                "event": event,
-            }
+            entry: Dict[str, Any] = {"seq": self._seq, "ts": None}
             entry.update(fields)
-            if len(self._events) == self.capacity:
+            if entry["ts"] is None:
+                entry["ts"] = utc_now()
+            if len(self._entries) == self.capacity:
                 self.dropped += 1
-            self._events.append(entry)
-        if self.sink is not None:
-            self.sink.write(json.dumps(entry, default=str) + "\n")
+            self._entries.append(entry)
         return entry
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._entries)
 
     def tail(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
-        """The most recent ``n`` events, oldest first (all when ``n`` None)."""
+        """The most recent ``n`` entries, oldest first (all when ``n`` None)."""
         with self._lock:
-            events = list(self._events)
+            entries = list(self._entries)
         if n is not None and n >= 0:
-            events = events[-n:] if n else []
-        return events
+            entries = entries[-n:] if n else []
+        return entries
+
+    def clear(self) -> None:
+        """Discard the entries; ``seq`` keeps counting, so a reader's
+        watermark stays valid across the reset."""
+        with self._lock:
+            self._entries.clear()
+
+
+class EventLog(Ring):
+    """Bounded ring buffer of query-lifecycle events."""
+
+    def __init__(self, capacity: int = EVENT_CAPACITY, sink: Any = None):
+        super().__init__(capacity)
+        self.sink = sink
+
+    def record(self, event: str, **fields: Any) -> Dict[str, Any]:
+        """Append one event; returns the stored dict (with seq/ts added)."""
+        entry = self.append(event=event, **fields)
+        if self.sink is not None:
+            self.sink.write(json.dumps(entry, default=str) + "\n")
+        return entry
 
     def to_jsonl(self, n: Optional[int] = None) -> str:
         """The tail rendered as JSON lines (one event per line)."""
@@ -77,41 +96,28 @@ class EventLog:
         )
 
 
-class SlowQueryLog:
+class SlowQueryLog(Ring):
     """Ring buffer of queries that exceeded the slow-query threshold."""
 
-    def __init__(self, threshold_ms: float, capacity: int = 100):
-        if capacity < 1:
-            raise ValueError("slow-query log capacity must be >= 1")
+    def __init__(self, threshold_ms: float, capacity: int = SLOW_LOG_CAPACITY):
+        super().__init__(capacity)
         self.threshold_ms = float(threshold_ms)
-        self.capacity = capacity
-        self._entries: deque = deque(maxlen=capacity)
-        self._seq = 0
-        self._lock = threading.Lock()
 
     def add(
         self,
         sql: Optional[str],
         duration_ms: float,
         profile: Optional[Dict[str, Any]],
+        ts: Optional[str] = None,
     ) -> Dict[str, Any]:
-        with self._lock:
-            self._seq += 1
-            entry = {
-                "seq": self._seq,
-                "ts": _utc_now(),
-                "sql": sql,
-                "duration_ms": duration_ms,
-                "threshold_ms": self.threshold_ms,
-                "profile": profile,
-            }
-            self._entries.append(entry)
-            return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return self.append(
+            ts=ts,
+            sql=sql,
+            duration_ms=duration_ms,
+            threshold_ms=self.threshold_ms,
+            profile=profile,
+        )
 
     def entries(self) -> List[Dict[str, Any]]:
         """All retained entries, oldest first."""
-        with self._lock:
-            return list(self._entries)
+        return self.tail()

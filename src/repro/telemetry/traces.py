@@ -19,39 +19,29 @@ snapshot and QueryProfile schemas.
 
 from __future__ import annotations
 
+import itertools
 import json
-from collections import deque
-from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
+
+from repro.telemetry.events import Ring
 
 __all__ = ["TraceBuffer", "TRACE_SCHEMA"]
 
 TRACE_SCHEMA = "repro-trace-v1"
 
+#: Traces one Telemetry retains.
+TRACE_CAPACITY = 100
 
-class TraceBuffer:
+
+class TraceBuffer(Ring):
     """Bounded ring of captured traces (one per profiled query)."""
 
-    def __init__(self, capacity: int = 100):
-        if capacity < 1:
-            raise ValueError("trace buffer capacity must be >= 1")
-        self.capacity = capacity
-        self._traces: deque = deque(maxlen=capacity)
-        self._next_trace = 0
-        self._next_span = 0
-        #: Traces that fell off the ring.
-        self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self._traces)
-
-    def _trace_id(self) -> str:
-        self._next_trace += 1
-        return f"{self._next_trace:032x}"
-
-    def _span_id(self) -> str:
-        self._next_span += 1
-        return f"{self._next_span:016x}"
+    def __init__(self, capacity: int = TRACE_CAPACITY):
+        super().__init__(capacity)
+        # next() on a count is atomic, so concurrent sessions capturing at
+        # once never share an id.
+        self._trace_ids = itertools.count(1)
+        self._span_ids = itertools.count(1)
 
     def capture(
         self,
@@ -60,6 +50,7 @@ class TraceBuffer:
         sql: Optional[str] = None,
         spans_dropped: int = 0,
         traceparent: Optional[str] = None,
+        ts: Optional[str] = None,
     ) -> str:
         """Flatten one span tree into the buffer; returns the trace_id.
 
@@ -72,13 +63,16 @@ class TraceBuffer:
         from repro.telemetry import parse_traceparent
 
         parent = parse_traceparent(traceparent)
-        trace_id = self._trace_id() if parent is None else parent[0]
+        trace_id = (
+            f"{next(self._trace_ids):032x}" if parent is None else parent[0]
+        )
         remote_parent = None if parent is None else parent[1]
         base_ns = root_span.start_ns
+        span_ids = self._span_ids
         flat: List[Dict[str, Any]] = []
 
         def visit(span: Any, parent_id: Optional[str]) -> None:
-            span_id = self._span_id()
+            span_id = f"{next(span_ids):016x}"
             # An unclosed span keeps end_ns == 0; export zero duration.
             end_ns = span.end_ns if span.end_ns else span.start_ns
             entry: Dict[str, Any] = {
@@ -98,29 +92,31 @@ class TraceBuffer:
                 visit(child, span_id)
 
         visit(root_span, remote_parent)
-        trace: Dict[str, Any] = {
+        trace = {
             "trace_id": trace_id,
-            "captured_at": datetime.now(timezone.utc).isoformat(
-                timespec="microseconds"
-            ),
             "sql": sql,
             "spans_dropped": spans_dropped,
             "spans": flat,
         }
         if parent is not None:
             trace["traceparent"] = traceparent
-        if len(self._traces) == self.capacity:
-            self.dropped += 1
-        self._traces.append(trace)
+        self.append(ts=ts, **trace)
         return trace_id
 
     def export(self) -> Dict[str, Any]:
-        """The versioned envelope holding every retained trace."""
+        """The versioned envelope holding every retained trace.  The ring's
+        ``ts`` is the envelope's ``captured_at``; its ``seq`` is not part of
+        ``repro-trace-v1``."""
+        traces = []
+        for entry in self.tail():
+            trace = dict(entry, captured_at=entry["ts"])
+            del trace["seq"], trace["ts"]
+            traces.append(trace)
         return {
             "schema": TRACE_SCHEMA,
-            "trace_count": len(self._traces),
+            "trace_count": len(traces),
             "traces_dropped": self.dropped,
-            "traces": list(self._traces),
+            "traces": traces,
         }
 
     def export_json(self, indent: Optional[int] = None) -> str:

@@ -15,7 +15,8 @@ import pytest
 from repro.api import Database
 from repro.server import SessionManager
 from repro.storage.locks import RWLock
-from repro.telemetry import EventLog, MetricsRegistry
+from repro.result import Result
+from repro.telemetry import EventLog, MetricsRegistry, StatementRecord
 from repro.introspect.statements import StatementStatsStore
 
 
@@ -76,10 +77,16 @@ class TestStoreThreadSafety:
 
     def test_statement_stats_calls_are_exact(self):
         store = StatementStatsStore()
+        record = StatementRecord(
+            fingerprint="fp1",
+            query_text="SELECT ?",
+            wall_ms=1.0,
+            result=Result(rowcount=2),
+        )
 
         def work(i):
             for _ in range(self.OPS):
-                store.observe("fp1", "SELECT ?", 1.0, rows=2)
+                store.observe(record)
 
         _run_threads(self.THREADS, work)
         (entry,) = store.entries()
@@ -90,11 +97,23 @@ class TestStoreThreadSafety:
 # -- satellite: atomic reset (flips never orphaned) --------------------------
 
 
+def planned_record(strategy: str, plan_hash: str) -> StatementRecord:
+    """One successful execution of fingerprint ``fp`` under ``plan_hash``."""
+    return StatementRecord(
+        fingerprint="fp",
+        query_text="q",
+        strategy=strategy,
+        plan_hash=plan_hash,
+        wall_ms=1.0,
+        result=Result(),
+    )
+
+
 class TestAtomicReset:
     def test_reset_clears_entries_and_flips_together(self):
         store = StatementStatsStore()
-        store.observe("fp", "q", 1.0, strategy="interpreter", plan_hash="a")
-        store.observe("fp", "q", 1.0, strategy="summary", plan_hash="b")
+        store.observe(planned_record("interpreter", "a"))
+        store.observe(planned_record("summary", "b"))
         assert len(store.flips()) == 1
         store.reset()
         assert store.entries() == []
@@ -112,9 +131,7 @@ class TestAtomicReset:
             while not stop.is_set():
                 toggle ^= 1
                 store.observe(
-                    "fp", "q", 1.0,
-                    strategy="interpreter",
-                    plan_hash="a" if toggle else "b",
+                    planned_record("interpreter", "a" if toggle else "b")
                 )
 
         def resetter():
@@ -126,7 +143,7 @@ class TestAtomicReset:
                 entries, flips, _strategies = store.snapshot()
                 fingerprints = {e.fingerprint for e in entries}
                 for flip in flips:
-                    if flip.fingerprint not in fingerprints:
+                    if flip["fingerprint"] not in fingerprints:
                         violations.append(flip)
 
         threads = [
@@ -146,8 +163,8 @@ class TestAtomicReset:
         db.execute("CREATE TABLE t (x INTEGER)")
         db.execute("INSERT INTO t VALUES (1), (2)")
         store = db.telemetry.statements
-        store.observe("fp", "q", 1.0, strategy="interpreter", plan_hash="a")
-        store.observe("fp", "q", 1.0, strategy="summary", plan_hash="b")
+        store.observe(planned_record("interpreter", "a"))
+        store.observe(planned_record("summary", "b"))
         assert db.plan_flips()
         db.reset_stats()
         assert db.stat_statements() == []

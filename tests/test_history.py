@@ -29,6 +29,7 @@ from repro.history import (
 from repro.history.__main__ import main as history_main
 from repro.history.journal import decode_params, encode_params
 from repro.server import ServerThread, SessionManager, connect
+from repro.telemetry import StatementRecord
 
 
 def journal_path(tmp_path) -> str:
@@ -64,7 +65,7 @@ class TestJournalFormat:
         path = journal_path(tmp_path)
         with JournalWriter(path) as writer:
             for i in range(5):
-                writer.record(sql=f"SELECT {i}")
+                writer.record(StatementRecord(sql=f"SELECT {i}"))
         _, entries = read_journal(path)
         assert [e.seq for e in entries] == [1, 2, 3, 4, 5]
 
@@ -87,9 +88,13 @@ class TestJournalFormat:
     def test_outcomes_ok_error_cancelled(self, tmp_path):
         path = journal_path(tmp_path)
         with JournalWriter(path) as writer:
-            writer.record(sql="SELECT 1")
-            writer.record(sql="SELECT broken", error=SqlError("no"))
-            writer.record(sql="SELECT slow", error=QueryCancelled("stop"))
+            writer.record(StatementRecord(sql="SELECT 1"))
+            writer.record(
+                StatementRecord(sql="SELECT broken", error=SqlError("no"))
+            )
+            writer.record(
+                StatementRecord(sql="SELECT slow", error=QueryCancelled("stop"))
+            )
         _, entries = read_journal(path)
         assert [e.outcome for e in entries] == ["ok", "error", "cancelled"]
         assert entries[1].error["class"] == "SqlError"
@@ -189,8 +194,10 @@ class TestDatabaseRecording:
     def test_cancelled_entries_are_skipped_on_replay(self, tmp_path):
         path = journal_path(tmp_path)
         with JournalWriter(path) as writer:
-            writer.record(sql="SELECT 1", error=QueryCancelled("client"))
-            writer.record(sql="SELECT 2")
+            writer.record(
+                StatementRecord(sql="SELECT 1", error=QueryCancelled("client"))
+            )
+            writer.record(StatementRecord(sql="SELECT 2"))
         report = replay_journal(path, diff=True)
         assert report.clean
         assert report.skipped_cancelled == 1

@@ -8,11 +8,22 @@ flight recorder attached.  The journals must agree entry by entry and the
 per-fingerprint statistics row by row.  (The journal's ``sql`` field is the
 caller's text on some paths and the canonical text on others; it is not
 compared.)
+
+Within one database every sink reads the same ``StatementRecord``: a
+statement's journal entry and its lifecycle event carry the same numbers,
+and a source-level guard keeps the record's one constructor and the context
+reads where they are.
 """
 
 from __future__ import annotations
 
+import ast
+import pathlib
+import re
+
 import pytest
+
+import repro
 
 from repro.errors import SqlError
 from repro.history import (
@@ -48,9 +59,20 @@ ENTRY_POINTS = {
 }
 
 
+#: Journal entry field -> the key its lifecycle event reports it under.
+SHARED_FIELDS = {
+    "ts": "ts",
+    "kind": "kind",
+    "fingerprint": "fingerprint",
+    "strategy": "strategy",
+    "outcome": "outcome",
+    "wall_ms": "duration_ms",
+}
+
+
 def record(name: str, tmp_path):
     """Run the workload through one entry point;
-    ``(journal path, journal, stats)``."""
+    ``(journal path, journal, stats, (entry, lifecycle event) pairs)``."""
     path = str(tmp_path / f"{name}.jsonl")
     db = build_bootstrap_database("listings", telemetry=True)
     # Attached after the bootstrap: the journal and the statistics hold the
@@ -58,6 +80,7 @@ def record(name: str, tmp_path):
     db.recorder = JournalWriter(path, bootstrap="listings")
     db.reset_stats()
     session = SessionManager(db).open_session()
+    preload_seq = db.events()[-1]["seq"]
     for sql in workload():
         try:
             ENTRY_POINTS[name](db, session, sql)
@@ -65,6 +88,13 @@ def record(name: str, tmp_path):
             pass
     db.recorder.close()
     _, entries = read_journal(path)
+    lifecycle = [
+        e
+        for e in db.events()
+        if e["seq"] > preload_seq
+        and e["event"] in ("query", "statement", "error")
+    ]
+    assert len(lifecycle) == len(entries)
     journal = [
         (
             e.kind,
@@ -80,7 +110,7 @@ def record(name: str, tmp_path):
         (s["fingerprint"], s["calls"], s["errors"], s["last_strategy"])
         for s in db.stat_statements()
     )
-    return path, journal, stats
+    return path, journal, stats, list(zip(entries, lifecycle))
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +120,7 @@ def recordings(tmp_path_factory):
 
 
 def test_reference_journal_has_every_statement(recordings):
-    _, journal, stats = recordings["execute"]
+    _, journal, stats, _ = recordings["execute"]
     assert len(journal) == 18
     assert [entry[3] for entry in journal] == ["ok"] * 16 + ["error"] * 2
     assert [entry[0] for entry in journal] == ["select"] * 15 + [
@@ -108,16 +138,94 @@ def test_reference_journal_has_every_statement(recordings):
 
 @pytest.mark.parametrize("name", ["execute_script", "session", "prepared"])
 def test_entry_point_agrees_with_execute(recordings, name):
-    _, reference_journal, reference_stats = recordings["execute"]
-    _, journal, stats = recordings[name]
+    _, reference_journal, reference_stats, _ = recordings["execute"]
+    _, journal, stats, _ = recordings[name]
     assert journal == reference_journal
     assert stats == reference_stats
 
 
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))
 def test_every_journal_replays_byte_identical(recordings, name):
-    path, journal, _ = recordings[name]
+    path, journal, _, _ = recordings[name]
     report = replay_journal(path, diff=True)
     assert report.clean, [d.render() for d in report.divergences]
     assert report.replayed == len(journal)
     assert report.errors_reproduced == 2
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_journal_and_events_report_the_same_record(recordings, name):
+    *_, pairs = recordings[name]
+    for entry, event in pairs:
+        for field, key in SHARED_FIELDS.items():
+            assert getattr(entry, field) == event[key], (field, entry, event)
+        if event["event"] == "query":
+            assert entry.rows == event["rows"], (entry, event)
+            assert sum(event["phases"].values()) <= event["duration_ms"], event
+        else:
+            assert entry.rows == event.get("rowcount"), (entry, event)
+    assert [event["event"] for _, event in pairs] == (
+        ["query"] * 15 + ["statement"] + ["error"] * 2
+    )
+
+
+# -- source-level guard ---------------------------------------------------------
+
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def _sites(matches) -> list:
+    """``path::Class.function`` of every node under ``src/repro`` that
+    ``matches``, read with Python ``ast`` the way ``analysis/lockcheck.py``
+    reads code: no imports, no execution."""
+    found = []
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        if matches(node):
+            found.append(f"{path}::{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for file in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(file.read_text()), file.relative_to(SRC).as_posix(), [])
+    return found
+
+
+def _named(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_the_record_is_built_in_one_place():
+    built = _sites(
+        lambda n: isinstance(n, ast.Call) and _named(n.func, "StatementRecord")
+    )
+    assert built == ["api.py::Database._emit"]
+
+
+def test_the_statement_context_is_read_by_the_record_and_progress_only():
+    reads = _sites(
+        lambda n: isinstance(n, ast.Attribute)
+        and n.attr == "get"
+        and isinstance(n.value, ast.Name)
+        and n.value.id in ("current_session", "current_traceparent")
+    )
+    assert sorted(set(reads)) == [
+        "api.py::Database._start_progress",
+        "telemetry/record.py::StatementRecord",
+    ]
+    assert len(reads) == 4
+
+
+def test_no_hand_fed_statement_sink_is_left():
+    gone = re.compile(r"record_(query|statement|error|resource_exhausted)\b")
+    left = [
+        f"{file.relative_to(SRC)}:{number}"
+        for file in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(file.read_text().splitlines(), 1)
+        if gone.search(line)
+    ]
+    assert left == []

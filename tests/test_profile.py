@@ -218,7 +218,9 @@ def test_recorder_does_not_change_the_profile_phases(tmp_path):
         return [c.name for c in db.last_profile().root_span.children]
 
     alone = phases()
-    assert alone == ["parse", "rewrite", "bind", "optimize", "execute"]
+    assert alone == [
+        "parse", "rewrite", "bind", "optimize", "dataflow", "execute",
+    ]
     assert phases(record_to=str(tmp_path / "journal.jsonl")) == alone
 
 
@@ -259,7 +261,8 @@ def test_explain_analyze_exact_output(paper_db):
         "    Aggregate(keys=1, aggs=3, sets=1) "
         "(rows=3 calls=1 rows_in=5 time=<T> groups=3)",
         "      Scan(Orders) (rows=5 calls=1 time=<T>)",
-        "phases: rewrite=<T> bind=<T> optimize=<T> execute=<T> total=<T>",
+        "phases: rewrite=<T> bind=<T> optimize=<T> dataflow=<T> execute=<T> "
+        "total=<T>",
         "counters: aggregate_input_rows=15 aggregate_invocations=9 "
         "hash_joins=0 measure_cache_hits=0 measure_evaluations=0 "
         "nested_loop_joins=0 rows_scanned=5 subquery_cache_hits=0 "

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.api import Database
+from repro.result import Result
 from repro.server import (
     ClientError,
     Connection,
@@ -22,6 +23,7 @@ from repro.server import (
     connect,
 )
 from repro.server.protocol import dumps_line, encode_result
+from repro.telemetry import StatementRecord
 from repro.workloads.listings import SETUP, all_listing_sql
 from repro.workloads.paper_data import load_paper_tables
 
@@ -312,7 +314,14 @@ class TestPlanCacheInvalidation:
         # Simulate a plan flip for that fingerprint (as EXPLAIN/summary
         # strategy changes would record it).
         db.telemetry.statements.observe(
-            fingerprint, "q", 1.0, strategy="interpreter", plan_hash="zzz"
+            StatementRecord(
+                fingerprint=fingerprint,
+                query_text="q",
+                strategy="interpreter",
+                plan_hash="zzz",
+                wall_ms=1.0,
+                result=Result(),
+            )
         )
         # The next cache interaction applies the pending eviction, so the
         # statement replans instead of replaying the flipped plan.
@@ -354,3 +363,57 @@ class TestPlanCacheInvalidation:
         session.execute("SELECT SUM(x) FROM t")  # now most recently used
         queries = [row[1] for row in manager.plan_cache.rows()]
         assert queries[-1] == "SELECT SUM(x) FROM t"
+
+
+# -- what a session's statements report (via sessions, no sockets) -------------
+
+
+class TestStatementIdentity:
+    TRACEPARENT = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
+    STATEMENT_EVENTS = {
+        "statement", "query", "error", "slow_query", "resource_exhausted",
+    }
+
+    def _run(self, session, sql):
+        from repro.errors import SqlError
+
+        try:
+            session.execute(sql, traceparent=self.TRACEPARENT)
+        except SqlError:
+            pass
+
+    def test_every_statement_event_carries_the_same_identity(self):
+        db = Database(telemetry=True, slow_query_ms=0.0)
+        session = SessionManager(db).open_session()
+        self._run(session, "CREATE TABLE t (x INTEGER)")
+        self._run(session, "INSERT INTO t VALUES (1), (2), (3)")
+        self._run(session, "SELECT SUM(x) FROM t")
+        self._run(session, "SELECT nope FROM t")
+        db.memory_limit_bytes = 1  # the next query dies on its budget
+        self._run(session, "SELECT x FROM t")
+        events = [
+            e for e in db.events() if e["event"] in self.STATEMENT_EVENTS
+        ]
+        assert {e["event"] for e in events} == self.STATEMENT_EVENTS
+        for event in events:
+            assert event["session"] == "s1", event
+            assert event["traceparent"] == self.TRACEPARENT, event
+            assert event["fingerprint"] and event["outcome"], event
+        # One slow_query per successful statement (the threshold is 0).
+        assert [e["kind"] for e in events if e["event"] == "slow_query"] == [
+            "create_table", "insert", "select",
+        ]
+
+    def test_session_statements_total_counts_failures_too(self):
+        db = Database(telemetry=True)
+        session = SessionManager(db).open_session()
+        for sql in (
+            "CREATE TABLE t (x INTEGER)",
+            "INSERT INTO t VALUES (1)",
+            "SELECT x FROM t",
+            "SELECT nope FROM t",
+            "SELEC 1",
+        ):
+            self._run(session, sql)
+        counter = db.telemetry.session_statements_total
+        assert counter.value(session="s1") == 5

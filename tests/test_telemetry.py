@@ -11,6 +11,7 @@ import pytest
 from repro import Database, SqlError
 from repro.cli import Shell
 from repro.profile import Profiler
+from repro.result import Result
 from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
 from repro.telemetry import (
@@ -18,6 +19,7 @@ from repro.telemetry import (
     EventLog,
     MetricsRegistry,
     SlowQueryLog,
+    StatementRecord,
     Telemetry,
     TraceBuffer,
     statement_kind,
@@ -498,7 +500,11 @@ def test_spans_dropped_recorded_and_surfaced():
     )
 
     tele = Telemetry()
-    tele.record_query("select", profile, rows=0, sql="SELECT 1")
+    tele.observe(
+        StatementRecord(
+            kind="select", sql="SELECT 1", profile=profile, result=Result()
+        )
+    )
     assert tele.spans_dropped_total.value() == profile.spans_dropped
     trace = tele.export_traces()["traces"][0]
     assert trace["spans_dropped"] == profile.spans_dropped
