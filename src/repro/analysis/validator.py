@@ -23,9 +23,15 @@ claims progress while leaving the plan semantically identical — the
 non-convergence bug class that otherwise surfaces as an opaque
 "fixpoint not reached" :class:`~repro.errors.InternalError` 50 passes later.
 
-The validator never descends into :class:`BoundMeasureEval` nodes: measure
-formulas are evaluated against the measure's *source* plan, not the current
-operator's input row, so their offsets live in a different frame.
+A :class:`BoundMeasureEval` is checked in both of its frames: what it reads
+of the call-site row (group-term values, ``SET`` values, the hidden
+grouping-id and captured-rows slots) against the current operator's input,
+and everything evaluated over the measure's *source* relation (the formula,
+group-term and ``SET`` dimensions, ``AT WHERE`` predicates, VISIBLE's and
+inherited dimension maps, the group's dimensions) against
+``source_plan.arity`` — the one thing column pruning can get wrong.  Each
+source plan is itself checked once, with no enclosing scope: it must be
+self-contained.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ def validation_enabled() -> bool:
 class _Checker:
     def __init__(self) -> None:
         self.violations: list[str] = []
+        #: Measure evaluations, source plans and (formula, source) pairs
+        #: already checked, by id; the plan under check keeps them alive.
+        self.seen: set = set()
 
     def fail(self, where: str, message: str) -> None:
         self.violations.append(f"{where}: {message}")
@@ -106,8 +115,7 @@ class _Checker:
                 )
             return
         if isinstance(expr, b.BoundMeasureEval):
-            # Measure formulas run against the measure's source plan, in a
-            # different column frame; out of scope for this checker.
+            self.check_measure(expr, arity, outer, where)
             return
         if isinstance(expr, b.BoundSubquery):
             if expr.operand is not None:
@@ -116,6 +124,85 @@ class _Checker:
             return
         for child in expr.children():
             self.check_expr(child, arity, outer, where)
+
+    # -- measure evaluations ---------------------------------------------------
+
+    def check_measure(
+        self,
+        node: b.BoundMeasureEval,
+        arity: int,
+        outer: list[int],
+        where: str,
+        inside: Optional[int] = None,
+    ) -> None:
+        """Check ``node`` evaluated at a call site of ``arity`` columns;
+        ``inside`` is the arity of the source relation whose formula holds
+        it (an inherited context's offsets point into those rows)."""
+        if id(node) in self.seen:
+            return
+        self.seen.add(id(node))
+        measure, spec = node.measure, node.context
+        group = measure.group
+        where = f"{where} > measure {measure.name!r}"
+        source = group.source_plan
+        if id(source) not in self.seen:
+            self.seen.add(id(source))
+            self.check_plan(source, [], f"{where} source")
+            for dimension in group.dims.values():
+                self.check_expr(
+                    dimension.source_expr, source.arity, [],
+                    f"{where} dimension {dimension.name!r}",
+                )
+        width = source.arity
+        if (id(measure.formula), id(source)) not in self.seen:
+            self.seen.add((id(measure.formula), id(source)))
+            self.check_formula(
+                measure.formula, width, arity, outer, f"{where} formula"
+            )
+        for slot, offset in (
+            ("grouping id", spec.grouping_id_offset),
+            ("captured rows", spec.captured_rows_offset),
+        ):
+            if offset is not None and not (0 <= offset < arity):
+                self.fail(
+                    where,
+                    f"{slot} offset {offset} out of range for call-site "
+                    f"arity {arity}",
+                )
+        for expr in spec.child_exprs():
+            self.check_expr(expr, arity, outer, where)
+
+        def check_source_expr(expr: b.BoundExpr, correlated: bool) -> b.BoundExpr:
+            # Over a source row the call-site row is the enclosing scope.
+            scopes = outer + [arity] if correlated else []
+            self.check_expr(expr, width, scopes, f"{where} context")
+            return expr
+
+        spec.map_source_exprs(check_source_expr)
+        if inside is not None:
+            for offset in spec.inherit_offsets:
+                if not (0 <= offset < inside):
+                    self.fail(
+                        where,
+                        f"inherited offset {offset} out of range for the "
+                        f"enclosing source arity {inside}",
+                    )
+
+    def check_formula(
+        self, expr: b.BoundExpr, width: int, arity: int, outer: list[int], where: str
+    ) -> None:
+        """A measure formula: aggregates over source rows of ``width``
+        columns, evaluated from a call site of ``arity`` columns."""
+        if isinstance(expr, b.BoundMeasureEval):
+            self.check_measure(expr, arity, outer, where, inside=width)
+        elif isinstance(expr, b.BoundAggCall):
+            self.check_expr(expr, width, outer + [arity], where)
+        elif isinstance(expr, b.BoundSubquery):
+            # Row-independent: runs against an empty row under the call site.
+            self.check_expr(expr, 0, outer + [arity], where)
+        else:
+            for child in expr.children():
+                self.check_formula(child, width, arity, outer, where)
 
     # -- operators ----------------------------------------------------------
 

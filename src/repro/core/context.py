@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
-from repro.engine.compile import compile_expr
-from repro.semantics.bound import BoundExpr, walk
+from repro.engine.compile import compile_expr, memo
+from repro.semantics.bound import BoundExpr, fingerprint, walk
 from repro.types import is_not_distinct, sql_eq
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,9 +104,10 @@ class EqTerm(Term):
 
     @property
     def index_key(self) -> str:
-        from repro.semantics.bound import fingerprint
-
-        return self.dim_key or fingerprint(self.source_expr)
+        """What the source rows are indexed by: the source expression as it
+        is numbered *now* (``dim_key`` is the binder's name for the
+        dimension, which column pruning does not renumber)."""
+        return memo(self.source_expr, "_fingerprint", fingerprint)
 
     def test(self, source_row: tuple, ctx: "ExecutionContext") -> bool:
         actual = compile_expr(self.source_expr)(source_row, None, ctx)
@@ -269,6 +270,32 @@ class ContextSpec:
             yield term.value_expr
         for modifier in self.modifiers:
             yield from modifier.child_exprs()
+
+    def applies_visible(self) -> bool:
+        """Whether evaluation reads ``visible``: only a VISIBLE modifier does,
+        and only when the query has predicates for it to conjoin."""
+        from repro.core.modifiers import BoundVisible
+
+        return self.visible is not None and any(
+            isinstance(modifier, BoundVisible) for modifier in self.modifiers
+        )
+
+    def map_source_exprs(self, fn) -> None:
+        """Replace, in place, every expression evaluated over the measure's
+        *source* rows by ``fn(expr, correlated)`` (``correlated``: the
+        call-site row is its enclosing scope).  The one list of what a
+        context reads of its source relation besides the formula: column
+        pruning counts and renumbers through it, the validator checks."""
+        for term in self.group_terms:
+            term.source_expr = fn(term.source_expr, False)
+        self.inherit_dim_exprs = [fn(e, False) for e in self.inherit_dim_exprs]
+        for modifier in self.modifiers:
+            modifier.map_source_exprs(fn)
+        if self.applies_visible():
+            self.visible.offset_dim_exprs = [
+                None if e is None else fn(e, False)
+                for e in self.visible.offset_dim_exprs
+            ]
 
     def fingerprint(self) -> str:
         from repro.semantics.bound import fingerprint as fp

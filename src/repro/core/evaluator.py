@@ -24,6 +24,7 @@ from repro.core.context import (
 from repro.core.modifiers import apply_modifiers
 from repro.engine.compile import compile_expr, compile_formula
 from repro.engine.evaluator import EvalEnv, ExecutionContext
+from repro.engine.executor import execute_plan
 from repro.errors import ExecutionError
 from repro.semantics import bound as b
 
@@ -123,7 +124,7 @@ def _context_rows(measure, terms: list[Term], ctx: ExecutionContext, env) -> lis
     concrete): a context of k EqTerms costs an index intersection instead of
     a full scan per evaluation.  Remaining term kinds filter the candidates.
     """
-    rows = source_rows_for(measure, ctx, env)
+    rows = source_rows_for(measure, ctx)
     eq_terms = [t for t in terms if isinstance(t, EqTerm)]
     other_terms = [t for t in terms if not isinstance(t, EqTerm)]
 
@@ -244,17 +245,17 @@ def _base_terms(
     return terms
 
 
-def source_rows_for(
-    measure, ctx: ExecutionContext, env: Optional[EvalEnv]
-) -> list[tuple]:
-    """Materialize (and cache) the measure's source relation."""
-    from repro.engine.executor import execute_plan
+def source_rows_for(measure, ctx: ExecutionContext) -> list[tuple]:
+    """The measure's source relation, materialized once per execution.
 
+    The relation is self-contained (no outer references), so its rows do not
+    depend on the call site; ``execute_plan`` reads and fills the same slot
+    when the query's FROM is this very node, whichever gets there first.
+    """
     plan = measure.group.source_plan
-    cache = ctx.source_rows_cache
-    key = id(plan)
-    if key not in cache:
-        # Source plans are self-contained (the defining query's FROM/WHERE),
-        # so no outer environment is needed.
-        cache[key] = execute_plan(plan, ctx, None)
-    return cache[key]
+    rows = ctx.source_rows_cache.get(id(plan))
+    if rows is None:
+        rows = ctx.source_rows_cache[id(plan)] = execute_plan(plan, ctx)
+    elif ctx.profiler is not None:
+        ctx.profiler.operator_count(plan, "shared_hits")
+    return rows

@@ -12,7 +12,6 @@ incoming context (``CURRENT dim``).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
@@ -47,6 +46,9 @@ class BoundModifier:
     def child_exprs(self) -> Iterator[b.BoundExpr]:
         return iter(())
 
+    def map_source_exprs(self, fn) -> None:
+        """See :meth:`ContextSpec.map_source_exprs`."""
+
 
 @dataclass
 class BoundAll(BoundModifier):
@@ -71,6 +73,9 @@ class BoundSet(BoundModifier):
 
     def child_exprs(self) -> Iterator[b.BoundExpr]:
         yield self.value_expr
+
+    def map_source_exprs(self, fn) -> None:
+        self.source_expr = fn(self.source_expr, False)
 
 
 @dataclass
@@ -99,6 +104,15 @@ class BoundWhere(BoundModifier):
 
     def child_exprs(self) -> Iterator[b.BoundExpr]:
         return iter(())
+
+    def map_source_exprs(self, fn) -> None:
+        if self.pred is not None:
+            # The call-site row is the predicate's enclosing scope.
+            self.pred = fn(self.pred, True)
+        self.eq_pairs = [
+            (fn(source_expr, False), value_expr)
+            for source_expr, value_expr in self.eq_pairs
+        ]
 
 
 def apply_modifiers(
@@ -136,50 +150,15 @@ def _evaluate_set_value(
     env: Optional["EvalEnv"],
     ctx: "ExecutionContext",
 ) -> Any:
-    def lookup(dim_key: str) -> Any:
-        # CURRENT dim: the single value the context pins the dimension to,
-        # NULL when the dimension is unconstrained (paper section 3.5).
-        for term in terms:
-            if term.dim_key == dim_key:
-                pinned, value = term.current_value()
-                if pinned:
-                    return value
-        return None
-
-    substituted = substitute_current(modifier.value_expr, lookup)
-    return compile_expr(substituted)(env.row, env.parent, ctx)
-
-
-def substitute_current(expr: b.BoundExpr, lookup) -> b.BoundExpr:
-    """Replace every BoundCurrentDim with a literal from ``lookup``."""
-    if isinstance(expr, b.BoundCurrentDim):
-        return b.BoundLiteral(lookup(expr.dim_key), expr.dtype)
-    changes = {}
-    for f in dataclasses.fields(expr):  # type: ignore[arg-type]
-        value = getattr(expr, f.name)
-        if isinstance(value, b.BoundExpr):
-            new = substitute_current(value, lookup)
-            if new is not value:
-                changes[f.name] = new
-        elif isinstance(value, list) and value and isinstance(value[0], b.BoundExpr):
-            new_list = [substitute_current(item, lookup) for item in value]
-            if any(a is not old for a, old in zip(new_list, value)):
-                changes[f.name] = new_list
-        elif (
-            isinstance(value, list)
-            and value
-            and isinstance(value[0], tuple)
-            and len(value[0]) == 2
-            and isinstance(value[0][0], b.BoundExpr)
-        ):
-            new_pairs = [
-                (substitute_current(cond, lookup), substitute_current(result, lookup))
-                for cond, result in value
-            ]
-            changes[f.name] = new_pairs
-    if not changes:
-        return expr
-    return dataclasses.replace(expr, **changes)  # type: ignore[arg-type]
+    """The SET value on the call-site row.  ``CURRENT dim`` inside it reads
+    the incoming terms through ``ctx.current_terms`` at call time, so the
+    expression compiles once like any other (and nests: a value that itself
+    evaluates a measure with a SET restores ours when it returns)."""
+    incoming, ctx.current_terms = ctx.current_terms, terms
+    try:
+        return compile_expr(modifier.value_expr)(env.row, env.parent, ctx)
+    finally:
+        ctx.current_terms = incoming
 
 
 def _build_where_terms(

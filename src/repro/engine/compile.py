@@ -382,6 +382,25 @@ def _measure(expr: b.BoundMeasureEval, sub) -> Compiled:
     return lambda row, outer, ctx: evaluate_measure(expr, EvalEnv(row, outer), ctx)
 
 
+def _current_dim(expr: b.BoundCurrentDim, sub) -> Compiled:
+    """``CURRENT dim``: the single value the context being modified pins the
+    dimension to, NULL when it is unconstrained (paper section 3.5).  The
+    modifier application publishes that context as ``ctx.current_terms``."""
+    dim_key = expr.dim_key
+
+    def current_dim(row, outer, ctx):
+        if ctx.current_terms is None:
+            raise ExecutionError("CURRENT is only valid inside an AT SET modifier")
+        for term in ctx.current_terms:
+            if term.dim_key == dim_key:
+                pinned, value = term.current_value()
+                if pinned:
+                    return value
+        return None
+
+    return current_dim
+
+
 _SCALAR = {
     b.BoundLiteral: lambda expr, sub: _constant(expr.value),
     b.BoundParameter: _parameter,
@@ -399,9 +418,7 @@ _SCALAR = {
     b.BoundAggCall: lambda expr, sub: _raiser(
         f"aggregate {expr.func} used outside an aggregate context"
     ),
-    b.BoundCurrentDim: lambda expr, sub: _raiser(
-        "CURRENT is only valid inside an AT SET modifier"
-    ),
+    b.BoundCurrentDim: _current_dim,
 }
 
 

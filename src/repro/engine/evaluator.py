@@ -99,6 +99,9 @@ class ExecutionContext:
         #: duration of the execution (an id may otherwise be reused by a new
         #: object after garbage collection, aliasing unrelated cache entries).
         self.pinned: list = []
+        #: The evaluation-context terms an ``AT (SET ...)`` value is being
+        #: computed against (what ``CURRENT dim`` reads); None outside one.
+        self.current_terms: Optional[list] = None
         # Counters exposed to benchmarks and tests.
         self.subquery_executions = 0
         self.subquery_cache_hits = 0

@@ -51,26 +51,37 @@ def execute_plan(
     # nested-loop join still observes the flag frequently).
     if ctx.cancel_event is not None and ctx.cancel_event.is_set():
         raise QueryCancelled("query cancelled")
+    profiler = ctx.profiler
+    if plan.shared:
+        # A measure's source relation: the query's FROM and the measure
+        # evaluator both come through here, and whichever is second reads
+        # what the first one built.  Neither may mutate the list.
+        rows = ctx.source_rows_cache.get(id(plan))
+        if rows is not None:
+            if profiler is not None:
+                profiler.shared_hit(plan, len(rows))
+            return rows
     progress = ctx.progress
     if progress is not None:
         progress.enter_operator(plan)
-    profiler = ctx.profiler
     if profiler is None:
         rows = method(plan, ctx, outer_env)
         if progress is not None:
             progress.exit_operator(plan, rows)
-        return rows
-    token = profiler.enter_operator(plan)
-    try:
-        rows = method(plan, ctx, outer_env)
-        if progress is not None:
-            # Inside the try: a memory budget breach here aborts the
-            # operator span, stamping the failure onto the trace.
-            progress.exit_operator(plan, rows)
-    except BaseException:
-        profiler.abort_operator(token)
-        raise
-    profiler.exit_operator(token, len(rows))
+    else:
+        token = profiler.enter_operator(plan)
+        try:
+            rows = method(plan, ctx, outer_env)
+            if progress is not None:
+                # Inside the try: a memory budget breach here aborts the
+                # operator span, stamping the failure onto the trace.
+                progress.exit_operator(plan, rows)
+        except BaseException:
+            profiler.abort_operator(token)
+            raise
+        profiler.exit_operator(token, len(rows))
+    if plan.shared:
+        ctx.source_rows_cache[id(plan)] = rows
     return rows
 
 
@@ -421,7 +432,7 @@ def _execute_sort(plan: plans.Sort, ctx: ExecutionContext, outer_env) -> list[tu
 
     rows = execute_plan(plan.input, ctx, outer_env)
     if not plan.keys:
-        return rows
+        return list(rows)  # never the input's own list: it may be shared
     sort_keys, specs = memo(plan, "_sort", _compile_sort)
     decorated: list[tuple] = []
     for batch in ctx.batches(rows, plan, decorated):

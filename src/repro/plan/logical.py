@@ -33,6 +33,7 @@ __all__ = [
     "Limit",
     "Distinct",
     "SetOpPlan",
+    "mark_shared",
     "plan_tree_string",
 ]
 
@@ -50,6 +51,14 @@ class LogicalPlan:
     #: structural fingerprints are unaffected.
     facts = None
 
+    #: True on a node that is some measure group's ``source_plan``: the
+    #: executor runs such a node at most once per execution and hands the
+    #: same rows to the query's FROM and to measure evaluation.  Set by
+    #: :func:`mark_shared` (the binder, where the group is created; the
+    #: optimizer, where it replaces the node).  An instance attribute, like
+    #: ``facts``.
+    shared = False
+
     def inputs(self) -> Iterator["LogicalPlan"]:
         return iter(())
 
@@ -63,7 +72,19 @@ class LogicalPlan:
             yield from child.walk()
 
     def label(self) -> str:
+        """What EXPLAIN, profiles and progress call this operator."""
+        return f"{self.name()} [shared]" if self.shared else self.name()
+
+    def name(self) -> str:
         return type(self).__name__
+
+
+def mark_shared(plan: LogicalPlan) -> LogicalPlan:
+    """Mark ``plan`` as a measure's source relation (see
+    :attr:`LogicalPlan.shared`).  Its rows are kept per execution, not per
+    enclosing row, so the caller guarantees it has no outer references."""
+    plan.shared = True
+    return plan
 
 
 @dataclass
@@ -73,7 +94,7 @@ class Scan(LogicalPlan):
     table_name: str
     schema: Schema
 
-    def label(self) -> str:
+    def name(self) -> str:
         return f"Scan({self.table_name})"
 
 
@@ -87,7 +108,7 @@ class SystemScan(Scan):
     once per query and serves every scan from that snapshot.
     """
 
-    def label(self) -> str:
+    def name(self) -> str:
         return f"SystemScan({self.table_name})"
 
 
@@ -113,12 +134,22 @@ class Filter(LogicalPlan):
 
 @dataclass
 class Project(LogicalPlan):
+    """One output column per expression.  ``of`` is set by the optimizer's
+    column pruning on a Project it narrowed (the number of expressions it
+    had) or inserted under a join (its input's width)."""
+
     input: LogicalPlan
     exprs: list[BoundExpr]
     schema: Schema
+    of: Optional[int] = None
 
     def inputs(self) -> Iterator[LogicalPlan]:
         yield self.input
+
+    def name(self) -> str:
+        if self.of is None:
+            return "Project"
+        return f"Project({len(self.exprs)} of {self.of})"
 
 
 @dataclass
@@ -143,7 +174,7 @@ class Join(LogicalPlan):
         yield self.left
         yield self.right
 
-    def label(self) -> str:
+    def name(self) -> str:
         return f"Join({self.kind})"
 
 
@@ -188,7 +219,7 @@ class Aggregate(LogicalPlan):
             1 if self.has_grouping_id else 0
         )
 
-    def label(self) -> str:
+    def name(self) -> str:
         return (
             f"Aggregate(keys={len(self.group_exprs)}, aggs={len(self.agg_calls)},"
             f" sets={len(self.grouping_sets)})"
@@ -257,7 +288,7 @@ class SetOpPlan(LogicalPlan):
         yield self.left
         yield self.right
 
-    def label(self) -> str:
+    def name(self) -> str:
         return f"{self.op}{' ALL' if self.all else ''}"
 
 

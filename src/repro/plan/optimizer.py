@@ -13,14 +13,23 @@ A small rule-based optimizer applied between binding and execution:
   :mod:`repro.analysis.dataflow`) is converted to the matching stricter
   join kind;
 * **filter merging** — adjacent Filter nodes combine into one;
-* **filter pushdown** — Filters move below Projects (when the projection is
-  column-pruning) and into the probe side of inner joins when the predicate
-  only references one side;
-* **trivial project elimination** — identity Projects are dropped.
+* **filter pushdown** — Filters move into the sides of inner joins when the
+  predicate only references one side;
+* **trivial project elimination** — identity Projects are dropped;
+* **column pruning** (:mod:`repro.plan.pruning`, the last step) — every
+  relation is cut to the columns read of it: unused Project expressions are
+  dropped and scans feeding a join are narrowed to the join keys plus what
+  is read above.
 
-The optimizer never rewrites measure machinery (BoundMeasureEval contexts
-reference column offsets that must stay stable), so rules bail out whenever a
-measure evaluation is involved.  The A02 ablation benchmark runs with the
+Measure machinery: the rules themselves still bail out wherever a measure
+evaluation is involved (a filter holding one is never pushed), and no rule
+touches a call-site row's numbering.  What the optimizer *does* do is
+(a) rewrite each measure source relation once and hand the same node to the
+main tree and to the ``MeasureGroup`` (:func:`_shared_source`), so the
+executor runs it once per statement, and (b) renumber, in the pruning pass,
+the expressions evaluated over a source relation it narrowed — formulas,
+group-term and ``SET`` dimensions, ``AT WHERE`` predicates, VISIBLE's and
+inherited dimension maps.  The A02 ablation benchmark runs with the
 optimizer disabled to measure the rules' effect.
 """
 
@@ -46,31 +55,37 @@ MAX_PASSES = 50
 def optimize(
     plan: plans.LogicalPlan, *, validate: Optional[bool] = None
 ) -> plans.LogicalPlan:
-    """Apply the rule set bottom-up until a fixpoint.
+    """Apply the rule set bottom-up until a fixpoint, then prune columns.
 
     With ``validate`` (default: the ``REPRO_VALIDATE`` environment flag) the
-    plan's structural invariants are checked before the first pass and after
-    every pass, and the fixpoint loop additionally fingerprints the plan
-    between passes: a pass that reports progress while leaving the plan
-    structurally identical is a broken rewrite rule, reported immediately as
-    a :class:`~repro.errors.ValidationError` instead of spinning to the
+    plan's structural invariants — measure source relations and the
+    expressions evaluated over them included — are checked before the first
+    pass, after every pass and after column pruning, and the fixpoint loop
+    additionally fingerprints the plan between passes: a pass that reports
+    progress while leaving the plan structurally identical is a broken
+    rewrite rule, reported immediately as a
+    :class:`~repro.errors.ValidationError` instead of spinning to the
     ``MAX_PASSES`` cap and surfacing as an opaque InternalError.
     """
-    from repro.analysis.validator import (
-        check_plan,
-        plan_fingerprint,
-        validation_enabled,
-    )
+    from repro.analysis.validator import check_plan, validation_enabled
+    from repro.plan.pruning import prune_columns
 
     if validate is None:
         validate = validation_enabled()
-    fp = None
     if validate:
         check_plan(plan, "binding")
-        fp = plan_fingerprint(plan)
+    plan = prune_columns(_fixpoint(plan, validate), _shared_source)
+    if validate:
+        check_plan(plan, "column pruning")
+    return plan
+
+
+def _fixpoint(plan: plans.LogicalPlan, validate: bool) -> plans.LogicalPlan:
+    from repro.analysis.validator import check_plan, plan_fingerprint
+
+    fp = plan_fingerprint(plan) if validate else None
     for pass_number in range(1, MAX_PASSES + 1):
-        new_plan, changed = _rewrite(plan)
-        plan = new_plan
+        plan, changed = _rewrite(plan)
         if not changed:
             return plan
         if validate:
@@ -89,7 +104,38 @@ def optimize(
     )
 
 
+def _shared_source(plan: plans.LogicalPlan) -> plans.LogicalPlan:
+    """The rewritten form of a measure source relation.
+
+    Computed once and kept on the node (``_optimized``: the rewritten node,
+    or True on a node that is one), so the main tree — which meets the
+    relation as its FROM — and every ``MeasureGroup`` holding it are handed
+    the *same* node and the executor runs it once.  A source's own passes
+    skip the per-pass checks; the structural check after pruning covers it.
+    """
+    done = plan.__dict__.get("_optimized")
+    if done is None:
+        done, changed = _rewrite_node(plan)
+        if changed:
+            done = _fixpoint(done, False)
+        plans.mark_shared(done)._optimized = True
+        if done is not plan:
+            plan._optimized = done
+    return plan if done is True else done
+
+
 def _rewrite(plan: plans.LogicalPlan) -> tuple[plans.LogicalPlan, bool]:
+    if plan.shared:
+        # Another relation's business: swap in its rewritten form whole.  A
+        # rule firing above it (a filter pushed into its join) may still
+        # take it apart; the tree then reads a relation of its own and the
+        # two run separately.
+        source = _shared_source(plan)
+        return source, source is not plan
+    return _rewrite_node(plan)
+
+
+def _rewrite_node(plan: plans.LogicalPlan) -> tuple[plans.LogicalPlan, bool]:
     changed = False
 
     # Recurse into inputs first.

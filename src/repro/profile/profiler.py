@@ -96,15 +96,24 @@ class Profiler:
         metrics.batches += 1
         metrics.time_ns += self._clock() - start_ns
         self._op_stack.pop()
+        self._feed_parent(plan, rows_out)
+        if span is not None:
+            span.meta["rows"] = rows_out
+            self.tracer.end(span)
+
+    def shared_hit(self, plan, rows_out: int) -> None:
+        """An operator asked for a shared input (a measure's source
+        relation) again and was handed the rows its one execution kept."""
+        self.operator_count(plan, "shared_hits")
+        self._feed_parent(plan, rows_out)
+
+    def _feed_parent(self, plan, rows_out: int) -> None:
         if self._op_stack:
             parent_plan, parent_metrics = self._op_stack[-1]
             # Only direct plan inputs feed a parent's rows_in; a subquery
             # plan executed from inside an expression does not.
             if any(child is plan for child in parent_plan.inputs()):
                 parent_metrics.rows_in += rows_out
-        if span is not None:
-            span.meta["rows"] = rows_out
-            self.tracer.end(span)
 
     def abort_operator(self, token: tuple) -> None:
         """Unwind bookkeeping when an operator raises."""

@@ -33,7 +33,7 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.objects import BaseTable, SystemTable, View
 from repro.core.context import ContextSpec, GroupTermSpec, VisibleInfo
 from repro.core.definition import Dimension, MeasureGroup, MeasureInstance
-from repro.core.modifiers import BoundSet, BoundWhere
+from repro.core.modifiers import BoundSet, BoundVisible, BoundWhere
 from repro.errors import BindError, MeasureError, UnsupportedError
 from repro.plan import logical as plans
 from repro.semantics import bound as b
@@ -857,6 +857,19 @@ class QueryBinder:
             return from_plan
         return plans.Filter(from_plan, self.bound_where)
 
+    def _measure_source(self, plan: plans.LogicalPlan) -> plans.LogicalPlan:
+        """``plan`` marked as a measure group's source relation.
+
+        The executor keeps a marked node's rows for the whole execution, so
+        the relation must not depend on an enclosing query's row (it never
+        could: measure evaluation runs it with no outer environment)."""
+        if self.outer_scope is not None and collect_outer_refs(plan):
+            raise UnsupportedError(
+                "a measure-defining query cannot reference columns of an "
+                "enclosing query"
+            )
+        return plans.mark_shared(plan)
+
     def _fill_row_contexts(self, expr: b.BoundExpr) -> None:
         """Give every not-yet-finalized measure eval in ``expr`` a row-grain
         context (used for WHERE/ON clauses and plain SELECTs)."""
@@ -887,16 +900,21 @@ class QueryBinder:
         spec.group_terms = terms
         spec.visible = self._make_visible_info(relation)
 
-    def _make_visible_info(self, relation: Relation) -> Optional[VisibleInfo]:
+    def _visible_preds(self) -> list[b.BoundExpr]:
+        """What VISIBLE conjoins: the query's WHERE and join conjuncts that
+        evaluate no measure themselves."""
         preds: list[b.BoundExpr] = []
         if self.bound_where is not None:
             preds.extend(_conjuncts(self.bound_where))
         preds.extend(self.join_preds)
-        preds = [
+        return [
             p
             for p in preds
             if not any(isinstance(n, b.BoundMeasureEval) for n in b.walk(p))
         ]
+
+    def _make_visible_info(self, relation: Relation) -> Optional[VisibleInfo]:
+        preds = self._visible_preds()
         if not preds:
             return None
         end = relation.start + relation.width
@@ -937,7 +955,7 @@ class QueryBinder:
                     raise MeasureError(f"duplicate measure name {item.alias!r}")
                 self._sibling_items[lowered] = item
 
-        source_plan = self._filtered(from_plan)
+        source_plan = self._measure_source(self._filtered(from_plan))
         group = MeasureGroup(source_plan, {}, [])
 
         item_binder = ExprBinder(self, self.scope, clause="SELECT")
@@ -1116,7 +1134,9 @@ class QueryBinder:
                     "cannot re-export measures through a WHERE clause that "
                     "references columns outside the measure table"
                 )
-            new_source = plans.Filter(old_group.source_plan, translated)
+            new_source = self._measure_source(
+                plans.Filter(old_group.source_plan, translated)
+            )
         else:
             new_source = old_group.source_plan
 
@@ -1177,6 +1197,18 @@ class QueryBinder:
             )
             bound_having = having_binder.bind(self.select.having)
 
+        bound_qualify = None
+        if self.select.qualify is not None:
+            qualify_binder = ExprBinder(
+                self,
+                self.scope,
+                allow_aggregates=True,
+                allow_windows=True,
+                clause="QUALIFY",
+            )
+            with _located(self.select.qualify):
+                bound_qualify = qualify_binder.bind(self.select.qualify)
+
         order_pre: list[tuple[str, object, ast.OrderItem]] = []
         names = [self._item_name(item, i) for i, item in enumerate(items)]
         for order_item in self.select.order_by:
@@ -1211,18 +1243,19 @@ class QueryBinder:
             if kind == "expr":
                 collect(payload)  # type: ignore[arg-type]
 
-        has_measures = any(
+        # Only VISIBLE reads the group's input rows, and only when the query
+        # has predicates for it to conjoin.
+        reads_group_rows = bool(self._visible_preds()) and any(
             isinstance(node, b.BoundMeasureEval)
-            for expr in [*bound_items, bound_having]
+            and any(isinstance(m, BoundVisible) for m in node.context.modifiers)
+            for expr in [
+                *bound_items,
+                bound_having,
+                bound_qualify,
+                *[payload for kind, payload, _ in order_pre if kind == "expr"],
+            ]
             if expr is not None
-            for node in b.walk(expr)
-        ) or any(
-            kind == "expr"
-            and any(
-                isinstance(node, b.BoundMeasureEval)
-                for node in b.walk(payload)  # type: ignore[arg-type]
-            )
-            for kind, payload, _ in order_pre
+            for node in b.walk(expr)  # type: ignore[arg-type]
         )
         uses_grouping_fn = any(
             isinstance(node, b.BoundCall) and node.op == "$GROUPING"
@@ -1235,7 +1268,7 @@ class QueryBinder:
         gid_offset = key_count + len(agg_calls) if has_gid else None
         captured_offset = (
             key_count + len(agg_calls) + (1 if has_gid else 0)
-            if has_measures
+            if reads_group_rows
             else None
         )
 
@@ -1282,16 +1315,9 @@ class QueryBinder:
             plan = plans.Filter(plan, lifted_having)
 
         lifted_qualify: Optional[b.BoundExpr] = None
-        if self.select.qualify is not None:
-            qualify_binder = ExprBinder(
-                self,
-                self.scope,
-                allow_aggregates=True,
-                allow_windows=True,
-                clause="QUALIFY",
-            )
+        if bound_qualify is not None:
             with _located(self.select.qualify):
-                lifted_qualify = lifter.lift(qualify_binder.bind(self.select.qualify))
+                lifted_qualify = lifter.lift(bound_qualify)
 
         with_qualify = (
             lifted_items + [lifted_qualify]

@@ -10,11 +10,14 @@ The binder uses these to
 from __future__ import annotations
 
 import dataclasses
+import functools
+import types
 from typing import Callable, Iterator, Optional
 
 from repro.errors import BindError
 from repro.plan import logical as plans
 from repro.semantics import bound as b
+from repro.types.datatypes import MeasureType, ScalarType
 
 __all__ = [
     "transform_expr",
@@ -35,14 +38,31 @@ def transform_expr(
     if replacement is not None:
         return replacement
     changes = {}
-    for f in dataclasses.fields(expr):  # type: ignore[arg-type]
-        value = getattr(expr, f.name)
+    for name in _field_names(type(expr)):
+        value = getattr(expr, name)
+        if type(value) in _CHILDLESS:
+            continue
         new = _transform_value(value, fn)
         if new is not value:
-            changes[f.name] = new
+            changes[name] = new
     if not changes:
         return expr
-    return dataclasses.replace(expr, **changes)  # type: ignore[arg-type]
+    rebuilt = dataclasses.replace(expr, **changes)  # type: ignore[arg-type]
+    rebuilt.span = expr.span  # not a field: errors keep their source position
+    return rebuilt
+
+
+#: Field value types that cannot hold an expression (every plan is walked
+#: several times per statement, mostly over these).
+_CHILDLESS = frozenset(
+    [str, int, bool, float, type(None), ScalarType, MeasureType,
+     types.FunctionType, types.BuiltinFunctionType]
+)
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def _transform_value(value, fn):

@@ -61,3 +61,21 @@ def rows(db: Database, sql: str) -> list[tuple]:
 
 def scalar(db: Database, sql: str):
     return db.execute(sql).scalar()
+
+
+class BothWays:
+    """A database and its twin with the optimizer off: every statement runs
+    on both and must return the same rows, in the same order.  Anything else
+    (``expand``, ``catalog``, ``summary_stats``) is the optimized one's."""
+
+    def __init__(self, build, **kwargs):
+        self.optimized = build(**kwargs)
+        self.unoptimized = build(optimizer=False, **kwargs)
+
+    def execute(self, sql: str, params=()):
+        result = self.optimized.execute(sql, params)
+        assert result.rows == self.unoptimized.execute(sql, params).rows, sql
+        return result
+
+    def __getattr__(self, name):
+        return getattr(self.optimized, name)

@@ -221,3 +221,34 @@ def test_unhashable_hash_keys_fall_back_to_the_nested_loop(kind):
     rows = [(row[1], row[3]) for row in execute_plan(join, ctx)]
     assert sorted(rows, key=repr) == sorted(PADDING[kind], key=repr)
     assert (ctx.hash_joins, ctx.nested_loop_joins) == (1, 0)  # it bailed out
+
+
+def test_set_current_value_compiles_once(monkeypatch):
+    """``AT (SET d = CURRENT d - 1)`` evaluates its value per call-site row;
+    the expression compiles once, with ``CURRENT d`` read from the incoming
+    context at call time (it used to be rebuilt and recompiled per row)."""
+    from repro.engine import compile as compiler
+
+    db = Database()
+    rows = [(1990 + i % 20, i) for i in range(240)]
+    db.create_table_from_rows("sales", [("y", "INTEGER"), ("v", "INTEGER")], rows)
+    db.execute("CREATE VIEW sales_m AS SELECT y, SUM(v) AS MEASURE total FROM sales")
+    by_year: dict = {}
+    for year, value in rows:
+        by_year[year] = by_year.get(year, 0) + value
+
+    built = []
+    build_call = compiler._SCALAR[b.BoundCall]
+    monkeypatch.setitem(
+        compiler._SCALAR,
+        b.BoundCall,
+        lambda expr, sub: built.append(expr.op) or build_call(expr, sub),
+    )
+    result = db.execute(
+        "SELECT y, total AT (SET y = CURRENT y - 1) AS previous FROM sales_m"
+    ).rows
+    assert len(result) == 240  # one evaluation of the SET value per row
+    assert [previous for _, previous in result] == [
+        by_year.get(year - 1) for year, _ in rows
+    ]
+    assert built.count("-") == 1

@@ -367,3 +367,55 @@ class TestLazyCompilation:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * self.THREADS
+
+
+# -- a measure's shared source relation is per execution ------------------------
+
+
+class TestSharedSourcePerExecution:
+    def test_two_sessions_replaying_one_plan_share_nothing(self):
+        """The query's FROM and the measure evaluator meet at one plan node
+        and run it once — per ``ExecutionContext``.  Two sessions replaying
+        the cached plan at the same time each build their own rows: equal
+        results, and each execution's counters show the view's five joins
+        once (a slot kept on the plan would show five and zero)."""
+        import sys
+
+        from repro.profile import Profiler
+        from repro.server import SessionManager
+        from repro.sql import parse_query
+        from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
+
+        db = tpch_measure_database(0.001)
+        sql = TPCH_QUERIES["revenue_share_by_region"]
+        expected = db.execute(sql).rows
+        manager = SessionManager(db)
+        sessions = [manager.open_session(), manager.open_session()]
+        sessions[0].execute(sql)  # plans it; every later run replays the plan
+        planned = db.plan_query(parse_query(sql))
+        barrier = threading.Barrier(2)
+        rows: list = [None, None]
+        counters: list = [None, None]
+
+        def run(i):
+            barrier.wait(timeout=30)
+            rows[i] = [sessions[i].execute(sql).rows for _ in range(3)]
+            _, profile = db.execute_planned(planned, profiler=Profiler())
+            counters[i] = profile.counters
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert rows == [[expected] * 3] * 2
+        assert manager.plan_cache.stats()["hits"] >= 5
+        for seen in counters:
+            assert seen["hash_joins"] == 5
+            assert seen["rows_scanned"] == counters[0]["rows_scanned"]

@@ -32,6 +32,18 @@ WINDOW = (
     "ORDER BY l_shipdate ROWS BETWEEN 200 PRECEDING AND CURRENT ROW) "
     "FROM lineitem"
 )
+#: A view whose source relation is a nested-loop join.  The query's filter
+#: is pushed into the main tree's copy of that join, so the tree reads a
+#: relation of its own (one order: instant) and the measure's source — the
+#: full join, marked shared — is first built from inside measure evaluation.
+PAIRS_VIEW = (
+    "CREATE VIEW order_pairs AS SELECT *, COUNT(*) AS MEASURE pairs "
+    "FROM orders AS o JOIN customer AS c ON o.o_custkey + 0 = c.c_custkey"
+)
+SHARED = (
+    "SELECT c_mktsegment, pairs FROM order_pairs "
+    "WHERE o_orderkey = 1 GROUP BY c_mktsegment"
+)
 
 
 def _poll(conn, sql, predicate, *, timeout=30.0, interval=0.05):
@@ -355,20 +367,27 @@ class TestCancellationLatency:
 
     @pytest.mark.parametrize(
         "sql, operator",
-        [(VISIBLE, "Project"), (WINDOW, "Window")],
-        ids=["visible", "window"],
+        [
+            (VISIBLE, "Project"),
+            (WINDOW, "Window"),
+            (SHARED, "Join(INNER) [shared]"),
+        ],
+        ids=["visible", "window", "shared"],
     )
     def test_cancel_lands_promptly_inside_a_long_operator(self, sql, operator):
         """Cancel a query at three offsets spread over its run.  Nearly all
         of ``visible_orders_by_region`` is the per-group ``AT (VISIBLE)``
         evaluation inside the final Project, nearly all of the window query
-        the Window operator's frame loops, so every offset lands there: the
-        progress tables must show that operator live and advancing, and
-        each cancel must take within 250 ms."""
+        the Window operator's frame loops, and nearly all of the third the
+        measure's shared source relation being built by the evaluator, so
+        every offset lands there: the progress tables must show that
+        operator live and advancing, and each cancel must take within
+        250 ms."""
         from repro.errors import QueryCancelled
         from repro.server import SessionManager
 
         db = tpch_measure_database(0.002, telemetry=True)
+        db.execute(PAIRS_VIEW)
         manager = SessionManager(db)
         runner, watcher = manager.open_session(), manager.open_session()
         runner.execute(sql)  # plans it; the timed run replays the plan

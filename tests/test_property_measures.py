@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
+from tests.conftest import BothWays
 
 PRODUCTS = ["p1", "p2", "p3"]
 CUSTOMERS = ["c1", "c2"]
@@ -29,7 +30,13 @@ order_rows = st.lists(
 )
 
 
-def make_db(rows, **kwargs) -> Database:
+def make_db(rows, **kwargs) -> BothWays:
+    """Every query of every property below runs both ways: on the database
+    under test and on its optimizer-off twin."""
+    return BothWays(lambda **options: build_db(rows, **options), **kwargs)
+
+
+def build_db(rows, **kwargs) -> Database:
     db = Database(**kwargs)
     db.create_table_from_rows(
         "Orders",

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
+from tests.conftest import BothWays
 
 REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
 
@@ -62,13 +63,36 @@ SUMMARY = """
 """
 
 
-def build(rows, *, summaries: bool) -> Database:
-    db = Database()
-    db.create_table_from_rows("sales", SCHEMA, rows)
-    db.execute(MEASURE_VIEW)
-    if summaries:
-        db.execute(SUMMARY)
-    return db
+#: The same measures over a join, where column pruning has something to cut:
+#: ``geo`` carries columns no query reads.
+GEO = [(region, region[:2], index, "x" * index) for index, region in enumerate(REGIONS)]
+GEO_SCHEMA = [
+    ("region", "VARCHAR"), ("code", "VARCHAR"), ("rank", "INTEGER"), ("note", "VARCHAR")
+]
+JOINED_VIEW = """
+    CREATE VIEW sales_geo_m AS
+    SELECT g.code, s.region, s.orderYear, s.quantity,
+           SUM(s.extendedprice * (1 - s.sixteenths / 16.0)) AS MEASURE revenue,
+           SUM(s.quantity) AS MEASURE total_qty
+    FROM sales AS s JOIN geo AS g ON s.region = g.region
+"""
+
+
+def build(rows, *, summaries: bool) -> BothWays:
+    """Every statement of every property below runs both ways: on the
+    database under test and on its optimizer-off twin."""
+
+    def one(**options) -> Database:
+        db = Database(**options)
+        db.create_table_from_rows("sales", SCHEMA, rows)
+        db.create_table_from_rows("geo", GEO_SCHEMA, GEO)
+        db.execute(MEASURE_VIEW)
+        db.execute(JOINED_VIEW)
+        if summaries:
+            db.execute(SUMMARY)
+        return db
+
+    return BothWays(one)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,3 +164,38 @@ def test_matview_hit_equals_cold_after_interleaved_dml(rows, operations):
     query = "SELECT region, revenue FROM sales_m GROUP BY region ORDER BY region"
     assert hot.execute(query).rows == cold.execute(query).rows
     assert any(view["hits"] for view in hot.summary_stats().values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(sales_strategy)
+def test_joined_view_agrees_with_the_single_table_view(rows):
+    """The measures over ``sales JOIN geo`` — whose plans are cut to the
+    columns each query reads — equal the ones over ``sales`` alone, through
+    roll-ups, AT modifiers, VISIBLE under a filter and row-grain contexts."""
+    db = build(rows, summaries=False)
+    for select, tail in (
+        ("region, revenue, total_qty", "GROUP BY region ORDER BY region"),
+        ("orderYear, revenue AT (ALL orderYear)", "GROUP BY orderYear ORDER BY orderYear"),
+        (
+            "orderYear, revenue AT (SET orderYear = CURRENT orderYear - 1)",
+            "GROUP BY orderYear ORDER BY orderYear",
+        ),
+        (
+            "region, AGGREGATE(revenue), revenue AT (WHERE orderYear > 1994)",
+            "WHERE orderYear < 1997 GROUP BY region ORDER BY region",
+        ),
+        (
+            "region, orderYear, AGGREGATE(total_qty)",
+            "GROUP BY ROLLUP(region, orderYear) "
+            "ORDER BY region NULLS LAST, orderYear NULLS LAST",
+        ),
+    ):
+        joined = db.execute(f"SELECT {select} FROM sales_geo_m {tail}").rows
+        assert joined == db.execute(f"SELECT {select} FROM sales_m {tail}").rows
+    by_code = db.execute(
+        "SELECT code, revenue FROM sales_geo_m GROUP BY code ORDER BY code"
+    ).rows
+    by_region = db.execute(
+        "SELECT region, revenue FROM sales_m GROUP BY region ORDER BY region"
+    ).rows
+    assert sorted(v for _, v in by_code) == sorted(v for _, v in by_region)
