@@ -57,10 +57,13 @@ FAST_SF = 0.001
 SLOW_SF = 0.05
 
 #: What the SF 0.01 snapshot times.  visible_orders_by_region is excluded
-#: on purpose, not silently: its subquery expansion is quadratic in orders
-#: (~19 s at SF 0.01 — the cost-model ROADMAP target) and would dominate
-#: every snapshot and CI gate run.  It is still timed at SF 0.001 in the
-#: pytest drill-down series above.
+#: on purpose, not silently: the committed baseline was taken when its
+#: interpreter path was quadratic in orders (seconds at SF 0.01) and has no
+#: entry for it.  The interpreter now runs it in ~0.1 s there (VISIBLE is a
+#: hash semijoin; tests/test_differential_tpch.py checks it at SF 0.01) —
+#: only its subquery *expansion* is still quadratic — so it can rejoin the
+#: set when this gate's baseline is replaced (ROADMAP, first item).  It is
+#: timed at SF 0.001 in the pytest drill-down series above.
 SNAPSHOT_QUERY_NAMES = tuple(
     name for name in TPCH_QUERIES if name != "visible_orders_by_region"
 )

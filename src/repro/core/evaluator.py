@@ -20,6 +20,7 @@ from repro.core.context import (
     SemiMatchTerm,
     Term,
     VisibleTerm,
+    index_key,
 )
 from repro.core.modifiers import apply_modifiers
 from repro.engine.compile import compile_expr, compile_formula
@@ -122,60 +123,103 @@ def _context_rows(measure, terms: list[Term], ctx: ExecutionContext, env) -> lis
     Equality terms are served from per-dimension hash indexes built once per
     measure source (the 'localized self-join' of paper section 5.1 made
     concrete): a context of k EqTerms costs an index intersection instead of
-    a full scan per evaluation.  Remaining term kinds filter the candidates.
+    a full scan per evaluation.  A VISIBLE term with join keys is served the
+    same way from the group side — the source rows carrying a key value some
+    row of the group carries — so grouping by another relation's column
+    costs a lookup per group row, not a test per source row per group.
+    Whatever the indexes do not decide filters the candidates.
     """
     rows = source_rows_for(measure, ctx)
-    eq_terms = [t for t in terms if isinstance(t, EqTerm)]
-    other_terms = [t for t in terms if not isinstance(t, EqTerm)]
+    buckets: list = []
+    tests: list[Term] = []
+    for term in terms:
+        positions = None
+        if ctx.enable_cache:
+            positions = _indexed_positions(measure, term, ctx, rows)
+        if positions is not None:
+            buckets.append(positions)
+        # Positions decide an equality term; a VISIBLE term's local and
+        # residual conjuncts still test each candidate.
+        if positions is None or not isinstance(term, EqTerm):
+            tests.append(term)
 
-    candidate_indexes = None
-    if ctx.enable_cache and eq_terms:
-        buckets = []
-        for term in eq_terms:
-            index = _dimension_index(measure, term, ctx, rows)
-            if index is None:
-                other_terms.append(term)
-                continue
-            try:
-                buckets.append(index.get(term.value, ()))
-            except TypeError:  # unhashable context value
-                other_terms.append(term)
-        if buckets:
-            buckets.sort(key=len)
-            candidate_indexes = buckets[0]
-            for bucket in buckets[1:]:
-                as_set = set(bucket)
-                candidate_indexes = [
-                    i for i in candidate_indexes if i in as_set
-                ]
-    else:
-        other_terms = terms
-
-    if candidate_indexes is None:
-        candidates = rows
-    else:
+    if buckets:
+        buckets.sort(key=len)
+        candidate_indexes = buckets[0]
+        for bucket in buckets[1:]:
+            as_set = set(bucket)
+            candidate_indexes = [i for i in candidate_indexes if i in as_set]
         candidates = [rows[i] for i in candidate_indexes]
-    if not other_terms:
+    else:
+        candidates = rows
+    if not tests:
         return list(candidates)
-    # A VISIBLE term's test is itself a scan of the group's rows, so this
-    # is the quadratic loop: it checkpoints like the executor's row loops.
+    # A term's test may itself scan (VISIBLE's residual conjuncts, over the
+    # group's rows): this loop checkpoints like the executor's row loops,
+    # and that scan checkpoints on its own count.
     watched = ctx.watched
     kept = []
     for index, row in enumerate(candidates):
         if watched and not index & 0xFF:
             ctx.checkpoint(buffered_rows=len(kept))
-        if _accept(other_terms, row, ctx):
+        if _accept(tests, row, ctx):
             kept.append(row)
+    if ctx.profiler is not None:
+        for term in tests:
+            for name, count in term.counters().items():
+                ctx.profiler.bump(name, count)
     return kept
 
 
-def _dimension_index(measure, term: EqTerm, ctx: ExecutionContext, rows):
-    """value -> row indexes for one dimension of one measure source."""
-    key = (id(measure.group.source_plan), term.index_key)
+def _indexed_positions(
+    measure, term: Term, ctx: ExecutionContext, rows
+) -> Optional[list[int]]:
+    """Ascending positions of the only source rows ``term`` can accept, read
+    off a per-statement index; None when no index serves the term."""
+    if isinstance(term, EqTerm):
+        index = _dimension_index(measure, (term.source_expr,), ctx, rows)
+        if index is None:
+            return None
+        try:
+            return index.get(term.value, ())
+        except TypeError:  # unhashable context value
+            return None
+    if not isinstance(term, VisibleTerm):
+        return None
+    # The source rows whose key dimensions equal the key of some surviving
+    # row of the term's group.
+    keys = term.probe_keys(ctx)
+    if keys is None:
+        return None
+    if not keys:
+        return []
+    index = _dimension_index(measure, tuple(term.key_dims), ctx, rows)
+    if index is None:
+        return None
+    positions: list[int] = []
+    for key in keys:
+        positions += index.get(key, ())
+    positions.sort()
+    return positions
+
+
+def _dimension_index(measure, exprs: tuple, ctx: ExecutionContext, rows):
+    """value -> ascending row positions for one dimension of one measure
+    source, or tuple of values -> positions for several; built once per
+    statement.  None when a value is unhashable: no index."""
+    names = tuple([index_key(expr) for expr in exprs])
+    key = (id(measure.group.source_plan), names[0] if len(names) == 1 else names)
     cache = ctx.dim_indexes
     if key in cache:
         return cache[key]
-    dimension = compile_expr(term.source_expr)
+    if len(exprs) == 1:
+        dimension = compile_expr(exprs[0])
+    else:
+        parts = [compile_expr(expr) for expr in exprs]
+
+        def dimension(row, outer, ctx):
+            return tuple([part(row, outer, ctx) for part in parts])
+
     index: dict = {}
     watched = ctx.watched
     try:

@@ -197,8 +197,6 @@ def build_visible_term(
     """
     info = spec.visible
     if info is None:
-        return None
-    if not info.preds:
         # Nothing filters the query; VISIBLE adds no constraint.
         return None
     if spec.captured_rows_offset is not None and env is not None:
@@ -208,11 +206,4 @@ def build_visible_term(
     else:
         group_rows = ()
     parent = env.parent if env is not None else None
-    return VisibleTerm(
-        preds=info.preds,
-        group_rows=group_rows,
-        range_start=info.range_start,
-        range_end=info.range_end,
-        offset_dim_exprs=info.offset_dim_exprs,
-        parent_env=parent,
-    )
+    return VisibleTerm(info, group_rows, parent)

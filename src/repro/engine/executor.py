@@ -28,7 +28,7 @@ from repro.errors import ExecutionError, QueryCancelled
 from repro.plan import logical as plans
 from repro.semantics import bound as b
 
-__all__ = ["execute_plan"]
+__all__ = ["execute_plan", "equi_key"]
 
 
 def execute_plan(
@@ -220,28 +220,43 @@ def _extract_equi_keys(
 
     Returns ``([(left_offset, right_offset_in_right_row)...], residual)``;
     empty keys means fall back to the nested loop.  Only top-level AND
-    conjuncts of the form ``left_col = right_col`` qualify (SQL ``=``: NULL
-    keys never join, which hashing honours by skipping None keys).
+    conjuncts that are an :func:`equi_key` across the left input qualify.
     """
     if condition is None:
         return [], []
     keys: list[tuple[int, int]] = []
     residual: list = []
     for conjunct in _conjuncts_of(condition):
-        if (
-            isinstance(conjunct, b.BoundCall)
-            and conjunct.op == "="
-            and len(conjunct.args) == 2
-            and all(isinstance(a, b.BoundColumn) for a in conjunct.args)
-            and _hash_compatible(conjunct.args[0].dtype, conjunct.args[1].dtype)
-        ):
-            first, second = conjunct.args
-            offsets = sorted((first.offset, second.offset))
-            if offsets[0] < left_width <= offsets[1]:
-                keys.append((offsets[0], offsets[1] - left_width))
-                continue
-        residual.append(conjunct)
+        key = equi_key(conjunct, 0, left_width)
+        if key is None:
+            residual.append(conjunct)
+        else:
+            keys.append((key[0], key[1] - left_width))
     return keys, residual
+
+
+def equi_key(conjunct, start: int, end: int) -> Optional[tuple[int, int]]:
+    """``(offset inside [start, end), offset outside it)`` when ``conjunct``
+    is a hashable equi-conjunct across that column range, else None.
+
+    That is ``col = col`` with exactly one side inside the range and
+    hash-compatible types (SQL ``=``: NULL keys never match, which hashing
+    honours by skipping None keys).  The one definition: the hash join asks
+    it of its left input, VISIBLE of the measure's relation within the FROM
+    row (:class:`~repro.core.context.VisibleInfo`).
+    """
+    if not (
+        isinstance(conjunct, b.BoundCall)
+        and conjunct.op == "="
+        and len(conjunct.args) == 2
+        and all(isinstance(a, b.BoundColumn) for a in conjunct.args)
+        and _hash_compatible(conjunct.args[0].dtype, conjunct.args[1].dtype)
+    ):
+        return None
+    first, second = conjunct.args[0].offset, conjunct.args[1].offset
+    if (start <= first < end) == (start <= second < end):
+        return None
+    return (first, second) if start <= first < end else (second, first)
 
 
 def _hash_compatible(left_type, right_type) -> bool:

@@ -15,7 +15,7 @@ parent reads, what the formula of every reachable
 :class:`~repro.semantics.bound.BoundMeasureEval` reads, and every
 source-relative expression the context machinery evaluates at run time
 (group terms, ``SET`` dimensions, ``AT WHERE`` predicates, VISIBLE's
-dimension map when VISIBLE applies, inherited dimension maps).  Those
+dimension map, inherited dimension maps).  Those
 expressions are renumbered with the relation, by :meth:`_Pruner.remap`, once
 per expression object.
 
@@ -257,7 +257,7 @@ class _Pruner:
         # evaluation asks its input for every column); walk them only for
         # the subqueries and evaluations inside.
         self.reads(spec.child_exprs())
-        if spec.applies_visible():
+        if spec.visible is not None:
             self.reads(spec.visible.preds)
         self.visit(source, self.reads(source_side, source))
         if spec.kind == "inherited" and inside is not None:
@@ -438,8 +438,6 @@ class _Pruner:
         try:
             measure.formula = self.remap(measure.formula, moved)
             spec.map_source_exprs(lambda e, correlated: self.remap(e, moved))
-            if not spec.applies_visible():
-                spec.visible = None  # nothing reads it; its columns may be gone
         except _Dropped as exc:
             raise InternalError(
                 f"column pruning dropped source column {exc.args[0]} that "

@@ -34,6 +34,7 @@ from repro.catalog.objects import BaseTable, SystemTable, View
 from repro.core.context import ContextSpec, GroupTermSpec, VisibleInfo
 from repro.core.definition import Dimension, MeasureGroup, MeasureInstance
 from repro.core.modifiers import BoundSet, BoundVisible, BoundWhere
+from repro.engine.executor import equi_key
 from repro.errors import BindError, MeasureError, UnsupportedError
 from repro.plan import logical as plans
 from repro.semantics import bound as b
@@ -898,7 +899,7 @@ class QueryBinder:
                 )
             )
         spec.group_terms = terms
-        spec.visible = self._make_visible_info(relation)
+        spec.visible = self._make_visible_info(spec, relation)
 
     def _visible_preds(self) -> list[b.BoundExpr]:
         """What VISIBLE conjoins: the query's WHERE and join conjuncts that
@@ -913,20 +914,59 @@ class QueryBinder:
             if not any(isinstance(n, b.BoundMeasureEval) for n in b.walk(p))
         ]
 
-    def _make_visible_info(self, relation: Relation) -> Optional[VisibleInfo]:
+    def _make_visible_info(
+        self, spec: ContextSpec, relation: Relation
+    ) -> Optional[VisibleInfo]:
+        """VISIBLE's conjuncts, split by what each reads of ``relation``'s
+        range in the FROM row (see :class:`VisibleInfo`); None when the call
+        site has no VISIBLE modifier or the query nothing to conjoin."""
+        if not any(isinstance(m, BoundVisible) for m in spec.modifiers):
+            return None
         preds = self._visible_preds()
         if not preds:
             return None
-        end = relation.start + relation.width
-        return VisibleInfo(
-            preds=preds,
-            range_start=relation.start,
+        start, end = relation.start, relation.start + relation.width
+        info = VisibleInfo(
+            range_start=start,
             range_end=end,
             offset_dim_exprs=[
-                relation.dim_for_offset.get(offset)
-                for offset in range(relation.start, end)
+                relation.dim_for_offset.get(offset) for offset in range(start, end)
             ],
         )
+        read: set = set()  # range-relative offsets some conjunct reads
+        opaque = False  # ... unless one reads the row where this cannot see
+        for pred in preds:
+            key = equi_key(pred, start, end)
+            if key is not None:
+                info.keys.append((key[0] - start, key[1]))
+                info.key_preds.append(pred)
+                read.add(key[0] - start)
+                continue
+            inside = outside = False
+            for node in b.walk(pred):
+                if isinstance(node, b.BoundColumn):
+                    if start <= node.offset < end:
+                        inside = True
+                        read.add(node.offset - start)
+                    else:
+                        outside = True
+                elif isinstance(node, _OFFSETS_READ_ELSEWHERE):
+                    inside = outside = opaque = True
+                    break
+            if inside and outside:
+                info.residual.append(pred)
+            elif inside:
+                info.local.append(pred)
+            else:
+                info.outer.append(pred)
+        if not opaque:
+            # A column no conjunct reads need not be substituted (nor kept
+            # in the source relation for it): NULL stands in.
+            info.offset_dim_exprs = [
+                expr if offset in read else None
+                for offset, expr in enumerate(info.offset_dim_exprs)
+            ]
+        return info
 
     def _item_name(self, item: ast.SelectItem, index: int) -> str:
         return output_column_name(item, index)
@@ -1606,6 +1646,18 @@ def _pivot_column_name(value) -> str:
     return cleaned
 
 
+#: Nodes whose column offsets are not offsets of the row they are evaluated
+#: on: a VISIBLE conjunct holding one is never split off the residual.
+_OFFSETS_READ_ELSEWHERE = (
+    b.BoundSubquery,
+    b.BoundMeasureEval,
+    b.BoundAggCall,
+    b.BoundAggRef,
+    b.BoundWindowCall,
+    b.BoundGroupingId,
+)
+
+
 def _conjuncts(expr: b.BoundExpr) -> list[b.BoundExpr]:
     if isinstance(expr, b.BoundCall) and expr.op == "AND":
         result = []
@@ -1709,7 +1761,7 @@ class _Lifter:
         spec.kind = "group"
         spec.grouping_id_offset = self.gid_offset
         spec.captured_rows_offset = self.captured_offset
-        spec.visible = self.qb._make_visible_info(relation)
+        spec.visible = self.qb._make_visible_info(spec, relation)
         terms: list[GroupTermSpec] = []
         for index, group_expr in enumerate(self.group_exprs):
             rewritten = self.qb.rewrite_to_source(group_expr, relation)

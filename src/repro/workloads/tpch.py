@@ -658,8 +658,11 @@ TPCH_QUERIES: dict[str, str] = {
                revenue AT (SET orderYear = CURRENT orderYear - 1) AS prevRevenue
         FROM tpch_sales_m GROUP BY orderYear ORDER BY orderYear
     """,
-    # VISIBLE runs at the order grain: lineitem-grain VISIBLE evaluation is
-    # the known-quadratic subquery shape the cost-model ROADMAP item targets.
+    # VISIBLE at the order grain.  Its one conjunct reads only the measure's
+    # own relation, so the interpreter tests each candidate order once (the
+    # VISIBLE semijoin's "local" case); the *subquery expansion* of the same
+    # query is still quadratic in orders — the pair the strategy chooser
+    # (ROADMAP) has to tell apart.
     "visible_orders_by_region": """
         SELECT region, order_count AT (VISIBLE) AS visibleOrders,
                order_count

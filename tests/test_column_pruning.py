@@ -132,7 +132,8 @@ SHAPES = {
         FROM tpch_sales_m AS s JOIN nation AS n ON s.nation = n.n_name
         WHERE s.shipmode = 'AIR' AND n.n_regionkey < 3
         GROUP BY n.n_name ORDER BY n.n_name""",
-    # Inherited contexts match row against row: quadratic, so over nations.
+    # Inherited contexts: the inner measure's rows are matched against the
+    # outer measure's filtered rows (a set lookup per candidate).
     "measure over a measure": """
         SELECT region, spread, spread AT (ALL region) AS overall
         FROM (SELECT region, nation, AGGREGATE(n) * 1.0 / COUNT(*) AS MEASURE spread

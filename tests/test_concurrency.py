@@ -419,3 +419,73 @@ class TestSharedSourcePerExecution:
         for seen in counters:
             assert seen["hash_joins"] == 5
             assert seen["rows_scanned"] == counters[0]["rows_scanned"]
+
+
+# -- VISIBLE: the split is the plan's, the probe is the evaluation's -------------
+
+
+class TestVisiblePlanIsOnlyRead:
+    def test_two_sessions_replaying_one_visible_plan_agree(self):
+        """The conjunct split sits on the cached plan (``VisibleInfo``, bind
+        time); the hash table over a group's rows sits on the
+        ``VisibleTerm`` built per evaluation and the source-row index in the
+        ``ExecutionContext``.  Two sessions replaying the cached plan with
+        different parameters at the same time each get their own answer, and
+        each execution counts its own probes."""
+        import sys
+
+        from repro.profile import Profiler
+        from repro.sql import parse_query
+        from repro.workloads.tpch import tpch_measure_database
+
+        db = tpch_measure_database(0.001)
+        sql = (
+            "SELECT n.n_name, AGGREGATE(o.order_count), COUNT(*) "
+            "FROM tpch_orders_m AS o JOIN nation AS n ON o.nation = n.n_name "
+            "WHERE n.n_regionkey < ? AND o.mktsegment <> ? "
+            "GROUP BY n.n_name ORDER BY n.n_name"
+        )
+        params = [(3, "MACHINERY"), (5, "BUILDING")]
+        expected = [db.execute(sql, p).rows for p in params]
+        assert expected[0] != expected[1]
+        manager = SessionManager(db)
+        sessions = [manager.open_session(), manager.open_session()]
+        sessions[0].execute(sql, params[0])  # plans it; later runs replay it
+        planned = db.plan_query(parse_query(sql))
+
+        def visible_work(p):
+            _, profile = db.execute_planned(planned, p, profiler=Profiler())
+            return {
+                name: count
+                for name, count in profile.counters.items()
+                if name.startswith("visible.")
+            }
+
+        alone = [visible_work(p) for p in params]
+        assert alone[0] != alone[1]
+        barrier = threading.Barrier(2)
+        rows: list = [None, None]
+        counters: list = [None, None]
+
+        def run(i):
+            barrier.wait(timeout=30)
+            rows[i] = [sessions[i].execute(sql, params[i]).rows for _ in range(3)]
+            counters[i] = visible_work(params[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert rows == [[expected[0]] * 3, [expected[1]] * 3]
+        assert manager.plan_cache.stats()["hits"] >= 5
+        assert counters == alone
+        for seen, answer in zip(counters, expected):
+            assert seen["visible.groups"] == len(answer)
+            assert seen["visible.residual_rows"] == 0

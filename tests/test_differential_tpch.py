@@ -207,3 +207,27 @@ def test_summary_hits_match_sqlite_oracle():
         assert canonical(db.execute(TPCH_QUERIES[name]).rows) == expected
     stats = db.summary_stats()
     assert any(view["hits"] for view in stats.values())
+
+
+def test_visible_orders_by_region_matches_sqlite_at_sf_001():
+    """The one canonical query that used to be left out of every SF 0.01
+    set: ``AT (VISIBLE)`` was quadratic in orders (seconds at 15 000 of
+    them).  As a semijoin it is milliseconds, so it is compared at that
+    scale too — over the four tables it reads."""
+    config = TpchConfig(sf=0.01)
+    tables = generate_tpch(config)
+    connection = sqlite3.connect(":memory:")
+    for name in ("orders", "customer", "nation", "region"):
+        columns = TPCH_TABLES[name]
+        connection.execute(
+            f"CREATE TABLE {name} ({', '.join(col for col, _ in columns)})"
+        )
+        connection.executemany(
+            f"INSERT INTO {name} VALUES ({', '.join('?' for _ in columns)})",
+            tables[name],
+        )
+    name = "visible_orders_by_region"
+    expected = canonical(connection.execute(ORACLES[name]).fetchall())
+    db = tpch_measure_database(config.sf, seed=config.seed)
+    assert canonical(db.execute(TPCH_QUERIES[name]).rows) == expected
+    assert sum(int(row[2]) for row in expected) == 15_000

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro import Database
 from tests.conftest import BothWays
+from tests.test_visible_semijoin import reference_visible
 
 PRODUCTS = ["p1", "p2", "p3"]
 CUSTOMERS = ["c1", "c2"]
@@ -57,6 +58,38 @@ def build_db(rows, **kwargs) -> Database:
            FROM Orders"""
     )
     return db
+
+
+#: Customers to join against: names the orders may not have, NULL names,
+#: duplicate names (a customer row per tier) and NULL ages.
+customer_rows = st.lists(
+    st.tuples(
+        st.sampled_from(CUSTOMERS + ["c3", None]),
+        st.one_of(st.none(), st.integers(18, 70)),
+        st.sampled_from(["gold", "plain"]),
+    ),
+    min_size=0,
+    max_size=6,
+)
+
+#: AGGREGATE() across a join: (join kind, ON, WHERE, GROUP BY).
+joined_shapes = st.tuples(
+    st.sampled_from(["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"]),
+    st.sampled_from(
+        [
+            "o.custName = c.custName",
+            "c.custName = o.custName AND o.revenueCap > c.age",
+            "o.custName || '' = c.custName",
+            "o.revenueCap < c.age",
+        ]
+    ),
+    st.sampled_from(
+        ["", "WHERE c.age >= ?", "WHERE o.y >= 2021 AND (c.tier = 'gold' OR o.y = ?)"]
+    ),
+    st.sampled_from(
+        ["c.tier", "c.tier, o.prodName", "ROLLUP(c.tier, o.y)", "o.custName"]
+    ),
+)
 
 
 def normalized(rows):
@@ -217,3 +250,39 @@ def test_count_measure_matches_group_sizes(rows):
         "SELECT prodName, COUNT(*) FROM Orders GROUP BY prodName"
     ).rows
     assert normalized(measured) == normalized(plain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order_rows, customer_rows, joined_shapes, st.integers(18, 2022))
+def test_joined_aggregate_equals_the_visible_definition(rows, customers, shape, param):
+    """``AGGREGATE()`` across a join — the hash semijoin, whatever mix of
+    key, local, outer and residual conjuncts the shape produces — returns
+    what rescanning the group per candidate (docs/SEMANTICS.md) returns."""
+    kind, on, where, group_by = shape
+
+    def build(**options) -> Database:
+        db = build_db(rows, **options)
+        db.create_table_from_rows(
+            "Customers",
+            [("custName", "VARCHAR"), ("age", "INTEGER"), ("tier", "VARCHAR")],
+            customers,
+        )
+        db.execute(
+            """CREATE VIEW eoc AS
+               SELECT prodName, custName, y, revenue AS revenueCap,
+                      SUM(revenue) AS MEASURE rev, COUNT(*) AS MEASURE n
+               FROM Orders"""
+        )
+        return db
+
+    db = BothWays(build)
+    sql = (
+        f"SELECT {group_by.replace('ROLLUP(', '').replace(')', '')}, "
+        "AGGREGATE(o.rev), o.n AT (VISIBLE), COUNT(*) "
+        f"FROM eoc AS o {kind} Customers AS c ON {on} {where} GROUP BY {group_by}"
+    )
+    params = (param,) * where.count("?")
+    got = db.execute(sql, params).rows
+    with reference_visible():
+        expected = db.execute(sql, params).rows
+    assert normalized(got) == normalized(expected)

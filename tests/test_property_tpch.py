@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro import Database
 from tests.conftest import BothWays
+from tests.test_visible_semijoin import reference_visible
 
 REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
 
@@ -199,3 +200,40 @@ def test_joined_view_agrees_with_the_single_table_view(rows):
         "SELECT region, revenue FROM sales_m GROUP BY region ORDER BY region"
     ).rows
     assert sorted(v for _, v in by_code) == sorted(v for _, v in by_region)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sales_strategy, st.integers(0, 5), st.integers(1992, 1998))
+def test_aggregate_across_a_join_equals_the_visible_definition(rows, rank, year):
+    """``AGGREGATE()`` grouped by the *other* relation's columns — the hash
+    semijoin with group-side enumeration — equals the VISIBLE definition
+    (rescan the group per candidate), and plain SQL where plain SQL says the
+    same thing."""
+    db = build(rows, summaries=False)
+    for on, where, group_by in (
+        ("s.region = g.region", "g.rank < ?", "g.code"),
+        ("s.region = g.region", "s.orderYear >= ? AND g.rank <> 2", "g.code, s.orderYear"),
+        ("s.region = g.region AND s.orderYear > 1992 + g.rank", "s.orderYear < ?", "ROLLUP(g.code)"),
+        ("s.orderYear - 1992 = g.rank", "g.rank < ?", "g.region"),
+    ):
+        sql = (
+            "SELECT AGGREGATE(s.total_qty), s.revenue AT (VISIBLE), COUNT(*) "
+            f"FROM sales_m AS s JOIN geo AS g ON {on} WHERE {where} GROUP BY {group_by}"
+        )
+        params = (year if "orderYear" in where else rank,)
+        got = db.execute(sql, params).rows
+        with reference_visible():
+            assert got == db.execute(sql, params).rows, sql
+    # One sale is one source row of sales_m, so the measure's own grain is
+    # the join's: the visible quantity is the plain SUM.
+    measured = db.execute(
+        "SELECT g.code, AGGREGATE(s.total_qty) FROM sales_m AS s "
+        "JOIN geo AS g ON s.region = g.region WHERE g.rank < ? "
+        "GROUP BY g.code ORDER BY g.code", (rank,)
+    ).rows
+    plain = db.execute(
+        "SELECT g.code, SUM(s.quantity) FROM sales AS s "
+        "JOIN geo AS g ON s.region = g.region WHERE g.rank < ? "
+        "GROUP BY g.code ORDER BY g.code", (rank,)
+    ).rows
+    assert measured == plain
