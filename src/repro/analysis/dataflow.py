@@ -67,11 +67,13 @@ NOT_CONST = _NotConst()
 #: ``x >= NULL AND x <= 5``, which is FALSE (not NULL) when ``x > 5``.
 STRICT_OPS = frozenset(
     ["=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%", "NEG", "||",
-     "LIKE", "NOT"]
+     "LIKE", "NOT LIKE", "NOT"]
 )
 
 #: Operators that never return NULL regardless of their arguments.
-_NEVER_NULL_OPS = frozenset(["IS NULL", "IS DISTINCT"])
+_NEVER_NULL_OPS = frozenset(
+    ["IS NULL", "IS NOT NULL", "IS DISTINCT", "IS NOT DISTINCT"]
+)
 
 #: Aggregate functions that never return NULL over a non-empty group with
 #: non-null inputs (COUNT is non-null even over empty groups).

@@ -43,7 +43,9 @@ __all__ = ["dataflow_diagnostics"]
 
 #: Comparison operators whose runtime implementation raises on operands
 #: with no common supertype (types/values._comparable).
-_COMPARISON_OPS = frozenset(["=", "<>", "<", "<=", ">", ">=", "IS DISTINCT"])
+_COMPARISON_OPS = frozenset(
+    ["=", "<>", "<", "<=", ">", ">=", "IS DISTINCT", "IS NOT DISTINCT"]
+)
 
 
 def dataflow_diagnostics(catalog, plan: plans.LogicalPlan) -> list[Diagnostic]:

@@ -656,6 +656,8 @@ class Database:
             rows=rows,
             rowcount=len(rows),
         )
+        # What is left of the context is its counters (``last_stats``).
+        ctx.release()
         return result, profile, ctx
 
     def _record_summary_latency(self, reports, elapsed_ms: float) -> None:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
-from repro.engine.compile import compile_expr, memo, row_getter
-from repro.semantics.bound import BoundExpr, fingerprint, walk
+from repro.engine.compile import compile_expr, row_getter, slot_key
+from repro.semantics.bound import BoundExpr
 from repro.types import is_not_distinct, sql_eq
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Term",
     "summarize_terms",
-    "index_key",
     "EqTerm",
     "PredTerm",
     "VisibleTerm",
@@ -92,13 +91,6 @@ def summarize_terms(terms: list["Term"]) -> dict[str, int]:
     return histogram
 
 
-def index_key(source_expr: BoundExpr) -> str:
-    """What the source rows are indexed by: the source expression as it is
-    numbered *now* (a ``dim_key`` is the binder's name for the dimension,
-    which column pruning does not renumber)."""
-    return memo(source_expr, "_fingerprint", fingerprint)
-
-
 @dataclass
 class EqTerm(Term):
     """``source_expr IS NOT DISTINCT FROM value`` — or, when ``strict``,
@@ -119,7 +111,7 @@ class EqTerm(Term):
 
     @property
     def index_key(self) -> str:
-        return index_key(self.source_expr)
+        return slot_key(self.source_expr)
 
     def test(self, source_row: tuple, ctx: "ExecutionContext") -> bool:
         actual = compile_expr(self.source_expr)(source_row, None, ctx)

@@ -1,13 +1,18 @@
 """Top-down evaluation of measures (context-sensitive expressions).
 
 This is the interpretation strategy: build the evaluation-context predicate,
-filter the measure's source rows, and run the formula's aggregates over the
-survivors.  Results are memoized per (measure, context) — value-based keys
-mean that e.g. ``AT (ALL)`` grand totals are computed once per query, and
-repeated group contexts are computed once per group.  This cache is the
-engine's realization of the paper's "localized self-join" execution strategy
-(section 5.1); disable it with ``Database(cache=False)`` to see the quadratic
-behaviour the paper's rewrite avoids (benchmarks/bench_cache.py).
+select the positions of the measure's source rows that satisfy it, and run
+the formula's aggregates over that slice of the source relation.  Results
+are memoized per (measure, context) — value-based keys mean that e.g. ``AT
+(ALL)`` grand totals are computed once per query, and repeated group contexts
+are computed once per group.  Below the memo, what contexts over one source
+have in common is computed once per statement and kept with the relation:
+the per-dimension hash indexes that turn a context into positions, and the
+aggregates' argument columns (:class:`~repro.engine.compile.Relation`), which
+depend on the source row and not on the context that asks.  Together they are
+the engine's realization of the paper's "localized self-join" execution
+strategy (section 5.1); disable them with ``Database(cache=False)`` to see
+the quadratic behaviour the paper's rewrite avoids (benchmarks/bench_cache.py).
 """
 
 from __future__ import annotations
@@ -20,10 +25,16 @@ from repro.core.context import (
     SemiMatchTerm,
     Term,
     VisibleTerm,
-    index_key,
 )
 from repro.core.modifiers import apply_modifiers
-from repro.engine.compile import compile_expr, compile_formula
+from repro.engine.compile import (
+    Relation,
+    Slice,
+    compile_expr,
+    compile_formula,
+    relation_of,
+    slot_key,
+)
 from repro.engine.evaluator import EvalEnv, ExecutionContext
 from repro.engine.executor import execute_plan
 from repro.errors import ExecutionError
@@ -36,13 +47,13 @@ def evaluate_measure(
     node: b.BoundMeasureEval,
     env: Optional[EvalEnv],
     ctx: ExecutionContext,
-    formula_rows: Optional[list[tuple]] = None,
+    formula_slice: Optional[Slice] = None,
 ) -> Any:
     """Evaluate a measure at a call site.
 
     ``env`` is the call-site environment (the row being produced).
-    ``formula_rows`` is only set for inherited contexts: the outer measure's
-    already-filtered source rows.
+    ``formula_slice`` is only set for inherited contexts: the outer measure's
+    already-selected source rows.
 
     With a profiler attached, each evaluation is a ``measure:<name>`` span
     annotated with the cache verdict; otherwise the wrapper is one ``is
@@ -50,11 +61,11 @@ def evaluate_measure(
     """
     profiler = ctx.profiler
     if profiler is None:
-        return _evaluate_measure_impl(node, env, ctx, formula_rows)
+        return _evaluate_measure_impl(node, env, ctx, formula_slice)
     token = profiler.enter_measure(node.measure.name)
     hits_before = ctx.measure_cache_hits
     try:
-        result = _evaluate_measure_impl(node, env, ctx, formula_rows)
+        result = _evaluate_measure_impl(node, env, ctx, formula_slice)
     except BaseException:
         profiler.exit_measure(token, cache_hit=False)
         raise
@@ -68,7 +79,7 @@ def _evaluate_measure_impl(
     node: b.BoundMeasureEval,
     env: Optional[EvalEnv],
     ctx: ExecutionContext,
-    formula_rows: Optional[list[tuple]] = None,
+    formula_slice: Optional[Slice] = None,
 ) -> Any:
     spec = node.context
     if _first_modifier_replaces(spec):
@@ -76,7 +87,7 @@ def _evaluate_measure_impl(
         # ALL): skip building the default terms per call.
         terms = apply_modifiers([], spec, env, ctx)
     else:
-        terms = _base_terms(spec, env, ctx, formula_rows)
+        terms = _base_terms(spec, env, ctx, formula_slice)
         terms = apply_modifiers(terms, spec, env, ctx)
 
     if ctx.profiler is not None:
@@ -110,15 +121,15 @@ def _evaluate_measure_impl(
         # An uncached evaluation filters the whole source relation: the
         # phase a VISIBLE query spends its time in must see a cancel too.
         ctx.checkpoint()
-    filtered = _context_rows(node.measure, terms, ctx, env)
-    result = compile_formula(node.measure.formula)(filtered, env, ctx)
+    selected = _context_slice(node.measure, terms, ctx)
+    result = compile_formula(node.measure.formula)(selected, env, ctx)
     if cache_key is not None:
         ctx.measure_cache[cache_key] = result
     return result
 
 
-def _context_rows(measure, terms: list[Term], ctx: ExecutionContext, env) -> list[tuple]:
-    """Source rows satisfying the context.
+def _context_slice(measure, terms: list[Term], ctx: ExecutionContext) -> Slice:
+    """The slice of the measure's source relation satisfying the context.
 
     Equality terms are served from per-dimension hash indexes built once per
     measure source (the 'localized self-join' of paper section 5.1 made
@@ -127,15 +138,21 @@ def _context_rows(measure, terms: list[Term], ctx: ExecutionContext, env) -> lis
     same way from the group side — the source rows carrying a key value some
     row of the group carries — so grouping by another relation's column
     costs a lookup per group row, not a test per source row per group.
-    Whatever the indexes do not decide filters the candidates.
+    Whatever the indexes do not decide filters the candidates.  Positions
+    stay ascending throughout: aggregate input order is source row order.
+    With ``enable_cache`` off the relation keeps no columns either
+    (:func:`~repro.engine.compile.relation_of`): every evaluation computes
+    its arguments over the rows it selected.
     """
-    rows = source_rows_for(measure, ctx)
+    relation = relation_of(
+        measure.group.source_plan, source_rows_for(measure, ctx), ctx
+    )
     buckets: list = []
     tests: list[Term] = []
     for term in terms:
         positions = None
         if ctx.enable_cache:
-            positions = _indexed_positions(measure, term, ctx, rows)
+            positions = _indexed_positions(term, ctx, relation)
         if positions is not None:
             buckets.append(positions)
         # Positions decide an equality term; a VISIBLE term's local and
@@ -143,41 +160,41 @@ def _context_rows(measure, terms: list[Term], ctx: ExecutionContext, env) -> lis
         if positions is None or not isinstance(term, EqTerm):
             tests.append(term)
 
+    candidates = None  # every row
     if buckets:
         buckets.sort(key=len)
-        candidate_indexes = buckets[0]
+        candidates = buckets[0]
         for bucket in buckets[1:]:
             as_set = set(bucket)
-            candidate_indexes = [i for i in candidate_indexes if i in as_set]
-        candidates = [rows[i] for i in candidate_indexes]
-    else:
-        candidates = rows
-    if not tests:
-        return list(candidates)
-    # A term's test may itself scan (VISIBLE's residual conjuncts, over the
-    # group's rows): this loop checkpoints like the executor's row loops,
-    # and that scan checkpoints on its own count.
-    watched = ctx.watched
-    kept = []
-    for index, row in enumerate(candidates):
-        if watched and not index & 0xFF:
-            ctx.checkpoint(buffered_rows=len(kept))
-        if _accept(tests, row, ctx):
-            kept.append(row)
-    if ctx.profiler is not None:
-        for term in tests:
-            for name, count in term.counters().items():
-                ctx.profiler.bump(name, count)
-    return kept
+            candidates = [i for i in candidates if i in as_set]
+    if tests:
+        # A term's test may itself scan (VISIBLE's residual conjuncts, over
+        # the group's rows): this loop checkpoints like the executor's row
+        # loops, and that scan checkpoints on its own count.
+        rows, watched = relation.rows, ctx.watched
+        kept: list[int] = []
+        for index, position in enumerate(
+            range(len(rows)) if candidates is None else candidates
+        ):
+            if watched and not index & 0xFF:
+                ctx.checkpoint(buffered_rows=len(kept))
+            if _accept(tests, rows[position], ctx):
+                kept.append(position)
+        if ctx.profiler is not None:
+            for term in tests:
+                for name, count in term.counters().items():
+                    ctx.profiler.bump(name, count)
+        candidates = kept
+    return Slice(relation, candidates)
 
 
 def _indexed_positions(
-    measure, term: Term, ctx: ExecutionContext, rows
+    term: Term, ctx: ExecutionContext, relation: Relation
 ) -> Optional[list[int]]:
     """Ascending positions of the only source rows ``term`` can accept, read
     off a per-statement index; None when no index serves the term."""
     if isinstance(term, EqTerm):
-        index = _dimension_index(measure, (term.source_expr,), ctx, rows)
+        index = _dimension_index((term.source_expr,), ctx, relation)
         if index is None:
             return None
         try:
@@ -193,7 +210,7 @@ def _indexed_positions(
         return None
     if not keys:
         return []
-    index = _dimension_index(measure, tuple(term.key_dims), ctx, rows)
+    index = _dimension_index(tuple(term.key_dims), ctx, relation)
     if index is None:
         return None
     positions: list[int] = []
@@ -203,30 +220,26 @@ def _indexed_positions(
     return positions
 
 
-def _dimension_index(measure, exprs: tuple, ctx: ExecutionContext, rows):
+def _dimension_index(exprs: tuple, ctx: ExecutionContext, relation: Relation):
     """value -> ascending row positions for one dimension of one measure
-    source, or tuple of values -> positions for several; built once per
-    statement.  None when a value is unhashable: no index."""
-    names = tuple([index_key(expr) for expr in exprs])
-    key = (id(measure.group.source_plan), names[0] if len(names) == 1 else names)
+    source (``relation``, the statement's: it has its owner), or tuple of
+    values -> positions for several; built once per statement from the
+    relation's columns.  None when a value is unhashable: no index."""
+    names = tuple([slot_key(expr) for expr in exprs])
+    key = (id(relation.owner), names[0] if len(names) == 1 else names)
     cache = ctx.dim_indexes
     if key in cache:
         return cache[key]
-    if len(exprs) == 1:
-        dimension = compile_expr(exprs[0])
-    else:
-        parts = [compile_expr(expr) for expr in exprs]
-
-        def dimension(row, outer, ctx):
-            return tuple([part(row, outer, ctx) for part in parts])
-
+    columns = [relation.column(expr, None, ctx).values for expr in exprs]
     index: dict = {}
     watched = ctx.watched
     try:
-        for position, row in enumerate(rows):
+        for position, value in enumerate(
+            columns[0] if len(columns) == 1 else zip(*columns)
+        ):
             if watched and not position & 0xFF:
                 ctx.checkpoint(buffered_rows=position)
-            index.setdefault(dimension(row, None, ctx), []).append(position)
+            index.setdefault(value, []).append(position)
     except TypeError:
         cache[key] = None  # unhashable dimension values: no index
         return None
@@ -256,16 +269,16 @@ def _base_terms(
     spec: ContextSpec,
     env: Optional[EvalEnv],
     ctx: ExecutionContext,
-    formula_rows: Optional[list[tuple]],
+    formula_slice: Optional[Slice],
 ) -> list[Term]:
     if spec.kind == "inherited":
-        if formula_rows is None:
+        if formula_slice is None:
             raise ExecutionError(
                 "inherited measure context evaluated outside a formula"
             )
         return [
             SemiMatchTerm(
-                tuple(formula_rows), spec.inherit_offsets, spec.inherit_dim_exprs
+                tuple(formula_slice.rows()), spec.inherit_offsets, spec.inherit_dim_exprs
             )
         ]
 

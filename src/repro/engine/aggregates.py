@@ -21,6 +21,7 @@ from repro.types import (
     DataType,
     SortKey,
     common_type,
+    is_numeric,
 )
 
 __all__ = [
@@ -72,7 +73,7 @@ class _Sum(Accumulator):
     def add(self, value: Any) -> None:
         if value is None:
             return
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not is_numeric(value):
             raise ExecutionError(f"SUM over non-numeric value {value!r}")
         self.total = value if self.total is None else self.total + value
 
@@ -88,7 +89,7 @@ class _Avg(Accumulator):
     def add(self, value: Any) -> None:
         if value is None:
             return
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not is_numeric(value):
             raise ExecutionError(f"AVG over non-numeric value {value!r}")
         self.total += value
         self.count += 1
@@ -132,7 +133,7 @@ class _Welford(Accumulator):
     def add(self, value: Any) -> None:
         if value is None:
             return
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not is_numeric(value):
             raise ExecutionError(f"{self.kind} over non-numeric value {value!r}")
         self.count += 1
         delta = value - self.mean

@@ -5,36 +5,70 @@
 enclosing query's :class:`~repro.engine.evaluator.EvalEnv` (None at top
 level) and ``ctx`` the :class:`~repro.engine.evaluator.ExecutionContext`.
 Node-type dispatch, literal capture and arity selection happen here, once per
-node; a row loop only calls closures.  :func:`compile_rows` and
-:func:`compile_aggregate` do the same for an operator's expression list and
-for an aggregate call, :func:`compile_formula` for a measure formula (whose
-"row" is the list of context-filtered source rows).
+node; a row loop only calls closures.
+
+:func:`compile_column` is the vector form of the same expression,
+``fn(rows, outer, ctx) -> Column``: one value per row plus the set of their
+Python types.  Arithmetic over columns whose observed types are all ``int`` /
+``float`` maps the bare operator over them — what the checked ``sql_mul``
+would have done on every value, decided once per column; any other column
+maps the node's own checked function, and a node type without a kernel runs
+its scalar closure per row, so the vector form is total and has no semantics
+of its own.  A :class:`Relation` keeps the columns computed over all of its
+rows, keyed by the expression's fingerprint, so every reader of
+``extendedprice * (1 - discount)`` over one relation shares one pass of
+arithmetic; a :class:`Slice` is the subset of a relation's rows an aggregate
+reads.  :func:`compile_rows` (an operator's expression list, over a relation),
+:func:`compile_aggregate` (an aggregate call, over a slice) and
+:func:`compile_formula` (a measure formula, over the slice of source rows its
+context selects) are built on them.
 
 Closures are memoized on the node they were compiled from, as a non-field
 instance attribute (like ``LogicalPlan.facts`` and ``BoundExpr.span``), the
 first time an operator runs them — so a cached plan or a catalog-resident
 measure source plan compiles once however many executions or sessions share
 it.  Racing threads each compute the same closure and store it with a single
-attribute write; whichever lands last wins and nothing is locked.
+attribute write; whichever lands last wins and nothing is locked.  Relations
+and their columns belong to one execution and are never stored on a node.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+import operator
+import sys
+from functools import partial, reduce
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.engine.aggregates import make_accumulator
 from repro.engine.evaluator import EvalEnv, cast_value
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, QueryCancelled, ResourceExhausted
 from repro.semantics import bound as b
-from repro.types import is_not_distinct, sort_rows, sql_and, sql_eq, sql_or
+from repro.types import (
+    NUMERIC_KINDS,
+    is_not_distinct,
+    sort_rows,
+    sql_add,
+    sql_and,
+    sql_div,
+    sql_eq,
+    sql_mul,
+    sql_or,
+    sql_sub,
+)
 
 __all__ = [
     "compile_expr",
+    "compile_column",
     "compile_rows",
     "compile_aggregate",
     "compile_formula",
+    "Column",
+    "Relation",
+    "Slice",
+    "relation_of",
+    "slot_key",
     "row_getter",
     "memo",
 ]
@@ -62,12 +96,13 @@ def compile_expr(expr: b.BoundExpr) -> Compiled:
 
 
 def compile_formula(formula: b.BoundExpr) -> Compiled:
-    """The closure ``fn(rows, env, ctx)`` evaluating a measure formula.
+    """The closure ``fn(members, env, ctx)`` evaluating a measure formula.
 
-    Aggregate calls inside the formula aggregate over ``rows``; everything
-    above them is scalar arithmetic over their results.  ``env`` is the
-    call-site environment, used by the formula's context-sensitive parts
-    (nested measures, correlated subqueries).
+    Aggregate calls inside the formula aggregate over ``members`` (the
+    :class:`Slice` of source rows the context selects); everything above
+    them is scalar arithmetic over their results.  ``env`` is the call-site
+    environment, used by the formula's context-sensitive parts (nested
+    measures, correlated subqueries).
     """
     fn = formula.__dict__.get("_formula_fn")
     if fn is None:
@@ -87,22 +122,57 @@ def row_getter(offsets: Sequence[int]) -> Callable[[tuple], tuple]:
     return lambda row: ()
 
 
-def compile_rows(exprs: Sequence[b.BoundExpr]) -> Callable[[list, Any, Any], list]:
-    """``fn(rows, outer, ctx) -> [tuple of every expr over row, ...]``.
+def _offset(expr: b.BoundExpr) -> Optional[int]:
+    """Where in the row ``expr`` already is — a column of the input, an
+    aggregate slot of an Aggregate's output — or None when it is computed."""
+    if isinstance(expr, b.BoundColumn):
+        return expr.offset
+    if isinstance(expr, b.BoundAggRef):
+        return expr.index
+    return None
 
-    An all-column list (wide projections, plain group and sort keys) is one
-    ``itemgetter`` mapped over the rows: no Python frame per row.
+
+def compile_rows(exprs: Sequence[b.BoundExpr]) -> Callable[["Relation", Any, Any], list]:
+    """``fn(relation, outer, ctx) -> [tuple of every expr over row, ...]``.
+
+    A list of references (wide projections, plain group and sort keys, the
+    slots of an Aggregate's output) is one ``itemgetter`` mapped over the
+    rows, a batch at a time; any other list is its columns, zipped.  Neither
+    runs a Python frame per row.
     """
-    if all(isinstance(expr, b.BoundColumn) for expr in exprs):
-        getter = row_getter([expr.offset for expr in exprs])
-        return lambda rows, outer, ctx: list(map(getter, rows))
-    fns = tuple(compile_expr(expr) for expr in exprs)
-    if len(fns) == 1:
-        (only,) = fns
-        return lambda rows, outer, ctx: [(only(row, outer, ctx),) for row in rows]
-    return lambda rows, outer, ctx: [
-        tuple([fn(row, outer, ctx) for fn in fns]) for row in rows
+    offsets = [_offset(expr) for expr in exprs]
+    if None not in offsets:
+        if len(offsets) > 1:
+            project = partial(map, itemgetter(*offsets))
+        elif offsets:
+            # itemgetter returns the bare value for one offset: zip wraps it.
+            getter = itemgetter(*offsets)
+            project = lambda batch: zip(map(getter, batch))  # noqa: E731
+        else:
+            project = lambda batch: repeat((), len(batch))  # noqa: E731
+
+        def pick(relation, outer, ctx):
+            output: list[tuple] = []
+            for batch in ctx.batches(relation.rows, buffered=output):
+                output += project(batch)
+            return output
+
+        return pick
+    # A reference inside a mixed list is read off the rows as the zip
+    # consumes it; everything else is a column of the relation.
+    readers = [
+        (expr, None if offset is None else itemgetter(offset))
+        for expr, offset in zip(exprs, offsets)
     ]
+
+    def project(relation, outer, ctx):
+        rows = relation.rows
+        return list(zip(*[
+            relation.column(expr, outer, ctx).values if getter is None else map(getter, rows)
+            for expr, getter in readers
+        ]))
+
+    return project
 
 
 # -- errors -----------------------------------------------------------------
@@ -422,6 +492,344 @@ _SCALAR = {
 }
 
 
+# -- columns: the vector form ---------------------------------------------------
+
+
+class Column:
+    """One expression over a run of rows: ``values``, one per row in row
+    order, and ``kinds``, a set holding the exact Python type of every value
+    (exact, so ``bool`` never passes for ``int``) — derived by the kernel that
+    produced the values where it can be, otherwise observed in one C pass the
+    first time something asks.  It is what a kernel consults instead of
+    checking each value.
+    """
+
+    __slots__ = ("values", "_kinds")
+
+    def __init__(self, values: Sequence, kinds: Optional[frozenset] = None):
+        self.values = values
+        self._kinds = kinds
+
+    @property
+    def kinds(self) -> frozenset:
+        kinds = self._kinds
+        if kinds is None:
+            kinds = self._kinds = frozenset(map(type, self.values))
+        return kinds
+
+    def take(self, positions: Sequence[int]) -> "Column":
+        """The column of the rows at ``positions``."""
+        kinds = self._kinds
+        if kinds is not None and not kinds <= NUMERIC_KINDS:
+            kinds = None  # the NULL or the string may be elsewhere: look again
+        return Column(_gather(self.values, positions), kinds)
+
+
+def _gather(values: Sequence, positions: Sequence[int]) -> Sequence:
+    """``values`` at ``positions``, in that order, without a frame per item
+    (``itemgetter`` returns a bare value for one position and rejects none)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)(values)
+    return [values[position] for position in positions]
+
+
+Kernel = Callable[[Sequence[tuple], Any, Any], Column]
+
+_INT, _FLOAT = frozenset({int}), frozenset({float})
+_NULL_KIND = type(None)
+
+#: What evaluating an expression over a row can raise because of the row.
+_VALUE_ERRORS = (ExecutionError, TypeError, ValueError, ArithmeticError)
+
+
+def compile_column(expr: b.BoundExpr) -> Kernel:
+    """The kernel ``fn(rows, outer, ctx) -> Column`` evaluating scalar
+    ``expr`` over every row of ``rows``: the same values, of the same types,
+    as ``[compile_expr(expr)(row, outer, ctx) for row in rows]``, raising iff
+    that raises.
+
+    A kernel works expression by expression, so with two failing spots it may
+    meet the later row's first; :meth:`Relation.column`, through which every
+    operator reads, reports the one the row loop would have met.
+    """
+    fn = expr.__dict__.get("_column")
+    if fn is None:
+        fn = expr._column = _KERNELS.get(type(expr), _per_row)(expr)
+    return fn
+
+
+def _raise_in_row_order(expr: b.BoundExpr, rows, outer, ctx) -> None:
+    """A kernel over ``rows`` raised: replay them through the scalar closure,
+    which raises the error of the first failing row (the caller re-raises the
+    kernel's own if, against the contract, nothing does)."""
+    scalar = compile_expr(expr)
+    for row in rows:
+        scalar(row, outer, ctx)
+
+
+def _per_row(expr: b.BoundExpr) -> Kernel:
+    """The kernel of a node type that has none of its own (and of AND / OR,
+    CASE: they must not evaluate the operand the row loop would skip)."""
+    fn = compile_expr(expr)
+    return lambda rows, outer, ctx: Column([fn(row, outer, ctx) for row in rows])
+
+
+def _item_kernel(expr: b.BoundExpr) -> Kernel:
+    getter = itemgetter(_offset(expr))
+    return lambda rows, outer, ctx: Column(list(map(getter, rows)))
+
+
+def _broadcast_kernel(expr: b.BoundExpr) -> Kernel:
+    """A row-independent node (a literal, a ``?``, an outer reference):
+    evaluated once — and, like the row loop, not at all over no rows (a
+    missing ``?`` is only an error if reached)."""
+    fn = compile_expr(expr)
+
+    def broadcast(rows, outer, ctx):
+        if not rows:
+            return Column([])
+        value = fn((), outer, ctx)
+        return Column([value] * len(rows), frozenset((type(value),)))
+
+    return broadcast
+
+
+def _call_kernel(expr: b.BoundCall) -> Kernel:
+    """A function or operator application over its argument columns: the
+    node's function mapped over them, its failure located as the scalar
+    closure locates it.  No argument list is built and no closure runs per
+    row; SQL arithmetic goes further (:func:`_arithmetic_kernel`)."""
+    if expr.op in _SHORT_CIRCUIT or not expr.args:
+        return _per_row(expr)
+    fn, op, span = expr.fn, expr.op, expr.span
+    args = [compile_column(arg) for arg in expr.args]
+    if fn in _BARE:
+        return _arithmetic_kernel(fn, op, span, *args)
+
+    def call(rows, outer, ctx):
+        columns = [arg(rows, outer, ctx).values for arg in args]
+        try:
+            return Column(list(map(fn, *columns)))
+        except _CALL_ERRORS as exc:
+            raise _call_error(op, span, exc) from None
+
+    return call
+
+
+#: checked operator -> (the bare one, whether its right side must be non-zero).
+_BARE = {
+    sql_add: (operator.add, False),
+    sql_sub: (operator.sub, False),
+    sql_mul: (operator.mul, False),
+    sql_div: (operator.truediv, True),
+}
+
+
+def _arithmetic_kernel(fn, op: str, span, left: Kernel, right: Kernel) -> Kernel:
+    """``+ - * /`` over two columns.  When both hold only ``int`` / ``float``
+    values (no NULL, no BOOLEAN, no date — and for ``/`` no zero divisor),
+    the bare operator gives what the checked one would on every value, so it
+    is mapped instead: no Python frame per row, one look at each column's
+    kinds in place of two checks per value.  Any other pair of columns maps
+    the checked operator itself."""
+    bare, divides = _BARE[fn]
+
+    def arithmetic(rows, outer, ctx):
+        xs = left(rows, outer, ctx)
+        ys = right(rows, outer, ctx)
+        xk, yk = xs.kinds, ys.kinds
+        unchecked = (
+            xk <= NUMERIC_KINDS
+            and yk <= NUMERIC_KINDS
+            and not (divides and 0 in ys.values)
+        )
+        if ctx.profiler is not None:
+            ctx.profiler.bump("column.checked_values", 0 if unchecked else len(rows))
+        if unchecked:
+            values = list(map(bare, xs.values, ys.values))
+            # Derived, not assumed: true division and any float operand give
+            # floats, ints give ints, a mixed column is looked at again.
+            if divides or xk == _FLOAT or yk == _FLOAT:
+                return Column(values, _FLOAT)
+            return Column(values, _INT if xk == yk == _INT else None)
+        try:
+            return Column(list(map(fn, xs.values, ys.values)))
+        except _CALL_ERRORS as exc:
+            raise _call_error(op, span, exc) from None
+
+    return arithmetic
+
+
+_KERNELS = {
+    b.BoundColumn: _item_kernel,
+    b.BoundAggRef: _item_kernel,
+    b.BoundLiteral: _broadcast_kernel,
+    b.BoundParameter: _broadcast_kernel,
+    b.BoundOuterColumn: _broadcast_kernel,
+    b.BoundCall: _call_kernel,
+}
+
+#: Node types whose value depends on the row alone (and, for ``?``, on the
+#: statement): an expression made only of these is the same column whoever
+#: asks, so a relation computes it once.
+_ROW_PURE = (
+    b.BoundColumn,
+    b.BoundAggRef,
+    b.BoundGroupingId,
+    b.BoundLiteral,
+    b.BoundParameter,
+    b.BoundCall,
+    b.BoundCase,
+    b.BoundCast,
+    b.BoundInList,
+)
+
+
+def _computed_from_row(expr: b.BoundExpr) -> bool:
+    """Whether a relation keeps ``expr``'s column (memoized on the node as
+    ``_slot``, its key or ""): it is row-pure, and more than a reference to
+    a column the rows already hold."""
+    return _offset(expr) is None and all(
+        isinstance(node, _ROW_PURE) for node in b.walk(expr)
+    )
+
+
+def slot_key(expr: b.BoundExpr) -> str:
+    """What a relation's columns and indexes are keyed by: the expression as
+    it is numbered *now* (a ``dim_key`` is the binder's name for a dimension,
+    which column pruning does not renumber)."""
+    return memo(expr, "_fingerprint", b.fingerprint)
+
+
+_UNBUILT = object()
+
+
+class Relation:
+    """A list of rows and, when it has an ``owner``, the columns computed
+    over all of them so far.
+
+    ``owner`` is the plan node that holds the rows for more than one reader:
+    a measure's ``[shared]`` source, whose relation the statement keeps in
+    ``ctx.relations`` (:func:`relation_of`), or a running Aggregate, whose
+    groups all read its input.  ``slots`` then maps :func:`slot_key` to the
+    column of a row-pure expression — or to None when evaluating it raised on
+    some row, a row no reader may ever select, so nothing is raised here —
+    and the columns' bytes are charged to the owner.  A relation without one
+    (a Project's or a Sort's input, what is left of a slice after FILTER) is
+    read once and keeps nothing.  Either way it belongs to one execution.
+    """
+
+    __slots__ = ("rows", "owner", "slots")
+
+    def __init__(self, rows: Sequence[tuple], owner=None):
+        self.rows = rows
+        self.owner = owner
+        self.slots: Optional[dict[str, Optional[Column]]] = (
+            None if owner is None else {}
+        )
+
+    def column(self, expr: b.BoundExpr, outer, ctx, positions=None) -> Column:
+        """``expr`` over the rows at ``positions`` (None: every row).
+
+        With an owner, a row-pure expression is computed over the whole
+        relation the first time anyone asks and gathered from there
+        afterwards.  Anything else — an expression whose whole column could
+        not be built, and a bare column reference, which has nothing to
+        compute and is already in the rows — runs the kernel over exactly the
+        rows asked for, with the caller's ``outer``, so an error surfaces iff
+        one of those rows causes it.
+        """
+        slots = self.slots
+        if slots is not None:
+            key = expr.__dict__.get("_slot")
+            if key is None:
+                key = expr._slot = slot_key(expr) if _computed_from_row(expr) else ""
+            if key:
+                whole = slots.get(key, _UNBUILT)
+                if whole is _UNBUILT:
+                    whole = slots[key] = self._build(expr, ctx)
+                elif ctx.profiler is not None:
+                    ctx.profiler.bump("column.reads")
+                if whole is not None:
+                    return whole if positions is None else whole.take(positions)
+        rows = self.rows if positions is None else _gather(self.rows, positions)
+        try:
+            if positions is None:
+                return self._whole(expr, outer, ctx)
+            return compile_column(expr)(rows, outer, ctx)
+        except (QueryCancelled, ResourceExhausted):
+            raise  # a checkpoint's, not a row's
+        except _VALUE_ERRORS:
+            _raise_in_row_order(expr, rows, outer, ctx)
+            raise
+
+    def _whole(self, expr: b.BoundExpr, outer, ctx) -> Column:
+        """``expr`` over every row: one kernel call, or for a watched
+        execution one per 256 rows with a checkpoint before each
+        (``ctx.batches``)."""
+        kernel = compile_column(expr)
+        if not ctx.watched:
+            return kernel(self.rows, outer, ctx)
+        parts = [kernel(batch, outer, ctx) for batch in ctx.batches(self.rows)]
+        if len(parts) == 1:
+            return parts[0]
+        return Column(list(chain.from_iterable(part.values for part in parts)))
+
+    def _build(self, expr: b.BoundExpr, ctx) -> Optional[Column]:
+        """The slot of row-pure ``expr``: its whole column, or None when a
+        row makes it raise.  Its bytes are accounted once, here."""
+        if ctx.profiler is not None:
+            ctx.profiler.bump("column.builds")
+        try:
+            column = self._whole(expr, None, ctx)
+        except (QueryCancelled, ResourceExhausted):
+            raise
+        except _VALUE_ERRORS:
+            return None
+        if ctx.progress is not None and column.values:
+            ctx.progress.account_bytes(
+                self.owner,
+                sys.getsizeof(column.values)
+                + len(column.values) * sys.getsizeof(column.values[0]),
+            )
+        return column
+
+
+def relation_of(plan, rows: list[tuple], ctx) -> Relation:
+    """The relation over ``rows``, the output of ``plan``.  A measure's
+    ``[shared]`` source has one per statement, so the query's own operators
+    and every measure evaluation read the same columns — under the same
+    ``enable_cache`` gate as the measure memo and the dimension indexes."""
+    if not (plan.shared and ctx.enable_cache):
+        return Relation(rows)
+    relation = ctx.relations.get(id(plan))
+    if relation is None:
+        relation = ctx.relations[id(plan)] = Relation(rows, plan)
+    return relation
+
+
+class Slice:
+    """The rows of ``relation`` at ``positions`` (ascending, so aggregate
+    input order is row order; None: all of them) — what an aggregate reads.
+    The row list itself is only built for a reader that iterates it."""
+
+    __slots__ = ("relation", "positions")
+
+    def __init__(self, relation: Relation, positions: Optional[Sequence[int]] = None):
+        self.relation = relation
+        self.positions = positions
+
+    def __len__(self) -> int:
+        if self.positions is None:
+            return len(self.relation.rows)
+        return len(self.positions)
+
+    def rows(self) -> Sequence[tuple]:
+        if self.positions is None:
+            return self.relation.rows
+        return _gather(self.relation.rows, self.positions)
+
+
 # -- measure formulas ---------------------------------------------------------
 
 
@@ -429,13 +837,15 @@ def _detached(expr: b.BoundExpr) -> Compiled:
     """A row-independent scalar inside a formula: evaluated once against an
     empty row, its correlations resolving through the call-site ``env``."""
     fn = compile_expr(expr)
-    return lambda rows, env, ctx: fn((), env, ctx)
+    return lambda members, env, ctx: fn((), env, ctx)
 
 
 def _formula_measure(expr: b.BoundMeasureEval, sub) -> Compiled:
     from repro.core.evaluator import evaluate_measure
 
-    return lambda rows, env, ctx: evaluate_measure(expr, env, ctx, formula_rows=rows)
+    return lambda members, env, ctx: evaluate_measure(
+        expr, env, ctx, formula_slice=members
+    )
 
 
 _FORMULA = {
@@ -460,44 +870,73 @@ _FORMULA = {
 
 
 def compile_aggregate(call: b.BoundAggCall) -> Compiled:
-    """``fn(rows, outer, ctx)``: ``call`` aggregated over ``rows`` (a group's
-    input rows, or a measure's context-filtered source rows)."""
+    """``fn(members, outer, ctx)``: ``call`` aggregated over a :class:`Slice`
+    (a group's input rows, or the source rows a measure's context selects)."""
     return memo(call, "_aggregate", _build_aggregate)
 
 
 def _build_aggregate(call: b.BoundAggCall) -> Compiled:
-    func, star, distinct = call.func, call.star, call.distinct
-    argument = _null if star or not call.args else compile_expr(call.args[0])
+    func, star, distinct = call.func.upper(), call.star, call.distinct
+    argument = None if star or not call.args else call.args[0]
     keep = None if call.filter_where is None else compile_expr(call.filter_where)
     within = compile_rows(call.within_distinct) if call.within_distinct else None
-    order_keys = compile_rows([spec.expr for spec in call.order_by])
+    order_keys = (
+        compile_rows([spec.expr for spec in call.order_by]) if call.order_by else None
+    )
     order_specs = [
         (index, spec.descending, bool(spec.nulls_first))
         for index, spec in enumerate(call.order_by)
     ]
+    counts, sums, averages = func == "COUNT", func == "SUM", func == "AVG"
+    # Without an argument the input is a constant: TRUE per row for COUNT(*).
+    constant = star or None
+    constant_kinds = frozenset((type(constant),))
 
-    def aggregate(rows, outer, ctx):
+    def aggregate(members, outer, ctx):
         if ctx.profiler is not None:
             ctx.profiler.bump("aggregate_invocations")
-            ctx.profiler.bump("aggregate_input_rows", len(rows))
-        if keep is not None:
-            rows = [row for row in rows if keep(row, outer, ctx) is True]
-        if within is not None:
-            rows = _representatives(func, star, rows, within, argument, outer, ctx)
-        if order_specs:
-            keyed = [
-                keys + (row,) for keys, row in zip(order_keys(rows, outer, ctx), rows)
-            ]
-            rows = [entry[-1] for entry in sort_rows(keyed, order_specs)]
-        accumulator = make_accumulator(func, star)
-        add = accumulator.add
-        if star:
-            values = repeat(True, len(rows))
+            ctx.profiler.bump("aggregate_input_rows", len(members))
+        if keep is not None or within is not None or order_specs:
+            # These read rows, not columns: the one place a slice's row list
+            # is built.  What is left of it is a relation of its own.
+            rows = members.rows()
+            if keep is not None:
+                rows = [row for row in rows if keep(row, outer, ctx) is True]
+            if within is not None:
+                rows = _representatives(func, rows, within, argument, outer, ctx)
+            if order_specs:
+                keys = order_keys(Relation(rows), outer, ctx)
+                keyed = [key + (row,) for key, row in zip(keys, rows)]
+                rows = [entry[-1] for entry in sort_rows(keyed, order_specs)]
+            members = Slice(Relation(rows))
+        if argument is None:
+            column = Column([constant] * len(members), constant_kinds)
         else:
-            values = [argument(row, outer, ctx) for row in rows]
+            column = members.relation.column(
+                argument, outer, ctx, members.positions
+            )
             if distinct:
                 # First occurrences, in order; NULLs never count.
-                values = [v for v in dict.fromkeys(values) if v is not None]
+                column = Column(
+                    [v for v in dict.fromkeys(column.values) if v is not None]
+                )
+        # Where the column's kinds say every value counts and none needs a
+        # check, fold it whole.  ``reduce`` with ``+``, in row order, is the
+        # accumulators' own arithmetic bit for bit (``_Sum`` starts from the
+        # first value, ``_Avg`` from 0.0); ``sum()`` is not — it compensates
+        # since 3.12.
+        values = column.values
+        if counts:
+            if _NULL_KIND not in column.kinds:
+                return len(values)
+        elif (sums or averages) and column.kinds <= NUMERIC_KINDS:
+            if not values:
+                return None
+            if sums:
+                return reduce(operator.add, values)
+            return reduce(operator.add, values, 0.0) / len(values)
+        accumulator = make_accumulator(func, star)
+        add = accumulator.add
         for value in values:
             add(value)
         return accumulator.result()
@@ -505,7 +944,7 @@ def _build_aggregate(call: b.BoundAggCall) -> Compiled:
     return aggregate
 
 
-def _representatives(func, star, rows, within, argument, outer, ctx) -> list[tuple]:
+def _representatives(func, rows, within, argument, outer, ctx) -> list[tuple]:
     """WITHIN DISTINCT (keys): keep one representative row per distinct key
     combination (paper section 6.3 / CALCITE-4483).
 
@@ -513,10 +952,14 @@ def _representatives(func, star, rows, within, argument, outer, ctx) -> list[tup
     clause manages grain, it does not pick arbitrary winners — so a
     disagreement raises instead of silently double- or under-counting.
     """
+    relation = Relation(rows)
+    if argument is None:
+        values = repeat(True, len(rows))
+    else:
+        values = relation.column(argument, outer, ctx).values
     representatives: dict[tuple, tuple] = {}
     witness: dict[tuple, Any] = {}
-    for key, row in zip(within(rows, outer, ctx), rows):
-        value = True if star else argument(row, outer, ctx)
+    for key, row, value in zip(within(relation, outer, ctx), rows, values):
         if key not in representatives:
             representatives[key] = row
             witness[key] = value

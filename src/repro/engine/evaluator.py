@@ -85,6 +85,11 @@ class ExecutionContext:
         self.subquery_cache: dict = {}
         self.measure_cache: dict = {}
         self.source_rows_cache: dict = {}
+        #: id(``[shared]`` source node) -> its
+        #: :class:`~repro.engine.compile.Relation`: those rows with the
+        #: columns computed over them so far (aggregate arguments,
+        #: dimensions), shared by every reader in the statement.
+        self.relations: dict = {}
         #: (source plan id, dimension key) -> {value: [row positions]}.
         self.dim_indexes: dict = {}
         #: System-table name -> rows materialized at first scan, so every
@@ -110,6 +115,24 @@ class ExecutionContext:
         self.rows_scanned = 0
         self.hash_joins = 0
         self.nested_loop_joins = 0
+
+    def release(self) -> None:
+        """Drop what the execution materialized — snapshots, source rows and
+        their columns, indexes, memos — and keep the counters.  The Database
+        calls it once a statement's rows are out: ``last_stats`` is this
+        object, and would otherwise carry one statement's working set
+        through the next one's peak."""
+        for cache in (
+            self.subquery_cache,
+            self.measure_cache,
+            self.source_rows_cache,
+            self.relations,
+            self.dim_indexes,
+            self.system_snapshots,
+            self.table_snapshots,
+            self.pinned,
+        ):
+            cache.clear()
 
     def checkpoint(self, plan=None, buffered_rows: int = 0) -> None:
         """The one cancellation / progress / memory checkpoint.

@@ -16,10 +16,13 @@ from typing import Optional
 
 from repro.catalog.objects import BaseTable, SystemTable
 from repro.engine.compile import (
+    Relation,
+    Slice,
     compile_aggregate,
     compile_expr,
     compile_rows,
     memo,
+    relation_of,
     row_getter,
 )
 from repro.engine.evaluator import EvalEnv, ExecutionContext
@@ -157,10 +160,9 @@ def _execute_filter(plan: plans.Filter, ctx: ExecutionContext, outer_env) -> lis
 def _execute_project(plan: plans.Project, ctx: ExecutionContext, outer_env) -> list[tuple]:
     rows = execute_plan(plan.input, ctx, outer_env)
     project = memo(plan, "_project", lambda plan: compile_rows(plan.exprs))
-    output: list[tuple] = []
-    for batch in ctx.batches(rows, plan, output):
-        output += project(batch, outer_env, ctx)
-    return output
+    # Over a measure's source this reads (and fills) the statement's columns:
+    # a dimension computed here is not computed again for its index.
+    return project(relation_of(plan.input, rows, ctx), outer_env, ctx)
 
 
 def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tuple]:
@@ -374,10 +376,11 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
     key_count = len(plan.group_exprs)
     output: list[tuple] = []
 
-    # Pre-compute every group expression once per input row.
-    keys_of_rows: list[tuple] = []
-    for batch in ctx.batches(input_rows, plan, keys_of_rows):
-        keys_of_rows += group_keys(batch, outer_env, ctx)
+    # Every group expression once per input row; the aggregates' arguments
+    # once per input row too, as columns of the same relation: a group is a
+    # list of positions into it.
+    relation = Relation(input_rows, plan)
+    keys_of_rows = group_keys(relation, outer_env, ctx)
 
     watched = ctx.watched
     for active in plan.grouping_sets:
@@ -387,19 +390,19 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
                 bitmap |= 1 << position
         # A grouping set over every key, in order, groups by the keys as is.
         pick = None if list(active) == list(range(key_count)) else row_getter(active)
-        groups: dict[tuple, list[tuple]] = {}
-        for keys, row in zip(keys_of_rows, input_rows):
+        groups: dict[tuple, list[int]] = {}
+        for position, keys in enumerate(keys_of_rows):
             group_key = keys if pick is None else pick(keys)
             group = groups.get(group_key)
             if group is None:
-                groups[group_key] = [row]
+                groups[group_key] = [position]
             else:
-                group.append(row)
+                group.append(position)
         if not groups and not active:
             # A global grouping set emits one row even over empty input.
             groups[()] = []
 
-        for group_index, (group_key, group_rows) in enumerate(groups.items()):
+        for group_index, (group_key, positions) in enumerate(groups.items()):
             if watched and not group_index & 0xFF:
                 ctx.checkpoint(plan, len(output))
             if pick is None:
@@ -407,13 +410,17 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
             else:
                 key_by_position = dict(zip(active, group_key))
                 row_out = tuple([key_by_position.get(i) for i in range(key_count)])
+            # Ascending and distinct, so as many as the input is all of it.
+            members = Slice(
+                relation, positions if len(positions) < len(input_rows) else None
+            )
             row_out += tuple(
-                [aggregate(group_rows, outer_env, ctx) for aggregate in aggregates]
+                [aggregate(members, outer_env, ctx) for aggregate in aggregates]
             )
             if plan.has_grouping_id:
                 row_out += (bitmap,)
             if plan.capture_rows:
-                row_out += (tuple(group_rows),)
+                row_out += (tuple(members.rows()),)
             output.append(row_out)
     if ctx.profiler is not None:
         ctx.profiler.operator_count(plan, "groups", len(output))
@@ -449,11 +456,8 @@ def _execute_sort(plan: plans.Sort, ctx: ExecutionContext, outer_env) -> list[tu
     if not plan.keys:
         return list(rows)  # never the input's own list: it may be shared
     sort_keys, specs = memo(plan, "_sort", _compile_sort)
-    decorated: list[tuple] = []
-    for batch in ctx.batches(rows, plan, decorated):
-        decorated += [
-            keys + (row,) for keys, row in zip(sort_keys(batch, outer_env, ctx), batch)
-        ]
+    keys_of_rows = sort_keys(Relation(rows), outer_env, ctx)
+    decorated = [keys + (row,) for keys, row in zip(keys_of_rows, rows)]
     return [entry[-1] for entry in sort_rows(decorated, specs)]
 
 

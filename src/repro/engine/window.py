@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.engine.aggregates import is_aggregate_function, make_accumulator
-from repro.engine.compile import compile_expr, compile_rows, memo
+from repro.engine.compile import Relation, compile_expr, compile_rows, memo
 from repro.engine.evaluator import EvalEnv, ExecutionContext
 from repro.errors import ExecutionError, UnsupportedError
 from repro.semantics import bound as b
@@ -89,17 +89,15 @@ def compute_window_column(
     checkpoints are charged to."""
     partition_keys, order_keys, args, offsets = memo(call, "_window", _compile_window)
     results: list[Any] = [None] * len(rows)
-    keys_of_rows: list[tuple] = []
-    for batch in ctx.batches(rows, plan):
-        keys_of_rows += partition_keys(batch, outer_env, ctx)
+    relation = Relation(rows)
     partitions: dict[tuple, list[int]] = {}
-    for index, key in enumerate(keys_of_rows):
+    for index, key in enumerate(partition_keys(relation, outer_env, ctx)):
         partitions.setdefault(key, []).append(index)
     if ctx.profiler is not None:
         ctx.profiler.bump("window_calls")
         ctx.profiler.bump("window_partitions", len(partitions))
 
-    keys = order_keys(rows, outer_env, ctx) if call.order_by else []
+    keys = order_keys(relation, outer_env, ctx) if call.order_by else []
     frame = _Frame(call, rows, keys, args, offsets, outer_env, ctx, plan)
     watched = ctx.watched
     unchecked = 0  # rows computed since the last checkpoint

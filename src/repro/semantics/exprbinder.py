@@ -259,20 +259,25 @@ class ExprBinder:
             fn = lambda v: v is not None  # noqa: E731
         else:
             fn = lambda v: v is None  # noqa: E731
-        return b.BoundCall("IS NULL", [operand], BOOLEAN, fn)
+        # The negation is part of the name: ``op`` + arguments is the
+        # expression's fingerprint, which must tell the two apart.
+        op = "IS NOT NULL" if expr.negated else "IS NULL"
+        return b.BoundCall(op, [operand], BOOLEAN, fn)
 
     def _bind_IsDistinctFrom(self, expr: ast.IsDistinctFrom) -> b.BoundExpr:
         left = self.bind(expr.left)
         right = self.bind(expr.right)
         fn = is_not_distinct if expr.negated else is_distinct
-        return b.BoundCall("IS DISTINCT", [left, right], BOOLEAN, fn)
+        op = "IS NOT DISTINCT" if expr.negated else "IS DISTINCT"
+        return b.BoundCall(op, [left, right], BOOLEAN, fn)
 
     def _bind_Between(self, expr: ast.Between) -> b.BoundExpr:
         operand = self.bind(expr.operand)
         low = self.bind(expr.low)
         high = self.bind(expr.high)
         fn = _not_between if expr.negated else _between
-        return b.BoundCall("BETWEEN", [operand, low, high], BOOLEAN, fn)
+        op = "NOT BETWEEN" if expr.negated else "BETWEEN"
+        return b.BoundCall(op, [operand, low, high], BOOLEAN, fn)
 
     def _bind_InList(self, expr: ast.InList) -> b.BoundExpr:
         operand = self.bind(expr.operand)
@@ -285,7 +290,8 @@ class ExprBinder:
         args = [operand, pattern]
         if expr.escape is not None:
             args.append(self.bind(expr.escape))
-        return b.BoundCall("LIKE", args, BOOLEAN, _like_matcher(expr.negated))
+        op = "NOT LIKE" if expr.negated else "LIKE"
+        return b.BoundCall(op, args, BOOLEAN, _like_matcher(expr.negated))
 
     def _bind_Case(self, expr: ast.Case) -> b.BoundExpr:
         whens: list[tuple[b.BoundExpr, b.BoundExpr]] = []

@@ -16,6 +16,8 @@ from typing import Any, Iterable, Sequence
 from repro.errors import ExecutionError
 
 __all__ = [
+    "NUMERIC_KINDS",
+    "is_numeric",
     "sql_and",
     "sql_or",
     "sql_not",
@@ -124,8 +126,20 @@ def is_not_distinct(left: Any, right: Any) -> bool:
     return not is_distinct(left, right)
 
 
+#: The Python types SQL arithmetic and the numeric aggregates accept, as
+#: exact types: ``bool`` (BOOLEAN) is an ``int`` subclass and is not numeric.
+#: The one definition — :func:`is_numeric` asks it of a value, a column
+#: kernel (:mod:`repro.engine.compile`) of a whole column's observed types.
+NUMERIC_KINDS = frozenset({int, float})
+
+
+def is_numeric(value: Any) -> bool:
+    """Whether ``value`` is a SQL number (see :data:`NUMERIC_KINDS`)."""
+    return type(value) in NUMERIC_KINDS
+
+
 def _arith_check(value: Any) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if type(value) not in NUMERIC_KINDS:
         raise ExecutionError(
             f"numeric operator applied to {type(value).__name__}"
         )
@@ -181,7 +195,13 @@ def sql_mod(left: Any, right: Any) -> Any:
     _arith_check(right)
     if right == 0:
         raise ExecutionError("division by zero")
-    return math.fmod(left, right) if isinstance(left, float) or isinstance(right, float) else int(math.fmod(left, right))
+    if isinstance(left, float) or isinstance(right, float):
+        return math.fmod(left, right)
+    # Truncating, like fmod and SQLite (the result takes the dividend's
+    # sign), but in exact integer arithmetic: operands above 2**53 do not
+    # survive a round trip through a double.
+    remainder = abs(left) % abs(right)
+    return -remainder if left < 0 else remainder
 
 
 def sql_neg(value: Any) -> Any:

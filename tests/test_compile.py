@@ -12,7 +12,7 @@ import pytest
 
 from repro import Database, ExecutionError
 from repro.engine import ExecutionContext, execute_plan
-from repro.engine.compile import compile_expr, compile_rows, row_getter
+from repro.engine.compile import Relation, compile_expr, compile_rows, row_getter
 from repro.plan import logical as plans
 from repro.semantics import bound as b
 from repro.types import BOOLEAN, INTEGER, VARCHAR, sql_eq
@@ -153,10 +153,12 @@ def test_column_only_lists_of_every_width(db):
         return b.BoundColumn(offset, INTEGER)
 
     rows = [(1, 2, 3), (4, 5, 6)]
+    ctx = ExecutionContext(db.catalog)
     for offsets in ([], [2], [2, 0], [0, 1, 2]):
         expected = [tuple(row[o] for o in offsets) for row in rows]
         assert [row_getter(offsets)(row) for row in rows] == expected
-        assert compile_rows([column(o) for o in offsets])(rows, None, None) == expected
+        project = compile_rows([column(o) for o in offsets])
+        assert project(Relation(rows), None, ctx) == expected
     # ... and through SQL: no group key, one column, many columns.
     assert db.execute("SELECT COUNT(*) FROM t").rows == [(4,)]
     assert db.execute("SELECT x FROM t ORDER BY id").rows == [(0,), (2,), (None,), (5,)]

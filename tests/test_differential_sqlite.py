@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import sqlite3
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database
+from repro import Database, ExecutionError
 
 COLUMNS = ["k", "g", "v", "w"]
 
@@ -303,3 +304,28 @@ def test_differential_inferred_nullability_is_sound(rows):
     for offset, column in enumerate(facts.columns):
         if not column.nullable:
             assert all(row[offset] is not None for row in produced), column.name
+
+
+# Integer % is exact integer arithmetic with the dividend's sign, like
+# SQLite's: operands above 2**53 do not fit a double, and all four sign
+# combinations truncate towards zero.
+MODULO_OPERANDS = [
+    (1000000000000000001, 7),
+    (9007199254740993, 2),
+    (-1000000000000000001, 7),
+    (1000000000000000001, -7),
+    (-1000000000000000001, -7),
+    (7, 3),
+    (-7, 3),
+    (7, -3),
+    (-7, -3),
+]
+
+
+def test_differential_integer_modulo():
+    sql = "SELECT " + ", ".join(f"{a} % {b}" for a, b in MODULO_OPERANDS)
+    expected = sqlite3.connect(":memory:").execute(sql).fetchall()
+    assert Database().execute(sql).rows == expected
+    assert expected[0][:2] == (2, 1)  # not the 1, 0 a double gives
+    with pytest.raises(ExecutionError, match="division by zero"):
+        Database().execute("SELECT 1000000000000000001 % 0")

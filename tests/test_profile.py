@@ -264,6 +264,7 @@ def test_explain_analyze_exact_output(paper_db):
         "phases: rewrite=<T> bind=<T> optimize=<T> dataflow=<T> execute=<T> "
         "total=<T>",
         "counters: aggregate_input_rows=15 aggregate_invocations=9 "
+        "column.checked_values=0 "
         "hash_joins=0 measure_cache_hits=0 measure_evaluations=0 "
         "nested_loop_joins=0 rows_scanned=5 subquery_cache_hits=0 "
         "subquery_executions=0",

@@ -30,6 +30,7 @@ from repro.types import (
     sql_compare,
     sql_div,
     sql_eq,
+    sql_mod,
     sql_neg,
     sql_not,
     sql_or,
@@ -158,6 +159,56 @@ def test_division_by_zero_raises():
 def test_negate():
     assert sql_neg(5) == -5
     assert sql_neg(None) is None
+
+
+def test_integer_modulo_truncates_towards_zero():
+    # The result takes the dividend's sign (SQLite, C, fmod), unlike Python's %.
+    assert [sql_mod(a, b) for a, b in ((7, 3), (-7, 3), (7, -3), (-7, -3))] == [
+        1, -1, 1, -1,
+    ]
+    assert sql_mod(6, 3) == 0 and sql_mod(-6, 3) == 0
+    assert sql_mod(None, 3) is None and sql_mod(7, None) is None
+
+
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        # Operands above 2**53 do not survive a round trip through a double.
+        (1000000000000000001, 7, 2),
+        (9007199254740993, 2, 1),
+        (-1000000000000000001, 7, -2),
+        (1000000000000000001, -7, 2),
+        (-1000000000000000001, -7, -2),
+        (7, 9007199254740993, 7),
+        (2**80 + 5, 2**70, 5),
+    ],
+)
+def test_integer_modulo_is_exact(left, right, expected):
+    result = sql_mod(left, right)
+    assert result == expected and type(result) is int
+
+
+def test_float_modulo_keeps_fmod():
+    assert sql_mod(7.5, 2) == 1.5
+    assert sql_mod(-7.5, 2) == -1.5
+    assert type(sql_mod(7, 2.0)) is float
+
+
+@pytest.mark.parametrize("left, right", [(5, 0), (5.0, 0), (5, 0.0), (2**70, 0)])
+def test_modulo_by_zero_raises(left, right):
+    with pytest.raises(ExecutionError, match="division by zero"):
+        sql_mod(left, right)
+
+
+def test_numeric_is_int_or_float_and_nothing_else():
+    """The one definition `_arith_check`, the SUM / AVG / STDDEV accumulators
+    and the column kernels' kind sets share."""
+    from repro.types import NUMERIC_KINDS, is_numeric
+
+    assert NUMERIC_KINDS == {int, float}
+    assert is_numeric(1) and is_numeric(-2.5) and is_numeric(2**80)
+    for value in (True, False, None, "1", datetime.date(2024, 1, 1), [1]):
+        assert not is_numeric(value)
 
 
 def test_arith_rejects_strings():
