@@ -1,6 +1,6 @@
 # Convenience targets for the Measures-in-SQL reproduction.
 
-.PHONY: test test-slow bench bench-selftest report snapshot compare shell tpch serve server-smoke replay-smoke examples lint validate all
+.PHONY: test test-slow bench bench-selftest report snapshot compare shell tpch serve server-smoke replay-smoke examples lint validate loc all
 
 # The committed perf baseline the regression gate compares against.
 BASELINE ?= benchmarks/BENCH_2026-09-27.json
@@ -59,5 +59,14 @@ lint:
 
 validate:
 	REPRO_VALIDATE=1 pytest tests/
+
+# Physical lines of src/**/*.py, per package and in total.  The one way a
+# PR's size is measured: CHANGES.md quotes this at the parent and at the
+# change, CI appends it to the job summary.
+loc:
+	@find src -name '*.py' -print0 | xargs -0 wc -l | awk '$$2 != "total" { \
+		n = split($$2, part, "/"); pkg = (n > 3) ? part[3] "/" : "(top level)"; \
+		lines[pkg] += $$1 } END { for (pkg in lines) printf "%7d  %s\n", lines[pkg], pkg }' | sort -k2
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l | awk '{ printf "%7d  total\n", $$1 }'
 
 all: test lint bench report examples

@@ -690,7 +690,7 @@ def _remap_keys(keys, passthrough: dict[int, int]) -> tuple:
 
 def _equality_constants(predicate: b.BoundExpr):
     """Yield ``(offset, value)`` for top-level ``col = literal`` conjuncts."""
-    for conjunct in _conjuncts(predicate):
+    for conjunct in b.conjuncts(predicate):
         if (
             isinstance(conjunct, b.BoundCall)
             and conjunct.op == "="
@@ -706,14 +706,6 @@ def _equality_constants(predicate: b.BoundExpr):
                     yield col.offset, lit.value
 
 
-def _conjuncts(expr: b.BoundExpr):
-    if isinstance(expr, b.BoundCall) and expr.op == "AND":
-        for arg in expr.args:
-            yield from _conjuncts(arg)
-    else:
-        yield expr
-
-
 def _equi_join_uniqueness(
     plan: plans.Join,
     left: OperatorFacts,
@@ -726,7 +718,7 @@ def _equi_join_uniqueness(
         return False, False
     left_cols: set[int] = set()
     right_cols: set[int] = set()
-    for conjunct in _conjuncts(plan.condition):
+    for conjunct in b.conjuncts(plan.condition):
         if (
             isinstance(conjunct, b.BoundCall)
             and conjunct.op == "="

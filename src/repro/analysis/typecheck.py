@@ -25,7 +25,7 @@ bound node with its AST position), so findings point into the original SQL.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.analysis.dataflow import (
     OperatorFacts,
@@ -86,7 +86,7 @@ class _Checker:
             self._check_predicate(node.condition, input_facts, "join ON")
         elif isinstance(node, plans.Aggregate):
             self._check_group_keys(node, input_facts)
-        for expr in _node_exprs(node):
+        for expr in node.expressions():
             self._check_expr(expr, input_facts)
         for child in node.inputs():
             if id(child) not in self._visited:
@@ -258,30 +258,3 @@ class _Checker:
                         "dimension column",
                     )
                 )
-
-
-def _node_exprs(node: plans.LogicalPlan) -> Iterator[b.BoundExpr]:
-    """This operator's own expressions (not those of its inputs)."""
-    if isinstance(node, plans.Filter):
-        yield node.predicate
-    elif isinstance(node, plans.Project):
-        yield from node.exprs
-    elif isinstance(node, plans.Join):
-        if node.condition is not None:
-            yield node.condition
-    elif isinstance(node, plans.Aggregate):
-        yield from node.group_exprs
-        yield from node.agg_calls
-    elif isinstance(node, plans.Window):
-        yield from node.calls
-    elif isinstance(node, plans.Sort):
-        for spec in node.keys:
-            yield spec.expr
-    elif isinstance(node, plans.Limit):
-        if node.limit is not None:
-            yield node.limit
-        if node.offset is not None:
-            yield node.offset
-    elif isinstance(node, plans.ValuesPlan):
-        for row in node.rows:
-            yield from row

@@ -212,6 +212,11 @@ class _Checker:
         where = f"{path}/{plan.label()}" if path else plan.label()
         for child in plan.inputs():
             self.check_plan(child, outer, where)
+        # An operator's expressions read its inputs' columns side by side
+        # (one input's row, a join's candidate pair, nothing for VALUES).
+        width = sum(child.arity for child in plan.inputs())
+        for expr in plan.expressions():
+            self.check_expr(expr, width, outer, where)
 
         if isinstance(plan, plans.ValuesPlan):
             for i, row in enumerate(plan.rows):
@@ -220,16 +225,13 @@ class _Checker:
                         where,
                         f"row {i} has {len(row)} cells for arity {plan.arity}",
                     )
-                for cell in row:
-                    self.check_expr(cell, 0, outer, where)
-        elif isinstance(plan, plans.Filter):
+        elif isinstance(plan, (plans.Filter, plans.Sort)):
             if plan.arity != plan.input.arity:
                 self.fail(
                     where,
                     f"schema arity {plan.arity} != input arity "
                     f"{plan.input.arity}",
                 )
-            self.check_expr(plan.predicate, plan.input.arity, outer, where)
         elif isinstance(plan, plans.Project):
             if len(plan.exprs) != plan.arity:
                 self.fail(
@@ -237,17 +239,12 @@ class _Checker:
                     f"{len(plan.exprs)} expressions for schema arity "
                     f"{plan.arity}",
                 )
-            for expr in plan.exprs:
-                self.check_expr(expr, plan.input.arity, outer, where)
         elif isinstance(plan, plans.Join):
-            combined = plan.left.arity + plan.right.arity
-            if plan.arity != combined:
+            if plan.arity != width:
                 self.fail(
                     where,
-                    f"schema arity {plan.arity} != left+right arity "
-                    f"{combined}",
+                    f"schema arity {plan.arity} != left+right arity {width}",
                 )
-            self.check_expr(plan.condition, combined, outer, where)
         elif isinstance(plan, plans.Aggregate):
             expected = (
                 len(plan.group_exprs)
@@ -261,10 +258,6 @@ class _Checker:
                     f"schema arity {plan.arity} != keys+aggs+hidden "
                     f"{expected}",
                 )
-            for expr in plan.group_exprs:
-                self.check_expr(expr, plan.input.arity, outer, where)
-            for call in plan.agg_calls:
-                self.check_expr(call, plan.input.arity, outer, where)
             for gset in plan.grouping_sets:
                 for index in gset:
                     if not (0 <= index < len(plan.group_exprs)):
@@ -280,20 +273,6 @@ class _Checker:
                     where,
                     f"schema arity {plan.arity} != input+calls {expected}",
                 )
-            for call in plan.calls:
-                self.check_expr(call, plan.input.arity, outer, where)
-        elif isinstance(plan, plans.Sort):
-            if plan.arity != plan.input.arity:
-                self.fail(
-                    where,
-                    f"schema arity {plan.arity} != input arity "
-                    f"{plan.input.arity}",
-                )
-            for key in plan.keys:
-                self.check_expr(key.expr, plan.input.arity, outer, where)
-        elif isinstance(plan, plans.Limit):
-            self.check_expr(plan.limit, plan.input.arity, outer, where)
-            self.check_expr(plan.offset, plan.input.arity, outer, where)
         elif isinstance(plan, plans.SetOpPlan):
             if plan.left.arity != plan.right.arity:
                 self.fail(
@@ -328,78 +307,9 @@ def check_plan(plan: plans.LogicalPlan, phase: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 
-def _expr_fp(expr: Optional[b.BoundExpr]) -> str:
-    """A structural expression fingerprint.
-
-    Unlike :func:`repro.semantics.bound.fingerprint`, this recurses into
-    subquery plans and window calls instead of falling back to ``id()``, so
-    two structurally identical plans produced by different rewrite passes
-    compare equal.  Measure evaluations hash by measure name and context
-    shape, which is stable across rewrites (rules never rebuild measures).
-    """
-    if expr is None:
-        return "~"
-    if isinstance(expr, b.BoundSubquery):
-        head = "NOTSUBQ" if expr.negated else "SUBQ"
-        refs = ",".join(f"{d}.{o}" for d, o in expr.outer_refs)
-        return (
-            f"{head}[{expr.kind};{_expr_fp(expr.operand)};{refs};"
-            f"{plan_fingerprint(expr.plan)}]"
-        )
-    if isinstance(expr, b.BoundWindowCall):
-        args = ",".join(_expr_fp(a) for a in expr.args)
-        part = ",".join(_expr_fp(p) for p in expr.partition_by)
-        order = ",".join(
-            f"{_expr_fp(s.expr)}:{s.descending}:{s.nulls_first}"
-            for s in expr.order_by
-        )
-        return (
-            f"WIN[{expr.func};{expr.distinct};{expr.star};{args};"
-            f"{part};{order};{expr.frame}]"
-        )
-    if isinstance(expr, b.BoundMeasureEval):
-        return f"MEVAL[{expr.measure.name};{expr.context.fingerprint()}]"
-    if isinstance(expr, b.BoundCase):
-        whens = ",".join(
-            f"{_expr_fp(c)}:{_expr_fp(r)}" for c, r in expr.whens
-        )
-        return f"CASE[{whens};{_expr_fp(expr.else_result)}]"
-    if isinstance(expr, b.BoundAggCall):
-        args = ",".join(_expr_fp(a) for a in expr.args)
-        order = ",".join(_expr_fp(s.expr) for s in expr.order_by)
-        within = ",".join(_expr_fp(k) for k in expr.within_distinct)
-        return (
-            f"AGG[{expr.func};{expr.distinct};{expr.star};{args};"
-            f"{_expr_fp(expr.filter_where)};{order};{within}]"
-        )
-    # Leaves and simple containers: reuse the canonical fingerprint for
-    # anything without an identity-based fallback.
-    if isinstance(
-        expr,
-        (
-            b.BoundLiteral,
-            b.BoundParameter,
-            b.BoundColumn,
-            b.BoundOuterColumn,
-            b.BoundAggRef,
-            b.BoundGroupingId,
-            b.BoundCurrentDim,
-        ),
-    ):
-        return b.fingerprint(expr)
-    if isinstance(expr, b.BoundCall):
-        args = ",".join(_expr_fp(a) for a in expr.args)
-        return f"{expr.op}({args})"
-    if isinstance(expr, b.BoundCast):
-        return f"CAST[{_expr_fp(expr.operand)};{expr.dtype}]"
-    if isinstance(expr, b.BoundInList):
-        items = ",".join(_expr_fp(i) for i in expr.items)
-        return f"IN[{expr.negated};{_expr_fp(expr.operand)};{items}]"
-    return f"{type(expr).__name__}({','.join(_expr_fp(c) for c in expr.children())})"
-
-
 def plan_fingerprint(plan: plans.LogicalPlan) -> str:
-    """A structural fingerprint of a whole plan tree.
+    """A structural fingerprint of a whole plan tree
+    (:meth:`~repro.plan.logical.LogicalPlan.fingerprint`).
 
     Two plans with equal fingerprints are semantically identical: same
     operators, same schemas, same expressions (compared structurally, down
@@ -407,37 +317,4 @@ def plan_fingerprint(plan: plans.LogicalPlan) -> str:
     passes to detect a rewrite rule that claims progress without changing
     the plan.
     """
-    parts: list[str] = [plan.label()]
-    if isinstance(plan, plans.Scan):
-        parts.append(plan.table_name)
-    elif isinstance(plan, plans.ValuesPlan):
-        parts.append(
-            "|".join(",".join(_expr_fp(c) for c in row) for row in plan.rows)
-        )
-    elif isinstance(plan, plans.Filter):
-        parts.append(_expr_fp(plan.predicate))
-    elif isinstance(plan, plans.Project):
-        parts.append(",".join(_expr_fp(e) for e in plan.exprs))
-    elif isinstance(plan, plans.Join):
-        parts.append(f"{plan.kind};{_expr_fp(plan.condition)}")
-    elif isinstance(plan, plans.Aggregate):
-        parts.append(",".join(_expr_fp(e) for e in plan.group_exprs))
-        parts.append(",".join(_expr_fp(c) for c in plan.agg_calls))
-        parts.append(repr(plan.grouping_sets))
-        parts.append(f"{plan.has_grouping_id};{plan.capture_rows}")
-    elif isinstance(plan, plans.Window):
-        parts.append(",".join(_expr_fp(c) for c in plan.calls))
-    elif isinstance(plan, plans.Sort):
-        parts.append(
-            ",".join(
-                f"{_expr_fp(k.expr)}:{k.descending}:{k.nulls_first}"
-                for k in plan.keys
-            )
-        )
-    elif isinstance(plan, plans.Limit):
-        parts.append(f"{_expr_fp(plan.limit)};{_expr_fp(plan.offset)}")
-    elif isinstance(plan, plans.SetOpPlan):
-        parts.append(f"{plan.op};{plan.all}")
-    schema = ",".join(f"{name}:{dtype}" for name, dtype in plan.schema)
-    children = ",".join(plan_fingerprint(child) for child in plan.inputs())
-    return f"{'|'.join(parts)}{{{schema}}}({children})"
+    return plan.fingerprint()

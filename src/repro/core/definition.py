@@ -12,6 +12,7 @@ contexts are predicates over those dimensions (paper section 3.4).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
@@ -77,6 +78,13 @@ class MeasureInstance:
     value_type: DataType
     #: AST of the original formula (used by SQL expansion); optional.
     formula_sql: Optional["ast.Expression"] = None
+    #: What a fingerprint calls this measure.  Two bindings of one view are
+    #: two measures (each relation of a self-join has its own rows), so a
+    #: name will not do; ``id()`` would, but does not survive a plan copy.
+    serial: int = field(
+        default_factory=itertools.count(1).__next__,
+        init=False, compare=False, repr=False,
+    )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         dims = ", ".join(self.group.dim_order)

@@ -25,8 +25,9 @@ from repro.core.context import (
     SemiMatchTerm,
     Term,
     VisibleTerm,
+    summarize_terms,
 )
-from repro.core.modifiers import apply_modifiers
+from repro.core.modifiers import BoundAll, BoundWhere, apply_modifiers
 from repro.engine.compile import (
     Relation,
     Slice,
@@ -91,8 +92,6 @@ def _evaluate_measure_impl(
         terms = apply_modifiers(terms, spec, env, ctx)
 
     if ctx.profiler is not None:
-        from repro.core.context import summarize_terms
-
         for kind, count in summarize_terms(terms).items():
             ctx.profiler.bump(f"context_terms.{kind}", count)
 
@@ -250,8 +249,6 @@ def _dimension_index(exprs: tuple, ctx: ExecutionContext, relation: Relation):
 def _first_modifier_replaces(spec: ContextSpec) -> bool:
     if spec.kind == "inherited" or not spec.modifiers:
         return False
-    from repro.core.modifiers import BoundAll, BoundWhere
-
     first = spec.modifiers[0]
     if isinstance(first, BoundWhere):
         return True

@@ -39,7 +39,7 @@ from repro.catalog.objects import BaseTable, View
 from repro.errors import BindError, MeasureError, UnsupportedError
 from repro.sql import ast
 from repro.sql.printer import to_sql
-from repro.sql.visitor import transform, transform_topdown
+from repro.sql.visitor import and_all, split_and, transform, transform_topdown
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
@@ -661,7 +661,7 @@ class Expander:
         for term in terms:
             pred = term.to_predicate()
             conjuncts.append(_apply_rename(pred, rename))
-        where = _and_all(conjuncts)
+        where = and_all(conjuncts)
         inner = ast.Select(
             items=[ast.SelectItem(formula)],
             from_clause=source,
@@ -979,10 +979,9 @@ class _UseRewriter:
 
     def _visible_terms(self, relation: ExpRelation) -> list[_Term]:
         preds: list[ast.Expression] = []
-        if self.select.where is not None:
-            preds.extend(_split_and(self.select.where))
+        preds.extend(split_and(self.select.where))
         for cond in self.join_conds:
-            preds.extend(_split_and(cond))
+            preds.extend(split_and(cond))
         terms: list[_Term] = []
         for pred in preds:
             if _contains_measure_use(pred, self.scope):
@@ -1071,21 +1070,6 @@ def _mark_source_refs(expr: ast.Expression) -> ast.Expression:
         return node
 
     return transform(expr, visit, into_queries=False)
-
-
-def _split_and(expr: ast.Expression) -> list[ast.Expression]:
-    if isinstance(expr, ast.Binary) and expr.op == "AND":
-        return _split_and(expr.left) + _split_and(expr.right)
-    return [expr]
-
-
-def _and_all(conjuncts: list[ast.Expression]) -> Optional[ast.Expression]:
-    if not conjuncts:
-        return None
-    result = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        result = ast.Binary("AND", result, conjunct)
-    return result
 
 
 def _detect_aggregate(select: ast.Select) -> bool:

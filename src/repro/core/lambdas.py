@@ -32,13 +32,13 @@ from repro.catalog.objects import BaseTable
 from repro.core.expansion import (
     Expander,
     ExpRelation,
-    _and_all,
     _apply_rename,
     _Term,
 )
 from repro.errors import UnsupportedError
 from repro.sql import ast, parse_statement
 from repro.sql.printer import to_sql
+from repro.sql.visitor import and_all
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
@@ -83,7 +83,7 @@ class _LambdaExpander(Expander):
             )
         for term in terms:
             conjuncts.append(_apply_rename(term.to_predicate(), rename))
-        predicate = _and_all(conjuncts)
+        predicate = and_all(conjuncts)
         predicate_sql = "TRUE" if predicate is None else to_sql(predicate)
 
         index = len(self.uses)

@@ -29,12 +29,11 @@ from repro.core.expansion import (
     Expander,
     _apply_rename,
     _detect_aggregate,
-    _split_and,
 )
 from repro.errors import MeasureError, UnsupportedError
 from repro.sql import ast
 from repro.sql.printer import to_sql
-from repro.sql.visitor import transform, transform_topdown
+from repro.sql.visitor import split_and, transform, transform_topdown
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
@@ -211,7 +210,7 @@ def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
         """AT WHERE as an equality partition: every conjunct must be
         ``dim = alias.samedim``."""
         partition = []
-        for conjunct in _split_and(pred):
+        for conjunct in split_and(pred):
             if not (
                 isinstance(conjunct, ast.Binary)
                 and conjunct.op == "="

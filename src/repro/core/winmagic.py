@@ -40,7 +40,7 @@ from repro.engine.aggregates import is_aggregate_function
 from repro.errors import UnsupportedError
 from repro.sql import ast
 from repro.sql.printer import to_sql
-from repro.sql.visitor import transform_topdown
+from repro.sql.visitor import split_and, transform_topdown
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
@@ -95,9 +95,7 @@ def _winmagic_rewrite_impl(db: "Database", query: ast.Query) -> ast.Query:
 
     table = select.from_clause
     outer_alias = table.alias or table.name
-    outer_conjuncts = (
-        _split_and(select.where) if select.where is not None else []
-    )
+    outer_conjuncts = split_and(select.where)
 
     rewriter = _Rewriter(db, table.name, outer_alias, outer_conjuncts)
     if select.where is not None:
@@ -166,10 +164,7 @@ class _Rewriter:
             return None
 
         partition: list[ast.Expression] = []
-        conjuncts = (
-            _split_and(subquery.where) if subquery.where is not None else []
-        )
-        for conjunct in conjuncts:
+        for conjunct in split_and(subquery.where):
             key = self._correlation_key(conjunct, inner_alias)
             if key is not None:
                 partition.append(ast.ColumnRef((key,)))
@@ -218,12 +213,6 @@ class _Rewriter:
             self._keys[key] = name
             self.windows.append((name, windowed))
         return self._keys[key]
-
-
-def _split_and(expr: ast.Expression) -> list[ast.Expression]:
-    if isinstance(expr, ast.Binary) and expr.op == "AND":
-        return _split_and(expr.left) + _split_and(expr.right)
-    return [expr]
 
 
 def _strip_qualifier(expr: ast.Expression, alias: str) -> ast.Expression:

@@ -228,7 +228,7 @@ def _extract_equi_keys(
         return [], []
     keys: list[tuple[int, int]] = []
     residual: list = []
-    for conjunct in _conjuncts_of(condition):
+    for conjunct in b.conjuncts(condition):
         key = equi_key(conjunct, 0, left_width)
         if key is None:
             residual.append(conjunct)
@@ -271,15 +271,6 @@ def _hash_compatible(left_type, right_type) -> bool:
     if UNKNOWN in (left_type, right_type):
         return False
     return (left_type is BOOLEAN) == (right_type is BOOLEAN)
-
-
-def _conjuncts_of(expr) -> list:
-    if isinstance(expr, b.BoundCall) and expr.op == "AND":
-        result = []
-        for arg in expr.args:
-            result.extend(_conjuncts_of(arg))
-        return result
-    return [expr]
 
 
 def _hash_join(plan: plans.Join, left_rows, right_rows, compiled, ctx, outer_env) -> list[tuple]:

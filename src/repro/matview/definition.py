@@ -38,7 +38,7 @@ from repro.catalog.objects import BaseTable, View
 from repro.errors import CatalogError
 from repro.sql import ast
 from repro.sql.printer import to_sql
-from repro.sql.visitor import transform
+from repro.sql.visitor import split_and, transform
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog import Catalog
@@ -49,7 +49,6 @@ __all__ = [
     "SummaryMeasure",
     "analyze_definition",
     "canonical",
-    "split_conjuncts",
 ]
 
 #: Aggregates that re-aggregate losslessly over disjoint sub-groups.
@@ -71,15 +70,6 @@ def canonical(expr: ast.Expression) -> str:
         return node
 
     return to_sql(transform(copy.deepcopy(expr), strip, into_queries=True))
-
-
-def split_conjuncts(expr: Optional[ast.Expression]) -> list[ast.Expression]:
-    """Flatten a predicate into its top-level AND conjuncts."""
-    if expr is None:
-        return []
-    if isinstance(expr, ast.Binary) and expr.op == "AND":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
 
 
 @dataclass
@@ -236,7 +226,7 @@ def analyze_definition(catalog: "Catalog", name: str, query: ast.Query) -> Summa
         depends_on=depends_on,
         dimensions=dimensions,
         measures=measures,
-        where_keys=frozenset(canonical(c) for c in split_conjuncts(select.where)),
+        where_keys=frozenset(canonical(c) for c in split_and(select.where)),
         refresh_query=refresh_query,
         query=select,
     )

@@ -32,10 +32,9 @@ from repro.engine.aggregates import is_aggregate_function
 from repro.matview.definition import (
     SummaryMeasure,
     canonical,
-    split_conjuncts,
 )
 from repro.sql import ast
-from repro.sql.visitor import find_all, transform_topdown
+from repro.sql.visitor import and_all, find_all, split_and, transform_topdown
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog import Catalog
@@ -264,7 +263,7 @@ def _try_rewrite(
 
     # WHERE subsumption: the summary's filter must be part of the query's,
     # and whatever remains must be answerable over the dimensions.
-    query_conjuncts = split_conjuncts(select.where)
+    query_conjuncts = split_and(select.where)
     query_keys = {canonical(c) for c in query_conjuncts}
     missing = definition.where_keys - query_keys
     if missing:
@@ -377,7 +376,7 @@ def _try_rewrite(
     rewritten = ast.Select(
         items=items,
         from_clause=ast.TableName(view.name),
-        where=_conjoin([translate(c) for c in residual]),
+        where=and_all(translate(c) for c in residual),
         group_by=[
             ast.SimpleGrouping(translate(e.expr)) for e in select.group_by
         ],
@@ -420,10 +419,3 @@ def _rollup(measure: SummaryMeasure, dim_ref) -> ast.Expression:
     # OPAQUE, exact grouping: each group is exactly one summary row, so any
     # aggregate that returns that row's value is the identity.
     return ast.FunctionCall("MIN", [dim_ref(measure.name)])
-
-
-def _conjoin(conjuncts: list[ast.Expression]) -> Optional[ast.Expression]:
-    expr: Optional[ast.Expression] = None
-    for conjunct in conjuncts:
-        expr = conjunct if expr is None else ast.Binary("AND", expr, conjunct)
-    return expr

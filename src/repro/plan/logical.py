@@ -9,14 +9,36 @@ for each output grouping, which positions of ``group_exprs`` are active.  When
 more than one grouping set exists (ROLLUP/CUBE), a hidden grouping-id column
 is appended; when any projection above needs measure VISIBLE semantics, a
 hidden column capturing the group's input rows is appended as well.
+
+**A node describes itself once.**  Each class is a dataclass and names which
+of its fields are input plans (``INPUTS``) and which hold bound expressions
+(``EXPRS``: an expression, None, a ``SortSpec``, or lists of those).  The
+generic operations every traversal needs are derived from that declaration
+on :class:`LogicalPlan` — :meth:`~LogicalPlan.inputs`,
+:meth:`~LogicalPlan.with_inputs`, :meth:`~LogicalPlan.expressions`,
+:meth:`~LogicalPlan.map_expressions`, :meth:`~LogicalPlan.fingerprint` — so
+a pass that only needs to *reach* a node's parts asks the node and lists no
+node types.  What stays a per-node dispatch is per-node semantics: the
+executor, dataflow's transfer functions, what column pruning asks of an
+input, the validator's arity assertions.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from repro.semantics.bound import BoundAggCall, BoundExpr, BoundWindowCall, SortSpec
+from repro.semantics.bound import (
+    BoundAggCall,
+    BoundExpr,
+    BoundWindowCall,
+    SortSpec,
+    collect_exprs,
+    fingerprint,
+    map_exprs,
+)
 from repro.types import DataType
 
 __all__ = [
@@ -59,8 +81,55 @@ class LogicalPlan:
     #: ``facts``.
     shared = False
 
-    def inputs(self) -> Iterator["LogicalPlan"]:
-        return iter(())
+    #: The declaration: names of the fields holding input plans, in order,
+    #: and of the fields holding this operator's own expressions.
+    INPUTS: tuple = ()
+    EXPRS: tuple = ()
+
+    def inputs(self) -> list["LogicalPlan"]:
+        return [getattr(self, name) for name in self.INPUTS]
+
+    def with_inputs(self, *children: "LogicalPlan") -> "LogicalPlan":
+        """This node over ``children`` (one per input, in order), every
+        other field as it is; the node itself when they are its inputs."""
+        changes = {}
+        for name, child in zip(self.INPUTS, children):
+            if child is not getattr(self, name):
+                changes[name] = child
+        return dataclasses.replace(self, **changes) if changes else self  # type: ignore[type-var]
+
+    def expressions(self) -> list[BoundExpr]:
+        """This operator's own expressions (not those of its inputs)."""
+        found: list[BoundExpr] = []
+        for name in self.EXPRS:
+            collect_exprs(getattr(self, name), found)
+        return found
+
+    def map_expressions(
+        self, fn: Callable[[BoundExpr], BoundExpr]
+    ) -> "LogicalPlan":
+        """This node with ``fn(expr)`` for each of its own expressions; the
+        node itself when ``fn`` returned every one unchanged."""
+        changes = {}
+        for name in self.EXPRS:
+            value = getattr(self, name)
+            new = map_exprs(value, fn)
+            if new is not value:
+                changes[name] = new
+        return dataclasses.replace(self, **changes) if changes else self  # type: ignore[type-var]
+
+    def fingerprint(self) -> str:
+        """A structural identity of the whole tree: equal for two plans with
+        the same operators and expressions (by
+        :func:`~repro.semantics.bound.fingerprint`, so down through subquery
+        plans), whichever objects they are made of.  Every dataclass field
+        takes part but the inputs, which follow, and the schema, which
+        labels columns the operators already determine."""
+        parts = [
+            fingerprint(getattr(self, name)) for name in _detail_fields(type(self))
+        ]
+        children = ",".join([child.fingerprint() for child in self.inputs()])
+        return f"{type(self).__name__}({'|'.join(parts)})({children})"
 
     @property
     def arity(self) -> int:
@@ -77,6 +146,16 @@ class LogicalPlan:
 
     def name(self) -> str:
         return type(self).__name__
+
+
+@functools.cache
+def _detail_fields(cls: type) -> tuple:
+    """The dataclass fields a node's fingerprint renders."""
+    return tuple(
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.name != "schema" and f.name not in cls.INPUTS
+    )
 
 
 def mark_shared(plan: LogicalPlan) -> LogicalPlan:
@@ -119,17 +198,19 @@ class ValuesPlan(LogicalPlan):
     rows: list[list[BoundExpr]]
     schema: Schema
 
+    EXPRS = ("rows",)
+
 
 @dataclass
 class Filter(LogicalPlan):
     input: LogicalPlan
     predicate: BoundExpr
 
+    INPUTS = ("input",)
+    EXPRS = ("predicate",)
+
     def __post_init__(self) -> None:
         self.schema = self.input.schema
-
-    def inputs(self) -> Iterator[LogicalPlan]:
-        yield self.input
 
 
 @dataclass
@@ -143,8 +224,8 @@ class Project(LogicalPlan):
     schema: Schema
     of: Optional[int] = None
 
-    def inputs(self) -> Iterator[LogicalPlan]:
-        yield self.input
+    INPUTS = ("input",)
+    EXPRS = ("exprs",)
 
     def name(self) -> str:
         if self.of is None:
@@ -166,13 +247,12 @@ class Join(LogicalPlan):
     condition: Optional[BoundExpr]
     schema: Schema = field(default_factory=list)
 
+    INPUTS = ("left", "right")
+    EXPRS = ("condition",)
+
     def __post_init__(self) -> None:
         if not self.schema:
             self.schema = list(self.left.schema) + list(self.right.schema)
-
-    def inputs(self) -> Iterator[LogicalPlan]:
-        yield self.left
-        yield self.right
 
     def name(self) -> str:
         return f"Join({self.kind})"
@@ -202,8 +282,8 @@ class Aggregate(LogicalPlan):
     emit_grouping_id: bool = False
     capture_rows: bool = False
 
-    def inputs(self) -> Iterator[LogicalPlan]:
-        yield self.input
+    INPUTS = ("input",)
+    EXPRS = ("group_exprs", "agg_calls")
 
     @property
     def has_grouping_id(self) -> bool:
@@ -234,8 +314,8 @@ class Window(LogicalPlan):
     calls: list[BoundWindowCall]
     schema: Schema
 
-    def inputs(self) -> Iterator[LogicalPlan]:
-        yield self.input
+    INPUTS = ("input",)
+    EXPRS = ("calls",)
 
 
 @dataclass
@@ -243,11 +323,11 @@ class Sort(LogicalPlan):
     input: LogicalPlan
     keys: list[SortSpec]
 
+    INPUTS = ("input",)
+    EXPRS = ("keys",)
+
     def __post_init__(self) -> None:
         self.schema = self.input.schema
-
-    def inputs(self) -> Iterator[LogicalPlan]:
-        yield self.input
 
 
 @dataclass
@@ -256,22 +336,21 @@ class Limit(LogicalPlan):
     limit: Optional[BoundExpr]
     offset: Optional[BoundExpr]
 
+    INPUTS = ("input",)
+    EXPRS = ("limit", "offset")
+
     def __post_init__(self) -> None:
         self.schema = self.input.schema
-
-    def inputs(self) -> Iterator[LogicalPlan]:
-        yield self.input
 
 
 @dataclass
 class Distinct(LogicalPlan):
     input: LogicalPlan
 
+    INPUTS = ("input",)
+
     def __post_init__(self) -> None:
         self.schema = self.input.schema
-
-    def inputs(self) -> Iterator[LogicalPlan]:
-        yield self.input
 
 
 @dataclass
@@ -281,12 +360,10 @@ class SetOpPlan(LogicalPlan):
     left: LogicalPlan
     right: LogicalPlan
 
+    INPUTS = ("left", "right")
+
     def __post_init__(self) -> None:
         self.schema = self.left.schema
-
-    def inputs(self) -> Iterator[LogicalPlan]:
-        yield self.left
-        yield self.right
 
     def name(self) -> str:
         return f"{self.op}{' ALL' if self.all else ''}"

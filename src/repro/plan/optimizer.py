@@ -21,6 +21,10 @@ A small rule-based optimizer applied between binding and execution:
   dropped and scans feeding a join are narrowed to the join keys plus what
   is read above.
 
+A rule looks at one node.  Reaching a node's inputs and expressions is the
+node's own business (``with_inputs`` / ``map_expressions``,
+:mod:`repro.plan.logical`), so nothing here lists the plan classes.
+
 Measure machinery: the rules themselves still bail out wherever a measure
 evaluation is involved (a filter holding one is never pushed), and no rule
 touches a call-site row's numbering.  What the optimizer *does* do is
@@ -35,13 +39,14 @@ optimizer disabled to measure the rules' effect.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.errors import InternalError, SqlError, ValidationError
 from repro.plan import logical as plans
 from repro.semantics import bound as b
 from repro.semantics.correlate import transform_expr
-from repro.types import BOOLEAN, infer_literal_type
+from repro.types import infer_literal_type
 
 __all__ = ["optimize"]
 
@@ -136,80 +141,13 @@ def _rewrite(plan: plans.LogicalPlan) -> tuple[plans.LogicalPlan, bool]:
 
 
 def _rewrite_node(plan: plans.LogicalPlan) -> tuple[plans.LogicalPlan, bool]:
-    changed = False
-
-    # Recurse into inputs first.
-    if isinstance(plan, plans.Filter):
-        child, child_changed = _rewrite(plan.input)
-        if child_changed:
-            plan = plans.Filter(child, plan.predicate)
-            changed = True
-    elif isinstance(plan, plans.Project):
-        child, child_changed = _rewrite(plan.input)
-        if child_changed:
-            plan = plans.Project(child, plan.exprs, plan.schema)
-            changed = True
-    elif isinstance(plan, plans.Join):
-        left, left_changed = _rewrite(plan.left)
-        right, right_changed = _rewrite(plan.right)
-        if left_changed or right_changed:
-            plan = plans.Join(plan.kind, left, right, plan.condition, list(plan.schema))
-            changed = True
-    elif isinstance(plan, plans.Aggregate):
-        child, child_changed = _rewrite(plan.input)
-        if child_changed:
-            plan = plans.Aggregate(
-                child,
-                plan.group_exprs,
-                plan.agg_calls,
-                plan.grouping_sets,
-                plan.schema,
-                plan.emit_grouping_id,
-                plan.capture_rows,
-            )
-            changed = True
-    elif isinstance(plan, (plans.Sort, plans.Limit, plans.Distinct)):
-        child, child_changed = _rewrite(plan.input)
-        if child_changed:
-            if isinstance(plan, plans.Sort):
-                plan = plans.Sort(child, plan.keys)
-            elif isinstance(plan, plans.Limit):
-                plan = plans.Limit(child, plan.limit, plan.offset)
-            else:
-                plan = plans.Distinct(child)
-            changed = True
-    elif isinstance(plan, plans.SetOpPlan):
-        left, lc = _rewrite(plan.left)
-        right, rc = _rewrite(plan.right)
-        if lc or rc:
-            plan = plans.SetOpPlan(plan.op, plan.all, left, right)
-            changed = True
-    elif isinstance(plan, plans.Window):
-        child, child_changed = _rewrite(plan.input)
-        if child_changed:
-            plan = plans.Window(child, plan.calls, plan.schema)
-            changed = True
-
-    # Apply local rules.
-    rewritten = _fold_plan_constants(plan)
-    if rewritten is not None:
-        return rewritten, True
-    rewritten = _eliminate_contradiction(plan)
-    if rewritten is not None:
-        return rewritten, True
-    rewritten = _strengthen_outer_join(plan)
-    if rewritten is not None:
-        return rewritten, True
-    rewritten = _merge_filters(plan)
-    if rewritten is not None:
-        return rewritten, True
-    rewritten = _push_filter_into_join(plan)
-    if rewritten is not None:
-        return rewritten, True
-    rewritten = _drop_identity_project(plan)
-    if rewritten is not None:
-        return rewritten, True
-    return plan, changed
+    """Rewrite the inputs, then fire the first local rule that applies."""
+    rebuilt = plan.with_inputs(*[_rewrite(child)[0] for child in plan.inputs()])
+    for rule in _RULES:
+        rewritten = rule(rebuilt)
+        if rewritten is not None:
+            return rewritten, True
+    return rebuilt, rebuilt is not plan
 
 
 def _is_pure(expr: b.BoundExpr) -> bool:
@@ -312,51 +250,18 @@ def fold_constants(expr: b.BoundExpr) -> b.BoundExpr:
 
 
 def _fold_plan_constants(plan: plans.LogicalPlan) -> Optional[plans.LogicalPlan]:
-    if isinstance(plan, plans.Filter):
-        folded = fold_constants(plan.predicate)
-        if isinstance(folded, b.BoundLiteral) and folded.value is True:
-            return plan.input
-        if folded is not plan.predicate:
-            return plans.Filter(plan.input, folded)
-    if isinstance(plan, plans.Project):
-        folded = [fold_constants(e) for e in plan.exprs]
-        if any(new is not old for new, old in zip(folded, plan.exprs)):
-            return plans.Project(plan.input, folded, plan.schema)
-    if isinstance(plan, plans.Join) and plan.condition is not None:
-        folded = fold_constants(plan.condition)
-        if isinstance(folded, b.BoundLiteral) and folded.value is True:
-            # A TRUE condition matches every pair — same as no condition
-            # for every join kind the executor implements.
-            return plans.Join(
-                plan.kind, plan.left, plan.right, None, list(plan.schema)
-            )
-        if folded is not plan.condition:
-            return plans.Join(
-                plan.kind, plan.left, plan.right, folded, list(plan.schema)
-            )
-    if isinstance(plan, plans.Sort) and plan.keys:
-        folded_keys = [
-            b.SortSpec(fold_constants(spec.expr), spec.descending, spec.nulls_first)
-            if fold_constants(spec.expr) is not spec.expr
-            else spec
-            for spec in plan.keys
-        ]
-        if any(new is not old for new, old in zip(folded_keys, plan.keys)):
-            return plans.Sort(plan.input, folded_keys)
-    if isinstance(plan, plans.Limit):
-        limit = None if plan.limit is None else fold_constants(plan.limit)
-        offset = None if plan.offset is None else fold_constants(plan.offset)
-        if limit is not plan.limit or offset is not plan.offset:
-            return plans.Limit(plan.input, limit, offset)
-    if isinstance(plan, plans.ValuesPlan) and plan.rows:
-        folded_rows = [[fold_constants(cell) for cell in row] for row in plan.rows]
-        if any(
-            new is not old
-            for new_row, old_row in zip(folded_rows, plan.rows)
-            for new, old in zip(new_row, old_row)
-        ):
-            return plans.ValuesPlan(folded_rows, plan.schema)
-    return None
+    if isinstance(plan, (plans.Aggregate, plans.Window)):
+        # Group keys, aggregate and window calls stay as bound: the rule has
+        # never covered them, and widening it changes plans.
+        return None
+    folded = plan.map_expressions(fold_constants)
+    if isinstance(folded, plans.Filter) and _is_literal(folded.predicate, True):
+        return folded.input
+    if isinstance(folded, plans.Join) and _is_literal(folded.condition, True):
+        # A TRUE condition matches every pair — same as no condition
+        # for every join kind the executor implements.
+        return dataclasses.replace(folded, condition=None)
+    return None if folded is plan else folded
 
 
 def _eliminate_contradiction(plan: plans.LogicalPlan) -> Optional[plans.LogicalPlan]:
@@ -420,21 +325,15 @@ def _strengthen_outer_join(plan: plans.LogicalPlan) -> Optional[plans.LogicalPla
             new_kind = None
     if new_kind is None:
         return None
-    stricter = plans.Join(
-        new_kind, join.left, join.right, join.condition, list(join.schema)
-    )
-    return plans.Filter(stricter, plan.predicate)
+    return plans.Filter(dataclasses.replace(join, kind=new_kind), plan.predicate)
 
 
 def _merge_filters(plan: plans.LogicalPlan) -> Optional[plans.LogicalPlan]:
-    from repro.types import sql_and
-
     if isinstance(plan, plans.Filter) and isinstance(plan.input, plans.Filter):
         inner = plan.input
-        merged = b.BoundCall(
-            "AND", [inner.predicate, plan.predicate], BOOLEAN, sql_and
+        return plans.Filter(
+            inner.input, b.conjoin([inner.predicate, plan.predicate])
         )
-        return plans.Filter(inner.input, merged)
     return None
 
 
@@ -466,9 +365,8 @@ def _push_filter_into_join(plan: plans.LogicalPlan) -> Optional[plans.LogicalPla
             return sides.pop()
         return None
 
-    conjuncts = _split_and(plan.predicate)
     left_preds, right_preds, rest = [], [], []
-    for conjunct in conjuncts:
+    for conjunct in b.conjuncts(plan.predicate):
         side = side_of(conjunct)
         if side == "L":
             left_preds.append(conjunct)
@@ -481,31 +379,13 @@ def _push_filter_into_join(plan: plans.LogicalPlan) -> Optional[plans.LogicalPla
     new_left = join.left
     new_right = join.right
     if left_preds:
-        new_left = plans.Filter(join.left, _and_all(left_preds))
+        new_left = plans.Filter(join.left, b.conjoin(left_preds))
     if right_preds:
-        new_right = plans.Filter(join.right, _and_all(right_preds))
-    new_join = plans.Join(join.kind, new_left, new_right, join.condition, list(join.schema))
+        new_right = plans.Filter(join.right, b.conjoin(right_preds))
+    new_join = join.with_inputs(new_left, new_right)
     if rest:
-        return plans.Filter(new_join, _and_all(rest))
+        return plans.Filter(new_join, b.conjoin(rest))
     return new_join
-
-
-def _split_and(expr: b.BoundExpr) -> list[b.BoundExpr]:
-    if isinstance(expr, b.BoundCall) and expr.op == "AND":
-        result = []
-        for arg in expr.args:
-            result.extend(_split_and(arg))
-        return result
-    return [expr]
-
-
-def _and_all(conjuncts: list[b.BoundExpr]) -> b.BoundExpr:
-    from repro.types import sql_and
-
-    result = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        result = b.BoundCall("AND", [result, conjunct], BOOLEAN, sql_and)
-    return result
 
 
 def _shift(expr: b.BoundExpr, delta: int) -> b.BoundExpr:
@@ -530,3 +410,14 @@ def _drop_identity_project(plan: plans.LogicalPlan) -> Optional[plans.LogicalPla
     if [name for name, _ in plan.schema] != [name for name, _ in plan.input.schema]:
         return None
     return plan.input
+
+
+#: The local rules, in firing order; each returns the rewritten node or None.
+_RULES = (
+    _fold_plan_constants,
+    _eliminate_contradiction,
+    _strengthen_outer_join,
+    _merge_filters,
+    _push_filter_into_join,
+    _drop_identity_project,
+)

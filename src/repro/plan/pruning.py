@@ -230,10 +230,6 @@ class _Pruner:
                 pinned = True
             else:
                 stack.extend(expr.children())
-                if kind is b.BoundWindowCall and expr.frame:
-                    stack.extend(
-                        e for e in expr.frame if isinstance(e, b.BoundExpr)
-                    )
         return ALL if pinned else columns
 
     def found_eval(
@@ -270,6 +266,7 @@ class _Pruner:
         plan, _ = self.build(plan)
         for subquery in self.subqueries.values():
             subquery.plan, _ = self.build(subquery.plan)
+            subquery.__dict__.pop("_fingerprint", None)  # it names the old plan
         for node, source, inside in self.evals.values():
             self.renumber(node, source, inside)
         return plan
@@ -301,48 +298,24 @@ class _Pruner:
             )
         if isinstance(node, plans.Join):
             return self._build_join(node)
-        if isinstance(node, plans.SetOpPlan):
-            left, right = self.build(node.left)[0], self.build(node.right)[0]
-            if left is node.left and right is node.right:
-                return node, None
-            return plans.SetOpPlan(node.op, node.all, left, right), None
-        if not isinstance(
-            node,
-            (plans.Filter, plans.Sort, plans.Limit, plans.Distinct,
-             plans.Aggregate, plans.Window),
-        ):
-            return node, None  # a leaf
+        if isinstance(node, plans.Window):
+            return self._build_window(node)
+        built = [self.build(child) for child in node.inputs()]
+        rebuilt = node.with_inputs(*[child for child, _ in built])
+        if rebuilt is node:
+            return node, None
+        # One input whose numbering passes through (Filter, Sort, Limit), or
+        # inputs asked for every column, where nothing moved (Distinct, set
+        # operations); an Aggregate's output is numbered by its own keys.
+        moved = built[0][1]
+        rebuilt = rebuilt.map_expressions(lambda expr: self.remap(expr, moved))
+        return rebuilt, None if isinstance(node, plans.Aggregate) else moved
+
+    def _build_window(self, node: plans.Window) -> tuple:
+        """The input's columns, then one per call."""
         child, moved = self.build(node.input)
         if child is node.input:
             return node, None
-        if isinstance(node, plans.Filter):
-            return plans.Filter(child, self.remap(node.predicate, moved)), moved
-        if isinstance(node, plans.Sort):
-            keys = [
-                b.SortSpec(
-                    self.remap(spec.expr, moved), spec.descending, spec.nulls_first
-                )
-                for spec in node.keys
-            ]
-            return plans.Sort(child, keys), moved
-        if isinstance(node, plans.Limit):
-            return plans.Limit(child, node.limit, node.offset), moved
-        if isinstance(node, plans.Distinct):
-            return plans.Distinct(child), None
-        if isinstance(node, plans.Aggregate):
-            return (
-                plans.Aggregate(
-                    child,
-                    [self.remap(e, moved) for e in node.group_exprs],
-                    [self.remap(c, moved) for c in node.agg_calls],
-                    node.grouping_sets,
-                    node.schema,
-                    node.emit_grouping_id,
-                    node.capture_rows,
-                ),
-                None,
-            )
-        # Window: the input's columns, then one per call.
         width = node.input.arity
         calls = [self.remap(call, moved) for call in node.calls]
         schema = list(child.schema) + list(node.schema[width:])

@@ -41,7 +41,7 @@ from repro.semantics import bound as b
 from repro.semantics.correlate import (
     collect_outer_refs,
     remap_outer_expr,
-    remap_plan_outer,
+    remap_subquery,
     transform_expr,
 )
 from repro.semantics.exprbinder import ExprBinder
@@ -739,7 +739,7 @@ class QueryBinder:
             self._fill_row_contexts(condition)
 
         if ref.kind != "CROSS" and condition is not None:
-            self.join_preds.extend(_conjuncts(condition))
+            self.join_preds.extend(b.conjuncts(condition))
         kind = ref.kind
         return plans.Join(kind, left_plan, right_plan, condition)
 
@@ -749,30 +749,26 @@ class QueryBinder:
         right_relations: list[Relation],
         using: list[str],
     ) -> b.BoundExpr:
-        from repro.types import sql_compare
+        from repro.types import BOOLEAN, sql_compare
 
-        condition: Optional[b.BoundExpr] = None
+        equalities = []
         for name in using:
             left_col = self._find_in(left_relations, name)
             right_col = self._find_in(right_relations, name)
-            from repro.types import BOOLEAN
-
-            equals = b.BoundCall(
-                "=",
-                [
-                    b.BoundColumn(left_col.offset, left_col.dtype, left_col.name),
-                    b.BoundColumn(right_col.offset, right_col.dtype, right_col.name),
-                ],
-                BOOLEAN,
-                lambda a, c: sql_compare("=", a, c),
+            equalities.append(
+                b.BoundCall(
+                    "=",
+                    [
+                        b.BoundColumn(left_col.offset, left_col.dtype, left_col.name),
+                        b.BoundColumn(right_col.offset, right_col.dtype, right_col.name),
+                    ],
+                    BOOLEAN,
+                    lambda a, c: sql_compare("=", a, c),
+                )
             )
-            condition = (
-                equals
-                if condition is None
-                else b.BoundCall("AND", [condition, equals], BOOLEAN, None)  # type: ignore[arg-type]
-            )
+        condition = b.conjoin(equalities)
         assert condition is not None
-        return _fix_and_fns(condition)
+        return condition
 
     def _find_in(self, relations: list[Relation], name: str) -> RelColumn:
         for relation in relations:
@@ -906,7 +902,7 @@ class QueryBinder:
         evaluate no measure themselves."""
         preds: list[b.BoundExpr] = []
         if self.bound_where is not None:
-            preds.extend(_conjuncts(self.bound_where))
+            preds.extend(b.conjuncts(self.bound_where))
         preds.extend(self.join_preds)
         return [
             p
@@ -1381,7 +1377,7 @@ class QueryBinder:
         # Resolve ORDER BY onto the projected output.
         sort_specs: list[b.SortSpec] = []
         hidden: list[b.BoundExpr] = []
-        item_fps = [b.fingerprint(e) for e in lifted_items]
+        item_fps: Optional[list[str]] = None  # only an ORDER BY expression asks
         for kind, payload, order_item in order_pre:
             if kind == "ordinal":
                 offset = payload  # type: ignore[assignment]
@@ -1391,6 +1387,8 @@ class QueryBinder:
                 with _located(order_item):
                     lifted = lifter.lift(payload)  # type: ignore[arg-type]
                 fp = b.fingerprint(lifted)
+                if item_fps is None:
+                    item_fps = [b.fingerprint(e) for e in lifted_items]
                 if fp in item_fps:
                     offset = item_fps.index(fp)
                 else:
@@ -1468,7 +1466,7 @@ class QueryBinder:
         hidden: list[b.BoundExpr] = []
         if select.order_by and allow_order:
             names = [c.name for c in columns if not c.is_measure]
-            item_fps = [b.fingerprint(e) for e in projected_exprs]
+            item_fps: Optional[list[str]] = None  # only an ORDER BY expression asks
             for order_item in select.order_by:
                 with _located(order_item):
                     kind, payload = self._classify_order_item(order_item, names)
@@ -1481,6 +1479,8 @@ class QueryBinder:
                     bound = binder.bind(payload)  # type: ignore[arg-type]
                     self._fill_row_contexts(bound)
                     fp = b.fingerprint(bound)
+                    if item_fps is None:
+                        item_fps = [b.fingerprint(e) for e in projected_exprs]
                     if fp in item_fps:
                         offset = item_fps.index(fp)
                     else:
@@ -1658,26 +1658,6 @@ _OFFSETS_READ_ELSEWHERE = (
 )
 
 
-def _conjuncts(expr: b.BoundExpr) -> list[b.BoundExpr]:
-    if isinstance(expr, b.BoundCall) and expr.op == "AND":
-        result = []
-        for arg in expr.args:
-            result.extend(_conjuncts(arg))
-        return result
-    return [expr]
-
-
-def _fix_and_fns(expr: b.BoundExpr) -> b.BoundExpr:
-    """Fill in the AND combinator for conditions built programmatically."""
-    from repro.types import sql_and
-
-    if isinstance(expr, b.BoundCall) and expr.op == "AND" and expr.fn is None:
-        return b.BoundCall(
-            "AND", [_fix_and_fns(a) for a in expr.args], expr.dtype, sql_and
-        )
-    return expr
-
-
 class _Lifter:
     """Rewrites clause expressions over the Aggregate operator's output."""
 
@@ -1730,9 +1710,7 @@ class _Lifter:
                 self._finalize_measure(node)
                 return node
             if isinstance(node, b.BoundSubquery):
-                remap_plan_outer(node.plan, self.offset_mapping, self.expr_mapping)
-                node.outer_refs = collect_outer_refs(node.plan)
-                return node
+                return remap_subquery(node, self.offset_mapping, self.expr_mapping)
             if isinstance(node, b.BoundOuterColumn):
                 return node
             return None

@@ -7,19 +7,33 @@ well-defined: :func:`fingerprint` renders a canonical string used for
 
 * matching SELECT expressions against GROUP BY expressions,
 * identifying dimensions in ``AT (ALL dim)`` / ``AT (SET dim = ...)``,
-* memoization keys for measure evaluation and correlated subqueries.
+* memoization keys for measure evaluation and correlated subqueries,
+* the optimizer's no-progress check (through ``LogicalPlan.fingerprint``).
 
 Correlated references into an enclosing query's row are
 :class:`BoundOuterColumn` with a ``depth`` (1 = immediately enclosing).
+
+**A node describes itself once.**  Each class is a dataclass and names, in
+``CHILDREN``, the fields that can hold expressions.  Everything that
+traverses is derived from that and from the dataclass fields, here and
+nowhere else: :meth:`BoundExpr.children` (read), :func:`map_exprs` /
+:func:`~repro.semantics.correlate.transform_expr` (rebuild) and
+:func:`fingerprint` (identity: every field that is not a label, unless the
+class spells a shorter form).  A field value may be an expression, None, a
+:class:`SortSpec`, a list or tuple of those (nested), or an object that lists
+its own call-site expressions (``child_exprs()``: a measure's
+``ContextSpec``); the three functions agree on that shape.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from repro.sql.printer import format_literal
-from repro.types import DataType
+from repro.types import BOOLEAN, DataType, sql_and
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.context import ContextSpec
@@ -44,6 +58,10 @@ __all__ = [
     "BoundMeasureEval",
     "BoundCurrentDim",
     "fingerprint",
+    "collect_exprs",
+    "map_exprs",
+    "conjuncts",
+    "conjoin",
     "walk",
     "max_outer_depth",
     "contains_aggregate",
@@ -63,14 +81,45 @@ class BoundExpr:
     #: diagnostics at real source text.
     span = None
 
-    def children(self) -> Iterator["BoundExpr"]:
-        return iter(())
+    #: The declaration: names of the fields that can hold expressions.
+    CHILDREN: tuple = ()
+    #: Fields that label a node without deciding the value it computes, so
+    #: no part of its identity (a class whose type is not implied by the
+    #: rest, :class:`BoundCast`, spells it in).
+    LABELS = frozenset(["dtype", "name", "fn"])
+
+    def children(self) -> list["BoundExpr"]:
+        """The expressions this node holds, in field order."""
+        found: list[BoundExpr] = []
+        for name in self.CHILDREN:
+            collect_exprs(getattr(self, name), found)
+        return found
+
+    def fingerprint(self) -> str:
+        """This node's :func:`fingerprint`: every field but the labels, so a
+        field added to a class is part of its identity without being listed.
+        The scalar classes a dimension key is made of spell a shorter form
+        (users read those strings in lint messages)."""
+        parts = [
+            fingerprint(getattr(self, name)) for name in _identity_fields(type(self))
+        ]
+        return f"{type(self).__name__}({';'.join(parts)})"
+
+
+@functools.cache
+def _identity_fields(cls: type) -> tuple:
+    return tuple(
+        f.name for f in dataclasses.fields(cls) if f.name not in cls.LABELS
+    )
 
 
 @dataclass
 class BoundLiteral(BoundExpr):
     value: Any
     dtype: DataType
+
+    def fingerprint(self) -> str:
+        return format_literal(self.value)
 
 
 @dataclass
@@ -79,6 +128,9 @@ class BoundParameter(BoundExpr):
 
     index: int
     dtype: DataType
+
+    def fingerprint(self) -> str:
+        return f"?{self.index}"
 
 
 @dataclass
@@ -89,6 +141,9 @@ class BoundColumn(BoundExpr):
     dtype: DataType
     name: str = ""
 
+    def fingerprint(self) -> str:
+        return f"${self.offset}"
+
 
 @dataclass
 class BoundOuterColumn(BoundExpr):
@@ -98,6 +153,9 @@ class BoundOuterColumn(BoundExpr):
     offset: int
     dtype: DataType
     name: str = ""
+
+    def fingerprint(self) -> str:
+        return f"$up{self.depth}.{self.offset}"
 
 
 @dataclass
@@ -113,8 +171,10 @@ class BoundCall(BoundExpr):
     dtype: DataType
     fn: Callable[..., Any]
 
-    def children(self) -> Iterator[BoundExpr]:
-        return iter(self.args)
+    CHILDREN = ("args",)
+
+    def fingerprint(self) -> str:
+        return f"{self.op}({','.join([a.fingerprint() for a in self.args])})"
 
 
 @dataclass
@@ -125,12 +185,14 @@ class BoundCase(BoundExpr):
     else_result: Optional[BoundExpr]
     dtype: DataType
 
-    def children(self) -> Iterator[BoundExpr]:
-        for cond, result in self.whens:
-            yield cond
-            yield result
-        if self.else_result is not None:
-            yield self.else_result
+    CHILDREN = ("whens", "else_result")
+
+    def fingerprint(self) -> str:
+        whens = ",".join(
+            [f"{c.fingerprint()}:{r.fingerprint()}" for c, r in self.whens]
+        )
+        tail = self.else_result.fingerprint() if self.else_result else ""
+        return f"CASE({whens};{tail})"
 
 
 @dataclass
@@ -138,8 +200,10 @@ class BoundCast(BoundExpr):
     operand: BoundExpr
     dtype: DataType
 
-    def children(self) -> Iterator[BoundExpr]:
-        yield self.operand
+    CHILDREN = ("operand",)
+
+    def fingerprint(self) -> str:
+        return f"CAST({self.operand.fingerprint()} AS {self.dtype})"
 
 
 @dataclass
@@ -149,9 +213,12 @@ class BoundInList(BoundExpr):
     negated: bool
     dtype: DataType
 
-    def children(self) -> Iterator[BoundExpr]:
-        yield self.operand
-        yield from self.items
+    CHILDREN = ("operand", "items")
+
+    def fingerprint(self) -> str:
+        items = ",".join([item.fingerprint() for item in self.items])
+        head = "NOTIN" if self.negated else "IN"
+        return f"{head}({self.operand.fingerprint()};{items})"
 
 
 @dataclass
@@ -172,13 +239,7 @@ class BoundAggCall(BoundExpr):
     order_by: list["SortSpec"] = field(default_factory=list)
     within_distinct: list[BoundExpr] = field(default_factory=list)
 
-    def children(self) -> Iterator[BoundExpr]:
-        yield from self.args
-        if self.filter_where is not None:
-            yield self.filter_where
-        for spec in self.order_by:
-            yield spec.expr
-        yield from self.within_distinct
+    CHILDREN = ("args", "filter_where", "order_by", "within_distinct")
 
 
 @dataclass
@@ -188,6 +249,9 @@ class SortSpec:
     expr: BoundExpr
     descending: bool = False
     nulls_first: Optional[bool] = None
+
+    def fingerprint(self) -> str:
+        return f"{self.expr.fingerprint()}:{self.descending}:{self.nulls_first}"
 
 
 @dataclass
@@ -211,11 +275,7 @@ class BoundWindowCall(BoundExpr):
     distinct: bool = False
     star: bool = False
 
-    def children(self) -> Iterator[BoundExpr]:
-        yield from self.args
-        yield from self.partition_by
-        for spec in self.order_by:
-            yield spec.expr
+    CHILDREN = ("args", "partition_by", "order_by", "frame")
 
 
 @dataclass
@@ -239,6 +299,10 @@ class BoundSubquery(BoundExpr):
     ``outer_refs`` lists the (depth, offset) pairs of every correlated
     reference *as seen from inside the subquery* (depth >= 1); the executor
     uses their runtime values as a memoization key.
+
+    ``plan`` is not among the children: a walk stays in one query's row
+    frame, and whoever means the subquery's expressions goes through
+    :func:`~repro.semantics.correlate.plan_expressions`.
     """
 
     plan: "LogicalPlan"
@@ -248,9 +312,15 @@ class BoundSubquery(BoundExpr):
     negated: bool = False
     outer_refs: list[tuple[int, int]] = field(default_factory=list)
 
-    def children(self) -> Iterator[BoundExpr]:
-        if self.operand is not None:
-            yield self.operand
+    CHILDREN = ("operand",)
+
+    def fingerprint(self) -> str:
+        """Structural, down through the plan, and kept on the node (the
+        ``slot_key`` memo): whoever re-points ``plan`` in place drops it."""
+        done = self.__dict__.get("_fingerprint")
+        if done is None:
+            done = self._fingerprint = super().fingerprint()
+        return done
 
 
 @dataclass
@@ -259,15 +329,19 @@ class BoundMeasureEval(BoundExpr):
 
     This is the paper's ``EVAL(m AT (...))``: ``measure`` identifies the
     measure and its source relation, ``context`` describes how to build the
-    evaluation-context predicate from the current row.
+    evaluation-context predicate from the current row.  Its children are the
+    context's call-site expressions (``ContextSpec.child_exprs``); a rebuild
+    leaves the context alone — it is finalized in place and shared.
     """
 
     measure: "MeasureInstance"
     context: "ContextSpec"
     dtype: DataType
 
-    def children(self) -> Iterator[BoundExpr]:
-        yield from self.context.child_exprs()
+    CHILDREN = ("context",)
+
+    def fingerprint(self) -> str:
+        return f"MEASURE({self.measure.serial};{self.context.fingerprint()})"
 
 
 @dataclass
@@ -280,15 +354,107 @@ class BoundCurrentDim(BoundExpr):
 
 
 # ---------------------------------------------------------------------------
-# Utilities
+# The three derived traversals: read, rebuild, identify
 # ---------------------------------------------------------------------------
+
+
+def collect_exprs(value, found: list) -> None:
+    """Append to ``found`` the expressions the field value ``value`` holds."""
+    kind = value.__class__
+    if kind is list or kind is tuple:
+        for item in value:
+            if isinstance(item, BoundExpr):
+                found.append(item)
+            else:
+                collect_exprs(item, found)
+    elif isinstance(value, BoundExpr):
+        found.append(value)
+    elif kind is SortSpec:
+        found.append(value.expr)
+    elif hasattr(value, "child_exprs"):
+        found.extend(value.child_exprs())
+
+
+def map_exprs(value, fn: Callable[..., BoundExpr], *args):
+    """The field value ``value`` with ``fn(expr, *args)`` in place of every
+    expression directly in it; ``value`` itself when none changed."""
+    kind = value.__class__
+    if kind is list or kind is tuple:
+        items = None
+        for index, item in enumerate(value):
+            new = (
+                fn(item, *args) if isinstance(item, BoundExpr)
+                else map_exprs(item, fn, *args)
+            )
+            if new is not item:
+                if items is None:
+                    items = list(value)
+                items[index] = new
+        if items is None:
+            return value
+        return items if kind is list else tuple(items)
+    if isinstance(value, BoundExpr):
+        return fn(value, *args)
+    if kind is SortSpec:
+        expr = fn(value.expr, *args)
+        return value if expr is value.expr else dataclasses.replace(value, expr=expr)
+    return value
+
+
+def fingerprint(value) -> str:
+    """A canonical string identity for a bound expression (or for anything
+    a field of one holds).
+
+    Two expressions with equal fingerprints compute the same value on the
+    same input row, and a copy of an expression keeps its fingerprint.  Used
+    for GROUP BY matching, dimension keys, aggregate and column sharing, and
+    (through ``LogicalPlan.fingerprint``) the optimizer's no-progress check.
+    """
+    if isinstance(value, BoundExpr):
+        return value.fingerprint()
+    kind = value.__class__
+    if kind in _PLAIN:
+        return str(value)
+    if kind is list or kind is tuple:
+        return f"[{','.join([fingerprint(item) for item in value])}]" if value else "[]"
+    render = getattr(kind, "fingerprint", None)
+    return str(value) if render is None else render(value)
+
+
+#: Field values that are their own fingerprint.
+_PLAIN = frozenset([str, int, bool, type(None)])
 
 
 def walk(expr: BoundExpr) -> Iterator[BoundExpr]:
     """Yield ``expr`` and all descendants, pre-order."""
     yield expr
-    for child in expr.children():
-        yield from walk(child)
+    if expr.CHILDREN:
+        stack = expr.children()
+        stack.reverse()
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.CHILDREN:
+                stack.extend(node.children()[::-1])
+
+
+def conjuncts(expr: BoundExpr) -> list[BoundExpr]:
+    """The top-level AND operands of ``expr``, flattened, left to right."""
+    if isinstance(expr, BoundCall) and expr.op == "AND":
+        return [part for arg in expr.args for part in conjuncts(arg)]
+    return [expr]
+
+
+def conjoin(preds: Iterable[BoundExpr]) -> Optional[BoundExpr]:
+    """The left-deep AND of ``preds`` (None for none): the inverse of
+    :func:`conjuncts`."""
+    result: Optional[BoundExpr] = None
+    for pred in preds:
+        result = (
+            pred if result is None
+            else BoundCall("AND", [result, pred], BOOLEAN, sql_and)
+        )
+    return result
 
 
 def max_outer_depth(expr: BoundExpr) -> int:
@@ -306,56 +472,3 @@ def max_outer_depth(expr: BoundExpr) -> int:
 
 def contains_aggregate(expr: BoundExpr) -> bool:
     return any(isinstance(node, BoundAggCall) for node in walk(expr))
-
-
-def fingerprint(expr: BoundExpr) -> str:
-    """A canonical string identity for a bound expression.
-
-    Two expressions with equal fingerprints compute the same value on the
-    same input row.  Used for GROUP BY matching and dimension keys.
-    """
-    if isinstance(expr, BoundLiteral):
-        return format_literal(expr.value)
-    if isinstance(expr, BoundParameter):
-        return f"?{expr.index}"
-    if isinstance(expr, BoundColumn):
-        return f"${expr.offset}"
-    if isinstance(expr, BoundOuterColumn):
-        return f"$up{expr.depth}.{expr.offset}"
-    if isinstance(expr, BoundCall):
-        args = ",".join(fingerprint(a) for a in expr.args)
-        return f"{expr.op}({args})"
-    if isinstance(expr, BoundCase):
-        whens = ",".join(
-            f"{fingerprint(c)}:{fingerprint(r)}" for c, r in expr.whens
-        )
-        tail = fingerprint(expr.else_result) if expr.else_result else ""
-        return f"CASE({whens};{tail})"
-    if isinstance(expr, BoundCast):
-        return f"CAST({fingerprint(expr.operand)} AS {expr.dtype})"
-    if isinstance(expr, BoundInList):
-        items = ",".join(fingerprint(i) for i in expr.items)
-        head = "NOTIN" if expr.negated else "IN"
-        return f"{head}({fingerprint(expr.operand)};{items})"
-    if isinstance(expr, BoundAggCall):
-        args = ",".join(fingerprint(a) for a in expr.args)
-        parts = [expr.func, "D" if expr.distinct else "", "*" if expr.star else "", args]
-        if expr.filter_where is not None:
-            parts.append(fingerprint(expr.filter_where))
-        if expr.within_distinct:
-            parts.append("W:" + ",".join(fingerprint(k) for k in expr.within_distinct))
-        return "AGG(" + "|".join(parts) + ")"
-    if isinstance(expr, BoundAggRef):
-        return f"$agg{expr.index}"
-    if isinstance(expr, BoundGroupingId):
-        keys = ",".join(str(i) for i in expr.key_indexes)
-        return f"GROUPING_ID({keys}@{expr.grouping_column})"
-    if isinstance(expr, BoundCurrentDim):
-        return f"CURRENT({expr.dim_key})"
-    if isinstance(expr, BoundMeasureEval):
-        return f"MEASURE({id(expr.measure)};{expr.context.fingerprint()})"
-    if isinstance(expr, BoundSubquery):
-        return f"SUBQ({id(expr.plan)})"
-    if isinstance(expr, BoundWindowCall):
-        return f"WIN({id(expr)})"
-    raise TypeError(f"no fingerprint for {type(expr).__name__}")

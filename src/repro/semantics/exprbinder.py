@@ -583,23 +583,17 @@ class ExprBinder:
         self, predicate: ast.Expression, relation: Relation
     ) -> BoundWhere:
         bound = _AtWhereBinder(self, relation).bind(predicate)
-        from repro.semantics.bound import fingerprint
-
         # Decompose equality conjuncts `source = call_site` so that the
         # evaluator can serve them from the per-dimension source indexes.
         eq_pairs: list[tuple[b.BoundExpr, b.BoundExpr]] = []
         residual: list[b.BoundExpr] = []
-        for conjunct in _conjuncts_of(bound):
+        for conjunct in b.conjuncts(bound):
             pair = _split_eq_conjunct(conjunct)
             if pair is not None:
                 eq_pairs.append(pair)
             else:
                 residual.append(conjunct)
-        pred = None
-        if residual:
-            pred = residual[0]
-            for item in residual[1:]:
-                pred = b.BoundCall("AND", [pred, item], BOOLEAN, sql_and)
+        pred = b.conjoin(residual)
         outer_refs: list[tuple[int, int]] = []
         if pred is not None:
             for node in b.walk(pred):
@@ -608,21 +602,12 @@ class ExprBinder:
         return BoundWhere(
             pred,
             outer_refs,
-            fingerprint(bound),
+            b.fingerprint(bound),
             eq_pairs,
         )
 
     def _bind_CurrentDim(self, expr: ast.CurrentDim) -> b.BoundExpr:
         raise MeasureError("CURRENT is only valid inside an AT SET modifier")
-
-
-def _conjuncts_of(expr: b.BoundExpr) -> list[b.BoundExpr]:
-    if isinstance(expr, b.BoundCall) and expr.op == "AND":
-        result: list[b.BoundExpr] = []
-        for arg in expr.args:
-            result.extend(_conjuncts_of(arg))
-        return result
-    return [expr]
 
 
 def _split_eq_conjunct(conjunct: b.BoundExpr):

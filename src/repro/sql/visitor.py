@@ -8,11 +8,11 @@ workhorse of the measure expansion rewrites in :mod:`repro.core.expansion`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from repro.sql import ast
 
-__all__ = ["transform", "find_all", "contains"]
+__all__ = ["transform", "find_all", "contains", "split_and", "and_all"]
 
 NodeT = TypeVar("NodeT", bound=ast.Node)
 
@@ -117,3 +117,22 @@ def find_all(node: ast.Node, node_type: type[NodeT]) -> Iterator[NodeT]:
 def contains(node: ast.Node, node_type: type[ast.Node]) -> bool:
     """True if any descendant of ``node`` has type ``node_type``."""
     return next(find_all(node, node_type), None) is not None
+
+
+def split_and(expr: Optional[ast.Expression]) -> list[ast.Expression]:
+    """The top-level AND conjuncts of a predicate, left to right (none for
+    an absent one)."""
+    if expr is None:
+        return []
+    if isinstance(expr, ast.Binary) and expr.op == "AND":
+        return split_and(expr.left) + split_and(expr.right)
+    return [expr]
+
+
+def and_all(conjuncts: Iterable[ast.Expression]) -> Optional[ast.Expression]:
+    """The left-deep AND of ``conjuncts`` (None for none): the inverse of
+    :func:`split_and`."""
+    result: Optional[ast.Expression] = None
+    for conjunct in conjuncts:
+        result = conjunct if result is None else ast.Binary("AND", result, conjunct)
+    return result

@@ -363,6 +363,21 @@ def test_fingerprint_is_structural_not_identity(paper_db):
     assert plan_fingerprint(plan) == plan_fingerprint(copy.deepcopy(plan))
 
 
+def test_fingerprint_survives_a_copy_of_a_plan_holding_measures(paper_db):
+    paper_db.execute(SETUP["EnhancedOrders"])
+    plan = plan_of(
+        paper_db,
+        "SELECT prodName, AGGREGATE(profitMargin) AT (ALL prodName) "
+        "FROM EnhancedOrders GROUP BY prodName",
+    )
+    assert any(
+        isinstance(node, b.BoundMeasureEval)
+        for root in plan.expressions()
+        for node in b.walk(root)
+    )
+    assert plan_fingerprint(plan) == plan_fingerprint(copy.deepcopy(plan))
+
+
 def test_fingerprint_distinguishes_different_plans(paper_db):
     one = plan_of(paper_db, "SELECT prodName FROM Orders WHERE revenue > 4")
     two = plan_of(paper_db, "SELECT prodName FROM Orders WHERE revenue > 5")

@@ -1,9 +1,22 @@
-"""Unit tests for the bound IR, fingerprints, and correlation utilities."""
+"""Unit tests for the bound IR, fingerprints, and correlation utilities —
+and the guards that keep "what does this node hold" declared once: every
+dataclass field of every bound expression and plan node is classified
+(identity, child, input, expression), and no module lists node types to
+reach a node's parts."""
 
 from __future__ import annotations
 
+import ast as pyast
+import copy
+import dataclasses
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
+
 import pytest
 
+from repro.core.context import ContextSpec, GroupTermSpec
+from repro.core.definition import MeasureGroup, MeasureInstance
 from repro.plan import logical as plans
 from repro.semantics import bound as b
 from repro.semantics.correlate import (
@@ -156,22 +169,6 @@ def test_remap_outer_expr_rejects_nongroup_ref():
         remap_outer_expr(b.BoundOuterColumn(1, 9, INTEGER, "q"), {}, {})
 
 
-def test_plan_expressions_covers_all_operators():
-    scan = plans.Scan("t", [("a", INTEGER)])
-    filtered = plans.Filter(scan, call("=", col(0), lit(1), dtype=BOOLEAN))
-    agg = plans.Aggregate(
-        filtered,
-        [col(0)],
-        [b.BoundAggCall("COUNT", [], False, True, None, INTEGER)],
-        [[0]],
-        [("k", INTEGER), ("c", INTEGER)],
-    )
-    sorted_plan = plans.Sort(agg, [b.SortSpec(col(0))])
-    limited = plans.Limit(sorted_plan, lit(10), None)
-    exprs = list(plan_expressions(limited))
-    assert len(exprs) == 5  # limit, sort key, group key, agg call, filter pred
-
-
 def test_plan_tree_string():
     scan = plans.Scan("t", [("a", INTEGER)])
     filtered = plans.Filter(scan, call("=", col(0), lit(1), dtype=BOOLEAN))
@@ -192,3 +189,334 @@ def test_aggregate_layout_offsets():
     assert agg.has_grouping_id
     assert agg.grouping_id_offset == 2
     assert agg.captured_rows_offset == 3
+
+
+# -- every field is classified ------------------------------------------------
+
+
+def declared_classes(base):
+    """Every dataclass under ``base`` that the package defines: a new node
+    class is covered without editing this file."""
+    found, stack = [], list(base.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro.") and dataclasses.is_dataclass(cls):
+            found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def scan(name="t"):
+    return plans.Scan(name, [("a", INTEGER)])
+
+
+def measure(name):
+    return MeasureInstance(name, MeasureGroup(scan(), {}, []), lit(1), INTEGER)
+
+
+#: Field type -> values of it: the first builds the instance under test (it
+#: holds an expression wherever the type can), each of the others must give
+#: a different fingerprint when it replaces the first.
+SAMPLES = {
+    "Any": lambda: [1, 2],
+    "int": lambda: [1, 2],
+    "str": lambda: ["a", "b"],
+    "bool": lambda: [False, True],
+    "Optional[int]": lambda: [1, None],
+    "list[int]": lambda: [[0], [1], []],
+    "list[list[int]]": lambda: [[[0]], [[0], []]],
+    "list[tuple[int, int]]": lambda: [[(1, 0)], [(1, 1)], []],
+    "DataType": lambda: [INTEGER, VARCHAR],
+    "Schema": lambda: [[("x", INTEGER)], [("y", INTEGER)], [("x", VARCHAR)]],
+    "Callable[..., Any]": lambda: [min, max],
+    "BoundExpr": lambda: [col(0), col(1)],
+    "Optional[BoundExpr]": lambda: [col(0), col(1), None],
+    "list[BoundExpr]": lambda: [[col(0), col(1)], [col(1), col(0)], [col(0)]],
+    "list[list[BoundExpr]]": lambda: [[[col(0)], [col(1)]], [[col(0)], [col(2)]]],
+    "list[tuple[BoundExpr, BoundExpr]]": lambda: [
+        [(col(0), col(1))], [(col(0), col(2))], [(col(2), col(1))]
+    ],
+    "list[SortSpec]": lambda: [
+        [b.SortSpec(col(0))],
+        [b.SortSpec(col(1))],
+        [b.SortSpec(col(0), descending=True)],
+        [b.SortSpec(col(0), nulls_first=True)],
+        [],
+    ],
+    # A window frame: (unit, start kind, start offset, end kind, end offset).
+    "Optional[tuple]": lambda: [
+        ("ROWS", "PRECEDING", col(0), "FOLLOWING", col(1)),
+        ("ROWS", "PRECEDING", col(0), "FOLLOWING", col(2)),
+        ("RANGE", "PRECEDING", col(0), "FOLLOWING", col(1)),
+        None,
+    ],
+    "list[BoundAggCall]": lambda: [
+        [b.BoundAggCall("SUM", [col(0)], False, False, None, INTEGER)],
+        [b.BoundAggCall("SUM", [col(1)], False, False, None, INTEGER)],
+    ],
+    "list[BoundWindowCall]": lambda: [
+        [b.BoundWindowCall("SUM", [col(0)], [], [], None, INTEGER)],
+        [b.BoundWindowCall("SUM", [col(1)], [], [], None, INTEGER)],
+    ],
+    "LogicalPlan": lambda: [scan("t"), scan("u")],
+    "MeasureInstance": lambda: [measure("m"), measure("m")],
+    "ContextSpec": lambda: [
+        ContextSpec("group", [GroupTermSpec("$0", col(0), col(1))]),
+        ContextSpec("group", [GroupTermSpec("$0", col(0), col(2))]),
+        ContextSpec("row"),
+    ],
+}
+
+
+def samples(cls):
+    """``{field name: sample values}`` for dataclass ``cls``."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        kind = f.type.replace('"', "").replace("'", "")
+        assert kind in SAMPLES, f"{cls.__name__}.{f.name}: no sample of type {kind}"
+        values[f.name] = SAMPLES[kind]()
+    return values
+
+
+def build(cls):
+    return cls(**{name: values[0] for name, values in samples(cls).items()})
+
+
+def held(value, kind):
+    """What a field value holds of ``kind``, found by looking at the value
+    (the reference the declarations are checked against)."""
+    if isinstance(value, kind):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [found for item in value for found in held(item, kind)]
+    if isinstance(value, b.SortSpec):
+        return held(value.expr, kind)
+    return []
+
+
+def is_in(node, nodes) -> bool:
+    return any(node is other for other in nodes)
+
+
+#: Fields that label a node without deciding what it computes (a type the
+#: rest implies, column names, the runtime callable).
+NOT_IDENTITY = {"name", "fn", "dtype", "schema"}
+
+
+def check_identity_covers_fields(cls, fingerprint):
+    node = build(cls)
+    for name, (_, *others) in samples(cls).items():
+        if name in NOT_IDENTITY:
+            continue
+        for other in others:
+            changed = dataclasses.replace(node, **{name: other})
+            assert fingerprint(changed) != fingerprint(node), (
+                f"{cls.__name__}.{name} = {other!r} is not in its fingerprint"
+            )
+    assert fingerprint(copy.deepcopy(node)) == fingerprint(node), cls.__name__
+
+
+def check_children_cover_fields(cls):
+    node = build(cls)
+    visited = []
+    transform_expr(node, lambda n: visited.append(n))
+    for f in dataclasses.fields(cls):
+        for expr in held(getattr(node, f.name), b.BoundExpr):
+            where = f"{cls.__name__}.{f.name} holds an expression that"
+            assert is_in(expr, node.children()), f"{where} children() does not yield"
+            assert is_in(expr, b.walk(node)), f"{where} walk() does not reach"
+            assert is_in(expr, visited), f"{where} transform_expr does not visit"
+
+    def bump(n):
+        return col(n.offset + 10) if isinstance(n, b.BoundColumn) else None
+
+    rebuilt = transform_expr(node, bump)
+    for f in dataclasses.fields(cls):
+        assert all(
+            isinstance(e, b.BoundColumn) and e.offset >= 10
+            for e in held(getattr(rebuilt, f.name), b.BoundExpr)
+        ), f"transform_expr does not rebuild {cls.__name__}.{f.name}"
+
+
+def check_plan_parts_cover_fields(cls):
+    node = build(cls)
+    exprs = []
+    assert node.map_expressions(lambda e: exprs.append(e) or e) is node
+    for f in dataclasses.fields(cls):
+        value = getattr(node, f.name)
+        where = f"{cls.__name__}.{f.name} holds"
+        for plan in held(value, plans.LogicalPlan):
+            assert is_in(plan, node.inputs()), f"{where} a plan not in inputs()"
+        for expr in held(value, b.BoundExpr):
+            assert is_in(expr, node.expressions()), (
+                f"{where} an expression not in expressions()"
+            )
+            assert is_in(expr, exprs), f"{where} an expression map_expressions skips"
+            assert is_in(expr, plan_expressions(plans.Distinct(node))), (
+                f"{where} an expression plan_expressions does not reach"
+            )
+    assert node.with_inputs(*node.inputs()) is node
+    swapped = node.with_inputs(*[scan("other") for _ in node.inputs()])
+    assert [child.table_name for child in swapped.inputs()] == (
+        ["other"] * len(node.INPUTS)
+    )
+    for f in dataclasses.fields(cls):
+        if f.name not in cls.INPUTS:  # every other field as it was
+            assert getattr(swapped, f.name) is getattr(node, f.name)
+
+
+BOUND_CLASSES = declared_classes(b.BoundExpr)
+PLAN_CLASSES = declared_classes(plans.LogicalPlan)
+
+
+def test_discovery_finds_the_ir():
+    assert {b.BoundCall, b.BoundWindowCall, b.BoundMeasureEval} <= set(BOUND_CLASSES)
+    assert {plans.Scan, plans.SystemScan, plans.Join, plans.Limit} <= set(PLAN_CLASSES)
+
+
+@pytest.mark.parametrize("cls", BOUND_CLASSES, ids=lambda cls: cls.__name__)
+def test_bound_expressions_declare_every_field(cls):
+    check_identity_covers_fields(cls, b.fingerprint)
+    check_children_cover_fields(cls)
+
+
+def test_a_cast_is_identified_by_its_target_type():
+    assert b.fingerprint(b.BoundCast(col(0), INTEGER)) != b.fingerprint(
+        b.BoundCast(col(0), VARCHAR)
+    )
+
+
+@pytest.mark.parametrize("cls", PLAN_CLASSES, ids=lambda cls: cls.__name__)
+def test_plan_nodes_declare_every_input_and_expression(cls):
+    from repro.analysis.validator import plan_fingerprint
+
+    check_identity_covers_fields(cls, plan_fingerprint)
+    check_plan_parts_cover_fields(cls)
+
+
+def test_the_guard_catches_an_unclassified_field():
+    """What the three checks are for: a field added to a node class without
+    saying what it is fails here, not in a query."""
+
+    @dataclass
+    class CallWithHint(b.BoundCall):  # spells its identity, forgets the field
+        hint: int = 0
+
+    @dataclass
+    class CallWithFallback(b.BoundCall):  # holds an expression, not a child
+        fallback: Optional[b.BoundExpr] = None
+
+    @dataclass
+    class FilterWithFallback(plans.Filter):  # an expression not in EXPRS
+        fallback: Optional[b.BoundExpr] = None
+
+    @dataclass
+    class FilterWithSibling(plans.Filter):  # a plan not in INPUTS
+        sibling: Optional[plans.LogicalPlan] = None
+
+    SAMPLES["Optional[b.BoundExpr]"] = SAMPLES["Optional[BoundExpr]"]
+    SAMPLES["Optional[plans.LogicalPlan]"] = SAMPLES["LogicalPlan"]
+    try:
+        with pytest.raises(AssertionError, match="hint .* not in its fingerprint"):
+            check_identity_covers_fields(CallWithHint, b.fingerprint)
+        with pytest.raises(AssertionError, match="fallback holds .* children"):
+            check_children_cover_fields(CallWithFallback)
+        with pytest.raises(AssertionError, match="fallback holds .* expressions"):
+            check_plan_parts_cover_fields(FilterWithFallback)
+        with pytest.raises(AssertionError, match="sibling holds a plan"):
+            check_plan_parts_cover_fields(FilterWithSibling)
+
+        # Classified, each passes — and a class that does not spell its own
+        # fingerprint has the new field in it without doing anything.
+        CallWithFallback.CHILDREN = ("args", "fallback")
+        check_children_cover_fields(CallWithFallback)
+        FilterWithFallback.EXPRS = ("predicate", "fallback")
+        FilterWithSibling.INPUTS = ("input", "sibling")
+        check_plan_parts_cover_fields(FilterWithFallback)
+        check_plan_parts_cover_fields(FilterWithSibling)
+
+        @dataclass
+        class AggWithHint(b.BoundAggCall):
+            hint: int = 0
+
+        check_identity_covers_fields(AggWithHint, b.fingerprint)
+    finally:
+        del SAMPLES["Optional[b.BoundExpr]"], SAMPLES["Optional[plans.LogicalPlan]"]
+
+
+# -- nothing lists node types to reach a node's parts ----------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: The per-module copies this IR replaced; none may come back.
+DELETED_HELPERS = {
+    "_node_exprs", "_expr_fp", "_conjuncts_of", "_split_and", "_and_all",
+    "_conjoin", "_fix_and_fns", "split_conjuncts",
+}
+
+#: Where a dispatch over the plan classes is per-node *semantics* (how to run
+#: it, what flows through it, what it reads of its input, its arity).
+PER_NODE_SEMANTICS = {
+    "plan/logical.py", "engine/executor.py", "analysis/dataflow.py", "plan/pruning.py",
+}
+
+
+def functions(tree):
+    """``(qualified name, node)`` of every function in a module."""
+
+    def visit(node, prefix):
+        for child in pyast.iter_child_nodes(node):
+            if isinstance(child, (pyast.FunctionDef, pyast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if isinstance(child, pyast.FunctionDef):
+                    yield name, child
+                yield from visit(child, name + ".")
+            else:
+                yield from visit(child, prefix)
+
+    return visit(tree, "")
+
+
+def plan_classes_tested(function) -> set:
+    """The ``plans.X`` classes ``function`` passes to ``isinstance``."""
+    tested = set()
+    for node in pyast.walk(function):
+        if (
+            isinstance(node, pyast.Call)
+            and isinstance(node.func, pyast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            for target in pyast.walk(node.args[1]):
+                if (
+                    isinstance(target, pyast.Attribute)
+                    and isinstance(target.value, pyast.Name)
+                    and target.value.id == "plans"
+                ):
+                    tested.add(target.attr)
+    return tested
+
+
+def test_no_module_lists_node_types_to_reach_a_nodes_parts():
+    defined: dict[str, list] = {}
+    ladders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        tree = pyast.parse(path.read_text())
+        for name, function in functions(tree):
+            defined.setdefault(function.name, []).append(module)
+            if name == "_conjuncts":  # module level; methods may use the name
+                defined.setdefault("module-level _conjuncts", []).append(module)
+            exempt = module in PER_NODE_SEMANTICS or (
+                module == "analysis/validator.py" and name == "_Checker.check_plan"
+            )
+            if not exempt and len(plan_classes_tested(function)) >= 6:
+                ladders.append(f"{module}::{name}")
+    assert ladders == []
+    brought_back = (DELETED_HELPERS | {"module-level _conjuncts"}) & set(defined)
+    assert not brought_back, {name: defined[name] for name in brought_back}
+    assert defined["inputs"] == ["plan/logical.py"]
+    assert [m for m in defined["children"] if m.startswith("semantics/")] == [
+        "semantics/bound.py"
+    ]
+    assert defined["children"].count("semantics/bound.py") == 1

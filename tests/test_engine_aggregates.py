@@ -231,3 +231,52 @@ def test_aggregate_query_from_subquery(sales):
            (SELECT region, SUM(amount) AS total FROM sales GROUP BY region)"""
     ).scalar()
     assert value == 65
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"cache": False}, {"optimizer": False}],
+    ids=["default", "cache-off", "optimizer-off"],
+)
+def test_aggregates_differing_only_in_order_by_stay_apart(options):
+    """An aggregate's ORDER BY — key, direction, null placement — is part of
+    what it computes: two calls that differ in nothing else are two
+    aggregates, not one computed once and read twice."""
+    db = Database(**options)
+    db.execute(
+        "CREATE TABLE letters (g VARCHAR, name VARCHAR, a INTEGER, b INTEGER, n INTEGER)"
+    )
+    # b runs against a; n is a with one NULL.
+    db.execute(
+        """INSERT INTO letters VALUES
+           ('p', 'x', 1, 5, NULL), ('p', 'y', 3, 3, 3), ('p', 'z', 5, 1, 5),
+           ('q', 'u', 2, 4, 2), ('q', 'v', 4, 2, 4)"""
+    )
+    assert db.execute(
+        """SELECT STRING_AGG(name, ',' ORDER BY a), STRING_AGG(name, ',' ORDER BY b),
+                  STRING_AGG(name, ',' ORDER BY a DESC)
+           FROM letters"""
+    ).rows == [("x,u,y,v,z", "z,v,y,u,x", "z,v,y,u,x")]
+    assert db.execute(
+        """SELECT ARRAY_AGG(name ORDER BY a), ARRAY_AGG(name ORDER BY b),
+                  ARRAY_AGG(name ORDER BY a DESC),
+                  ARRAY_AGG(name ORDER BY n NULLS FIRST),
+                  ARRAY_AGG(name ORDER BY n NULLS LAST)
+           FROM letters"""
+    ).rows == [
+        (
+            ["x", "u", "y", "v", "z"],
+            ["z", "v", "y", "u", "x"],
+            ["z", "v", "y", "u", "x"],
+            ["x", "u", "y", "v", "z"],
+            ["u", "y", "v", "z", "x"],
+        )
+    ]
+    assert db.execute(
+        """SELECT g, STRING_AGG(name, ',' ORDER BY a), STRING_AGG(name, ',' ORDER BY b),
+                  ARRAY_AGG(name ORDER BY a), ARRAY_AGG(name ORDER BY a DESC)
+           FROM letters GROUP BY g ORDER BY g"""
+    ).rows == [
+        ("p", "x,y,z", "z,y,x", ["x", "y", "z"], ["z", "y", "x"]),
+        ("q", "u,v", "v,u", ["u", "v"], ["v", "u"]),
+    ]

@@ -163,3 +163,70 @@ def test_subquery_cache_disabled(sdb):
 def test_subquery_over_view(sdb):
     sdb.execute("CREATE VIEW eng AS SELECT * FROM emp WHERE dept = 'eng'")
     assert sdb.execute("SELECT (SELECT COUNT(*) FROM eng)").scalar() == 2
+
+
+FRAME_READS_OUTER_ROW = """
+    SELECT o.k,
+           (SELECT MAX(c)
+            FROM (SELECT COUNT(*) OVER (ORDER BY i ROWS BETWEEN o.k PRECEDING
+                                        AND CURRENT ROW) AS c
+                  FROM steps) AS w)
+    FROM offsets AS o ORDER BY o.k"""
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cache-on", "cache-off"])
+def test_window_frame_offset_is_a_correlated_reference(cache):
+    """A frame offset that reads the outer row correlates the subquery like
+    any other expression: the widest frame of ``k`` PRECEDING rows over five
+    holds min(k + 1, 5), one answer per distinct ``k``, none served from
+    another's memo entry."""
+    db = Database(cache=cache)
+    db.execute("CREATE TABLE offsets (k INTEGER)")
+    db.execute("INSERT INTO offsets VALUES (0), (1), (3)")
+    db.execute("CREATE TABLE steps (i INTEGER)")
+    db.execute("INSERT INTO steps VALUES (1), (2), (3), (4), (5)")
+    assert db.execute(FRAME_READS_OUTER_ROW).rows == [(0, 1), (1, 2), (3, 4)]
+    assert db.last_stats.subquery_executions == 3
+    assert db.last_stats.subquery_cache_hits == 0
+
+
+def test_validator_checks_window_frame_offsets():
+    from repro.analysis.validator import validate_plan
+    from repro.plan import logical as plans
+    from repro.semantics import bound as b
+    from repro.types import INTEGER
+
+    scan = plans.Scan("steps", [("i", INTEGER)])
+
+    def window(offset):
+        call = b.BoundWindowCall(
+            "COUNT", [], [], [b.SortSpec(b.BoundColumn(0, INTEGER))],
+            ("ROWS", "PRECEDING", offset, "CURRENT ROW", None),
+            INTEGER, star=True,
+        )
+        return plans.Window(scan, [call], [("i", INTEGER), ("$win0", INTEGER)])
+
+    assert validate_plan(window(b.BoundLiteral(1, INTEGER))) == []
+    violations = validate_plan(window(b.BoundColumn(7, INTEGER)))
+    assert len(violations) == 1 and "offset 7 out of range" in violations[0]
+
+
+def test_subqueries_are_identified_by_structure(sdb):
+    """Two bindings of the same subquery text are the same expression: a
+    SELECT item matches a GROUP BY key that holds one (it used to be refused
+    as an ungrouped correlated reference), and an ORDER BY expression matches
+    the SELECT item it repeats instead of sorting on a hidden copy."""
+    top = "(SELECT MAX(i.salary) FROM emp AS i WHERE i.dept = e.dept) / 10"
+    rows = sdb.execute(
+        f"SELECT {top} AS top, COUNT(*) FROM emp AS e GROUP BY {top} ORDER BY 1"
+    ).rows
+    assert rows == [(7.0, 2), (10.0, 2)]
+    query = (
+        "SELECT name, salary + (SELECT 1) AS s FROM emp "
+        "ORDER BY salary + (SELECT 1) DESC"
+    )
+    assert sdb.execute(query).rows == [
+        ("ann", 101), ("bo", 81), ("di", 71), ("cy", 61)
+    ]
+    plan = [line.strip() for (line,) in sdb.execute("EXPLAIN " + query).rows]
+    assert plan == ["Sort", "Project", "Scan(emp)"]
