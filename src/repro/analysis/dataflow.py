@@ -564,6 +564,13 @@ class _Analyzer:
             keys.update(shifted_right_keys)
         return OperatorFacts(columns, keys=tuple(keys), row_min=lo, row_max=hi)
 
+    def _analyze_JoinPipeline(self, plan: plans.JoinPipeline) -> OperatorFacts:
+        # The Join transfer folded over the steps, read at the emitted columns.
+        joined = self.analyze(plan.joins[-1])
+        columns = [replace(joined.columns[old]) for old in plan.emit]
+        keys = _remap_keys(joined.keys, {old: new for new, old in enumerate(plan.emit)})
+        return OperatorFacts(columns, keys, joined.row_min, joined.row_max)
+
     # -- aggregation -------------------------------------------------------
 
     def _analyze_Aggregate(self, plan: plans.Aggregate) -> OperatorFacts:

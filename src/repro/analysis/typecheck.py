@@ -79,15 +79,17 @@ class _Checker:
         self._visit(plan)
 
     def _visit(self, node: plans.LogicalPlan) -> None:
-        input_facts = self._input_facts(node)
-        if isinstance(node, plans.Filter):
-            self._check_predicate(node.predicate, input_facts, "WHERE/HAVING")
-        elif isinstance(node, plans.Join) and node.condition is not None:
-            self._check_predicate(node.condition, input_facts, "join ON")
-        elif isinstance(node, plans.Aggregate):
-            self._check_group_keys(node, input_facts)
-        for expr in node.expressions():
-            self._check_expr(expr, input_facts)
+        # A pipeline's conditions are those of the binary joins it stands for.
+        for operator in node.joins if isinstance(node, plans.JoinPipeline) else [node]:
+            input_facts = self._input_facts(operator)
+            if isinstance(operator, plans.Filter):
+                self._check_predicate(operator.predicate, input_facts, "WHERE/HAVING")
+            elif isinstance(operator, plans.Join) and operator.condition is not None:
+                self._check_predicate(operator.condition, input_facts, "join ON")
+            elif isinstance(operator, plans.Aggregate):
+                self._check_group_keys(operator, input_facts)
+            for expr in operator.expressions():
+                self._check_expr(expr, input_facts)
         for child in node.inputs():
             if id(child) not in self._visited:
                 self._visited.add(id(child))

@@ -5,9 +5,9 @@ invariants that must hold after binding and after every optimizer rewrite:
 
 * every operator's schema arity is consistent with its definition
   (``Project`` emits one column per expression, ``Join`` emits left ++ right,
-  ``Aggregate`` emits keys ++ aggs ++ optional grouping id ++ optional
-  captured rows, ``Window`` appends one column per call, set operations have
-  equal-arity inputs);
+  a ``JoinPipeline`` the columns it lists, ``Aggregate`` emits keys ++ aggs
+  ++ optional grouping id ++ optional captured rows, ``Window`` appends one
+  column per call, set operations have equal-arity inputs);
 * every :class:`~repro.semantics.bound.BoundColumn` offset is in range for
   the row the expression is evaluated over — the classic post-rewrite bug is
   a filter pushed below a join without re-shifting its ordinals;
@@ -245,6 +245,11 @@ class _Checker:
                     where,
                     f"schema arity {plan.arity} != left+right arity {width}",
                 )
+        elif isinstance(plan, plans.JoinPipeline):
+            if plan.arity != len(plan.emit) or not set(plan.emit) <= set(range(width)):
+                self.fail(where, f"emits {plan.emit} of {width} for arity {plan.arity}")
+            for join in plan.joins:  # a step reads no input after its own
+                self.check_expr(join.condition, join.arity, outer, where)
         elif isinstance(plan, plans.Aggregate):
             expected = (
                 len(plan.group_exprs)

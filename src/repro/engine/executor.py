@@ -11,6 +11,7 @@ through their closure, passing the enclosing
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from typing import Optional
 
@@ -30,8 +31,9 @@ from repro.engine.window import compute_window_column
 from repro.errors import ExecutionError, QueryCancelled
 from repro.plan import logical as plans
 from repro.semantics import bound as b
+from repro.types import DOUBLE, INTEGER, UNKNOWN
 
-__all__ = ["execute_plan", "equi_key"]
+__all__ = ["execute_plan", "equi_key", "pipeline_keys"]
 
 
 def execute_plan(
@@ -106,7 +108,7 @@ def _execute_scan(plan: plans.Scan, ctx: ExecutionContext, outer_env) -> list[tu
         rows = list(obj.table.rows)
         ctx.table_snapshots[key] = rows
     ctx.rows_scanned += len(rows)
-    return list(rows)
+    return rows  # the snapshot itself: no operator mutates its input
 
 
 def _execute_system_scan(
@@ -166,6 +168,9 @@ def _execute_project(plan: plans.Project, ctx: ExecutionContext, outer_env) -> l
 
 
 def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tuple]:
+    if pipeline_keys(plan) is not None:
+        # Nothing to test per match or to remember about the right rows.
+        return _run_pipeline(plan, [plan], None, ctx, outer_env)
     left_rows = execute_plan(plan.left, ctx, outer_env)
     right_rows = execute_plan(plan.right, ctx, outer_env)
 
@@ -178,27 +183,41 @@ def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tu
     if plan.kind not in ("INNER", "LEFT", "RIGHT", "FULL"):
         raise ExecutionError(f"unknown join kind {plan.kind}")
 
-    compiled = memo(plan, "_join", _compile_join)
-    if compiled[0] is not None:
-        ctx.hash_joins += 1
-        return _hash_join(plan, left_rows, right_rows, compiled, ctx, outer_env)
-    ctx.nested_loop_joins += 1
-    if ctx.profiler is not None:
-        ctx.profiler.operator_count(
-            plan, "comparisons", len(left_rows) * len(right_rows)
-        )
-    return _nested_loop_join(plan, left_rows, right_rows, ctx, outer_env)
+    keys, residual = memo(plan, "_join", _compile_join)
+    if not keys:
+        ctx.nested_loop_joins += 1
+        if ctx.profiler is not None:
+            ctx.profiler.operator_count(
+                plan, "comparisons", len(left_rows) * len(right_rows)
+            )
+        return _nested_loop_join(plan, left_rows, right_rows, ctx, outer_env)
+    _count_hash_steps(plan, [left_rows, right_rows], ctx)
+    left, right = zip(*keys)
+    index = _hash_index(plan, right_rows, right, range(len(right_rows)), ctx)
+    if index is None:
+        return _nested_loop_join(plan, left_rows, right_rows, ctx, outer_env)
+    left_key = itemgetter(*left)
+    return _match_loop(
+        plan, left_rows, right_rows, lambda left: index.get(left_key(left), ()),
+        residual, ctx, outer_env,
+    )
+
+
+def _execute_pipeline(plan: plans.JoinPipeline, ctx: ExecutionContext, outer_env) -> list[tuple]:
+    return _run_pipeline(plan, plan.joins, plan.emit, ctx, outer_env)
 
 
 def _compile_join(plan: plans.Join) -> tuple:
-    """``(left key getter, right key getter, composite, residual closure)``;
-    the getters are None when no equi-key qualifies and the join runs as a
-    nested loop.  One key column is hashed bare, several as a tuple (which is
-    what ``itemgetter`` returns either way); ``composite`` says which."""
-    equi_keys, residual = _extract_equi_keys(plan.condition, len(plan.left.schema))
-    if not equi_keys:
-        return None, None, False, None
-    tests = [compile_expr(conjunct) for conjunct in residual]
+    """``(equi-key pairs, residual closure)``: a ``(left offset, offset in
+    the right row)`` per top-level conjunct that is an :func:`equi_key` across
+    the left input (none: a nested loop), a test of the others (None: none)."""
+    keys, tests, width = [], [], plan.left.arity
+    for conjunct in () if plan.condition is None else b.conjuncts(plan.condition):
+        key = equi_key(conjunct, 0, width)
+        if key is None:
+            tests.append(compile_expr(conjunct))
+        else:
+            keys.append((key[0], key[1] - width))
 
     def passes(row, outer, ctx):
         for test in tests:
@@ -206,35 +225,15 @@ def _compile_join(plan: plans.Join) -> tuple:
                 return False
         return True
 
-    return (
-        itemgetter(*[left for left, _ in equi_keys]),
-        itemgetter(*[right for _, right in equi_keys]),
-        len(equi_keys) > 1,
-        passes if tests else None,
-    )
+    return keys, passes if tests else None
 
 
-def _extract_equi_keys(
-    condition, left_width: int
-) -> tuple[list[tuple[int, int]], list]:
-    """Split a join condition into hashable equi-key column pairs and a
-    residual predicate list.
-
-    Returns ``([(left_offset, right_offset_in_right_row)...], residual)``;
-    empty keys means fall back to the nested loop.  Only top-level AND
-    conjuncts that are an :func:`equi_key` across the left input qualify.
-    """
-    if condition is None:
-        return [], []
-    keys: list[tuple[int, int]] = []
-    residual: list = []
-    for conjunct in b.conjuncts(condition):
-        key = equi_key(conjunct, 0, left_width)
-        if key is None:
-            residual.append(conjunct)
-        else:
-            keys.append((key[0], key[1] - left_width))
-    return keys, residual
+def pipeline_keys(plan: plans.Join) -> Optional[list[tuple[int, int]]]:
+    """The key pairs of a join that can be a step of a ``JoinPipeline`` —
+    ``INNER`` or ``LEFT``, every conjunct an :func:`equi_key` — else None."""
+    keys, residual = memo(plan, "_join", _compile_join)
+    fits = keys and residual is None and plan.kind in ("INNER", "LEFT")
+    return keys if fits else None
 
 
 def equi_key(conjunct, start: int, end: int) -> Optional[tuple[int, int]]:
@@ -262,61 +261,116 @@ def equi_key(conjunct, start: int, end: int) -> Optional[tuple[int, int]]:
 
 
 def _hash_compatible(left_type, right_type) -> bool:
-    """Python hashes True == 1, but SQL '=' rejects BOOLEAN vs numeric;
-    route such (mis)typed conditions through the nested loop so they raise
-    the same error either way."""
-    from repro.types import BOOLEAN, UNKNOWN
-
+    """Whether SQL ``=`` accepts the two types (``types.values._comparable``'s
+    families: numeric with numeric, else the same type).  Hashing finds
+    ``True`` under ``1`` and nothing under ``'1'`` where ``=`` raises, so a
+    mistyped condition is no hash key: the nested loop raises it."""
     left_type, right_type = left_type.unwrap(), right_type.unwrap()
     if UNKNOWN in (left_type, right_type):
         return False
-    return (left_type is BOOLEAN) == (right_type is BOOLEAN)
+    numeric = (INTEGER, DOUBLE)
+    return left_type is right_type or (left_type in numeric and right_type in numeric)
 
 
-def _hash_join(plan: plans.Join, left_rows, right_rows, compiled, ctx, outer_env) -> list[tuple]:
-    """Equi-hash join with residual predicate and outer-join padding."""
-    left_key, right_key, composite, residual = compiled
-    if ctx.profiler is not None:
-        ctx.profiler.operator_count(plan, "hash_build_rows", len(right_rows))
-        ctx.profiler.operator_count(plan, "hash_probes", len(left_rows))
-    table: dict[tuple, list[int]] = {}
-    watched = ctx.watched
-    for index, key in enumerate(map(right_key, right_rows)):
-        if watched and not index & 0xFF:
-            ctx.checkpoint(plan, index)
-        if key is None or composite and None in key:
-            continue  # NULL keys never match under SQL '='
-        try:
-            table.setdefault(key, []).append(index)
-        except TypeError:
-            # Unhashable key value: bail out to the nested loop path.
-            return _nested_loop_join(plan, left_rows, right_rows, ctx, outer_env)
-    if ctx.progress is not None and right_rows:
-        # The build table holds one key tuple + list slot per non-NULL
-        # build row; 64 bytes/entry approximates that bucket state.
-        ctx.progress.account_bytes(plan, 64 * len(right_rows))
-
-    lookup = table.get
-    if residual is not None or plan.kind in ("RIGHT", "FULL"):
-        return _match_loop(
-            plan, left_rows, right_rows, lambda left: lookup(left_key(left), ()),
-            residual, ctx, outer_env,
-        )
-    # Nothing to test per match and nothing to remember about the build side:
-    # one comprehension per batch.  A LEFT join's unmatched probe row
-    # "matches" a padding row appended to the build rows.
-    no_match: tuple = ()
-    if plan.kind == "LEFT":
-        no_match = (len(right_rows),)
-        right_rows = right_rows + [(None,) * len(plan.right.schema)]
+def _run_pipeline(plan, joins: list, emit, ctx: ExecutionContext, outer_env) -> list[tuple]:
+    """The innermost left input through one hash step per join of ``joins``
+    (left-deep, innermost first): index every right input, then one generated
+    comprehension per batch of driving rows builds the columns ``emit``
+    (offsets of the inputs side by side; None: all) and no other tuple, in the
+    nested binary joins' order: by driving row, then match positions."""
+    sources = [joins[0].left, *[join.right for join in joins]]
+    inputs = [execute_plan(source, ctx, outer_env) for source in sources]
+    _count_hash_steps(plan, inputs, ctx)
+    loop, builds = memo(plan, "_steps", lambda plan: _compile_steps(joins, emit))
+    args: list = []
+    for rows, (key, unmatched) in zip(inputs[1:], builds):
+        index = _hash_index(plan, rows, key, rows, ctx)
+        if index is None:
+            # An unhashable key value: the binary joins, pair by pair.
+            rows = inputs[0]
+            for join, right_rows in zip(joins, inputs[1:]):
+                rows = _nested_loop_join(join, rows, right_rows, ctx, outer_env)
+            return rows if emit is None else list(map(row_getter(emit), rows))
+        args += [index.get, unmatched]
     output: list[tuple] = []
-    for batch in ctx.batches(left_rows, plan, output):
-        output += [
-            left + right_rows[right_index]
-            for left, key in zip(batch, map(left_key, batch))
-            for right_index in lookup(key, no_match)
-        ]
+    for batch in ctx.batches(inputs[0], plan, output):
+        output += loop(batch, *args)
     return output
+
+
+def _count_hash_steps(plan, inputs: list, ctx: ExecutionContext) -> None:
+    """One hash join per non-driving input, whichever operator runs them."""
+    ctx.hash_joins += len(inputs) - 1
+    if ctx.profiler is not None:
+        ctx.profiler.operator_count(plan, "hash_build_rows", sum(map(len, inputs[1:])))
+        ctx.profiler.operator_count(plan, "hash_probes", len(inputs[0]))
+
+
+def _hash_index(plan, rows: list, key: tuple, values, ctx: ExecutionContext):
+    """``{the columns key of a row: [the entry of values at each such row, in
+    order]}``, one column bare and several as a tuple; NULL keys never match
+    under SQL '=' and are left out.  None when a key value is unhashable."""
+    table: dict = {}
+    watched, composite = ctx.watched, len(key) > 1
+    for position, (found, value) in enumerate(zip(map(itemgetter(*key), rows), values)):
+        if watched and not position & 0xFF:
+            ctx.checkpoint(plan, position)
+        if found is None or composite and None in found:
+            continue
+        try:
+            table.setdefault(found, []).append(value)
+        except TypeError:
+            return None
+    if ctx.progress is not None and rows:
+        # One key + list slot per build row: about 64 bytes of bucket state.
+        ctx.progress.account_bytes(plan, 64 * len(rows))
+    return table
+
+
+def _compile_steps(joins: list, emit: Optional[list]) -> tuple:
+    """``(probe loop, per step (build key columns, what an unmatched probe
+    row pairs with))`` of a pipeline's joins."""
+    widths = [joins[0].left.arity] + [join.right.arity for join in joins]
+    # Offset in the inputs' rows side by side -> (input, offset inside it).
+    cells = [(k, offset) for k, width in enumerate(widths) for offset in range(width)]
+    builds, probes = [], []
+    for join in joins:
+        left, right = zip(*pipeline_keys(join))
+        unmatched = ((None,) * join.right.arity,) if join.kind == "LEFT" else ()
+        builds.append((right, unmatched))
+        probes.append(tuple([cells[offset] for offset in left]))
+    emit_cells = None if emit is None else tuple([cells[offset] for offset in emit])
+    return _loop(tuple(probes), emit_cells), builds
+
+
+def _loop_text(probes: tuple, emit: Optional[tuple]) -> str:
+    """The source of a probe loop, from integers only: ``probes[k]`` are the
+    ``(input, offset)`` cells step k's key is read from, ``emit`` those of the
+    output row (None: every input's row, whole).  ``r<k>`` is the current row
+    of input k, ``g<k>`` step k's index lookup, ``e<k>`` what an unmatched row
+    pairs with: nothing (``INNER``) or the one NULL-padding row (``LEFT``)."""
+    params, clauses = "batch", "for r0 in batch"
+    for step, cells in enumerate(probes, 1):
+        key = ", ".join([f"r{source}[{offset}]" for source, offset in cells])
+        if len(cells) > 1:
+            key = f"({key})"
+        params += f", g{step}, e{step}"
+        clauses += f" for r{step} in g{step}({key}, e{step})"
+    if emit is None:
+        row = " + ".join([f"r{source}" for source in range(len(probes) + 1)])
+    else:
+        row = "(" + "".join([f"r{source}[{offset}], " for source, offset in emit]) + ")"
+    return f"def loop({params}):\n    return [{row} {clauses}]\n"
+
+
+@lru_cache(maxsize=512)
+def _loop(probes: tuple, emit: Optional[tuple]):
+    """:func:`_loop_text` compiled, once per shape per process (statements
+    over different tables share it) and under this file's name, so tracebacks
+    and profiles charge the loop to the engine."""
+    scope: dict = {"__builtins__": {}}
+    exec(compile(_loop_text(probes, emit), __file__, "exec"), scope)
+    return scope["loop"]
 
 
 def _nested_loop_join(plan: plans.Join, left_rows, right_rows, ctx, outer_env) -> list[tuple]:
@@ -541,6 +595,7 @@ _DISPATCH = {
     plans.Filter: _execute_filter,
     plans.Project: _execute_project,
     plans.Join: _execute_join,
+    plans.JoinPipeline: _execute_pipeline,
     plans.Aggregate: _execute_aggregate,
     plans.Window: _execute_window,
     plans.Sort: _execute_sort,

@@ -49,6 +49,7 @@ __all__ = [
     "Filter",
     "Project",
     "Join",
+    "JoinPipeline",
     "Aggregate",
     "Window",
     "Sort",
@@ -81,21 +82,32 @@ class LogicalPlan:
     #: ``facts``.
     shared = False
 
-    #: The declaration: names of the fields holding input plans, in order,
-    #: and of the fields holding this operator's own expressions.
+    #: The declaration: names of the fields holding input plans (one, or a list),
+    #: in order, and of the fields holding this operator's own expressions.
     INPUTS: tuple = ()
     EXPRS: tuple = ()
 
     def inputs(self) -> list["LogicalPlan"]:
-        return [getattr(self, name) for name in self.INPUTS]
+        found: list = []
+        for name in self.INPUTS:
+            value = getattr(self, name)
+            found += value if isinstance(value, list) else [value]
+        return found
 
     def with_inputs(self, *children: "LogicalPlan") -> "LogicalPlan":
         """This node over ``children`` (one per input, in order), every
         other field as it is; the node itself when they are its inputs."""
         changes = {}
-        for name, child in zip(self.INPUTS, children):
-            if child is not getattr(self, name):
-                changes[name] = child
+        rest = iter(children)
+        for name in self.INPUTS:
+            old = getattr(self, name)
+            if isinstance(old, list):
+                new = [next(rest) for _ in old]
+                if all(n is o for n, o in zip(new, old)):
+                    continue
+            elif (new := next(rest)) is old:
+                continue
+            changes[name] = new
         return dataclasses.replace(self, **changes) if changes else self  # type: ignore[type-var]
 
     def expressions(self) -> list[BoundExpr]:
@@ -235,10 +247,11 @@ class Project(LogicalPlan):
 
 @dataclass
 class Join(LogicalPlan):
-    """Nested-loop join; output row = left columns ++ right columns.
+    """Binary join; output row = left columns ++ right columns.
 
     For LEFT/RIGHT/FULL joins, unmatched rows are padded with NULLs.
-    ``condition`` is evaluated over the combined row.
+    ``condition`` is evaluated over the combined row: hashed on its equi-key
+    conjuncts, every pair tested (a nested loop) when it has none.
     """
 
     kind: str  # INNER, LEFT, RIGHT, FULL, CROSS
@@ -256,6 +269,41 @@ class Join(LogicalPlan):
 
     def name(self) -> str:
         return f"Join({self.kind})"
+
+
+@dataclass
+class JoinPipeline(LogicalPlan):
+    """A left-deep chain of ``INNER`` / ``LEFT`` hash joins run as one loop:
+    ``((sources[0] kinds[0] sources[1]) kinds[1] sources[2]) …`` (:attr:`joins`).
+
+    ``conditions[k]``, all hashable equi-keys, reads ``sources[0 .. k + 1]``
+    side by side; ``emit`` lists the offsets of *all* the sources side by side
+    that make the output row, the only tuple the executor builds.  Created by
+    column pruning (:mod:`repro.plan.pruning`), which knows what is read above.
+    """
+
+    sources: list[LogicalPlan]
+    kinds: list[str]
+    conditions: list[BoundExpr]
+    emit: list[int]
+    schema: Schema
+
+    INPUTS = ("sources",)
+    EXPRS = ("conditions",)
+
+    @functools.cached_property
+    def joins(self) -> list[Join]:
+        """The binary joins this stands for, innermost first: what dataflow
+        facts, arity and condition types are derived from."""
+        found: list = []
+        for kind, right, condition in zip(self.kinds, self.sources[1:], self.conditions):
+            left = found[-1] if found else self.sources[0]
+            found.append(Join(kind, left, right, condition))
+        return found
+
+    def name(self) -> str:
+        width = sum(source.arity for source in self.sources)
+        return f"JoinPipeline({', '.join(self.kinds)}: {len(self.emit)} of {width})"
 
 
 @dataclass

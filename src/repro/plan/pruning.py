@@ -3,10 +3,13 @@
 Top-down, every node learns which of its output columns anything above it
 reads, and the plan is rebuilt to carry no others where tuples are created:
 a :class:`~repro.plan.logical.Project` drops the expressions nobody reads,
-and a :class:`~repro.plan.logical.Join` input that passes stored rows
-through (a scan, a filtered scan) is cut to the join keys plus what is read
-above the join.  A ``Scan`` that feeds no join is left alone: its rows are
-the stored tuples, and narrowing them would only allocate.
+a maximal left spine of joins that can run as hash steps becomes one
+:class:`~repro.plan.logical.JoinPipeline` emitting the columns read above it,
+and an input of any other :class:`~repro.plan.logical.Join` that passes
+stored rows through (a scan, a filtered scan) is cut to the join keys plus
+what is read above the join.  Any other ``Scan`` is left alone: its rows are
+the stored tuples (a pipeline reads them by offset), and narrowing them
+would only allocate.
 
 "Above" goes *through* measure evaluations.  A measure's source relation is
 read by the main tree (when the query's FROM is that same node) and by the
@@ -33,6 +36,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from repro.core.definition import Dimension
+from repro.engine.executor import pipeline_keys
 from repro.errors import InternalError
 from repro.plan import logical as plans
 from repro.semantics import bound as b
@@ -74,7 +78,20 @@ def _narrows_itself(plan: plans.LogicalPlan) -> bool:
     a join above need not cut it again)."""
     while isinstance(plan, (plans.Filter, plans.Sort, plans.Limit)):
         plan = plan.input
-    return isinstance(plan, (plans.Project, plans.Join))
+    return isinstance(plan, (plans.Project, plans.Join, plans.JoinPipeline))
+
+
+def _chain(top: plans.Join) -> Optional[tuple]:
+    """``(inputs, joins innermost first)`` of the pipeline ``top`` becomes —
+    its maximal left spine of hash steps, ending above a shared join (which
+    is materialized for its other readers) — or None when it is no step."""
+    joins, node = [], top
+    while isinstance(node, plans.Join) and pipeline_keys(node) and (
+        node is top or not node.shared
+    ):
+        joins.insert(0, node)
+        node = node.left
+    return ([node] + [join.right for join in joins], joins) if joins else None
 
 
 def _identity(width: int) -> dict:
@@ -159,19 +176,21 @@ class _Pruner:
             self.reads([e for e in (node.limit, node.offset) if e is not None])
             self.visit(node.input, need)
         elif isinstance(node, plans.Join):
-            read = ALL if need is ALL else set(need)
-            if node.condition is not None:
-                read = _union(read, self.reads([node.condition]))
-            left = right = ALL
-            if read is not ALL:
-                width = node.left.arity
-                left = {c for c in read if c < width}
-                right = {c - width for c in read if c >= width}
-                for side, cut in ((node.left, left), (node.right, right)):
-                    if len(cut) < side.arity and not _narrows_itself(side):
+            # Every condition of a spine is numbered like its top join's row.
+            chain = _chain(node)
+            sources, joins = chain or ([node.left, node.right], [node])
+            conditions = [j.condition for j in joins if j.condition is not None]
+            read = _union(need, self.reads(conditions))
+            self.narrows = self.narrows or chain is not None
+            base = 0
+            for source in sources:
+                cut = ALL
+                if read is not ALL:
+                    cut = {c - base for c in read if 0 <= c - base < source.arity}
+                    if len(cut) < source.arity and not _narrows_itself(source):
                         self.narrows = True
-            self.visit(node.left, left)
-            self.visit(node.right, right)
+                self.visit(source, cut)
+                base += source.arity
         elif isinstance(node, plans.Aggregate):
             read = self.reads([*node.group_exprs, *node.agg_calls])
             # VISIBLE substitutes into the captured rows by position.
@@ -326,20 +345,34 @@ class _Pruner:
         return plans.Window(child, calls, schema), moved
 
     def _build_join(self, node: plans.Join) -> tuple:
-        left, left_moved = self._join_input(node.left)
-        right, right_moved = self._join_input(node.right)
-        if left is node.left and right is node.right:
+        chain = _chain(node)
+        sources = chain[0] if chain else node.inputs()
+        built = [self.build(s) if chain else self._join_input(s) for s in sources]
+        children = [child for child, _ in built]
+        if chain is None and all(c is s for c, s in zip(children, sources)):
             return node, None
-        moved = None
-        width = node.left.arity
-        if left_moved is not None or right_moved is not None or left.arity != width:
-            moved = dict(left_moved or _identity(left.arity))
-            for old, new in (right_moved or _identity(right.arity)).items():
-                moved[width + old] = left.arity + new
-        condition = node.condition
-        if condition is not None:
-            condition = self.remap(condition, moved)
-        return plans.Join(node.kind, left, right, condition), moved
+        # Old offset -> new offset in the inputs' rows side by side.
+        moved, old_base, new_base = {}, 0, 0
+        for old, (child, child_moved) in zip(sources, built):
+            for was, now in (child_moved or _identity(child.arity)).items():
+                moved[old_base + was] = new_base + now
+            old_base += old.arity
+            new_base += child.arity
+        if all(was == now for was, now in moved.items()):
+            moved = None
+        if chain is None:
+            rebuilt = plans.Join(node.kind, *children, node.condition)
+            return rebuilt.map_expressions(lambda e: self.remap(e, moved)), moved
+        need = self.need[id(node)][1]
+        keep = list(range(node.arity)) if need is ALL else sorted(need)
+        pipeline = plans.JoinPipeline(
+            children,
+            [join.kind for join in chain[1]],
+            [self.remap(join.condition, moved) for join in chain[1]],
+            keep if moved is None else [moved[old] for old in keep],
+            [node.schema[old] for old in keep],
+        )
+        return pipeline, _renumbering(keep)
 
     def _join_input(self, node: plans.LogicalPlan) -> tuple:
         """A join input, cut to what is read of it when nothing below

@@ -224,6 +224,7 @@ SAMPLES = {
     "bool": lambda: [False, True],
     "Optional[int]": lambda: [1, None],
     "list[int]": lambda: [[0], [1], []],
+    "list[str]": lambda: [["INNER"], ["LEFT"]],
     "list[list[int]]": lambda: [[[0]], [[0], []]],
     "list[tuple[int, int]]": lambda: [[(1, 0)], [(1, 1)], []],
     "DataType": lambda: [INTEGER, VARCHAR],
@@ -259,6 +260,7 @@ SAMPLES = {
         [b.BoundWindowCall("SUM", [col(1)], [], [], None, INTEGER)],
     ],
     "LogicalPlan": lambda: [scan("t"), scan("u")],
+    "list[LogicalPlan]": lambda: [[scan("t"), scan("u")], [scan("t"), scan("v")]],
     "MeasureInstance": lambda: [measure("m"), measure("m")],
     "ContextSpec": lambda: [
         ContextSpec("group", [GroupTermSpec("$0", col(0), col(1))]),
@@ -358,7 +360,7 @@ def check_plan_parts_cover_fields(cls):
     assert node.with_inputs(*node.inputs()) is node
     swapped = node.with_inputs(*[scan("other") for _ in node.inputs()])
     assert [child.table_name for child in swapped.inputs()] == (
-        ["other"] * len(node.INPUTS)
+        ["other"] * len(node.inputs())  # a list-valued field holds several
     )
     for f in dataclasses.fields(cls):
         if f.name not in cls.INPUTS:  # every other field as it was

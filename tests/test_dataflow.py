@@ -278,8 +278,10 @@ class TestOptimizerRewrites:
         """The acceptance proof: a paper listing's plan changes under the
         dataflow-justified LEFT->INNER rewrite with identical results."""
         plan = optimized_plan(paper_db, LISTING12_Q2)
-        joins = [n for n in plan.walk() if isinstance(n, plans.Join)]
-        assert joins and all(j.kind == "INNER" for j in joins)
+        # Strengthened, the join is a hash step: one pipeline, no Join left.
+        kinds = [n.kinds for n in plan.walk() if isinstance(n, plans.JoinPipeline)]
+        assert kinds == [["INNER"]]
+        assert not any(isinstance(n, plans.Join) for n in plan.walk())
 
         unopt = Database()
         load_paper_tables(unopt)

@@ -27,12 +27,13 @@ def plan_of(db: Database, sql: str) -> plans.LogicalPlan:
     return plan
 
 
-def join_input(plan: plans.LogicalPlan) -> plans.LogicalPlan:
-    """A join input, looking through the narrowing Project column pruning
-    puts over a scan (filtered or not) that feeds a join."""
-    if isinstance(plan, plans.Project) and plan.of is not None:
-        return plan.input
-    return plan
+def join_sides(plan: plans.LogicalPlan) -> list[plans.LogicalPlan]:
+    """The two inputs of the plan's one join, which column pruning turned
+    into a one-step JoinPipeline (it reads its inputs' stored rows by offset,
+    so no narrowing Project sits over them)."""
+    (pipeline,) = [p for p in plan.walk() if isinstance(p, plans.JoinPipeline)]
+    assert not any(isinstance(p, plans.Join) for p in plan.walk())
+    return pipeline.inputs()
 
 
 def run(db: Database, plan: plans.LogicalPlan) -> list[tuple]:
@@ -69,9 +70,9 @@ def test_filter_pushed_into_join_sides(pdb):
              ON o.custName = c.custName
              WHERE o.revenue > 3 AND c.custAge > 20"""
     plan = optimize(plan_of(pdb, sql))
-    join = next(p for p in plan.walk() if isinstance(p, plans.Join))
-    assert isinstance(join_input(join.left), plans.Filter)
-    assert isinstance(join_input(join.right), plans.Filter)
+    left, right = join_sides(plan)
+    assert isinstance(left, plans.Filter)
+    assert isinstance(right, plans.Filter)
 
 
 def test_cross_side_predicate_stays_above_join(pdb):
@@ -79,9 +80,9 @@ def test_cross_side_predicate_stays_above_join(pdb):
              ON o.custName = c.custName
              WHERE o.revenue > c.custAge"""
     plan = optimize(plan_of(pdb, sql))
-    join = next(p for p in plan.walk() if isinstance(p, plans.Join))
-    assert not isinstance(join_input(join.left), plans.Filter)
-    assert not isinstance(join_input(join.right), plans.Filter)
+    left, right = join_sides(plan)
+    assert not isinstance(left, plans.Filter)
+    assert not isinstance(right, plans.Filter)
 
 
 def test_outer_join_filter_not_pushed(pdb):
@@ -89,8 +90,7 @@ def test_outer_join_filter_not_pushed(pdb):
              ON o.custName = c.custName
              WHERE o.revenue > 3"""
     plan = optimize(plan_of(pdb, sql))
-    join = next(p for p in plan.walk() if isinstance(p, plans.Join))
-    assert not isinstance(join_input(join.left), plans.Filter)
+    assert not isinstance(join_sides(plan)[0], plans.Filter)
 
 
 QUERIES = [
@@ -130,8 +130,7 @@ def test_pushdown_reduces_join_work(pdb):
     # Both return one row (revenue 7 > 6), but the optimized join scans a
     # pre-filtered left input.
     assert run(pdb, raw) == run(pdb, opt)
-    join = next(p for p in opt.walk() if isinstance(p, plans.Join))
-    assert isinstance(join_input(join.left), plans.Filter)
+    assert isinstance(join_sides(opt)[0], plans.Filter)
 
 
 def _deep_join_sql(levels: int) -> str:
