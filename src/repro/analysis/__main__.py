@@ -8,7 +8,11 @@ ships:
 * every script in ``examples/``: each SQL string constant is linted and then
   executed in source order against a fresh database, so the catalog evolves
   exactly as the example's reader sees it.  A statement that executes
-  successfully must not carry warning- or error-severity diagnostics.
+  successfully must not carry warning- or error-severity diagnostics;
+* every query among the two — expanded to plain SQL (``subquery``) and run —
+  must return the interpreter's rows, or the expansion must be refused
+  (``UnsupportedError``): the next silent divergence between the two ways
+  to run a measure fails here.
 
 ``make lint`` and the CI lint job run this; exit status 1 on any finding.
 """
@@ -22,7 +26,8 @@ import sys
 
 from repro import Database
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.errors import SqlError
+from repro.errors import SqlError, UnsupportedError
+from repro.sql import ast, parse_statements, to_sql
 from repro.workloads.listings import LISTINGS, SETUP, expanded_listings
 from repro.workloads.paper_data import load_paper_tables
 
@@ -88,6 +93,7 @@ def _check_listings() -> int:
             _print_findings(f"paper:{name}", sql, diags)
             failures += 1
         failures += _check_listing_types(db, name, sql)
+        failures += _check_expansion(db, f"paper:{name}", sql)
         typed += 1
     print(
         f"paper listings: {len(listings)} queries + {len(SETUP)} views, "
@@ -138,6 +144,43 @@ def _check_listing_types(db: Database, name: str, sql: str) -> int:
     return failures
 
 
+def _check_expansion(db: Database, label: str, sql: str) -> int:
+    """Each query of ``sql`` (which just ran) through its expansion: the
+    interpreter's rows, floats to nine places, or a refusal."""
+
+    def rows(result):
+        return [
+            tuple(round(v, 9) if isinstance(v, float) else v for v in row)
+            for row in result.rows
+        ]
+
+    failures = 0
+    for statement in parse_statements(sql):
+        if not isinstance(statement, ast.QueryStatement) or isinstance(
+            statement.query, ast.ShowStats
+        ):
+            continue
+        text = to_sql(statement)
+        try:
+            expected = rows(db.execute(text))
+        except SqlError:
+            continue  # needs parameters or runtime state: nothing to compare
+        try:
+            expanded = rows(db.execute_with_strategy(text, strategy="subquery"))
+        except UnsupportedError:
+            continue
+        except SqlError as exc:
+            problem = f"its expansion fails: {type(exc).__name__}: {exc}"
+        else:
+            if expanded == expected:
+                continue
+            problem = "its expansion does not return the interpreter's rows"
+        print(f"FAIL expand:{label}: {problem}")
+        print(f"  sql: {text[:90]}")
+        failures += 1
+    return failures
+
+
 def _check_examples(examples_dir: pathlib.Path) -> int:
     failures = 0
     executed = 0
@@ -160,6 +203,7 @@ def _check_examples(examples_dir: pathlib.Path) -> int:
                 ]
             else:
                 executed += 1
+                failures += _check_expansion(db, f"example:{path.name}", sql)
             problems = _problems(diags, threshold=Severity.WARNING)
             if problems:
                 _print_findings(f"example:{path.name}", sql, problems)

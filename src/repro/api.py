@@ -1198,6 +1198,11 @@ class Database:
         ``"inline"`` (inline the formula into a simple GROUP BY query),
         ``"window"`` (rewrite to window aggregates, section 5.1), or
         ``"auto"`` (try inline, then window, then fall back to subquery).
+
+        A ``?`` that the rewrite copies into a measure's subquery is printed
+        once per *use*, so the text may hold more ``?`` than the query has
+        parameters; :meth:`execute_with_strategy` runs the expanded AST,
+        where every copy keeps its parameter index.
         """
         statement = parse_statement(sql)
         if isinstance(statement, ast.ExplainExpand):
@@ -1210,20 +1215,23 @@ class Database:
 
     def expand_query(self, query: ast.Query, *, strategy: str = "subquery") -> str:
         """Like :meth:`expand`, for an already-parsed query AST."""
-        from repro.core.expansion import expand_to_sql
+        return to_sql(self._expand_ast(query, strategy))
+
+    def _expand_ast(self, query: ast.Query, strategy: str) -> ast.Query:
+        from repro.core.expansion import expand_query_ast
 
         if self.telemetry is not None:
-            # The *requested* strategy; "auto" resolves inside expand_to_sql.
+            # The *requested* strategy; "auto" resolves inside the cascade.
             self.telemetry.record_expansion(strategy)
         if not self.profile_enabled:
-            return expand_to_sql(self, query, strategy=strategy)
+            return expand_query_ast(self, query, strategy=strategy)
         profiler = _new_profiler()
         with profiler.phase("expand"):
-            sql = expand_to_sql(
+            expanded = expand_query_ast(
                 self, query, strategy=strategy, tracer=profiler.tracer
             )
-        self._last_profile = profiler.finish(sql=sql)
-        return sql
+        self._last_profile = profiler.finish(sql=to_sql(expanded))
+        return expanded
 
     def execute_with_strategy(
         self, sql: str, params: Sequence[Any] = (), *, strategy: str
@@ -1253,10 +1261,10 @@ class Database:
             raise SqlError("execute_with_strategy() requires a query")
 
         def run(profiler):
-            expanded = parse_statement(
-                self.expand_query(statement.query, strategy=strategy)
-            )
-            result, _, profile = self._run_query(expanded.query, params, profiler)
+            # The expanded AST, not its text: re-parsing would renumber the
+            # ``?`` a measure's subquery copied.
+            expanded = self._expand_ast(statement.query, strategy)
+            result, _, profile = self._run_query(expanded, params, profiler)
             # The expanded plan is not the statement's plan: report none.
             return result, None, profile
 

@@ -22,7 +22,7 @@ from repro.types import DataType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.plan.logical import LogicalPlan
-    from repro.sql import ast
+    from repro.semantics.binder import FromSql
 
 __all__ = ["Dimension", "MeasureGroup", "MeasureInstance"]
 
@@ -48,17 +48,10 @@ class MeasureGroup:
     source_plan: "LogicalPlan"
     dims: dict[str, Dimension]  # keyed by lower-case exposed name
     dim_order: list[str] = field(default_factory=list)
-    #: AST of the defining query's source (used by SQL expansion); optional.
-    source_sql: Optional["ast.Query"] = None
-
-    def dim(self, name: str) -> Optional[Dimension]:
-        return self.dims.get(name.lower())
-
-    def dim_by_key(self, key: str) -> Optional[Dimension]:
-        for dimension in self.dims.values():
-            if dimension.key == key:
-                return dimension
-        return None
+    #: The defining query's FROM (AST, names, join conditions) and every
+    #: conjunct baked into ``source_plan``, over the same row: what SQL
+    #: expansion prints a measure's subquery from.
+    source_sql: Optional["FromSql"] = None
 
 
 @dataclass
@@ -76,8 +69,6 @@ class MeasureInstance:
     group: MeasureGroup
     formula: BoundExpr
     value_type: DataType
-    #: AST of the original formula (used by SQL expansion); optional.
-    formula_sql: Optional["ast.Expression"] = None
     #: What a fingerprint calls this measure.  Two bindings of one view are
     #: two measures (each relation of a self-join has its own rows), so a
     #: name will not do; ``id()`` would, but does not survive a plan copy.

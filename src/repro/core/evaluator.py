@@ -27,7 +27,7 @@ from repro.core.context import (
     VisibleTerm,
     summarize_terms,
 )
-from repro.core.modifiers import BoundAll, BoundWhere, apply_modifiers
+from repro.core.modifiers import BoundAll, BoundWhere, ValueTerms, apply_modifiers
 from repro.engine.compile import (
     Relation,
     Slice,
@@ -86,10 +86,10 @@ def _evaluate_measure_impl(
     if _first_modifier_replaces(spec):
         # The first modifier discards the incoming context (WHERE / bare
         # ALL): skip building the default terms per call.
-        terms = apply_modifiers([], spec, env, ctx)
+        terms = apply_modifiers([], spec, ValueTerms, env, ctx)
     else:
         terms = _base_terms(spec, env, ctx, formula_slice)
-        terms = apply_modifiers(terms, spec, env, ctx)
+        terms = apply_modifiers(terms, spec, ValueTerms, env, ctx)
 
     if ctx.profiler is not None:
         for kind, count in summarize_terms(terms).items():

@@ -2,10 +2,9 @@
 
 Every measure reference can be rewritten to a correlated scalar subquery over
 the measure's source table whose WHERE clause expresses the evaluation
-context (Listing 5).  This module implements that rewrite at the AST level:
-the input is a query using measures, the output is measure-free SQL that the
-same engine (or any SQL engine) can run, and equivalence with the top-down
-interpreter is property-tested.
+context (Listing 5).  The input is a query using measures, the output is
+measure-free SQL that the same engine (or any SQL engine) can run, and
+equivalence with the top-down interpreter is property-tested.
 
 Example (the paper's Listing 3 becomes its Listing 5)::
 
@@ -17,29 +16,56 @@ expands to::
     SELECT prodName,
            (SELECT (SUM(i1.revenue) - SUM(i1.cost)) / SUM(i1.revenue)
             FROM Orders AS i1
-            WHERE i1.prodName IS NOT DISTINCT FROM o.prodName)
-    FROM (SELECT orderDate, prodName FROM Orders) AS o
+            WHERE i1.prodName IS NOT DISTINCT FROM EnhancedOrders.prodName)
+    FROM (SELECT orderDate, prodName FROM Orders) AS EnhancedOrders
     GROUP BY prodName
 
-Scope: the general correlated-subquery strategy supports plain GROUP BY
-queries, row-grain call sites, all AT modifiers, and grouping sets (rewritten
-to a UNION ALL of plain branches); measures composed from other measures and
-VISIBLE across join inputs are only supported by the interpreter (see
-DESIGN.md).  The ``inline`` and ``window`` strategies in
+**The expansion is a projection of the bound query.**  There is one
+definition of a measure's context, the binder's; this module resolves no
+name and derives no context.  The query is prepared at the AST level (views
+inlined, FROM subqueries aliased, grouping sets rewritten to a UNION ALL of
+plain branches), bound once by the ordinary :class:`Binder`, and then every
+measure call site the binder recorded is printed from what it bound to:
+the formula from ``MeasureInstance.formula``, the FROM and baked WHERE from
+``MeasureGroup.source_sql``, the context from the site's ``ContextSpec``
+through the one modifier algebra (:func:`repro.core.modifiers.apply_modifiers`),
+each bound expression turned back into SQL by
+:func:`repro.semantics.unbind.unbind`.
+
+Scope: everything the interpreter runs whose context ``unbind`` can print —
+plain and grouped queries, GROUP BY aliases and ordinals, DISTINCT,
+re-exported measures, row-grain call sites, all AT modifiers, grouping sets,
+VISIBLE within one relation (the query's conjuncts over the candidate row)
+and across join inputs (an ``EXISTS`` over a copy of the query's FROM).  What
+it cannot print — a measure composed from other measures, a subquery inside
+a measure definition or a VISIBLE conjunct — raises the one
+:class:`~repro.errors.UnsupportedError` of ``unbind``; it never prints
+different rows.  The ``inline`` and ``window`` strategies in
 :mod:`repro.core.strategies` cover the special shapes of paper section 6.4.
+A ``?`` copied into a measure's subquery keeps its parameter index in the
+expanded AST; the printed text shows one ``?`` per *use*.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.catalog.objects import BaseTable, View
-from repro.errors import BindError, MeasureError, UnsupportedError
+from repro.catalog.objects import View
+from repro.core.modifiers import BoundSet, BoundWhere, apply_modifiers
+from repro.errors import UnsupportedError
+from repro.semantics import bound as b
+from repro.semantics.binder import (
+    Binder,
+    BoundSelect,
+    FromSql,
+    materialize_measures,
+)
+from repro.semantics.unbind import unbind
 from repro.sql import ast
 from repro.sql.printer import to_sql
-from repro.sql.visitor import and_all, split_and, transform, transform_topdown
+from repro.sql.visitor import and_all, transform_topdown
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
@@ -170,62 +196,45 @@ def _collapse_identity_projection(
 
 
 # ---------------------------------------------------------------------------
-# Descriptors
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExpTable:
-    """Expansion-time description of a measure-bearing relation."""
-
-    #: Exposed non-measure column names (original case), in order.
-    columns: list[str]
-    #: lower name -> dimension expression over the source (refs unqualified).
-    dims: dict[str, ast.Expression]
-    #: lower name -> measure formula over the source.
-    measures: dict[str, ast.Expression]
-    #: The defining query's FROM clause (shared; deep-copied per use).
-    source_from: ast.TableRef
-    source_where: Optional[ast.Expression]
-
-
-@dataclass
-class ExpRelation:
-    """One FROM item as seen by the expander."""
-
-    alias: str
-    columns: list[str]  # exposed non-measure column names (original case)
-    table: Optional[ExpTable] = None  # set when the relation has measures
-
-    def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(c.lower() == lowered for c in self.columns)
-
-    def has_measure(self, name: str) -> bool:
-        return self.table is not None and name.lower() in self.table.measures
-
-
-@dataclass
-class _Term:
-    """One conjunct of an expansion-time evaluation context."""
-
-    kind: str  # 'dim' or 'pred'
-    key: str  # canonical source-expression text ('' for preds)
-    source_expr: ast.Expression  # over the scalar subquery's source
-    outer_value: Optional[ast.Expression]  # correlated value (dim terms)
-    predicate: Optional[ast.Expression] = None  # pred terms
-
-    def to_predicate(self) -> ast.Expression:
-        if self.kind == "pred":
-            assert self.predicate is not None
-            return self.predicate
-        assert self.outer_value is not None
-        return ast.IsDistinctFrom(self.source_expr, self.outer_value, negated=True)
-
-
-# ---------------------------------------------------------------------------
 # The expander
 # ---------------------------------------------------------------------------
+
+#: How a row is spelled: offset -> the SQL expression reading that column.
+Names = Callable[[int], ast.Expression]
+
+#: Expression nodes that hold a nested query.
+_QUERY_HOLDERS = (ast.SubqueryRef, ast.ScalarSubquery, ast.Exists, ast.InSubquery)
+
+
+def _same_level(node: ast.Node):
+    """The nodes of one query level below ``node``: a nested query is
+    yielded, not entered."""
+    for child in node.children():
+        yield child
+        if not isinstance(child, ast.Query):
+            yield from _same_level(child)
+
+
+@dataclass
+class _Level:
+    """One SELECT being printed, and how the rows around it are spelled."""
+
+    bound: BoundSelect
+    row: Names  # its FROM row
+    outer: list  # the rows of the enclosing levels, innermost first
+    #: The row a call site outside WHERE / ON sits on: the Aggregate's output
+    #: in an aggregate query (keys, then aggregate calls), else ``row``.
+    site: Names
+
+
+@dataclass
+class _SqlTerm:
+    """One conjunct of an evaluation context, as SQL.  ``value`` is what
+    ``CURRENT dim`` reads off it (dimension terms only)."""
+
+    dim_key: Optional[str]
+    predicate: ast.Expression
+    value: Optional[ast.Expression] = None
 
 
 class Expander:
@@ -234,215 +243,66 @@ class Expander:
     def __init__(self, db: "Database"):
         self.db = db
         self._alias_counter = 0
-        self._cte_tables: list[dict[str, tuple[ExpTable, list[str]]]] = []
+        self.binder = Binder(db.catalog)
 
     def fresh_alias(self, prefix: str = "i") -> str:
         self._alias_counter += 1
         return f"{prefix}{self._alias_counter}"
 
-    # -- queries -------------------------------------------------------------
-
     def expand_query(self, query: ast.Query) -> ast.Query:
+        query = self.bind(query)
+        self._rewrite_query(query, [], top=True)
+        return query
+
+    # -- prepare and bind -----------------------------------------------------
+
+    def bind(self, query: ast.Query) -> ast.Query:
+        """``query`` (changed in place) made ready — views inlined, every
+        FROM subquery aliased, grouping sets a UNION ALL of plain branches —
+        and bound once: ``self.binder`` then knows every SELECT of the
+        returned tree and every measure call site in it."""
+        query = self._prepare(query, frozenset())
+        self.binder.bind_query_top(query)
+        return query
+
+    def _prepare(self, query: ast.Query, ctes: frozenset) -> ast.Query:
         if isinstance(query, ast.WithQuery):
-            return self._expand_with(query)
-        if isinstance(query, ast.Select):
-            if any(
-                not isinstance(e, ast.SimpleGrouping) for e in query.group_by
-            ):
-                return self._expand_grouping_sets(query)
-            select, _ = self._expand_select(query)
-            return select
-        if isinstance(query, ast.SetOp):
-            query.left = self.expand_query(query.left)
-            query.right = self.expand_query(query.right)
-            return query
-        if isinstance(query, ast.Values):
-            return query
-        raise UnsupportedError(f"cannot expand {type(query).__name__}")
-
-    def _expand_with(self, query: ast.WithQuery) -> ast.Query:
-        frame: dict[str, tuple[ExpTable, list[str]]] = {}
-        self._cte_tables.append(frame)
-        try:
-            kept_ctes: list[ast.Cte] = []
             for cte in query.ctes:
-                if isinstance(cte.query, ast.Select) and any(
-                    item.is_measure for item in cte.query.items
-                ):
-                    table, stripped = self._measure_table_of(cte.query)
-                    frame[cte.name.lower()] = (table, table.columns)
-                    kept_ctes.append(ast.Cte(cte.name, cte.columns, stripped))
-                else:
-                    kept_ctes.append(
-                        ast.Cte(cte.name, cte.columns, self.expand_query(cte.query))
-                    )
-            body = self.expand_query(query.body)
-            return ast.WithQuery(kept_ctes, body)
-        finally:
-            self._cte_tables.pop()
+                cte.query = self._prepare(cte.query, ctes)
+                ctes = ctes | {cte.name.lower()}
+            query.body = self._prepare(query.body, ctes)
+        elif isinstance(query, ast.SetOp):
+            query.left = self._prepare(query.left, ctes)
+            query.right = self._prepare(query.right, ctes)
+        elif isinstance(query, ast.Select):
+            if query.from_clause is not None:
+                query.from_clause = self._prepare_from(query.from_clause, ctes)
+            for node in _same_level(query):
+                if isinstance(node, _QUERY_HOLDERS):
+                    node.query = self._prepare(node.query, ctes)
+            if any(not isinstance(e, ast.SimpleGrouping) for e in query.group_by):
+                return self._expand_grouping_sets(query)
+        return query
 
-    def _lookup_cte(self, name: str) -> Optional[tuple[ExpTable, list[str]]]:
-        lowered = name.lower()
-        for frame in reversed(self._cte_tables):
-            if lowered in frame:
-                return frame[lowered]
-        return None
-
-    # -- measure-table extraction ----------------------------------------------
-
-    def _measure_table_of(
-        self, select: ast.Select
-    ) -> tuple[ExpTable, ast.Select]:
-        """Build an ExpTable from a measure-defining SELECT and return the
-        stripped (measure-free) version of the query."""
-        if select.group_by or select.having is not None:
-            raise UnsupportedError(
-                "expansion of measures defined in grouped queries is not supported"
-            )
-        # The defining query's FROM may itself use measures: expand first.
-        inner_from = select.from_clause
-        if inner_from is None:
-            raise UnsupportedError("measure definitions require a FROM clause")
-        source_relations: list[ExpRelation] = []
-        inner_from = self._expand_from(inner_from, source_relations, [])
-        source_scope = _ExpScope(source_relations)
-
-        columns: list[str] = []
-        dims: dict[str, ast.Expression] = {}
-        measures: dict[str, ast.Expression] = {}
-        kept_items: list[ast.SelectItem] = []
-        star_columns = self._star_columns(inner_from)
-
-        def add_dim(name: str, expr: ast.Expression) -> None:
-            columns.append(name)
-            dims[name.lower()] = _mark_source_refs(copy.deepcopy(expr))
-
-        for item in select.items:
-            if item.is_measure:
-                assert item.alias is not None
-                measures[item.alias.lower()] = item.expr
-                continue
-            if isinstance(item.expr, ast.Star):
-                for col in star_columns:
-                    add_dim(col, ast.ColumnRef((col,)))
-                    kept_items.append(
-                        ast.SelectItem(ast.ColumnRef((col,)), col)
-                    )
-                continue
-            name = item.alias or (
-                item.expr.name if isinstance(item.expr, ast.ColumnRef) else None
-            )
-            if name is None:
-                raise UnsupportedError(
-                    "measure-defining queries must name computed columns"
-                )
-            add_dim(name, item.expr)
-            kept_items.append(ast.SelectItem(item.expr, name))
-
-        # Measures composed from the input's measures cannot be expanded
-        # statically (paper section 6.4); the interpreter handles them.
-        for formula in measures.values():
-            if _contains_measure_use(formula, source_scope):
-                raise UnsupportedError(
-                    "static expansion of measures composed from other "
-                    "measures is not supported; use the interpreter"
-                )
-
-        # Resolve sibling measure references by textual inlining, then mark
-        # source-side references for the alias rename at use sites.
-        measures = _inline_siblings(measures)
-        measures = {
-            name: _mark_source_refs(formula) for name, formula in measures.items()
-        }
-
-        table = ExpTable(
-            columns=columns,
-            dims=dims,
-            measures=measures,
-            source_from=inner_from,
-            source_where=(
-                _mark_source_refs(copy.deepcopy(select.where))
-                if select.where is not None
-                else None
-            ),
-        )
-        stripped = ast.Select(
-            items=kept_items,
-            from_clause=inner_from,
-            where=select.where,
-            distinct=select.distinct,
-            order_by=select.order_by,
-            limit=select.limit,
-            offset=select.offset,
-        )
-        return table, stripped
-
-    def _star_columns(self, from_clause: ast.TableRef) -> list[str]:
-        """Column names produced by ``SELECT *`` over ``from_clause``."""
-        if isinstance(from_clause, ast.TableName):
-            cte = self._lookup_cte(from_clause.name)
-            if cte is not None:
-                return list(cte[1])
-            obj = self.db.catalog.resolve(from_clause.name)
-            if isinstance(obj, BaseTable):
-                return [c.name for c in obj.schema.columns]
-            assert isinstance(obj, View)
-            from repro.semantics.binder import Binder
-
-            bound = Binder(self.db.catalog).bind_query_as_relation(obj.query, None)
-            return [c.name for c in bound.columns if not c.is_measure]
-        if isinstance(from_clause, ast.SubqueryRef):
-            from repro.semantics.binder import Binder
-
-            bound = Binder(self.db.catalog).bind_query_as_relation(
-                from_clause.query, None
-            )
-            return [c.name for c in bound.columns if not c.is_measure]
-        if isinstance(from_clause, ast.Join):
-            return self._star_columns(from_clause.left) + self._star_columns(
-                from_clause.right
-            )
-        raise UnsupportedError("cannot expand * over this FROM clause")
-
-    # -- SELECT expansion -----------------------------------------------------
-
-    def _expand_select(
-        self, select: ast.Select
-    ) -> tuple[ast.Select, list[ExpRelation]]:
-        relations: list[ExpRelation] = []
-        join_conds: list[ast.Expression] = []
-        if select.from_clause is not None:
-            select.from_clause = self._expand_from(
-                select.from_clause, relations, join_conds
-            )
-
-        scope = _ExpScope(relations)
-        is_aggregate = _detect_aggregate(select)
-
-        # Group terms available to measures at aggregate call sites.
-        group_exprs: list[ast.Expression] = []
-        if is_aggregate:
-            for element in select.group_by:
-                group_exprs.append(element.expr)  # type: ignore[union-attr]
-
-        rewriter = _UseRewriter(
-            self, scope, select, group_exprs, is_aggregate, join_conds
-        )
-        for item in select.items:
-            if not isinstance(item.expr, ast.Star):
-                item.expr = rewriter.rewrite(item.expr, site="select")
-        if select.where is not None:
-            select.where = rewriter.rewrite(select.where, site="row")
-        if select.having is not None:
-            select.having = rewriter.rewrite(select.having, site="select")
-        for order_item in select.order_by:
-            order_item.expr = rewriter.rewrite(order_item.expr, site="select")
-        return select, relations
+    def _prepare_from(self, ref: ast.TableRef, ctes: frozenset) -> ast.TableRef:
+        if isinstance(ref, ast.Join):
+            ref.left = self._prepare_from(ref.left, ctes)
+            ref.right = self._prepare_from(ref.right, ctes)
+        elif isinstance(ref, ast.TableName):
+            view = None if ref.name.lower() in ctes else self.db.catalog.get(ref.name)
+            if isinstance(view, View):
+                return ast.SubqueryRef(_view_query(view), ref.alias or view.name)
+        elif isinstance(ref, ast.SubqueryRef):
+            ref.alias = ref.alias or self.fresh_alias("t")
+        else:
+            raise UnsupportedError(f"cannot expand {type(ref).__name__} in FROM")
+        return ref
 
     def _expand_grouping_sets(self, select: ast.Select) -> ast.Query:
         """Rewrite ROLLUP/CUBE/GROUPING SETS as a UNION ALL of plain GROUP BY
-        branches, then expand each branch (so measures work under grouping
-        sets too — the paper's Listing 8 becomes statically expandable).
+        branches, each bound and printed like any other query (so measures
+        work under grouping sets too — the paper's Listing 8 becomes
+        statically expandable).
 
         Per branch: inactive grouping keys become NULL literals in the
         projection and GROUPING/GROUPING_ID calls become constants.
@@ -517,7 +377,7 @@ class Expander:
             ]
             if branch.having is not None:
                 branch.having = transform(branch.having)
-            branches.append(self.expand_query(branch))
+            branches.append(branch)
 
         union: ast.Query = branches[0]
         for branch in branches[1:]:
@@ -571,174 +431,286 @@ class Expander:
             union.offset = copy.deepcopy(select.offset)  # type: ignore[union-attr]
         return union
 
-    def _expand_from(
-        self,
-        ref: ast.TableRef,
-        relations: list[ExpRelation],
-        join_conds: list[ast.Expression],
-    ) -> ast.TableRef:
-        if isinstance(ref, ast.TableName):
-            cte = self._lookup_cte(ref.name)
-            if cte is not None:
-                table, columns = cte
-                relations.append(
-                    ExpRelation(ref.alias or ref.name, list(columns), table)
-                )
-                return ref
-            obj = self.db.catalog.resolve(ref.name)
-            if isinstance(obj, BaseTable):
-                relations.append(
-                    ExpRelation(
-                        ref.alias or ref.name,
-                        [c.name for c in obj.schema.columns],
-                    )
-                )
-                return ref
-            assert isinstance(obj, View)
-            view_query = copy.deepcopy(obj.query)
-            return self._relation_from_query(
-                view_query, ref.alias or obj.name, relations
-            )
-        if isinstance(ref, ast.SubqueryRef):
-            alias = ref.alias or self.fresh_alias("t")
-            return self._relation_from_query(ref.query, alias, relations)
-        if isinstance(ref, ast.Join):
-            ref.left = self._expand_from(ref.left, relations, join_conds)
-            ref.right = self._expand_from(ref.right, relations, join_conds)
-            if ref.condition is not None:
-                join_conds.append(ref.condition)
-            elif ref.using:
-                for name in ref.using:
-                    left_rel = _owner_of(relations[:-1], name)
-                    right_rel = relations[-1]
-                    if left_rel is not None:
-                        join_conds.append(
-                            ast.Binary(
-                                "=",
-                                ast.ColumnRef((left_rel.alias, name)),
-                                ast.ColumnRef((right_rel.alias, name)),
-                            )
-                        )
-            return ref
-        raise UnsupportedError(f"cannot expand {type(ref).__name__} in FROM")
+    # -- print what was bound ---------------------------------------------------
 
-    def _relation_from_query(
-        self, query: ast.Query, alias: str, relations: list[ExpRelation]
-    ) -> ast.TableRef:
-        if isinstance(query, ast.Select) and any(
-            item.is_measure for item in query.items
-        ):
-            table, stripped = self._measure_table_of(query)
-            relations.append(ExpRelation(alias, list(table.columns), table))
-            return ast.SubqueryRef(stripped, alias)
-        expanded = self.expand_query(query)
-        from repro.semantics.binder import Binder
+    def _rewrite_query(self, query: ast.Query, outer: list, *, top: bool) -> None:
+        """Replace, in place, every measure call site of ``query`` by its
+        subquery.  ``top``: the binder materialized the query's measure
+        columns (``bind_query_top``: a statement, a set-operation branch, a
+        subquery in an expression); otherwise they stay virtual and are
+        dropped from the SELECT list (a FROM item, a CTE)."""
+        if isinstance(query, ast.WithQuery):
+            for cte in query.ctes:
+                self._rewrite_query(cte.query, outer, top=False)
+            self._rewrite_query(query.body, outer, top=top)
+        elif isinstance(query, ast.SetOp):
+            self._rewrite_query(query.left, outer, top=True)
+            self._rewrite_query(query.right, outer, top=True)
+        elif isinstance(query, ast.Select):
+            self._rewrite_select(query, outer, top)
 
-        bound = Binder(self.db.catalog).bind_query_as_relation(expanded, None)
-        relations.append(
-            ExpRelation(alias, [c.name for c in bound.columns])
+    def _rewrite_select(self, select: ast.Select, outer: list, top: bool) -> None:
+        bound = self.binder.selects[id(select)]
+        row = self.names(bound)
+        site = row
+        if bound.group_exprs is not None:
+            slots = [*bound.group_exprs, *bound.agg_calls]
+            site = lambda slot: unbind(slots[slot], [row] + outer)  # noqa: E731
+        level = _Level(bound, row, outer, site)
+        if select.from_clause is not None:
+            self._rewrite_from(select.from_clause, level)
+
+        if bound.relation.has_measures:
+            self._rewrite_measure_columns(select, level, top)
+        else:
+            for item in select.items:
+                if not isinstance(item.expr, ast.Star):
+                    item.expr = self._rewrite_expr(item.expr, level, grouped=True)
+        select.where = self._rewrite_expr(select.where, level)
+        select.having = self._rewrite_expr(select.having, level, grouped=True)
+        select.qualify = self._rewrite_expr(select.qualify, level, grouped=True)
+        for order_item in select.order_by:
+            order_item.expr = self._rewrite_expr(order_item.expr, level, grouped=True)
+
+    def _rewrite_measure_columns(self, select: ast.Select, level: _Level, top: bool):
+        """The SELECT list of a query that defines or re-exports measures,
+        ``*`` expanded: the measure columns dropped (they stay virtual), or,
+        at the top, evaluated the way the binder's ``materialize_measures``
+        does — over the *output's* dimensions, offset i of that row being
+        the i-th non-measure item."""
+        bound = level.bound
+        plan, _ = materialize_measures(bound.relation)
+        output = lambda i: unbind(  # noqa: E731
+            bound.item_exprs[i], [level.row] + level.outer
         )
-        return ast.SubqueryRef(expanded, alias)
+        items = []
+        for item, column, expr in zip(bound.items, bound.relation.columns, plan.exprs):
+            if not column.is_measure:
+                value = self._rewrite_expr(item.expr, level)
+            elif top:
+                value = self.measure_subquery(expr, level, [output] + level.outer)
+            else:
+                continue
+            items.append(ast.SelectItem(value, column.name))
+        select.items = items
 
-    # -- scalar-subquery construction -------------------------------------------
+    def _rewrite_from(self, ref: ast.TableRef, level: _Level) -> None:
+        if isinstance(ref, ast.Join):
+            self._rewrite_from(ref.left, level)
+            self._rewrite_from(ref.right, level)
+            ref.condition = self._rewrite_expr(ref.condition, level)
+        elif isinstance(ref, ast.SubqueryRef):
+            self._rewrite_query(ref.query, level.outer, top=False)
 
-    def build_measure_subquery(
-        self,
-        relation: ExpRelation,
-        measure_name: str,
-        terms: list[_Term],
-    ) -> ast.ScalarSubquery:
-        """The paper's rewrite: measure -> correlated scalar subquery."""
-        table = relation.table
-        assert table is not None
-        source, rename = self._instantiate_source(table)
-        formula = _apply_rename(copy.deepcopy(table.measures[measure_name.lower()]), rename)
-        conjuncts: list[ast.Expression] = []
-        if table.source_where is not None:
-            conjuncts.append(
-                _apply_rename(copy.deepcopy(table.source_where), rename)
+    def _rewrite_expr(
+        self, expr: Optional[ast.Expression], level: _Level, grouped: bool = False
+    ) -> Optional[ast.Expression]:
+        """``expr`` with its measure call sites replaced.  ``grouped``: the
+        clause sits above the query's Aggregate, if it has one."""
+        if expr is None:
+            return None
+        here = level.site if grouped else level.row
+        frames = [here] + level.outer
+        # What a subquery in this clause sees one level out: the FROM row —
+        # the binder renumbers references into an Aggregate's output only in
+        # the plan, not in the contexts this prints from.
+        nested = [here if here is level.row else None] + level.outer
+        # No group keys: the subquery is the same for every input row, but
+        # the query must stay an aggregate query so that it returns exactly
+        # one row.  ANY_VALUE keeps that shape.
+        lone = grouped and level.bound.group_exprs == []
+
+        def visit(node: ast.Node):
+            site = self.binder.sites.get(id(node))
+            if site is not None:
+                subquery = self.measure_subquery(site, level, frames)
+                return ast.FunctionCall("ANY_VALUE", [subquery]) if lone else subquery
+            if isinstance(node, _QUERY_HOLDERS):
+                self._rewrite_query(node.query, nested, top=True)
+            return None
+
+        return transform_topdown(expr, visit)  # type: ignore[return-value]
+
+    # -- one call site ----------------------------------------------------------
+
+    @staticmethod
+    def names(bound: FromSql, aliases: Optional[dict] = None) -> Names:
+        """How ``bound``'s FROM row is spelled: ``alias.column`` per offset,
+        under the relations' own aliases or ``aliases[id(relation)]``."""
+        parts = {
+            column.offset: (
+                aliases[id(relation)] if aliases else relation.alias,
+                column.name,
             )
-        for term in terms:
-            pred = term.to_predicate()
-            conjuncts.append(_apply_rename(pred, rename))
-        where = and_all(conjuncts)
+            for relation in bound.scope.relations
+            for column in relation.columns
+            if column.offset is not None
+        }
+        return lambda offset: ast.ColumnRef(parts[offset])
+
+    def instantiate(
+        self, bound: FromSql, prefix: str, outer: list = ()
+    ) -> tuple[Optional[ast.TableRef], Names]:
+        """A copy of ``bound``'s FROM clause under fresh aliases — every join
+        condition as the binder bound it, so USING / NATURAL become ON — and
+        how a row of it is spelled."""
+        relations, joins = iter(bound.scope.relations), iter(bound.joins)
+        aliases: dict[int, str] = {}
+        conditions: list[tuple[ast.Join, Optional[b.BoundExpr]]] = []
+
+        def copy_of(ref: ast.TableRef) -> ast.TableRef:
+            if isinstance(ref, ast.Join):
+                join = ast.Join(ref.kind, copy_of(ref.left), copy_of(ref.right))
+                conditions.append((join, next(joins)))
+                return join
+            aliases[id(next(relations))] = alias = self.fresh_alias(prefix)
+            if isinstance(ref, ast.TableName):
+                return ast.TableName(ref.name, alias)
+            return ast.SubqueryRef(copy.deepcopy(ref.query), alias)
+
+        ref = bound.from_clause
+        source = None if ref is None else copy_of(ref)
+        names = self.names(bound, aliases)
+        for join, condition in conditions:
+            if condition is not None:
+                join.condition = unbind(condition, [names, *outer])
+        return source, names
+
+    def measure_subquery(
+        self, node: b.BoundMeasureEval, level: _Level, site: list
+    ) -> ast.Expression:
+        """The paper's rewrite: the measure evaluated at ``node`` as a
+        correlated scalar subquery over its source.  ``site`` spells the
+        call-site row (and the rows around it) the context's values read."""
+        source_sql = node.measure.group.source_sql
+        source, src = self.instantiate(source_sql, "i")
+        conjuncts = [unbind(pred, [src]) for pred in source_sql.where]
+        conjuncts += self.context(node.context, level, src, site)
         inner = ast.Select(
-            items=[ast.SelectItem(formula)],
+            items=[ast.SelectItem(unbind(node.measure.formula, [src]))],
             from_clause=source,
-            where=where,
+            where=and_all(conjuncts),
         )
         return ast.ScalarSubquery(inner)
 
-    def _instantiate_source(
-        self, table: ExpTable
-    ) -> tuple[ast.TableRef, dict[str, str]]:
-        """Deep-copy the measure source with fresh aliases.
+    def context(
+        self, spec, level: _Level, src: Names, site: list
+    ) -> list[ast.Expression]:
+        """The evaluation context ``spec`` builds, as predicates over the
+        source row ``src``: its group terms, then its modifiers."""
+        make = _SqlTerms(self, level, src, site)
+        terms = [
+            make.pin(t.dim_key, t.source_expr, unbind(t.value_expr, site))
+            for t in spec.group_terms
+        ]
+        return [t.predicate for t in apply_modifiers(terms, spec, make)]
 
-        Returns the copied FROM tree and the alias-rename map (old lower
-        name -> new alias), used to re-qualify references in the formula,
-        dimension expressions, and baked WHERE clause.
-        """
-        source = copy.deepcopy(table.source_from)
-        rename: dict[str, str] = {}
-        alias_map: dict[str, str] = {}
 
-        def assign(ref: ast.TableRef) -> None:
-            if isinstance(ref, ast.TableName):
-                old = (ref.alias or ref.name).lower()
-                ref.alias = self.fresh_alias()
-                rename[old] = ref.alias
-                alias_map[old] = ref.alias
-            elif isinstance(ref, ast.SubqueryRef):
-                old = (ref.alias or "").lower()
-                ref.alias = self.fresh_alias()
-                if old:
-                    rename[old] = ref.alias
-                    alias_map[old] = ref.alias
-            elif isinstance(ref, ast.Join):
-                assign(ref.left)
-                assign(ref.right)
-                if ref.condition is not None:
-                    ref.condition = _rename_plain_qualifiers(
-                        ref.condition, alias_map
-                    )
+class _SqlTerms:
+    """SQL expansion's terms for :func:`apply_modifiers`: each modifier's
+    value stays an expression over the call-site row, correlated."""
 
-        assign(source)
-        if isinstance(source, (ast.TableName, ast.SubqueryRef)):
-            rename[""] = source.alias or ""
-        else:
-            rename[""] = ""  # multi-relation source: leave refs unqualified
-        return source, rename
+    def __init__(self, expander: Expander, level: _Level, src: Names, site: list):
+        self.expander = expander
+        self.level = level
+        self.src = src
+        self.site = site
 
-    def translate_to_source(
-        self,
-        expr: ast.Expression,
-        relation: ExpRelation,
-        scope: "_ExpScope",
-    ) -> Optional[ast.Expression]:
-        """Rewrite a call-site expression onto the measure source, or None if
-        it references columns outside the relation's dimensions."""
-        table = relation.table
-        assert table is not None
-        failed = False
+    def pin(self, dim_key, source_expr: b.BoundExpr, value: ast.Expression) -> _SqlTerm:
+        source = unbind(source_expr, [self.src])
+        return _SqlTerm(dim_key, ast.IsDistinctFrom(source, value, negated=True), value)
 
-        def visit(node: ast.Expression) -> ast.Expression:
-            nonlocal failed
-            if isinstance(node, ast.ColumnRef):
-                owner = scope.owner(node)
-                if owner is not relation:
-                    failed = True
-                    return node
-                dim = table.dims.get(node.name.lower())
-                if dim is None:
-                    failed = True
-                    return node
-                return copy.deepcopy(dim)
-            if isinstance(node, (ast.ScalarSubquery, ast.Exists, ast.InSubquery)):
-                failed = True
-            return node
+    def set_term(self, modifier: BoundSet, terms: list[_SqlTerm]) -> _SqlTerm:
+        # CURRENT d: the value the incoming context pins d to, symbolically
+        # (unbind prints NULL for an unconstrained one).
+        current: dict[str, ast.Expression] = {}
+        for term in terms:
+            if term.value is not None:
+                current.setdefault(term.dim_key, term.value)
+        value = unbind(modifier.value_expr, self.site, current)
+        return self.pin(modifier.dim_key, modifier.source_expr, value)
 
-        rewritten = transform(expr, visit, into_queries=False)
-        return None if failed else rewritten
+    def where_terms(self, modifier: BoundWhere) -> list[_SqlTerm]:
+        # The predicate's row is the source row; the call site is one out.
+        frames = [self.src] + self.site
+        preds = [
+            ast.Binary("=", unbind(source, frames), unbind(value, [None] + self.site))
+            for source, value in modifier.eq_pairs
+        ]
+        if modifier.pred is not None:
+            preds.append(unbind(modifier.pred, frames))
+        return [_SqlTerm(None, pred) for pred in preds]
+
+    def visible_terms(self, spec) -> list[_SqlTerm]:
+        """VISIBLE: a source row is visible iff some row of the current
+        group still satisfies the query's conjuncts with the measure
+        relation's columns replaced by the candidate's dimensions."""
+        info = spec.visible
+        if info is None:
+            return []
+        level = self.level
+        dims = [
+            None if expr is None else unbind(expr, [self.src])
+            for expr in info.offset_dim_exprs
+        ]
+
+        def substituted(rest: Names) -> Names:
+            def name(offset: int) -> ast.Expression:
+                if info.range_start <= offset < info.range_end:
+                    return dims[offset - info.range_start] or ast.Literal(None)
+                return rest(offset)
+
+            return name
+
+        if spec.captured_rows_offset is None or not (
+            info.outer or info.keys or info.residual
+        ):
+            # The witness is the call-site row itself (row grain), or no
+            # conjunct reads anything but the candidate: no group to search.
+            frames = [substituted(level.row)] + level.outer
+            return [_SqlTerm(None, unbind(pred, frames)) for pred in info.preds]
+        # The semijoin the interpreter runs, in SQL: a row g of the query's
+        # own FROM that passed its WHERE, belongs to the outer row's group,
+        # and satisfies the conjuncts with the candidate substituted in.
+        bound = level.bound
+        source, g = self.expander.instantiate(bound, "g", level.outer)
+        frames = [g] + level.outer
+        conjuncts = [unbind(pred, frames) for pred in bound.where]
+        conjuncts += [
+            ast.IsDistinctFrom(unbind(expr, frames), level.site(slot), negated=True)
+            for slot, expr in enumerate(bound.group_exprs)
+        ]
+        # (A WHERE conjunct that reads nothing of the measure relation is
+        # already there, unsubstituted.)
+        said = {id(p) for p in info.outer} & {id(p) for p in bound.where}
+        conjuncts += [
+            unbind(pred, [substituted(g)] + level.outer)
+            for pred in info.preds
+            if id(pred) not in said
+        ]
+        witness = ast.Select(
+            items=[ast.SelectItem(ast.Literal(1))],
+            from_clause=source,
+            where=and_all(conjuncts),
+        )
+        return [_SqlTerm(None, ast.Exists(witness))]
+
+
+def _view_query(view: View) -> ast.Query:
+    """A private copy of the view's query, its columns renamed to the
+    view's column list if it has one."""
+    query = copy.deepcopy(view.query)
+    if view.column_names:
+        if not isinstance(query, ast.Select) or any(
+            isinstance(item.expr, ast.Star) for item in query.items
+        ):
+            raise UnsupportedError(
+                f"cannot expand view {view.name!r}: its column list renames "
+                "the columns of a * or of a set operation"
+            )
+        for item, name in zip(query.items, view.column_names):
+            item.alias = name
+    return query
 
 
 class _GroupingSetBranch:
@@ -750,8 +722,6 @@ class _GroupingSetBranch:
         self.active = active
 
     def transform(self, expr: ast.Expression) -> ast.Expression:
-        from repro.sql.visitor import transform_topdown
-
         def visit(node: ast.Node):
             if isinstance(node, ast.FunctionCall) and node.name in (
                 "GROUPING",
@@ -773,414 +743,3 @@ class _GroupingSetBranch:
             return None
 
         return transform_topdown(copy.deepcopy(expr), visit)  # type: ignore[return-value]
-
-
-class _ExpScope:
-    def __init__(self, relations: list[ExpRelation]):
-        self.relations = relations
-
-    def owner(self, ref: ast.ColumnRef) -> Optional[ExpRelation]:
-        if ref.qualifier is not None:
-            lowered = ref.qualifier.lower()
-            for relation in self.relations:
-                if relation.alias.lower() == lowered:
-                    return relation
-            return None
-        matches = [
-            r
-            for r in self.relations
-            if r.has_column(ref.name) or r.has_measure(ref.name)
-        ]
-        return matches[0] if len(matches) >= 1 else None
-
-    def qualify(self, expr: ast.Expression) -> ast.Expression:
-        """Qualify unqualified column references with their relation alias."""
-
-        def visit(node: ast.Expression) -> ast.Expression:
-            if isinstance(node, ast.ColumnRef) and len(node.parts) == 1:
-                owner = self.owner(node)
-                if owner is not None:
-                    return ast.ColumnRef((owner.alias, node.parts[0]))
-            return node
-
-        return transform(copy.deepcopy(expr), visit, into_queries=False)
-
-
-class _UseRewriter:
-    """Rewrites measure uses in one query's clauses."""
-
-    def __init__(
-        self,
-        expander: Expander,
-        scope: _ExpScope,
-        select: ast.Select,
-        group_exprs: list[ast.Expression],
-        is_aggregate: bool,
-        join_conds: list[ast.Expression],
-    ):
-        self.expander = expander
-        self.scope = scope
-        self.select = select
-        self.group_exprs = group_exprs
-        self.is_aggregate = is_aggregate
-        self.join_conds = join_conds
-
-    def rewrite(self, expr: ast.Expression, *, site: str) -> ast.Expression:
-        def visit(node: ast.Node):
-            if not isinstance(
-                node, (ast.FunctionCall, ast.At, ast.ColumnRef)
-            ):
-                return None
-            use = self._match_measure_use(node)
-            if use is None:
-                return None
-            relation, measure_name, modifiers = use
-            terms = self._base_terms(relation, site)
-            terms = self._apply_modifiers(terms, modifiers, relation)
-            subquery = self.expander.build_measure_subquery(
-                relation, measure_name, terms
-            )
-            if self.is_aggregate and not self.group_exprs and site != "row":
-                # No group keys: the subquery is the same for every input
-                # row, but the query must stay an aggregate query so that it
-                # returns exactly one row.  ANY_VALUE keeps that shape.
-                return ast.FunctionCall("ANY_VALUE", [subquery])
-            return subquery
-
-        return transform_topdown(expr, visit)
-
-    def _match_measure_use(
-        self, node: ast.Expression
-    ) -> Optional[tuple[ExpRelation, str, list[ast.AtModifier]]]:
-        """Match m / m AT (...) / AGGREGATE(m) / EVAL(m AT ...)."""
-        modifiers: list[ast.AtModifier] = []
-        if isinstance(node, ast.FunctionCall) and node.name in ("AGGREGATE", "EVAL"):
-            if len(node.args) != 1:
-                raise BindError(f"{node.name} takes exactly one argument")
-            inner = node.args[0]
-            if node.name == "AGGREGATE":
-                modifiers.append(ast.VisibleModifier())
-            node = inner
-        while isinstance(node, ast.At):
-            modifiers.extend(node.modifiers)
-            node = node.operand
-        if not isinstance(node, ast.ColumnRef):
-            return None
-        owner = self.scope.owner(node)
-        if owner is None or not owner.has_measure(node.name):
-            if modifiers:
-                raise MeasureError("AT can only be applied to a measure")
-            return None
-        return owner, node.name, modifiers
-
-    # -- context construction ------------------------------------------------
-
-    def _base_terms(self, relation: ExpRelation, site: str) -> list[_Term]:
-        table = relation.table
-        assert table is not None
-        terms: list[_Term] = []
-        if site == "row" or not self.is_aggregate:
-            for column in table.columns:
-                dim = table.dims[column.lower()]
-                terms.append(
-                    _Term(
-                        "dim",
-                        to_sql(dim),
-                        copy.deepcopy(dim),
-                        ast.ColumnRef((relation.alias, column)),
-                    )
-                )
-            return terms
-        for group_expr in self.group_exprs:
-            translated = self.expander.translate_to_source(
-                copy.deepcopy(group_expr), relation, self.scope
-            )
-            if translated is None:
-                continue
-            terms.append(
-                _Term(
-                    "dim",
-                    to_sql(translated),
-                    translated,
-                    self.scope.qualify(group_expr),
-                )
-            )
-        return terms
-
-    def _apply_modifiers(
-        self,
-        terms: list[_Term],
-        modifiers: list[ast.AtModifier],
-        relation: ExpRelation,
-    ) -> list[_Term]:
-        for modifier in modifiers:
-            if isinstance(modifier, ast.AllModifier):
-                if not modifier.dims:
-                    terms = []
-                    continue
-                removed = set()
-                for dim in modifier.dims:
-                    translated = self.expander.translate_to_source(
-                        copy.deepcopy(dim), relation, self.scope
-                    )
-                    if translated is None:
-                        raise MeasureError(
-                            f"{to_sql(dim)} is not a dimension of the measure's table"
-                        )
-                    removed.add(to_sql(translated))
-                terms = [t for t in terms if t.key not in removed]
-            elif isinstance(modifier, ast.SetModifier):
-                translated = self.expander.translate_to_source(
-                    copy.deepcopy(modifier.dim), relation, self.scope
-                )
-                if translated is None:
-                    raise MeasureError(
-                        f"{to_sql(modifier.dim)} is not a dimension of the "
-                        "measure's table"
-                    )
-                key = to_sql(translated)
-                value = self._resolve_current(modifier.value, terms, relation)
-                terms = [t for t in terms if t.key != key]
-                terms.append(_Term("dim", key, translated, value))
-            elif isinstance(modifier, ast.VisibleModifier):
-                terms = terms + self._visible_terms(relation)
-            elif isinstance(modifier, ast.WhereModifier):
-                pred = self._translate_at_where(modifier.predicate, relation)
-                terms = [_Term("pred", "", ast.Literal(True), None, pred)]
-            else:
-                raise UnsupportedError(type(modifier).__name__)
-        return terms
-
-    def _resolve_current(
-        self,
-        value: ast.Expression,
-        terms: list[_Term],
-        relation: ExpRelation,
-    ) -> ast.Expression:
-        def visit(node: ast.Expression) -> ast.Expression:
-            if isinstance(node, ast.CurrentDim):
-                translated = self.expander.translate_to_source(
-                    copy.deepcopy(node.dim), relation, self.scope
-                )
-                if translated is None:
-                    raise MeasureError(
-                        f"CURRENT {to_sql(node.dim)}: not a dimension"
-                    )
-                key = to_sql(translated)
-                for term in terms:
-                    if term.kind == "dim" and term.key == key:
-                        assert term.outer_value is not None
-                        return copy.deepcopy(term.outer_value)
-                return ast.Literal(None)
-            return node
-
-        resolved = transform(copy.deepcopy(value), visit, into_queries=False)
-        return self.scope.qualify(resolved)
-
-    def _visible_terms(self, relation: ExpRelation) -> list[_Term]:
-        preds: list[ast.Expression] = []
-        preds.extend(split_and(self.select.where))
-        for cond in self.join_conds:
-            preds.extend(split_and(cond))
-        terms: list[_Term] = []
-        for pred in preds:
-            if _contains_measure_use(pred, self.scope):
-                continue
-            translated = self.expander.translate_to_source(
-                copy.deepcopy(pred), relation, self.scope
-            )
-            if translated is None:
-                raise UnsupportedError(
-                    "static expansion of VISIBLE across join inputs is not "
-                    "supported; use the interpreter (see DESIGN.md)"
-                )
-            terms.append(_Term("pred", "", ast.Literal(True), None, translated))
-        return terms
-
-    def _translate_at_where(
-        self, predicate: ast.Expression, relation: ExpRelation
-    ) -> ast.Expression:
-        """Inside AT WHERE, unqualified dimension names denote the source row;
-        qualified names denote the enclosing query (correlated)."""
-        table = relation.table
-        assert table is not None
-
-        def visit(node: ast.Expression) -> ast.Expression:
-            if isinstance(node, ast.ColumnRef):
-                if len(node.parts) == 1:
-                    dim = table.dims.get(node.name.lower())
-                    if dim is not None:
-                        return copy.deepcopy(dim)
-                return self.scope.qualify(node)
-            return node
-
-        return transform(copy.deepcopy(predicate), visit, into_queries=False)
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-SRC_MARKER = "$src"
-
-
-def _owner_of(relations: list["ExpRelation"], name: str) -> Optional["ExpRelation"]:
-    """First relation exposing column ``name`` (for USING translation)."""
-    for relation in relations:
-        if relation.has_column(name):
-            return relation
-    return None
-
-
-def _rename_plain_qualifiers(
-    expr: ast.Expression, alias_map: dict[str, str]
-) -> ast.Expression:
-    """Rename alias qualifiers inside the instantiated source tree itself
-    (join conditions of a multi-relation measure source)."""
-
-    def visit(node: ast.Expression) -> ast.Expression:
-        if isinstance(node, ast.ColumnRef) and len(node.parts) >= 2:
-            new_alias = alias_map.get(node.qualifier.lower())
-            if new_alias:
-                return ast.ColumnRef((new_alias, node.name))
-        return node
-
-    return transform(expr, visit, into_queries=False)
-
-
-def _mark_source_refs(expr: ast.Expression) -> ast.Expression:
-    """Tag source-side column references with a marker qualifier.
-
-    Inside context-term predicates, source-row references coexist with
-    correlated call-site references; marking the source side makes the later
-    alias rename unambiguous (call-site aliases are never rewritten even if
-    they collide with the defining query's aliases).
-    """
-
-    def visit(node: ast.Expression) -> ast.Expression:
-        if isinstance(node, ast.ColumnRef):
-            if node.parts and node.parts[0].startswith(SRC_MARKER):
-                return node
-            if len(node.parts) == 1:
-                return ast.ColumnRef((SRC_MARKER, node.parts[0]))
-            return ast.ColumnRef(
-                (f"{SRC_MARKER}${node.qualifier.lower()}", node.name)
-            )
-        return node
-
-    return transform(expr, visit, into_queries=False)
-
-
-def _detect_aggregate(select: ast.Select) -> bool:
-    from repro.engine.aggregates import is_aggregate_function
-
-    if select.group_by or select.having is not None or select.force_aggregate:
-        return True
-
-    def scan(expr: ast.Node) -> bool:
-        if isinstance(expr, ast.Query):
-            return False
-        if isinstance(expr, ast.FunctionCall):
-            name = expr.name.upper()
-            if name == "AGGREGATE":
-                return True
-            if (
-                is_aggregate_function(name)
-                and expr.over is None
-                and expr.over_name is None
-            ):
-                return True
-        return any(scan(child) for child in expr.children())
-
-    return any(not item.is_measure and scan(item.expr) for item in select.items)
-
-
-def _uses_measures(select: ast.Select, scope: _ExpScope) -> bool:
-    def scan(expr: ast.Node) -> bool:
-        if isinstance(expr, ast.Query):
-            return False
-        if isinstance(expr, ast.ColumnRef):
-            owner = scope.owner(expr)
-            if owner is not None and owner.has_measure(expr.name):
-                return True
-        return any(scan(child) for child in expr.children())
-
-    for item in select.items:
-        if scan(item.expr):
-            return True
-    for clause in (select.where, select.having):
-        if clause is not None and scan(clause):
-            return True
-    return False
-
-
-def _contains_measure_use(expr: ast.Expression, scope: _ExpScope) -> bool:
-    for node in expr.walk():
-        if isinstance(node, ast.ColumnRef):
-            owner = scope.owner(node)
-            if owner is not None and owner.has_measure(node.name):
-                return True
-    return False
-
-
-def _inline_siblings(measures: dict[str, ast.Expression]) -> dict[str, ast.Expression]:
-    """Inline references between measures defined in the same SELECT."""
-    resolved: dict[str, ast.Expression] = {}
-    visiting: list[str] = []
-
-    def resolve(name: str) -> ast.Expression:
-        if name in resolved:
-            return resolved[name]
-        if name in visiting:
-            cycle = " -> ".join(visiting + [name])
-            raise MeasureError(f"recursive measure definition: {cycle}")
-        visiting.append(name)
-        try:
-            formula = measures[name]
-
-            def visit(node: ast.Expression) -> ast.Expression:
-                if (
-                    isinstance(node, ast.ColumnRef)
-                    and len(node.parts) == 1
-                    and node.name.lower() in measures
-                ):
-                    return copy.deepcopy(resolve(node.name.lower()))
-                return node
-
-            result = transform(copy.deepcopy(formula), visit, into_queries=False)
-        finally:
-            visiting.pop()
-        resolved[name] = result
-        return result
-
-    return {name: resolve(name) for name in measures}
-
-
-def _apply_rename(expr: ast.Expression, rename: dict[str, str]) -> ast.Expression:
-    """Resolve ``$src`` markers to the instantiated source's fresh aliases.
-
-    Unmarked references (correlated call-site refs) pass through untouched.
-    ``rename[""]`` is the default alias for unqualified source refs; an empty
-    value means "leave unqualified" (multi-relation sources, where innermost
-    scoping resolves the name).
-    """
-
-    def visit(node: ast.Expression) -> ast.Expression:
-        if isinstance(node, ast.ColumnRef) and node.parts[0].startswith(SRC_MARKER):
-            marker = node.parts[0]
-            if marker == SRC_MARKER:
-                default = rename.get("", "")
-                if default:
-                    return ast.ColumnRef((default, node.name))
-                return ast.ColumnRef((node.name,))
-            old_alias = marker[len(SRC_MARKER) + 1 :]
-            new_alias = rename.get(old_alias)
-            if new_alias is None:
-                raise MeasureError(
-                    f"unknown source alias {old_alias!r} in measure expansion"
-                )
-            return ast.ColumnRef((new_alias, node.name))
-        return node
-
-    return transform(expr, visit, into_queries=False)

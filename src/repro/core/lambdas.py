@@ -24,18 +24,13 @@ query::
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.catalog.objects import BaseTable
-from repro.core.expansion import (
-    Expander,
-    ExpRelation,
-    _apply_rename,
-    _Term,
-)
+from repro.core.expansion import Expander
 from repro.errors import UnsupportedError
+from repro.semantics.unbind import unbind
 from repro.sql import ast, parse_statement
 from repro.sql.printer import to_sql
 from repro.sql.visitor import and_all
@@ -63,43 +58,32 @@ class _LambdaExpander(Expander):
         super().__init__(db)
         self.uses: list[_Use] = []
 
-    def build_measure_subquery(
-        self,
-        relation: ExpRelation,
-        measure_name: str,
-        terms: list[_Term],
-    ):
-        table = relation.table
-        assert table is not None
-        if not isinstance(table.source_from, ast.TableName):
+    def measure_subquery(self, node, level, site):
+        source_sql = node.measure.group.source_sql
+        table = source_sql.from_clause
+        if not isinstance(table, ast.TableName):
             raise UnsupportedError(
                 "the lambda exposition requires single-table measure sources"
             )
-        rename = {"": "r"}
-        conjuncts = []
-        if table.source_where is not None:
-            conjuncts.append(
-                _apply_rename(copy.deepcopy(table.source_where), rename)
-            )
-        for term in terms:
-            conjuncts.append(_apply_rename(term.to_predicate(), rename))
-        predicate = and_all(conjuncts)
-        predicate_sql = "TRUE" if predicate is None else to_sql(predicate)
-
-        index = len(self.uses)
+        # The source row is ``r`` inside the row predicate and ``o`` inside
+        # the auxiliary function.
+        (relation,) = source_sql.scope.relations
+        r = self.names(source_sql, {id(relation): "r"})
+        o = [self.names(source_sql, {id(relation): "o"})]
+        predicate = and_all(
+            [unbind(pred, [r]) for pred in source_sql.where]
+            + self.context(node.context, level, r, site)
+        )
         self.uses.append(
             _Use(
-                measure_name=measure_name,
-                table_name=table.source_from.name,
-                formula=_apply_rename(
-                    copy.deepcopy(table.measures[measure_name.lower()]),
-                    {"": "o"},
-                ),
-                source_where=table.source_where,
-                predicate_sql=predicate_sql,
+                measure_name=node.measure.name,
+                table_name=table.name,
+                formula=unbind(node.measure.formula, o),
+                source_where=and_all([unbind(pred, o) for pred in source_sql.where]),
+                predicate_sql="TRUE" if predicate is None else to_sql(predicate),
             )
         )
-        return ast.FunctionCall("APPLY_LAMBDA", [ast.Literal(index)])
+        return ast.FunctionCall("APPLY_LAMBDA", [ast.Literal(len(self.uses) - 1)])
 
 
 def explain_lambda_semantics(db: "Database", sql: str) -> str:
@@ -109,7 +93,7 @@ def explain_lambda_semantics(db: "Database", sql: str) -> str:
         raise UnsupportedError("explain_lambda_semantics requires a query")
 
     expander = _LambdaExpander(db)
-    expanded = expander.expand_query(copy.deepcopy(statement.query))
+    expanded = expander.expand_query(statement.query)
     if not expander.uses:
         raise UnsupportedError("the query uses no measures")
 
@@ -149,10 +133,7 @@ def explain_lambda_semantics(db: "Database", sql: str) -> str:
             )
             where = f"APPLY(rowPredicate, o)"
             if use.source_where is not None:
-                baked = to_sql(
-                    _apply_rename(copy.deepcopy(use.source_where), {"": "o"})
-                )
-                where = f"{baked} AND {where}"
+                where = f"{to_sql(use.source_where)} AND {where}"
             lines.append(
                 f"  SELECT {to_sql(use.formula)} FROM {table.name} AS o"
                 f" WHERE {where};"

@@ -5,15 +5,16 @@ context.  Modifiers apply **left to right**: ``cse AT (m1 m2)`` is equivalent
 to ``(cse AT (m2)) AT (m1)``, i.e. the context is transformed by m1 first and
 the result handed to m2.
 
-Application happens at runtime in :func:`apply_modifiers`, because SET values
-and WHERE predicates may reference the call-site row (correlations) and the
-incoming context (``CURRENT dim``).
+Application happens in :func:`apply_modifiers` — at runtime for the
+interpreter, because SET values and WHERE predicates may reference the
+call-site row (correlations) and the incoming context (``CURRENT dim``); at
+expansion time for the SQL form, where the same references stay symbolic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.context import (
     ContextSpec,
@@ -36,7 +37,7 @@ __all__ = [
     "BoundVisible",
     "BoundWhere",
     "apply_modifiers",
-    "build_visible_term",
+    "ValueTerms",
 ]
 
 
@@ -115,13 +116,15 @@ class BoundWhere(BoundModifier):
         ]
 
 
-def apply_modifiers(
-    terms: list[Term],
-    spec: ContextSpec,
-    env: Optional["EvalEnv"],
-    ctx: "ExecutionContext",
-) -> list[Term]:
-    """Apply ``spec.modifiers`` to ``terms``, left to right."""
+def apply_modifiers(terms: list, spec: ContextSpec, make, *site) -> list:
+    """Apply ``spec.modifiers`` to ``terms``, left to right.
+
+    The algebra — ``ALL`` clears, ``ALL d`` removes by ``dim_key``, ``SET``
+    replaces, ``VISIBLE`` appends, ``WHERE`` replaces everything — exists
+    once, over whatever carries a term: anything with a ``dim_key``.
+    ``make`` builds the carrier's terms, each call given ``*site``: the
+    evaluator's :class:`ValueTerms` (values, tested against source rows; the
+    site is ``env, ctx``) or SQL expansion's (predicates, printed)."""
     for modifier in spec.modifiers:
         if isinstance(modifier, BoundAll):
             if modifier.dim_keys is None:
@@ -130,80 +133,83 @@ def apply_modifiers(
                 removed = set(modifier.dim_keys)
                 terms = [t for t in terms if t.dim_key not in removed]
         elif isinstance(modifier, BoundSet):
-            value = _evaluate_set_value(modifier, terms, env, ctx)
+            pinned = make.set_term(modifier, terms, *site)
             terms = [t for t in terms if t.dim_key != modifier.dim_key]
-            terms = terms + [EqTerm(modifier.dim_key, modifier.source_expr, value)]
+            terms = terms + [pinned]
         elif isinstance(modifier, BoundVisible):
-            visible = build_visible_term(spec, env)
-            if visible is not None:
-                terms = terms + [visible]
+            terms = terms + make.visible_terms(spec, *site)
         elif isinstance(modifier, BoundWhere):
-            terms = _build_where_terms(modifier, env, ctx)
+            terms = make.where_terms(modifier, *site)
         else:  # pragma: no cover - defensive
             raise MeasureError(f"unknown modifier {type(modifier).__name__}")
     return terms
 
 
-def _evaluate_set_value(
-    modifier: BoundSet,
-    terms: list[Term],
-    env: Optional["EvalEnv"],
-    ctx: "ExecutionContext",
-) -> Any:
-    """The SET value on the call-site row.  ``CURRENT dim`` inside it reads
-    the incoming terms through ``ctx.current_terms`` at call time, so the
-    expression compiles once like any other (and nests: a value that itself
-    evaluates a measure with a SET restores ours when it returns)."""
-    incoming, ctx.current_terms = ctx.current_terms, terms
-    try:
-        return compile_expr(modifier.value_expr)(env.row, env.parent, ctx)
-    finally:
-        ctx.current_terms = incoming
+class ValueTerms:
+    """The evaluator's terms: each modifier's value computed on the
+    call-site row ``env`` now, to be tested against source rows."""
 
+    @staticmethod
+    def set_term(
+        modifier: BoundSet,
+        terms: list[Term],
+        env: Optional["EvalEnv"],
+        ctx: "ExecutionContext",
+    ) -> Term:
+        """The SET value on the call-site row.  ``CURRENT dim`` inside it
+        reads the incoming terms through ``ctx.current_terms`` at call time,
+        so the expression compiles once like any other (and nests: a value
+        that itself evaluates a measure with a SET restores ours when it
+        returns)."""
+        incoming, ctx.current_terms = ctx.current_terms, terms
+        try:
+            value = compile_expr(modifier.value_expr)(env.row, env.parent, ctx)
+        finally:
+            ctx.current_terms = incoming
+        return EqTerm(modifier.dim_key, modifier.source_expr, value)
 
-def _build_where_terms(
-    modifier: BoundWhere,
-    env: Optional["EvalEnv"],
-    ctx: "ExecutionContext",
-) -> list[Term]:
-    terms: list[Term] = []
-    for source_expr, value_expr in modifier.eq_pairs:
-        # The value side references the call site at depth 1.  dim_key=None:
-        # these are predicate terms, not removable dimension terms.
-        value = compile_expr(value_expr)((), env, ctx)
-        terms.append(EqTerm(None, source_expr, value, strict=True))
-    if modifier.pred is not None:
-        key_values: tuple = ()
-        if modifier.outer_refs and env is not None:
-            try:
-                key_values = tuple(
-                    env.at_depth(depth - 1).row[offset]
-                    for depth, offset in modifier.outer_refs
-                )
-            except Exception:  # noqa: BLE001 - fall back to uncacheable
-                key_values = (object(),)
-        terms.append(PredTerm(modifier.pred, env, key_values, modifier.label))
-    return terms
+    @staticmethod
+    def where_terms(
+        modifier: BoundWhere,
+        env: Optional["EvalEnv"],
+        ctx: "ExecutionContext",
+    ) -> list[Term]:
+        terms: list[Term] = []
+        for source_expr, value_expr in modifier.eq_pairs:
+            # The value side references the call site at depth 1.
+            # dim_key=None: these are predicate terms, not removable
+            # dimension terms.
+            value = compile_expr(value_expr)((), env, ctx)
+            terms.append(EqTerm(None, source_expr, value, strict=True))
+        if modifier.pred is not None:
+            key_values: tuple = ()
+            if modifier.outer_refs and env is not None:
+                try:
+                    key_values = tuple(
+                        env.at_depth(depth - 1).row[offset]
+                        for depth, offset in modifier.outer_refs
+                    )
+                except Exception:  # noqa: BLE001 - fall back to uncacheable
+                    key_values = (object(),)
+            terms.append(PredTerm(modifier.pred, env, key_values, modifier.label))
+        return terms
 
-
-def build_visible_term(
-    spec: ContextSpec,
-    env: Optional["EvalEnv"],
-) -> Optional[VisibleTerm]:
-    """Materialize the VISIBLE term for the current call site.
-
-    The visible row set is the current group's input rows (captured by the
-    Aggregate operator) or, at row-grain call sites, the current row itself.
-    """
-    info = spec.visible
-    if info is None:
-        # Nothing filters the query; VISIBLE adds no constraint.
-        return None
-    if spec.captured_rows_offset is not None and env is not None:
-        group_rows = env.row[spec.captured_rows_offset]
-    elif env is not None:
-        group_rows = (env.row,)
-    else:
-        group_rows = ()
-    parent = env.parent if env is not None else None
-    return VisibleTerm(info, group_rows, parent)
+    @staticmethod
+    def visible_terms(
+        spec: ContextSpec, env: Optional["EvalEnv"], ctx: "ExecutionContext"
+    ) -> list[Term]:
+        """The VISIBLE term for the current call site.  The visible row set
+        is the current group's input rows (captured by the Aggregate
+        operator) or, at row-grain call sites, the current row itself."""
+        info = spec.visible
+        if info is None:
+            # Nothing filters the query; VISIBLE adds no constraint.
+            return []
+        if spec.captured_rows_offset is not None and env is not None:
+            group_rows = env.row[spec.captured_rows_offset]
+        elif env is not None:
+            group_rows = (env.row,)
+        else:
+            group_rows = ()
+        parent = env.parent if env is not None else None
+        return [VisibleTerm(info, group_rows, parent)]

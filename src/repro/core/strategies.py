@@ -15,25 +15,29 @@ shapes admit cheaper rewrites:
   becomes a window aggregate computed in a derived table (Listing 12's
   query 4 rewritten to query 3).
 
-Both raise :class:`~repro.errors.UnsupportedError` when the query does not
+Both read the same bound query the general strategy prints — the call
+sites' ``ContextSpec``\\ s, the relation's dimensions, the group's source —
+and raise :class:`~repro.errors.UnsupportedError` when the query does not
 match their shape, so callers can fall back to the general strategy.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.expansion import (
-    ExpRelation,
-    Expander,
-    _apply_rename,
-    _detect_aggregate,
-)
-from repro.errors import MeasureError, UnsupportedError
+from repro.core.expansion import Expander
+from repro.core.modifiers import BoundVisible, BoundWhere
+from repro.engine.aggregates import is_aggregate_function
+from repro.errors import BindError, UnsupportedError
+from repro.semantics import bound as b
+from repro.semantics.binder import BoundSelect, materialize_measures
+from repro.semantics.scope import Relation
+from repro.semantics.unbind import unbind
 from repro.sql import ast
 from repro.sql.printer import to_sql
-from repro.sql.visitor import split_and, transform, transform_topdown
+from repro.sql.visitor import and_all, transform, transform_topdown
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
@@ -42,16 +46,20 @@ __all__ = ["inline_expand", "window_expand"]
 
 
 def _single_measure_relation(
-    expander: Expander, select: ast.Select
-) -> tuple[ExpRelation, ast.TableRef]:
-    """The query's FROM must be exactly one measure-bearing relation."""
+    expander: Expander, query: ast.Query, strategy: str
+) -> tuple[ast.Select, BoundSelect, Relation]:
+    """Bind ``query``: it must be one SELECT over exactly one
+    measure-bearing relation."""
+    select = expander.bind(query)
+    if not isinstance(select, ast.Select):
+        raise UnsupportedError(f"{strategy} strategy requires a plain SELECT")
     if select.from_clause is None or isinstance(select.from_clause, ast.Join):
         raise UnsupportedError("strategy requires a single-table FROM clause")
-    relations: list[ExpRelation] = []
-    new_from = expander._expand_from(select.from_clause, relations, [])
-    if len(relations) != 1 or relations[0].table is None:
+    bound = expander.binder.selects[id(select)]
+    (relation,) = bound.scope.relations
+    if relation.group is None:
         raise UnsupportedError("strategy requires one measure-bearing relation")
-    return relations[0], new_from
+    return select, bound, relation
 
 
 def inline_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query:
@@ -61,80 +69,59 @@ def inline_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
     over a single measure table with no AT modifiers.  The result reads the
     source directly — one scan, no correlated subqueries.
     """
-    if not isinstance(query, ast.Select):
-        raise UnsupportedError("inline strategy requires a plain SELECT")
-    select = query
-    if not _detect_aggregate(select):
-        raise UnsupportedError("inline strategy requires an aggregate query")
-    for element in select.group_by:
-        if not isinstance(element, ast.SimpleGrouping):
-            raise UnsupportedError("inline strategy does not support grouping sets")
-
     expander = Expander(db)
-    relation, _ = _single_measure_relation(expander, select)
-    table = relation.table
-    assert table is not None
+    select, bound, relation = _single_measure_relation(expander, query, "inline")
+    if bound.group_exprs is None:
+        raise UnsupportedError("inline strategy requires an aggregate query")
+    source = relation.group.source_sql
+    src = [expander.names(source)]
 
-    rename = {"": "", **{}}  # leave source refs unqualified; single relation
-
-    def translate(expr: ast.Expression) -> ast.Expression:
+    def translate(expr: Optional[ast.Expression]) -> Optional[ast.Expression]:
         """Rewrite exposed-column refs to source expressions; inline
-        AGGREGATE(m) to the measure formula.  Top-down so that AGGREGATE(m)
-        is matched before its bare measure argument."""
+        AGGREGATE(m) to the measure formula."""
 
         def visit(node: ast.Node):
-            if isinstance(node, ast.At):
-                raise UnsupportedError(
-                    "inline strategy does not support AT modifiers"
-                )
-            if isinstance(node, ast.FunctionCall) and node.name in (
-                "AGGREGATE",
-                "EVAL",
-            ):
-                inner = node.args[0] if node.args else None
-                if not isinstance(inner, ast.ColumnRef) or not relation.has_measure(
-                    inner.name
-                ):
-                    raise MeasureError(f"{node.name} argument must be a measure")
-                formula = copy.deepcopy(table.measures[inner.name.lower()])
-                return _apply_rename(formula, rename)
-            if isinstance(node, ast.ColumnRef):
-                if relation.has_measure(node.name):
+            site = expander.binder.sites.get(id(node))
+            if site is not None:
+                if [type(m) for m in site.context.modifiers] != [BoundVisible]:
                     raise UnsupportedError(
                         "inline strategy requires AGGREGATE(...) around "
-                        "measure uses (bare uses ignore the WHERE clause)"
+                        "measure uses and no AT modifiers (bare uses ignore "
+                        "the WHERE clause)"
                     )
-                dim = table.dims.get(node.name.lower())
-                if dim is not None:
-                    return _apply_rename(copy.deepcopy(dim), rename)
+                return unbind(site.measure.formula, src)
+            if isinstance(node, ast.ColumnRef):
+                try:
+                    column = bound.scope.resolve(node.parts).column
+                except BindError:
+                    return None  # an output name (ORDER BY, GROUP BY alias)
+                dim = relation.dim_for_offset.get(column.offset)
+                if dim is None:
+                    raise UnsupportedError(
+                        f"inline strategy: {column.name!r} is not a dimension"
+                    )
+                return unbind(dim, src)
             return None
 
-        return transform_topdown(copy.deepcopy(expr), visit)
+        return None if expr is None else transform_topdown(expr, visit)
 
     new_items = [
         ast.SelectItem(translate(item.expr), item.alias) for item in select.items
     ]
-    new_group = [
-        ast.SimpleGrouping(translate(element.expr))  # type: ignore[union-attr]
-        for element in select.group_by
-    ]
-    conjuncts: list[ast.Expression] = []
-    if table.source_where is not None:
-        conjuncts.append(_apply_rename(copy.deepcopy(table.source_where), rename))
-    if select.where is not None:
-        conjuncts.append(translate(select.where))
-    where: Optional[ast.Expression] = None
-    for conjunct in conjuncts:
-        where = conjunct if where is None else ast.Binary("AND", where, conjunct)
-
     if tracer is not None and tracer.current is not None:
         tracer.current.meta["inlined_items"] = len(new_items)
+    conjuncts = [unbind(pred, src) for pred in source.where]
+    if select.where is not None:
+        conjuncts.append(translate(select.where))
     return ast.Select(
         items=new_items,
-        from_clause=copy.deepcopy(table.source_from),
-        where=where,
-        group_by=new_group,
-        having=translate(select.having) if select.having is not None else None,
+        from_clause=copy.deepcopy(source.from_clause),
+        where=and_all(conjuncts),
+        group_by=[
+            ast.SimpleGrouping(translate(element.expr))  # type: ignore[union-attr]
+            for element in select.group_by
+        ],
+        having=translate(select.having),
         order_by=[
             ast.OrderItem(translate(o.expr), o.descending, o.nulls_first)
             for o in select.order_by
@@ -149,132 +136,105 @@ def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
     """Rewrite row-grain measure uses to window aggregates (section 5.1).
 
     Shape: a non-aggregate query over a single measure table where every
-    measure use is either bare (row grain: partition by all dimensions) or
-    ``m AT (WHERE dim = alias.dim AND ...)`` (partition by those dimensions).
-    The measure formula's aggregate calls become window aggregates over the
-    partition, computed in a derived table so that the WHERE clause can
-    reference them (exactly how the paper's Listing 12 query 3 is written).
+    measure use is either bare (row grain: partition by the context's
+    dimensions) or ``m AT (WHERE dim = alias.dim AND ...)`` (partition by
+    those dimensions).  The measure formula's aggregate calls become window
+    aggregates over the partition, computed in a derived table so that the
+    WHERE clause can reference them (exactly how the paper's Listing 12
+    query 3 is written).
     """
-    if not isinstance(query, ast.Select):
-        raise UnsupportedError("window strategy requires a plain SELECT")
-    select = query
-    if _detect_aggregate(select):
+    expander = Expander(db)
+    select, bound, relation = _single_measure_relation(expander, query, "window")
+    if bound.group_exprs is not None:
         raise UnsupportedError(
             "window strategy applies to row-grain (non-aggregate) queries"
         )
-
-    expander = Expander(db)
-    relation, _ = _single_measure_relation(expander, select)
-    table = relation.table
-    assert table is not None
     if select.distinct:
         raise UnsupportedError("window strategy does not support DISTINCT")
-
-    rename = {"": ""}
+    source = relation.group.source_sql
+    src = [expander.names(source)]
     window_columns: list[tuple[str, ast.Expression]] = []  # (name, window expr)
     column_keys: dict[str, str] = {}
 
-    def window_column_for(measure_name: str, partition: list[ast.Expression]) -> str:
-        formula = _apply_rename(
-            copy.deepcopy(table.measures[measure_name.lower()]), rename
-        )
-        spec = ast.WindowSpec(partition_by=[copy.deepcopy(p) for p in partition])
+    def partition_of(spec) -> list[b.BoundExpr]:
+        """The context as an equality partition of the source: the group
+        terms, or an AT WHERE whose every conjunct is ``dim = alias.dim``."""
+        if not spec.modifiers:
+            return [term.source_expr for term in spec.group_terms]
+        if len(spec.modifiers) > 1 or not isinstance(spec.modifiers[0], BoundWhere):
+            raise UnsupportedError(
+                "window strategy supports one AT (WHERE ...) modifier at most"
+            )
+        where = spec.modifiers[0]
+        if where.pred is not None:
+            raise UnsupportedError(
+                "window strategy requires AT WHERE conjuncts of the form "
+                "dim = alias.dim"
+            )
+        for dim, value in where.eq_pairs:
+            other = None
+            if isinstance(value, b.BoundOuterColumn) and value.depth == 1:
+                other = relation.dim_for_offset.get(value.offset)
+            if other is None or b.fingerprint(other) != b.fingerprint(dim):
+                raise UnsupportedError(
+                    "window strategy requires self-correlation on the same "
+                    "dimension"
+                )
+        return [dim for dim, _ in where.eq_pairs]
+
+    def window_column_for(site: b.BoundMeasureEval) -> ast.Expression:
+        if site.measure.group.source_sql is not source:
+            raise UnsupportedError(
+                "window strategy: the query's WHERE is baked into the "
+                "measures it re-exports"
+            )
+        partition = [unbind(dim, src) for dim in partition_of(site.context)]
 
         def add_over(node: ast.Expression) -> ast.Expression:
-            from repro.engine.aggregates import is_aggregate_function
-
             if (
                 isinstance(node, ast.FunctionCall)
                 and is_aggregate_function(node.name)
                 and node.over is None
             ):
-                return ast.FunctionCall(
-                    node.name,
-                    node.args,
-                    distinct=node.distinct,
-                    star_arg=node.star_arg,
-                    over=copy.deepcopy(spec),
-                )
+                if node.filter_where is not None or node.order_by or node.within_distinct:
+                    raise UnsupportedError(
+                        "window strategy: a window call takes no FILTER, "
+                        "ORDER BY or WITHIN DISTINCT"
+                    )
+                spec = ast.WindowSpec(partition_by=copy.deepcopy(partition))
+                return dataclasses.replace(node, over=spec)
             return node
 
-        windowed = transform(formula, add_over, into_queries=False)
+        windowed = transform(unbind(site.measure.formula, src), add_over)
+        measure_name = site.measure.name
         key = f"{measure_name.lower()}|{to_sql(windowed)}"
-        if key in column_keys:
-            return column_keys[key]
-        name = f"__{measure_name}_{len(window_columns)}"
-        window_columns.append((name, windowed))
-        column_keys[key] = name
-        return name
-
-    def partition_of_where(pred: ast.Expression) -> list[ast.Expression]:
-        """AT WHERE as an equality partition: every conjunct must be
-        ``dim = alias.samedim``."""
-        partition = []
-        for conjunct in split_and(pred):
-            if not (
-                isinstance(conjunct, ast.Binary)
-                and conjunct.op == "="
-                and isinstance(conjunct.left, ast.ColumnRef)
-                and isinstance(conjunct.right, ast.ColumnRef)
-            ):
-                raise UnsupportedError(
-                    "window strategy requires AT WHERE conjuncts of the form "
-                    "dim = alias.dim"
-                )
-            left, right = conjunct.left, conjunct.right
-            if len(left.parts) != 1 or left.name.lower() not in table.dims:
-                raise UnsupportedError("AT WHERE left side must be a dimension")
-            if right.name.lower() != left.name.lower():
-                raise UnsupportedError(
-                    "window strategy requires self-correlation on the same "
-                    "dimension"
-                )
-            source_dim = table.dims[left.name.lower()]
-            partition.append(_apply_rename(copy.deepcopy(source_dim), rename))
-        return partition
-
-    def rewrite_use(node: ast.Node):
-        if not isinstance(node, (ast.FunctionCall, ast.At, ast.ColumnRef)):
-            return None
-        modifiers: list[ast.AtModifier] = []
-        inner: ast.Expression = node  # type: ignore[assignment]
-        if isinstance(inner, ast.FunctionCall):
-            if inner.name != "EVAL" or not inner.args:
-                return None
-            inner = inner.args[0]
-        while isinstance(inner, ast.At):
-            modifiers.extend(inner.modifiers)
-            inner = inner.operand
-        if not isinstance(inner, ast.ColumnRef) or not relation.has_measure(inner.name):
-            return None
-        if len(modifiers) > 1:
-            raise UnsupportedError("window strategy supports at most one modifier")
-        if modifiers and isinstance(modifiers[0], ast.WhereModifier):
-            partition = partition_of_where(modifiers[0].predicate)
-        elif modifiers:
-            raise UnsupportedError(
-                "window strategy only supports AT (WHERE ...) modifiers"
-            )
-        else:
-            partition = [
-                _apply_rename(copy.deepcopy(table.dims[c.lower()]), rename)
-                for c in table.columns
-            ]
-        name = window_column_for(inner.name, partition)
-        return ast.ColumnRef((relation.alias, name))
+        if key not in column_keys:
+            column_keys[key] = f"__{measure_name}_{len(window_columns)}"
+            window_columns.append((column_keys[key], windowed))
+        return ast.ColumnRef((relation.alias, column_keys[key]))
 
     def rewrite(expr: Optional[ast.Expression]) -> Optional[ast.Expression]:
-        if expr is None:
-            return None
-        return transform_topdown(copy.deepcopy(expr), rewrite_use)
+        def visit(node: ast.Node):
+            site = expander.binder.sites.get(id(node))
+            return None if site is None else window_column_for(site)
 
-    new_items = [
-        item
-        if isinstance(item.expr, ast.Star)
-        else ast.SelectItem(rewrite(item.expr), item.alias)
-        for item in select.items
-    ]
+        return None if expr is None else transform_topdown(expr, visit)
+
+    # A bare measure column of the query's own output is evaluated over the
+    # output's dimensions: the binder's ``materialize_measures`` says which.
+    materialized = (
+        materialize_measures(bound.relation)[0].exprs
+        if bound.relation.has_measures
+        else [None] * len(bound.items)
+    )
+    new_items = []
+    for item, column, expr in zip(bound.items, bound.relation.columns, materialized):
+        if column.is_measure:
+            new_items.append(ast.SelectItem(window_column_for(expr), column.name))
+        else:
+            new_items.append(ast.SelectItem(rewrite(item.expr), item.alias))
     new_where = rewrite(select.where)
+    new_qualify = rewrite(select.qualify)
     new_order = [
         ast.OrderItem(rewrite(o.expr), o.descending, o.nulls_first)
         for o in select.order_by
@@ -285,31 +245,26 @@ def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
     if tracer is not None and tracer.current is not None:
         tracer.current.meta["window_columns"] = len(window_columns)
 
-    inner_items = [
-        ast.SelectItem(copy.deepcopy(table.dims[c.lower()]), c)
-        for c in table.columns
-    ] + [ast.SelectItem(expr, name) for name, expr in window_columns]
+    dims = []
+    for column in relation.columns:
+        if not column.is_measure:
+            dim = relation.dim_for_offset.get(column.offset)
+            if dim is None:
+                raise UnsupportedError(
+                    f"window strategy: {column.name!r} is not a dimension"
+                )
+            dims.append(ast.SelectItem(unbind(dim, src), column.name))
     derived = ast.Select(
-        items=[
-            ast.SelectItem(
-                _apply_rename(item.expr, rename)
-                if not isinstance(item.expr, ast.Star)
-                else item.expr,
-                item.alias,
-            )
-            for item in inner_items
-        ],
-        from_clause=copy.deepcopy(table.source_from),
-        where=(
-            _apply_rename(copy.deepcopy(table.source_where), rename)
-            if table.source_where is not None
-            else None
-        ),
+        items=dims + [ast.SelectItem(expr, name) for name, expr in window_columns],
+        from_clause=copy.deepcopy(source.from_clause),
+        where=and_all([unbind(pred, src) for pred in source.where]),
     )
     return ast.Select(
         items=new_items,
         from_clause=ast.SubqueryRef(derived, relation.alias),
         where=new_where,
+        qualify=new_qualify,
+        windows=select.windows,
         order_by=new_order,
         limit=select.limit,
         offset=select.offset,

@@ -160,6 +160,9 @@ class _Rewriter:
             and call.over is None
             and not call.star_arg
             and len(call.args) == 1
+            and call.filter_where is None
+            and not call.order_by
+            and not call.within_distinct
         ):
             return None
 

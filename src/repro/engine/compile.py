@@ -884,7 +884,7 @@ def _build_aggregate(call: b.BoundAggCall) -> Compiled:
         compile_rows([spec.expr for spec in call.order_by]) if call.order_by else None
     )
     order_specs = [
-        (index, spec.descending, bool(spec.nulls_first))
+        (index, spec.descending, spec.nulls_first)
         for index, spec in enumerate(call.order_by)
     ]
     counts, sums, averages = func == "COUNT", func == "SUM", func == "AVG"

@@ -484,13 +484,10 @@ def _execute_window(plan: plans.Window, ctx: ExecutionContext, outer_env) -> lis
 
 
 def _compile_sort(plan: plans.Sort) -> tuple:
-    specs = []
-    for index, spec in enumerate(plan.keys):
-        nulls_first = spec.nulls_first
-        if nulls_first is None:
-            # Default: NULLs last ascending, first descending (PostgreSQL).
-            nulls_first = spec.descending
-        specs.append((index, spec.descending, nulls_first))
+    specs = [
+        (index, spec.descending, spec.nulls_first)
+        for index, spec in enumerate(plan.keys)
+    ]
     return compile_rows([spec.expr for spec in plan.keys]), specs
 
 

@@ -19,7 +19,7 @@ from repro.engine.compile import Relation, compile_expr, compile_rows, memo
 from repro.engine.evaluator import EvalEnv, ExecutionContext
 from repro.errors import ExecutionError, UnsupportedError
 from repro.semantics import bound as b
-from repro.types import SortKey
+from repro.types import sort_key
 
 __all__ = ["compute_window_column", "RANKING_FUNCTIONS", "is_window_only_function"]
 
@@ -117,37 +117,14 @@ def _order_partition(frame: _Frame, indexes: list[int]) -> list[int]:
     keys = frame.keys
 
     def decorate(index: int):
-        decorated = []
-        for spec, value in zip(order_by, keys[index]):
-            nulls_first = spec.nulls_first
-            if nulls_first is None:
-                nulls_first = spec.descending
-            if value is None:
-                null_rank = 0 if nulls_first else 2
-            else:
-                null_rank = 1
-            decorated.append((null_rank, _Directed(SortKey(value), spec.descending)))
-        return tuple(decorated)
+        return tuple(
+            [
+                sort_key(value, spec.descending, spec.nulls_first)
+                for spec, value in zip(order_by, keys[index])
+            ]
+        )
 
     return sorted(indexes, key=decorate)
-
-
-class _Directed:
-    __slots__ = ("key", "descending")
-
-    def __init__(self, key: SortKey, descending: bool):
-        self.key = key
-        self.descending = descending
-
-    def __lt__(self, other: "_Directed") -> bool:
-        if self.descending:
-            return other.key < self.key
-        return self.key < other.key
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Directed):
-            return NotImplemented
-        return self.key == other.key
 
 
 def _compute_partition(frame: _Frame, ordered: list[int], results: list[Any]) -> None:

@@ -26,8 +26,8 @@ grain for display.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Optional, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.objects import BaseTable, SystemTable, View
@@ -53,6 +53,8 @@ from repro.types import INTEGER, DataType, MeasureType, UNKNOWN, common_type
 __all__ = [
     "Binder",
     "BoundRelation",
+    "BoundSelect",
+    "FromSql",
     "OutputColumn",
     "QueryBinder",
     "output_column_name",
@@ -129,12 +131,51 @@ class BoundRelation:
         return any(column.is_measure for column in self.columns)
 
 
+@dataclass
+class FromSql:
+    """A bound SELECT's FROM and WHERE, kept for whoever prints them back as
+    SQL (:mod:`repro.core.expansion`).  A measure group's ``source_sql`` is
+    this of its defining query: FROM, names and baked WHERE of the source."""
+
+    from_clause: Optional[ast.TableRef]
+    #: Names the FROM row: offset -> (relation alias, column), in FROM order.
+    scope: Scope
+    #: The bound condition of each ``ast.Join`` of the FROM clause (None for
+    #: a cross join), in the order the joins were finished: post-order.
+    joins: list[Optional[b.BoundExpr]] = field(default_factory=list)
+    #: WHERE conjuncts; for a measure source, everything baked into it.
+    where: Sequence[b.BoundExpr] = ()
+
+
+@dataclass
+class BoundSelect(FromSql):
+    """What one SELECT bound to.  Nothing here is computed for the reader:
+    it is what the binder decided anyway."""
+
+    #: The SELECT list after ``*`` expansion, and what it bound to.
+    items: Sequence[ast.SelectItem] = ()
+    relation: Optional[BoundRelation] = None
+    #: The non-measure items over the FROM row, in order (plain and
+    #: measure-defining queries: what a materialized measure column is
+    #: evaluated against).
+    item_exprs: Sequence[b.BoundExpr] = ()
+    #: An aggregate query's Aggregate output row: keys, then calls (None:
+    #: not an aggregate query).
+    group_exprs: Optional[list[b.BoundExpr]] = None
+    agg_calls: Sequence[b.BoundAggCall] = ()
+
+
 class Binder:
     """Top-level binder: resolves catalog objects and CTEs."""
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
         self._cte_frames: list[dict[str, BoundRelation]] = []
+        #: id(ast.Select) -> its :class:`BoundSelect`; id(the outermost AST
+        #: node of a measure call site: the column, its AT, its AGGREGATE)
+        #: -> the :class:`~repro.semantics.bound.BoundMeasureEval` it became.
+        self.selects: dict[int, BoundSelect] = {}
+        self.sites: dict[int, b.BoundMeasureEval] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -144,7 +185,9 @@ class Binder:
         if isinstance(query, ast.WithQuery):
             return self._bind_with(query, outer_scope, top=False)
         if isinstance(query, ast.Select):
-            return QueryBinder(self, query, outer_scope).bind()
+            select = QueryBinder(self, query, outer_scope)
+            select.bound.relation = relation = select.bind()
+            return relation
         if isinstance(query, ast.SetOp):
             return self._bind_setop(query, outer_scope)
         if isinstance(query, ast.Values):
@@ -375,6 +418,9 @@ class QueryBinder:
         self.select = select
         self.outer_scope = outer_scope
         self.scope = Scope(outer_scope)
+        self.bound = binder.selects[id(select)] = BoundSelect(
+            select.from_clause, self.scope
+        )
         self.next_offset = 0
         self.join_preds: list[b.BoundExpr] = []
         self.bound_where: Optional[b.BoundExpr] = None
@@ -483,7 +529,7 @@ class QueryBinder:
 
     def bind(self) -> BoundRelation:
         from_plan = self._bind_from_clause()
-        items = self._expand_stars(self.select.items)
+        self.bound.items = items = self._expand_stars(self.select.items)
 
         has_measure_defs = any(item.is_measure for item in items)
         is_aggregate = self._detect_aggregate(items)
@@ -497,6 +543,7 @@ class QueryBinder:
         if self.select.where is not None:
             where_binder = ExprBinder(self, self.scope, clause="WHERE")
             self.bound_where = where_binder.bind(self.select.where)
+            self.bound.where = b.conjuncts(self.bound_where)
             self._fill_row_contexts(self.bound_where)
 
         if has_measure_defs:
@@ -738,6 +785,7 @@ class QueryBinder:
             condition = binder.bind(ref.condition)
             self._fill_row_contexts(condition)
 
+        self.bound.joins.append(condition)
         if ref.kind != "CROSS" and condition is not None:
             self.join_preds.extend(b.conjuncts(condition))
         kind = ref.kind
@@ -992,7 +1040,11 @@ class QueryBinder:
                 self._sibling_items[lowered] = item
 
         source_plan = self._measure_source(self._filtered(from_plan))
-        group = MeasureGroup(source_plan, {}, [])
+        # (Not ``self.bound`` itself: it leads to the relation, and the
+        # relation back to this group.)
+        here = self.bound
+        source_sql = FromSql(here.from_clause, here.scope, here.joins, here.where)
+        group = MeasureGroup(source_plan, {}, [], source_sql)
 
         item_binder = ExprBinder(self, self.scope, clause="SELECT")
         columns: list[OutputColumn] = []
@@ -1006,9 +1058,7 @@ class QueryBinder:
                 formula = self.resolve_sibling_measure(item.alias)
                 assert formula is not None
                 value_type = formula.dtype.unwrap()
-                instance = MeasureInstance(
-                    item.alias, group, formula, value_type, formula_sql=item.expr
-                )
+                instance = MeasureInstance(item.alias, group, formula, value_type)
                 columns.append(
                     OutputColumn(name, MeasureType(value_type), instance)
                 )
@@ -1034,6 +1084,7 @@ class QueryBinder:
             dim_exprs.append(bound)
             project_exprs.append(bound)
 
+        self.bound.item_exprs = project_exprs
         schema = [
             (c.name, c.dtype) for c in columns if not c.is_measure
         ]
@@ -1080,6 +1131,7 @@ class QueryBinder:
             columns.append(OutputColumn(name, bound.dtype.unwrap()))
             bound_items.append(bound)
 
+        self.bound.item_exprs = [e for e in bound_items if e is not None]
         group, dim_exprs, remapped = self._finish_reexports(
             reexports, columns, bound_items
         )
@@ -1173,12 +1225,16 @@ class QueryBinder:
             new_source = self._measure_source(
                 plans.Filter(old_group.source_plan, translated)
             )
+            source_sql = replace(
+                old_group.source_sql,
+                where=[*old_group.source_sql.where, *b.conjuncts(translated)],
+            )
         else:
-            new_source = old_group.source_plan
+            new_source, source_sql = old_group.source_plan, old_group.source_sql
 
         # Translate projected non-measure items into source expressions: they
         # are the new measure group's dimensions.
-        new_group = MeasureGroup(new_source, {}, [], old_group.source_sql)
+        new_group = MeasureGroup(new_source, {}, [], source_sql)
         dim_exprs: list[Optional[b.BoundExpr]] = []
         nonmeasure_index = 0
         for column, bound in zip(columns, bound_items):
@@ -1200,11 +1256,7 @@ class QueryBinder:
         remapped: dict[int, MeasureInstance] = {}
         for index, measure, _ in reexports:
             remapped[index] = MeasureInstance(
-                measure.name,
-                new_group,
-                measure.formula,
-                measure.value_type,
-                measure.formula_sql,
+                measure.name, new_group, measure.formula, measure.value_type
             )
         return new_group, dim_exprs, remapped
 
@@ -1216,6 +1268,7 @@ class QueryBinder:
         filtered = self._filtered(from_plan)
 
         group_exprs, grouping_sets, offset_mapping = self._bind_group_by(items)
+        self.bound.group_exprs = group_exprs
         mapping = {b.fingerprint(e): i for i, e in enumerate(group_exprs)}
 
         select_binder = ExprBinder(
@@ -1260,6 +1313,7 @@ class QueryBinder:
         # Collect aggregate calls from every clause, then lay out the
         # aggregate output row: keys ++ aggs ++ [grouping id] ++ [rows].
         agg_calls: list[b.BoundAggCall] = []
+        self.bound.agg_calls = agg_calls
         agg_index: dict[str, int] = {}
 
         def collect(expr: Optional[b.BoundExpr]) -> None:

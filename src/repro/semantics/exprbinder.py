@@ -192,8 +192,11 @@ class ExprBinder:
                 raise UnsupportedError(
                     f"correlated reference to measure {column.name!r} is not supported"
                 )
-            return self.qb.new_measure_eval(
-                column.measure, resolution.relation, inherited=self.formula_mode
+            return self._site(
+                expr,
+                self.qb.new_measure_eval(
+                    column.measure, resolution.relation, inherited=self.formula_mode
+                ),
             )
         if resolution.depth == 0:
             return b.BoundColumn(column.offset, column.dtype, column.name)
@@ -431,6 +434,21 @@ class ExprBinder:
             )
         if not (is_window_only_function(name) or is_aggregate_function(name)):
             raise BindError(f"{name} is not a window function")
+        # The window operator runs none of these: refuse them by name
+        # rather than compute the call without them.
+        for clause, part in (
+            ("FILTER", expr.filter_where),
+            ("WITHIN DISTINCT", expr.within_distinct and expr.within_distinct[0]),
+            ("ORDER BY inside the call", expr.order_by and expr.order_by[0]),
+        ):
+            if part:
+                error = BindError(
+                    f"{clause} is not supported on the window function {name}"
+                )
+                span = ast.node_span(part)
+                if span is not None:
+                    error.attach_location(span.line, span.column)
+                raise error
         args = [self.bind(arg) for arg in expr.args]
         spec = expr.over
         if spec is None and expr.over_name is not None:
@@ -487,7 +505,7 @@ class ExprBinder:
             # AGGREGATE(m) == EVAL(m AT (VISIBLE)): VISIBLE applies first.
             operand.context.modifiers.insert(0, BoundVisible())
             self.qb.note_aggregate_operator(self.clause)
-        return operand
+        return self._site(expr, operand)
 
     def _bind_At(self, expr: ast.At) -> b.BoundExpr:
         operand = self.bind(expr.operand)
@@ -498,7 +516,14 @@ class ExprBinder:
         # Modifiers of an outer AT apply before those of an inner AT; within
         # one AT they apply left to right (paper section 3.5).
         operand.context.modifiers = modifiers + operand.context.modifiers
-        return operand
+        return self._site(expr, operand)
+
+    def _site(self, expr: ast.Expression, node: b.BoundMeasureEval):
+        """Record that ``expr`` is (so far) the whole of ``node``'s call
+        site; the wrappers around a measure register after it, outermost
+        last, and a reader that walks the AST top-down meets that one."""
+        self.qb.binder.sites[id(expr)] = node
+        return node
 
     def _bind_modifier(self, modifier: ast.AtModifier, relation: Relation) -> BoundModifier:
         if isinstance(modifier, ast.AllModifier):

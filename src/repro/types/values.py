@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.errors import ExecutionError
 
@@ -32,6 +32,7 @@ __all__ = [
     "sql_neg",
     "sql_mod",
     "SortKey",
+    "sort_key",
     "sort_rows",
     "format_value",
 ]
@@ -247,23 +248,29 @@ class SortKey:
         return hash((self._rank, self.value))
 
 
+def sort_key(value: Any, descending: bool, nulls_first: Optional[bool] = None):
+    """The key ``value`` sorts under for one ``ORDER BY`` item — a query's,
+    a window's, an aggregate's: ascending or ``descending``, NULLs where
+    ``nulls_first`` puts them, by default last ascending and first
+    descending (PostgreSQL)."""
+    if value is None:
+        return (0 if (descending if nulls_first is None else nulls_first) else 2, None)
+    return (1, _Directional(SortKey(value), descending))
+
+
 def sort_rows(
     rows: Iterable[Sequence[Any]],
-    keys: Sequence[tuple[int, bool, bool]],
+    keys: Sequence[tuple[int, bool, Optional[bool]]],
 ) -> list:
-    """Sort ``rows`` by ``keys`` = [(column_index, descending, nulls_first)].
+    """Sort ``rows`` by ``keys`` = [(column_index, descending, nulls_first)],
+    each read as :func:`sort_key` reads it.
 
     A stable multi-key sort applied from the least significant key outwards.
     """
     result = list(rows)
     for index, descending, nulls_first in reversed(list(keys)):
         def keyfunc(row, index=index, descending=descending, nulls_first=nulls_first):
-            value = row[index]
-            if value is None:
-                null_rank = 0 if nulls_first else 2
-            else:
-                null_rank = 1
-            return (null_rank, _Directional(SortKey(value), descending))
+            return sort_key(row[index], descending, nulls_first)
 
         result.sort(key=keyfunc)
     return result

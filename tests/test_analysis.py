@@ -445,3 +445,36 @@ def test_self_check_passes_on_paper_listings(tmp_path, capsys):
     out = capsys.readouterr().out
     assert exit_code == 0
     assert "0 with findings" in out
+
+
+def test_self_check_fails_on_an_expansion_that_returns_other_rows(
+    tmp_path, capsys, monkeypatch
+):
+    """The self-check runs every listing through its expansion: a silent
+    divergence from the interpreter (here: forced) is a finding."""
+    from repro.analysis.__main__ import main
+
+    real = Database.execute_with_strategy
+
+    def diverging(self, sql, params=(), *, strategy):
+        result = real(self, sql, params, strategy=strategy)
+        if "AGGREGATE(profitMargin)" in sql:
+            result.rows = result.rows[:-1]
+        return result
+
+    monkeypatch.setattr(Database, "execute_with_strategy", diverging)
+    exit_code = main(["--self-check", "--examples-dir", str(tmp_path / "no")])
+    out = capsys.readouterr().out
+    assert exit_code == 1
+    assert "FAIL expand:paper:listing3" in out and "FAIL expand:paper:listing4" in out
+
+
+def test_self_check_accepts_a_refused_expansion(tmp_path, capsys, monkeypatch):
+    from repro import UnsupportedError
+    from repro.analysis.__main__ import main
+
+    def refusing(self, sql, params=(), *, strategy):
+        raise UnsupportedError("static expansion cannot print this")
+
+    monkeypatch.setattr(Database, "execute_with_strategy", refusing)
+    assert main(["--self-check", "--examples-dir", str(tmp_path / "no")]) == 0

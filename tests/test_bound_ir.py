@@ -522,3 +522,57 @@ def test_no_module_lists_node_types_to_reach_a_nodes_parts():
         "semantics/bound.py"
     ]
     assert defined["children"].count("semantics/bound.py") == 1
+
+
+# -- one context semantics: the AST-level second binder is not back ---------------
+
+#: What ``core/expansion.py`` used to re-derive from the AST, name by name
+#: (its own scope, relation descriptors, measure-defining extraction, sibling
+#: inlining, star expansion, source translation), and the window operator's
+#: copy of the sort key.
+SECOND_BINDER = {
+    "_ExpScope", "ExpTable", "ExpRelation", "_measure_table_of",
+    "_inline_siblings", "_star_columns", "translate_to_source", "_Directed",
+}
+
+
+def test_the_second_binder_is_not_back():
+    defined: dict[str, list] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in pyast.walk(pyast.parse(path.read_text())):
+            if isinstance(node, (pyast.FunctionDef, pyast.ClassDef)):
+                defined.setdefault(node.name, []).append(module)
+    assert not SECOND_BINDER & set(defined), {
+        name: defined[name] for name in SECOND_BINDER & set(defined)
+    }
+    # Whether a query is an aggregate query is asked of the binder; one name
+    # resolver, one extraction of a measure-defining query, one algebra.
+    assert defined["_detect_aggregate"] == ["semantics/binder.py"]
+    assert defined["resolve"].count("semantics/scope.py") == 1
+    assert not [m for m in defined["resolve"] if m.startswith("core/")]
+    assert defined["_bind_measure_defining"] == ["semantics/binder.py"]
+    assert defined["apply_modifiers"] == ["core/modifiers.py"]
+    assert defined["unbind"] == ["semantics/unbind.py"]
+    # The expander learns no column list on its own.
+    expansion = (SRC / "core" / "expansion.py").read_text()
+    assert "catalog.resolve" not in expansion
+    assert "bind_query_as_relation" not in expansion
+
+
+def test_no_dead_members_on_the_measure_definitions():
+    from repro import Database
+    from repro.semantics.binder import Binder
+    from repro.sql import parse_query
+
+    assert not hasattr(MeasureGroup, "dim_by_key")
+    assert "formula_sql" not in MeasureInstance.__dataclass_fields__
+    # ``source_sql`` is what expansion reads: the binder fills it in.
+    db = Database()
+    db.execute("CREATE TABLE t (k INTEGER, x INTEGER)")
+    relation = Binder(db.catalog).bind_query_as_relation(
+        parse_query("SELECT k, SUM(x) AS MEASURE m FROM t WHERE x > 0"), None
+    )
+    source = relation.group.source_sql
+    assert [r.alias for r in source.scope.relations] == ["t"]
+    assert len(source.where) == 1

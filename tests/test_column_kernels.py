@@ -430,7 +430,9 @@ def test_aggregates_that_read_rows_not_columns(shapes):
     ).rows
     assert rows == [
         ("a", 5, 2, 3, 3, 1, 1.0, 1, 1.5, "v,u,u", [1, 1, 4], 5),
-        ("b", 9, 2, 2, 3, 7, 7.25, 2, 2.0, "v,v,u", [7, 2], 9),
+        # ORDER BY x DESC: the row whose x is NULL comes first, as it does
+        # under a query's or a window's ORDER BY (it used to come last here).
+        ("b", 9, 2, 2, 3, 7, 7.25, 2, 2.0, "u,v,v", [7, 2], 9),
     ]
     spread = shapes.execute("SELECT STDDEV(x), VAR_POP(w) FROM t WHERE k = 'a'").rows[0]
     assert spread[0] == pytest.approx(math.sqrt(3.0))

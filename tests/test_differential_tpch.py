@@ -181,6 +181,31 @@ def test_canonical_query_matches_sqlite_oracle(name, oracle, measure_db):
     assert TOTAL_STRATEGIES <= set(ran)
 
 
+#: ``AGGREGATE()`` across a join, grouped by the other input's column: the
+#: measure relation's rows visible through the join (paper section 3.6).  Not
+#: a canonical query — static expansion refused it (VISIBLE across join
+#: inputs) until the expansion was printed from the bound query.
+JOINED = """
+    SELECT n.n_name, AGGREGATE(s.revenue) AS revenue
+    FROM tpch_sales_m AS s JOIN nation AS n ON s.nation = n.n_name
+    WHERE n.n_regionkey < 3 GROUP BY n.n_name ORDER BY n.n_name
+"""
+JOINED_ORACLE = f"""
+    SELECT n.n_name, {_REV}
+    {_SALES_FROM}
+    WHERE n.n_regionkey < 3 GROUP BY n.n_name ORDER BY n.n_name
+"""
+
+
+def test_joined_aggregate_expands_to_the_sqlite_oracle(oracle, measure_db):
+    expected = canonical(oracle.execute(JOINED_ORACLE).fetchall())
+    assert len(expected) == 15
+    assert canonical(measure_db.execute(JOINED).rows) == expected
+    expanded = measure_db.expand(JOINED, strategy="subquery")
+    assert "EXISTS (SELECT 1 FROM" in expanded and "AGGREGATE(" not in expanded
+    assert canonical(measure_db.execute(expanded).rows) == expected
+
+
 @pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
 def test_direct_execution_matches_sqlite_oracle(name, oracle, measure_db):
     """The unexpanded measure query itself (the path users actually run)."""

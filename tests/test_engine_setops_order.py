@@ -134,3 +134,26 @@ def test_order_by_multiple_keys_mixed_direction(db):
     db.execute("INSERT INTO m VALUES (1, 1), (1, 2), (2, 1)")
     rows = db.execute("SELECT a, b FROM m ORDER BY a DESC, b ASC").rows
     assert rows == [(2, 1), (1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "order, expected",
+    [
+        ("k", [10, 30, 20]),  # NULLs last ascending
+        ("k DESC", [20, 30, 10]),  # ... and first descending
+        ("k NULLS FIRST", [20, 10, 30]),
+        ("k DESC NULLS LAST", [30, 10, 20]),
+    ],
+)
+def test_the_three_order_bys_agree_on_nulls(db, order, expected):
+    """A query's ORDER BY, a window's and an aggregate's are one sort key
+    (``repro.types.sort_key``): the aggregate used to put NULLs last under
+    DESC where the other two put them first."""
+    db.execute("CREATE TABLE o (k INTEGER, x INTEGER)")
+    db.execute("INSERT INTO o VALUES (1, 10), (NULL, 20), (3, 30)")
+    assert db.execute(f"SELECT x FROM o ORDER BY {order}").column("x") == expected
+    assert db.execute(f"SELECT ARRAY_AGG(x ORDER BY {order}) FROM o").scalar() == expected
+    numbered = db.execute(
+        f"SELECT x, ROW_NUMBER() OVER (ORDER BY {order}) AS n FROM o ORDER BY n"
+    ).column("x")
+    assert numbered == expected

@@ -184,3 +184,19 @@ def test_window_expression_arithmetic(w):
            FROM w WHERE grp = 'a' ORDER BY seq"""
     ).rows
     assert [r[1] for r in rows] == [-10.0, 0.0, 10.0]
+
+
+@pytest.mark.parametrize(
+    "call, clause",
+    [
+        ("SUM(val) FILTER (WHERE val > 10) OVER (PARTITION BY grp)", "FILTER"),
+        ("SUM(val) WITHIN DISTINCT (seq) OVER (PARTITION BY grp)", "WITHIN DISTINCT"),
+        ("ARRAY_AGG(val ORDER BY seq) OVER (PARTITION BY grp)", "ORDER BY inside the call"),
+    ],
+)
+def test_a_clause_the_window_operator_does_not_run_is_refused(w, call, clause):
+    """Each used to be dropped in silence: ``SUM(x) FILTER (WHERE x > 1)
+    OVER (...)`` summed every row."""
+    with pytest.raises(BindError, match=clause) as raised:
+        w.execute(f"SELECT seq,\n  {call}\nFROM w")
+    assert "line 2" in str(raised.value)  # the clause's own position

@@ -128,6 +128,30 @@ def test_interpreter_equals_expansion(rows):
     assert normalized(interpreted) == normalized(expanded)
 
 
+#: What the binder normalizes and an AST-level expander never learned: a
+#: GROUP BY alias or ordinal, DISTINCT as a grouping, a measure re-exported
+#: bare (evaluated over the *output's* dimensions, the WHERE baked in).
+BINDER_SHAPES = [
+    "SELECT prodName AS p, y, rev, AGGREGATE(n) AS k FROM eo GROUP BY p, y",
+    "SELECT prodName AS p, rev AT (ALL custName) AS r FROM eo GROUP BY 1",
+    "SELECT DISTINCT prodName, rev FROM eo",
+    "SELECT prodName, custName, rev, n FROM eo",
+    "SELECT custName, rev FROM eo WHERE y >= 2021",
+    "SELECT p, AGGREGATE(rev) AS r FROM (SELECT prodName AS p, rev FROM eo WHERE y < 2022) GROUP BY p",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(order_rows, st.sampled_from(BINDER_SHAPES))
+def test_interpreter_equals_expansion_on_what_the_binder_normalizes(rows, sql):
+    db = make_db(rows)
+    interpreted = db.execute(sql).rows
+    assert normalized(db.execute(db.expand(sql)).rows) == normalized(interpreted)
+    assert normalized(
+        db.execute_with_strategy(sql, strategy="subquery").rows
+    ) == normalized(interpreted)
+
+
 @settings(max_examples=25, deadline=None)
 @given(order_rows)
 def test_cache_on_off_equivalence(rows):
