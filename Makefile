@@ -60,13 +60,16 @@ lint:
 validate:
 	REPRO_VALIDATE=1 pytest tests/
 
-# Physical lines of src/**/*.py, per package and in total.  The one way a
+# Physical lines of src/**/*.py, per package, of the four packages that only
+# watch (``observers``), and in total.  The one way a
 # PR's size is measured: CHANGES.md quotes this at the parent and at the
 # change, CI appends it to the job summary.
 loc:
 	@find src -name '*.py' -print0 | xargs -0 wc -l | awk '$$2 != "total" { \
 		n = split($$2, part, "/"); pkg = (n > 3) ? part[3] "/" : "(top level)"; \
 		lines[pkg] += $$1 } END { for (pkg in lines) printf "%7d  %s\n", lines[pkg], pkg }' | sort -k2
+	@find src/repro/telemetry src/repro/introspect src/repro/profile src/repro/history -name '*.py' -print0 \
+		| xargs -0 cat | wc -l | awk '{ printf "%7d  observers (telemetry/ + introspect/ + profile/ + history/)\n", $$1 }'
 	@find src -name '*.py' -print0 | xargs -0 cat | wc -l | awk '{ printf "%7d  total\n", $$1 }'
 
 all: test lint bench report examples

@@ -1,8 +1,9 @@
 """Lock-discipline checker for the concurrent server layer.
 
 ``python -m repro.analysis --lock-check`` parses (Python ``ast``, no
-imports, no execution) every module in ``repro/server/`` and
-``repro/introspect/`` and flags accesses to shared Database state that are
+imports, no execution) every module in ``repro/server/``,
+``repro/introspect/`` and ``repro/profile/`` (the running-queries directory
+every session registers in) and flags accesses to shared Database state that are
 not lexically inside a ``with <...>.rwlock.read():`` or
 ``with <...>.rwlock.write():`` block.
 
@@ -211,12 +212,13 @@ def _package_root() -> pathlib.Path:
 
 
 def run_lock_check(*, verbose: bool = False) -> int:
-    """Check ``repro/server/`` and ``repro/introspect/``; print findings
+    """Check ``repro/server/``, ``repro/introspect/`` and ``repro/profile/``;
+    print findings
     and return their count (the CLI exit-status contribution)."""
     root = _package_root()
     findings: list[LockFinding] = []
     checked = 0
-    for subdir in ("server", "introspect"):
+    for subdir in ("server", "introspect", "profile"):
         directory = root / subdir
         if not directory.is_dir():
             continue

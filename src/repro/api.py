@@ -33,7 +33,6 @@ from repro.catalog.schema import Column
 from repro.engine.compile import compile_expr
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
-from repro.engine.progress import QueryRegistry, current_query_id
 from repro.errors import BindError, CatalogError, SqlError
 from repro.introspect import (
     fingerprint_statement,
@@ -44,6 +43,7 @@ from repro.introspect import (
 )
 from repro.matview import analyze_definition, maintenance, rewrite_query
 from repro.plan.optimizer import optimize
+from repro.profile.watch import QueryRegistry, Watch, current_query_id
 from repro.result import Result, ResultColumn
 from repro.semantics.binder import Binder
 from repro.sql import ast, parse_statement, parse_statements
@@ -79,12 +79,6 @@ class PlannedQuery:
     plan_shape: Optional[str] = None
     fingerprint: Optional[str] = None
     normalized: Optional[str] = None
-
-
-def _new_profiler():
-    from repro.profile import Profiler
-
-    return Profiler()
 
 
 def _text_result(column: str, lines: list) -> Result:
@@ -163,10 +157,10 @@ class Database:
         error naming the operator — instead of letting a runaway join OOM
         the host.  Setting a limit implies progress tracking.
     track_progress:
-        Maintain a live :class:`~repro.engine.progress.ProgressState` per
-        query (rows processed, current operator, bytes buffered,
-        estimated-vs-actual rows per operator), visible while the query
-        runs through the ``repro_running_queries`` / ``repro_query_progress``
+        List every running query (rows processed, current operator, bytes
+        buffered, estimated-vs-actual rows per operator — its
+        :class:`~repro.profile.Watch`), visible while the query runs
+        through the ``repro_running_queries`` / ``repro_query_progress``
         system tables, :meth:`running_queries`, and the server's
         ``/queries`` endpoint.  Default None means "on iff telemetry is
         on"; pass False to force it off (the zero-overhead configuration)
@@ -259,7 +253,7 @@ class Database:
     # One pipeline, four steps, each written once (DESIGN.md, "Statement
     # pipeline"): parse (_parse) -> plan (_plan) -> run (_run) -> emit
     # (_emit).  _execute_observed strings them together for every entry
-    # point that telemetry, the profiler or the recorder watches.
+    # point that telemetry, a profile or the recorder watches.
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Result:
         """Parse and execute a single SQL statement.
@@ -275,12 +269,12 @@ class Database:
         # The statement's one clock starts before the parse: wall_ms is
         # what the caller waited for.
         start = perf_counter()
-        # The profiler carries the parse span into the query pipeline so the
+        # The watcher carries the parse span into the query pipeline so the
         # finished profile covers the whole statement.
-        profiler = _new_profiler() if profiled else None
-        statement = self._parse(sql, profiler, start=start)
+        watch = self._watch() if profiled else None
+        statement = self._parse(sql, watch, start=start)
         return self._execute_observed(
-            statement, params, sql=sql, profiler=profiler, start=start
+            statement, params, sql=sql, watch=watch, start=start
         )
 
     def execute_script(self, sql: str) -> list[Result]:
@@ -292,16 +286,22 @@ class Database:
         statements = self._parse(sql, parser=parse_statements)
         return [self._execute_observed(s) for s in statements]
 
+    def _watch(self, *, spans: bool = True) -> Watch:
+        """One statement's watcher.  ``spans=False`` is the one built for
+        progress tracking or a memory budget alone: no profile was asked
+        for, so it reads no clock."""
+        return Watch(spans=spans, memory_limit_bytes=self.memory_limit_bytes)
+
     def _parse(
-        self, sql: str, profiler=None, *, parser=parse_statement, start=None
+        self, sql: str, watch=None, *, parser=parse_statement, start=None
     ):
         """The **parse** step.  A failure is emitted like any other failed
         statement: it is part of the workload, and replaying the journal
         must reproduce it as an error, not skip it."""
         try:
-            if profiler is None:
+            if watch is None:
                 return parser(sql)
-            with profiler.phase("parse"):
+            with watch.tracer.span("parse"):
                 return parser(sql)
         except SqlError as exc:
             self._emit(None, sql, start=start, error=exc)
@@ -313,38 +313,41 @@ class Database:
         params: Sequence[Any] = (),
         *,
         sql: Optional[str] = None,
-        profiler=None,
+        watch=None,
         run=None,
         strategy: Optional[str] = None,
         start: Optional[float] = None,
     ) -> Result:
         """Run one parsed statement and emit its outcome.
 
-        ``run(profiler)`` replaces the default plan -> run step (the
+        ``run(watch)`` replaces the default plan -> run step (the
         session's plan cache, a strategy experiment); like
         :meth:`_run_query` it returns ``(Result, PlannedQuery | None,
         QueryProfile | None)``.  Telemetry needs a span tree and counters
-        for every query, so queries run under a profiler whenever it is on,
-        even with ``profile=False``; other statements are wall timed.
-        ``start`` is the caller's clock when it began before the parse;
-        without one the statement's wall time starts here.
+        for every query, so queries run under a span-keeping watcher
+        whenever it is on, even with ``profile=False``; other statements
+        are wall timed.  ``start`` is the caller's clock when it began
+        before the parse; without one the statement's wall time starts here.
         """
         is_query = isinstance(statement, ast.QueryStatement)
-        if profiler is None and is_query and self.telemetry is not None:
-            profiler = _new_profiler()
+        if watch is None and is_query and self.telemetry is not None:
+            watch = self._watch()
         if start is None:
             start = perf_counter()
         try:
             if run is not None:
-                outcome = run(profiler)
+                outcome = run(watch)
             elif is_query:
-                outcome = self._run_query(statement.query, params, profiler)
+                outcome = self._run_query(statement.query, params, watch)
             else:
                 outcome = self._execute_statement(statement, params), None, None
         except SqlError as exc:
+            # A query that failed mid-flight (a memory budget fired, say)
+            # keeps what was seen up to the failing operator.
+            partial = None if watch is None else watch.finish(sql=sql)
             self._emit(
                 statement, sql, params, start=start, strategy=strategy,
-                profiler=profiler, error=exc,
+                outcome=(None, None, partial), error=exc,
             )
             raise
         self._emit(
@@ -361,7 +364,6 @@ class Database:
         *,
         start: Optional[float] = None,
         strategy: Optional[str] = None,
-        profiler=None,
         outcome=None,
         error: Optional[SqlError] = None,
     ) -> None:
@@ -373,7 +375,8 @@ class Database:
 
         ``statement`` is None when parsing failed; ``sql`` None means "print
         the statement".  ``outcome`` is the ``(result, planned, profile)``
-        of a success.  ``strategy`` names a forced expansion strategy;
+        of a success (of a failure: only the partial profile, if it was
+        watched).  ``strategy`` names a forced expansion strategy;
         otherwise a query reports what its plan decided (``summary`` or
         ``interpreter``) and a failed or plan-less statement reports none.
         ``telemetry`` and ``recorder`` are read here, per statement: the
@@ -386,10 +389,6 @@ class Database:
 
         wall_ms = 0.0 if start is None else (perf_counter() - start) * 1000.0
         result, planned, profile = outcome or (None, None, None)
-        if error is not None and profiler is not None:
-            # The query failed mid-flight (a memory budget fired, say);
-            # freeze what the profiler saw up to the failing operator.
-            profile = profiler.finish(sql=sql)
         kind = fingerprint = normalized = None
         if statement is not None:
             kind = statement_kind(statement)
@@ -526,7 +525,7 @@ class Database:
         self,
         query: ast.Query,
         params: Sequence[Any] = (),
-        profiler=None,
+        watch=None,
     ):
         """Plan and run one query for the direct API:
         ``(Result, PlannedQuery | None, QueryProfile | None)``.
@@ -539,21 +538,20 @@ class Database:
             # Answered from the telemetry registry, not the planner; the
             # binder rejects nested uses (lint rule RP112).
             return self._show_stats(), None, None
-        # Internal queries (summary refresh/delta) never auto-profile or
-        # register progress; they would clobber the user-visible
-        # last_profile() and running-queries view.
-        internal = self._suppress_summaries
-        if profiler is None and self.profile_enabled and not internal:
-            profiler = _new_profiler()
-        track = not internal and self.progress_enabled()
+        # Internal queries (summary refresh/delta) are never watched; they
+        # would clobber the user-visible last_profile() and running-queries
+        # view.
+        if (
+            watch is None
+            and not self._suppress_summaries
+            and (self.profile_enabled or self.progress_enabled())
+        ):
+            watch = self._watch(spans=self.profile_enabled)
         start = perf_counter()
-        # Dataflow facts ride on the plan nodes: the profiler folds them
-        # into the operator tree and the progress tables report them as
-        # estimated rows next to the actuals; nobody else reads them.
-        planned = self._plan(query, profiler, facts=profiler is not None or track)
-        result, profile, self.last_stats = self._run(
-            planned, params, profiler, None, track
-        )
+        # Dataflow facts ride on the plan nodes, where the watcher's entries
+        # read them as estimated rows next to the actuals; nobody else does.
+        planned = self._plan(query, watch, facts=watch is not None)
+        result, profile, self.last_stats = self._run(planned, params, watch, None)
         if planned.reports:
             self._record_summary_latency(
                 planned.reports, (perf_counter() - start) * 1000.0
@@ -563,7 +561,7 @@ class Database:
         return result, planned, profile
 
     def _plan(
-        self, query: ast.Query, profiler=None, *, facts: bool, record: bool = True
+        self, query: ast.Query, watch=None, *, facts: bool, record: bool = True
     ) -> PlannedQuery:
         """The **plan** step: summary rewrite -> bind -> optimize/validate
         -> (``facts``) dataflow analysis.
@@ -573,7 +571,7 @@ class Database:
         planning decided; :meth:`plan_query` adds the printed and hashed
         fields a cached plan needs.
         """
-        tracer = profiler.tracer if profiler is not None else None
+        tracer = watch.tracer if watch is not None else None
         strategy, reports, rewritten = "interpreter", (), query
         if self.summaries_enabled and not self._suppress_summaries:
             span = tracer.begin("rewrite", "phase") if tracer is not None else None
@@ -613,44 +611,49 @@ class Database:
                 tracer.end(span)
         return PlannedQuery(query, plan, tuple(columns), strategy, reports)
 
-    def _run(self, planned: PlannedQuery, params, profiler, cancel_event, track):
+    def _run(self, planned: PlannedQuery, params, watch, cancel_event):
         """The **run** step: execute a planned query in a fresh
         :class:`ExecutionContext`; ``(Result, QueryProfile | None, ctx)``.
 
         Touches no Database-wide slot, so any number of sessions can run
-        the same plan concurrently.  ``track`` registers the execution in
-        the running-queries directory for its duration.
+        the same plan concurrently.  A watched execution is listed in the
+        running-queries directory for its duration when
+        :meth:`progress_enabled` says so.
         """
         sql = planned.sql
-        if sql is None and (track or profiler is not None):
-            sql = _printed(planned.query)
-        progress = self._start_progress(sql or "", planned.plan) if track else None
+        listed = False
+        if watch is not None:
+            if sql is None:
+                sql = _printed(planned.query)
+            watch.attach(planned.plan)
+            listed = self.progress_enabled()
+        if listed:
+            from repro.telemetry import current_session, current_traceparent
+
+            self.running.start(
+                watch, sql, current_session.get(), current_traceparent.get()
+            )
+            # How a query over the running-queries tables avoids observing
+            # itself in the registry snapshot.
+            token = current_query_id.set(watch.query_id)
         ctx = ExecutionContext(
             self.catalog,
             enable_cache=self.cache_enabled,
             params=params,
-            profiler=profiler,
+            watch=watch,
             cancel_event=cancel_event,
-            progress=progress,
         )
-        tracer = profiler.tracer if profiler is not None else None
+        tracer = watch.tracer if watch is not None else None
         span = tracer.begin("execute", "phase") if tracer is not None else None
-        # current_query_id is how a query over the running-queries tables
-        # avoids observing itself in the registry snapshot.
-        token = None if progress is None else current_query_id.set(progress.query_id)
         try:
             rows = execute_plan(planned.plan, ctx)
         finally:
-            if progress is not None:
+            if listed:
                 current_query_id.reset(token)
-                self.running.finish(progress)
+                self.running.finish(watch)
         if tracer is not None:
             tracer.end(span)
-        profile = (
-            None
-            if profiler is None
-            else profiler.finish(planned.plan, ctx, len(rows), sql=sql)
-        )
+        profile = None if watch is None else watch.finish(ctx, len(rows), sql=sql)
         result = Result(
             columns=[ResultColumn(c.name, c.dtype) for c in planned.columns],
             rows=rows,
@@ -674,7 +677,9 @@ class Database:
 
     # -- planned execution (the query server's path) -------------------------
 
-    def plan_query(self, query: ast.Query, *, sql: Optional[str] = None) -> PlannedQuery:
+    def plan_query(
+        self, query: ast.Query, *, sql: Optional[str] = None, watch=None
+    ) -> PlannedQuery:
         """Plan ``query`` once for repeated execution, without running it.
 
         Runs the same rewrite -> bind -> optimize pipeline as
@@ -683,7 +688,8 @@ class Database:
         returned :class:`PlannedQuery` is self-contained, so concurrent
         sessions can plan and replay without racing on shared state.
         Summary-rewrite telemetry is recorded here (at plan time); cached
-        replays deliberately skip the rewriter and its counters.
+        replays deliberately skip the rewriter and its counters.  The
+        planning phases are spans of ``watch`` when there is one.
         """
         if isinstance(query, ast.ShowStats):
             raise SqlError("SHOW STATS has no plan; execute it directly")
@@ -696,7 +702,7 @@ class Database:
         fingerprint, normalized = _fingerprint(statement)
         # Facts (types/nullability/keys/cardinality bounds) travel with the
         # cached plan; DML invalidation bounds how stale the bounds can get.
-        planned = self._plan(query, facts=True)
+        planned = self._plan(query, watch, facts=True)
         relations = {
             ref.name.lower() for ref in find_all(query, ast.TableName)
         }
@@ -720,7 +726,7 @@ class Database:
         params: Sequence[Any] = (),
         *,
         cancel_event=None,
-        profiler=None,
+        watch=None,
     ):
         """Execute a :class:`PlannedQuery`; ``(Result, QueryProfile | None)``.
 
@@ -733,21 +739,21 @@ class Database:
         ``threading.Event``) aborts execution at the next operator
         boundary with :class:`~repro.errors.QueryCancelled`.
         """
-        result, profile, _ = self._run(
-            planned, params, profiler, cancel_event, self.progress_enabled()
-        )
+        if watch is None and self.progress_enabled():
+            watch = self._watch(spans=False)
+        result, profile, _ = self._run(planned, params, watch, cancel_event)
         return result, profile
 
     # -- live progress --------------------------------------------------------
 
     def progress_enabled(self) -> bool:
-        """Whether queries maintain live progress state.
+        """Whether queries are watched and listed while they run.
 
         A memory budget forces tracking on (accounting rides the same
-        state); otherwise the explicit ``track_progress`` flag wins, and
-        its None default follows telemetry — a telemetry-on Database is
-        already paying for a profiler per query, so the extra ticks are
-        noise, while a bare Database stays on the zero-overhead path.
+        watcher); otherwise the explicit ``track_progress`` flag wins, and
+        its None default follows telemetry — a telemetry-on Database
+        already watches every query, so listing it costs a registration,
+        while a bare Database stays on the zero-overhead path.
         """
         if self.memory_limit_bytes is not None:
             return True
@@ -755,26 +761,11 @@ class Database:
             return self.telemetry is not None
         return self._track_progress
 
-    def _start_progress(self, sql: str, plan):
-        """Register one tracked execution in the running-query registry."""
-        from repro.telemetry import current_session, current_traceparent
-
-        progress = self.running.start(
-            sql=sql,
-            session_id=current_session.get(),
-            traceparent=current_traceparent.get(),
-            memory_limit_bytes=self.memory_limit_bytes,
-        )
-        # Pre-register every operator with its dataflow cardinality
-        # bounds so estimated-vs-actual rows are observable immediately.
-        progress.attach_plan(plan)
-        return progress
-
     def running_queries(self) -> list[dict]:
         """Live progress of every in-flight tracked query, as dicts
         (the JSON shape the server's ``/queries`` endpoint serves).
         Empty when no query is running or tracking is off."""
-        return [state.as_dict() for state in self.running.snapshot()]
+        return [watch.as_dict() for watch in self.running.snapshot()]
 
     # -- DDL / DML ----------------------------------------------------------
 
@@ -1025,16 +1016,14 @@ class Database:
     def _explain_analyze(
         self, statement: ast.ExplainPlan, lint_lines: list[str]
     ) -> Result:
-        """``EXPLAIN ANALYZE``: execute the query under a fresh profiler and
+        """``EXPLAIN ANALYZE``: execute the query under a fresh watcher and
         render the operator tree annotated with observed rows and timing.
 
         Like PostgreSQL, the query genuinely runs (summary hit counters and
         DML-visible side effects of the execution happen); the result rows
         are discarded and the annotated plan is returned instead.
         """
-        _, planned, profile = self._run_query(
-            statement.query, profiler=_new_profiler()
-        )
+        _, planned, profile = self._run_query(statement.query, watch=self._watch())
         types_lines: list[str] = []
         if statement.types:
             # (ANALYZE, TYPES): the observed tree first, then the same plan
@@ -1058,8 +1047,8 @@ class Database:
         profiled query, or None.
 
         Populated whenever the database was constructed with
-        ``profile=True`` or ``telemetry=True`` (queries run under a
-        profiler either way) or an ``EXPLAIN ANALYZE`` statement ran.
+        ``profile=True`` or ``telemetry=True`` (queries are watched
+        either way) or an ``EXPLAIN ANALYZE`` statement ran.
         """
         return self._last_profile
 
@@ -1225,12 +1214,12 @@ class Database:
             self.telemetry.record_expansion(strategy)
         if not self.profile_enabled:
             return expand_query_ast(self, query, strategy=strategy)
-        profiler = _new_profiler()
-        with profiler.phase("expand"):
+        watch = self._watch()
+        with watch.tracer.span("expand"):
             expanded = expand_query_ast(
-                self, query, strategy=strategy, tracer=profiler.tracer
+                self, query, strategy=strategy, tracer=watch.tracer
             )
-        self._last_profile = profiler.finish(sql=to_sql(expanded))
+        self._last_profile = watch.finish(sql=to_sql(expanded))
         return expanded
 
     def execute_with_strategy(
@@ -1260,11 +1249,11 @@ class Database:
         ):
             raise SqlError("execute_with_strategy() requires a query")
 
-        def run(profiler):
+        def run(watch):
             # The expanded AST, not its text: re-parsing would renumber the
             # ``?`` a measure's subquery copied.
             expanded = self._expand_ast(statement.query, strategy)
-            result, _, profile = self._run_query(expanded, params, profiler)
+            result, _, profile = self._run_query(expanded, params, watch)
             # The expanded plan is not the statement's plan: report none.
             return result, None, profile
 

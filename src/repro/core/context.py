@@ -68,7 +68,7 @@ class Term:
         return False, None
 
     def counters(self) -> dict[str, int]:
-        """What testing this term cost, as profiler counters."""
+        """What testing this term cost, as watcher counters."""
         return {}
 
     @property
@@ -80,7 +80,7 @@ class Term:
 def summarize_terms(terms: list["Term"]) -> dict[str, int]:
     """Term-kind histogram for one evaluation context.
 
-    The measure evaluator feeds this to the profiler so a trace shows what a
+    The measure evaluator feeds this to the watcher so a trace shows what a
     context was made of (e.g. ``{"eqterm": 2, "visibleterm": 1}``) without
     serializing the terms themselves.
     """
@@ -467,6 +467,22 @@ class ContextSpec:
                 None if e is None else fn(e, False)
                 for e in self.visible.offset_dim_exprs
             ]
+
+    def map_site_exprs(self, fn) -> None:
+        """Replace, in place, every expression that reads the *call site* by
+        ``fn(expr, nested)`` (``nested``: bound over the source row, so the
+        call-site row is its enclosing scope) — VISIBLE's conjuncts, over
+        the query's FROM row, included.  What lifting an enclosing query
+        over its Aggregate renumbers through
+        (:func:`repro.semantics.correlate.remap_outer_expr`)."""
+        for term in self.group_terms:
+            term.value_expr = fn(term.value_expr, False)
+        for modifier in self.modifiers:
+            modifier.map_site_exprs(fn)
+        if self.visible is not None:
+            for name in ("local", "outer", "key_preds", "residual"):
+                preds = getattr(self.visible, name)
+                setattr(self.visible, name, [fn(pred, False) for pred in preds])
 
     def fingerprint(self) -> str:
         from repro.semantics.bound import fingerprint as fp

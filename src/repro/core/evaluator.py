@@ -56,21 +56,21 @@ def evaluate_measure(
     ``formula_slice`` is only set for inherited contexts: the outer measure's
     already-selected source rows.
 
-    With a profiler attached, each evaluation is a ``measure:<name>`` span
-    annotated with the cache verdict; otherwise the wrapper is one ``is
-    None`` check.
+    Under a watcher that keeps spans, each evaluation is a
+    ``measure:<name>`` span annotated with the cache verdict; otherwise the
+    wrapper is one early exit.
     """
-    profiler = ctx.profiler
-    if profiler is None:
+    watch = ctx.watch
+    if watch is None or watch.tracer is None:
         return _evaluate_measure_impl(node, env, ctx, formula_slice)
-    token = profiler.enter_measure(node.measure.name)
+    token = watch.enter_measure(node.measure.name)
     hits_before = ctx.measure_cache_hits
     try:
         result = _evaluate_measure_impl(node, env, ctx, formula_slice)
     except BaseException:
-        profiler.exit_measure(token, cache_hit=False)
+        watch.exit_measure(token, cache_hit=False)
         raise
-    profiler.exit_measure(
+    watch.exit_measure(
         token, cache_hit=ctx.measure_cache_hits > hits_before
     )
     return result
@@ -91,9 +91,9 @@ def _evaluate_measure_impl(
         terms = _base_terms(spec, env, ctx, formula_slice)
         terms = apply_modifiers(terms, spec, ValueTerms, env, ctx)
 
-    if ctx.profiler is not None:
+    if ctx.watch is not None:
         for kind, count in summarize_terms(terms).items():
-            ctx.profiler.bump(f"context_terms.{kind}", count)
+            ctx.watch.bump(f"context_terms.{kind}", count)
 
     ctx.measure_evaluations += 1
     cache_key = None
@@ -179,10 +179,10 @@ def _context_slice(measure, terms: list[Term], ctx: ExecutionContext) -> Slice:
                 ctx.checkpoint(buffered_rows=len(kept))
             if _accept(tests, rows[position], ctx):
                 kept.append(position)
-        if ctx.profiler is not None:
+        if ctx.watch is not None:
             for term in tests:
                 for name, count in term.counters().items():
-                    ctx.profiler.bump(name, count)
+                    ctx.watch.bump(name, count)
         candidates = kept
     return Slice(relation, candidates)
 
@@ -310,6 +310,6 @@ def source_rows_for(measure, ctx: ExecutionContext) -> list[tuple]:
     rows = ctx.source_rows_cache.get(id(plan))
     if rows is None:
         rows = ctx.source_rows_cache[id(plan)] = execute_plan(plan, ctx)
-    elif ctx.profiler is not None:
-        ctx.profiler.operator_count(plan, "shared_hits")
+    elif ctx.watch is not None:
+        ctx.watch.operator_count(plan, "shared_hits")
     return rows

@@ -50,6 +50,9 @@ class BoundModifier:
     def map_source_exprs(self, fn) -> None:
         """See :meth:`ContextSpec.map_source_exprs`."""
 
+    def map_site_exprs(self, fn) -> None:
+        """See :meth:`ContextSpec.map_site_exprs`."""
+
 
 @dataclass
 class BoundAll(BoundModifier):
@@ -78,6 +81,9 @@ class BoundSet(BoundModifier):
     def map_source_exprs(self, fn) -> None:
         self.source_expr = fn(self.source_expr, False)
 
+    def map_site_exprs(self, fn) -> None:
+        self.value_expr = fn(self.value_expr, False)
+
 
 @dataclass
 class BoundVisible(BoundModifier):
@@ -99,9 +105,16 @@ class BoundWhere(BoundModifier):
     """
 
     pred: Optional[b.BoundExpr]
-    outer_refs: list[tuple[int, int]] = field(default_factory=list)
     label: str = ""
     eq_pairs: list[tuple[b.BoundExpr, b.BoundExpr]] = field(default_factory=list)
+    outer_refs: list[tuple[int, int]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.outer_refs = [
+            (node.depth, node.offset)
+            for node in b.walk(self.pred)
+            if isinstance(node, b.BoundOuterColumn)
+        ] if self.pred is not None else []
 
     def child_exprs(self) -> Iterator[b.BoundExpr]:
         return iter(())
@@ -114,6 +127,15 @@ class BoundWhere(BoundModifier):
             (fn(source_expr, False), value_expr)
             for source_expr, value_expr in self.eq_pairs
         ]
+
+    def map_site_exprs(self, fn) -> None:
+        if self.pred is not None:
+            self.pred = fn(self.pred, True)
+        self.eq_pairs = [
+            (source_expr, fn(value_expr, True))
+            for source_expr, value_expr in self.eq_pairs
+        ]
+        self.__post_init__()  # outer_refs follow pred
 
 
 def apply_modifiers(terms: list, spec: ContextSpec, make, *site) -> list:

@@ -643,8 +643,8 @@ def _arithmetic_kernel(fn, op: str, span, left: Kernel, right: Kernel) -> Kernel
             and yk <= NUMERIC_KINDS
             and not (divides and 0 in ys.values)
         )
-        if ctx.profiler is not None:
-            ctx.profiler.bump("column.checked_values", 0 if unchecked else len(rows))
+        if ctx.watch is not None:
+            ctx.watch.bump("column.checked_values", 0 if unchecked else len(rows))
         if unchecked:
             values = list(map(bare, xs.values, ys.values))
             # Derived, not assumed: true division and any float operand give
@@ -748,8 +748,8 @@ class Relation:
                 whole = slots.get(key, _UNBUILT)
                 if whole is _UNBUILT:
                     whole = slots[key] = self._build(expr, ctx)
-                elif ctx.profiler is not None:
-                    ctx.profiler.bump("column.reads")
+                elif ctx.watch is not None:
+                    ctx.watch.bump("column.reads")
                 if whole is not None:
                     return whole if positions is None else whole.take(positions)
         rows = self.rows if positions is None else _gather(self.rows, positions)
@@ -778,16 +778,16 @@ class Relation:
     def _build(self, expr: b.BoundExpr, ctx) -> Optional[Column]:
         """The slot of row-pure ``expr``: its whole column, or None when a
         row makes it raise.  Its bytes are accounted once, here."""
-        if ctx.profiler is not None:
-            ctx.profiler.bump("column.builds")
+        if ctx.watch is not None:
+            ctx.watch.bump("column.builds")
         try:
             column = self._whole(expr, None, ctx)
         except (QueryCancelled, ResourceExhausted):
             raise
         except _VALUE_ERRORS:
             return None
-        if ctx.progress is not None and column.values:
-            ctx.progress.account_bytes(
+        if ctx.watch is not None and column.values:
+            ctx.watch.account_bytes(
                 self.owner,
                 sys.getsizeof(column.values)
                 + len(column.values) * sys.getsizeof(column.values[0]),
@@ -893,9 +893,9 @@ def _build_aggregate(call: b.BoundAggCall) -> Compiled:
     constant_kinds = frozenset((type(constant),))
 
     def aggregate(members, outer, ctx):
-        if ctx.profiler is not None:
-            ctx.profiler.bump("aggregate_invocations")
-            ctx.profiler.bump("aggregate_input_rows", len(members))
+        if ctx.watch is not None:
+            ctx.watch.bump("aggregate_invocations")
+            ctx.watch.bump("aggregate_input_rows", len(members))
         if keep is not None or within is not None or order_specs:
             # These read rows, not columns: the one place a slice's row list
             # is built.  What is left of it is a relation of its own.

@@ -58,30 +58,25 @@ class ExecutionContext:
         *,
         enable_cache: bool = True,
         params=(),
-        profiler=None,
+        watch=None,
         cancel_event=None,
-        progress=None,
     ):
         self.catalog = catalog
         self.enable_cache = enable_cache
         self.params = tuple(params)
-        #: Optional :class:`repro.profile.Profiler`.  None (the default)
-        #: means every instrumentation site is a single attribute check;
-        #: no timers run and no spans are allocated.
-        self.profiler = profiler
+        #: Optional :class:`repro.profile.Watch`: per-operator entries, spans,
+        #: live rows-processed / current-operator / memory accounting, fed
+        #: at operator boundaries and the 256-row checkpoints.  None (the
+        #: default) means every instrumentation site is a single attribute
+        #: check; no timers run and no spans are allocated.
+        self.watch = watch
         #: Optional :class:`threading.Event`; when set, execution raises
         #: :class:`~repro.errors.QueryCancelled` at the next operator
         #: boundary (the server's ``cancel`` op, see :mod:`repro.server`).
         self.cancel_event = cancel_event
-        #: Optional :class:`repro.engine.progress.ProgressState`: live
-        #: rows-processed / current-operator / memory accounting, updated
-        #: at operator boundaries and the 256-row checkpoints.  Same
-        #: zero-cost-when-off discipline as the profiler: None means one
-        #: attribute check per operator and per 256-row checkpoint.
-        self.progress = progress
         #: True when anything reads :meth:`checkpoint`; row loops hoist it
         #: into a local so an unwatched row pays one truthiness test.
-        self.watched = cancel_event is not None or progress is not None
+        self.watched = cancel_event is not None or watch is not None
         self.subquery_cache: dict = {}
         self.measure_cache: dict = {}
         self.source_rows_cache: dict = {}
@@ -148,8 +143,8 @@ class ExecutionContext:
         cancel = self.cancel_event
         if cancel is not None and cancel.is_set():
             raise QueryCancelled("query cancelled")
-        if self.progress is not None:
-            self.progress.tick(plan, buffered_rows)
+        if self.watch is not None:
+            self.watch.tick(plan, buffered_rows)
 
     def batches(self, rows: list, plan=None, buffered: Sized = ()) -> Iterator[list]:
         """``rows`` in slices a row loop can hand to one comprehension.

@@ -43,10 +43,11 @@ def execute_plan(
 ) -> list[tuple]:
     """Execute ``plan`` and return its rows.
 
-    With a profiler attached, every operator execution is bracketed by an
-    operator span and accumulates per-node metrics (rows in/out, calls,
-    wall time); without one, the only overhead is a single ``is None``
-    check per operator execution.
+    With a watcher attached, every operator execution is bracketed by one
+    ``enter`` / ``exit`` (``abort`` when it raises): an operator span and
+    the node's entry (rows in/out, calls, wall time, bytes buffered);
+    without one, the only overhead is a single ``is None`` check per
+    operator execution.
     """
     method = _DISPATCH.get(type(plan))
     if method is None:
@@ -56,35 +57,28 @@ def execute_plan(
     # nested-loop join still observes the flag frequently).
     if ctx.cancel_event is not None and ctx.cancel_event.is_set():
         raise QueryCancelled("query cancelled")
-    profiler = ctx.profiler
+    watch = ctx.watch
     if plan.shared:
         # A measure's source relation: the query's FROM and the measure
         # evaluator both come through here, and whichever is second reads
         # what the first one built.  Neither may mutate the list.
         rows = ctx.source_rows_cache.get(id(plan))
         if rows is not None:
-            if profiler is not None:
-                profiler.shared_hit(plan, len(rows))
+            if watch is not None:
+                watch.shared_hit(plan, len(rows))
             return rows
-    progress = ctx.progress
-    if progress is not None:
-        progress.enter_operator(plan)
-    if profiler is None:
+    if watch is None:
         rows = method(plan, ctx, outer_env)
-        if progress is not None:
-            progress.exit_operator(plan, rows)
     else:
-        token = profiler.enter_operator(plan)
+        watch.enter(plan)
         try:
             rows = method(plan, ctx, outer_env)
-            if progress is not None:
-                # Inside the try: a memory budget breach here aborts the
-                # operator span, stamping the failure onto the trace.
-                progress.exit_operator(plan, rows)
+            # Inside the try: a memory budget breached by this output
+            # aborts the operator, stamping the failure onto its span.
+            watch.exit(rows)
         except BaseException:
-            profiler.abort_operator(token)
+            watch.abort()
             raise
-        profiler.exit_operator(token, len(rows))
     if plan.shared:
         ctx.source_rows_cache[id(plan)] = rows
     return rows
@@ -186,8 +180,8 @@ def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tu
     keys, residual = memo(plan, "_join", _compile_join)
     if not keys:
         ctx.nested_loop_joins += 1
-        if ctx.profiler is not None:
-            ctx.profiler.operator_count(
+        if ctx.watch is not None:
+            ctx.watch.operator_count(
                 plan, "comparisons", len(left_rows) * len(right_rows)
             )
         return _nested_loop_join(plan, left_rows, right_rows, ctx, outer_env)
@@ -301,9 +295,9 @@ def _run_pipeline(plan, joins: list, emit, ctx: ExecutionContext, outer_env) -> 
 def _count_hash_steps(plan, inputs: list, ctx: ExecutionContext) -> None:
     """One hash join per non-driving input, whichever operator runs them."""
     ctx.hash_joins += len(inputs) - 1
-    if ctx.profiler is not None:
-        ctx.profiler.operator_count(plan, "hash_build_rows", sum(map(len, inputs[1:])))
-        ctx.profiler.operator_count(plan, "hash_probes", len(inputs[0]))
+    if ctx.watch is not None:
+        ctx.watch.operator_count(plan, "hash_build_rows", sum(map(len, inputs[1:])))
+        ctx.watch.operator_count(plan, "hash_probes", len(inputs[0]))
 
 
 def _hash_index(plan, rows: list, key: tuple, values, ctx: ExecutionContext):
@@ -321,9 +315,9 @@ def _hash_index(plan, rows: list, key: tuple, values, ctx: ExecutionContext):
             table.setdefault(found, []).append(value)
         except TypeError:
             return None
-    if ctx.progress is not None and rows:
+    if ctx.watch is not None and rows:
         # One key + list slot per build row: about 64 bytes of bucket state.
-        ctx.progress.account_bytes(plan, 64 * len(rows))
+        ctx.watch.account_bytes(plan, 64 * len(rows))
     return table
 
 
@@ -467,8 +461,8 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
             if plan.capture_rows:
                 row_out += (tuple(members.rows()),)
             output.append(row_out)
-    if ctx.profiler is not None:
-        ctx.profiler.operator_count(plan, "groups", len(output))
+    if ctx.watch is not None:
+        ctx.watch.operator_count(plan, "groups", len(output))
     return output
 
 

@@ -93,9 +93,9 @@ def compute_window_column(
     partitions: dict[tuple, list[int]] = {}
     for index, key in enumerate(partition_keys(relation, outer_env, ctx)):
         partitions.setdefault(key, []).append(index)
-    if ctx.profiler is not None:
-        ctx.profiler.bump("window_calls")
-        ctx.profiler.bump("window_partitions", len(partitions))
+    if ctx.watch is not None:
+        ctx.watch.bump("window_calls")
+        ctx.watch.bump("window_partitions", len(partitions))
 
     keys = order_keys(relation, outer_env, ctx) if call.order_by else []
     frame = _Frame(call, rows, keys, args, offsets, outer_env, ctx, plan)

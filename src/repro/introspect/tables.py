@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.catalog.objects import BaseTable, SystemTable, View
 from repro.catalog.schema import Column, TableSchema
-from repro.engine.progress import ProgressState, current_query_id
+from repro.profile.watch import Watch, current_query_id
 from repro.introspect.statements import (
     FLIP_COLUMNS,
     StatementEntry,
@@ -221,13 +221,12 @@ def install_system_tables(db: "Database") -> None:
         Database around every tracked execution) is excluded, so a query
         polling the registry never observes itself.
         """
-        states = db.running.snapshot(exclude=current_query_id.get())
-        progress_rows: list[tuple] = []
-        for state in states:
-            progress_rows.extend(state.operator_rows())
+        watches = db.running.snapshot(exclude=current_query_id.get())
         return {
-            "repro_running_queries": [s.as_row() for s in states],
-            "repro_query_progress": progress_rows,
+            "repro_running_queries": [w.as_row() for w in watches],
+            "repro_query_progress": [
+                row for w in watches for row in w.operator_rows()
+            ],
         }
 
     register = db.catalog.register_system_table
@@ -337,7 +336,7 @@ def install_system_tables(db: "Database") -> None:
     register(
         SystemTable(
             "repro_running_queries",
-            TableSchema.of(ProgressState.COLUMNS),
+            TableSchema.of(Watch.COLUMNS),
             lambda: running_group()["repro_running_queries"],
             comment="queries executing right now (the observer is excluded)",
             group="running",
@@ -346,7 +345,7 @@ def install_system_tables(db: "Database") -> None:
     register(
         SystemTable(
             "repro_query_progress",
-            TableSchema.of(ProgressState.OPERATOR_COLUMNS),
+            TableSchema.of(Watch.OPERATOR_COLUMNS),
             lambda: running_group()["repro_query_progress"],
             comment="per-operator estimated-vs-actual rows for running queries",
             group="running",

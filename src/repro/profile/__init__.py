@@ -1,29 +1,22 @@
-"""Runtime observability: tracing spans, operator metrics, query profiles.
-
-The subsystem has three layers:
+"""Runtime observability: tracing spans, the per-statement watcher, query
+profiles.
 
 * :mod:`repro.profile.tracer` — a lightweight span tracer.  A
   :class:`~repro.profile.tracer.Span` covers one phase (parse, bind,
   optimize, execute), one plan-operator execution, or one measure-context
   evaluation; spans nest, so a finished trace is a tree.
-* :mod:`repro.profile.metrics` — per-operator accumulators
-  (:class:`~repro.profile.metrics.OperatorMetrics`): rows in/out, call
-  counts, wall time, and operator-specific counters such as hash probes.
-* :mod:`repro.profile.profiler` — :class:`~repro.profile.profiler.Profiler`
-  collects both while a query runs and freezes into a
-  :class:`~repro.profile.profiler.QueryProfile`, the stable, serializable
-  artifact behind ``EXPLAIN ANALYZE``, ``Database(profile=True)`` /
-  ``Database.last_profile()``, the shell's ``\\profile`` command, and the
-  ``BENCH_*.json`` snapshots.
+* :mod:`repro.profile.watch` — :class:`~repro.profile.watch.Watch`, the one
+  object that watches a statement run (an entry per plan operator, the live
+  fields and memory budget of the running-queries tables, the span tree),
+  and the :class:`~repro.profile.watch.QueryProfile` it freezes into: the
+  stable, serializable artifact behind ``EXPLAIN ANALYZE``,
+  ``Database.last_profile()``, the shell's ``\\profile`` and the slow log.
 
-Instrumentation is zero-cost when off: the engine consults a single
-``ctx.profiler is None`` guard per operator execution and takes no
-timestamps, allocates no spans, and touches no dictionaries unless a
-profiler is attached.
+Zero-cost when off: the engine consults one ``ctx.watch is None`` guard per
+operator execution and takes no timestamp unless a watcher is attached.
 """
 
-from repro.profile.metrics import OperatorMetrics
-from repro.profile.profiler import Profiler, QueryProfile
 from repro.profile.tracer import Span, Tracer
+from repro.profile.watch import QueryProfile, QueryRegistry, Watch
 
-__all__ = ["Span", "Tracer", "OperatorMetrics", "Profiler", "QueryProfile"]
+__all__ = ["Span", "Tracer", "Watch", "QueryProfile", "QueryRegistry"]

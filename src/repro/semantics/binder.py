@@ -1815,18 +1815,8 @@ class _Lifter:
             if isinstance(modifier, BoundSet):
                 modifier.value_expr = self.lift(modifier.value_expr)
             elif isinstance(modifier, BoundWhere):
-                if modifier.pred is not None:
-                    modifier.pred = self._remap_where(modifier.pred)
-                modifier.eq_pairs = [
-                    (source, self._remap_where(value))
-                    for source, value in modifier.eq_pairs
-                ]
-                modifier.outer_refs = [
-                    (d, self.offset_mapping[o])
-                    if d == 1 and o in self.offset_mapping
-                    else (d, o)
-                    for d, o in modifier.outer_refs
-                ]
-
-    def _remap_where(self, pred: b.BoundExpr) -> b.BoundExpr:
-        return remap_outer_expr(pred, self.offset_mapping, self.expr_mapping)
+                modifier.map_site_exprs(
+                    lambda e, nested: remap_outer_expr(
+                        e, self.offset_mapping, self.expr_mapping
+                    )
+                )

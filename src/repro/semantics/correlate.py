@@ -68,14 +68,32 @@ def collect_outer_refs(plan: plans.LogicalPlan) -> list[tuple[int, int]]:
     deterministic.
     """
     seen: dict[tuple[int, int], None] = {}
-    for expr in plan_expressions(plan):
+
+    def note(expr: b.BoundExpr, below: int) -> None:
+        """``below``: how many scopes under the plan's rows ``expr`` is bound."""
         for node in b.walk(expr):
             if isinstance(node, b.BoundOuterColumn):
-                seen[(node.depth, node.offset)] = None
+                refs = [(node.depth, node.offset)]
             elif isinstance(node, b.BoundSubquery):
-                for depth, offset in node.outer_refs:
-                    if depth > 1:
-                        seen[(depth - 1, offset)] = None
+                refs = [(depth - 1, offset) for depth, offset in node.outer_refs]
+            elif isinstance(node, b.BoundMeasureEval):
+                # The walk itself reads what is bound over the call-site row;
+                # an AT WHERE predicate is bound over the source, one below.
+                def note_nested(e: b.BoundExpr, nested: bool) -> b.BoundExpr:
+                    if nested:
+                        note(e, below + 1)
+                    return e
+
+                node.context.map_site_exprs(note_nested)
+                continue
+            else:
+                continue
+            for depth, offset in refs:
+                if depth > below:
+                    seen[(depth - below, offset)] = None
+
+    for expr in plan_expressions(plan):
+        note(expr, 0)
     return list(seen)
 
 
@@ -153,6 +171,15 @@ def remap_outer_expr(
             )
         if isinstance(node, b.BoundSubquery):
             return remap_subquery(node, mapping, expr_mapping, depth + 1)
+        if isinstance(node, b.BoundMeasureEval):
+            # A rebuild leaves the context alone: renumber what it reads of
+            # the call site there.
+            node.context.map_site_exprs(
+                lambda e, nested: remap_outer_expr(
+                    e, mapping, expr_mapping, depth + nested
+                )
+            )
+            return node
         return None
 
     return transform_expr(expr, visit)
@@ -166,10 +193,9 @@ def remap_subquery(
 ) -> b.BoundSubquery:
     """``node`` over a plan whose outer references at ``depth`` are remapped
     (see :func:`remap_outer_expr`).  A new node, never the old one changed in
-    place: its fingerprint is kept on it."""
+    place: its fingerprint is kept on it.  Always one: an unchanged plan may
+    still hold a measure evaluation whose context was renumbered."""
     plan = transform_plan_exprs(
         node.plan, lambda e: remap_outer_expr(e, mapping, expr_mapping, depth)
     )
-    if plan is node.plan:
-        return node
     return _replaced(node, {"plan": plan, "outer_refs": collect_outer_refs(plan)})  # type: ignore[return-value]

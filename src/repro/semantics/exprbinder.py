@@ -618,18 +618,7 @@ class ExprBinder:
                 eq_pairs.append(pair)
             else:
                 residual.append(conjunct)
-        pred = b.conjoin(residual)
-        outer_refs: list[tuple[int, int]] = []
-        if pred is not None:
-            for node in b.walk(pred):
-                if isinstance(node, b.BoundOuterColumn):
-                    outer_refs.append((node.depth, node.offset))
-        return BoundWhere(
-            pred,
-            outer_refs,
-            b.fingerprint(bound),
-            eq_pairs,
-        )
+        return BoundWhere(b.conjoin(residual), b.fingerprint(bound), eq_pairs)
 
     def _bind_CurrentDim(self, expr: ast.CurrentDim) -> b.BoundExpr:
         raise MeasureError("CURRENT is only valid inside an AT SET modifier")

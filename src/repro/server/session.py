@@ -101,8 +101,9 @@ class Session:
         """
         start = perf_counter()  # before the parse: what the caller waits for
         with self._statement_scope(sql, traceparent):
-            statement = self.db._parse(sql, start=start)
-            return self._run(statement, sql, params, start)
+            watch = self._watch()
+            statement = self.db._parse(sql, watch, start=start)
+            return self._run(statement, sql, params, start, watch)
 
     def prepare(self, sql: str) -> str:
         """Parse (and for queries, plan) ``sql``; returns a handle.
@@ -183,13 +184,18 @@ class Session:
             current_traceparent.reset(trace_token)
             current_session.reset(token)
 
+    def _watch(self):
+        """The statement's watcher, made before the parse so its phases
+        cover what the client waited for; telemetry is what reads them."""
+        return None if self.db.telemetry is None else self.db._watch()
+
     def _run(
-        self, statement: ast.Statement, sql: str, params: Sequence[Any], start
+        self, statement: ast.Statement, sql: str, params: Sequence[Any], start, watch=None
     ) -> Result:
         """``start`` is the entry point's clock, handed down to the emit
         step so the statement's wall time includes the lock wait."""
         if isinstance(statement, ast.QueryStatement):
-            return self._run_read(statement, sql, params, start)
+            return self._run_read(statement, sql, params, start, watch)
         return self._run_write(statement, sql, params, start)
 
     def _run_read(
@@ -198,21 +204,28 @@ class Session:
         sql: str,
         params: Sequence[Any],
         start: float,
+        watch,
     ) -> Result:
         db = self.db
+        if watch is None:  # a prepared statement: nothing was parsed
+            watch = self._watch()
         with db.rwlock.read():
             if isinstance(statement.query, ast.ShowStats):
                 # Answered from the registry; no plan, nothing to cache.
                 return db._execute_observed(
-                    statement, params, sql=sql, start=start
+                    statement, params, sql=sql, watch=watch, start=start
                 )
             self.manager.sync_plan_flips()
+            # The plan_cache phase: printing the key, the lookup and, on a
+            # miss, the planning phases under it.  _planned closes it.
+            span = None if watch is None else watch.tracer.begin("plan_cache", "phase")
             key = to_sql(statement)
             result = db._execute_observed(
                 statement,
                 params,
                 sql=key,
-                run=lambda profiler: self._replay(statement, key, params, profiler),
+                watch=watch,
+                run=lambda watch: self._replay(statement, key, params, watch, span),
                 start=start,
             )
             # If that observation flipped the plan, evict the fingerprint's
@@ -220,33 +233,38 @@ class Session:
             self.manager.sync_plan_flips()
             return result
 
-    def _replay(self, statement: ast.QueryStatement, key: str, params, profiler):
+    def _replay(self, statement: ast.QueryStatement, key: str, params, watch, span):
         """The session's plan -> run step: the plan comes from the shared
         cache.  Returns what ``Database._run_query`` returns."""
-        planned = self._planned(statement, key)
+        planned = self._planned(statement, key, watch, span)
         result, profile = self.db.execute_planned(
-            planned, params, cancel_event=self.cancel_event, profiler=profiler
+            planned, params, cancel_event=self.cancel_event, watch=watch
         )
         return result, planned, profile
 
-    def _planned(self, statement: ast.QueryStatement, key: str):
+    def _planned(self, statement: ast.QueryStatement, key: str, watch=None, span=None):
         """The statement's plan from the shared cache (``key`` is its
-        canonical text), planned cold and cached on a miss."""
+        canonical text), planned cold and cached on a miss; ``span`` is the
+        open ``plan_cache`` phase of ``watch``, closed here."""
         cache = self.manager.plan_cache
         telemetry = self.db.telemetry
         planned = cache.get(key)
+        if span is not None:
+            span.meta["cache"] = "miss" if planned is None else "hit"
         if planned is not None:
             if telemetry is not None:
                 telemetry.plan_cache_hits_total.inc()
-            return planned
-        if telemetry is not None:
-            telemetry.plan_cache_misses_total.inc()
-        planned = self.db.plan_query(statement.query, sql=key)
-        # A cache hit never re-runs the rewriter, so the cached copy drops
-        # the cold run's reports: replaying them would double-count summary
-        # hits.  Its strategy and plan shape stay, keeping the plan hash
-        # stable for cached executions.
-        cache.put(dataclasses.replace(planned, reports=()))
+        else:
+            if telemetry is not None:
+                telemetry.plan_cache_misses_total.inc()
+            planned = self.db.plan_query(statement.query, sql=key, watch=watch)
+            # A cache hit never re-runs the rewriter, so the cached copy drops
+            # the cold run's reports: replaying them would double-count summary
+            # hits.  Its strategy and plan shape stay, keeping the plan hash
+            # stable for cached executions.
+            cache.put(dataclasses.replace(planned, reports=()))
+        if span is not None:
+            watch.tracer.end(span)
         return planned
 
     def _run_write(

@@ -10,7 +10,7 @@ OTel-flavored trace export of every profiled query's span tree.
 The facade is :class:`Telemetry`.  ``Database(telemetry=True)`` creates
 one; when telemetry is off (the default) ``Database.telemetry`` is None
 and the only cost on the query path is that None check — the same
-zero-cost-when-off discipline as the profiler.
+zero-cost-when-off discipline as the watcher (repro.profile).
 
 All metric names, label sets, and schemas are documented in
 ``docs/OBSERVABILITY.md``.
@@ -22,7 +22,7 @@ import re
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ResourceExhausted
-from repro.profile.profiler import CTX_COUNTERS
+from repro.profile.watch import CTX_COUNTERS
 from repro.telemetry.events import EventLog, Ring, SlowQueryLog
 from repro.telemetry.record import (
     StatementRecord,
@@ -317,7 +317,7 @@ class Telemetry:
     def _observe_exhausted(self, record: StatementRecord) -> None:
         """A query died on its memory budget: keep its *partial* profile.
 
-        The profiler was live when :class:`ResourceExhausted` fired, so the
+        The watcher was live when :class:`ResourceExhausted` fired, so the
         record's profile holds everything up to the failing operator —
         exactly the evidence needed to size a budget or fix the query.
         The entry goes to the slow-query log (when configured) regardless

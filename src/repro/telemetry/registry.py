@@ -3,7 +3,7 @@
 The registry is deliberately passive: it never reads a clock and never
 allocates on the query hot path beyond a dictionary update, so the cost
 of a metric update is one dict lookup plus an add.  All wall-clock
-measurement happens in the profiler; the registry only *stores* the
+measurement happens in the watcher; the registry only *stores* the
 durations it is handed.
 
 Histograms keep **per-bucket** (non-cumulative) counts internally so the

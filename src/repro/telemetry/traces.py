@@ -1,6 +1,6 @@
-"""Trace export: serialize profiler span trees to OTel-flavored JSON.
+"""Trace export: serialize span trees to OTel-flavored JSON.
 
-The profiler's :class:`~repro.profile.tracer.Span` tree is flattened into
+The watcher's :class:`~repro.profile.tracer.Span` tree is flattened into
 a list of spans with ``trace_id`` / ``span_id`` / ``parent_span_id``
 links, the shape OpenTelemetry tooling expects.  IDs are deterministic
 counters rendered as fixed-width hex (16 hex chars for spans, 32 for

@@ -9,6 +9,7 @@ from __future__ import annotations
 import ast as pyast
 import copy
 import dataclasses
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -576,3 +577,35 @@ def test_no_dead_members_on_the_measure_definitions():
     source = relation.group.source_sql
     assert [r.alias for r in source.scope.relations] == ["t"]
     assert len(source.where) == 1
+
+
+# -- one watcher: the two per-operator classes are not back ------------------------
+
+#: What ``profile/watch.py`` replaced: the two watcher classes and their
+#: per-operator entries, the module of one of them, the two context slots and
+#: the Database method that registered the second watcher.
+TWO_WATCHERS = re.compile(
+    r"\b(ProgressState|OperatorProgress|OperatorMetrics|engine\.progress"
+    r"|ctx\.profiler|ctx\.progress|_start_progress)\b"
+)
+
+
+def test_the_two_watchers_are_not_back():
+    left = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if TWO_WATCHERS.search(line)
+    ]
+    assert left == []
+    assert not (SRC / "engine" / "progress.py").exists()
+    assert not (SRC / "profile" / "metrics.py").exists()
+    # One class the executor calls around an operator, one slot to reach it by.
+    from repro.engine.evaluator import ExecutionContext
+
+    slots = vars(ExecutionContext(None))
+    assert "watch" in slots and not {"profiler", "progress"} & set(slots)
+    executor = (SRC / "engine" / "executor.py").read_text()
+    bracket = executor[executor.index("def execute_plan"):executor.index("def _execute_scan")]
+    assert [bracket.count(f"watch.{call}(") for call in ("enter", "exit", "abort")] == [1, 1, 1]
+    assert bracket.count("watch is None") == 1  # the unwatched path's one test

@@ -32,7 +32,7 @@ from repro.engine.aggregates import make_accumulator
 from repro.engine.compile import Column, Relation, Slice, compile_column, compile_expr
 from repro.errors import QueryCancelled
 from repro.plan import logical as plans
-from repro.profile import Profiler
+from repro.profile import Watch
 from repro.sql import parse_query
 from repro.types import NUMERIC_KINDS
 from repro.workloads.listings import SETUP, all_listing_sql
@@ -198,14 +198,14 @@ def test_the_generator_reaches_both_paths():
     NULL-bearing and mixed ones the checked one, and both kinds of error
     occur — or the property proves less than it says."""
     expr = BOUND.expression("(a * (1 - c))")
-    profiler = Profiler()
-    ctx = ExecutionContext(BOUND.db.catalog, profiler=profiler)
+    watch = Watch()
+    ctx = ExecutionContext(BOUND.db.catalog, watch=watch)
     clean = [(2, 0, 0.25, None, None, None), (3, 0, 0.5, None, None, None)]
     assert compile_column(expr)(clean, None, ctx).values == [1.5, 1.5]
-    assert profiler.counters["column.checked_values"] == 0
+    assert watch.counters["column.checked_values"] == 0
     nullable = clean + [(None, 0, 0.5, None, None, None)]
     assert compile_column(expr)(nullable, None, ctx).values == [1.5, 1.5, None]
-    assert profiler.counters["column.checked_values"] == 3  # only a * (...)
+    assert watch.counters["column.checked_values"] == 3  # only a * (...)
     for bad, text in (((True, 0, 0.5), "numeric operator applied to bool"),
                       ((2, 0, "x"), "numeric operator applied to str")):
         with pytest.raises(ExecutionError, match=text):
@@ -234,11 +234,11 @@ def test_kinds_are_derived_and_exact():
 
 def test_division_takes_the_bare_operator_only_without_a_zero():
     expr = BOUND.expression("(a / b)")
-    profiler = Profiler()
-    ctx = ExecutionContext(BOUND.db.catalog, profiler=profiler)
+    watch = Watch()
+    ctx = ExecutionContext(BOUND.db.catalog, watch=watch)
     fine = [(1, 2) + (None,) * 4, (3, 4) + (None,) * 4]
     assert compile_column(expr)(fine, None, ctx).values == [0.5, 0.75]
-    assert profiler.counters["column.checked_values"] == 0
+    assert watch.counters["column.checked_values"] == 0
     for zero in (0, 0.0, -0.0):
         with pytest.raises(ExecutionError, match="division by zero") as excinfo:
             Relation(fine + [(1, zero) + (None,) * 4]).column(expr, None, ctx)
@@ -536,8 +536,9 @@ def test_listings_and_tpch_rows_are_the_parents_to_the_bit(kwargs):
 
 
 def test_a_null_discount_is_checked_per_value_and_matches_sqlite():
-    """The same query over a ``lineitem`` with one NULL ``l_discount``: the
-    column is NULL-bearing, so its arithmetic is checked per value — and
+    """The same query over a ``lineitem`` with one NULL ``l_discount``: a
+    watched execution builds the column in 256-row batches, the batch holding
+    the NULL is NULL-bearing, so its arithmetic is checked per value — and
     says so — and the row drops out of the sum as SQL says."""
     import sqlite3
 
@@ -553,7 +554,7 @@ def test_a_null_discount_is_checked_per_value_and_matches_sqlite():
     tpch_measures(db)
     rows = db.execute(TPCH_QUERIES["revenue_share_by_region"]).rows
     counters = db.last_profile().counters
-    assert counters["column.checked_values"] == 2 * len(tables["lineitem"])  # "-" and "*"
+    assert counters["column.checked_values"] == 2 * 256  # "-" and "*", one batch
     assert counters["column.builds"] == 1 and counters["column.reads"] == 5
 
     oracle = sqlite3.connect(":memory:")
@@ -632,12 +633,12 @@ def test_margin_builds_two_columns_for_three_aggregates(tpch):
 
 def test_a_dimension_is_computed_once_for_the_keys_and_the_index(tpch):
     sql = TPCH_QUERIES["revenue_by_region_year"]
-    ctx = ExecutionContext(tpch.catalog, profiler=Profiler())
+    ctx = ExecutionContext(tpch.catalog, watch=Watch())
     rows, relation = source_relation(tpch, sql, ctx)
     assert len(rows) == 35
     years = [key for key in relation.slots if key.startswith("YEAR(")]
     assert len(years) == 1  # the Project's key and the EqTerm's index: one slot
-    counters = ctx.profiler.counters
+    counters = ctx.watch.counters
     # YEAR(orderdate) + the revenue argument; quantity and region are bare.
     assert counters["column.builds"] == 2
     # The index read the year the Project built; 35 contexts x 2 measures
@@ -654,7 +655,7 @@ def test_without_the_cache_nothing_is_kept_and_nothing_changes(tpch):
     assert counters["column.checked_values"] == 0  # still the bare operators
 
 
-class Watch:
+class BuildWatch:
     """A cancel event that counts how often it is asked, overall and from
     inside a column build, and says yes from the ``trip``-th time on."""
 
@@ -672,7 +673,7 @@ class Watch:
 
 @pytest.fixture
 def watched_builds(monkeypatch):
-    watch = Watch()
+    watch = BuildWatch()
     build = Relation._build
 
     def watched(self, expr, ctx):
@@ -708,22 +709,20 @@ def test_a_cancel_lands_inside_a_column_build(tpch, watched_builds):
 
 
 def test_progress_accounts_a_columns_bytes_once(tpch):
-    from repro.engine.progress import ProgressState
-
     sql = TPCH_QUERIES["revenue_share_by_region"]
     planned = tpch.plan_query(parse_query(sql))
     source = next(n for n in planned.plan.walk() if n.shared)
 
     accounted = []
 
-    class Accounting(ProgressState):
+    class Accounting(Watch):
         def account_bytes(self, plan, nbytes):
             accounted.append((plan, nbytes))
             super().account_bytes(plan, nbytes)
 
-    progress = Accounting("q2")
-    progress.attach_plan(planned.plan)
-    ctx = ExecutionContext(tpch.catalog, progress=progress)
+    progress = Accounting(spans=False)
+    progress.attach(planned.plan)
+    ctx = ExecutionContext(tpch.catalog, watch=progress)
     execute_plan(planned.plan, ctx)
     (relation,) = ctx.relations.values()
     mine = [nbytes for plan, nbytes in accounted if plan is source]

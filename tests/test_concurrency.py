@@ -381,7 +381,7 @@ class TestSharedSourcePerExecution:
         once (a slot kept on the plan would show five and zero)."""
         import sys
 
-        from repro.profile import Profiler
+        from repro.profile import Watch
         from repro.server import SessionManager
         from repro.sql import parse_query
         from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
@@ -400,7 +400,7 @@ class TestSharedSourcePerExecution:
         def run(i):
             barrier.wait(timeout=30)
             rows[i] = [sessions[i].execute(sql).rows for _ in range(3)]
-            _, profile = db.execute_planned(planned, profiler=Profiler())
+            _, profile = db.execute_planned(planned, watch=Watch())
             counters[i] = profile.counters
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
@@ -434,7 +434,7 @@ class TestVisiblePlanIsOnlyRead:
         each execution counts its own probes."""
         import sys
 
-        from repro.profile import Profiler
+        from repro.profile import Watch
         from repro.sql import parse_query
         from repro.workloads.tpch import tpch_measure_database
 
@@ -454,7 +454,7 @@ class TestVisiblePlanIsOnlyRead:
         planned = db.plan_query(parse_query(sql))
 
         def visible_work(p):
-            _, profile = db.execute_planned(planned, p, profiler=Profiler())
+            _, profile = db.execute_planned(planned, p, watch=Watch())
             return {
                 name: count
                 for name, count in profile.counters.items()

@@ -182,7 +182,7 @@ from contextlib import contextmanager
 
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
-from repro.engine.progress import TICK_ROWS, ProgressState
+from repro.profile.watch import TICK_ROWS, Watch
 from repro.errors import ExecutionError, QueryCancelled, ResourceExhausted
 from repro.plan import logical as plans
 from repro.sql.parser import parse_query
@@ -401,9 +401,9 @@ class CancelAfter:
 
 
 def test_progress_ticks_once_per_batch_of_driving_rows(fan_out):
-    progress = ProgressState("q1")
-    progress.attach_plan(fan_out)
-    rows = execute_plan(fan_out, ExecutionContext(fan_out.catalog, progress=progress))
+    progress = Watch(spans=False)
+    progress.attach(fan_out)
+    rows = execute_plan(fan_out, ExecutionContext(fan_out.catalog, watch=progress))
     assert len(rows) == 600 * 20
     # Three batches of driving rows and one checkpoint per build.
     assert progress.rows_processed == (3 + 2) * TICK_ROWS + 600 + 20 + 2 + len(rows)
@@ -416,10 +416,10 @@ def test_cancel_lands_between_two_batches(fan_out):
     execute_plan(fan_out, ExecutionContext(fan_out.catalog, cancel_event=counting))
     # Asked at four operators, two builds and three batches; stop at the last.
     assert counting.asked == 4 + 2 + 3
-    progress = ProgressState("q2")
-    progress.attach_plan(fan_out)
+    progress = Watch(spans=False)
+    progress.attach(fan_out)
     cancel = CancelAfter(counting.asked - 1)
-    ctx = ExecutionContext(fan_out.catalog, cancel_event=cancel, progress=progress)
+    ctx = ExecutionContext(fan_out.catalog, cancel_event=cancel, watch=progress)
     with pytest.raises(QueryCancelled):
         execute_plan(fan_out, ctx)
     entry = progress._operators[id(fan_out)]
@@ -427,10 +427,10 @@ def test_cancel_lands_between_two_batches(fan_out):
 
 
 def test_memory_budget_is_checked_while_the_loop_buffers(fan_out):
-    unbounded = ProgressState("q3")
-    execute_plan(fan_out, ExecutionContext(fan_out.catalog, progress=unbounded))
-    progress = ProgressState("q4", memory_limit_bytes=unbounded.memory_bytes // 2)
-    ctx = ExecutionContext(fan_out.catalog, progress=progress)
+    unbounded = Watch(spans=False)
+    execute_plan(fan_out, ExecutionContext(fan_out.catalog, watch=unbounded))
+    progress = Watch(spans=False, memory_limit_bytes=unbounded.memory_bytes // 2)
+    ctx = ExecutionContext(fan_out.catalog, watch=progress)
     with pytest.raises(ResourceExhausted, match=re.escape(fan_out.label())):
         execute_plan(fan_out, ctx)
     assert progress._operators[id(fan_out)].state == "running"  # not at its exit

@@ -203,3 +203,33 @@ def test_measure_formula_with_in_list(paper_db):
         "SELECT prodName, AGGREGATE(isKnownTotal) FROM fl GROUP BY prodName ORDER BY 1"
     ).rows
     assert rows == [("Acme", True), ("Happy", True), ("Whizz", False)]
+
+
+#: A measure evaluated inside a subquery that correlates with the enclosing
+#: query, one per way a context reads its call site: VISIBLE's conjuncts, an
+#: AT WHERE predicate (bound one scope below the call site), a SET value.
+CORRELATED_EVALS = {
+    "visible": "(SELECT AGGREGATE(rev) FROM eo WHERE eo.custName = o.custName)",
+    "where": "(SELECT rev AT (WHERE custName = o.custName) FROM eo LIMIT 1)",
+    "where-residual": "(SELECT rev AT (WHERE custName >= o.custName) FROM eo LIMIT 1)",
+    "set": "(SELECT rev AT (SET custName = o.custName) FROM eo LIMIT 1)",
+}
+
+
+@pytest.mark.parametrize("subquery", CORRELATED_EVALS.values(), ids=CORRELATED_EVALS)
+@pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
+def test_correlated_measure_subquery_under_an_enclosing_group_by(edb, subquery, cache):
+    """Lifting the enclosing query over its Aggregate renumbers the nested
+    plan's outer references — those held by the measure evaluation's context
+    too (it used to die with a bare IndexError) — so the grouped query returns
+    the ungrouped rows de-duplicated, memoized or not (the subquery's memo key
+    once missed a reference made only from an AT WHERE predicate)."""
+    edb.cache_enabled = cache
+    ungrouped = edb.execute(f"SELECT o.custName, {subquery} FROM Orders o").rows
+    assert ungrouped[1][1] != ungrouped[0][1], "the subquery must correlate"
+    grouped = edb.execute(
+        f"SELECT o.custName, {subquery} AS v FROM Orders o "
+        f"GROUP BY o.custName HAVING COUNT(*) > 0 ORDER BY v, 1"
+    ).rows
+    assert sorted(grouped, key=repr) == sorted(set(ungrouped), key=repr)
+    assert len(grouped) == 3

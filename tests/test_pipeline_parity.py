@@ -214,7 +214,7 @@ def test_the_statement_context_is_read_by_the_record_and_progress_only():
         and n.value.id in ("current_session", "current_traceparent")
     )
     assert sorted(set(reads)) == [
-        "api.py::Database._start_progress",
+        "api.py::Database._run",
         "telemetry/record.py::StatementRecord",
     ]
     assert len(reads) == 4

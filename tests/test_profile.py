@@ -9,7 +9,7 @@ import re
 import pytest
 
 from repro import Database, SqlError
-from repro.profile import OperatorMetrics, Profiler, Span, Tracer
+from repro.profile import Span, Tracer, Watch
 
 
 # -- tracer: span nesting, budget, serialization ------------------------------
@@ -85,21 +85,7 @@ def test_span_contextmanager():
     assert [s.name for s in root.walk()] == ["query", "bind", "resolve"]
 
 
-# -- operator metrics ---------------------------------------------------------
-
-
-def test_operator_metrics_describe():
-    metrics = OperatorMetrics("Scan(t)")
-    metrics.calls = 2
-    metrics.rows_out = 10
-    metrics.rows_in = 4
-    metrics.time_ns = 1_500_000
-    metrics.count("hash_probes", 7)
-    text = metrics.describe()
-    assert "rows=10" in text and "calls=2" in text
-    assert "rows_in=4" in text and "hash_probes=7" in text
-    assert "time=1.500ms" in text
-    assert "time=" not in metrics.describe(timing=False)
+# -- operator entries ---------------------------------------------------------
 
 
 def test_profiler_counts_per_operator(paper_db):
@@ -159,20 +145,190 @@ def test_profiler_measure_cache_metrics(orders_db):
                for line in profile.summary_lines())
 
 
+# -- one watcher: one bracket per operator execution, two projections ---------
+
+
+class CountingWatch(Watch):
+    """Records every bracket call the executor makes, by operator label."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list = []
+
+    def enter(self, plan):
+        self.calls.append(("enter", plan.label()))
+        super().enter(plan)
+
+    def exit(self, rows):
+        self.calls.append(("exit", self._running[-1][0].label))
+        super().exit(rows)
+
+    def abort(self):
+        self.calls.append(("abort", self._running[-1][0].label))
+        super().abort()
+
+    def operator_count(self, plan, key, amount=1):
+        if key == "shared_hits":  # the executor's and the evaluator's alike
+            self.calls.append(("hit", plan.label()))
+        super().operator_count(plan, key, amount)
+
+
+def _run_counting(db, sql, raises=None):
+    from repro.engine.evaluator import ExecutionContext
+    from repro.engine.executor import execute_plan
+    from repro.sql import parse_query
+
+    db.optimizer_enabled = False  # keep the Filter where the query put it
+    plan = db.plan_query(parse_query(sql)).plan
+    watch = CountingWatch()
+    ctx = ExecutionContext(db.catalog, watch=watch)
+    if raises is None:
+        execute_plan(plan, ctx)
+    else:
+        with pytest.raises(SqlError, match=raises):
+            execute_plan(plan, ctx)
+    # Brackets nest: whatever closes an operator closes the innermost one.
+    open_labels = []
+    for call, label in watch.calls:
+        if call == "enter":
+            open_labels.append(label)
+        elif call != "hit":
+            assert open_labels.pop() == label
+    assert open_labels == []
+    return plan, watch
+
+
+def test_one_enter_and_one_exit_per_operator_execution(orders_db):
+    # Filter -> Aggregate over a measure's [shared] source: the query's FROM
+    # and the measure evaluator both ask for the source, one of them runs it.
+    plan, watch = _run_counting(
+        orders_db,
+        """SELECT prodName, AGGREGATE(profitMargin) FROM EnhancedOrders
+           WHERE prodName <> 'Acme' GROUP BY prodName""",
+    )
+    labels = [node.label() for node in plan.walk()]
+    assert any(l.startswith("Filter") for l in labels)
+    assert any(l.endswith("[shared]") for l in labels)
+    for call in ("enter", "exit"):
+        assert sorted(l for c, l in watch.calls if c == call) == sorted(labels)
+    hits = [l for c, l in watch.calls if c == "hit"]
+    assert hits and all(l.endswith("[shared]") for l in hits)
+    assert not [c for c, _ in watch.calls if c == "abort"]
+
+
+def test_abort_in_place_of_exit_for_the_operator_that_raises(orders_db):
+    plan, watch = _run_counting(
+        orders_db,
+        """SELECT prodName, AGGREGATE(profitMargin) FROM EnhancedOrders
+           WHERE 1 / (YEAR(orderDate) - YEAR(orderDate)) > 0 GROUP BY prodName""",
+        raises="division by zero",
+    )
+    closed: list = []  # how each operator closed, in the order they entered
+    running: list = []
+    for call, _ in watch.calls:
+        if call == "enter":
+            running.append(len(closed))
+            closed.append(None)
+        else:
+            closed[running.pop()] = call
+    labels = [node.label() for node in plan.walk()]
+    assert [label for call, label in watch.calls if call == "enter"] == labels
+    # The chain from the root down to the Filter that raised, nothing else.
+    raised = next(i for i, label in enumerate(labels) if label.startswith("Filter"))
+    assert closed == ["abort"] * (raised + 1) + ["exit"] * (len(labels) - raised - 1)
+    tree = watch.finish().operator_tree
+    assert tree is None  # nobody told this watcher its root plan
+    watch.attach(plan)
+    tree = watch.finish().operator_tree
+    assert tree["counters"] == {"errors": 1} and tree["calls"] == 1
+
+
+def test_progress_rows_and_the_operator_tree_are_the_same_entries():
+    """After any run — the 15 listings — what ``repro_query_progress`` shows
+    of an operator and what the profile's tree shows agree on its label,
+    calls, rows and estimate: both are read off the one entry."""
+    from repro.sql import parse_query
+    from repro.workloads.listings import SETUP, all_listing_sql
+    from repro.workloads.paper_data import load_paper_tables
+
+    db = Database()
+    load_paper_tables(db)
+    for ddl in SETUP.values():
+        db.execute(ddl)
+    listings = all_listing_sql(db)
+    assert len(listings) == 15
+    for name, sql in listings.items():
+        planned = db.plan_query(parse_query(sql))
+        watch = Watch()
+        _, profile = db.execute_planned(planned, watch=watch)
+        rows = watch.operator_rows()
+        assert [row[1] for row in rows] == list(range(1, len(rows) + 1)), name
+        by_plan = dict(zip(dict.fromkeys(map(id, planned.plan.walk())), rows))
+
+        def check(plan, node):
+            _, _, operator, est_min, est_max, rows_out, calls, state = by_plan[id(plan)]
+            assert (operator, calls, rows_out) == (
+                node["label"], node["calls"], node["rows_out"],
+            ), name
+            assert (est_min, est_max) == (
+                node["facts"]["row_min"], node["facts"]["row_max"],
+            ), name
+            assert state == ("done" if calls else "pending"), name
+            children = node.get("children", [])
+            assert len(children) == len(plan.inputs()), name
+            for child_plan, child in zip(plan.inputs(), children):
+                check(child_plan, child)
+
+        check(planned.plan, profile.operator_tree)
+        assert profile.operator_tree["rows_out"] == profile.result_rows, name
+
+
+def test_a_served_statements_phases_cover_what_the_client_waited_for():
+    """A session's watcher exists before the parse: a plan-cache-hot read
+    reports parse, plan_cache and execute, a miss plans under plan_cache, and
+    the phases never sum to more than the statement's wall time."""
+    from repro.server import SessionManager
+
+    db = Database(telemetry=True, slow_query_ms=0.0)
+    db.execute("CREATE TABLE t (x INTEGER)")
+    db.execute("INSERT INTO t VALUES (1), (2)")
+    session = SessionManager(db).open_session()
+    sql = "SELECT SUM(x) FROM t"
+    session.execute(sql)
+    session.execute(sql)
+    session.execute_prepared(session.prepare(sql))
+    events = [e for e in db.events() if e["event"] == "query"][-3:]
+    assert [list(e["phases"]) for e in events] == [
+        ["parse", "plan_cache", "execute"],
+        ["parse", "plan_cache", "execute"],
+        ["plan_cache", "execute"],  # parsed when it was prepared
+    ]
+    for event in events:
+        assert sum(event["phases"].values()) <= event["duration_ms"]
+    spans = [
+        next(c for c in entry["profile"]["phases"]["children"] if c["name"] == "plan_cache")
+        for entry in db.slow_queries()[-3:]
+    ]
+    assert [span["meta"] for span in spans] == [
+        {"cache": "miss"}, {"cache": "hit"}, {"cache": "hit"},
+    ]
+    assert [c["name"] for c in spans[0]["children"]] == [
+        "rewrite", "bind", "optimize", "dataflow",
+    ]
+    assert "children" not in spans[1] and "children" not in spans[2]
+
+
 # -- the zero-cost-when-off path ---------------------------------------------
 
 
 def test_profile_off_never_constructs_profiler(paper_db, monkeypatch):
-    """With profiling off, no Profiler (and hence no Tracer, no span, no
+    """With profiling off, no Watch (and hence no Tracer, no span, no
     timestamp) may be allocated anywhere in the query path."""
-    import repro.profile
-    import repro.profile.profiler
 
     def boom(*args, **kwargs):
-        raise AssertionError("Profiler constructed with profiling off")
+        raise AssertionError("Watch constructed with profiling off")
 
-    monkeypatch.setattr(repro.profile, "Profiler", boom)
-    monkeypatch.setattr(repro.profile.profiler.Profiler, "__init__", boom)
+    monkeypatch.setattr(Watch, "__init__", boom)
     result = paper_db.execute(
         "SELECT prodName, SUM(revenue) FROM Orders GROUP BY prodName"
     )
@@ -184,7 +340,7 @@ def test_execution_context_defaults_to_no_profiler(db):
     db.execute("CREATE TABLE t (x INTEGER)")
     db.execute("INSERT INTO t VALUES (1)")
     db.execute("SELECT x FROM t")
-    assert db.last_stats.profiler is None
+    assert db.last_stats.watch is None
 
 
 # -- Database(profile=True) / last_profile ------------------------------------
@@ -278,6 +434,7 @@ def test_explain_analyze_executes_the_query(paper_db):
     assert any("rows=5" in line for (line,) in result.rows)
     profile = paper_db.last_profile()
     assert profile.result_rows == 5
+    assert "time=" not in "".join(profile.plan_lines(timing=False))
 
 
 def test_explain_lint_analyze_combined(paper_db):

@@ -20,8 +20,8 @@ import urllib.request
 import pytest
 
 from repro.api import Database
-from repro.engine.progress import ProgressState, QueryRegistry
 from repro.errors import ResourceExhausted
+from repro.profile.watch import QueryRegistry, Watch
 from repro.server import ClientError, ServerThread, connect
 from repro.workloads.tpch import tpch_measure_database
 
@@ -112,11 +112,7 @@ class TestMemoryBudget:
         assert len(entries) == 1
         entry = entries[0]
         assert "t AS" in entry["sql"].replace('"', "")
-        profile = entry["profile"]
-        assert profile is not None
-        # The partial profile still carries the operator tree: the scan
-        # that fed the doomed join completed and was recorded.
-        assert "Scan" in json.dumps(profile)
+        _assert_partial_tree(entry["profile"])
 
     def test_breach_records_a_resource_exhausted_event(self):
         db = self._db(memory_limit_bytes=50_000)
@@ -155,7 +151,31 @@ class TestMemoryBudget:
                     conn.query("SELECT a.x FROM t AS a, t AS b")
                 assert excinfo.value.error_class == "ResourceExhausted"
         # The session path freezes the partial profile too.
-        assert len(db.slow_queries()) == 1
+        (entry,) = db.slow_queries()
+        _assert_partial_tree(entry["profile"])
+
+
+def _assert_partial_tree(profile) -> None:
+    """The profile of ``SELECT a.x FROM t AS a, t AS b`` dying on its budget
+    keeps the whole operator tree: the scan whose 1 500 rows blew the budget
+    counts an error, and so does whatever encloses it; the join's other side
+    never ran; every operator carries its estimate."""
+    tree = profile["plan"]
+    assert tree is not None and tree["label"] == "Project"
+
+    def walk(node):
+        yield node
+        for child in node.get("children", ()):
+            yield from walk(child)
+
+    nodes = list(walk(tree))
+    assert [n["label"] for n in nodes] == [
+        "Project", "Join(CROSS)", "Scan(t)", "Project(0 of 1)", "Scan(t)",
+    ]
+    assert [n["calls"] for n in nodes] == [1, 1, 1, 0, 0]
+    assert [n.get("counters") for n in nodes] == [{"errors": 1}] * 3 + [None] * 2
+    assert all(n["rows_out"] == 0 for n in nodes)
+    assert [n["facts"]["row_min"] for n in nodes] == [1500 * 1500] * 2 + [1500] * 3
 
 
 # -- progress bookkeeping (unit level) ---------------------------------------
@@ -175,8 +195,8 @@ class TestProgressState:
         from repro.analysis.dataflow import analyze_plan
 
         analyze_plan(planned.plan, db.catalog)
-        state = ProgressState("q1")
-        state.attach_plan(planned.plan)
+        state = Watch(spans=False)
+        state.attach(planned.plan)
         rows = state.operator_rows()
         # Every operator pre-registered, pending, with dataflow bounds.
         assert rows and all(r[7] == "pending" for r in rows)
@@ -189,13 +209,13 @@ class TestProgressState:
         # Tracked execution through the Database shows actuals; here we
         # drive the state directly for determinism.
         for node in planned.plan.walk():
-            state.enter_operator(node)
+            state.enter(node)
         assert state.current_operator
 
     def test_registry_snapshot_excludes_the_observer(self):
         registry = QueryRegistry()
-        a = registry.start(sql="SELECT 1")
-        b = registry.start(sql="SELECT 2")
+        a = registry.start(Watch(spans=False), "SELECT 1")
+        b = registry.start(Watch(spans=False), "SELECT 2")
         ids = {s.query_id for s in registry.snapshot()}
         assert ids == {a.query_id, b.query_id}
         assert {s.query_id for s in registry.snapshot(exclude=a.query_id)} == {
@@ -207,17 +227,11 @@ class TestProgressState:
         assert registry.started_total == 2
 
     def test_tick_accounts_against_the_budget(self):
-        state = ProgressState("q1", memory_limit_bytes=1000)
+        from repro.plan.logical import ValuesPlan
 
-        class FakePlan:
-            def label(self):
-                return "Join"
-
-            def walk(self):
-                yield self
-
-        plan = FakePlan()
-        state.attach_plan(plan)
+        state = Watch(spans=False, memory_limit_bytes=1000)
+        plan = ValuesPlan([], [])
+        state.attach(plan)
         with pytest.raises(ResourceExhausted):
             # 256 buffered rows at the default 80-byte estimate blows a
             # 1000-byte budget on the first checkpoint.

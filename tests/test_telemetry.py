@@ -10,7 +10,7 @@ import pytest
 
 from repro import Database, SqlError
 from repro.cli import Shell
-from repro.profile import Profiler
+from repro.profile import Watch
 from repro.result import Result
 from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
@@ -200,13 +200,13 @@ def test_slow_query_log_ring():
 
 
 def profiled_span_tree():
-    profiler = Profiler()
-    with profiler.phase("parse"):
+    watch = Watch()
+    with watch.tracer.span("parse"):
         pass
-    with profiler.phase("execute"):
-        with profiler.tracer.span("scan", "operator") as span:
+    with watch.tracer.span("execute"):
+        with watch.tracer.span("scan", "operator") as span:
             span.meta["table"] = "Orders"
-    return profiler.finish(sql="SELECT 1", result_rows=1)
+    return watch.finish(sql="SELECT 1", result_rows=1)
 
 
 def test_trace_capture_and_export():
@@ -487,12 +487,12 @@ def test_internal_maintenance_invisible_to_query_metrics():
 
 
 def test_spans_dropped_recorded_and_surfaced():
-    profiler = Profiler(max_spans=4)
-    with profiler.phase("execute"):
+    watch = Watch(max_spans=4)
+    with watch.tracer.span("execute"):
         for i in range(10):
-            with profiler.tracer.span(f"s{i}", "operator"):
+            with watch.tracer.span(f"s{i}", "operator"):
                 pass
-    profile = profiler.finish(sql="SELECT 1", result_rows=0)
+    profile = watch.finish(sql="SELECT 1", result_rows=0)
     assert profile.spans_dropped > 0
     assert profile.to_dict()["spans_dropped"] == profile.spans_dropped
     assert any(
