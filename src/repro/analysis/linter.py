@@ -1,42 +1,38 @@
-"""The lint rule engine: RPxxx diagnostics over the AST and catalog.
+"""The lint rule engine: RPxxx diagnostics over the AST and the bound query.
 
 The linter never executes a statement and never raises on bad SQL: parse
-failures become a single ``RP001`` diagnostic, semantic (binding) failures
-become ``RP002``, and everything else is a best-effort pass over the parsed
-tree with catalog metadata.
+failures become a single ``RP001`` diagnostic, and a statement that does not
+bind becomes exactly one error diagnostic — the binder's message and span,
+under the code of the rule the error enforces (``BindError.rule``: RP102,
+RP103, RP106, RP107, RP112) or ``RP002``.
 
-Name resolution here is a deliberately small mirror of the binder — a
-*mini-resolver* that only answers "which relations are in scope, what are
-their columns, and which columns are measures".  It resolves base tables and
-materialized views from their schemas, views and derived tables by binding
-them **as relations** (the same entry point the real binder uses, so measure
-columns are classified identically), and CTEs best-effort.  When a relation
-cannot be resolved the rules that depend on it are skipped rather than
-guessed: lint prefers silence to false positives.
-
-Rules that need full semantic information (measure dimensionality, summary
-matchability) lean on the real subsystems: ``RP103`` checks AT modifier
-dimensions against the mini-resolver's view of the measure's source relation,
-and ``RP110`` replays the matview rewriter in no-record mode and converts its
+Each statement is bound once, by the real :class:`Binder`; the linter
+resolves no name of its own.  The rules about what a name *is* read that
+bind's records and run only when it succeeds: RP101 looks at the measure
+call sites (``Binder.sites``) of the queries the binder did not aggregate
+(``Binder.selects``); RP110, for the aggregate ones, replays the matview
+rewriter in no-record mode and converts its
 :class:`~repro.matview.rewriter.CandidateReport` objects into advisory
-diagnostics.
+diagnostics; RP114–RP118 run over the bound plan.  The rest (RP104, RP105,
+RP108, RP109, RP111, RP113) are purely syntactic.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.catalog.objects import BaseTable, MaterializedView, SystemTable, View
-from repro.engine.aggregates import is_aggregate_function
-from repro.errors import LexerError, ParseError, SqlError
-from repro.matview import rewrite_query
-from repro.sql import ast, parse_statements
 from repro.analysis.diagnostics import (
+    RULES,
     Diagnostic,
-    Severity,
     rule_severity,
     sorted_diagnostics,
 )
+from repro.analysis.typecheck import dataflow_diagnostics
+from repro.catalog.objects import View
+from repro.errors import LexerError, ParseError, SqlError
+from repro.matview import rewrite_query
+from repro.semantics.binder import Binder, BoundSelect
+from repro.sql import ast, parse_statements
 
 __all__ = ["lint_sql", "lint_statement", "lint_query"]
 
@@ -96,7 +92,7 @@ def lint_statement(catalog, statement: ast.Statement) -> list[Diagnostic]:
     if isinstance(statement, ast.ExplainExpand):
         return lint_query(catalog, statement.query)
     if isinstance(statement, ast.CreateMaterializedView):
-        diags = lint_query(catalog, statement.query, view_def=True)
+        diags = _lint(catalog, statement.query, View(statement.name, statement.query))
         # RP113: a summary over a system table could never be matched or
         # invalidated (its source changes on every query), so creation is
         # rejected at runtime too (matview.definition).
@@ -114,7 +110,8 @@ def lint_statement(catalog, statement: ast.Statement) -> list[Diagnostic]:
                 )
         return sorted_diagnostics(diags)
     if isinstance(statement, ast.CreateView):
-        return lint_query(catalog, statement.query, view_def=True)
+        view = View(statement.name, statement.query, statement.column_names)
+        return _lint(catalog, statement.query, view)
     if isinstance(statement, ast.CreateTableAs):
         return lint_query(catalog, statement.query)
     if isinstance(statement, ast.Insert):
@@ -127,10 +124,17 @@ def lint_statement(catalog, statement: ast.Statement) -> list[Diagnostic]:
 def lint_query(
     catalog, query: ast.Query, *, view_def: bool = False
 ) -> list[Diagnostic]:
-    """Run every lint rule over ``query`` and return sorted diagnostics."""
+    """Run every lint rule over ``query`` (with ``view_def``, the body of a
+    view definition) and return sorted diagnostics."""
+    return _lint(catalog, query, View("", query) if view_def else None)
+
+
+def _lint(catalog, query: ast.Query, view: Optional[View]) -> list[Diagnostic]:
+    """``query``, bound once — as the view it defines, or for execution when
+    ``view`` is None — and every rule run over it."""
     linter = _Linter(catalog)
-    linter.check_binds(query, view_def=view_def)
-    linter.lint_query(query, view_def=view_def)
+    linter.check_binds(query, view)
+    linter.lint_query(query, view_def=view is not None)
     return sorted_diagnostics(linter.diags)
 
 
@@ -143,39 +147,6 @@ def _diag(
     return Diagnostic(code, rule_severity(code), message, span, hint)
 
 
-# ---------------------------------------------------------------------------
-# Mini-resolver
-# ---------------------------------------------------------------------------
-
-
-class _Rel:
-    """One in-scope relation: alias plus (name, is_measure) column pairs.
-
-    ``columns`` is None when the relation could not be resolved; rules that
-    need its columns skip instead of guessing.
-    """
-
-    def __init__(
-        self,
-        alias: Optional[str],
-        columns: Optional[list[tuple[str, bool]]],
-        node: ast.Node,
-    ) -> None:
-        self.alias = alias
-        self.columns = columns
-        self.node = node
-        self.by_name: Optional[dict[str, tuple[str, bool]]] = (
-            None
-            if columns is None
-            else {name.lower(): (name, measure) for name, measure in columns}
-        )
-
-    def find(self, name: str) -> Optional[tuple[str, bool]]:
-        if self.by_name is None:
-            return None
-        return self.by_name.get(name.lower())
-
-
 def _sub_queries(node: ast.Node) -> Iterator[ast.Query]:
     """Directly nested queries of ``node`` (not recursing through them)."""
     for child in node.children():
@@ -185,31 +156,24 @@ def _sub_queries(node: ast.Node) -> Iterator[ast.Query]:
             yield from _sub_queries(child)
 
 
-def _walk_pruning_queries(node: ast.Node) -> Iterator[ast.Node]:
-    """Walk ``node`` without descending into nested Query nodes."""
-    yield node
+def _call_sites(node: ast.Node, sites: dict) -> Iterator[ast.Node]:
+    """The outermost measure call sites in ``node``, top-down, outside the
+    queries nested in it: the AST nodes the binder recorded in ``sites``."""
+    if id(node) in sites:
+        yield node
+        return
     for child in node.children():
-        if isinstance(child, ast.Query):
-            continue
-        yield from _walk_pruning_queries(child)
-
-
-def _is_plain_aggregate_call(node: ast.Node) -> bool:
-    """A non-windowed aggregate call, including ``AGGREGATE(m)``."""
-    return (
-        isinstance(node, ast.FunctionCall)
-        and node.over is None
-        and node.over_name is None
-        and (node.name.upper() == "AGGREGATE" or is_aggregate_function(node.name))
-    )
+        if not isinstance(child, ast.Query):
+            yield from _call_sites(child, sites)
 
 
 class _Linter:
     def __init__(self, catalog) -> None:
         self.catalog = catalog
         self.diags: list[Diagnostic] = []
-        #: CTE name -> columns (None = unresolvable), innermost WITH wins.
-        self.ctes: dict[str, Optional[list[tuple[str, bool]]]] = {}
+        #: The statement's binder once it has bound: what the rules over
+        #: bound queries read (``selects``, ``sites``).
+        self.binder: Optional[Binder] = None
 
     def report(
         self,
@@ -220,121 +184,29 @@ class _Linter:
     ) -> None:
         self.diags.append(_diag(code, message, ast.node_span(node), hint))
 
-    # -- RP002: the real binder is the semantic oracle ----------------------
+    # -- the binder is the semantic oracle ----------------------------------
 
-    def check_binds(self, query: ast.Query, *, view_def: bool) -> None:
-        from repro.semantics.binder import Binder
-
+    def check_binds(self, query: ast.Query, view: Optional[View]) -> None:
+        """Bind the statement once.  A bind error is one diagnostic: its
+        rule's code (RP002 when it enforces none), message and span."""
+        binder = Binder(self.catalog)
         try:
-            binder = Binder(self.catalog)
-            if view_def:
-                plan = binder.bind_query_as_relation(query, None).plan
+            if view is not None:
+                plan = binder.bind_view(view).plan
             else:
                 plan, _columns = binder.bind_query_top(query)
         except SqlError as exc:
+            code = getattr(exc, "rule", None) or "RP002"
             line = getattr(exc, "line", 0)
             column = getattr(exc, "column", 0)
             message = getattr(exc, "message", None) or str(exc)
             span = ast.Span(line, column) if line else ast.node_span(query)
-            self.diags.append(_diag("RP002", message, span))
+            self.diags.append(_diag(code, message, span, RULES[code][2]))
             return
-        # The statement binds: run the dataflow-driven rules (RP114-RP118)
-        # over the bound plan, whose expressions carry source spans.
-        from repro.analysis.typecheck import dataflow_diagnostics
-
+        self.binder = binder
+        # The dataflow-driven rules (RP114-RP118) run over the bound plan,
+        # whose expressions carry source spans.
         self.diags.extend(dataflow_diagnostics(self.catalog, plan))
-
-    # -- resolution ---------------------------------------------------------
-
-    def _columns_for_name(self, name: str) -> Optional[list[tuple[str, bool]]]:
-        lowered = name.lower()
-        if lowered in self.ctes:
-            return self.ctes[lowered]
-        obj = self.catalog.get(name)
-        if isinstance(obj, MaterializedView):
-            return [
-                (c.name, False)
-                for c in obj.schema.columns
-                if not c.name.startswith("__")
-            ]
-        if isinstance(obj, BaseTable):
-            return [(c.name, False) for c in obj.schema.columns]
-        if isinstance(obj, SystemTable):
-            return [(c.name, False) for c in obj.schema.columns]
-        if isinstance(obj, View):
-            return self._columns_of_query(obj.query)
-        return None
-
-    def _columns_of_query(
-        self, query: ast.Query
-    ) -> Optional[list[tuple[str, bool]]]:
-        from repro.semantics.binder import Binder
-
-        try:
-            bound = Binder(self.catalog).bind_query_as_relation(query, None)
-        except SqlError:
-            return None
-        return [(c.name, c.is_measure) for c in bound.columns]
-
-    def _scope(
-        self, from_clause: Optional[ast.TableRef]
-    ) -> tuple[list[_Rel], set[str]]:
-        rels: list[_Rel] = []
-        merged: set[str] = set()
-
-        def add(ref: ast.TableRef) -> None:
-            if isinstance(ref, ast.TableName):
-                rels.append(
-                    _Rel(
-                        ref.alias or ref.name,
-                        self._columns_for_name(ref.name),
-                        ref,
-                    )
-                )
-            elif isinstance(ref, ast.SubqueryRef):
-                rels.append(
-                    _Rel(ref.alias, self._columns_of_query(ref.query), ref)
-                )
-            elif isinstance(ref, ast.Join):
-                add(ref.left)
-                add(ref.right)
-                merged.update(name.lower() for name in ref.using)
-                if ref.natural and len(rels) >= 2:
-                    left, right = rels[-2], rels[-1]
-                    if left.by_name is not None and right.by_name is not None:
-                        merged.update(
-                            set(left.by_name) & set(right.by_name)
-                        )
-            else:  # PIVOT/UNPIVOT: columns are synthesized by the binder
-                rels.append(_Rel(getattr(ref, "alias", None), None, ref))
-
-        if from_clause is not None:
-            add(from_clause)
-        return rels, merged
-
-    def _resolve(
-        self, rels: list[_Rel], ref: ast.ColumnRef
-    ) -> Optional[tuple[_Rel, str, bool]]:
-        """Resolve a column reference to (relation, name, is_measure).
-
-        Returns None when the reference cannot be resolved confidently
-        (unknown relation, outer reference, ambiguity)."""
-        if ref.qualifier is not None:
-            for rel in rels:
-                if rel.alias and rel.alias.lower() == ref.qualifier.lower():
-                    hit = rel.find(ref.name)
-                    if hit is None:
-                        return None
-                    return rel, hit[0], hit[1]
-            return None
-        matches = []
-        for rel in rels:
-            hit = rel.find(ref.name)
-            if hit is not None:
-                matches.append((rel, hit[0], hit[1]))
-        if len(matches) == 1:
-            return matches[0]
-        return None
 
     # -- query traversal ----------------------------------------------------
 
@@ -356,21 +228,8 @@ class _Linter:
         elif isinstance(query, ast.Values):
             for sub in _sub_queries(query):
                 self.lint_query(sub)
-        elif isinstance(query, ast.ShowStats):
-            # Reaching here means the node is nested (lint_statement returns
-            # early for the legal top-level form).
-            self.report(
-                "RP112",
-                "SHOW STATS is a top-level statement; it cannot be nested "
-                "inside a view, subquery, or set operation",
-                query,
-                hint="query the metrics from application code via "
-                "Database.metrics() instead",
-            )
 
     def _lint_with(self, query: ast.WithQuery, *, view_def: bool) -> None:
-        saved = dict(self.ctes)
-        defined: list[ast.Cte] = []
         for cte in query.ctes:
             if self.catalog.get(cte.name) is not None:
                 self.report(
@@ -381,29 +240,15 @@ class _Linter:
                     hint="rename the CTE to avoid surprising resolution",
                 )
             self.lint_query(cte.query)
-            columns = self._columns_of_query(cte.query)
-            if columns is not None and cte.columns:
-                columns = [
-                    (alias, measure)
-                    for alias, (_, measure) in zip(cte.columns, columns)
-                ]
-            self.ctes[cte.name.lower()] = columns
-            defined.append(cte)
         # RP105: a CTE no later CTE and no part of the body ever names.
-        for index, cte in enumerate(defined):
-            used = False
-            later = [c.query for c in defined[index + 1 :]] + [query.body]
-            for scope in later:
-                for node in scope.walk():
-                    if (
-                        isinstance(node, ast.TableName)
-                        and node.name.lower() == cte.name.lower()
-                    ):
-                        used = True
-                        break
-                if used:
-                    break
-            if not used:
+        for index, cte in enumerate(query.ctes):
+            later = [c.query for c in query.ctes[index + 1 :]] + [query.body]
+            if not any(
+                isinstance(node, ast.TableName)
+                and node.name.lower() == cte.name.lower()
+                for scope in later
+                for node in scope.walk()
+            ):
                 self.report(
                     "RP105",
                     f"CTE {cte.name!r} is defined but never referenced",
@@ -411,33 +256,15 @@ class _Linter:
                     hint="drop the unused CTE",
                 )
         self.lint_query(query.body, view_def=view_def)
-        self.ctes = saved
-
-    def _is_aggregate_select(self, select: ast.Select) -> bool:
-        if select.group_by or select.force_aggregate:
-            return True
-        for item in select.items:
-            if item.is_measure:
-                # ``expr AS MEASURE name`` defines a measure; its aggregate
-                # calls do not collapse the query to one row.
-                continue
-            for node in _walk_pruning_queries(item.expr):
-                if _is_plain_aggregate_call(node):
-                    return True
-        if select.having is not None:
-            return True
-        return False
 
     def _lint_select(self, select: ast.Select, *, view_def: bool) -> None:
-        rels, merged = self._scope(select.from_clause)
         self._rule_select_stars(select, view_def)
-        self._rule_duplicate_aliases(select, rels)
-        self._rule_aggregate_in_where(select)
+        self._rule_duplicate_aliases(select)
         self._rule_limit_without_order(select)
-        self._rule_row_grain_measures(select, rels)
-        self._rule_at_operands(select, rels)
-        self._rule_ambiguous_columns(select, rels, merged)
-        self._rule_summary_advisor(select)
+        bound = self.binder.selects.get(id(select)) if self.binder else None
+        if bound is not None:
+            self._rule_row_grain_measures(select, bound)
+            self._rule_summary_advisor(select, bound)
         for sub in _sub_queries(select):
             self.lint_query(sub)
 
@@ -459,15 +286,13 @@ class _Linter:
                     hint="name the columns the view exposes",
                 )
 
-    def _rule_duplicate_aliases(
-        self, select: ast.Select, rels: list[_Rel]
-    ) -> None:
-        seen_items: dict[str, ast.SelectItem] = {}
+    def _rule_duplicate_aliases(self, select: ast.Select) -> None:
+        seen: set[str] = set()
         for item in select.items:
             if not item.alias:
                 continue
             lowered = item.alias.lower()
-            if lowered in seen_items:
+            if lowered in seen:
                 self.report(
                     "RP104",
                     f"output alias {item.alias!r} duplicates an earlier "
@@ -475,36 +300,7 @@ class _Linter:
                     item,
                     hint="give each output column a distinct alias",
                 )
-            else:
-                seen_items[lowered] = item
-        seen_rels: dict[str, _Rel] = {}
-        for rel in rels:
-            if not rel.alias:
-                continue
-            lowered = rel.alias.lower()
-            if lowered in seen_rels:
-                self.report(
-                    "RP104",
-                    f"table alias {rel.alias!r} is used twice in FROM",
-                    rel.node,
-                    hint="alias one of the relations differently",
-                )
-            else:
-                seen_rels[lowered] = rel
-
-    def _rule_aggregate_in_where(self, select: ast.Select) -> None:
-        if select.where is None:
-            return
-        for node in _walk_pruning_queries(select.where):
-            if _is_plain_aggregate_call(node):
-                self.report(
-                    "RP106",
-                    f"aggregate function {node.name.upper()} is not allowed "
-                    f"in WHERE",
-                    node,
-                    hint="filter groups with HAVING, or rows with a plain "
-                    "predicate",
-                )
+            seen.add(lowered)
 
     def _rule_limit_without_order(self, select: ast.Select) -> None:
         if select.limit is not None and not select.order_by:
@@ -515,182 +311,37 @@ class _Linter:
                 hint="add ORDER BY to make the result deterministic",
             )
 
-    def _measure_exempt_ids(self, roots: list[ast.Node]) -> set[int]:
-        """ids of measure refs that are fine at row grain: AT operands and
-        arguments of AGGREGATE()/EVAL()."""
-        exempt: set[int] = set()
-        for root in roots:
-            for node in _walk_pruning_queries(root):
-                if isinstance(node, ast.At):
-                    operand = node.operand
-                    while isinstance(operand, ast.At):
-                        operand = operand.operand
-                    exempt.add(id(operand))
-                elif (
-                    isinstance(node, ast.FunctionCall)
-                    and node.name.upper() in ("AGGREGATE", "EVAL")
-                    and node.args
-                ):
-                    for ref in node.args[0].walk():
-                        exempt.add(id(ref))
-        return exempt
-
     def _rule_row_grain_measures(
-        self, select: ast.Select, rels: list[_Rel]
+        self, select: ast.Select, bound: BoundSelect
     ) -> None:
-        if self._is_aggregate_select(select):
+        """RP101: a call site that is a bare measure column, in a query the
+        binder did not aggregate, is evaluated once per row."""
+        if bound.group_exprs is not None:
             return
-        roots: list[ast.Node] = [item.expr for item in select.items]
+        roots: list[ast.Node] = [
+            item.expr for item in select.items if not item.is_measure
+        ]
         if select.where is not None:
             roots.append(select.where)
         roots.extend(o.expr for o in select.order_by)
-        exempt = self._measure_exempt_ids(roots)
         for root in roots:
-            for node in _walk_pruning_queries(root):
-                if isinstance(node, ast.At):
-                    # Modifier internals have dimension scoping, not row
-                    # scoping; only the operand chain matters here.
-                    continue
-                if not isinstance(node, ast.ColumnRef) or id(node) in exempt:
-                    continue
-                resolved = self._resolve(rels, node)
-                if resolved is not None and resolved[2]:
+            for site in _call_sites(root, self.binder.sites):
+                if isinstance(site, ast.ColumnRef):
                     self.report(
                         "RP101",
-                        f"measure {node.name!r} is evaluated at row grain "
+                        f"measure {site.name!r} is evaluated at row grain "
                         f"here",
-                        node,
+                        site,
                         hint="wrap it in AGGREGATE(...) in a grouped query, "
                         "or apply AT to set the context explicitly",
                     )
 
-    def _rule_at_operands(self, select: ast.Select, rels: list[_Rel]) -> None:
-        roots: list[ast.Node] = [item.expr for item in select.items]
-        for clause in (select.where, select.having, select.qualify):
-            if clause is not None:
-                roots.append(clause)
-        roots.extend(o.expr for o in select.order_by)
-        for root in roots:
-            for node in _walk_pruning_queries(root):
-                if not isinstance(node, ast.At):
-                    continue
-                operand = node.operand
-                while isinstance(operand, ast.At):
-                    operand = operand.operand
-                if isinstance(operand, ast.Literal):
-                    self.report(
-                        "RP102",
-                        "AT can only be applied to a measure",
-                        node,
-                        hint="the operand must be a measure column",
-                    )
-                    continue
-                if not isinstance(operand, ast.ColumnRef):
-                    continue
-                resolved = self._resolve(rels, operand)
-                if resolved is None:
-                    continue
-                rel, name, is_measure = resolved
-                if not is_measure:
-                    self.report(
-                        "RP102",
-                        f"AT applied to {operand.name!r}, which is a regular "
-                        f"column, not a measure",
-                        node,
-                        hint="only measure columns carry an evaluation "
-                        "context to transform",
-                    )
-                    continue
-                self._check_at_dimensions(node, rel)
-
-    def _check_at_dimensions(self, at: ast.At, rel: _Rel) -> None:
-        """RP103: every column a SET/ALL dimension expression references
-        must be a (non-measure) column of the measure's source relation."""
-        if rel.by_name is None:
-            return
-
-        def check_dim(dim: ast.Expression) -> None:
-            for ref in dim.walk():
-                if not isinstance(ref, ast.ColumnRef):
-                    continue
-                if ref.qualifier is not None and (
-                    not rel.alias
-                    or ref.qualifier.lower() != rel.alias.lower()
-                ):
-                    continue
-                hit = rel.find(ref.name)
-                if hit is None:
-                    self.report(
-                        "RP103",
-                        f"{ref.name!r} is not a column of the measure's "
-                        f"source relation"
-                        + (f" {rel.alias!r}" if rel.alias else ""),
-                        ref,
-                        hint="AT dimensions must be expressions over the "
-                        "measure table's dimension columns",
-                    )
-                elif hit[1]:
-                    self.report(
-                        "RP103",
-                        f"{ref.name!r} is a measure, not a dimension of the "
-                        f"measure's source relation",
-                        ref,
-                        hint="AT dimensions must be non-measure columns",
-                    )
-
-        for modifier in at.modifiers:
-            if isinstance(modifier, ast.AllModifier):
-                for dim in modifier.dims:
-                    check_dim(dim)
-            elif isinstance(modifier, ast.SetModifier):
-                check_dim(modifier.dim)
-
-    def _rule_ambiguous_columns(
-        self, select: ast.Select, rels: list[_Rel], merged: set[str]
+    def _rule_summary_advisor(
+        self, select: ast.Select, bound: BoundSelect
     ) -> None:
-        if len(rels) < 2 or any(rel.by_name is None for rel in rels):
+        if bound.group_exprs is None:
             return
-        aliases = {
-            item.alias.lower() for item in select.items if item.alias
-        }
-        roots: list[ast.Node] = [item.expr for item in select.items]
-        for clause in (select.where, select.having, select.qualify):
-            if clause is not None:
-                roots.append(clause)
-        for element in select.group_by:
-            roots.append(element)
-        reported: set[str] = set()
-        for root in roots:
-            for node in _walk_pruning_queries(root):
-                if isinstance(node, ast.At):
-                    continue  # AT dims resolve against the measure source
-                if not isinstance(node, ast.ColumnRef):
-                    continue
-                if node.qualifier is not None:
-                    continue
-                lowered = node.name.lower()
-                if lowered in merged or lowered in reported:
-                    continue
-                holders = [
-                    rel for rel in rels if rel.find(node.name) is not None
-                ]
-                if len(holders) > 1 and lowered not in aliases:
-                    names = ", ".join(
-                        rel.alias or "<subquery>" for rel in holders
-                    )
-                    reported.add(lowered)
-                    self.report(
-                        "RP107",
-                        f"column {node.name!r} is ambiguous: it exists in "
-                        f"{names}",
-                        node,
-                        hint="qualify the column with its table alias",
-                    )
-
-    def _rule_summary_advisor(self, select: ast.Select) -> None:
         if not isinstance(select.from_clause, ast.TableName):
-            return
-        if not self._is_aggregate_select(select):
             return
         if not self.catalog.materialized_views_over(select.from_clause.name):
             return

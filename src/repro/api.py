@@ -28,12 +28,19 @@ import dataclasses
 from time import perf_counter
 from typing import Any, Iterable, Optional, Sequence
 
-from repro.catalog import Catalog, MaterializedView, TableSchema
+from repro.catalog import (
+    BaseTable,
+    Catalog,
+    MaterializedView,
+    SystemTable,
+    TableSchema,
+    View,
+)
 from repro.catalog.schema import Column
 from repro.engine.compile import compile_expr
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
-from repro.errors import BindError, CatalogError, SqlError
+from repro.errors import CatalogError, SqlError
 from repro.introspect import (
     fingerprint_statement,
     install_system_tables,
@@ -489,7 +496,6 @@ class Database:
         ``repro_column_stats`` and reset the table's staleness counter.
         Returns one row per analyzed table.
         """
-        from repro.catalog.objects import BaseTable
         from repro.catalog.stats import analyze_table
         from repro.types import INTEGER, VARCHAR
 
@@ -798,14 +804,8 @@ class Database:
 
     def _create_view(self, statement: ast.CreateView) -> Result:
         # Bind eagerly so that invalid views are rejected at creation time.
-        probe = Binder(self.catalog)
-        bound = probe.bind_query_as_relation(statement.query, None)
-        if statement.column_names and len(statement.column_names) != len(bound.columns):
-            raise BindError(
-                f"view {statement.name!r} declares "
-                f"{len(statement.column_names)} columns but its query returns "
-                f"{len(bound.columns)}"
-            )
+        view = View(statement.name, statement.query, statement.column_names)
+        Binder(self.catalog).bind_view(view)
         replaced = statement.or_replace and statement.name in self.catalog
         self.catalog.create_view(
             statement.name,
@@ -1167,8 +1167,9 @@ class Database:
         Returns a list of :class:`repro.analysis.Diagnostic` objects, sorted
         by severity then source position; empty means the statement is
         clean.  Lexer/parser failures surface as a single ``RP001``
-        diagnostic and semantic (binding) failures as ``RP002`` — lint never
-        raises on bad SQL.
+        diagnostic and a statement that does not bind as a single error
+        diagnostic under the code its bind error carries (``RP002`` when it
+        carries none) — lint never raises on bad SQL.
         """
         from repro.analysis.linter import lint_sql
 
@@ -1306,8 +1307,6 @@ class Database:
         Measure formulas are intentionally NOT included — the view is an
         abstraction boundary (section 3.2).
         """
-        from repro.catalog.objects import BaseTable
-
         obj = self.catalog.resolve(name)
         if isinstance(obj, MaterializedView):
             visible = [
@@ -1345,8 +1344,6 @@ class Database:
                 ],
                 "measures": [],
             }
-        from repro.catalog.objects import SystemTable
-
         if isinstance(obj, SystemTable):
             return {
                 "name": obj.name,
@@ -1358,29 +1355,22 @@ class Database:
                 ],
                 "measures": [],
             }
-        bound = Binder(self.catalog).bind_query_as_relation(obj.query, None)
-        columns = []
-        measures = []
+        bound = Binder(self.catalog).bind_view(obj)
         dimension_names = [c.name for c in bound.columns if not c.is_measure]
-        for column in bound.columns:
-            columns.append(
-                {
-                    "name": column.name,
-                    "type": str(column.dtype),
-                    "measure": column.is_measure,
-                }
-            )
-            if column.is_measure:
-                measures.append(
-                    {
-                        "name": column.name,
-                        "type": str(column.dtype.unwrap()),
-                        "dimensions": list(dimension_names),
-                    }
-                )
         return {
             "name": obj.name,
             "kind": "view",
-            "columns": columns,
-            "measures": measures,
+            "columns": [
+                {"name": c.name, "type": str(c.dtype), "measure": c.is_measure}
+                for c in bound.columns
+            ],
+            "measures": [
+                {
+                    "name": c.name,
+                    "type": str(c.dtype.unwrap()),
+                    "dimensions": list(dimension_names),
+                }
+                for c in bound.columns
+                if c.is_measure
+            ],
         }

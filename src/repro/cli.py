@@ -520,7 +520,7 @@ class Shell:
                 self.write(f"  {column.name:20s} {column.dtype}")
             return
         try:
-            bound = Binder(self.db.catalog).bind_query_as_relation(obj.query, None)
+            bound = Binder(self.db.catalog).bind_view(obj)
         except SqlError as exc:
             self.write(f"view {obj.name} (invalid: {exc})")
             return

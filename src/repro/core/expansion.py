@@ -291,12 +291,28 @@ class Expander:
         elif isinstance(ref, ast.TableName):
             view = None if ref.name.lower() in ctes else self.db.catalog.get(ref.name)
             if isinstance(view, View):
-                return ast.SubqueryRef(_view_query(view), ref.alias or view.name)
+                return ast.SubqueryRef(self._view_query(view), ref.alias or view.name)
         elif isinstance(ref, ast.SubqueryRef):
             ref.alias = ref.alias or self.fresh_alias("t")
         else:
             raise UnsupportedError(f"cannot expand {type(ref).__name__} in FROM")
         return ref
+
+    def _view_query(self, view: View) -> ast.Query:
+        """A private copy of the view's query, its items named as the view
+        names its columns (:meth:`Binder.bind_view`)."""
+        query = copy.deepcopy(view.query)
+        if view.column_names:
+            if not isinstance(query, ast.Select) or any(
+                isinstance(item.expr, ast.Star) for item in query.items
+            ):
+                raise UnsupportedError(
+                    f"cannot expand view {view.name!r}: its column list renames "
+                    "the columns of a * or of a set operation"
+                )
+            for item, column in zip(query.items, self.binder.bind_view(view).columns):
+                item.alias = column.name
+        return query
 
     def _expand_grouping_sets(self, select: ast.Select) -> ast.Query:
         """Rewrite ROLLUP/CUBE/GROUPING SETS as a UNION ALL of plain GROUP BY
@@ -694,23 +710,6 @@ class _SqlTerms:
             where=and_all(conjuncts),
         )
         return [_SqlTerm(None, ast.Exists(witness))]
-
-
-def _view_query(view: View) -> ast.Query:
-    """A private copy of the view's query, its columns renamed to the
-    view's column list if it has one."""
-    query = copy.deepcopy(view.query)
-    if view.column_names:
-        if not isinstance(query, ast.Select) or any(
-            isinstance(item.expr, ast.Star) for item in query.items
-        ):
-            raise UnsupportedError(
-                f"cannot expand view {view.name!r}: its column list renames "
-                "the columns of a * or of a set operation"
-            )
-        for item, name in zip(query.items, view.column_names):
-            item.alias = name
-    return query
 
 
 class _GroupingSetBranch:

@@ -8,6 +8,8 @@ which makes test assertions and error reporting precise.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class SqlError(Exception):
     """Base class for all errors raised by the repro engine."""
@@ -42,14 +44,26 @@ class BindError(SqlError):
     Carries the 1-based ``line`` and ``column`` of the offending construct
     when known (the binder attaches them from AST spans); both are 0 when
     the error has no source position (e.g. programmatically-built ASTs).
+
+    ``rule`` is the lint code (``RPxxx``) of the static rule the error
+    enforces, set where it is raised; None for a plain semantic error (which
+    lint reports as ``RP002``).
     """
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
+    def __init__(
+        self,
+        message: str,
+        line: int = 0,
+        column: int = 0,
+        *,
+        rule: Optional[str] = None,
+    ):
         location = f" at line {line}, column {column}" if line else ""
         super().__init__(f"{message}{location}")
         self.message = message
         self.line = line
         self.column = column
+        self.rule = rule
 
     def attach_location(self, line: int, column: int) -> "BindError":
         """Late-bind a source position onto an already-raised error.

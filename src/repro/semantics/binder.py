@@ -25,9 +25,8 @@ grain for display.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.objects import BaseTable, SystemTable, View
@@ -44,7 +43,7 @@ from repro.semantics.correlate import (
     remap_subquery,
     transform_expr,
 )
-from repro.semantics.exprbinder import ExprBinder
+from repro.semantics.exprbinder import ExprBinder, located
 from repro.semantics.scope import RelColumn, Relation, Scope
 from repro.sql import ast
 from copy import deepcopy as copy_ast
@@ -59,22 +58,6 @@ __all__ = [
     "QueryBinder",
     "output_column_name",
 ]
-
-
-@contextmanager
-def _located(node: Optional[ast.Node]) -> Iterator[None]:
-    """Attach ``node``'s source span to any :class:`BindError` escaping the
-    block.  Covers clause-level raises (GROUP BY / ORDER BY / lifting) that
-    happen on bound IR where :class:`ExprBinder`'s own wrapper cannot see the
-    originating AST node.  The innermost position wins — an error that already
-    carries a location keeps it."""
-    try:
-        yield
-    except BindError as exc:
-        span = ast.node_span(node)
-        if span is not None:
-            exc.attach_location(span.line, span.column)
-        raise
 
 
 def output_column_name(item: ast.SelectItem, index: int) -> str:
@@ -172,8 +155,9 @@ class Binder:
         self.catalog = catalog
         self._cte_frames: list[dict[str, BoundRelation]] = []
         #: id(ast.Select) -> its :class:`BoundSelect`; id(the outermost AST
-        #: node of a measure call site: the column, its AT, its AGGREGATE)
-        #: -> the :class:`~repro.semantics.bound.BoundMeasureEval` it became.
+        #: node of a measure call site: the column, its AT, its AGGREGATE; a
+        #: measure column a query returns bare) -> the
+        #: :class:`~repro.semantics.bound.BoundMeasureEval` it became.
         self.selects: dict[int, BoundSelect] = {}
         self.sites: dict[int, b.BoundMeasureEval] = {}
 
@@ -193,23 +177,37 @@ class Binder:
         if isinstance(query, ast.Values):
             return self._bind_values(query, outer_scope)
         if isinstance(query, ast.ShowStats):
-            error = BindError(
-                "SHOW STATS is a top-level statement; it cannot appear "
-                "inside a view, subquery, or set operation (lint rule RP112)"
-            )
-            span = ast.node_span(query)
-            if span is not None:
-                error.attach_location(span.line, span.column)
-            raise error
+            with located(query):
+                raise BindError(
+                    "SHOW STATS is a top-level statement; it cannot appear "
+                    "inside a view, subquery, or set operation (lint rule RP112)",
+                    rule="RP112",
+                )
         raise UnsupportedError(f"cannot bind {type(query).__name__}")
 
     def bind_query_top(
         self, query: ast.Query, outer_scope: Optional[Scope] = None
     ) -> tuple[plans.LogicalPlan, list[OutputColumn]]:
         """Bind a query for direct execution, materializing measure columns
-        at row grain."""
+        at row grain.  A measure column the SELECT list names bare (it
+        re-exports the column) is a call site here, and is recorded as one."""
         relation = self.bind_query_as_relation(query, outer_scope)
-        return materialize_measures(relation)
+        plan, columns = materialize_measures(relation)
+        if not relation.has_measures:
+            return plan, columns
+        while isinstance(query, ast.WithQuery):
+            query = query.body
+        select = self.selects.get(id(query))
+        for item, expr in zip(select.items if select else (), plan.exprs):
+            if isinstance(expr, b.BoundMeasureEval) and not item.is_measure:
+                self.sites[id(item.expr)] = expr
+        return plan, columns
+
+    def bind_view(self, view: View) -> BoundRelation:
+        """The relation ``view`` exposes: its query bound as a relation,
+        under the view's column list when it declares one."""
+        bound = self.bind_query_as_relation(view.query, None)
+        return _renamed(bound, view.column_names, f"view {view.name!r}")
 
     def lookup_cte(self, name: str) -> Optional[BoundRelation]:
         lowered = name.lower()
@@ -228,22 +226,9 @@ class Binder:
         try:
             for cte in query.ctes:
                 bound = self.bind_query_as_relation(cte.query, outer_scope)
-                if cte.columns:
-                    if len(cte.columns) != len(bound.columns):
-                        raise BindError(
-                            f"CTE {cte.name!r} declares {len(cte.columns)} "
-                            f"columns but its query returns {len(bound.columns)}"
-                        )
-                    bound = BoundRelation(
-                        bound.plan,
-                        [
-                            OutputColumn(new_name, col.dtype, col.measure)
-                            for new_name, col in zip(cte.columns, bound.columns)
-                        ],
-                        bound.group,
-                        bound.dim_exprs,
-                    )
-                frame[cte.name.lower()] = bound
+                frame[cte.name.lower()] = _renamed(
+                    bound, cte.columns, f"CTE {cte.name!r}"
+                )
             return self.bind_query_as_relation(query.body, outer_scope)
         finally:
             self._cte_frames.pop()
@@ -356,6 +341,22 @@ class _DummyQueryBinder:
 
     def resolve_named_window(self, name: str):
         raise MeasureError("named windows are not allowed here")
+
+
+def _renamed(bound: BoundRelation, names: list[str], what: str) -> BoundRelation:
+    """``bound`` under a declared column list (a view's, a CTE's), if any."""
+    if not names:
+        return bound
+    if len(names) != len(bound.columns):
+        raise BindError(
+            f"{what} declares {len(names)} columns but its query returns "
+            f"{len(bound.columns)}"
+        )
+    columns = [
+        OutputColumn(name, col.dtype, col.measure)
+        for name, col in zip(names, bound.columns)
+    ]
+    return replace(bound, columns=columns)
 
 
 def materialize_measures(
@@ -569,7 +570,7 @@ class QueryBinder:
             return self._bind_table_name(ref)
         if isinstance(ref, ast.SubqueryRef):
             bound = self.binder.bind_query_as_relation(ref.query, self.outer_scope)
-            self._add_bound_relation(bound, ref.alias)
+            self._add_bound_relation(bound, ref.alias, ref)
             return bound.plan
         if isinstance(ref, ast.Join):
             return self._bind_join(ref)
@@ -660,13 +661,8 @@ class QueryBinder:
             if isinstance(obj, (BaseTable, SystemTable)):
                 return [c.name for c in obj.schema.columns]
             assert isinstance(obj, View)
-            bound = self.binder.bind_query_as_relation(obj.query, None)
-            names = obj.column_names or [c.name for c in bound.columns]
-            return [
-                name
-                for name, col in zip(names, bound.columns)
-                if not col.is_measure
-            ]
+            bound = self.binder.bind_view(obj)
+            return [c.name for c in bound.columns if not c.is_measure]
         if isinstance(ref, ast.SubqueryRef):
             bound = self.binder.bind_query_as_relation(ref.query, self.outer_scope)
             return [c.name for c in bound.columns if not c.is_measure]
@@ -683,7 +679,7 @@ class QueryBinder:
     def _bind_table_name(self, ref: ast.TableName) -> plans.LogicalPlan:
         cte = self.binder.lookup_cte(ref.name)
         if cte is not None:
-            self._add_bound_relation(cte, ref.alias or ref.name)
+            self._add_bound_relation(cte, ref.alias or ref.name, ref)
             return cte.plan
         obj = self.binder.catalog.resolve(ref.name)
         if isinstance(obj, (BaseTable, SystemTable)):
@@ -703,30 +699,18 @@ class QueryBinder:
             relation = Relation(
                 ref.alias or ref.name, columns, start, len(columns)
             )
-            self.scope.add_relation(relation)
+            with located(ref):
+                self.scope.add_relation(relation)
             self.next_offset += len(columns)
             return plan
         assert isinstance(obj, View)
-        bound = self.binder.bind_query_as_relation(obj.query, None)
-        if obj.column_names:
-            if len(obj.column_names) != len(bound.columns):
-                raise BindError(
-                    f"view {obj.name!r} declares {len(obj.column_names)} "
-                    f"columns but its query returns {len(bound.columns)}"
-                )
-            bound = BoundRelation(
-                bound.plan,
-                [
-                    OutputColumn(name, col.dtype, col.measure)
-                    for name, col in zip(obj.column_names, bound.columns)
-                ],
-                bound.group,
-                bound.dim_exprs,
-            )
-        self._add_bound_relation(bound, ref.alias or obj.name)
+        bound = self.binder.bind_view(obj)
+        self._add_bound_relation(bound, ref.alias or obj.name, ref)
         return bound.plan
 
-    def _add_bound_relation(self, bound: BoundRelation, alias: Optional[str]) -> None:
+    def _add_bound_relation(
+        self, bound: BoundRelation, alias: Optional[str], ref: ast.TableRef
+    ) -> None:
         start = self.next_offset
         columns: list[RelColumn] = []
         dim_for_offset: dict[int, b.BoundExpr] = {}
@@ -748,7 +732,8 @@ class QueryBinder:
         relation = Relation(
             alias, columns, start, position, bound.group, dim_for_offset
         )
-        self.scope.add_relation(relation)
+        with located(ref):
+            self.scope.add_relation(relation)
         self.next_offset += position
 
     def _bind_join(self, ref: ast.Join) -> plans.LogicalPlan:
@@ -1295,13 +1280,13 @@ class QueryBinder:
                 allow_windows=True,
                 clause="QUALIFY",
             )
-            with _located(self.select.qualify):
+            with located(self.select.qualify):
                 bound_qualify = qualify_binder.bind(self.select.qualify)
 
         order_pre: list[tuple[str, object, ast.OrderItem]] = []
         names = [self._item_name(item, i) for i, item in enumerate(items)]
         for order_item in self.select.order_by:
-            with _located(order_item):
+            with located(order_item):
                 kind, payload = self._classify_order_item(order_item, names)
             if kind == "expr":
                 binder = ExprBinder(
@@ -1374,11 +1359,11 @@ class QueryBinder:
         )
         lifted_items = []
         for item, expr in zip(items, bound_items):
-            with _located(item):
+            with located(item):
                 lifted_items.append(lifter.lift(expr))
         lifted_having = None
         if bound_having is not None:
-            with _located(self.select.having):
+            with located(self.select.having):
                 lifted_having = lifter.lift(bound_having)
 
         agg_schema: list[tuple[str, DataType]] = []
@@ -1406,7 +1391,7 @@ class QueryBinder:
 
         lifted_qualify: Optional[b.BoundExpr] = None
         if bound_qualify is not None:
-            with _located(self.select.qualify):
+            with located(self.select.qualify):
                 lifted_qualify = lifter.lift(bound_qualify)
 
         with_qualify = (
@@ -1438,7 +1423,7 @@ class QueryBinder:
             elif kind == "alias":
                 offset = payload  # type: ignore[assignment]
             else:
-                with _located(order_item):
+                with located(order_item):
                     lifted = lifter.lift(payload)  # type: ignore[arg-type]
                 fp = b.fingerprint(lifted)
                 if item_fps is None:
@@ -1483,7 +1468,9 @@ class QueryBinder:
             if len(matches) == 1:
                 return "alias", matches[0]
             if len(matches) > 1 and self._try_resolve(expr) is None:
-                raise BindError(f"ORDER BY column {expr.parts[0]!r} is ambiguous")
+                raise BindError(
+                    f"ORDER BY column {expr.parts[0]!r} is ambiguous", rule="RP107"
+                )
         return "expr", expr
 
     def _extract_windows(
@@ -1522,7 +1509,7 @@ class QueryBinder:
             names = [c.name for c in columns if not c.is_measure]
             item_fps: Optional[list[str]] = None  # only an ORDER BY expression asks
             for order_item in select.order_by:
-                with _located(order_item):
+                with located(order_item):
                     kind, payload = self._classify_order_item(order_item, names)
                 if kind in ("ordinal", "alias"):
                     offset = payload  # type: ignore[assignment]
@@ -1611,7 +1598,7 @@ class QueryBinder:
         binder = ExprBinder(self, self.scope, clause="GROUP BY")
 
         def register(expr: ast.Expression) -> int:
-            with _located(expr):
+            with located(expr):
                 bound = self._bind_group_expr(binder, expr, items)
             fp = b.fingerprint(bound)
             if fp not in registry:

@@ -65,7 +65,33 @@ from repro.types import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.semantics.binder import QueryBinder
 
-__all__ = ["ExprBinder"]
+__all__ = ["ExprBinder", "located"]
+
+
+class located:
+    """``with located(node, rule):`` attaches ``node``'s source span to any
+    :class:`BindError` escaping the block — the innermost position wins: an
+    error that already carries a location keeps it — and, when given, the
+    lint ``rule`` it breaks.  (A class, not a generator: it brackets every
+    FROM item and clause item the binder binds.)"""
+
+    __slots__ = ("node", "rule")
+
+    def __init__(self, node: Optional[ast.Node], rule: Optional[str] = None):
+        self.node = node
+        self.rule = rule
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, traceback) -> bool:
+        if isinstance(exc, BindError):
+            span = ast.node_span(self.node)
+            if span is not None:
+                exc.attach_location(span.line, span.column)
+            if self.rule is not None:
+                exc.rule = self.rule
+        return False
 
 
 def _null_propagating(fn):
@@ -153,6 +179,8 @@ class ExprBinder:
         except BindError as exc:
             # Attach the offending node's source span: the innermost node
             # with a span wins, errors keep their position while unwinding.
+            # (``located`` inlined: this runs for every node bound, and a
+            # bare try costs nothing until it raises.)
             span = ast.node_span(expr)
             if span is not None:
                 exc.attach_location(span.line, span.column)
@@ -390,7 +418,8 @@ class ExprBinder:
         name = expr.name.upper()
         if not self.allow_aggregates:
             raise BindError(
-                f"aggregate function {name} is not allowed in the {self.clause} clause"
+                f"aggregate function {name} is not allowed in the {self.clause} clause",
+                rule="RP106",
             )
         if self._in_aggregate_args:
             raise BindError("aggregate functions cannot be nested")
@@ -442,13 +471,10 @@ class ExprBinder:
             ("ORDER BY inside the call", expr.order_by and expr.order_by[0]),
         ):
             if part:
-                error = BindError(
-                    f"{clause} is not supported on the window function {name}"
-                )
-                span = ast.node_span(part)
-                if span is not None:
-                    error.attach_location(span.line, span.column)
-                raise error
+                with located(part):
+                    raise BindError(
+                        f"{clause} is not supported on the window function {name}"
+                    )
         args = [self.bind(arg) for arg in expr.args]
         spec = expr.over
         if spec is None and expr.over_name is not None:
@@ -510,7 +536,7 @@ class ExprBinder:
     def _bind_At(self, expr: ast.At) -> b.BoundExpr:
         operand = self.bind(expr.operand)
         if not isinstance(operand, b.BoundMeasureEval):
-            raise MeasureError("AT can only be applied to a measure")
+            raise MeasureError("AT can only be applied to a measure", rule="RP102")
         relation = self.qb.relation_for_spec(operand.context)
         modifiers = [self._bind_modifier(m, relation) for m in expr.modifiers]
         # Modifiers of an outer AT apply before those of an inner AT; within
@@ -548,26 +574,23 @@ class ExprBinder:
 
         A bare name that matches one of the measure relation's columns
         resolves there directly, so that ``AT (ALL custName)`` works even
-        when another join input also has a custName column.
+        when another join input also has a custName column.  Whatever fails
+        here is lint rule RP103, at the dimension expression.
         """
         if isinstance(dim_expr, ast.ColumnRef) and len(dim_expr.parts) == 1:
             column = relation.find(dim_expr.parts[0])
             if column is not None and not column.is_measure:
                 dim = relation.dim_for_offset.get(column.offset)
                 if dim is not None:
-                    from repro.semantics.bound import fingerprint
-
-                    return dim, fingerprint(dim)
-        bound = self.bind(dim_expr)
-        rewritten = self.qb.rewrite_to_source(bound, relation)
-        if rewritten is None:
-            raise MeasureError(
-                "AT dimension must be an expression over the measure table's "
-                "dimension columns"
-            )
-        from repro.semantics.bound import fingerprint
-
-        return rewritten, fingerprint(rewritten)
+                    return dim, b.fingerprint(dim)
+        with located(dim_expr, rule="RP103"):
+            rewritten = self.qb.rewrite_to_source(self.bind(dim_expr), relation)
+            if rewritten is None:
+                raise MeasureError(
+                    "AT dimension must be an expression over the measure table's "
+                    "dimension columns"
+                )
+        return rewritten, b.fingerprint(rewritten)
 
     def _bind_set_value(
         self, value: ast.Expression, relation: Relation

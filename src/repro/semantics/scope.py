@@ -128,7 +128,7 @@ class Scope:
         if len(matches) > 1:
             if name.lower() in self.merged_names:
                 return matches[0]
-            raise BindError(f"ambiguous column reference {name!r}")
+            raise BindError(f"ambiguous column reference {name!r}", rule="RP107")
         return matches[0]
 
     def relation_of_offset(self, offset: int) -> Optional[Relation]:

@@ -17,11 +17,12 @@ from repro.analysis import (
     validate_plan,
     validation_enabled,
 )
+from repro.analysis.diagnostics import BIND_CODES
 from repro.errors import BindError, InternalError, ValidationError
 from repro.plan import logical as plans
 from repro.semantics import bound as b
 from repro.semantics.binder import Binder
-from repro.sql import parse_query
+from repro.sql import parse_query, parse_statement
 from repro.types import infer_literal_type
 from repro.workloads.listings import LISTINGS, SETUP, expanded_listings
 from repro.workloads.paper_data import load_paper_tables
@@ -140,13 +141,98 @@ def test_rp103_flags_measure_used_as_dimension(orders_db):
     )
     hits = [d for d in diags if d.code == "RP103"]
     assert hits and "measure" in hits[0].message
+    # At the dimension expression, not at the AT keyword (column 31).
+    assert (hits[0].line, hits[0].column) == (1, 39)
 
 
 def test_rp104_duplicate_table_alias_and_cte_shadow(paper_db):
-    assert "RP104" in codes(paper_db, "SELECT 1 AS one FROM Orders o, Customers o")
+    # A FROM alias used twice is the binder's error (RP002), at the second.
+    (diag,) = paper_db.lint("SELECT 1 AS one FROM Orders o, Customers o")
+    assert diag.code == "RP002" and "duplicate table alias" in diag.message
+    assert (diag.line, diag.column) == (1, 32)
     assert "RP104" in codes(
         paper_db, "WITH Orders AS (SELECT 1 AS x) SELECT x FROM Orders"
     )
+
+
+#: A statement the binder rejects, as the fixture's code: a FROM alias used
+#: twice enforces no lint rule.
+BIND_REJECTED = [
+    (fixture, sql, code)
+    for fixture, sql, code in NEGATIVE_FIXTURES
+    if code in BIND_CODES
+] + [("paper_db", "SELECT 1 AS one FROM Orders o, Customers o", "RP002")]
+
+
+@pytest.mark.parametrize(
+    "fixture,sql,code", BIND_REJECTED, ids=[c for _, _, c in BIND_REJECTED]
+)
+def test_a_statement_that_does_not_bind_gets_one_error(fixture, sql, code, request):
+    db = request.getfixturevalue(fixture)
+    statement = parse_statement(sql)
+    with pytest.raises(BindError) as err:
+        Binder(db.catalog).bind_query_as_relation(statement.query, None)
+    assert (err.value.rule or "RP002") == code
+    errors = [d for d in db.lint(sql) if d.severity == Severity.ERROR]
+    assert [(d.code, d.message) for d in errors] == [(code, err.value.message)]
+    assert (errors[0].line, errors[0].column) == (err.value.line, err.value.column)
+    assert errors[0].hint == RULES[code][2]
+
+
+def test_rp106_covers_the_on_clause(paper_db):
+    sql = "SELECT prodName FROM Orders JOIN Customers ON SUM(revenue) > 1"
+    (diag,) = paper_db.lint(sql)
+    assert diag.code == "RP106" and "JOIN ON" in diag.message
+    assert diag.column == sql.index("SUM") + 1
+
+
+def test_rp107_is_reported_once(paper_db):
+    diags = paper_db.lint(
+        "SELECT custName FROM Orders, Customers WHERE custName = prodName "
+        "ORDER BY custName"
+    )
+    assert [d.code for d in diags] == ["RP107"]
+
+
+def test_each_failed_bind_counts_once():
+    db = Database(telemetry=True)
+    load_paper_tables(db)
+    db.execute(SETUP["EnhancedOrders"])
+    counter = db.telemetry.lint_diagnostics_total
+    for _, sql, code in BIND_REJECTED:
+        before = counter.value(rule=code)
+        db.lint(sql)
+        assert counter.value(rule=code) == before + 1, sql
+
+
+def test_rp101_sees_a_measure_renamed_by_a_view_column_list(paper_db):
+    paper_db.execute(
+        "CREATE VIEW v2 (odate, margin) AS SELECT orderDate, "
+        "(SUM(revenue) - SUM(cost)) / SUM(revenue) AS MEASURE profitMargin "
+        "FROM Orders"
+    )
+    sql = "SELECT odate, margin FROM v2"
+    (diag,) = paper_db.lint(sql)
+    assert diag.code == "RP101" and "'margin'" in diag.message
+    assert diag.column == sql.index("margin") + 1
+    assert paper_db.lint("SELECT odate, AGGREGATE(margin) FROM v2 GROUP BY odate") == []
+
+
+def test_a_view_definition_binds_as_the_view(paper_db):
+    # Its column list included: what CREATE VIEW itself would reject.
+    sql = "CREATE VIEW bad (a, b) AS SELECT prodName FROM Orders"
+    (diag,) = paper_db.lint(sql)
+    assert diag.code == "RP002"
+    assert diag.message == "view 'bad' declares 2 columns but its query returns 1"
+    with pytest.raises(BindError, match="declares 2 columns"):
+        paper_db.execute(sql)
+
+
+def test_rp101_does_not_fire_on_a_view_that_reexports_a_measure(orders_db):
+    # The view keeps the measure a measure; only a query evaluates it.
+    assert orders_db.lint(
+        "CREATE VIEW eo2 AS SELECT orderDate, profitMargin FROM EnhancedOrders"
+    ) == []
 
 
 def test_rp107_exempts_using_merged_columns(paper_db):

@@ -156,6 +156,23 @@ def test_describe_measure_view_exposes_dimensionality(db):
     assert "revenue" not in str(info)
 
 
+def test_describe_lists_a_views_columns_under_its_column_list(db):
+    from repro.workloads.paper_data import load_paper_tables
+
+    load_paper_tables(db)
+    db.execute(
+        "CREATE VIEW v2 (odate, margin) AS SELECT orderDate, "
+        "(SUM(revenue) - SUM(cost)) / SUM(revenue) AS MEASURE profitMargin "
+        "FROM Orders"
+    )
+    info = db.describe("v2")
+    # The names that run: SELECT odate, AGGREGATE(margin) FROM v2 ...
+    assert [c["name"] for c in info["columns"]] == ["odate", "margin"]
+    assert info["measures"] == [
+        {"name": "margin", "type": "DOUBLE", "dimensions": ["odate"]}
+    ]
+
+
 def test_describe_unknown_raises(db):
     from repro import CatalogError
 

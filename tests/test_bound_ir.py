@@ -609,3 +609,69 @@ def test_the_two_watchers_are_not_back():
     bracket = executor[executor.index("def execute_plan"):executor.index("def _execute_scan")]
     assert [bracket.count(f"watch.{call}(") for call in ("enter", "exit", "abort")] == [1, 1, 1]
     assert bracket.count("watch is None") == 1  # the unwatched path's one test
+
+
+# -- one name resolver: lint reads what the binder bound ---------------------------
+
+#: The linter's mirror of the binder: its relation descriptor, scope builder and
+#: resolver, the two ways it listed a relation's columns, and the rules that
+#: re-derived a bind error from them.
+MINI_RESOLVER = {
+    "_Rel", "_scope", "_resolve", "_columns_for_name", "_columns_of_query",
+    "_rule_at_operands", "_check_at_dimensions", "_rule_ambiguous_columns",
+    "_rule_aggregate_in_where", "_is_plain_aggregate_call",
+}
+
+
+def test_the_mini_resolver_is_not_back():
+    defined: dict[str, list] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in pyast.walk(pyast.parse(path.read_text())):
+            if isinstance(node, (pyast.FunctionDef, pyast.ClassDef)):
+                defined.setdefault(node.name, []).append(module)
+    assert not MINI_RESOLVER & set(defined), {
+        name: defined[name] for name in MINI_RESOLVER & set(defined)
+    }
+    # The linter learns no column list on its own: a catalog lookup is only
+    # ever "does this name exist" (a CTE shadowing it, RP104).
+    linter = (SRC / "analysis" / "linter.py").read_text()
+    assert "bind_query_as_relation" not in linter
+    assert ".resolve(" not in linter and ".schema" not in linter
+    assert re.findall(r"catalog\.get\([^)]*\)(?! is not None)", linter) == []
+    # Nothing names a view's columns from its column list but the binder.
+    readers = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if re.search(r"zip\([^)]*\.column_names", path.read_text())
+    ]
+    assert readers == []
+
+
+def test_lint_binds_each_statement_once(monkeypatch):
+    from repro import Database
+    from repro.semantics.binder import Binder
+    from repro.workloads.listings import LISTINGS, SETUP
+    from repro.workloads.paper_data import load_paper_tables
+    from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
+
+    made = []
+    init = Binder.__init__
+    monkeypatch.setattr(
+        Binder, "__init__", lambda self, catalog: made.append(init(self, catalog))
+    )
+    db = Database()
+    load_paper_tables(db)
+    per_statement = []
+    for sql in [*SETUP.values(), *LISTINGS.values()]:
+        before = len(made)
+        assert db.lint(sql) == []
+        per_statement.append(len(made) - before)
+        if sql in SETUP.values():
+            db.execute(sql)
+    assert per_statement == [1] * 16  # 27 when lint bound each view again
+    tpch = tpch_measure_database(0.001)
+    for name, sql in TPCH_QUERIES.items():
+        before = len(made)
+        tpch.lint(sql)
+        assert len(made) - before == 1, name

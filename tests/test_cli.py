@@ -88,6 +88,20 @@ def test_describe_view_shows_measures(shell):
     assert "INTEGER MEASURE" in text
 
 
+def test_describe_view_uses_its_column_list(shell):
+    sh, out = shell
+    feed(
+        sh,
+        "\\demo",
+        "CREATE VIEW v2 (p, rev) AS "
+        "SELECT prodName, SUM(revenue) AS MEASURE r FROM Orders;",
+        "\\d v2",
+    )
+    lines = out.getvalue().splitlines()
+    start = lines.index("view v2")
+    assert [line.split()[0] for line in lines[start + 1 :]] == ["p", "rev"]
+
+
 def test_describe_unknown(shell):
     sh, out = shell
     feed(sh, "\\d nothing")
