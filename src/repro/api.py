@@ -25,6 +25,7 @@ paper's Listing 5), and ``EXPLAIN EXPAND <query>`` does the same inside SQL.
 from __future__ import annotations
 
 import dataclasses
+import json
 from time import perf_counter
 from typing import Any, Iterable, Optional, Sequence
 
@@ -1087,7 +1088,7 @@ class Database:
     def events(self, n: Optional[int] = None) -> list:
         """The most recent ``n`` structured telemetry events (all by
         default), oldest first, as plain dicts."""
-        return [] if self.telemetry is None else self.telemetry.events.tail(n)
+        return [] if self.telemetry is None else self.telemetry.events(n)
 
     def slow_queries(self) -> list:
         """Slow-query log entries (``Database(slow_query_ms=...)``),
@@ -1095,37 +1096,24 @@ class Database:
         return [] if self.telemetry is None else self.telemetry.slow_queries()
 
     def stat_statements(self) -> list:
-        """Per-fingerprint statement statistics, first-seen order.
+        """Statement statistics, first-seen order.
 
-        One dict per statement fingerprint — calls, total/mean/min/max
-        wall ms, rows returned, errors, last strategy, and last plan hash;
-        the same rows the ``repro_stat_statements`` system table exposes
-        to SQL.  Empty when telemetry is off.
+        One dict per (statement fingerprint, strategy) — calls,
+        total/mean/min/max wall ms, rows returned and errors; the same
+        rows the ``repro_stat_statements`` system table exposes to SQL.
+        Populated by ordinary execution (``interpreter``/``summary``) and
+        by :meth:`execute_with_strategy` runs; empty when telemetry is off.
         """
         if self.telemetry is None:
             return []
-        return [e.as_dict() for e in self.telemetry.statements.entries()]
+        return [e.as_dict() for e in self.telemetry.statement_snapshot()[0]]
 
     def plan_flips(self) -> list:
-        """Detected plan flips, oldest first (``repro_plan_flips`` as
-        dicts): statements whose plan hash changed between executions.
+        """Detected plan flips since the last :meth:`reset_stats`, oldest
+        first: statements whose plan hash changed between executions (the
+        ``repro_statements`` rows with an ``old_plan_hash``, as dicts).
         Empty when telemetry is off."""
-        return [] if self.telemetry is None else self.telemetry.statements.flips()
-
-    def strategy_stats(self) -> list:
-        """Per-(fingerprint, strategy) timing history, first-seen order.
-
-        One dict per pair — calls, total/mean/min/max wall ms, rows —
-        the same rows the ``repro_strategy_stats`` system table exposes.
-        Populated by ordinary execution (``interpreter``/``summary``)
-        and by :meth:`execute_with_strategy` runs; empty when telemetry
-        is off.
-        """
-        if self.telemetry is None:
-            return []
-        return [
-            e.as_dict() for e in self.telemetry.statements.strategy_entries()
-        ]
+        return [] if self.telemetry is None else self.telemetry.plan_flips()
 
     def table_stats(self) -> list:
         """Stored ``ANALYZE`` results as dicts (row count, per-column NDV
@@ -1143,21 +1131,24 @@ class Database:
         ]
 
     def reset_stats(self) -> None:
-        """Discard all per-fingerprint statement statistics and retained
-        plan flips (``pg_stat_statements_reset`` style).  Cumulative
-        metrics, events, and traces are unaffected."""
+        """Discard all statement statistics and the plan flips so far
+        (``pg_stat_statements_reset`` style).  Cumulative metrics and the
+        statement ring — events, ``repro_statements``, the slow log and
+        traces — are unaffected."""
         if self.telemetry is not None:
-            self.telemetry.statements.reset()
+            self.telemetry.reset_stats()
 
     def export_traces(self, *, indent: Optional[int] = None) -> str:
         """Serialize captured query traces to OTel-flavored JSON
         (schema ``repro-trace-v1``); an empty envelope when telemetry is
         off.  Always valid JSON (round-trips through ``json.loads``)."""
         if self.telemetry is None:
-            from repro.telemetry import TraceBuffer
+            from repro.telemetry import trace_envelope
 
-            return TraceBuffer().export_json(indent=indent)
-        return self.telemetry.traces.export_json(indent=indent)
+            envelope = trace_envelope()
+        else:
+            envelope = self.telemetry.export_traces()
+        return json.dumps(envelope, indent=indent, default=str)
 
     # -- static analysis ------------------------------------------------------
 
@@ -1232,8 +1223,8 @@ class Database:
         interpreter).  Any expansion strategy (``"subquery"``,
         ``"inline"``, ``"window"``, ``"winmagic"``, ``"auto"``) first
         rewrites the query to measure-free SQL, then executes the
-        rewritten form.  Timing is recorded in the per-strategy history
-        (``repro_strategy_stats``) under the *original* statement's
+        rewritten form.  Timing is recorded in the statement statistics
+        (``repro_stat_statements``) under the *original* statement's
         fingerprint — that is what makes one query's strategies
         comparable rows — and no plan hash is stored, so strategy
         experiments never register as plan flips.  A shape the strategy

@@ -96,7 +96,7 @@ class SystemTable:
     :meth:`~repro.catalog.catalog.Catalog.register_snapshot_group`):
     tables whose rows derive from one shared store are materialized
     together, in a single call against that store, so a query joining
-    them (``repro_plan_flips`` x ``repro_stat_statements``) can never see
+    them (``repro_statements`` x ``repro_stat_statements``) can never see
     a torn cross-table state even while other sessions mutate the store.
     """
 

@@ -22,7 +22,7 @@ Backslash meta-commands:
 ``\\matviews``              list materialized views with staleness and stats
 ``\\telemetry``             toggle database-lifetime telemetry collection
 ``\\stats``                 print the telemetry metrics (Prometheus text)
-``\\stat_statements``       print per-fingerprint statement statistics
+``\\stat_statements``       print statement statistics per fingerprint and strategy
 ``\\flips``                 print detected plan flips
 ``\\events [N]``            print the last N telemetry events as JSON lines
 ``\\slowlog``               print the slow-query log
@@ -40,6 +40,7 @@ Backslash meta-commands:
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from typing import Optional
@@ -70,11 +71,13 @@ _HELP = """Meta commands:
   \\matviews          list materialized views (staleness, hit/miss stats)
   \\telemetry         toggle telemetry (lifetime metrics, events, traces)
   \\stats             print telemetry metrics (SHOW STATS shows them in SQL)
-  \\stat_statements   per-fingerprint statement statistics
+  \\stat_statements   statement statistics per fingerprint and strategy
                      (SELECT * FROM repro_stat_statements in SQL)
-  \\flips             detected plan flips (SELECT * FROM repro_plan_flips)
+  \\flips             detected plan flips (SELECT * FROM repro_statements
+                     WHERE old_plan_hash IS NOT NULL in SQL)
   \\events [N]        print the last N telemetry events (default 10)
-  \\slowlog           print slow queries (Database(slow_query_ms=...))
+  \\slowlog           print slow queries (Database(slow_query_ms=...);
+                     SELECT * FROM repro_statements WHERE wall_ms >= ms)
   \\top [N]           show running queries, N refreshes (default 1)
                      (SELECT * FROM repro_running_queries in SQL)
   \\i FILE            run a SQL script
@@ -356,7 +359,8 @@ class Shell:
         self.write(text.rstrip("\n") if text else "(no metrics)")
 
     def show_stat_statements(self) -> None:
-        """Print per-fingerprint statement statistics, hottest first."""
+        """Print statement statistics per (fingerprint, strategy), hottest
+        first."""
         if self.db.telemetry is None:
             self.write("telemetry is off (\\telemetry to enable)")
             return
@@ -365,14 +369,14 @@ class Shell:
             self.write("(no statements recorded)")
             return
         self.write(
-            f"  {'fingerprint':16s} {'calls':>6s} {'total ms':>10s} "
+            f"  {'fingerprint':16s} {'strategy':11s} {'calls':>6s} {'total ms':>10s} "
             f"{'mean ms':>9s} {'rows':>6s} {'errs':>5s}  query"
         )
         for entry in sorted(
             entries, key=lambda e: e["total_wall_ms"], reverse=True
         ):
             self.write(
-                f"  {entry['fingerprint']:16s} {entry['calls']:6d} "
+                f"  {entry['fingerprint']:16s} {entry['strategy']:11s} {entry['calls']:6d} "
                 f"{entry['total_wall_ms']:10.3f} {entry['mean_wall_ms']:9.3f} "
                 f"{entry['rows_returned']:6d} {entry['errors']:5d}  "
                 f"{entry['query'][:60]}"
@@ -407,15 +411,18 @@ class Shell:
             except ValueError:
                 self.write("usage: \\events [N]")
                 return
-        events = self.db.telemetry.events.to_jsonl(count)
-        self.write(events if events else "(no events)")
+        events = self.db.events(count)
+        if not events:
+            self.write("(no events)")
+        for event in events:
+            self.write(json.dumps(event, default=str))
 
     def show_slowlog(self) -> None:
         """Print the slow-query log, one line per offending query."""
         if self.db.telemetry is None:
             self.write("telemetry is off (\\telemetry to enable)")
             return
-        if self.db.telemetry.slow_log is None:
+        if self.db.telemetry.slow_query_ms is None:
             self.write(
                 "slow-query log not configured "
                 "(Database(slow_query_ms=...))"

@@ -261,37 +261,64 @@ class Expander:
         FROM subquery aliased, grouping sets a UNION ALL of plain branches —
         and bound once: ``self.binder`` then knows every SELECT of the
         returned tree and every measure call site in it."""
-        query = self._prepare(query, frozenset())
+        query = self._prepare(query, {})
         self.binder.bind_query_top(query)
         return query
 
-    def _prepare(self, query: ast.Query, ctes: frozenset) -> ast.Query:
+    def _prepare(self, query: ast.Query, ctes: dict) -> ast.Query:
+        """``ctes`` maps the lowered name of each CTE in scope to the name it
+        is printed under."""
         if isinstance(query, ast.WithQuery):
             for cte in query.ctes:
                 cte.query = self._prepare(cte.query, ctes)
-                ctes = ctes | {cte.name.lower()}
+                name = cte.name
+                if self.db.catalog.get(name) is not None:
+                    # The printed SQL inlines views and names measure sources
+                    # where this CTE is in scope; those names mean the
+                    # catalog's objects, so the CTE takes a fresh name.
+                    cte.name = self._fresh_cte_name()
+                ctes = {**ctes, name.lower(): cte.name}
             query.body = self._prepare(query.body, ctes)
         elif isinstance(query, ast.SetOp):
             query.left = self._prepare(query.left, ctes)
             query.right = self._prepare(query.right, ctes)
         elif isinstance(query, ast.Select):
+            views: set = set()
             if query.from_clause is not None:
-                query.from_clause = self._prepare_from(query.from_clause, ctes)
+                query.from_clause = self._prepare_from(query.from_clause, ctes, views)
             for node in _same_level(query):
                 if isinstance(node, _QUERY_HOLDERS):
-                    node.query = self._prepare(node.query, ctes)
+                    # An inlined view's names resolve in the catalog, as the
+                    # binder binds it (Binder.bind_view): no CTE is in scope.
+                    scope = {} if id(node) in views else ctes
+                    node.query = self._prepare(node.query, scope)
             if any(not isinstance(e, ast.SimpleGrouping) for e in query.group_by):
                 return self._expand_grouping_sets(query)
         return query
 
-    def _prepare_from(self, ref: ast.TableRef, ctes: frozenset) -> ast.TableRef:
+    def _fresh_cte_name(self) -> str:
+        name = self.fresh_alias("w")
+        while self.db.catalog.get(name) is not None:
+            name = self.fresh_alias("w")
+        return name
+
+    def _prepare_from(self, ref: ast.TableRef, ctes: dict, views: set) -> ast.TableRef:
+        """``views`` collects the ids of the refs that inline a view."""
         if isinstance(ref, ast.Join):
-            ref.left = self._prepare_from(ref.left, ctes)
-            ref.right = self._prepare_from(ref.right, ctes)
+            ref.left = self._prepare_from(ref.left, ctes, views)
+            ref.right = self._prepare_from(ref.right, ctes, views)
         elif isinstance(ref, ast.TableName):
-            view = None if ref.name.lower() in ctes else self.db.catalog.get(ref.name)
+            printed = ctes.get(ref.name.lower())
+            if printed is not None:
+                if printed.lower() != ref.name.lower():
+                    ref.alias = ref.alias or ref.name
+                    ref.name = printed
+                return ref
+            view = self.db.catalog.get(ref.name)
             if isinstance(view, View):
-                return ast.SubqueryRef(self._view_query(view), ref.alias or view.name)
+                inlined = ast.SubqueryRef(self._view_query(view), ref.alias or view.name)
+                views.add(id(inlined))
+                return inlined
         elif isinstance(ref, ast.SubqueryRef):
             ref.alias = ref.alias or self.fresh_alias("t")
         else:

@@ -1,6 +1,6 @@
 """The ``repro_*`` system tables: schemas and providers.
 
-:func:`install_system_tables` registers twelve read-only virtual tables
+:func:`install_system_tables` registers ten read-only virtual tables
 in a Database's catalog.  Each is a
 :class:`~repro.catalog.objects.SystemTable` whose provider closes over
 the Database and computes rows on demand — no storage, no refresh,
@@ -9,12 +9,11 @@ always current.  They bind and scan like ordinary tables, so views
 vocabulary (``AS MEASURE``, ``AGGREGATE``, ``AT``) applies to the
 engine's own statistics.
 
-Telemetry-backed tables (``repro_stat_statements``, ``repro_strategy_stats``,
-``repro_metrics``, ``repro_events``, ``repro_slow_queries``,
-``repro_plan_flips``) are empty — not errors — when telemetry is off;
-``repro_tables``, ``repro_matviews``, and the ``ANALYZE``-backed
-``repro_table_stats`` / ``repro_column_stats`` read the catalog and work
-regardless.
+Telemetry-backed tables (``repro_stat_statements``, ``repro_statements``,
+``repro_metrics``, ``repro_events``) are empty — not errors — when
+telemetry is off; ``repro_tables``, ``repro_matviews``, and the
+``ANALYZE``-backed ``repro_table_stats`` / ``repro_column_stats`` read the
+catalog and work regardless.
 """
 
 from __future__ import annotations
@@ -25,32 +24,47 @@ from typing import TYPE_CHECKING
 from repro.catalog.objects import BaseTable, SystemTable, View
 from repro.catalog.schema import Column, TableSchema
 from repro.profile.watch import Watch, current_query_id
-from repro.introspect.statements import (
-    FLIP_COLUMNS,
-    StatementEntry,
-    StrategyEntry,
-)
+from repro.introspect.statements import StrategyEntry
 from repro.types import BOOLEAN, DOUBLE, INTEGER, VARCHAR
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
 
-__all__ = ["SYSTEM_TABLE_NAMES", "install_system_tables"]
+__all__ = ["STATEMENT_COLUMNS", "SYSTEM_TABLE_NAMES", "install_system_tables"]
 
 #: Every system table this module installs, in registration order.
 SYSTEM_TABLE_NAMES = (
     "repro_stat_statements",
-    "repro_plan_flips",
-    "repro_strategy_stats",
+    "repro_statements",
     "repro_metrics",
     "repro_events",
-    "repro_slow_queries",
     "repro_matviews",
     "repro_tables",
     "repro_running_queries",
     "repro_query_progress",
     "repro_table_stats",
     "repro_column_stats",
+)
+
+#: The ``repro_statements`` columns: one statement-ring entry each
+#: (:meth:`repro.telemetry.events.Entry.as_row`).
+STATEMENT_COLUMNS = (
+    ("seq", INTEGER),
+    ("ts", VARCHAR),
+    ("session", VARCHAR),
+    ("kind", VARCHAR),
+    ("fingerprint", VARCHAR),
+    ("query", VARCHAR),
+    ("sql", VARCHAR),
+    ("strategy", VARCHAR),
+    ("plan_hash", VARCHAR),
+    ("old_strategy", VARCHAR),
+    ("old_plan_hash", VARCHAR),
+    ("outcome", VARCHAR),
+    ("error", VARCHAR),
+    ("wall_ms", DOUBLE),
+    ("rows_returned", INTEGER),
+    ("phases", VARCHAR),
 )
 
 
@@ -68,28 +82,15 @@ def install_system_tables(db: "Database") -> None:
     """Register the ``repro_*`` introspection tables in ``db``'s catalog."""
 
     def statements_group() -> dict[str, list[tuple]]:
-        """All three statement tables from ONE locked read of the store.
-
-        A query touching repro_stat_statements, repro_plan_flips, and
-        repro_strategy_stats gets rows derived from a single
-        :meth:`StatementStatsStore.snapshot`, so a concurrent
-        ``reset_stats()`` (which clears all three atomically) can never
-        leave a flip or strategy row pointing at a fingerprint the
-        statistics no longer contain.
-        """
+        """Both statement tables from ONE locked read of the statement
+        ring and its statistics, so a query joining them sees one state
+        even while other sessions observe or ``reset_stats()``."""
         if db.telemetry is None:
-            return {
-                "repro_stat_statements": [],
-                "repro_plan_flips": [],
-                "repro_strategy_stats": [],
-            }
-        entries, flips, strategies = db.telemetry.statements.snapshot()
+            return {"repro_stat_statements": [], "repro_statements": []}
+        stats, entries, _ = db.telemetry.statement_snapshot()
         return {
-            "repro_stat_statements": [e.as_row() for e in entries],
-            "repro_plan_flips": [
-                tuple(flip[name] for name, _ in FLIP_COLUMNS) for flip in flips
-            ],
-            "repro_strategy_stats": [s.as_row() for s in strategies],
+            "repro_stat_statements": [s.as_row() for s in stats],
+            "repro_statements": [e.as_row() for e in entries],
         }
 
     def table_stats_group() -> dict[str, list[tuple]]:
@@ -138,36 +139,22 @@ def install_system_tables(db: "Database") -> None:
         if db.telemetry is None:
             return []
         rows = []
-        for entry in db.telemetry.events.tail():
+        for event in db.telemetry.events():
             detail = {
                 k: v
-                for k, v in entry.items()
+                for k, v in event.items()
                 if k not in ("seq", "ts", "event", "sql")
             }
             rows.append(
                 (
-                    entry["seq"],
-                    entry["ts"],
-                    entry["event"],
-                    entry.get("sql"),
+                    event["seq"],
+                    event["ts"],
+                    event["event"],
+                    event.get("sql"),
                     json.dumps(detail, default=str, sort_keys=True),
                 )
             )
         return rows
-
-    def slow_queries() -> list[tuple]:
-        if db.telemetry is None or db.telemetry.slow_log is None:
-            return []
-        return [
-            (
-                entry["seq"],
-                entry["ts"],
-                entry["sql"],
-                entry["duration_ms"],
-                entry["threshold_ms"],
-            )
-            for entry in db.telemetry.slow_log.entries()
-        ]
 
     def matviews() -> list[tuple]:
         rows = []
@@ -236,27 +223,18 @@ def install_system_tables(db: "Database") -> None:
     register(
         SystemTable(
             "repro_stat_statements",
-            TableSchema.of(StatementEntry.COLUMNS),
-            lambda: statements_group()["repro_stat_statements"],
-            comment="per-fingerprint statement statistics",
-            group="statements",
-        )
-    )
-    register(
-        SystemTable(
-            "repro_plan_flips",
-            TableSchema.of(FLIP_COLUMNS),
-            lambda: statements_group()["repro_plan_flips"],
-            comment="plan-hash changes detected per statement fingerprint",
-            group="statements",
-        )
-    )
-    register(
-        SystemTable(
-            "repro_strategy_stats",
             TableSchema.of(StrategyEntry.COLUMNS),
-            lambda: statements_group()["repro_strategy_stats"],
-            comment="per-(fingerprint, strategy) timing history",
+            lambda: statements_group()["repro_stat_statements"],
+            comment="per-(fingerprint, strategy) statement statistics",
+            group="statements",
+        )
+    )
+    register(
+        SystemTable(
+            "repro_statements",
+            _schema(*STATEMENT_COLUMNS),
+            lambda: statements_group()["repro_statements"],
+            comment="the statement ring: recent statements, newest last",
             group="statements",
         )
     )
@@ -284,20 +262,6 @@ def install_system_tables(db: "Database") -> None:
             ),
             events,
             comment="the structured event log (detail is a JSON object)",
-        )
-    )
-    register(
-        SystemTable(
-            "repro_slow_queries",
-            _schema(
-                ("seq", INTEGER),
-                ("ts", VARCHAR),
-                ("sql", VARCHAR),
-                ("duration_ms", DOUBLE),
-                ("threshold_ms", DOUBLE),
-            ),
-            slow_queries,
-            comment="slow-query log entries (profiles stay in slow_queries())",
         )
     )
     register(

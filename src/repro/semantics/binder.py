@@ -205,8 +205,14 @@ class Binder:
 
     def bind_view(self, view: View) -> BoundRelation:
         """The relation ``view`` exposes: its query bound as a relation,
-        under the view's column list when it declares one."""
-        bound = self.bind_query_as_relation(view.query, None)
+        under the view's column list when it declares one.  A view is a
+        catalog object, so its names resolve in the catalog: the CTEs of
+        the statement that names it are not in scope."""
+        frames, self._cte_frames = self._cte_frames, []
+        try:
+            bound = self.bind_query_as_relation(view.query, None)
+        finally:
+            self._cte_frames = frames
         return _renamed(bound, view.column_names, f"view {view.name!r}")
 
     def lookup_cte(self, name: str) -> Optional[BoundRelation]:

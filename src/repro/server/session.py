@@ -310,7 +310,7 @@ class SessionManager:
             self._sessions[session.id] = session
         if self.db.telemetry is not None:
             self.db.telemetry.sessions_opened_total.inc()
-            self.db.telemetry.events.record(
+            self.db.telemetry.ring.record(
                 "session_open", session=session.id, label=label or None
             )
         return session
@@ -325,7 +325,7 @@ class SessionManager:
         session._prepared.clear()
         if self.db.telemetry is not None:
             self.db.telemetry.sessions_closed_total.inc()
-            self.db.telemetry.events.record(
+            self.db.telemetry.ring.record(
                 "session_close",
                 session=session.id,
                 statements=session.statements,
@@ -350,19 +350,20 @@ class SessionManager:
 
         Any session (or direct Database use) may record a flip; whichever
         session next looks at the cache applies the pending evictions.
-        The watermark is the store's monotonic flip seq, which survives
-        ``reset_stats()``, so a reset never replays or skips evictions.
+        The watermark is the statement ring's monotonic flip seq, which
+        survives ``reset_stats()``, so a reset never replays or skips
+        evictions; the ring is read only when that seq moved.
         """
         telemetry = self.db.telemetry
-        if telemetry is None:
+        if telemetry is None or telemetry.ring.last_flip_seq <= self._flip_seq:
             return
-        flips = telemetry.statements.flips()
         with self._lock:
-            fresh = [f for f in flips if f["seq"] > self._flip_seq]
-            if fresh:
-                self._flip_seq = max(f["seq"] for f in fresh)
-        for flip in fresh:
-            self.plan_cache.evict_fingerprint(flip["fingerprint"], "flip")
+            after, upto = self._flip_seq, telemetry.ring.last_flip_seq
+            self._flip_seq = max(after, upto)
+        for flip in telemetry.plan_flips(after=after):
+            # A flip past ``upto`` is the next sync's to apply.
+            if flip["seq"] <= upto:
+                self.plan_cache.evict_fingerprint(flip["fingerprint"], "flip")
 
     def invalidate_for(self, statement: ast.Statement) -> None:
         """Evict plans a just-executed write statement may have staled."""

@@ -1,11 +1,13 @@
-"""Database-lifetime observability: metrics, events, slow log, traces.
+"""Database-lifetime observability: metrics and the statement ring.
 
 Where :mod:`repro.profile` answers "what did *this query* do", this
 package answers "what has *this Database* been doing" — cumulative
 counters and latency histograms (Prometheus text exposition via
-``Database.metrics_text()``), a structured JSON-lines event log, a
-slow-query log capturing full :class:`QueryProfile` dumps, and an
-OTel-flavored trace export of every profiled query's span tree.
+``Database.metrics_text()``) and one bounded ring of recent statements
+and events (:mod:`repro.telemetry.events`).  The structured JSON-lines
+event log, the slow-query log with its full :class:`QueryProfile` dumps,
+the OTel-flavored trace export, the plan flips and ``repro_statements``
+are all read off that ring.
 
 The facade is :class:`Telemetry`.  ``Database(telemetry=True)`` creates
 one; when telemetry is off (the default) ``Database.telemetry`` is None
@@ -23,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ResourceExhausted
 from repro.profile.watch import CTX_COUNTERS
-from repro.telemetry.events import EventLog, Ring, SlowQueryLog
+from repro.telemetry.events import Entry, Ring
 from repro.telemetry.record import (
     StatementRecord,
     current_session,
@@ -36,7 +38,7 @@ from repro.telemetry.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.traces import TRACE_SCHEMA, TraceBuffer
+from repro.telemetry.traces import TRACE_SCHEMA, trace_envelope
 
 __all__ = [
     "Telemetry",
@@ -44,12 +46,10 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "EventLog",
     "Ring",
-    "SlowQueryLog",
     "StatementRecord",
-    "TraceBuffer",
     "TRACE_SCHEMA",
+    "trace_envelope",
     "DEFAULT_DURATION_BUCKETS_MS",
     "statement_kind",
     "current_session",
@@ -106,12 +106,13 @@ def statement_kind(statement: Any) -> str:
 class Telemetry:
     """One Database's lifetime observability state.
 
-    Composes a :class:`MetricsRegistry`, an :class:`EventLog`, an optional
-    :class:`SlowQueryLog`, and a :class:`TraceBuffer`.  The Database hands
-    :meth:`observe` one :class:`StatementRecord` per finished statement and
-    calls the ``record_*`` feeds from the matview / expansion / winmagic /
-    lint paths; nothing here reads a clock except the timestamping of the
-    non-statement events, which only happens when telemetry is on.
+    Composes a :class:`MetricsRegistry`, the statement :class:`Ring` and
+    the :class:`~repro.introspect.statements.StatementStatsStore`.  The
+    Database hands :meth:`observe` one :class:`StatementRecord` per
+    finished statement and calls the ``record_*`` feeds from the matview /
+    expansion / winmagic / lint paths; nothing here reads a clock except
+    the timestamping of the non-statement events, which only happens when
+    telemetry is on.
     """
 
     def __init__(
@@ -121,16 +122,13 @@ class Telemetry:
         event_sink: Any = None,
     ):
         self.registry = MetricsRegistry()
-        self.events = EventLog(sink=event_sink)
-        self.traces = TraceBuffer()
+        self.ring = Ring(sink=event_sink)
         self.slow_query_ms = (
             None if slow_query_ms is None else float(slow_query_ms)
         )
-        self.slow_log = (
-            None
-            if self.slow_query_ms is None
-            else SlowQueryLog(self.slow_query_ms)
-        )
+        #: The newest flip seq at the last reset_stats(): plan_flips()
+        #: lists only the flips after it.
+        self._reset_seq = 0
 
         reg = self.registry
         self.queries_total = reg.counter(
@@ -169,8 +167,8 @@ class Telemetry:
         )
         from repro.introspect.statements import StatementStatsStore
 
-        #: Per-fingerprint statement statistics; backs the
-        #: repro_stat_statements and repro_plan_flips system tables.
+        #: Per-(fingerprint, strategy) statement statistics and the flip
+        #: detector; read and written under ``ring.lock``.
         self.statements = StatementStatsStore()
         self.matview_hits_total = reg.counter(
             "matview_hits_total",
@@ -246,89 +244,70 @@ class Telemetry:
     # -- statement boundary --------------------------------------------------
 
     def observe(self, record: StatementRecord) -> None:
-        """Fold one finished statement into every sink: metrics, statement
-        statistics (and the flip they may detect), its lifecycle event, the
-        trace and — if slow, or killed by its memory budget — the slow log.
+        """Fold one finished statement in: metrics, statement statistics
+        (and the flip they may detect), and one ring entry.
 
-        Everything reported is read off ``record``; nothing is re-derived.
-        An ``introspection`` query (one that scans only system tables)
+        Everything reported is read off ``record``.  Events, traces and
+        slow-log entries are projections of the entry, built when read;
+        only an attached event sink gets the statement's events now.  An
+        ``introspection`` query (one that scans only system tables)
         increments ``introspection_queries_total`` and touches *nothing
-        else*, the same exclusion internal maintenance gets — so the
-        database observing itself never skews the statistics being
-        observed.  A plan-cache hit replays a stored plan without
-        re-running the rewriter, so its record has no reports but the cold
-        run's strategy and plan hash, keeping the flip detector quiet for
-        cached executions.
+        else*, so the database observing itself never skews the statistics
+        being observed.  A plan-cache hit's record carries the cold run's
+        strategy and plan hash, keeping the flip detector quiet.
         """
         if record.session:
             self.session_statements_total.inc(session=record.session)
         if record.introspection:
             self.introspection_queries_total.inc()
             return
-        if record.fingerprint is not None:
-            flip = self.statements.observe(record)
-            if flip is not None:
-                self.plan_flips_total.inc()
-                self.events.record(
-                    "plan_flip",
-                    **{k: v for k, v in flip.items() if k != "seq"},
-                )
-        self.events.record(**record.lifecycle_event())
-        if record.error is not None:
-            self.errors_total.inc(**{"class": type(record.error).__name__})
-            if isinstance(record.error, ResourceExhausted):
-                self._observe_exhausted(record)
-            return
-        kind = record.kind
-        self.queries_total.inc(kind=kind, strategy=record.strategy_label)
-        self.query_duration_ms.observe(record.wall_ms, kind=kind)
-        profile = record.profile
-        if profile is not None:
-            self.rows_returned_total.inc(record.rows)
-            for src, metric in self._profile_counters:
-                amount = record.counters.get(src, 0)
-                if amount:
-                    metric.inc(amount)
-            if profile.spans_dropped:
-                self.spans_dropped_total.inc(profile.spans_dropped)
-            self.traces.capture(
-                profile.root_span,
-                sql=record.sql,
-                spans_dropped=profile.spans_dropped,
-                traceparent=record.traceparent or None,
-                ts=record.ts,
-            )
-        if self.slow_log is not None and record.wall_ms >= self.slow_query_ms:
-            self.slow_queries_total.inc()
-            self._log_slow(record)
-            self.events.record(
-                **record.event("slow_query", threshold_ms=self.slow_query_ms)
-            )
-
-    def _log_slow(self, record: StatementRecord) -> None:
-        profile = record.profile
-        self.slow_log.add(
-            record.sql,
-            round(record.wall_ms, 3),
-            None if profile is None else profile.to_dict(),
-            ts=record.ts,
+        error = record.error
+        # A query killed by its memory budget joins the slow log whatever
+        # its duration: its partial profile is what sizes the budget.
+        exhausted = isinstance(error, ResourceExhausted)
+        slow = self.slow_query_ms is not None and (
+            exhausted if error is not None else record.wall_ms >= self.slow_query_ms
         )
+        if error is not None:
+            self.errors_total.inc(**{"class": type(error).__name__})
+        else:
+            kind = record.kind
+            self.queries_total.inc(kind=kind, strategy=record.strategy_label)
+            self.query_duration_ms.observe(record.wall_ms, kind=kind)
+            profile = record.profile
+            if profile is not None:
+                self.rows_returned_total.inc(record.rows)
+                for src, metric in self._profile_counters:
+                    amount = record.counters.get(src, 0)
+                    if amount:
+                        metric.inc(amount)
+                if profile.spans_dropped:
+                    self.spans_dropped_total.inc(profile.spans_dropped)
+            if slow:
+                self.slow_queries_total.inc()
+        ring = self.ring
+        entry = Entry(record, slow, exhausted)
+        # One lock over the statistics and the ring: reset_stats() can never
+        # fall between a flip's detection and its entry.
+        with ring.lock:
+            flip = None
+            if record.fingerprint is not None:
+                flip = self.statements.observe(record)
+                if flip is not None:
+                    entry.old_strategy, entry.old_plan_hash = flip
+            ring.add(entry)
+        if flip is not None:
+            self.plan_flips_total.inc()
+        if ring.sink is not None:
+            ring.write(entry.events(self.slow_query_ms))
 
-    def _observe_exhausted(self, record: StatementRecord) -> None:
-        """A query died on its memory budget: keep its *partial* profile.
-
-        The watcher was live when :class:`ResourceExhausted` fired, so the
-        record's profile holds everything up to the failing operator —
-        exactly the evidence needed to size a budget or fix the query.
-        The entry goes to the slow-query log (when configured) regardless
-        of the duration threshold: an OOM-averted query is always worth
-        keeping.
-        """
-        if self.slow_log is not None:
-            self._log_slow(record)
-        self.events.record(
-            **record.event("resource_exhausted", message=str(record.error))
-        )
+    def reset_stats(self) -> None:
+        """Discard the statement statistics and hide the flips so far from
+        :meth:`plan_flips`; the ring itself, like the metrics, keeps its
+        history."""
+        with self.ring.lock:
+            self.statements.reset()
+            self._reset_seq = self.ring.last_flip_seq
 
     # -- subsystem feeds -----------------------------------------------------
 
@@ -348,7 +327,7 @@ class Telemetry:
 
     def record_maintenance(self, event: str, view: str) -> None:
         self.matview_maintenance_total.inc(event=event, view=view)
-        self.events.record("matview_maintenance", op=event, view=view)
+        self.ring.record("matview_maintenance", op=event, view=view)
 
     def record_internal_query(self) -> None:
         """Count (only) an internal maintenance query; nothing else."""
@@ -366,9 +345,9 @@ class Telemetry:
             self.lint_diagnostics_total.inc(rule=diag.code)
             codes.append(diag.code)
         if codes:
-            self.events.record("lint", rules=codes)
+            self.ring.record("lint", rules=codes)
 
-    # -- export --------------------------------------------------------------
+    # -- projections of the ring ---------------------------------------------
 
     def metrics_text(self) -> str:
         return self.registry.render_prometheus()
@@ -376,8 +355,46 @@ class Telemetry:
     def snapshot(self) -> Dict[str, dict]:
         return self.registry.snapshot()
 
+    def events(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
+        """The newest ``n`` events (all when None or negative), oldest
+        first.  A statement's events are read off its one entry and share
+        its seq."""
+        threshold = self.slow_query_ms
+        out: List[Dict[str, Any]] = []
+        for entry in self.ring.entries():
+            if isinstance(entry, Entry):
+                out.extend(entry.events(threshold))
+            else:
+                out.append(entry)
+        return out if n is None or n < 0 else out[max(len(out) - n, 0):]
+
+    def statement_snapshot(self) -> tuple:
+        """``(statistics rows, statement entries, reset seq)`` from one
+        locked read; a flip with a seq over the reset seq always has its
+        statistics row, even while other sessions observe or reset."""
+        ring = self.ring
+        with ring.lock:
+            stats = self.statements.entries()
+            entries = [e for e in ring._entries if isinstance(e, Entry)]
+            return stats, entries, self._reset_seq
+
+    def plan_flips(self, after: Optional[int] = None) -> List[Dict[str, Any]]:
+        """The plan flips still in the ring, oldest first: those since the
+        last :meth:`reset_stats`, or those with a seq over ``after``."""
+        if after is None:
+            after = self._reset_seq
+        return [
+            e.flip()
+            for e in self.ring.entries()
+            if isinstance(e, Entry) and e.old_plan_hash is not None and e.seq > after
+        ]
+
     def slow_queries(self) -> List[Dict[str, Any]]:
-        return [] if self.slow_log is None else self.slow_log.entries()
+        """The newest slow entries, oldest first, each with its profile."""
+        ring = self.ring
+        return [e.slow_entry(self.slow_query_ms, p) for e, p in ring.held(ring.slow)]
 
     def export_traces(self) -> Dict[str, Any]:
-        return self.traces.export()
+        """The ``repro-trace-v1`` envelope of the retained traces."""
+        ring = self.ring
+        return trace_envelope(ring.held(ring.traced), ring.traces_dropped)

@@ -1,15 +1,22 @@
-"""The bounded ring every telemetry buffer is, and the two logs built on it.
+"""The statement ring: the one bounded buffer of what a Telemetry saw.
 
-Entries are plain dicts with a monotonically increasing ``seq`` and an
-ISO-8601 UTC ``ts``.  A :class:`Ring` is bounded so a long-lived Database
-cannot grow without limit; the event log, the slow-query log, the trace
-buffer and the plan-flip log are all instances of it.
+Every finished statement becomes one :class:`Entry` — its record's fields,
+not its result — and every other event (``session_open`` /
+``session_close``, ``matview_maintenance``, ``lint``) one plain dict, in one
+:class:`Ring` with one ``seq``, one lock and one capacity.  The event log,
+the slow-query log, the trace export, the plan flips and
+``repro_statements`` are projections of it, built when read: observing a
+statement flattens no span tree and builds no event dict.
 
-The event log adds an optional *sink* (any object with a ``write``
-method) that receives each event as one JSON line the moment it is
-recorded, which is how the log is tailed to a file.  The slow-query log
-is a smaller ring holding the full :meth:`QueryProfile.to_dict` of every
-query whose wall time met the configured threshold.
+A statement's events (``plan_flip``, its lifecycle event, ``slow_query`` /
+``resource_exhausted``) are read off its one entry, so they share that
+entry's ``seq``.  An entry keeps its frozen profile only while it is one of
+the newest :data:`PROFILE_CAPACITY` profiled successes (the traces) or one
+of the newest :data:`PROFILE_CAPACITY` slow entries (the slow log).
+
+An optional *sink* (any object with a ``write`` method) receives each event
+as one JSON line the moment it is recorded, which is how the log is tailed
+to a file.
 """
 
 from __future__ import annotations
@@ -21,103 +28,222 @@ from typing import Any, Dict, List, Optional
 
 from repro.telemetry.record import utc_now
 
-__all__ = ["Ring", "EventLog", "SlowQueryLog"]
+__all__ = ["Entry", "Ring", "RING_CAPACITY", "PROFILE_CAPACITY"]
 
-#: Ring sizes of one Telemetry.  No caller ever asked for another size.
-EVENT_CAPACITY = 1000
-SLOW_LOG_CAPACITY = 100
+#: Entries one Telemetry retains.  No caller ever asked for another size.
+RING_CAPACITY = 1000
+#: Profiles retained: of the newest profiled successes, and of the newest
+#: slow entries.
+PROFILE_CAPACITY = 100
+
+#: The :class:`~repro.telemetry.record.StatementRecord` fields an entry
+#: keeps as they are.
+_COPIED = (
+    "ts", "session", "traceparent", "kind", "fingerprint", "sql", "strategy",
+    "plan_hash", "outcome", "wall_ms", "rows", "phases",
+)
+
+
+class Entry:
+    """One finished statement: the fields of its record every projection
+    reads, without its result.  ``old_strategy`` / ``old_plan_hash`` are
+    set, as the entry joins the ring, when the statement flipped its
+    fingerprint's plan.  ``profile`` is None once no profile list of the
+    ring holds the entry (``holds`` counts them), and for a failed
+    statement that is not slow."""
+
+    __slots__ = _COPIED + (
+        "seq", "query", "summary", "error", "message", "spans_dropped",
+        "profile", "holds", "slow", "exhausted", "old_strategy", "old_plan_hash",
+    )
+
+    def __init__(self, record: Any, slow: bool, exhausted: bool):
+        for name in _COPIED:
+            setattr(self, name, getattr(record, name))
+        error, profile = record.error, record.profile
+        self.seq = self.holds = 0
+        self.query = record.query_text
+        self.summary = [
+            {
+                "view": getattr(r.view, "name", r.view),
+                "status": r.status,
+                "reason": r.reason,
+                "rule": r.rule,
+            }
+            for r in record.reports
+        ]
+        # None: the statement was not profiled.
+        self.spans_dropped = None if profile is None else profile.spans_dropped
+        self.slow = slow
+        self.exhausted = exhausted
+        if error is None:
+            self.error = self.message = None
+            self.profile = profile
+        else:
+            self.error, self.message = type(error).__name__, str(error)
+            # A failed statement's partial profile only feeds the slow log.
+            self.profile = profile if slow else None
+        self.old_strategy = self.old_plan_hash = None
+
+    # -- projections ---------------------------------------------------------
+
+    def as_row(self) -> tuple:
+        """One ``repro_statements`` row."""
+        return (
+            self.seq, self.ts, self.session or None, self.kind,
+            self.fingerprint, self.query, self.sql, self.strategy or "none",
+            self.plan_hash, self.old_strategy, self.old_plan_hash,
+            self.outcome, self.error, self.wall_ms, self.rows,
+            json.dumps(self.phases, sort_keys=True) if self.phases else None,
+        )
+
+    def flip(self) -> Dict[str, Any]:
+        """The plan flip this statement made (only when it made one)."""
+        return {
+            "seq": self.seq,
+            "ts": self.ts,
+            "fingerprint": self.fingerprint,
+            "query": self.query if self.query is not None else self.sql or "",
+            "old_strategy": self.old_strategy,
+            "new_strategy": self.strategy or "none",
+            "old_plan_hash": self.old_plan_hash,
+            "new_plan_hash": self.plan_hash,
+        }
+
+    def _event(self, event: str, **extra: Any) -> Dict[str, Any]:
+        """One event about this statement: the fields every statement event
+        carries, plus ``extra``.  ``ts`` is the record's, shared with the
+        journal line; ``duration_ms`` is ``wall_ms`` under the events'
+        documented name."""
+        fields: Dict[str, Any] = {
+            "seq": self.seq,
+            "ts": self.ts,
+            "event": event,
+            "kind": self.kind,
+            "fingerprint": self.fingerprint,
+            "strategy": self.strategy,
+            "outcome": self.outcome,
+            "duration_ms": round(self.wall_ms, 3),
+            "sql": self.sql,
+        }
+        if self.session:
+            fields["session"] = self.session
+        if self.traceparent:
+            # Slow, failed and cancelled statements correlate across
+            # sessions and services by the caller's trace context.
+            fields["traceparent"] = self.traceparent
+        fields.update(extra)
+        return fields
+
+    def events(self, threshold_ms: Optional[float]) -> List[Dict[str, Any]]:
+        """This statement's events, in the order they happened: its plan
+        flip, its lifecycle event — ``error`` for a failure, ``query`` for a
+        profiled query, ``statement`` for everything else (DDL, DML,
+        ``SHOW STATS``) — then ``slow_query`` or ``resource_exhausted``."""
+        out = []
+        if self.old_plan_hash is not None:
+            out.append({**self.flip(), "event": "plan_flip"})
+        if self.error is not None:
+            out.append(self._event("error", error_class=self.error, message=self.message))
+        elif self.spans_dropped is not None:
+            fields = self._event("query", rows=self.rows, phases=self.phases)
+            if self.summary:
+                fields["summary"] = self.summary
+            if self.spans_dropped:
+                fields["spans_dropped"] = self.spans_dropped
+            out.append(fields)
+        else:
+            out.append(self._event("statement", rowcount=self.rows))
+        if self.exhausted:
+            out.append(self._event("resource_exhausted", message=self.message))
+        elif self.slow:
+            out.append(self._event("slow_query", threshold_ms=threshold_ms))
+        return out
+
+    def slow_entry(self, threshold_ms: Optional[float], profile: Any) -> Dict[str, Any]:
+        """This statement as a slow-log entry, ``profile`` serialized."""
+        return {
+            "seq": self.seq,
+            "ts": self.ts,
+            "sql": self.sql,
+            "duration_ms": round(self.wall_ms, 3),
+            "threshold_ms": threshold_ms,
+            "profile": None if profile is None else profile.to_dict(),
+        }
 
 
 class Ring:
-    """Bounded ring buffer of ``seq``/``ts``-stamped dict entries."""
+    """The bounded ring of statement entries and other events.
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: deque = deque(maxlen=capacity)
+    ``seq`` is assigned under the ring's one :attr:`lock`, so concurrent
+    sessions never share a seq or tear a read.  ``last_flip_seq`` is the seq
+    of the newest entry that flipped a plan: a reader that remembers it can
+    tell whether any flip happened since without reading the ring.
+    """
+
+    def __init__(self, sink: Any = None):
+        self._entries: deque = deque(maxlen=RING_CAPACITY)
         self._seq = 0
-        #: Guards seq assignment + append so concurrent sessions cannot
-        #: interleave (two entries sharing a seq, or a torn tail() read).
-        self._lock = threading.Lock()
-        #: Entries that fell off the ring (observable data loss).
-        self.dropped = 0
-
-    def append(self, **fields: Any) -> Dict[str, Any]:
-        """Append one entry; returns the stored dict.  ``seq`` is assigned
-        here; ``ts`` is now unless ``fields`` brings the statement's own."""
-        with self._lock:
-            self._seq += 1
-            entry: Dict[str, Any] = {"seq": self._seq, "ts": None}
-            entry.update(fields)
-            if entry["ts"] is None:
-                entry["ts"] = utc_now()
-            if len(self._entries) == self.capacity:
-                self.dropped += 1
-            self._entries.append(entry)
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def tail(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
-        """The most recent ``n`` entries, oldest first (all when ``n`` None)."""
-        with self._lock:
-            entries = list(self._entries)
-        if n is not None and n >= 0:
-            entries = entries[-n:] if n else []
-        return entries
-
-    def clear(self) -> None:
-        """Discard the entries; ``seq`` keeps counting, so a reader's
-        watermark stays valid across the reset."""
-        with self._lock:
-            self._entries.clear()
-
-
-class EventLog(Ring):
-    """Bounded ring buffer of query-lifecycle events."""
-
-    def __init__(self, capacity: int = EVENT_CAPACITY, sink: Any = None):
-        super().__init__(capacity)
+        self.lock = threading.Lock()
         self.sink = sink
+        #: The newest slow entries and the newest profiled successes, oldest
+        #: first: the entries that keep their profile.  A slow entry stays
+        #: listed after it has left the ring.
+        self.slow: deque = deque()
+        self.traced: deque = deque()
+        #: Traces released to keep the bound.
+        self.traces_dropped = 0
+        self.last_flip_seq = 0
 
-    def record(self, event: str, **fields: Any) -> Dict[str, Any]:
-        """Append one event; returns the stored dict (with seq/ts added)."""
-        entry = self.append(event=event, **fields)
+    def add(self, entry: Entry) -> None:
+        """Append one statement entry; the caller holds :attr:`lock`."""
+        self._seq += 1
+        entry.seq = self._seq
+        self._entries.append(entry)
+        if entry.old_plan_hash is not None:
+            self.last_flip_seq = entry.seq
+        if entry.slow:
+            self._hold(self.slow, entry)
+        if entry.profile is not None and entry.outcome == "ok":
+            self.traces_dropped += self._hold(self.traced, entry)
+
+    @staticmethod
+    def _hold(newest: deque, entry: Entry) -> bool:
+        """List ``entry`` among ``newest``; True when that released the
+        oldest, whose profile goes once no list holds it."""
+        entry.holds += 1
+        newest.append(entry)
+        if len(newest) <= PROFILE_CAPACITY:
+            return False
+        old = newest.popleft()
+        old.holds -= 1
+        if not old.holds:
+            old.profile = None
+        return True
+
+    def record(self, event: str, **fields: Any) -> None:
+        """Append one non-statement event."""
+        entry: Dict[str, Any] = {"seq": 0, "ts": utc_now(), "event": event, **fields}
+        with self.lock:
+            self._seq += 1
+            entry["seq"] = self._seq
+            self._entries.append(entry)
+        self.write([entry])
+
+    def write(self, events: List[Dict[str, Any]]) -> None:
+        """Hand ``events`` to the sink, one JSON line each."""
         if self.sink is not None:
-            self.sink.write(json.dumps(entry, default=str) + "\n")
-        return entry
+            for event in events:
+                self.sink.write(json.dumps(event, default=str) + "\n")
 
-    def to_jsonl(self, n: Optional[int] = None) -> str:
-        """The tail rendered as JSON lines (one event per line)."""
-        return "\n".join(
-            json.dumps(event, default=str) for event in self.tail(n)
-        )
+    def entries(self) -> list:
+        """Every retained entry, oldest first."""
+        with self.lock:
+            return list(self._entries)
 
-
-class SlowQueryLog(Ring):
-    """Ring buffer of queries that exceeded the slow-query threshold."""
-
-    def __init__(self, threshold_ms: float, capacity: int = SLOW_LOG_CAPACITY):
-        super().__init__(capacity)
-        self.threshold_ms = float(threshold_ms)
-
-    def add(
-        self,
-        sql: Optional[str],
-        duration_ms: float,
-        profile: Optional[Dict[str, Any]],
-        ts: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        return self.append(
-            ts=ts,
-            sql=sql,
-            duration_ms=duration_ms,
-            threshold_ms=self.threshold_ms,
-            profile=profile,
-        )
-
-    def entries(self) -> List[Dict[str, Any]]:
-        """All retained entries, oldest first."""
-        return self.tail()
+    def held(self, newest: deque) -> List[tuple]:
+        """``(entry, its profile)`` for each of ``newest`` (:attr:`slow` or
+        :attr:`traced`), read under the lock: a newer entry may release a
+        profile."""
+        with self.lock:
+            return [(entry, entry.profile) for entry in newest]

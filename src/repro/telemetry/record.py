@@ -2,16 +2,17 @@
 
 ``Database._emit`` builds exactly one :class:`StatementRecord` per statement
 and hands it to every watcher — ``Telemetry.observe`` (metrics, statement
-statistics, events, slow log, traces) and ``JournalWriter.record``.  Nothing
+statistics and the statement ring) and ``JournalWriter.record``.  Nothing
 downstream re-reads the session or trace context, re-classifies the outcome,
 takes its own timestamp or trusts its own clock: a sink that reports a
 ``kind``, ``fingerprint``, ``strategy``, ``outcome``, ``rows`` or wall time
 reports *this* record's, so all of them agree.
 
-The event dicts (``query`` / ``statement`` / ``error`` / ``slow_query`` /
-``resource_exhausted``) are projections defined here, next to the fields
-they project; ``docs/OBSERVABILITY.md`` ("The statement record") lists
-which sink reads which field.
+The ring keeps the record's fields, not the record, as one
+:class:`~repro.telemetry.events.Entry`; the event dicts, slow-log entries,
+traces and ``repro_statements`` rows are projections of that entry.
+``docs/OBSERVABILITY.md`` ("The statement record") lists which sink reads
+which field.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ class StatementRecord:
     sink reports.
 
     ``result`` and ``profile`` are attachments, never serialized: the
-    journal digests the one, the slow log and the trace buffer keep the
-    other (the *partial* profile of a query that failed mid-execution).
+    journal digests the one, the statement ring keeps the other for the
+    slow log and the trace export (the *partial* profile of a query that
+    failed mid-execution).
     The last five fields are read off the others, here and nowhere else:
     ``outcome``; ``rows``, the result's row count (rows returned by a
     query, rows affected by DML), None on failure; the profile's ``phases``
@@ -132,57 +134,3 @@ class StatementRecord:
             ("strategy_label", self.strategy or "none"),
         ):
             object.__setattr__(self, name, value)  # the dataclass is frozen
-
-    def event(self, event: str, **extra: Any) -> Dict[str, Any]:
-        """One ``event`` about this statement: the fields every statement
-        event carries, plus ``extra``; ``EventLog.record(**...)`` takes it.
-
-        ``ts`` rides along so a statement's events and its journal line
-        share one timestamp; ``duration_ms`` is ``wall_ms`` under the
-        events' documented name.
-        """
-        fields: Dict[str, Any] = {
-            "event": event,
-            "ts": self.ts,
-            "kind": self.kind,
-            "fingerprint": self.fingerprint,
-            "strategy": self.strategy,
-            "outcome": self.outcome,
-            "duration_ms": round(self.wall_ms, 3),
-            "sql": self.sql,
-        }
-        if self.session:
-            fields["session"] = self.session
-        if self.traceparent:
-            # Slow, failed and cancelled statements correlate across
-            # sessions and services by the caller's trace context.
-            fields["traceparent"] = self.traceparent
-        fields.update(extra)
-        return fields
-
-    def lifecycle_event(self) -> Dict[str, Any]:
-        """The one event every statement gets: ``error`` for a failure,
-        ``query`` for a profiled query, ``statement`` for everything else
-        (DDL, DML, ``SHOW STATS``)."""
-        if self.error is not None:
-            return self.event(
-                "error",
-                error_class=type(self.error).__name__,
-                message=str(self.error),
-            )
-        if self.profile is None:
-            return self.event("statement", rowcount=self.rows)
-        fields = self.event("query", rows=self.rows, phases=self.phases)
-        if self.reports:
-            fields["summary"] = [
-                {
-                    "view": getattr(r.view, "name", r.view),
-                    "status": r.status,
-                    "reason": r.reason,
-                    "rule": r.rule,
-                }
-                for r in self.reports
-            ]
-        if self.profile.spans_dropped:
-            fields["spans_dropped"] = self.profile.spans_dropped
-        return fields

@@ -2,16 +2,16 @@
 
 The watcher's :class:`~repro.profile.tracer.Span` tree is flattened into
 a list of spans with ``trace_id`` / ``span_id`` / ``parent_span_id``
-links, the shape OpenTelemetry tooling expects.  IDs are deterministic
-counters rendered as fixed-width hex (16 hex chars for spans, 32 for
-traces) — there is no global collector to collide with, and determinism
-keeps the export testable.
+links, the shape OpenTelemetry tooling expects, when the traces are
+exported: over the statement-ring entries that still hold their profile.
+IDs are the entry's ring ``seq`` as fixed-width hex (16 hex chars for
+spans, 32 for traces): an entry exports the same ids every time.
 
 Span timestamps come from ``time.perf_counter_ns`` (a monotonic clock
 with an arbitrary epoch), so the export carries offsets relative to each
 trace's root span (``start_ns`` / ``end_ns`` from root start) rather than
 pretending to know wall-clock times; the wall-clock anchor is the
-``captured_at`` timestamp on the trace envelope.
+``captured_at`` timestamp on each trace.
 
 The envelope is versioned (``schema: repro-trace-v1``) like the bench
 snapshot and QueryProfile schemas.
@@ -19,105 +19,72 @@ snapshot and QueryProfile schemas.
 
 from __future__ import annotations
 
-import itertools
-import json
 from typing import Any, Dict, List, Optional
 
-from repro.telemetry.events import Ring
-
-__all__ = ["TraceBuffer", "TRACE_SCHEMA"]
+__all__ = ["TRACE_SCHEMA", "trace_envelope"]
 
 TRACE_SCHEMA = "repro-trace-v1"
 
-#: Traces one Telemetry retains.
-TRACE_CAPACITY = 100
 
+def _trace(entry: Any, profile: Any) -> Dict[str, Any]:
+    """One entry's span tree (``profile``'s), flattened.
 
-class TraceBuffer(Ring):
-    """Bounded ring of captured traces (one per profiled query)."""
+    When the statement carried a valid W3C ``traceparent``, the trace
+    adopts its trace id and parents the root span under the caller's span
+    id, so the export splices into the caller's distributed trace.
+    Malformed values are ignored (a local id is used instead), per the
+    Trace Context spec.
+    """
+    from repro.telemetry import parse_traceparent
 
-    def __init__(self, capacity: int = TRACE_CAPACITY):
-        super().__init__(capacity)
-        # next() on a count is atomic, so concurrent sessions capturing at
-        # once never share an id.
-        self._trace_ids = itertools.count(1)
-        self._span_ids = itertools.count(1)
+    parent = parse_traceparent(entry.traceparent)
+    seq = entry.seq
+    trace_id = f"{seq:032x}" if parent is None else parent[0]
+    root = profile.root_span
+    base_ns = root.start_ns
+    flat: List[Dict[str, Any]] = []
 
-    def capture(
-        self,
-        root_span: Any,
-        *,
-        sql: Optional[str] = None,
-        spans_dropped: int = 0,
-        traceparent: Optional[str] = None,
-        ts: Optional[str] = None,
-    ) -> str:
-        """Flatten one span tree into the buffer; returns the trace_id.
-
-        When a valid W3C ``traceparent`` is supplied, the captured trace
-        adopts its trace id and parents the root span under the caller's
-        span id, so the export splices into the caller's distributed
-        trace.  Malformed values are ignored (a deterministic local id is
-        minted instead), per the Trace Context spec.
-        """
-        from repro.telemetry import parse_traceparent
-
-        parent = parse_traceparent(traceparent)
-        trace_id = (
-            f"{next(self._trace_ids):032x}" if parent is None else parent[0]
-        )
-        remote_parent = None if parent is None else parent[1]
-        base_ns = root_span.start_ns
-        span_ids = self._span_ids
-        flat: List[Dict[str, Any]] = []
-
-        def visit(span: Any, parent_id: Optional[str]) -> None:
-            span_id = f"{next(span_ids):016x}"
-            # An unclosed span keeps end_ns == 0; export zero duration.
-            end_ns = span.end_ns if span.end_ns else span.start_ns
-            entry: Dict[str, Any] = {
-                "trace_id": trace_id,
-                "span_id": span_id,
-                "parent_span_id": parent_id,
-                "name": span.name,
-                "kind": span.kind,
-                "start_ns": span.start_ns - base_ns,
-                "end_ns": end_ns - base_ns,
-                "duration_ms": span.duration_ms,
-            }
-            if span.meta:
-                entry["attributes"] = dict(span.meta)
-            flat.append(entry)
-            for child in span.children:
-                visit(child, span_id)
-
-        visit(root_span, remote_parent)
-        trace = {
+    def visit(span: Any, parent_id: Optional[str]) -> None:
+        span_id = f"{seq:08x}{len(flat) + 1:08x}"
+        # An unclosed span keeps end_ns == 0; export zero duration.
+        end_ns = span.end_ns if span.end_ns else span.start_ns
+        fields: Dict[str, Any] = {
             "trace_id": trace_id,
-            "sql": sql,
-            "spans_dropped": spans_dropped,
-            "spans": flat,
+            "span_id": span_id,
+            "parent_span_id": parent_id,
+            "name": span.name,
+            "kind": span.kind,
+            "start_ns": span.start_ns - base_ns,
+            "end_ns": end_ns - base_ns,
+            "duration_ms": span.duration_ms,
         }
-        if parent is not None:
-            trace["traceparent"] = traceparent
-        self.append(ts=ts, **trace)
-        return trace_id
+        if span.meta:
+            fields["attributes"] = dict(span.meta)
+        flat.append(fields)
+        for child in span.children:
+            visit(child, span_id)
 
-    def export(self) -> Dict[str, Any]:
-        """The versioned envelope holding every retained trace.  The ring's
-        ``ts`` is the envelope's ``captured_at``; its ``seq`` is not part of
-        ``repro-trace-v1``."""
-        traces = []
-        for entry in self.tail():
-            trace = dict(entry, captured_at=entry["ts"])
-            del trace["seq"], trace["ts"]
-            traces.append(trace)
-        return {
-            "schema": TRACE_SCHEMA,
-            "trace_count": len(traces),
-            "traces_dropped": self.dropped,
-            "traces": traces,
-        }
+    visit(root, None if parent is None else parent[1])
+    trace = {
+        "trace_id": trace_id,
+        "sql": entry.sql,
+        "spans_dropped": entry.spans_dropped,
+        "spans": flat,
+    }
+    if parent is not None:
+        trace["traceparent"] = entry.traceparent
+    trace["captured_at"] = entry.ts
+    return trace
 
-    def export_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.export(), indent=indent, default=str)
+
+def trace_envelope(traced: List[tuple] = (), dropped: int = 0) -> Dict[str, Any]:
+    """The versioned envelope holding the traces of ``traced``, ``(ring
+    entry, its profile)`` pairs; ``dropped`` counts the traces released to
+    keep the bound."""
+    traces = [_trace(entry, profile) for entry, profile in traced]
+    return {
+        "schema": TRACE_SCHEMA,
+        "trace_count": len(traces),
+        "traces_dropped": dropped,
+        "traces": traces,
+    }

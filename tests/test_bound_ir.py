@@ -9,6 +9,7 @@ from __future__ import annotations
 import ast as pyast
 import copy
 import dataclasses
+import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -675,3 +676,139 @@ def test_lint_binds_each_statement_once(monkeypatch):
         before = len(made)
         tpch.lint(sql)
         assert len(made) - before == 1, name
+
+
+# -- one statement ring: the four rings and the three tables are not back ----------
+
+#: What the statement ring replaced: the slow-query ring, the per-fingerprint
+#: row the per-strategy rows were a breakdown of, the flip ring's columns, the
+#: trace ring, and the three system tables now read off ``repro_statements`` /
+#: ``repro_stat_statements``.
+FOUR_RINGS = re.compile(
+    r"\b(SlowQueryLog|StatementEntry|FLIP_COLUMNS|TraceBuffer|_log_slow"
+    r"|repro_slow_queries|repro_plan_flips|repro_strategy_stats)\b"
+)
+
+
+def test_the_four_rings_are_not_back():
+    left = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if FOUR_RINGS.search(line)
+    ]
+    assert left == []
+    from repro import Database, telemetry
+    from repro.introspect import SYSTEM_TABLE_NAMES
+    from repro.telemetry.events import Ring
+
+    # No trace is captured while a statement is observed.
+    defined = [
+        node.name
+        for path in sorted((SRC / "telemetry").glob("*.py"))
+        for node in pyast.walk(pyast.parse(path.read_text()))
+        if isinstance(node, pyast.FunctionDef)
+    ]
+    assert "capture" not in defined
+    assert len(SYSTEM_TABLE_NAMES) == 10 and "repro_statements" in SYSTEM_TABLE_NAMES
+    tele = Database(telemetry=True).telemetry
+    rings = [v for v in vars(tele).values() if isinstance(v, Ring)]
+    assert rings == [tele.ring]
+    assert not [
+        name for name, v in vars(telemetry).items() if isinstance(v, type)
+        and issubclass(v, Ring) and v is not Ring
+    ]
+
+
+def _profiled_database(**options):
+    from repro import Database
+
+    db = Database(telemetry=True, **options)
+    db.execute("CREATE TABLE t (g VARCHAR, x INTEGER)")
+    db.execute("INSERT INTO t VALUES ('a', 1), ('b', 2), ('a', 3)")
+    return db
+
+
+def test_observing_builds_no_event_and_flattens_no_trace(monkeypatch):
+    """Events and traces are projections of the ring, built when read."""
+    from repro.errors import SqlError
+    from repro.telemetry import events, traces
+
+    built = []
+    for owner, name in (
+        (events.Entry, "_event"),
+        (events.Entry, "events"),
+        (events.Entry, "flip"),
+        (events.Entry, "slow_entry"),
+        (traces, "_trace"),
+    ):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner,
+            name,
+            lambda *a, _real=real, _name=name, **k: built.append(_name) or _real(*a, **k),
+        )
+    db = _profiled_database(slow_query_ms=0.0)
+    for i in range(200):
+        try:
+            db.execute(
+                f"SELECT g, SUM(x) FROM t WHERE x > {i % 3} GROUP BY g"
+                if i % 10 else "SELECT nope FROM t"
+            )
+        except SqlError:
+            pass
+    assert built == []
+    assert db.telemetry.ring.traced and db.telemetry.ring.slow
+    assert db.export_traces() and db.slow_queries() and db.events()
+    assert {"_trace", "slow_entry", "events", "_event"} <= set(built)
+
+
+def _holding(ring) -> list:
+    from repro.telemetry.events import Entry
+
+    held = {id(e): e for e in [*ring.entries(), *ring.slow] if isinstance(e, Entry)}
+    return sorted(e.seq for e in held.values() if e.profile is not None)
+
+
+def test_at_most_two_hundred_profiles_are_held():
+    from repro.telemetry.events import PROFILE_CAPACITY, RING_CAPACITY
+
+    db = _profiled_database()
+    tele = db.telemetry
+    # Every statement slow, then none: the newest slow entries and the
+    # newest traces are two disjoint sets of PROFILE_CAPACITY each.
+    tele.slow_query_ms = 0.0
+    for i in range(2400):
+        db.execute(f"SELECT SUM(x) FROM t WHERE x > {i % 3}")
+    tele.slow_query_ms = 1e12
+    for i in range(100):
+        db.execute(f"SELECT SUM(x) FROM t WHERE x > {i % 3}")
+    assert PROFILE_CAPACITY == 100 and RING_CAPACITY == 1000
+    last = tele.ring.entries()[-1].seq
+    held = _holding(tele.ring)
+    assert len(held) == 2 * PROFILE_CAPACITY
+    assert held == list(range(last - 199, last + 1))
+    export = json.loads(db.export_traces())
+    assert export["trace_count"] == PROFILE_CAPACITY
+    assert export["traces_dropped"] == 2500 - PROFILE_CAPACITY
+
+
+def test_the_newest_slow_entries_keep_their_profile():
+    from repro.telemetry.events import PROFILE_CAPACITY
+
+    db = _profiled_database()
+    tele = db.telemetry
+    # Slow entries interleaved with fast ones, and more fast ones after:
+    # the slow entries fall out of the traces but stay in the slow log.
+    for i in range(600):
+        tele.slow_query_ms = 0.0 if i % 3 == 0 else 1e12
+        db.execute(f"SELECT SUM(x) FROM t WHERE x > {i % 3}")
+    tele.slow_query_ms = 1e12
+    for i in range(300):
+        db.execute("SELECT COUNT(*) FROM t")
+    slow = db.slow_queries()
+    assert len(slow) == PROFILE_CAPACITY
+    assert all(entry["profile"] is not None for entry in slow)
+    seqs = [entry["seq"] for entry in slow]
+    assert seqs == sorted(seqs)
+    assert len(_holding(tele.ring)) == 2 * PROFILE_CAPACITY

@@ -16,8 +16,7 @@ from repro.api import Database
 from repro.server import SessionManager
 from repro.storage.locks import RWLock
 from repro.result import Result
-from repro.telemetry import EventLog, MetricsRegistry, StatementRecord
-from repro.introspect.statements import StatementStatsStore
+from repro.telemetry import MetricsRegistry, StatementRecord, Telemetry
 
 
 def _run_threads(count, target):
@@ -62,21 +61,26 @@ class TestStoreThreadSafety:
         assert hist.count() == self.THREADS * self.OPS
 
     def test_event_log_seqs_unique_under_contention(self):
-        log = EventLog(capacity=self.THREADS * self.OPS + 1)
+        tele = Telemetry()
+        record = StatementRecord(kind="select", sql="SELECT 1", result=Result())
 
         def work(i):
             for n in range(self.OPS):
-                log.record("tick", worker=i, n=n)
+                if n % 2:
+                    tele.ring.record("tick", worker=i, n=n)
+                else:
+                    tele.observe(record)
 
         _run_threads(self.THREADS, work)
-        events = log.tail()
-        assert len(events) == self.THREADS * self.OPS
+        events = tele.events()
+        assert len(events) == min(1000, self.THREADS * self.OPS)
         seqs = [e["seq"] for e in events]
         assert len(set(seqs)) == len(seqs)
         assert seqs == sorted(seqs)
+        assert seqs[-1] == self.THREADS * self.OPS
 
     def test_statement_stats_calls_are_exact(self):
-        store = StatementStatsStore()
+        tele = Telemetry()
         record = StatementRecord(
             fingerprint="fp1",
             query_text="SELECT ?",
@@ -86,10 +90,10 @@ class TestStoreThreadSafety:
 
         def work(i):
             for _ in range(self.OPS):
-                store.observe(record)
+                tele.observe(record)
 
         _run_threads(self.THREADS, work)
-        (entry,) = store.entries()
+        (entry,) = tele.statements.entries()
         assert entry.calls == self.THREADS * self.OPS
         assert entry.rows_returned == 2 * self.THREADS * self.OPS
 
@@ -111,18 +115,18 @@ def planned_record(strategy: str, plan_hash: str) -> StatementRecord:
 
 class TestAtomicReset:
     def test_reset_clears_entries_and_flips_together(self):
-        store = StatementStatsStore()
-        store.observe(planned_record("interpreter", "a"))
-        store.observe(planned_record("summary", "b"))
-        assert len(store.flips()) == 1
-        store.reset()
-        assert store.entries() == []
-        assert store.flips() == []
+        tele = Telemetry()
+        tele.observe(planned_record("interpreter", "a"))
+        tele.observe(planned_record("summary", "b"))
+        assert len(tele.plan_flips()) == 1
+        tele.reset_stats()
+        assert tele.statements.entries() == []
+        assert tele.plan_flips() == []
 
     def test_snapshot_never_shows_flip_without_entry(self):
         """Concurrent observe+reset: any snapshot that contains a flip must
         also contain that flip's statistics entry."""
-        store = StatementStatsStore()
+        tele = Telemetry()
         stop = threading.Event()
         violations = []
 
@@ -130,21 +134,22 @@ class TestAtomicReset:
             toggle = 0
             while not stop.is_set():
                 toggle ^= 1
-                store.observe(
+                tele.observe(
                     planned_record("interpreter", "a" if toggle else "b")
                 )
 
         def resetter():
             for _ in range(300):
-                store.reset()
+                tele.reset_stats()
 
         def checker():
             while not stop.is_set():
-                entries, flips, _strategies = store.snapshot()
-                fingerprints = {e.fingerprint for e in entries}
-                for flip in flips:
-                    if flip["fingerprint"] not in fingerprints:
-                        violations.append(flip)
+                stats, entries, since = tele.statement_snapshot()
+                fingerprints = {s.fingerprint for s in stats}
+                for entry in entries:
+                    flipped = entry.old_plan_hash is not None and entry.seq > since
+                    if flipped and entry.fingerprint not in fingerprints:
+                        violations.append(entry)
 
         threads = [
             threading.Thread(target=flipper),
@@ -162,9 +167,8 @@ class TestAtomicReset:
         db = Database(telemetry=True)
         db.execute("CREATE TABLE t (x INTEGER)")
         db.execute("INSERT INTO t VALUES (1), (2)")
-        store = db.telemetry.statements
-        store.observe(planned_record("interpreter", "a"))
-        store.observe(planned_record("summary", "b"))
+        db.telemetry.observe(planned_record("interpreter", "a"))
+        db.telemetry.observe(planned_record("summary", "b"))
         assert db.plan_flips()
         db.reset_stats()
         assert db.stat_statements() == []

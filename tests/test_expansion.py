@@ -455,6 +455,42 @@ def test_the_shapes_the_second_binder_got_wrong(listings_db):
     assert ("Happy", "Alice", 13) in rows and ("Happy", "Alice", 6) not in rows
 
 
+#: A CTE whose name is a catalog table, and the same CTE renamed by hand.
+SHADOW = "WITH {cte} AS (SELECT 'z' AS prodName, 'q' AS custName, 100 AS revenue) "
+SHADOWED_VIEW_QUERIES = {
+    # The view's table shadowed: the view still reads the catalog's Orders.
+    "view-only": "SELECT prodName, AGGREGATE(r) FROM EO GROUP BY prodName",
+    # And the CTE read beside the view, under its own name.
+    "view-and-cte": (
+        "SELECT o.prodName, AGGREGATE(e.r), COUNT(*) FROM EO AS e "
+        "JOIN {cte} AS o ON o.prodName <> e.prodName GROUP BY o.prodName"
+    ),
+    "cte-qualified": (
+        "SELECT {cte}.prodName, AGGREGATE(r) FROM EO JOIN {cte} "
+        "ON {cte}.prodName <> EO.prodName GROUP BY {cte}.prodName"
+    ),
+}
+
+
+@pytest.mark.parametrize("shadowed", [True, False])
+@pytest.mark.parametrize("name", sorted(SHADOWED_VIEW_QUERIES))
+def test_a_view_binds_in_the_catalogs_scope(paper_db, shadowed, name):
+    """A view is a catalog object: a CTE of the statement naming it never
+    replaces a table the view reads, in the interpreter or in the expansion."""
+    paper_db.execute(
+        "CREATE VIEW EO AS SELECT prodName, SUM(revenue) AS MEASURE r FROM Orders"
+    )
+    query = SHADOWED_VIEW_QUERIES[name]
+    cte = "Orders" if shadowed else "Lone"
+    sql = (SHADOW + query).format(cte=cte)
+    by_hand = (SHADOW + query).format(cte="Renamed")
+    interpreted = sorted(paper_db.execute(sql).rows)
+    assert interpreted == sorted(paper_db.execute(paper_db.expand(sql)).rows)
+    assert interpreted == sorted(paper_db.execute(by_hand).rows)
+    if name == "view-only":
+        assert interpreted == [("Acme", 5), ("Happy", 17), ("Whizz", 3)]
+
+
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_what_the_expansion_cannot_print_is_refused_by_name(listings_db, name):
     sql, construct = REFUSED[name]

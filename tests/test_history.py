@@ -318,7 +318,7 @@ class TestStrategyReplay:
         assert report.clean and report.errors_reproduced == 1
 
     def test_strategy_stats_accumulate_distinct_rows(self, tmp_path):
-        """One listing under four strategies -> four repro_strategy_stats
+        """One listing under four strategies -> four repro_stat_statements
         rows for one fingerprint, each with its own timing history."""
         from repro.workloads.listings import LISTINGS
 
@@ -328,13 +328,13 @@ class TestStrategyReplay:
             db.execute_with_strategy(sql, strategy=strategy)
             db.execute_with_strategy(sql, strategy=strategy)
         rows = db.execute(
-            "SELECT strategy, calls FROM repro_strategy_stats "
+            "SELECT strategy, calls FROM repro_stat_statements "
             "ORDER BY strategy"
         ).rows
         by_strategy = {s: c for s, c in rows}
         for strategy in self.STRATEGIES:
             assert by_strategy[strategy] == 2
-        stats = db.strategy_stats()
+        stats = db.stat_statements()
         fingerprints = {e["fingerprint"] for e in stats if e["strategy"] in self.STRATEGIES}
         assert len(fingerprints) == 1  # same statement, four strategies
         for entry in stats:

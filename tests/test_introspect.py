@@ -10,8 +10,8 @@ Covers the introspection subsystem end to end:
 * statistics accounting — calls/durations/rows/errors per fingerprint,
   introspection exclusion, ``reset_stats``;
 * plan-flip detection — a strategy change for a repeated fingerprint
-  produces exactly one ``repro_plan_flips`` row, one ``plan_flips_total``
-  increment, and one ``plan_flip`` event;
+  produces exactly one ``repro_statements`` row with an ``old_plan_hash``,
+  one ``plan_flips_total`` increment, and one ``plan_flip`` event;
 * the acceptance query — a measure defined over ``repro_stat_statements``
   queried with ``AGGREGATE``.
 """
@@ -166,7 +166,7 @@ def test_repro_tables_lists_catalog_and_system_objects(db):
 def test_telemetry_off_tables_are_empty_not_errors(db):
     assert db.execute("SELECT * FROM repro_stat_statements").rows == []
     assert db.execute("SELECT * FROM repro_metrics").rows == []
-    assert db.execute("SELECT * FROM repro_plan_flips").rows == []
+    assert db.execute("SELECT * FROM repro_statements").rows == []
     assert db.stat_statements() == []
     assert db.plan_flips() == []
 
@@ -291,7 +291,8 @@ def test_strategy_change_produces_exactly_one_flip():
     assert [e for e in db.events() if e["event"] == "plan_flip"]
 
     rows = db.execute(
-        "SELECT fingerprint, old_strategy, new_strategy FROM repro_plan_flips"
+        "SELECT fingerprint, old_strategy, strategy FROM repro_statements "
+        "WHERE old_plan_hash IS NOT NULL"
     ).rows
     assert len(rows) == 1
     assert rows[0][1:] == ("interpreter", "summary")
@@ -319,21 +320,19 @@ def test_ddl_rerun_does_not_flip_or_clear_hash():
 def test_explain_shape_matches_plan_shape_helper():
     db = tele_db()
     db.execute("SELECT g, SUM(v) FROM t GROUP BY g")
-    entry = next(
-        e
-        for e in db.stat_statements()
-        if e["query"].startswith("SELECT g, SUM")
-    )
-    assert entry["last_plan_hash"] is not None
-    assert entry["last_strategy"] == "interpreter"
+    ((strategy, last_plan_hash),) = db.execute(
+        "SELECT strategy, plan_hash FROM repro_statements "
+        "WHERE query LIKE 'SELECT g, SUM%'"
+    ).rows
+    assert last_plan_hash is not None
+    assert strategy == "interpreter"
     # The hash is reproducible from the components the helper exposes.
     from repro.sql import parse_query
 
     planned = db.plan_query(parse_query("SELECT g, SUM(v) FROM t GROUP BY g"))
     assert planned.plan_shape == plan_shape(planned.plan)
     assert (
-        plan_hash(planned.strategy, planned.plan_shape)
-        == entry["last_plan_hash"]
+        plan_hash(planned.strategy, planned.plan_shape) == last_plan_hash
     )
 
 
@@ -354,9 +353,123 @@ def test_measure_over_stat_statements():
         "SELECT fingerprint, AGGREGATE(total_ms) FROM stats_view "
         "GROUP BY fingerprint"
     ).rows
-    expected = {
-        e["fingerprint"]: e["total_wall_ms"] for e in db.stat_statements()
-    }
+    expected: dict = {}
+    for e in db.stat_statements():
+        fingerprint = e["fingerprint"]
+        expected[fingerprint] = expected.get(fingerprint, 0.0) + e["total_wall_ms"]
     assert len(rows) == len(expected)
     for fingerprint, total_ms in rows:
         assert total_ms == pytest.approx(expected[fingerprint])
+
+
+# -- the facts of the folded tables, one SQL query each -------------------------
+
+#: The keys ``export_traces()`` had before the traces became a projection of
+#: the statement ring: envelope, trace and span.
+TRACE_KEYS = (
+    {"schema", "trace_count", "traces_dropped", "traces"},
+    {"trace_id", "sql", "spans_dropped", "spans", "captured_at"},
+    {"trace_id", "span_id", "parent_span_id", "name", "kind", "start_ns",
+     "end_ns", "duration_ms"},
+)
+
+
+def facts_db(threshold_ms: float):
+    """A database that ran two strategies, failed, flipped and was slow."""
+    db = tele_db(slow_query_ms=threshold_ms)
+    flipping = "SELECT g, SUM(v) FROM t GROUP BY g"
+    for sql in ("SELECT * FROM t WHERE v > 5", "SELECT * FROM t WHERE v > 25"):
+        db.execute(sql)
+    db.execute(flipping)
+    db.execute(
+        "CREATE MATERIALIZED VIEW sums AS "
+        "SELECT g, k, SUM(v) AS s FROM t GROUP BY g, k"
+    )
+    db.execute(flipping)  # answered from the summary: a flip
+    for _ in range(2):
+        with pytest.raises(SqlError):
+            db.execute("SELECT nope FROM t")
+    db.execute("CREATE VIEW mv AS SELECT g, SUM(v) AS MEASURE m FROM t")
+    measure = "SELECT g, AGGREGATE(m) FROM mv GROUP BY g"
+    db.execute(measure)
+    db.execute_with_strategy(measure, strategy="auto")
+    db.execute_with_strategy(measure, strategy="subquery")
+    return db
+
+
+def test_each_folded_fact_is_one_query():
+    db = facts_db(threshold_ms=0.2)
+    statements = db.execute(
+        "SELECT fingerprint, strategy, outcome, wall_ms, rows_returned, seq "
+        "FROM repro_statements WHERE fingerprint IS NOT NULL"
+    ).rows
+    # Per fingerprint: calls, total / mean / min / max wall ms, rows, errors.
+    per_fingerprint = db.execute(
+        "SELECT fingerprint, SUM(calls), SUM(total_wall_ms), "
+        "SUM(total_wall_ms) / SUM(calls), MIN(min_wall_ms), MAX(max_wall_ms), "
+        "SUM(rows_returned), SUM(errors) FROM repro_stat_statements "
+        "GROUP BY fingerprint HAVING SUM(calls) > 0"
+    ).rows
+    assert len(per_fingerprint) == 7  # 3 DDL, 1 DML, 3 queries
+    for fingerprint, calls, total, mean, low, high, rows, errors in per_fingerprint:
+        ok = [s for s in statements if s[0] == fingerprint and s[2] == "ok"]
+        walls = [s[3] for s in ok]
+        assert calls == len(ok) and errors == 0
+        assert total == pytest.approx(sum(walls))
+        assert mean == pytest.approx(sum(walls) / len(walls))
+        assert (low, high) == (min(walls), max(walls))
+        assert rows == sum(s[4] for s in ok)
+    ((failed_calls, errors),) = db.execute(
+        "SELECT SUM(calls), SUM(errors) FROM repro_stat_statements "
+        "WHERE strategy = 'none' AND fingerprint IN "
+        "(SELECT fingerprint FROM repro_statements WHERE outcome = 'error')"
+    ).rows
+    assert (failed_calls, errors) == (0, 2)
+    # The last strategy: the newest successful repro_statements row.
+    last = dict(
+        db.execute(
+            "SELECT s.fingerprint, s.strategy FROM repro_statements AS s "
+            "WHERE s.outcome = 'ok' AND s.seq = (SELECT MAX(n.seq) "
+            "FROM repro_statements AS n WHERE n.fingerprint = s.fingerprint "
+            "AND n.outcome = 'ok')"
+        ).rows
+    )
+    assert last[fp("SELECT g, SUM(v) FROM t GROUP BY g")] == "summary"
+    assert last[fp("SELECT g, AGGREGATE(m) FROM mv GROUP BY g")] == "subquery"
+    # Flips.
+    flips = db.execute(
+        "SELECT seq, ts, fingerprint, query, old_strategy, strategy, "
+        "old_plan_hash, plan_hash FROM repro_statements "
+        "WHERE old_plan_hash IS NOT NULL"
+    ).rows
+    assert [tuple(f.values()) for f in db.plan_flips()] == flips
+    assert len(flips) == 1 and flips[0][4:6] == ("interpreter", "summary")
+    # Slow queries.
+    slow = db.execute(
+        "SELECT seq, ts, sql, ROUND(wall_ms, 3) FROM repro_statements "
+        "WHERE outcome = 'ok' AND wall_ms >= ?",
+        (db.telemetry.slow_query_ms,),
+    ).rows
+    assert slow and slow == [
+        (e["seq"], e["ts"], e["sql"], e["duration_ms"]) for e in db.slow_queries()
+    ]
+
+
+def test_reset_keeps_the_ring_and_traces_keep_their_keys():
+    import json
+
+    db = facts_db(threshold_ms=0.0)
+    before = db.execute("SELECT COUNT(*) FROM repro_statements").rows
+    db.reset_stats()
+    assert db.stat_statements() == [] and db.plan_flips() == []
+    assert db.execute("SELECT COUNT(*) FROM repro_statements").rows == before
+    export = json.loads(db.export_traces(indent=2))
+    envelope, trace, span = TRACE_KEYS
+    assert set(export) == envelope and export["trace_count"] > 0
+    for t in export["traces"]:
+        assert set(t) == trace
+        for s in t["spans"]:
+            assert set(s) - {"attributes"} == span
+    assert json.loads(Database().export_traces()) == {
+        "schema": "repro-trace-v1", "trace_count": 0, "traces_dropped": 0, "traces": [],
+    }

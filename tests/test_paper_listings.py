@@ -530,8 +530,11 @@ def test_every_listing_acquires_exactly_one_fingerprint_row():
     entries = db.stat_statements()
     assert len(entries) == len(ALL_LISTINGS)
     assert len({e["fingerprint"] for e in entries}) == len(ALL_LISTINGS)
+    plan_hashes = dict(
+        db.execute("SELECT fingerprint, plan_hash FROM repro_statements").rows
+    )
     for entry in entries:
         assert entry["calls"] == 2
         assert entry["errors"] == 0
-        assert entry["last_plan_hash"] is not None
+        assert plan_hashes[entry["fingerprint"]] is not None
     assert db.plan_flips() == []

@@ -5,9 +5,9 @@ and one parse error — goes through ``Database.execute``,
 ``Database.execute_script``, ``Session.execute`` and ``Session.prepare`` /
 ``execute_prepared``, each on its own database with telemetry and the
 flight recorder attached.  The journals must agree entry by entry and the
-per-fingerprint statistics row by row.  (The journal's ``sql`` field is the
-caller's text on some paths and the canonical text on others; it is not
-compared.)
+per-(fingerprint, strategy) statistics row by row.  (The journal's ``sql``
+field is the caller's text on some paths and the canonical text on others;
+it is not compared.)
 
 Within one database every sink reads the same ``StatementRecord``: a
 statement's journal entry and its lifecycle event carry the same numbers,
@@ -107,7 +107,7 @@ def record(name: str, tmp_path):
         for e in entries
     ]
     stats = sorted(
-        (s["fingerprint"], s["calls"], s["errors"], s["last_strategy"])
+        (s["fingerprint"], s["strategy"], s["calls"], s["errors"])
         for s in db.stat_statements()
     )
     return path, journal, stats, list(zip(entries, lifecycle))
@@ -133,7 +133,7 @@ def test_reference_journal_has_every_statement(recordings):
     # Listings 4/5 and 10/11 are different statements: 15 + the DML + the
     # bind error, which has a fingerprint; the parse error has none.
     assert len(stats) == 17
-    assert sum(errors for _, _, errors, _ in stats) == 1
+    assert sum(errors for *_, errors in stats) == 1
 
 
 @pytest.mark.parametrize("name", ["execute_script", "session", "prepared"])

@@ -150,7 +150,7 @@ introspection_strategy = st.sampled_from(
         "SELECT fingerprint, calls FROM repro_stat_statements WHERE calls > 0",
         "SELECT * FROM repro_metrics",
         "SELECT metric, value FROM repro_metrics WHERE value > 1",
-        "SELECT * FROM repro_plan_flips",
+        "SELECT * FROM repro_statements WHERE old_plan_hash IS NOT NULL",
         "SELECT name, kind FROM repro_tables",
         "SELECT COUNT(*) FROM repro_events",
     ]
@@ -229,7 +229,7 @@ def test_stat_statements_consistent_with_metrics(rows, workload):
     # Row-returning queries feed rows_returned_total; DML rowcounts are
     # accounted only in the stats (strategy "none" entries).
     query_rows = sum(
-        e["rows_returned"] for e in entries if e["last_strategy"] != "none"
+        e["rows_returned"] for e in entries if e["strategy"] != "none"
     )
     assert query_rows == counter_total("rows_returned_total")
 

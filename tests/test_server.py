@@ -313,7 +313,7 @@ class TestPlanCacheInvalidation:
         fingerprint = row[0]
         # Simulate a plan flip for that fingerprint (as EXPLAIN/summary
         # strategy changes would record it).
-        db.telemetry.statements.observe(
+        db.telemetry.observe(
             StatementRecord(
                 fingerprint=fingerprint,
                 query_text="q",
@@ -331,6 +331,37 @@ class TestPlanCacheInvalidation:
         assert (
             db.telemetry.plan_cache_evictions_total.value(reason="flip") >= 1
         )
+
+    def test_served_reads_walk_the_ring_only_after_a_flip(self, monkeypatch):
+        """A served read compares one integer, the ring's last flip seq,
+        with the manager's watermark; the ring is walked once per flip."""
+        db, manager = self._manager()
+        session = manager.open_session()
+        ring, cache = db.telemetry.ring, manager.plan_cache
+        walks, evicted = [], []
+        entries, evict = ring.entries, cache.evict_fingerprint
+        monkeypatch.setattr(ring, "entries", lambda: walks.append(1) or entries())
+        monkeypatch.setattr(
+            cache,
+            "evict_fingerprint",
+            lambda fp, reason: evicted.append(fp) or evict(fp, reason),
+        )
+        for _ in range(5):
+            session.execute("SELECT SUM(x) FROM t")
+        assert walks == [] and evicted == []
+        ((fingerprint, *_),) = cache.rows()
+        # A summary the read can use: its next cold plan flips the
+        # fingerprint from the interpreter to the summary.
+        session.execute(
+            "CREATE MATERIALIZED VIEW sums AS "
+            "SELECT x, SUM(x) AS sx FROM t GROUP BY x"
+        )
+        for _ in range(5):
+            session.execute("SELECT SUM(x) FROM t")
+        (flip,) = db.plan_flips()
+        assert flip["new_strategy"] == "summary"
+        assert walks == [1, 1]  # the one walk, then plan_flips() above
+        assert evicted == [fingerprint]
 
     def test_lru_eviction_at_capacity(self):
         db, manager = self._manager(capacity=2)

@@ -16,14 +16,12 @@ from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
 from repro.telemetry import (
     TRACE_SCHEMA,
-    EventLog,
     MetricsRegistry,
-    SlowQueryLog,
     StatementRecord,
     Telemetry,
-    TraceBuffer,
     statement_kind,
 )
+from repro.telemetry.events import PROFILE_CAPACITY, RING_CAPACITY
 
 ORDERS = [
     ("A", "x", 10),
@@ -160,40 +158,41 @@ def test_registry_rows_flatten_histograms():
 
 
 def test_event_log_seq_ts_and_ring():
-    log = EventLog(capacity=3)
-    for i in range(5):
-        log.record("query", i=i)
-    assert len(log) == 3
-    assert log.dropped == 2
-    events = log.tail()
-    assert [e["i"] for e in events] == [2, 3, 4]
-    assert [e["seq"] for e in events] == [3, 4, 5]
-    assert all("ts" in e and e["event"] == "query" for e in events)
-    assert [e["i"] for e in log.tail(2)] == [3, 4]
-    for line in log.to_jsonl().splitlines():
-        json.loads(line)
+    tele = Telemetry()
+    for i in range(RING_CAPACITY + 2):
+        tele.ring.record("tick", i=i)
+    assert len(tele.ring.entries()) == RING_CAPACITY
+    events = tele.events()
+    assert [e["i"] for e in events[:2]] == [2, 3]
+    assert [e["seq"] for e in events[-2:]] == [RING_CAPACITY + 1, RING_CAPACITY + 2]
+    assert all("ts" in e and e["event"] == "tick" for e in events)
+    assert [e["i"] for e in tele.events(2)] == [RING_CAPACITY, RING_CAPACITY + 1]
+    assert tele.events(0) == []
 
 
 def test_event_log_sink_receives_json_lines():
     sink = io.StringIO()
-    log = EventLog(capacity=10, sink=sink)
-    log.record("query", sql="SELECT 1")
-    log.record("error", message="boom")
-    lines = sink.getvalue().splitlines()
-    assert len(lines) == 2
-    assert json.loads(lines[0])["sql"] == "SELECT 1"
-    assert json.loads(lines[1])["event"] == "error"
+    tele = Telemetry(event_sink=sink)
+    tele.observe(StatementRecord(kind="insert", sql="INSERT 1", result=Result()))
+    tele.ring.record("lint", rules=["RP002"])
+    lines = [json.loads(line) for line in sink.getvalue().splitlines()]
+    assert [(e["seq"], e["event"]) for e in lines] == [(1, "statement"), (2, "lint")]
+    assert lines[0]["sql"] == "INSERT 1"
+    assert lines == tele.events()
 
 
 def test_slow_query_log_ring():
-    log = SlowQueryLog(5.0, capacity=2)
-    log.add("q1", 6.0, None)
-    log.add("q2", 7.0, {"schema_version": 1})
-    log.add("q3", 8.0, None)
-    entries = log.entries()
-    assert [e["sql"] for e in entries] == ["q2", "q3"]
+    tele = Telemetry(slow_query_ms=5.0)
+    for i, wall_ms in enumerate([6.0, 4.0] + [7.0] * PROFILE_CAPACITY):
+        tele.observe(
+            StatementRecord(sql=f"q{i}", wall_ms=wall_ms, result=Result())
+        )
+    entries = tele.slow_queries()
+    assert len(entries) == PROFILE_CAPACITY
+    assert entries[0]["sql"] == "q2" and entries[-1]["sql"] == f"q{PROFILE_CAPACITY + 1}"
     assert entries[0]["threshold_ms"] == 5.0
-    assert entries[0]["profile"] == {"schema_version": 1}
+    assert entries[0]["profile"] is None
+    assert tele.slow_queries_total.value() == PROFILE_CAPACITY + 1
 
 
 # -- trace export -------------------------------------------------------------
@@ -209,15 +208,22 @@ def profiled_span_tree():
     return watch.finish(sql="SELECT 1", result_rows=1)
 
 
+def observe_profiled(tele: Telemetry, profile, **fields) -> None:
+    tele.observe(
+        StatementRecord(
+            kind="select", sql="SELECT 1", profile=profile, result=Result(), **fields
+        )
+    )
+
+
 def test_trace_capture_and_export():
-    profile = profiled_span_tree()
-    buf = TraceBuffer(capacity=10)
-    trace_id = buf.capture(profile.root_span, sql="SELECT 1")
-    export = buf.export()
+    tele = Telemetry()
+    observe_profiled(tele, profiled_span_tree())
+    export = tele.export_traces()
     assert export["schema"] == TRACE_SCHEMA
     assert export["trace_count"] == 1
     trace = export["traces"][0]
-    assert trace["trace_id"] == trace_id
+    trace_id = trace["trace_id"]
     assert len(trace_id) == 32
     spans = trace["spans"]
     root = spans[0]
@@ -231,16 +237,20 @@ def test_trace_capture_and_export():
         assert span["end_ns"] >= span["start_ns"] >= 0
     scan = next(s for s in spans if s["name"] == "scan")
     assert scan["attributes"] == {"table": "Orders"}
-    json.loads(buf.export_json())
+    # Flattened when read, the same ids every time.
+    assert tele.export_traces() == export
 
 
 def test_trace_buffer_ring_drops():
     profile = profiled_span_tree()
-    buf = TraceBuffer(capacity=2)
-    for _ in range(3):
-        buf.capture(profile.root_span)
-    assert len(buf) == 2
-    assert buf.export()["traces_dropped"] == 1
+    tele = Telemetry()
+    for _ in range(PROFILE_CAPACITY + 2):
+        observe_profiled(tele, profile)
+    export = tele.export_traces()
+    assert export["trace_count"] == PROFILE_CAPACITY
+    assert export["traces_dropped"] == 2
+    trace_ids = {t["trace_id"] for t in export["traces"]}
+    assert len(trace_ids) == PROFILE_CAPACITY
 
 
 # -- statement classification -------------------------------------------------
@@ -508,7 +518,7 @@ def test_spans_dropped_recorded_and_surfaced():
     assert tele.spans_dropped_total.value() == profile.spans_dropped
     trace = tele.export_traces()["traces"][0]
     assert trace["spans_dropped"] == profile.spans_dropped
-    event = tele.events.tail()[-1]
+    event = tele.events()[-1]
     assert event["spans_dropped"] == profile.spans_dropped
 
 
