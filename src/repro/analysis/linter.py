@@ -10,8 +10,8 @@ Each statement is bound once, by the real :class:`Binder`; the linter
 resolves no name of its own.  The rules about what a name *is* read that
 bind's records and run only when it succeeds: RP101 looks at the measure
 call sites (``Binder.sites``) of the queries the binder did not aggregate
-(``Binder.selects``); RP110, for the aggregate ones, replays the matview
-rewriter in no-record mode and converts its
+(``Binder.selects``); RP110, for the aggregate ones, runs the summary match
+on the same bind in no-record mode and converts its
 :class:`~repro.matview.rewriter.CandidateReport` objects into advisory
 diagnostics; RP114–RP118 run over the bound plan.  The rest (RP104, RP105,
 RP108, RP109, RP111, RP113) are purely syntactic.
@@ -30,7 +30,7 @@ from repro.analysis.diagnostics import (
 from repro.analysis.typecheck import dataflow_diagnostics
 from repro.catalog.objects import View
 from repro.errors import LexerError, ParseError, SqlError
-from repro.matview import rewrite_query
+from repro.matview import match, summary_candidates
 from repro.semantics.binder import Binder, BoundSelect
 from repro.sql import ast, parse_statements
 
@@ -339,16 +339,10 @@ class _Linter:
     def _rule_summary_advisor(
         self, select: ast.Select, bound: BoundSelect
     ) -> None:
-        if bound.group_exprs is None:
+        views = summary_candidates(self.catalog, select)
+        if bound.group_exprs is None or not views:
             return
-        if not isinstance(select.from_clause, ast.TableName):
-            return
-        if not self.catalog.materialized_views_over(select.from_clause.name):
-            return
-        try:
-            outcome = rewrite_query(self.catalog, select, record=False)
-        except SqlError:
-            return
+        outcome = match(views, select, self.binder, record=False)
         for report in outcome.reports:
             if report.status == "hit":
                 continue

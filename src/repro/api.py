@@ -49,7 +49,13 @@ from repro.introspect import (
     plan_hash,
     plan_shape,
 )
-from repro.matview import analyze_definition, maintenance, rewrite_query
+from repro.matview import (
+    analyze_definition,
+    maintenance,
+    match,
+    summary_candidates,
+)
+from repro.matview.definition import table_schema
 from repro.plan.optimizer import optimize
 from repro.profile.watch import QueryRegistry, Watch, current_query_id
 from repro.result import Result, ResultColumn
@@ -132,7 +138,7 @@ class Database:
         Enable the logical-plan optimizer (A02 ablation).
     summaries:
         Enable answering queries from materialized summary tables (the
-        :mod:`repro.matview` rewriter).  Off, summaries can still be
+        :mod:`repro.matview` match).  Off, summaries can still be
         created and refreshed but are never consulted.
     validate:
         Run the :mod:`repro.analysis` plan/IR validator on every bound plan
@@ -225,9 +231,6 @@ class Database:
         #: statement in rwlock.read() or rwlock.write(), which is what
         #: makes concurrent sessions safe.
         self.rwlock = RWLock()
-        #: Internal: True while a refresh/delta query runs, so a summary's
-        #: own definition is never answered from the (old) summary itself.
-        self._suppress_summaries = False
         #: Statistics of the most recent query execution.
         self.last_stats: Optional[ExecutionContext] = None
         #: QueryProfile of the most recent profiled query (see last_profile).
@@ -545,14 +548,7 @@ class Database:
             # Answered from the telemetry registry, not the planner; the
             # binder rejects nested uses (lint rule RP112).
             return self._show_stats(), None, None
-        # Internal queries (summary refresh/delta) are never watched; they
-        # would clobber the user-visible last_profile() and running-queries
-        # view.
-        if (
-            watch is None
-            and not self._suppress_summaries
-            and (self.profile_enabled or self.progress_enabled())
-        ):
+        if watch is None and (self.profile_enabled or self.progress_enabled()):
             watch = self._watch(spans=self.profile_enabled)
         start = perf_counter()
         # Dataflow facts ride on the plan nodes, where the watcher's entries
@@ -570,45 +566,46 @@ class Database:
     def _plan(
         self, query: ast.Query, watch=None, *, facts: bool, record: bool = True
     ) -> PlannedQuery:
-        """The **plan** step: summary rewrite -> bind -> optimize/validate
-        -> (``facts``) dataflow analysis.
+        """The **plan** step: summary match -> bind -> optimize/validate ->
+        (``facts``) dataflow analysis.
 
-        ``record=False`` (EXPLAIN) leaves the per-view hit/reject counters
-        and their telemetry mirror untouched.  The result carries only what
-        planning decided; :meth:`plan_query` adds the printed and hashed
-        fields a cached plan needs.
+        A query with candidate summaries is bound in the ``rewrite`` phase,
+        and the match reads that bind; a hit binds its answer in ``bind``, a
+        miss keeps the query's.  ``record=False`` (EXPLAIN) leaves the
+        per-view hit/reject counters and their telemetry mirror untouched.
+        The result carries only what planning decided; :meth:`plan_query`
+        adds the printed and hashed fields a cached plan needs.
         """
         tracer = watch.tracer if watch is not None else None
-        strategy, reports, rewritten = "interpreter", (), query
-        if self.summaries_enabled and not self._suppress_summaries:
+        strategy, reports, bound, answer = "interpreter", (), None, query
+        if self.summaries_enabled:
             span = tracer.begin("rewrite", "phase") if tracer is not None else None
-            outcome = rewrite_query(self.catalog, query, record=record)
-            if outcome.used is not None:
-                strategy = "summary"
-                if span is not None:
-                    span.meta["summary"] = outcome.used.name
+            views = summary_candidates(self.catalog, query)
+            if views:
+                binder = Binder(self.catalog)
+                bound = binder.bind_query_top(query)
+                outcome = match(views, query, binder, record=record)
+                if outcome.used is not None:
+                    strategy, bound, answer = "summary", None, outcome.query
+                    if span is not None:
+                        span.meta["summary"] = outcome.used.name
+                if record and self.telemetry is not None:
+                    # Mirrors what match(record=True) just added to the
+                    # per-view SummaryStats, keeping the lifetime hit/miss
+                    # counters consistent with summary_stats().
+                    self.telemetry.record_rewrite(outcome)
+                reports = tuple(outcome.reports)
             if span is not None:
                 tracer.end(span)
-            if record and self.telemetry is not None:
-                # Mirrors what rewrite_query(record=True) just added to the
-                # per-view SummaryStats, keeping the lifetime hit/miss
-                # counters consistent with summary_stats().
-                self.telemetry.record_rewrite(outcome)
-            reports, rewritten = tuple(outcome.reports), outcome.query
         span = tracer.begin("bind", "phase") if tracer is not None else None
-        plan, columns = Binder(self.catalog).bind_query_top(rewritten)
+        plan, columns = bound or Binder(self.catalog).bind_query_top(answer)
         if tracer is not None:
             tracer.end(span)
-        if self.optimizer_enabled:
-            span = tracer.begin("optimize", "phase") if tracer is not None else None
-            # optimize() re-validates the bound plan and every pass itself.
-            plan = optimize(plan, validate=self.validate_enabled)
-            if tracer is not None:
-                tracer.end(span)
-        elif self.validate_enabled:
-            from repro.analysis.validator import check_plan
-
-            check_plan(plan, "binding")
+        optimizing = tracer is not None and self.optimizer_enabled
+        span = tracer.begin("optimize", "phase") if optimizing else None
+        plan = self._optimize(plan)
+        if span is not None:
+            tracer.end(span)
         if facts:
             from repro.analysis.dataflow import analyze_plan
 
@@ -617,6 +614,17 @@ class Database:
             if tracer is not None:
                 tracer.end(span)
         return PlannedQuery(query, plan, tuple(columns), strategy, reports)
+
+    def _optimize(self, plan):
+        """A bound plan optimized (``optimize`` re-validates it and every
+        pass) or, with the optimizer off, validated when asked."""
+        if self.optimizer_enabled:
+            return optimize(plan, validate=self.validate_enabled)
+        if self.validate_enabled:
+            from repro.analysis.validator import check_plan
+
+            check_plan(plan, "binding")
+        return plan
 
     def _run(self, planned: PlannedQuery, params, watch, cancel_event):
         """The **run** step: execute a planned query in a fresh
@@ -675,12 +683,12 @@ class Database:
         or — when none did — to every candidate that could not."""
         hit = next((r for r in reports if r.status == "hit"), None)
         if hit is not None:
-            self.catalog.get(hit.view).stats.record_hit_latency(elapsed_ms)
+            self.catalog.get(hit.view).stats.hit_time_ms += elapsed_ms
             return
         for report in reports:
             view = self.catalog.get(report.view)
             if isinstance(view, MaterializedView):
-                view.stats.record_miss_latency(elapsed_ms)
+                view.stats.miss_time_ms += elapsed_ms
 
     # -- planned execution (the query server's path) -------------------------
 
@@ -793,7 +801,7 @@ class Database:
 
     def _create_table_as(self, statement: ast.CreateTableAs) -> Result:
         result = self._run_query(statement.query)[0]
-        schema = maintenance.result_schema(result)
+        schema = table_schema((c.name, c.dtype) for c in result.columns)
         replaced = statement.or_replace and statement.name in self.catalog
         table = self.catalog.create_table(
             statement.name, schema, or_replace=statement.or_replace
@@ -837,17 +845,15 @@ class Database:
                     f"{statement.name!r} is a {existing.kind.lower()}, not a "
                     f"materialized view; OR REPLACE cannot replace it"
                 )
-        definition = analyze_definition(
-            self.catalog, statement.name, statement.query
-        )
-        result = maintenance.compute_rows(self, definition.refresh_query)
+        definition = analyze_definition(self, statement.name, statement.query)
         view = MaterializedView(
             statement.name,
-            MemoryTable(maintenance.result_schema(result)),
+            MemoryTable(definition.schema),
             query=statement.query,
             definition=definition,
         )
-        count = view.table.insert_many(result.rows)
+        rows = maintenance.compute_rows(self, definition)
+        count = view.table.insert_many(rows)
         self.catalog.add_materialized_view(
             statement.name, view, or_replace=statement.or_replace
         )

@@ -5,7 +5,7 @@ view is referenced, so views compose (views over views over tables) and views
 may define measures with ``AS MEASURE``.
 
 A materialized view stores *rows* — a precomputed summary table — plus the
-analyzed definition the rewriter needs to decide subsumption.  It subclasses
+bound definition a query is matched against.  It subclasses
 :class:`BaseTable` so the binder and executor scan it like any stored table.
 """
 
@@ -60,9 +60,10 @@ class MaterializedView(BaseTable):
 
     ``table`` holds the materialized rows (dimensions, visible aggregates,
     and hidden AVG companion columns).  ``definition`` carries what the
-    rewriter needs: source relation, dimension keys, per-measure roll-up
-    kinds, and WHERE conjuncts.  ``stale`` flips on DML against any table in
-    ``definition.depends_on``; stale summaries are skipped until refreshed.
+    matcher needs: source relation, dimension keys, per-measure roll-up
+    kinds, WHERE conjuncts, and the refresh plan.  ``stale`` flips on DML
+    against any table in ``definition.depends_on``; stale summaries are
+    skipped until refreshed.
     """
 
     query: ast.Query = None  # definition as written (for SHOW/describe)

@@ -1,26 +1,18 @@
-"""Materialized summary tables and aggregate-aware measure rewriting.
+"""Materialized summary tables (paper section 5's per-statement cache of
+per-context aggregates, made persistent over a data-cube lattice).
 
-The paper's execution strategy (section 5, the "localized self-join") caches
-per-context aggregates for the lifetime of one statement.  This package makes
-that cache *persistent*: ``CREATE MATERIALIZED VIEW`` precomputes a summary
-table over a subset of the dimension lattice (Gray et al.'s data cube), and a
-subsumption rewriter answers later measure queries from the smallest summary
-that covers them instead of rescanning the fact table.
-
-Modules:
-
-* :mod:`repro.matview.definition` — validates a summary definition and
-  classifies each stored aggregate by how it rolls up;
-* :mod:`repro.matview.rewriter` — the subsumption matcher that rewrites a
-  grouped measure query into a plain GROUP BY over a summary table;
-* :mod:`repro.matview.maintenance` — staleness tracking for DML on source
-  tables, incremental roll-up of insert-only deltas, and ``REFRESH``;
-* :mod:`repro.matview.stats` — per-view hit/miss/stale observability.
+* :mod:`repro.matview.definition` — a summary's definition, bound once;
+* :mod:`repro.matview.rewriter` — the one match of a bound query against a
+  summary, and the answer over its table, printed from the bind;
+* :mod:`repro.matview.maintenance` — DML staleness, insert merges, REFRESH;
+* :mod:`repro.matview.stats` — per-view hit/miss/stale counters.
 """
 
 from repro.matview.definition import SummaryDefinition, analyze_definition
 from repro.matview.maintenance import on_insert, on_mutation, refresh
-from repro.matview.rewriter import RewriteOutcome, rewrite_query
+from repro.matview.rewriter import (
+    RewriteOutcome, match, rewrite_query, summary_candidates,
+)
 from repro.matview.stats import SummaryStats
 
 __all__ = [
@@ -28,8 +20,10 @@ __all__ = [
     "SummaryDefinition",
     "SummaryStats",
     "analyze_definition",
+    "match",
     "on_insert",
     "on_mutation",
     "refresh",
     "rewrite_query",
+    "summary_candidates",
 ]

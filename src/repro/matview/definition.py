@@ -1,319 +1,270 @@
-"""Analysis of ``CREATE MATERIALIZED VIEW`` definitions.
+"""A summary's definition, bound once.
 
-A summary definition must have the shape::
+``CREATE`` and ``REFRESH`` bind ``SELECT dim..., agg(...) AS name... FROM
+relation [WHERE ...] GROUP BY dim...`` once, with the ordinary
+:class:`~repro.semantics.binder.Binder`, and keep what that bind decided:
+each dimension as the ``fingerprint`` of its bound grouping expression; each
+stored aggregate as the fingerprint of its ``BoundAggCall`` or, for a
+measure evaluated at the group (``AGGREGATE(m)``, a bare ``m``), by the
+bound measure's name (a view's column list renames the column, not the
+measure); the WHERE conjuncts; and the refresh plan.  How a stored aggregate
+re-aggregates when a query groups by a *subset* of the dimensions is read off
+the bound call (for a measure, its bound formula):
 
-    SELECT dim..., agg(...) AS name... FROM relation [WHERE ...] GROUP BY dim...
-
-where ``relation`` is a base table or a (measure) view.  The analyzer
-validates that shape and classifies every stored aggregate by how it can be
-re-aggregated when a query groups by a *subset* of the summary's dimensions:
-
-============  ==============================================================
-kind          roll-up
-============  ==============================================================
-``SUM``       ``SUM`` of the stored partial sums
-``COUNT``     ``SUM`` of the stored partial counts
-``MIN/MAX``   ``MIN``/``MAX`` of the stored partial extrema
-``AVG``       ``SUM(sum) / SUM(count)`` over hidden companion columns the
-              refresh query also materializes
-``OPAQUE``    does not roll up; usable only when the query's grouping equals
-              the summary's dimensions exactly (each group is one row)
-============  ==============================================================
-
-``AGGREGATE(m)`` items are classified by inspecting the measure's defining
-formula in the source view: a measure that is a single distributive aggregate
-(SUM/COUNT/MIN/MAX) rolls up like that aggregate; anything else — ratios such
-as the paper's ``profitMargin``, AVG measures, DISTINCT aggregates — is
-``OPAQUE`` and falls through to normal measure expansion unless the grouping
-matches exactly.
+* ``SUM`` / ``COUNT``: ``SUM`` of the partials; ``MIN`` / ``MAX``: ``MIN`` /
+  ``MAX`` of them;
+* ``AVG``: ``SUM(sum) / SUM(count)`` over hidden companion columns, the
+  same call as ``SUM`` and as ``COUNT``, which the refresh plan computes;
+* ``OPAQUE`` — a ratio such as the paper's ``profitMargin``, an ``AVG``
+  measure, a ``DISTINCT`` aggregate — does not roll up: it answers only a
+  query grouped by exactly the summary's dimensions (one row per group).
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.catalog.objects import BaseTable, View
-from repro.errors import CatalogError
+from repro.catalog.objects import MaterializedView, SystemTable, View
+from repro.catalog.schema import Column, TableSchema
+from repro.core.modifiers import BoundVisible
+from repro.engine.aggregates import aggregate_result_type
+from repro.errors import CatalogError, UnsupportedError
+from repro.plan import logical as plans
+from repro.semantics import bound as b
+from repro.semantics.binder import Binder, BoundSelect
+from repro.semantics.unbind import unbind
 from repro.sql import ast
 from repro.sql.printer import to_sql
-from repro.sql.visitor import split_and, transform
+from repro.types import INTEGER, UNKNOWN, VARCHAR
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.api import Database
     from repro.catalog import Catalog
 
 __all__ = [
     "SummaryDefinition",
-    "SummaryDimension",
-    "SummaryMeasure",
     "analyze_definition",
-    "canonical",
+    "context_mismatch",
+    "measure_key",
+    "spelling",
+    "table_schema",
 ]
-
-#: Aggregates that re-aggregate losslessly over disjoint sub-groups.
-_DISTRIBUTIVE = frozenset({"SUM", "COUNT", "MIN", "MAX"})
-
-
-def canonical(expr: ast.Expression) -> str:
-    """A canonical text key for an expression: qualifiers stripped,
-    identifiers lower-cased, rendered by the standard printer.
-
-    Both the summary definition and candidate queries reference a single
-    relation, so dropping qualifiers makes ``o.prodName``, ``prodName`` and
-    ``PRODNAME`` compare equal while string literals stay case-sensitive.
-    """
-
-    def strip(node: ast.Expression) -> ast.Expression:
-        if isinstance(node, ast.ColumnRef):
-            return ast.ColumnRef((node.parts[-1].lower(),))
-        return node
-
-    return to_sql(transform(copy.deepcopy(expr), strip, into_queries=True))
 
 
 @dataclass
 class SummaryDimension:
-    """One grouping column of a summary table."""
-
     name: str  # column name in the summary table
-    key: str  # canonical text of the grouping expression
+    key: str  # fingerprint of the bound grouping expression
 
 
 @dataclass
 class SummaryMeasure:
-    """One stored aggregate of a summary table."""
-
-    name: str  # column name in the summary table
+    name: str  # column name in the summary table (AVG: also __name_sum/_count)
     kind: str  # SUM | COUNT | MIN | MAX | AVG | OPAQUE
-    key: str  # canonical text of the aggregate call it stores
-    #: AVG only: hidden companion columns holding the SUM/COUNT pair.
-    sum_column: Optional[str] = None
-    count_column: Optional[str] = None
-
-    @property
-    def rolls_up(self) -> bool:
-        return self.kind != "OPAQUE"
+    #: The fingerprint of the call, or the :func:`measure_key` of the
+    #: measure, a query must evaluate to read this column; None for a measure
+    #: evaluated ``AT`` another context.
+    key: Optional[str]
 
 
 @dataclass
 class SummaryDefinition:
-    """Everything the catalog needs to store about one summary."""
-
     source_name: str  # lowered name of the FROM relation
-    #: Lowered names of every relation the summary reads, transitively:
-    #: base tables AND intervening views, so replacing or dropping a view
-    #: in the chain invalidates the summary like table DML does.
-    depends_on: frozenset
+    depends_on: frozenset  # lowered names of every relation it reads
     dimensions: list[SummaryDimension]
     measures: list[SummaryMeasure]
-    where_keys: frozenset  # canonical text of the definition's WHERE conjuncts
-    refresh_query: ast.Select  # definition + hidden AVG companion items
-    query: ast.Select = field(repr=False, default=None)  # as written
+    where: dict[str, str]  # fingerprint -> SQL of each WHERE conjunct
+    plan: plans.LogicalPlan  # the refresh plan, AVG companions included
+    schema: TableSchema
 
 
-def analyze_definition(catalog: "Catalog", name: str, query: ast.Query) -> SummaryDefinition:
-    """Validate a summary definition and build its :class:`SummaryDefinition`."""
-    if not isinstance(query, ast.Select):
-        raise CatalogError(
-            f"materialized view {name!r} must be a plain SELECT ... GROUP BY"
-        )
-    select = query
-    for flag, label in (
-        (select.distinct, "DISTINCT"),
-        (select.having is not None, "HAVING"),
-        (select.qualify is not None, "QUALIFY"),
-        (select.order_by, "ORDER BY"),
-        (select.limit is not None, "LIMIT"),
-        (select.offset is not None, "OFFSET"),
-        (select.windows, "WINDOW"),
+def analyze_definition(
+    db: "Database", name: str, query: ast.Query
+) -> SummaryDefinition:
+    """Bind a summary definition, check its shape, and keep what it bound."""
+    shape = CatalogError(
+        f"materialized view {name!r} must be SELECT <grouping columns>, "
+        f"<aliased aggregates> FROM <one table or view> [WHERE ...] "
+        f"GROUP BY <grouping columns>"
+    )
+    if not isinstance(query, ast.Select) or not isinstance(
+        query.from_clause, ast.TableName
     ):
-        if flag:
-            raise CatalogError(
-                f"materialized view {name!r} does not support {label}"
-            )
-    if not isinstance(select.from_clause, ast.TableName):
-        raise CatalogError(
-            f"materialized view {name!r} must select from a single table or view"
-        )
-    if any(isinstance(p, ast.Parameter) for p in select.walk()):
-        raise CatalogError(
-            f"materialized view {name!r} cannot use ? parameters"
-        )
-    source_ref = select.from_clause
-    source_name = source_ref.name.lower()
-    depends_on = _base_dependencies(catalog, source_ref.name, name)
-
-    # Grouping: simple expressions only, each of which must also be selected.
-    dim_keys: list[str] = []
-    for element in select.group_by:
-        if not isinstance(element, ast.SimpleGrouping):
-            raise CatalogError(
-                f"materialized view {name!r} does not support grouping sets"
-            )
-        dim_keys.append(canonical(element.expr))
-
-    item_keys = {canonical(item.expr): item for item in select.items}
-    dimensions: list[SummaryDimension] = []
-    for key in dim_keys:
-        item = item_keys.get(key)
-        if item is None:
-            raise CatalogError(
-                f"materialized view {name!r}: every GROUP BY expression must "
-                f"appear in the SELECT list"
-            )
-        column = item.alias or (
-            item.expr.name if isinstance(item.expr, ast.ColumnRef) else None
-        )
-        if column is None:
-            raise CatalogError(
-                f"materialized view {name!r}: dimension expressions need an "
-                f"alias (e.g. YEAR(orderDate) AS orderYear)"
-            )
-        dimensions.append(SummaryDimension(column, key))
-
+        raise shape
+    if any(isinstance(node, ast.Parameter) for node in query.walk()):
+        raise CatalogError(f"materialized view {name!r} cannot use ? parameters")
+    depends_on = _base_dependencies(db.catalog, query.from_clause.name, name)
+    binder = Binder(db.catalog)
+    plan, _ = binder.bind_query_top(query)
+    bound = binder.selects[id(query)]
+    # Anything but one plain grouping — HAVING, DISTINCT, ORDER BY, LIMIT,
+    # QUALIFY, windows, grouping sets, no aggregate at all — is another node.
+    aggregate = plan.input if isinstance(plan, plans.Project) else None
+    if not isinstance(aggregate, plans.Aggregate) or aggregate.has_grouping_id:
+        raise shape
+    dimensions: dict[int, SummaryDimension] = {}
     measures: list[SummaryMeasure] = []
-    hidden_items: list[ast.SelectItem] = []
-    for item in select.items:
-        key = canonical(item.expr)
-        if key in dim_keys:
-            continue
-        call = item.expr
-        if not isinstance(call, ast.FunctionCall):
+    for item, expr, (column, _) in zip(bound.items, plan.exprs, plan.schema):
+        if not item.alias and not isinstance(item.expr, ast.ColumnRef):
+            raise CatalogError(
+                f"materialized view {name!r}: {to_sql(item.expr)} needs an "
+                f"alias (e.g. YEAR(orderDate) AS orderYear, SUM(x) AS x)"
+            )
+        if isinstance(expr, b.BoundColumn):
+            key = b.fingerprint(bound.group_exprs[expr.offset])
+            dimensions.setdefault(expr.offset, SummaryDimension(column, key))
+        elif isinstance(expr, b.BoundAggRef):
+            call = bound.agg_calls[expr.index - len(bound.group_exprs)]
+            measures.append(SummaryMeasure(column, _kind(call), b.fingerprint(call)))
+        elif isinstance(expr, b.BoundMeasureEval):
+            key = None if context_mismatch(expr, bound) else measure_key(expr)
+            kind = _kind(expr.measure.formula) if key else "OPAQUE"
+            # An AVG measure has no companions: its argument is no column of
+            # the relation the summary reads.
+            measures.append(
+                SummaryMeasure(column, "OPAQUE" if kind == "AVG" else kind, key)
+            )
+        else:
             raise CatalogError(
                 f"materialized view {name!r}: select items must be grouping "
-                f"columns or aggregate calls, got {to_sql(item.expr)}"
+                f"columns or aggregates, got {to_sql(item.expr)}"
             )
-        if call.over is not None or call.over_name is not None:
-            raise CatalogError(
-                f"materialized view {name!r}: window functions are not "
-                f"aggregables; use a plain aggregate"
-            )
-        if item.alias is None:
-            raise CatalogError(
-                f"materialized view {name!r}: aggregate item "
-                f"{to_sql(call)} needs an alias"
-            )
-        kind = _classify(catalog, source_ref.name, call)
-        measure = SummaryMeasure(item.alias, kind, key)
-        if kind == "AVG":
-            arg = call.args[0]
-            measure.sum_column = f"__{item.alias}_sum"
-            measure.count_column = f"__{item.alias}_count"
-            hidden_items.append(
-                ast.SelectItem(
-                    ast.FunctionCall("SUM", [copy.deepcopy(arg)]),
-                    measure.sum_column,
-                )
-            )
-            hidden_items.append(
-                ast.SelectItem(
-                    ast.FunctionCall("COUNT", [copy.deepcopy(arg)]),
-                    measure.count_column,
-                )
-            )
-        measures.append(measure)
-    if not measures:
+    if len(dimensions) != len(bound.group_exprs) or not measures:
         raise CatalogError(
-            f"materialized view {name!r} must store at least one aggregate"
+            f"materialized view {name!r} must select every GROUP BY "
+            f"expression and at least one aggregate"
         )
-
-    refresh_query = copy.deepcopy(select)
-    refresh_query.items = refresh_query.items + hidden_items
-
+    plan = _with_companions(plan, bound, measures)
+    spell = spelling(bound)
     return SummaryDefinition(
-        source_name=source_name,
+        source_name=query.from_clause.name.lower(),
         depends_on=depends_on,
-        dimensions=dimensions,
+        dimensions=list(dimensions.values()),
         measures=measures,
-        where_keys=frozenset(canonical(c) for c in split_and(select.where)),
-        refresh_query=refresh_query,
-        query=select,
+        where={b.fingerprint(c): spell(c) for c in bound.where},
+        plan=db._optimize(plan),
+        schema=table_schema(plan.schema),
     )
 
 
-def _classify(catalog: "Catalog", source: str, call: ast.FunctionCall) -> str:
-    """How does this stored aggregate re-aggregate over sub-groups?"""
-    name = call.name
-    if name in ("AGGREGATE", "EVAL"):
-        if name == "EVAL":
-            return "OPAQUE"  # row-grain evaluation does not re-aggregate
-        inner = call.args[0] if call.args else None
-        if not isinstance(inner, ast.ColumnRef):
-            return "OPAQUE"
-        return _classify_measure(catalog, source, inner.name)
-    if call.distinct or call.within_distinct:
-        # COUNT(DISTINCT x) over sub-groups overlaps; MIN/MAX are unaffected
-        # by DISTINCT and still roll up.
-        return name if name in ("MIN", "MAX") else "OPAQUE"
-    if name in _DISTRIBUTIVE:
-        return name
-    if name == "AVG" and call.args and call.filter_where is None:
-        return "AVG"
-    return "OPAQUE"
+def _with_companions(
+    plan: plans.Project, bound: BoundSelect, measures: list[SummaryMeasure]
+) -> plans.Project:
+    """``plan`` also computing each AVG call as a ``SUM`` and as a ``COUNT``
+    (FILTER and all) into hidden columns ``__name_sum`` / ``__name_count``."""
+    calls = {b.fingerprint(call): call for call in bound.agg_calls}
+    extra: list[tuple[str, b.BoundAggCall]] = []
+    for measure in measures:
+        if measure.kind == "AVG":
+            call = calls[measure.key]
+            total = aggregate_result_type("SUM", [arg.dtype for arg in call.args])
+            extra += [
+                (f"__{measure.name}_sum", replace(call, func="SUM", dtype=total)),
+                (f"__{measure.name}_count", replace(call, func="COUNT", dtype=INTEGER)),
+            ]
+    if not extra:
+        return plan
+    columns = [(column, call.dtype) for column, call in extra]
+    end = len(bound.group_exprs) + len(bound.agg_calls)
+    aggregate = replace(
+        plan.input,
+        agg_calls=[*bound.agg_calls, *(call for _, call in extra)],
+        schema=[*plan.input.schema[:end], *columns, *plan.input.schema[end:]],
+    )
+    for expr in plan.exprs:  # the captured group rows moved right
+        spec = getattr(expr, "context", None)
+        if spec is not None and spec.captured_rows_offset is not None:
+            spec.captured_rows_offset += len(extra)
+    refs = [b.BoundAggRef(end + i, dtype) for i, (_, dtype) in enumerate(columns)]
+    return plans.Project(aggregate, [*plan.exprs, *refs], [*plan.schema, *columns])
 
 
-def _classify_measure(catalog: "Catalog", source: str, measure: str) -> str:
-    """Classify ``AGGREGATE(measure)`` by the measure's defining formula."""
-    obj = catalog.get(source)
-    if not isinstance(obj, View) or not isinstance(obj.query, ast.Select):
-        return "OPAQUE"
-    if obj.column_names:
-        return "OPAQUE"  # renames obscure which item defines the measure
-    wanted = measure.lower()
-    for item in obj.query.items:
-        if not item.is_measure or (item.alias or "").lower() != wanted:
-            continue
-        formula = item.expr
-        if (
-            isinstance(formula, ast.FunctionCall)
-            and formula.name in _DISTRIBUTIVE
-            and not formula.distinct
-            and not formula.within_distinct
-            and formula.filter_where is None
-            and formula.over is None
+def _kind(call: b.BoundExpr) -> str:
+    """How a stored aggregate re-aggregates over sub-groups: DISTINCT keeps
+    an extremum but makes the values of sub-groups overlap."""
+    if isinstance(call, b.BoundAggCall) and not call.within_distinct:
+        if call.func in ("MIN", "MAX") or not call.distinct and call.func in (
+            "SUM", "COUNT", "AVG"
         ):
-            return formula.name
-        return "OPAQUE"
+            return call.func
     return "OPAQUE"
 
 
-def _base_dependencies(
-    catalog: "Catalog", relation: str, mv_name: str, _seen: Optional[set] = None
-) -> frozenset:
-    """Every relation (base table or view) a relation reads, transitively.
+def measure_key(site: b.BoundMeasureEval) -> str:
+    """A measure of the one relation the summary and the query read."""
+    return f"measure {site.measure.name.lower()}"
 
-    View names are included so that ``CREATE OR REPLACE VIEW`` / ``DROP``
-    on any link of the chain can invalidate dependent summaries."""
-    from repro.catalog.objects import MaterializedView
 
-    seen = _seen if _seen is not None else set()
-    key = relation.lower()
-    if key in seen:
-        return frozenset()
-    seen.add(key)
-    obj = catalog.get(relation)
-    if obj is None:
-        raise CatalogError(f"unknown table or view {relation!r}")
-    if isinstance(obj, MaterializedView):
-        raise CatalogError(
-            f"materialized view {mv_name!r} cannot be defined over another "
-            f"materialized view ({obj.name!r})"
-        )
-    if isinstance(obj, BaseTable):
-        return frozenset({key})
-    from repro.catalog.objects import SystemTable
+def context_mismatch(
+    site: b.BoundMeasureEval, bound: BoundSelect
+) -> Optional[tuple[str, str]]:
+    """``(rule, reason)`` unless ``site`` is evaluated in exactly its group's
+    context — a term per group key, and the query's WHERE when it has one
+    (``AGGREGATE(m)`` is ``m AT (VISIBLE)``; a bare ``m`` ignores WHERE)."""
+    spec, name = site.context, site.measure.name
+    if (
+        spec.kind != "group"
+        or len(spec.group_terms) != len(bound.group_exprs)
+        or not all(isinstance(m, BoundVisible) for m in spec.modifiers)
+    ):
+        reason = f"measure {name} is evaluated AT a context other than its group"
+        return "unsupported-shape", reason
+    if bound.where and not spec.modifiers:
+        reason = f"measure {name} ignores WHERE here; AGGREGATE({name}) reads it"
+        return "context-ignores-where", reason
+    return None
 
-    if isinstance(obj, SystemTable):
-        # A summary over a system table could never be subsumption-matched
-        # or invalidated: its source mutates on every query (lint RP113).
-        raise CatalogError(
-            f"materialized view {mv_name!r} cannot be defined over system "
-            f"table {obj.name!r}: system tables are volatile"
-        )
-    assert isinstance(obj, View)
-    found: set[str] = {key}
-    for node in obj.query.walk():
-        if isinstance(node, ast.TableName):
-            found |= _base_dependencies(catalog, node.name, mv_name, seen)
+
+def spelling(bound: BoundSelect) -> Callable[[b.BoundExpr], str]:
+    """An expression over ``bound``'s FROM row as SQL, for messages."""
+    names = {
+        column.offset: column.name
+        for relation in bound.scope.relations
+        for column in relation.columns
+        if column.offset is not None
+    }
+
+    def spell(expr: b.BoundExpr) -> str:
+        try:
+            return to_sql(unbind(expr, [lambda i: ast.ColumnRef((names[i],))]))
+        except UnsupportedError:
+            return b.fingerprint(expr)
+
+    return spell
+
+
+def table_schema(columns) -> TableSchema:
+    """A storable schema for ``(name, type)`` result columns."""
+    return TableSchema(
+        [
+            Column(name, VARCHAR if dtype.unwrap() is UNKNOWN else dtype.unwrap())
+            for name, dtype in columns
+        ]
+    )
+
+
+def _base_dependencies(catalog: "Catalog", relation: str, mv_name: str) -> frozenset:
+    """Every relation (base table or view) a relation reads, transitively:
+    view names too, so that ``CREATE OR REPLACE VIEW`` / ``DROP`` on any
+    link of the chain invalidates dependent summaries."""
+    found: set[str] = set()
+    todo = [relation]
+    while todo:
+        name = todo.pop()
+        if name.lower() in found:
+            continue
+        found.add(name.lower())
+        obj = catalog.get(name)
+        if obj is None:
+            raise CatalogError(f"unknown table or view {name!r}")
+        if isinstance(obj, (MaterializedView, SystemTable)):
+            # A system table changes on every query (lint RP113) and a
+            # summary's rows on REFRESH, and neither invalidates this one.
+            raise CatalogError(
+                f"materialized view {mv_name!r} cannot be defined over "
+                f"{obj.kind.lower()} {obj.name!r}: its rows are volatile"
+            )
+        if isinstance(obj, View):
+            todo += [n.name for n in obj.query.walk() if isinstance(n, ast.TableName)]
     return frozenset(found)

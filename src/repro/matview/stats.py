@@ -1,12 +1,13 @@
 """Observability counters for materialized summary tables.
 
 Each :class:`~repro.catalog.objects.MaterializedView` carries one
-:class:`SummaryStats`.  The rewriter, the maintenance hooks, and ``REFRESH``
+:class:`SummaryStats`.  The matcher, the maintenance hooks, and ``REFRESH``
 update it; ``Database.summary_stats()`` and ``EXPLAIN`` surface it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,54 +18,36 @@ __all__ = ["SummaryStats"]
 class SummaryStats:
     """Per-view counters (one instance per materialized view)."""
 
-    #: Queries answered from this summary.
-    hits: int = 0
-    #: Times this summary was a candidate but did not match the query shape.
-    rejects: int = 0
-    #: Times this summary was skipped because it was stale.
-    stale_skips: int = 0
-    #: Explicit ``REFRESH MATERIALIZED VIEW`` recomputations.
-    refreshes: int = 0
-    #: Insert-only deltas rolled up in place without a full refresh.
-    incremental_merges: int = 0
-    #: DML events that marked this summary stale.
-    invalidations: int = 0
-    #: Why the rewriter most recently rejected this summary, if ever.
+    hits: int = 0  # queries answered from this summary
+    rejects: int = 0  # times it was a candidate but could not answer
+    stale_skips: int = 0  # times it was skipped as stale
+    refreshes: int = 0  # REFRESH MATERIALIZED VIEW recomputations
+    incremental_merges: int = 0  # insert-only deltas rolled up in place
+    invalidations: int = 0  # DML events that marked it stale
+    #: Why the matcher most recently rejected this summary, if ever.
     last_reject_reason: Optional[str] = None
-    #: Reject counts per matchability rule (e.g. ``missing-dimension``),
-    #: so the opaque ``rejects`` total can be broken down.
+    #: Reject counts per matchability rule (e.g. ``missing-dimension``).
     reject_reasons: dict[str, int] = field(default_factory=dict)
-    #: Total wall time (ms) of queries answered from this summary.  Together
-    #: with ``miss_time_ms`` this quantifies what the summary buys: average
-    #: hit latency vs. average latency of queries it was a candidate for but
-    #: could not answer.  Latency is only measured when the view was at
-    #: least a candidate, so idle summaries cost nothing.
+    #: Total wall time (ms) of queries answered from this summary, and of
+    #: queries it was a candidate for but could not answer (rejected or
+    #: stale): together, what the summary buys.  Idle summaries cost nothing.
     hit_time_ms: float = 0.0
-    #: Total wall time (ms) of queries where this summary was a candidate
-    #: but was rejected or skipped as stale (the query ran from source).
     miss_time_ms: float = 0.0
 
-    def record_reject(self, reason: str, rule: str = "unknown") -> None:
-        self.rejects += 1
-        self.last_reject_reason = reason
-        self.reject_reasons[rule] = self.reject_reasons.get(rule, 0) + 1
-
-    def record_hit_latency(self, elapsed_ms: float) -> None:
-        self.hit_time_ms += elapsed_ms
-
-    def record_miss_latency(self, elapsed_ms: float) -> None:
-        self.miss_time_ms += elapsed_ms
+    def record(self, report) -> None:
+        """Count one :class:`~repro.matview.rewriter.CandidateReport`."""
+        if report.status == "hit":
+            self.hits += 1
+        elif report.status == "stale":
+            self.stale_skips += 1
+        else:
+            self.rejects += 1
+            self.last_reject_reason = report.reason
+            rule = report.rule
+            self.reject_reasons[rule] = self.reject_reasons.get(rule, 0) + 1
 
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "rejects": self.rejects,
-            "stale_skips": self.stale_skips,
-            "refreshes": self.refreshes,
-            "incremental_merges": self.incremental_merges,
-            "invalidations": self.invalidations,
-            "last_reject_reason": self.last_reject_reason,
-            "reject_reasons": dict(self.reject_reasons),
-            "hit_time_ms": round(self.hit_time_ms, 3),
-            "miss_time_ms": round(self.miss_time_ms, 3),
-        }
+        out = dataclasses.asdict(self)
+        out["hit_time_ms"] = round(self.hit_time_ms, 3)
+        out["miss_time_ms"] = round(self.miss_time_ms, 3)
+        return out

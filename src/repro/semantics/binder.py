@@ -63,9 +63,9 @@ __all__ = [
 def output_column_name(item: ast.SelectItem, index: int) -> str:
     """The result-column name a SELECT item gets when it has no alias.
 
-    Shared with the matview rewriter, which stamps these names onto
-    rewritten items so a summary hit returns the same column names as the
-    normal path (``COUNT(*)`` must not surface as ``coalesce``).
+    Shared with the summary match, which names its answer's items with
+    them so a summary hit returns the same column names as the normal path
+    (``COUNT(*)`` must not surface as ``coalesce``).
     """
     if item.alias:
         return item.alias
@@ -140,12 +140,16 @@ class BoundSelect(FromSql):
     relation: Optional[BoundRelation] = None
     #: The non-measure items over the FROM row, in order (plain and
     #: measure-defining queries: what a materialized measure column is
-    #: evaluated against).
+    #: evaluated against); an aggregate query's items over its Aggregate
+    #: output row.
     item_exprs: Sequence[b.BoundExpr] = ()
     #: An aggregate query's Aggregate output row: keys, then calls (None:
     #: not an aggregate query).
     group_exprs: Optional[list[b.BoundExpr]] = None
     agg_calls: Sequence[b.BoundAggCall] = ()
+    #: An aggregate query's HAVING and ORDER BY keys, over that row.
+    having: Optional[b.BoundExpr] = None
+    order_by: Sequence[b.SortSpec] = ()
 
 
 class Binder:
@@ -1371,6 +1375,7 @@ class QueryBinder:
         if bound_having is not None:
             with located(self.select.having):
                 lifted_having = lifter.lift(bound_having)
+        self.bound.item_exprs, self.bound.having = lifted_items, lifted_having
 
         agg_schema: list[tuple[str, DataType]] = []
         for i, expr in enumerate(group_exprs):
@@ -1423,11 +1428,11 @@ class QueryBinder:
         sort_specs: list[b.SortSpec] = []
         hidden: list[b.BoundExpr] = []
         item_fps: Optional[list[str]] = None  # only an ORDER BY expression asks
+        self.bound.order_by = order_by = []
         for kind, payload, order_item in order_pre:
-            if kind == "ordinal":
+            if kind in ("ordinal", "alias"):
                 offset = payload  # type: ignore[assignment]
-            elif kind == "alias":
-                offset = payload  # type: ignore[assignment]
+                lifted = self.bound.item_exprs[offset]
             else:
                 with located(order_item):
                     lifted = lifter.lift(payload)  # type: ignore[arg-type]
@@ -1443,6 +1448,9 @@ class QueryBinder:
                 columns[offset].dtype
                 if offset < len(columns)
                 else hidden[offset - len(lifted_items)].dtype
+            )
+            order_by.append(
+                b.SortSpec(lifted, order_item.descending, order_item.nulls_first)
             )
             sort_specs.append(
                 b.SortSpec(

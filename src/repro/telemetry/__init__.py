@@ -314,7 +314,7 @@ class Telemetry:
     def record_rewrite(self, outcome: Any) -> None:
         """Feed matview hit/miss counters from one RewriteOutcome.
 
-        Mirrors exactly what ``rewrite_query(record=True)`` adds to each
+        Mirrors exactly what the summary ``match(record=True)`` adds to each
         view's :class:`SummaryStats`, so the lifetime counters stay
         consistent with ``summary_stats()``.
         """

@@ -20,7 +20,7 @@ plan cache are actually measurable.  It provides:
   ``avg_discount`` and ``order_count`` as measures, with canonical
   drill-down queries (:data:`TPCH_QUERIES`) using ``AT`` — by region, by
   year, by returnflag — and summary-table definitions
-  (:data:`TPCH_SUMMARIES`) the matview rewriter can hit.
+  (:data:`TPCH_SUMMARIES`) the summary match can hit.
 
 Scale is parameterized by the TPC-H scale factor.  Presets
 (:data:`SCALE_FACTORS`): SF 0.001 (~6k lineitem rows, the differential/
@@ -562,7 +562,7 @@ def table_digest(tables: dict[str, list[tuple]]) -> str:
 TPCH_VIEWS: dict[str, str] = {
     # Denormalized lineitem grain: every sale with its order, customer,
     # geography, and supply-cost attributes.  Plain view — measures live in
-    # tpch_sales_m so the summary rewriter can classify their formulas.
+    # tpch_sales_m.
     "tpch_sales": """
         CREATE VIEW tpch_sales AS
         SELECT l.l_orderkey AS orderkey,
@@ -628,7 +628,7 @@ TPCH_VIEWS: dict[str, str] = {
 #: queries the differential battery cross-checks against SQLite oracles and
 #: the bench suite times; names are stable (the bench snapshot keys on them).
 TPCH_QUERIES: dict[str, str] = {
-    # Plain roll-ups (summary-rewriter candidates).
+    # Plain roll-ups (summary candidates).
     "revenue_by_region": """
         SELECT region, revenue
         FROM tpch_sales_m GROUP BY region ORDER BY region
@@ -646,8 +646,8 @@ TPCH_QUERIES: dict[str, str] = {
         SELECT orderYear, order_count
         FROM tpch_orders_m GROUP BY orderYear ORDER BY orderYear
     """,
-    # AT drill-downs (never answered from summaries: AT disables the
-    # rewriter by design — context modifiers need base-grain evaluation).
+    # AT drill-downs (never answered from summaries: a measure evaluated AT
+    # another context than its group is rejected by that bound context).
     "revenue_share_by_region": """
         SELECT region, revenue,
                revenue / revenue AT (ALL region) AS share
@@ -671,7 +671,7 @@ TPCH_QUERIES: dict[str, str] = {
     """,
 }
 
-#: Summary tables over the measure layer.  The rewriter answers
+#: Summary tables over the measure layer.  The summary match answers
 #: ``revenue_by_region``/``revenue_by_region_year`` from
 #: ``tpch_rev_by_region_year`` (SUM measures roll up from (region, year) to
 #: (region)); ``margin_by_returnflag`` needs the exact-grain

@@ -678,6 +678,111 @@ def test_lint_binds_each_statement_once(monkeypatch):
         assert len(made) - before == 1, name
 
 
+# -- one summary match: the text matcher is not back -------------------------------
+
+#: What ``matview/`` matched queries by before it read the bind: the printer key,
+#: the AST readers of a view's measures and of a query's shape, and the AST walk
+#: that rewrote a query onto a summary (``_try_rewrite`` and its ``replace`` /
+#: ``translate`` / ``translate_order``); and what the INSERT merge planned with.
+TEXT_MATCHER = {
+    "canonical", "_source_measure_names", "_unmatchable_shape", "_is_aggregate_call",
+    "_is_measure_ref", "_contains_aggregate", "_classify_measure", "_classify",
+    "_try_rewrite", "replace", "translate", "translate_order", "_merge_delta",
+}
+
+
+def _counting_binders(monkeypatch) -> list:
+    from repro.semantics.binder import Binder
+
+    made = []
+    init = Binder.__init__
+    monkeypatch.setattr(
+        Binder, "__init__", lambda self, catalog: made.append(init(self, catalog))
+    )
+    return made
+
+
+def _summary_database():
+    from repro import Database
+    from repro.workloads.paper_data import load_paper_tables
+
+    db = Database()
+    load_paper_tables(db)
+    db.execute(
+        "CREATE MATERIALIZED VIEW pc AS SELECT prodName, custName, "
+        "SUM(revenue) AS r, COUNT(*) AS n FROM Orders GROUP BY prodName, custName"
+    )
+    return db
+
+
+def test_the_text_matcher_is_not_back():
+    defined: dict[str, list] = {}
+    for path in sorted((SRC / "matview").glob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in pyast.walk(pyast.parse(path.read_text())):
+            if isinstance(node, (pyast.FunctionDef, pyast.ClassDef)):
+                defined.setdefault(node.name, []).append(module)
+    assert not TEXT_MATCHER & set(defined), {
+        name: defined[name] for name in TEXT_MATCHER & set(defined)
+    }
+    source = "".join(path.read_text() for path in sorted(SRC.rglob("*.py")))
+    for gone in ("canonical(", "__matview_delta", "_suppress_summaries"):
+        assert gone not in source, gone
+    # The answer is printed from the bind, never rewritten from the AST.
+    matview = "".join(p.read_text() for p in (SRC / "matview").glob("*.py"))
+    assert "transform_topdown" not in matview and "deepcopy" not in matview
+
+
+def test_a_summary_match_reads_the_bind_the_query_already_does(monkeypatch):
+    from repro.sql import parse_query
+
+    db = _summary_database()
+    made = _counting_binders(monkeypatch)
+    hit = db._plan(
+        parse_query("SELECT prodName, SUM(revenue) FROM Orders GROUP BY 1"), facts=False
+    )
+    assert hit.strategy == "summary" and len(made) == 2  # the query, its answer
+    miss = db._plan(
+        parse_query("SELECT orderDate, SUM(revenue) FROM Orders GROUP BY orderDate"),
+        facts=False,
+    )
+    assert miss.strategy == "interpreter" and miss.reports
+    assert len(made) == 3  # the query's bind is the plan's
+    # Lint matches on its one bind of each statement, summaries or not.
+    for sql in [
+        "SELECT orderDate, SUM(revenue) AS r FROM Orders GROUP BY orderDate",
+        "SELECT custName, COUNT(*) FROM Orders GROUP BY custName",
+        "SELECT prodName FROM Orders WHERE revenue > (SELECT AVG(revenue) FROM Orders)",
+    ]:
+        before = len(made)
+        db.lint(sql)
+        assert len(made) - before == 1, sql
+    assert [d.code for d in db.lint(
+        "SELECT orderDate, SUM(revenue) AS r FROM Orders GROUP BY orderDate"
+    )] == ["RP110"]
+
+
+def test_a_merged_insert_binds_no_delta_and_creates_no_table(monkeypatch):
+    db = _summary_database()
+    made = _counting_binders(monkeypatch)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a catalog table was created")
+
+    monkeypatch.setattr(db.catalog, "create_table", no_table)
+    db.execute(
+        "INSERT INTO Orders VALUES ('Happy', 'Zed', DATE '2024-01-01', 5, 1), "
+        "('Acme', 'Bob', DATE '2024-01-02', 7, 2)"
+    )
+    assert len(made) == 1  # the VALUES the INSERT reads; the merge binds nothing
+    view = db.catalog.get("pc")
+    assert view.stats.incremental_merges == 1 and not view.stale
+    merged = sorted(view.table.rows)
+    monkeypatch.undo()
+    db.execute("REFRESH MATERIALIZED VIEW pc")
+    assert merged == sorted(db.catalog.get("pc").table.rows)
+
+
 # -- one statement ring: the four rings and the three tables are not back ----------
 
 #: What the statement ring replaced: the slow-query ring, the per-fingerprint
