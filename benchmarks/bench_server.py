@@ -107,7 +107,7 @@ def _latency_pair(manager: SessionManager, repeats: int) -> dict:
     try:
         cold = []
         for _ in range(repeats):
-            manager.plan_cache.invalidate_all("clear")
+            manager.plan_cache.clear()
             start = time.perf_counter()
             session.execute(LATENCY_QUERY)
             cold.append(time.perf_counter() - start)
@@ -165,7 +165,7 @@ def test_f10_cold_plan_latency(benchmark, server_manager):
     benchmark.group = "F10 plan cache"
 
     def cold():
-        server_manager.plan_cache.invalidate_all("clear")
+        server_manager.plan_cache.clear()
         return session.execute(LATENCY_QUERY)
 
     result = benchmark(cold)

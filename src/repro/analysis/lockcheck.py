@@ -71,9 +71,6 @@ ALLOWLIST: dict[str, str] = {
         "only called from the run hook _run_read() hands to "
         "_execute_observed, inside its rwlock.read() scope"
     ),
-    "server/session.py::SessionManager.invalidate_for": (
-        "only called from _run_write(), inside its rwlock.write() scope"
-    ),
     "server/session.py::SessionManager._install_system_tables": (
         "runs in the SessionManager constructor, before the manager is "
         "shared with any session"

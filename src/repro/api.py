@@ -49,12 +49,7 @@ from repro.introspect import (
     plan_hash,
     plan_shape,
 )
-from repro.matview import (
-    analyze_definition,
-    maintenance,
-    match,
-    summary_candidates,
-)
+from repro.matview import analyze_definition, maintenance, match, summary_candidates
 from repro.matview.definition import table_schema
 from repro.plan.optimizer import optimize
 from repro.profile.watch import QueryRegistry, Watch, current_query_id
@@ -63,6 +58,7 @@ from repro.semantics.binder import Binder
 from repro.sql import ast, parse_statement, parse_statements
 from repro.sql.printer import to_sql
 from repro.storage.locks import RWLock
+from repro.storage.table import MemoryTable, clock
 from repro.types import parse_type_name
 
 __all__ = ["Database", "PlannedQuery"]
@@ -74,13 +70,12 @@ class PlannedQuery:
 
     Produced by :meth:`Database.plan_query` and replayed by
     :meth:`Database.execute_planned`; the query server's plan cache stores
-    these.  ``relations`` (every relation name the original AST references
-    plus every table the bound plan scans, lowercased) drives cache
-    invalidation; ``strategy``/``plan_shape`` reproduce the plan hash the
-    flip detector watches, so cached replays never look like plan changes.
-    The fields after ``reports`` are what a *cached* plan needs;
-    :meth:`Database.plan_query` fills them, the direct API's internal
-    planning leaves them at their defaults.
+    these.  ``reads`` (every table it read or rejected, a summary's sources
+    included) and ``as_of`` (the write clock when it was planned) are what
+    :meth:`invalidated` checks; ``strategy``/``plan_shape`` reproduce the
+    plan hash the flip detector watches, so cached replays never look like
+    plan changes.  The fields after ``catalog`` are what a *cached* plan
+    needs; :meth:`Database.plan_query` fills them.
     """
 
     query: ast.Query
@@ -88,11 +83,23 @@ class PlannedQuery:
     columns: tuple
     strategy: str
     reports: tuple
+    reads: tuple
+    as_of: int
+    catalog: Catalog
     sql: Optional[str] = None
-    relations: frozenset = frozenset()
     plan_shape: Optional[str] = None
     fingerprint: Optional[str] = None
     normalized: Optional[str] = None
+
+    def invalidated(self) -> Optional[str]:
+        """Why this plan must not be replayed: ``"ddl"`` when the catalog
+        was stamped after it was planned, ``"dml"`` when something it read
+        or rejected was; None while it is valid."""
+        if self.catalog.stamp > self.as_of:
+            return "ddl"
+        if any(table.stamp > self.as_of for table in self.reads):
+            return "dml"
+        return None
 
 
 def _text_result(column: str, lines: list) -> Result:
@@ -454,12 +461,7 @@ class Database:
         if isinstance(statement, ast.CreateTableAs):
             return self._create_table_as(statement)
         if isinstance(statement, ast.Truncate):
-            table = self.catalog.base_table(statement.table)
-            count = len(table.table)
-            table.table.truncate()
-            if count:
-                maintenance.on_mutation(self, statement.table)
-                self.catalog.note_rows_changed(statement.table, count)
+            count = self.catalog.base_table(statement.table).table.truncate()
             return Result(rowcount=count, message=f"{count} rows truncated")
         if isinstance(statement, ast.Analyze):
             return self._analyze(statement)
@@ -470,13 +472,9 @@ class Database:
         if isinstance(statement, ast.RefreshMaterializedView):
             return self._refresh_materialized_view(statement)
         if isinstance(statement, ast.DropObject):
-            dropped = self.catalog.drop(
+            self.catalog.drop(
                 statement.kind, statement.name, if_exists=statement.if_exists
             )
-            if dropped:
-                # Summaries reading the dropped table/view can no longer be
-                # refreshed or trusted; mark them stale.
-                maintenance.on_mutation(self, statement.name)
             return Result(message=f"{statement.kind} {statement.name} dropped")
         if isinstance(statement, ast.Insert):
             return self._insert(statement, params)
@@ -497,7 +495,8 @@ class Database:
 
         With no table, every base table (materialized views included) is
         analyzed.  The stored statistics back ``repro_table_stats`` /
-        ``repro_column_stats`` and reset the table's staleness counter.
+        ``repro_column_stats`` and record the table's ``changed`` count, which
+        ``mods_since_analyze`` is measured from.
         Returns one row per analyzed table.
         """
         from repro.catalog.stats import analyze_table
@@ -577,6 +576,7 @@ class Database:
         adds the printed and hashed fields a cached plan needs.
         """
         tracer = watch.tracer if watch is not None else None
+        as_of, reads = clock.now, {}
         strategy, reports, bound, answer = "interpreter", (), None, query
         if self.summaries_enabled:
             span = tracer.begin("rewrite", "phase") if tracer is not None else None
@@ -585,6 +585,10 @@ class Database:
                 binder = Binder(self.catalog)
                 bound = binder.bind_query_top(query)
                 outcome = match(views, query, binder, record=record)
+                # The query's bind read every candidate's sources: a
+                # candidate summarizes the relation the query reads.
+                reads = binder.reads
+                reads.update((view.name.lower(), view) for view in views)
                 if outcome.used is not None:
                     strategy, bound, answer = "summary", None, outcome.query
                     if span is not None:
@@ -598,7 +602,11 @@ class Database:
             if span is not None:
                 tracer.end(span)
         span = tracer.begin("bind", "phase") if tracer is not None else None
-        plan, columns = bound or Binder(self.catalog).bind_query_top(answer)
+        if bound is None:
+            binder = Binder(self.catalog)
+            bound = binder.bind_query_top(answer)
+            reads.update(binder.reads)
+        plan, columns = bound
         if tracer is not None:
             tracer.end(span)
         optimizing = tracer is not None and self.optimizer_enabled
@@ -613,7 +621,8 @@ class Database:
             analyze_plan(plan, self.catalog)
             if tracer is not None:
                 tracer.end(span)
-        return PlannedQuery(query, plan, tuple(columns), strategy, reports)
+        return PlannedQuery(query, plan, tuple(columns), strategy, reports,
+                            tuple(reads.values()), as_of, self.catalog)
 
     def _optimize(self, plan):
         """A bound plan optimized (``optimize`` re-validates it and every
@@ -708,28 +717,16 @@ class Database:
         """
         if isinstance(query, ast.ShowStats):
             raise SqlError("SHOW STATS has no plan; execute it directly")
-        from repro.plan.logical import Scan
-        from repro.sql.visitor import find_all
-
         statement = ast.QueryStatement(query)
         if sql is None:
             sql = to_sql(statement)
         fingerprint, normalized = _fingerprint(statement)
         # Facts (types/nullability/keys/cardinality bounds) travel with the
-        # cached plan; DML invalidation bounds how stale the bounds can get.
+        # cached plan; a write to a table it read invalidates them with it.
         planned = self._plan(query, watch, facts=True)
-        relations = {
-            ref.name.lower() for ref in find_all(query, ast.TableName)
-        }
-        relations.update(
-            node.table_name.lower()
-            for node in planned.plan.walk()
-            if isinstance(node, Scan)
-        )
         return dataclasses.replace(
             planned,
             sql=sql,
-            relations=frozenset(relations),
             plan_shape=plan_shape(planned.plan),
             fingerprint=fingerprint,
             normalized=normalized,
@@ -788,52 +785,38 @@ class Database:
         schema = TableSchema(
             [Column(c.name, parse_type_name(c.type_name)) for c in statement.columns]
         )
-        replaced = statement.or_replace and statement.name in self.catalog
         self.catalog.create_table(
             statement.name,
             schema,
             or_replace=statement.or_replace,
             if_not_exists=statement.if_not_exists,
         )
-        if replaced:
-            maintenance.on_mutation(self, statement.name)
         return Result(message=f"table {statement.name} created")
 
     def _create_table_as(self, statement: ast.CreateTableAs) -> Result:
         result = self._run_query(statement.query)[0]
         schema = table_schema((c.name, c.dtype) for c in result.columns)
-        replaced = statement.or_replace and statement.name in self.catalog
         table = self.catalog.create_table(
             statement.name, schema, or_replace=statement.or_replace
         )
         count = table.table.insert_many(result.rows)
-        if replaced:
-            maintenance.on_mutation(self, statement.name)
         return Result(rowcount=count, message=f"table {statement.name} created ({count} rows)")
 
     def _create_view(self, statement: ast.CreateView) -> Result:
         # Bind eagerly so that invalid views are rejected at creation time.
         view = View(statement.name, statement.query, statement.column_names)
         Binder(self.catalog).bind_view(view)
-        replaced = statement.or_replace and statement.name in self.catalog
         self.catalog.create_view(
             statement.name,
             statement.query,
             column_names=statement.column_names,
             or_replace=statement.or_replace,
         )
-        if replaced:
-            # Summaries computed against the old view definition no longer
-            # answer queries over the new one; invalidate every summary
-            # whose source chain includes this view.
-            maintenance.on_mutation(self, statement.name)
         return Result(message=f"view {statement.name} created")
 
     def _create_materialized_view(
         self, statement: ast.CreateMaterializedView
     ) -> Result:
-        from repro.storage.table import MemoryTable
-
         existing = self.catalog.get(statement.name)
         if existing is not None:
             # Fail before computing any rows; OR REPLACE only replaces
@@ -851,9 +834,10 @@ class Database:
             MemoryTable(definition.schema),
             query=statement.query,
             definition=definition,
+            catalog=self.catalog,
         )
-        rows = maintenance.compute_rows(self, definition)
-        count = view.table.insert_many(rows)
+        count = view.table.insert_many(maintenance.compute_rows(self, definition))
+        view.fresh_as = clock.now
         self.catalog.add_materialized_view(
             statement.name, view, or_replace=statement.or_replace
         )
@@ -879,29 +863,8 @@ class Database:
 
     def _insert(self, statement: ast.Insert, params: Sequence[Any] = ()) -> Result:
         table = self.catalog.base_table(statement.table)
-        result = self._run_query(statement.source, params)[0]
-        expected = (
-            len(statement.columns)
-            if statement.columns
-            else len(table.schema.columns)
-        )
-        count = 0
-        before = len(table.table)
-        for row in result.rows:
-            if len(row) != expected:
-                raise CatalogError(
-                    f"INSERT expects {expected} values per row, got {len(row)}"
-                )
-            if statement.columns:
-                table.table.insert_partial(statement.columns, row)
-            else:
-                table.table.insert(row)
-            count += 1
-        if count:
-            maintenance.on_insert(
-                self, statement.table, table.table.rows[before:]
-            )
-            self.catalog.note_rows_changed(statement.table, count)
+        rows = self._run_query(statement.source, params)[0].rows
+        count = maintenance.insert(self, table, rows, statement.columns)
         return Result(rowcount=count, message=f"{count} rows inserted")
 
     def _bind_table_predicate(self, table, where: Optional[ast.Expression]):
@@ -936,8 +899,6 @@ class Database:
         ]
 
     def _update(self, statement: ast.Update, params: Sequence[Any] = ()) -> Result:
-        from repro.types import coerce_value
-
         table = self.catalog.base_table(statement.table)
         expr_binder, bound_where = self._bind_table_predicate(
             table, statement.where
@@ -950,35 +911,21 @@ class Database:
             self.catalog, enable_cache=self.cache_enabled, params=params
         )
         rows = table.table.rows
-        count = 0
-        for row_index in self._matching_indexes(table, bound_where, params):
-            updated = list(rows[row_index])
+        positions = self._matching_indexes(table, bound_where, params)
+        updated = []
+        for position in positions:
+            row = list(rows[position])
             for column_index, value_of in targets:
-                updated[column_index] = coerce_value(
-                    value_of(rows[row_index], None, ctx),
-                    table.schema.columns[column_index].dtype,
-                )
-            rows[row_index] = tuple(updated)
-            count += 1
-        if count:
-            maintenance.on_mutation(self, statement.table)
-            self.catalog.note_rows_changed(statement.table, count)
+                row[column_index] = value_of(rows[position], None, ctx)
+            updated.append(row)
+        count = table.table.update(positions, updated)
         return Result(rowcount=count, message=f"{count} rows updated")
 
     def _delete(self, statement: ast.Delete, params: Sequence[Any] = ()) -> Result:
         table = self.catalog.base_table(statement.table)
         _, bound_where = self._bind_table_predicate(table, statement.where)
-        doomed = set(self._matching_indexes(table, bound_where, params))
-        if doomed:
-            kept = [
-                row
-                for index, row in enumerate(table.table.rows)
-                if index not in doomed
-            ]
-            table.table.rows[:] = kept
-            maintenance.on_mutation(self, statement.table)
-            self.catalog.note_rows_changed(statement.table, len(doomed))
-        return Result(rowcount=len(doomed), message=f"{len(doomed)} rows deleted")
+        count = table.table.delete(self._matching_indexes(table, bound_where, params))
+        return Result(rowcount=count, message=f"{count} rows deleted")
 
     def _explain(self, statement: ast.ExplainPlan) -> Result:
         from repro.plan.logical import plan_tree_string
@@ -1271,12 +1218,8 @@ class Database:
         schema = TableSchema(
             [Column(col, parse_type_name(type_name)) for col, type_name in columns]
         )
-        replaced = name in self.catalog
         table = self.catalog.create_table(name, schema, or_replace=True)
-        count = table.table.insert_many(rows)
-        if replaced:
-            maintenance.on_mutation(self, name)
-        return count
+        return table.table.insert_many(rows)
 
     def table_names(self) -> list[str]:
         """Sorted names of every table and view in the catalog."""

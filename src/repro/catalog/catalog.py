@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator, Optional
 
 from repro.catalog.objects import (
@@ -15,16 +16,18 @@ from repro.catalog.schema import TableSchema
 from repro.catalog.stats import TableStats
 from repro.errors import CatalogError
 from repro.sql import ast
-from repro.storage.table import MemoryTable
+from repro.storage.table import MemoryTable, clock
 
 __all__ = ["Catalog"]
 
 
 class Catalog:
-    """Holds every named object visible to queries."""
+    """Holds every named object visible to queries.  ``stamp`` is the write
+    clock's tick at the last CREATE, DROP or replace."""
 
     def __init__(self) -> None:
         self._objects: dict[str, CatalogObject] = {}
+        self.stamp = 0
         #: Reserved namespace of virtual system tables (repro.introspect).
         #: Kept apart from user objects so names()/__contains__ and the
         #: shell's object listings show only what the user created.
@@ -33,10 +36,8 @@ class Catalog:
         #: returning ``{table_name: rows}`` for every member table, read
         #: from the backing store in one atomic call.
         self._snapshot_groups: dict[str, object] = {}
-        #: ``ANALYZE`` results, keyed by lowered table name, plus the
-        #: rows-changed-since-analyze staleness counters DML maintains.
+        #: ``ANALYZE`` results, keyed by lowered table name.
         self._table_stats: dict[str, TableStats] = {}
-        self._stats_mods: dict[str, int] = {}
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._objects
@@ -93,10 +94,9 @@ class Catalog:
     # -- ANALYZE statistics --------------------------------------------------
 
     def store_table_stats(self, stats: TableStats) -> None:
-        """Record an ``ANALYZE`` result and reset its staleness counter."""
+        """Record an ``ANALYZE`` result with its table's ``changed`` count."""
         key = stats.table.lower()
-        self._table_stats[key] = stats
-        self._stats_mods[key] = 0
+        self._table_stats[key] = replace(stats, changed=self._objects[key].table.changed)
 
     def table_stats(self, name: str) -> Optional[TableStats]:
         """The stored ``ANALYZE`` result for ``name``, or None."""
@@ -108,25 +108,20 @@ class Catalog:
             self._table_stats.values(), key=lambda s: s.table.lower()
         )
 
-    def note_rows_changed(self, name: str, count: int) -> None:
-        """Bump the staleness counter after DML changed ``count`` rows.
-
-        A no-op for tables that were never analyzed: staleness is defined
-        relative to a previous ANALYZE, so there is nothing to age.
-        """
-        key = name.lower()
-        if count and key in self._table_stats:
-            self._stats_mods[key] = self._stats_mods.get(key, 0) + count
-
     def mods_since_analyze(self, name: str) -> int:
-        """Rows changed since ``name`` was last analyzed (0 if never)."""
-        return self._stats_mods.get(name.lower(), 0)
+        """Rows changed since ``name`` was last analyzed (0 if never): its
+        table's ``changed`` count less the one ANALYZE recorded."""
+        key = name.lower()
+        stats = self._table_stats.get(key)
+        return 0 if stats is None else self._objects[key].table.changed - stats.changed
 
     def discard_table_stats(self, name: str) -> None:
         """Drop stored statistics (the table was dropped or replaced)."""
-        key = name.lower()
-        self._table_stats.pop(key, None)
-        self._stats_mods.pop(key, None)
+        self._table_stats.pop(name.lower(), None)
+
+    def _stamp(self) -> int:
+        self.stamp = clock.tick()
+        return self.stamp
 
     def _reject_system_name(self, name: str) -> None:
         if name.lower() in self._system:
@@ -167,6 +162,7 @@ class Catalog:
             self.discard_table_stats(name)
         table = BaseTable(name, MemoryTable(schema))
         self._objects[key] = table
+        self._stamp()
         return table
 
     def create_view(
@@ -182,7 +178,7 @@ class Catalog:
         key = name.lower()
         if key in self._objects and not or_replace:
             raise CatalogError(f"object {name!r} already exists")
-        view = View(name, query, list(column_names or []))
+        view = View(name, query, list(column_names or []), self._stamp())
         self._objects[key] = view
         return view
 
@@ -208,6 +204,7 @@ class Catalog:
                 )
             self.discard_table_stats(name)
         self._objects[key] = view
+        self._stamp()
         return view
 
     def materialized_views(self) -> list[MaterializedView]:
@@ -221,12 +218,6 @@ class Catalog:
         """Materialized views whose FROM relation is ``source_name``."""
         key = source_name.lower()
         return [v for v in self.materialized_views() if v.definition.source_name == key]
-
-    def materialized_views_depending_on(self, relation_name: str) -> list[MaterializedView]:
-        """Materialized views that (transitively) read ``relation_name``,
-        which may be a base table or a view in the summary's source chain."""
-        key = relation_name.lower()
-        return [v for v in self.materialized_views() if key in v.definition.depends_on]
 
     def drop(self, kind: str, name: str, *, if_exists: bool = False) -> bool:
         """Drop a TABLE, VIEW, or MATERIALIZED VIEW; the kind must match."""
@@ -244,6 +235,7 @@ class Catalog:
             raise CatalogError(f"{name!r} is a {obj.kind.lower()}, not a {kind.lower()}")
         del self._objects[key]
         self.discard_table_stats(name)
+        self._stamp()
         return True
 
     def base_table(self, name: str) -> BaseTable:

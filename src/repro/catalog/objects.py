@@ -19,6 +19,7 @@ from repro.sql import ast
 from repro.storage.table import MemoryTable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.catalog.catalog import Catalog
     from repro.matview.definition import SummaryDefinition
     from repro.matview.stats import SummaryStats
 
@@ -37,17 +38,24 @@ class BaseTable:
         return self.table.schema
 
     @property
+    def stamp(self) -> int:
+        """The write clock's tick at the table's last write."""
+        return self.table.stamp
+
+    @property
     def kind(self) -> str:
         return "TABLE"
 
 
 @dataclass
 class View:
-    """A named view over a query, possibly defining measures."""
+    """A named view over a query, possibly defining measures; ``stamp`` is
+    the catalog's tick when it was created."""
 
     name: str
     query: ast.Query
     column_names: list[str] = field(default_factory=list)
+    stamp: int = 0
 
     @property
     def kind(self) -> str:
@@ -61,21 +69,30 @@ class MaterializedView(BaseTable):
     ``table`` holds the materialized rows (dimensions, visible aggregates,
     and hidden AVG companion columns).  ``definition`` carries what the
     matcher needs: source relation, dimension keys, per-measure roll-up
-    kinds, WHERE conjuncts, and the refresh plan.  ``stale`` flips on DML
-    against any table in ``definition.depends_on``; stale summaries are
-    skipped until refreshed.
+    kinds, WHERE conjuncts, and the refresh plan.  ``fresh_as`` is the write
+    clock when the rows were computed (CREATE, REFRESH) or last merged; the
+    summary is :attr:`stale` — skipped until refreshed — once a relation in
+    ``definition.depends_on`` was dropped, replaced or written after it.
     """
 
     query: ast.Query = None  # definition as written (for SHOW/describe)
     definition: "SummaryDefinition" = None
-    stale: bool = False
     stats: "SummaryStats" = None
+    catalog: "Catalog" = field(default=None, repr=False, compare=False)
+    fresh_as: int = 0
 
     def __post_init__(self) -> None:
         if self.stats is None:
             from repro.matview.stats import SummaryStats
 
             self.stats = SummaryStats()
+
+    @property
+    def stale(self) -> bool:
+        return any(
+            (source := self.catalog.get(name)) is None or source.stamp > self.fresh_as
+            for name in self.definition.depends_on
+        )
 
     @property
     def kind(self) -> str:
@@ -106,6 +123,8 @@ class SystemTable:
     provider: Callable[[], list[tuple]]
     comment: str = ""
     group: str | None = None
+    #: Never written: a scan reads the provider's rows at execution.
+    stamp = 0
 
     @property
     def kind(self) -> str:

@@ -4,9 +4,9 @@
 :class:`TableStats`: exact row count plus, per column, the number of
 distinct values, null fraction, min/max, and an equi-depth histogram.
 The catalog stores the result (:meth:`~repro.catalog.Catalog
-.store_table_stats`) together with a *mods-since-analyze* counter that
-DML bumps, so staleness — rows changed since the statistics were
-gathered — is a first-class, queryable fact
+.store_table_stats`) with the table's ``changed`` count at the time, so
+staleness — rows changed since the statistics were gathered, the table's
+count now less that one — is a first-class, queryable fact
 (``repro_table_stats.mods_since_analyze``).
 
 Everything is computed from the rows actually present: no sampling, no
@@ -103,6 +103,7 @@ class TableStats:
     row_count: int
     analyzed_at: str  # UTC ISO timestamp
     columns: Tuple[ColumnStats, ...]
+    changed: int = 0  # the table's ``changed`` count when analyzed
 
     def column(self, name: str) -> Optional[ColumnStats]:
         lowered = name.lower()

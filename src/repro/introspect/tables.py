@@ -171,7 +171,6 @@ def install_system_tables(db: "Database") -> None:
                     stats.stale_skips,
                     stats.refreshes,
                     stats.incremental_merges,
-                    stats.invalidations,
                     stats.last_reject_reason,
                 )
             )
@@ -277,7 +276,6 @@ def install_system_tables(db: "Database") -> None:
                 ("stale_skips", INTEGER),
                 ("refreshes", INTEGER),
                 ("incremental_merges", INTEGER),
-                ("invalidations", INTEGER),
                 ("last_reject_reason", VARCHAR),
             ),
             matviews,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.catalog.objects import MaterializedView, SystemTable, View
+from repro.catalog.objects import MaterializedView, SystemTable
 from repro.catalog.schema import Column, TableSchema
 from repro.core.modifiers import BoundVisible
 from repro.engine.aggregates import aggregate_result_type
@@ -40,7 +40,6 @@ from repro.types import INTEGER, UNKNOWN, VARCHAR
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
-    from repro.catalog import Catalog
 
 __all__ = [
     "SummaryDefinition",
@@ -71,7 +70,7 @@ class SummaryMeasure:
 @dataclass
 class SummaryDefinition:
     source_name: str  # lowered name of the FROM relation
-    depends_on: frozenset  # lowered names of every relation it reads
+    depends_on: frozenset  # lowered names of every table and view its bind read
     dimensions: list[SummaryDimension]
     measures: list[SummaryMeasure]
     where: dict[str, str]  # fingerprint -> SQL of each WHERE conjunct
@@ -94,9 +93,16 @@ def analyze_definition(
         raise shape
     if any(isinstance(node, ast.Parameter) for node in query.walk()):
         raise CatalogError(f"materialized view {name!r} cannot use ? parameters")
-    depends_on = _base_dependencies(db.catalog, query.from_clause.name, name)
     binder = Binder(db.catalog)
     plan, _ = binder.bind_query_top(query)
+    for obj in binder.reads.values():
+        if isinstance(obj, (MaterializedView, SystemTable)):
+            # A system table changes on every query (lint RP113) and a
+            # summary's rows on REFRESH, and neither makes this one stale.
+            raise CatalogError(
+                f"materialized view {name!r} cannot be defined over "
+                f"{obj.kind.lower()} {obj.name!r}: its rows are volatile"
+            )
     bound = binder.selects[id(query)]
     # Anything but one plain grouping — HAVING, DISTINCT, ORDER BY, LIMIT,
     # QUALIFY, windows, grouping sets, no aggregate at all — is another node.
@@ -139,7 +145,7 @@ def analyze_definition(
     spell = spelling(bound)
     return SummaryDefinition(
         source_name=query.from_clause.name.lower(),
-        depends_on=depends_on,
+        depends_on=frozenset(binder.reads),
         dimensions=list(dimensions.values()),
         measures=measures,
         where={b.fingerprint(c): spell(c) for c in bound.where},
@@ -243,28 +249,3 @@ def table_schema(columns) -> TableSchema:
         ]
     )
 
-
-def _base_dependencies(catalog: "Catalog", relation: str, mv_name: str) -> frozenset:
-    """Every relation (base table or view) a relation reads, transitively:
-    view names too, so that ``CREATE OR REPLACE VIEW`` / ``DROP`` on any
-    link of the chain invalidates dependent summaries."""
-    found: set[str] = set()
-    todo = [relation]
-    while todo:
-        name = todo.pop()
-        if name.lower() in found:
-            continue
-        found.add(name.lower())
-        obj = catalog.get(name)
-        if obj is None:
-            raise CatalogError(f"unknown table or view {name!r}")
-        if isinstance(obj, (MaterializedView, SystemTable)):
-            # A system table changes on every query (lint RP113) and a
-            # summary's rows on REFRESH, and neither invalidates this one.
-            raise CatalogError(
-                f"materialized view {mv_name!r} cannot be defined over "
-                f"{obj.kind.lower()} {obj.name!r}: its rows are volatile"
-            )
-        if isinstance(obj, View):
-            todo += [n.name for n in obj.query.walk() if isinstance(n, ast.TableName)]
-    return frozenset(found)

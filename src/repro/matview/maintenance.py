@@ -1,26 +1,31 @@
-"""Staleness and maintenance of summary tables.
+"""Maintenance of summary tables: CREATE's and REFRESH's rows, and the
+INSERT merge.
 
 A summary's rows come from its stored refresh plan; only :func:`refresh`
-binds the definition again.  After an INSERT a mergeable summary runs that
-plan over the inserted rows alone and folds the result in; any other
-dependent summary, and every one after UPDATE / DELETE / TRUNCATE, is marked
-stale and skipped by the matcher until refreshed.
+binds the definition again.  Nothing marks a summary stale: it reads its
+staleness off the write stamps of what it depends on
+(:attr:`~repro.catalog.objects.MaterializedView.stale`).  The one push is
+:func:`insert`, because a merge needs the delta: a mergeable summary that
+was fresh before the INSERT runs its plan over the inserted rows alone,
+folds the result in and is fresh again; any other stays stale until
+refreshed.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.catalog.objects import MaterializedView
+from repro.catalog.objects import BaseTable, MaterializedView
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
+from repro.storage.table import MemoryTable, clock
 from repro.types import coerce_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
     from repro.matview.definition import SummaryDefinition
 
-__all__ = ["compute_rows", "on_insert", "on_mutation", "refresh"]
+__all__ = ["compute_rows", "insert", "refresh"]
 
 #: Aggregate kinds whose partials merge with a new partial in place.
 _MERGEABLE = frozenset({"SUM", "COUNT", "MIN", "MAX", "AVG"})
@@ -48,57 +53,42 @@ def compute_rows(
 
 def refresh(db: "Database", view: MaterializedView) -> int:
     """Bind ``view``'s definition again (a source view may have been
-    replaced), rebuild its table and return the row count."""
+    replaced), rebuild its table and return the row count.  Nothing changes
+    unless every step succeeds; the new table has no statistics."""
     from repro.matview.definition import analyze_definition
-    from repro.storage.table import MemoryTable
 
-    view.definition = analyze_definition(db, view.name, view.query)
-    view.table = MemoryTable(view.definition.schema)
-    count = view.table.insert_many(compute_rows(db, view.definition))
-    view.stale = False
+    definition = analyze_definition(db, view.name, view.query)
+    table = MemoryTable(definition.schema)
+    count = table.insert_many(compute_rows(db, definition))
+    view.definition, view.table, view.fresh_as = definition, table, clock.now
+    db.catalog.discard_table_stats(view.name)
     view.stats.refreshes += 1
     if db.telemetry is not None:
         db.telemetry.record_maintenance("refresh", view.name)
     return count
 
 
-def on_mutation(db: "Database", table_name: str) -> None:
-    """UPDATE/DELETE/TRUNCATE touched ``table_name``: invalidate dependents."""
-    for view in db.catalog.materialized_views_depending_on(table_name):
-        if not view.stale:
-            _invalidate(db, view)
+def insert(
+    db: "Database", table: BaseTable, rows: Sequence[Sequence[Any]], columns=None
+) -> int:
+    """INSERT ``rows`` into ``table`` and merge them into every summary over
+    it that was fresh before and can merge.
 
-
-def on_insert(
-    db: "Database", table_name: str, new_rows: Sequence[tuple]
-) -> None:
-    """INSERT appended ``new_rows`` to ``table_name``: merge or invalidate.
-
-    Insert-only deltas roll up in place only when the summary reads the
-    table directly (no intervening view whose semantics the delta would
-    have to reproduce) and every aggregate merges additively."""
-    if not new_rows:
-        return
-    for view in db.catalog.materialized_views_depending_on(table_name):
-        if view.stale:
-            continue  # already invalid; REFRESH will rebuild from scratch
-        definition = view.definition
-        if definition.source_name != table_name.lower() or any(
-            m.kind not in _MERGEABLE for m in definition.measures
-        ):
-            _invalidate(db, view)
-            continue
-        _merge(view, compute_rows(db, definition, new_rows))
+    A summary merges only when it reads the table directly (no intervening
+    view whose semantics the delta would have to reproduce) and every
+    aggregate merges additively."""
+    fresh = [
+        view for view in db.catalog.materialized_views_over(table.name)
+        if not view.stale and all(m.kind in _MERGEABLE for m in view.definition.measures)
+    ]
+    count = table.table.insert_many(rows, columns)
+    for view in fresh if count else ():
+        _merge(view, compute_rows(db, view.definition, table.table.rows[-count:]))
+        view.fresh_as = clock.now
         view.stats.incremental_merges += 1
         if db.telemetry is not None:
             db.telemetry.record_maintenance("incremental_merge", view.name)
-
-
-def _invalidate(db: "Database", view: MaterializedView) -> None:
-    view.stale = True
-    view.stats.invalidations += 1
-    if db.telemetry is not None:
-        db.telemetry.record_maintenance("invalidation", view.name)
+    return count
 
 
 def _merge(view: MaterializedView, delta_rows: list[tuple]) -> None:
@@ -109,28 +99,26 @@ def _merge(view: MaterializedView, delta_rows: list[tuple]) -> None:
     position_of = {
         tuple(row[i] for i in keys): p for p, row in enumerate(table.rows)
     }
+    merged: dict[int, list] = {}
+    added = []
     for delta in delta_rows:
         delta = tuple(coerce_value(v, c.dtype) for v, c in zip(delta, columns))
         position = position_of.get(tuple(delta[i] for i in keys))
         if position is None:
-            position_of[tuple(delta[i] for i in keys)] = len(table.rows)
-            table.insert(delta)
+            added.append(delta)
             continue
-        merged = list(table.rows[position])
+        row = merged[position] = list(table.rows[position])
         for measure in view.definition.measures:
             if measure.kind == "AVG":
                 total, count = (at[f"__{measure.name}_{p}"] for p in ("sum", "count"))
-                merged[total] = _combine("SUM", merged[total], delta[total])
-                merged[count] = _combine("SUM", merged[count], delta[count])
-                merged[at[measure.name]] = (
-                    merged[total] / merged[count] if merged[count] else None
-                )
+                row[total] = _combine("SUM", row[total], delta[total])
+                row[count] = _combine("SUM", row[count], delta[count])
+                row[at[measure.name]] = row[total] / row[count] if row[count] else None
             else:
                 i = at[measure.name]
-                merged[i] = _combine(measure.kind, merged[i], delta[i])
-        table.rows[position] = tuple(
-            coerce_value(v, c.dtype) for v, c in zip(merged, columns)
-        )
+                row[i] = _combine(measure.kind, row[i], delta[i])
+    table.update(list(merged), list(merged.values()))
+    table.insert_many(added)
 
 
 def _combine(kind: str, old: Any, new: Any) -> Any:

@@ -1,7 +1,7 @@
 """Observability counters for materialized summary tables.
 
 Each :class:`~repro.catalog.objects.MaterializedView` carries one
-:class:`SummaryStats`.  The matcher, the maintenance hooks, and ``REFRESH``
+:class:`SummaryStats`.  The matcher, the INSERT merge and ``REFRESH``
 update it; ``Database.summary_stats()`` and ``EXPLAIN`` surface it.
 """
 
@@ -23,7 +23,6 @@ class SummaryStats:
     stale_skips: int = 0  # times it was skipped as stale
     refreshes: int = 0  # REFRESH MATERIALIZED VIEW recomputations
     incremental_merges: int = 0  # insert-only deltas rolled up in place
-    invalidations: int = 0  # DML events that marked it stale
     #: Why the matcher most recently rejected this summary, if ever.
     last_reject_reason: Optional[str] = None
     #: Reject counts per matchability rule (e.g. ``missing-dimension``).

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.catalog.catalog import Catalog
-from repro.catalog.objects import BaseTable, SystemTable, View
+from repro.catalog.objects import BaseTable, CatalogObject, SystemTable, View
 from repro.core.context import ContextSpec, GroupTermSpec, VisibleInfo
 from repro.core.definition import Dimension, MeasureGroup, MeasureInstance
 from repro.core.modifiers import BoundSet, BoundVisible, BoundWhere
@@ -164,6 +164,8 @@ class Binder:
         #: :class:`~repro.semantics.bound.BoundMeasureEval` it became.
         self.selects: dict[int, BoundSelect] = {}
         self.sites: dict[int, b.BoundMeasureEval] = {}
+        #: Lowered name -> every catalog object a name resolved to.
+        self.reads: dict[str, CatalogObject] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -692,6 +694,7 @@ class QueryBinder:
             self._add_bound_relation(cte, ref.alias or ref.name, ref)
             return cte.plan
         obj = self.binder.catalog.resolve(ref.name)
+        self.binder.reads[ref.name.lower()] = obj
         if isinstance(obj, (BaseTable, SystemTable)):
             # System tables bind exactly like stored tables — same scope
             # wiring, same column offsets — but plan to a SystemScan leaf

@@ -12,20 +12,22 @@ expansions that print-and-reparse constants), so each literal variant
 gets its own entry.  The fingerprint groups those variants for plan-flip
 eviction and for the ``repro_plan_cache`` system table.
 
-Invalidation reasons (the ``reason`` label on
-``plan_cache_evictions_total``):
+Nobody tells the cache about a write.  An entry is replayed only while
+:meth:`~repro.api.PlannedQuery.invalidated` says it is valid — nothing it
+read or rejected, and not the catalog, was stamped by the write clock since
+it was planned — and every access first sweeps out the entries that are
+not.  While the clock has not moved since the last sweep that is one
+integer compared, no entry walked.
+
+Eviction reasons (the ``reason`` label on ``plan_cache_evictions_total``):
 
 ``lru``
     Capacity eviction of the least-recently-used entry.
 ``ddl``
-    A CREATE/DROP/replace changed the catalog; every entry is dropped.
+    A CREATE/DROP/replace stamped the catalog after the entry was planned.
 ``dml``
-    INSERT/UPDATE/DELETE/TRUNCATE on a table; entries reading that table
-    (or any summary depending on it) are dropped.
-``refresh``
-    REFRESH MATERIALIZED VIEW; entries reading the view or anything in
-    its source chain are dropped (a summary hit may now be possible where
-    it wasn't, and vice versa).
+    A write stamped a table the entry read or rejected (a REFRESH writes
+    the summary; a write to a summary's source counts as one to it).
 ``flip``
     The flip detector saw this fingerprint's plan change; all of the
     fingerprint's entries are dropped so the next execution replans.
@@ -37,9 +39,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.api import PlannedQuery
+from repro.storage.table import clock
 
 __all__ = ["PlanCache"]
 
@@ -55,10 +58,11 @@ class _Entry:
 class PlanCache:
     """An LRU cache of :class:`~repro.api.PlannedQuery` keyed by SQL text.
 
-    Thread-safe: sessions on different connections hit and invalidate it
-    concurrently.  ``on_evict(reason, count)`` is called (outside the
-    lock) whenever entries leave the cache, which is how eviction counts
-    reach telemetry without the cache importing it.
+    Thread-safe: sessions on different connections hit and evict it
+    concurrently.  ``on_evict(reason, count)`` is called whenever entries
+    leave the cache, which is how eviction counts reach telemetry without
+    the cache importing it; a sweep calls it under the cache's lock, so it
+    must not call back into the cache.
     """
 
     def __init__(
@@ -73,20 +77,38 @@ class PlanCache:
         self._on_evict = on_evict
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        #: The write clock at the last sweep.
+        self._swept = clock.now
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         with self._lock:
+            self._sweep()
             return len(self._entries)
 
     def _notify(self, reason: str, count: int) -> None:
         if count and self._on_evict is not None:
             self._on_evict(reason, count)
 
+    def _sweep(self) -> None:
+        """Drop every entry a read would not replay; called under the lock.
+        While the clock has not moved since the last sweep, nothing can have
+        been stamped: one integer compared, no entry walked."""
+        now = clock.now
+        if now == self._swept:
+            return
+        self._swept = now
+        for sql, entry in list(self._entries.items()):
+            reason = entry.planned.invalidated()
+            if reason is not None:
+                del self._entries[sql]
+                self._notify(reason, 1)
+
     def get(self, sql: str) -> Optional[PlannedQuery]:
         """The cached plan for ``sql``, or None; a hit refreshes recency."""
         with self._lock:
+            self._sweep()
             entry = self._entries.get(sql)
             if entry is None:
                 self.misses += 1
@@ -101,6 +123,7 @@ class PlanCache:
         entries to stay within capacity."""
         evicted = 0
         with self._lock:
+            self._sweep()
             self._entries[planned.sql] = _Entry(planned)
             self._entries.move_to_end(planned.sql)
             while len(self._entries) > self.capacity:
@@ -108,29 +131,13 @@ class PlanCache:
                 evicted += 1
         self._notify("lru", evicted)
 
-    def invalidate_all(self, reason: str = "ddl") -> int:
-        """Drop every entry (catalog changed under us)."""
+    def clear(self) -> int:
+        """Drop every entry."""
         with self._lock:
             count = len(self._entries)
             self._entries.clear()
-        self._notify(reason, count)
+        self._notify("clear", count)
         return count
-
-    def invalidate_relations(
-        self, relations: Iterable[str], reason: str
-    ) -> int:
-        """Drop entries whose dependency set intersects ``relations``."""
-        targets = {name.lower() for name in relations}
-        with self._lock:
-            doomed = [
-                sql
-                for sql, entry in self._entries.items()
-                if entry.planned.relations & targets
-            ]
-            for sql in doomed:
-                del self._entries[sql]
-        self._notify(reason, len(doomed))
-        return len(doomed)
 
     def evict_fingerprint(self, fingerprint: str, reason: str = "flip") -> int:
         """Drop every entry of one statement fingerprint (plan flipped)."""
@@ -146,22 +153,23 @@ class PlanCache:
         return len(doomed)
 
     def rows(self) -> list:
-        """Rows for the ``repro_plan_cache`` system table, LRU-first."""
+        """Rows for the ``repro_plan_cache`` system table, LRU-first;
+        ``relations`` names what each plan read or rejected."""
         with self._lock:
-            return [
-                (
-                    entry.planned.fingerprint,
-                    sql,
-                    entry.planned.strategy,
-                    entry.hits,
-                    len(entry.planned.relations),
-                    ",".join(sorted(entry.planned.relations)),
-                )
-                for sql, entry in self._entries.items()
-            ]
+            self._sweep()
+            rows = []
+            for sql, entry in self._entries.items():
+                planned = entry.planned
+                names = sorted({table.name.lower() for table in planned.reads})
+                rows.append((
+                    planned.fingerprint, sql, planned.strategy, entry.hits,
+                    len(names), ",".join(names),
+                ))
+            return rows
 
     def stats(self) -> dict:
         with self._lock:
+            self._sweep()
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,

@@ -16,9 +16,10 @@ boundary:
   allowed to change.
 * Queries go through the shared plan cache: the canonical SQL text is
   the key, a hit replays the stored plan with fresh parameters, and a
-  miss plans cold and populates the cache.  Writes invalidate affected
-  entries before the write lock is released, and detected plan flips
-  evict every cached variant of the flipped fingerprint.
+  miss plans cold and populates the cache.  A plan is replayed only while
+  nothing it read was stamped by a write since it was planned, whoever
+  wrote (:mod:`repro.server.plancache`), and detected plan flips evict
+  every cached variant of the flipped fingerprint.
 
 Sessions can be used directly (the benchmark does) or through the
 asyncio server in :mod:`repro.server.server`.
@@ -34,7 +35,6 @@ from datetime import datetime, timezone
 from time import perf_counter
 from typing import Any, Optional, Sequence
 
-from repro.catalog import MaterializedView
 from repro.errors import SqlError
 from repro.result import Result
 from repro.server.plancache import PlanCache
@@ -47,20 +47,6 @@ __all__ = ["Session", "SessionManager"]
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-#: Statements that mutate one named table (DML); invalidation targets the
-#: table plus every summary whose source chain includes it.
-_DML_TYPES = (ast.Insert, ast.Update, ast.Delete, ast.Truncate)
-
-#: Statements that change the catalog itself; the whole plan cache goes.
-_DDL_TYPES = (
-    ast.CreateTable,
-    ast.CreateTableAs,
-    ast.CreateView,
-    ast.CreateMaterializedView,
-    ast.DropObject,
-)
 
 
 class Session:
@@ -193,10 +179,12 @@ class Session:
         self, statement: ast.Statement, sql: str, params: Sequence[Any], start, watch=None
     ) -> Result:
         """``start`` is the entry point's clock, handed down to the emit
-        step so the statement's wall time includes the lock wait."""
+        step so the statement's wall time includes the lock wait.  A write
+        runs alone and tells nobody: what it wrote carries its stamp."""
         if isinstance(statement, ast.QueryStatement):
             return self._run_read(statement, sql, params, start, watch)
-        return self._run_write(statement, sql, params, start)
+        with self.db.rwlock.write():
+            return self.db._execute_observed(statement, params, sql=sql, start=start)
 
     def _run_read(
         self,
@@ -266,19 +254,6 @@ class Session:
         if span is not None:
             watch.tracer.end(span)
         return planned
-
-    def _run_write(
-        self, statement: ast.Statement, sql: str, params: Sequence[Any], start
-    ) -> Result:
-        db = self.db
-        with db.rwlock.write():
-            result = db._execute_observed(
-                statement, params, sql=sql, start=start
-            )
-            # Invalidate while still exclusive: no reader can replay a
-            # stale plan between the mutation and the eviction.
-            self.manager.invalidate_for(statement)
-            return result
 
 
 class SessionManager:
@@ -364,30 +339,6 @@ class SessionManager:
             # A flip past ``upto`` is the next sync's to apply.
             if flip["seq"] <= upto:
                 self.plan_cache.evict_fingerprint(flip["fingerprint"], "flip")
-
-    def invalidate_for(self, statement: ast.Statement) -> None:
-        """Evict plans a just-executed write statement may have staled."""
-        cache = self.plan_cache
-        if isinstance(statement, _DML_TYPES):
-            table = statement.table
-            # Summaries over the table are stale-marked (or incrementally
-            # merged) by maintenance; either way, a cached plan that reads
-            # the summary — or one that was rejected because of it — must
-            # be re-decided.
-            names = {table.lower()}
-            names.update(
-                v.name.lower()
-                for v in self.db.catalog.materialized_views_depending_on(table)
-            )
-            cache.invalidate_relations(names, "dml")
-        elif isinstance(statement, ast.RefreshMaterializedView):
-            names = {statement.name.lower()}
-            obj = self.db.catalog.get(statement.name)
-            if isinstance(obj, MaterializedView):
-                names.update(obj.definition.depends_on)
-            cache.invalidate_relations(names, "refresh")
-        elif isinstance(statement, _DDL_TYPES):
-            cache.invalidate_all("ddl")
 
     # -- system tables -----------------------------------------------------
 

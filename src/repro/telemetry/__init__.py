@@ -184,7 +184,7 @@ class Telemetry:
         self.matview_maintenance_total = reg.counter(
             "matview_maintenance_total",
             "Materialized-view maintenance events (refresh, "
-            "incremental_merge, invalidation).",
+            "incremental_merge).",
             ("event", "view"),
         )
         self.expansions_total = reg.counter(
@@ -231,8 +231,8 @@ class Telemetry:
         )
         self.plan_cache_evictions_total = reg.counter(
             "plan_cache_evictions_total",
-            "Plan-cache entries evicted, by reason "
-            "(lru, ddl, dml, refresh, flip, clear).",
+            "Plan-cache entries evicted, by reason (lru, ddl, dml, flip, "
+            "clear); a REFRESH is a write to the summary, so dml.",
             ("reason",),
         )
         self._profile_counters = tuple(

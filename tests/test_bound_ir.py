@@ -917,3 +917,177 @@ def test_the_newest_slow_entries_keep_their_profile():
     seqs = [entry["seq"] for entry in slow]
     assert seqs == sorted(seqs)
     assert len(_holding(tele.ring)) == 2 * PROFILE_CAPACITY
+
+
+# -- one write clock: a write is read off the stamps, never pushed ------------------
+
+#: What each statement used to push: the summary invalidation and its counter,
+#: the ANALYZE counter, the session's eviction by statement type, the cache's
+#: eviction by relation name, and the table's one-row writers; and the walk
+#: that listed a summary's sources beside the bind that resolves them.
+PUSHED = {
+    "on_mutation", "_invalidate", "note_rows_changed", "invalidate_for",
+    "invalidate_relations", "invalidate_all", "insert_partial",
+    "materialized_views_depending_on", "_base_dependencies",
+}
+PUSHED_NAMES = re.compile(r"\b(_stats_mods|_DML_TYPES|_DDL_TYPES|invalidations)\b|\"invalidation\"")
+ROW_WRITERS = {"append", "extend", "insert", "clear", "pop", "remove", "sort", "reverse"}
+
+
+def _own_nodes(scope):
+    """The nodes of one function (or module) body, nested definitions aside."""
+    stack = list(pyast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (pyast.FunctionDef, pyast.AsyncFunctionDef, pyast.ClassDef)):
+            stack.extend(pyast.iter_child_nodes(node))
+
+
+def row_writes(tree) -> list[int]:
+    """Lines that assign into, append to or clear a row list: an ``x.rows`` /
+    ``x._rows``, or a name the same function bound to one."""
+    lines = set()
+    for scope in pyast.walk(tree):
+        if not isinstance(scope, (pyast.Module, pyast.FunctionDef, pyast.AsyncFunctionDef)):
+            continue
+        nodes = list(_own_nodes(scope))
+        aliases = {
+            target.id
+            for node in nodes
+            if isinstance(node, pyast.Assign)
+            and isinstance(node.value, pyast.Attribute)
+            and node.value.attr in ("rows", "_rows")
+            for target in node.targets
+            if isinstance(target, pyast.Name)
+        }
+
+        def row_list(node) -> bool:
+            if isinstance(node, pyast.Name):
+                return node.id in aliases
+            return isinstance(node, pyast.Attribute) and node.attr in ("rows", "_rows")
+
+        for node in nodes:
+            targets = []
+            if isinstance(node, (pyast.Assign, pyast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (pyast.AugAssign, pyast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                if isinstance(target, pyast.Attribute) and target.attr == "_rows" or (
+                    isinstance(target, pyast.Subscript) and row_list(target.value)
+                ):
+                    lines.add(node.lineno)
+            if (
+                isinstance(node, pyast.Call)
+                and isinstance(node.func, pyast.Attribute)
+                and node.func.attr in ROW_WRITERS
+                and row_list(node.func.value)
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_nothing_pushes_a_write():
+    from repro.analysis.lockcheck import ALLOWLIST
+    from repro.catalog.objects import MaterializedView
+    from repro.matview.stats import SummaryStats
+
+    defined: dict[str, list] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in pyast.walk(pyast.parse(path.read_text())):
+            if isinstance(node, (pyast.FunctionDef, pyast.ClassDef)):
+                defined.setdefault(node.name, []).append(module)
+    assert not PUSHED & set(defined), {n: defined[n] for n in PUSHED & set(defined)}
+    left = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if PUSHED_NAMES.search(line)
+    ]
+    assert left == []
+    # Staleness is read off the stamps, never stored.
+    assert isinstance(MaterializedView.stale, property)
+    assert "stale" not in MaterializedView.__dataclass_fields__
+    assert "invalidations" not in SummaryStats.__dataclass_fields__
+    assert not [entry for entry in ALLOWLIST if "invalidate" in entry]
+
+
+def test_only_the_table_writes_its_rows():
+    writers = {
+        path.relative_to(SRC).as_posix(): row_writes(pyast.parse(path.read_text()))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert {m: lines for m, lines in writers.items() if lines} == {
+        "storage/table.py": writers["storage/table.py"]
+    }
+    # The three shapes the direct writes had.
+    assert len(row_writes(pyast.parse(
+        "table.table.rows[:] = kept\n"
+        "view.table.rows[position] = row\n"
+        "rows = table.table.rows\n"
+        "rows[index] = updated\n"
+    ))) == 3
+
+
+def _served_tables():
+    from repro import Database
+    from repro.server import SessionManager
+
+    db = Database(telemetry=True)
+    db.execute("CREATE TABLE t (x INTEGER)")
+    db.execute("INSERT INTO t VALUES (1), (2), (3)")
+    manager = SessionManager(db)
+    return db, manager, manager.open_session()
+
+
+def test_a_served_read_after_no_write_walks_no_cache_entry(monkeypatch):
+    """A served read compares one integer, the write clock, with the cache's
+    watermark; the entries are walked once per clock move."""
+    from repro.api import PlannedQuery
+
+    db, manager, session = _served_tables()
+    walks = []
+    invalidated = PlannedQuery.invalidated
+    monkeypatch.setattr(
+        PlannedQuery, "invalidated", lambda self: walks.append(self.sql) or invalidated(self)
+    )
+    reads = ["SELECT SUM(x) FROM t", "SELECT COUNT(*) FROM t"]
+    for _ in range(5):
+        for sql in reads:
+            session.execute(sql)
+    assert walks == [] and manager.plan_cache.stats()["hits"] == 8
+    db.execute("INSERT INTO t VALUES (4)")  # direct, no session told
+    for _ in range(5):
+        for sql in reads:
+            session.execute(sql)
+    assert sorted(walks) == sorted(reads)  # one sweep, each entry once
+    assert db.telemetry.plan_cache_evictions_total.value(reason="dml") == 2
+
+
+def test_an_insert_into_part_replans_only_what_reads_part():
+    from bench.builds import PART_BY_BRAND, PART_BY_MFGR, SUMMARY_QUERIES
+    from repro.server import SessionManager
+    from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
+
+    db = tpch_measure_database(0.001, summaries=True, telemetry=True)
+    db.execute(PART_BY_BRAND)
+    manager = SessionManager(db)
+    session = manager.open_session()
+    reads = [TPCH_QUERIES[name] for name in SUMMARY_QUERIES] + [PART_BY_MFGR]
+    for sql in reads:
+        session.execute(sql)
+    cache = manager.plan_cache
+    assert [row[2] for row in cache.rows()] == ["summary"] * 5
+    before = cache.stats()
+    session.execute(
+        "INSERT INTO part VALUES (900001, 'p', 'Manufacturer#1', 'Brand#11', "
+        "'ECONOMY ANODIZED', 1, 'SM BOX', 901.5, 'c')"
+    )
+    for sql in reads:
+        session.execute(sql)
+    after = cache.stats()
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (4, 1)
+    assert db.summary_stats()["part_by_brand"]["incremental_merges"] == 1
+    assert [row[2] for row in cache.rows()] == ["summary"] * 5

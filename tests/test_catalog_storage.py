@@ -148,14 +148,14 @@ def test_schema_lookup():
 def test_memory_table_insert_partial_duplicate_column():
     table = MemoryTable(TableSchema([Column("a", INTEGER), Column("b", INTEGER)]))
     with pytest.raises(CatalogError):
-        table.insert_partial(["a", "a"], [1, 2])
+        table.insert_many([[1, 2]], ["a", "a"])
 
 
 def test_memory_table_truncate():
     table = MemoryTable(TableSchema([Column("a", INTEGER)]))
-    table.insert([1])
-    table.truncate()
-    assert len(table) == 0
+    table.insert_many([[1]])
+    assert table.truncate() == 1
+    assert len(table) == 0 and table.changed == 2
 
 
 def test_catalog_names_sorted():

@@ -245,7 +245,7 @@ def test_repro_matviews_reflects_hits_and_staleness():
     ).rows
     assert rows == [("by_prod", "sales", False, 1)]
     db.execute("INSERT INTO sales VALUES ('c', 9)")
-    # Whatever maintenance policy applied (invalidation or incremental
+    # Whatever maintenance policy applied (staleness or incremental
     # merge), the table mirrors the catalog object's live state.
     view = db.catalog.resolve("by_prod")
     rows = db.execute(

@@ -9,7 +9,11 @@ Two invariants the workload's summary machinery must never break:
   aggregation bug, not float noise;
 * **refresh coherence** — after an arbitrary interleaving of INSERTs and
   REFRESHes, a database answering from summary tables returns exactly what
-  a summary-less twin computes cold.
+  a summary-less twin computes cold;
+* **one write clock** — after any interleaving of writes (failing ones
+  included), REFRESH, view replacement and ANALYZE, through a session or
+  directly, a cached plan, the direct API and a summary-less run agree, and
+  summary and ANALYZE staleness are what the writes made them.
 
 The tables here are lineitem-shaped but tiny and adversarial (hypothesis
 picks the values); the full-size generated workload is covered by
@@ -18,6 +22,7 @@ tests/test_differential_tpch.py.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -237,3 +242,137 @@ def test_aggregate_across_a_join_equals_the_visible_definition(rows, rank, year)
         "GROUP BY g.code ORDER BY g.code", (rank,)
     ).rows
     assert measured == plain
+
+
+# -- writes x readers: every reader reads the one write clock --------------------
+
+#: Two tables, a view, a summary an INSERT merges into and one it cannot
+#: (it reads the view).
+CLOCK_SCHEMA = (
+    "CREATE VIEW sales_geo AS SELECT g.code, s.quantity "
+    "FROM sales AS s JOIN geo AS g ON s.region = g.region",
+    "CREATE MATERIALIZED VIEW by_year AS SELECT region, orderYear, "
+    "SUM(quantity) AS q, COUNT(*) AS n, MIN(extendedprice) AS lo "
+    "FROM sales GROUP BY region, orderYear",
+    "CREATE MATERIALIZED VIEW by_code AS SELECT code, SUM(quantity) AS q "
+    "FROM sales_geo GROUP BY code",
+)
+READERS = (
+    "SELECT region, SUM(quantity), COUNT(*) FROM sales GROUP BY region ORDER BY region",
+    "SELECT orderYear, MIN(extendedprice) FROM sales GROUP BY orderYear ORDER BY orderYear",
+    "SELECT code, SUM(quantity) FROM sales_geo GROUP BY code ORDER BY code",
+)
+#: What each summary reads.
+SOURCES = {"by_year": {"sales"}, "by_code": {"sales", "geo"}}
+
+
+def _values(sales) -> str:
+    return ", ".join(f"('{r}', {y}, {p}, {s}, {q})" for r, y, p, s, q in sales)
+
+
+write_step = st.one_of(
+    st.tuples(st.just("insert"), st.lists(sale_strategy, min_size=1, max_size=3)),
+    st.tuples(st.just("insert_fails"), st.lists(sale_strategy, max_size=2)),
+    st.tuples(st.just("update"), st.sampled_from(REGIONS)),
+    st.tuples(st.just("update_fails"), st.none()),
+    st.tuples(st.just("delete"), st.tuples(st.sampled_from(["sales", "geo"]), st.sampled_from(REGIONS))),
+    st.tuples(st.just("truncate"), st.sampled_from(["sales", "geo"])),
+    st.tuples(st.just("refresh"), st.sampled_from(sorted(SOURCES))),
+    st.tuples(st.just("replace_view"), st.integers(1, 3)),
+    st.tuples(st.just("analyze"), st.sampled_from(["", "sales", "geo"])),
+)
+#: Each step through a session (True) or the direct API (False).
+write_steps = st.lists(st.tuples(write_step, st.booleans()), min_size=1, max_size=10)
+
+
+def _statement(kind: str, arg) -> tuple:
+    """``(sql, table written or None)`` of one step."""
+    if kind == "insert":
+        return f"INSERT INTO sales VALUES {_values(arg)}", "sales"
+    if kind == "insert_fails":  # the last row's quantity is no INTEGER
+        return f"INSERT INTO sales VALUES {_values([*arg, ('ASIA', 1995, 1, 1, 2.5)])}", "sales"
+    if kind in ("update", "update_fails"):
+        other = "quantity + 1" if kind == "update" else "2.5"
+        return (
+            f"UPDATE sales SET quantity = CASE WHEN region = '{arg}' "
+            f"THEN quantity + 1 ELSE {other} END",
+            "sales",
+        )
+    if kind == "delete":
+        return f"DELETE FROM {arg[0]} WHERE region = '{arg[1]}'", arg[0]
+    if kind == "truncate":
+        return f"TRUNCATE TABLE {arg}", arg
+    if kind == "refresh":
+        return f"REFRESH MATERIALIZED VIEW {arg}", None
+    if kind == "replace_view":
+        return (
+            f"CREATE OR REPLACE VIEW sales_geo AS SELECT g.code, s.quantity * {arg} "
+            "AS quantity FROM sales AS s JOIN geo AS g ON s.region = g.region",
+            None,
+        )
+    return f"ANALYZE {arg}".strip(), None
+
+
+def check_writes_and_readers(rows, steps) -> None:
+    """After every step, through a session and directly: the session's answer
+    is the direct one is the summary-less one; a summary is stale iff a
+    source was written since its last refresh or merge; ``mods_since_analyze``
+    counts the rows touched since the last ANALYZE."""
+    from repro.errors import SqlError
+    from repro.server import SessionManager
+
+    db = Database()
+    db.create_table_from_rows("sales", SCHEMA, rows)
+    db.create_table_from_rows("geo", GEO_SCHEMA, GEO)
+    for ddl in CLOCK_SCHEMA:
+        db.execute(ddl)
+    session = SessionManager(db).open_session()
+    stale = dict.fromkeys(SOURCES, False)
+    mods: dict = {}  # analyzed table -> rows touched since
+    for (kind, arg), through_session in steps:
+        stored = db.catalog.base_table("sales").table.rows
+        if kind == "update_fails" and stored:
+            arg = stored[0][0]  # rewrites the first row before it fails
+        sql, table = _statement(kind, arg)
+        try:
+            result = (session if through_session else db).execute(sql)
+        except SqlError:
+            assert kind in ("insert_fails", "update_fails"), sql
+        else:
+            assert kind != "insert_fails", sql
+            touched = result.rowcount if table else 0
+            if touched:
+                for view, sources in SOURCES.items():
+                    merged = kind == "insert" and view == "by_year"
+                    if table in sources and not merged:
+                        stale[view] = True
+                if table in mods:
+                    mods[table] += touched
+            if kind == "refresh":
+                stale[arg] = False
+            elif kind == "replace_view":
+                stale["by_code"] = True
+            elif kind == "analyze":
+                mods.update(dict.fromkeys([arg] if arg else ["sales", "geo"], 0))
+        for query in READERS:
+            served = session.execute(query).rows
+            direct = db.execute(query).rows
+            db.summaries_enabled = False
+            cold = db.execute(query).rows
+            db.summaries_enabled = True
+            assert served == direct == cold, (sql, query)
+        assert {v: s["stale"] for v, s in db.summary_stats().items()} == stale, sql
+        assert {t: db.catalog.mods_since_analyze(t) for t in mods} == mods, sql
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(sales_strategy, write_steps)
+def test_writes_and_readers_read_one_clock(rows, steps):
+    check_writes_and_readers(rows, steps)
+
+
+@pytest.mark.slow
+@settings(max_examples=500, deadline=None)
+@given(sales_strategy, write_steps)
+def test_writes_and_readers_read_one_clock_open_ended(rows, steps):
+    check_writes_and_readers(rows, steps)

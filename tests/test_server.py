@@ -301,8 +301,7 @@ class TestPlanCacheInvalidation:
         session.execute("REFRESH MATERIALIZED VIEW sums")
         assert manager.plan_cache.stats()["size"] == 0
         assert (
-            db.telemetry.plan_cache_evictions_total.value(reason="refresh")
-            == 1
+            db.telemetry.plan_cache_evictions_total.value(reason="dml") == 1
         )
 
     def test_plan_flip_evicts_the_fingerprint(self):
