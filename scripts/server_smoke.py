@@ -7,7 +7,8 @@ only if:
 1. every client's results are **byte-identical** (canonical JSON) to a
    single-caller ``Database.execute()`` baseline,
 2. the shared plan cache reports hits (the listings were replayed from
-   cache, not replanned per client),
+   cache, not replanned per client) and its text memo holds one entry
+   per listing (4 x 15 statements, 15 parses),
 3. zero plan flips were recorded (concurrent replays kept stable plans),
 4. a cache-hit replay is faster than a cold plan,
 5. the HTTP sidecar answers ``/healthz`` and a spec-shaped ``/metrics``
@@ -95,6 +96,11 @@ def main() -> int:
         print(f"plan cache: {stats}")
         if stats["hits"] <= 0:
             failures.append("expected plan-cache hits > 0")
+        if stats["texts"] != len(baseline):
+            failures.append(
+                f"expected {len(baseline)} memoized texts (one parse per "
+                f"listing), got {stats['texts']}"
+            )
         flips = db.plan_flips()
         if flips:
             failures.append(f"expected zero plan flips, got {len(flips)}")

@@ -335,6 +335,7 @@ class Database:
         run=None,
         strategy: Optional[str] = None,
         start: Optional[float] = None,
+        fingerprint: Optional[tuple] = None,
     ) -> Result:
         """Run one parsed statement and emit its outcome.
 
@@ -346,6 +347,7 @@ class Database:
         whenever it is on, even with ``profile=False``; other statements
         are wall timed.  ``start`` is the caller's clock when it began
         before the parse; without one the statement's wall time starts here.
+        ``fingerprint`` is handed to :meth:`_emit`.
         """
         is_query = isinstance(statement, ast.QueryStatement)
         if watch is None and is_query and self.telemetry is not None:
@@ -366,11 +368,12 @@ class Database:
             self._emit(
                 statement, sql, params, start=start, strategy=strategy,
                 outcome=(None, None, partial), error=exc,
+                fingerprint=fingerprint,
             )
             raise
         self._emit(
             statement, sql, params, start=start, strategy=strategy,
-            outcome=outcome,
+            outcome=outcome, fingerprint=fingerprint,
         )
         return outcome[0]
 
@@ -384,6 +387,7 @@ class Database:
         strategy: Optional[str] = None,
         outcome=None,
         error: Optional[SqlError] = None,
+        fingerprint: Optional[tuple] = None,
     ) -> None:
         """The **emit** step: build the one
         :class:`~repro.telemetry.record.StatementRecord` of a finished
@@ -397,8 +401,11 @@ class Database:
         watched).  ``strategy`` names a forced expansion strategy;
         otherwise a query reports what its plan decided (``summary`` or
         ``interpreter``) and a failed or plan-less statement reports none.
-        ``telemetry`` and ``recorder`` are read here, per statement: the
-        shell toggles both at run time.
+        ``fingerprint`` is the statement's ``(fingerprint, normalized_sql)``
+        when the caller already has it (a session's memoized text); a
+        planned query's own wins, and otherwise the statement is
+        fingerprinted here.  ``telemetry`` and ``recorder`` are read here,
+        per statement: the shell toggles both at run time.
         """
         telemetry, recorder = self.telemetry, self.recorder
         if telemetry is None and recorder is None:
@@ -407,7 +414,7 @@ class Database:
 
         wall_ms = 0.0 if start is None else (perf_counter() - start) * 1000.0
         result, planned, profile = outcome or (None, None, None)
-        kind = fingerprint = normalized = None
+        kind = normalized = None
         if statement is not None:
             kind = statement_kind(statement)
             if sql is None:
@@ -415,7 +422,7 @@ class Database:
             if planned is not None and planned.fingerprint is not None:
                 fingerprint, normalized = planned.fingerprint, planned.normalized
             else:
-                fingerprint, normalized = _fingerprint(statement)
+                fingerprint, normalized = fingerprint or _fingerprint(statement)
         if strategy is None and planned is not None:
             strategy = planned.strategy
         phash, introspection = None, False
@@ -702,7 +709,12 @@ class Database:
     # -- planned execution (the query server's path) -------------------------
 
     def plan_query(
-        self, query: ast.Query, *, sql: Optional[str] = None, watch=None
+        self,
+        query: ast.Query,
+        *,
+        sql: Optional[str] = None,
+        watch=None,
+        fingerprint: Optional[tuple] = None,
     ) -> PlannedQuery:
         """Plan ``query`` once for repeated execution, without running it.
 
@@ -713,14 +725,16 @@ class Database:
         sessions can plan and replay without racing on shared state.
         Summary-rewrite telemetry is recorded here (at plan time); cached
         replays deliberately skip the rewriter and its counters.  The
-        planning phases are spans of ``watch`` when there is one.
+        planning phases are spans of ``watch`` when there is one.  ``sql``
+        (the canonical print) and ``fingerprint`` (``(fingerprint,
+        normalized_sql)``) are computed here unless the caller has them.
         """
         if isinstance(query, ast.ShowStats):
             raise SqlError("SHOW STATS has no plan; execute it directly")
         statement = ast.QueryStatement(query)
         if sql is None:
             sql = to_sql(statement)
-        fingerprint, normalized = _fingerprint(statement)
+        fingerprint, normalized = fingerprint or _fingerprint(statement)
         # Facts (types/nullability/keys/cardinality bounds) travel with the
         # cached plan; a write to a table it read invalidates them with it.
         planned = self._plan(query, watch, facts=True)

@@ -33,18 +33,37 @@ Eviction reasons (the ``reason`` label on ``plan_cache_evictions_total``):
     fingerprint's entries are dropped so the next execution replans.
 ``clear``
     Explicit administrative clear.
+
+Under the same lock the cache keeps a second map, the *text memo*: the
+exact text a client sent -> its :class:`ParsedText` (the parsed statement,
+its canonical key and its fingerprint), so a repeated text is parsed,
+printed and fingerprinted once, not once per execution.  Two spellings of
+one query are two texts but one key, hence one plan.  Nothing invalidates
+a text: a parse reads no catalog.  The memo is LRU at the same
+``capacity`` and holds one entry per distinct text, nothing per execution.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.api import PlannedQuery
+from repro.sql import ast
 from repro.storage.table import clock
 
-__all__ = ["PlanCache"]
+__all__ = ["ParsedText", "PlanCache"]
+
+
+class ParsedText(NamedTuple):
+    """One client text, parsed once.  ``key`` is the canonical print the
+    plans are keyed by (None for a statement that is not planned through
+    the cache); ``fingerprint`` is ``(fingerprint, normalized_sql)``."""
+
+    statement: ast.Statement
+    key: Optional[str]
+    fingerprint: tuple
 
 
 class _Entry:
@@ -56,7 +75,8 @@ class _Entry:
 
 
 class PlanCache:
-    """An LRU cache of :class:`~repro.api.PlannedQuery` keyed by SQL text.
+    """An LRU cache of :class:`~repro.api.PlannedQuery` keyed by SQL text,
+    and the text memo in front of it.
 
     Thread-safe: sessions on different connections hit and evict it
     concurrently.  ``on_evict(reason, count)`` is called whenever entries
@@ -77,6 +97,8 @@ class PlanCache:
         self._on_evict = on_evict
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        #: The text memo: client text -> ParsedText, LRU at ``capacity``.
+        self._texts: "OrderedDict[str, ParsedText]" = OrderedDict()
         #: The write clock at the last sweep.
         self._swept = clock.now
         self.hits = 0
@@ -104,6 +126,25 @@ class PlanCache:
             if reason is not None:
                 del self._entries[sql]
                 self._notify(reason, 1)
+
+    def text(self, sql: str) -> Optional[ParsedText]:
+        """The memoized parse of the client text ``sql``, or None; a hit
+        refreshes recency."""
+        with self._lock:
+            parsed = self._texts.get(sql)
+            if parsed is not None:
+                self._texts.move_to_end(sql)
+            return parsed
+
+    def remember(self, sql: str, parsed: ParsedText) -> ParsedText:
+        """Memoize ``parsed`` as the parse of ``sql``, dropping the least
+        recently used text beyond capacity."""
+        with self._lock:
+            self._texts[sql] = parsed
+            self._texts.move_to_end(sql)
+            if len(self._texts) > self.capacity:
+                self._texts.popitem(last=False)
+        return parsed
 
     def get(self, sql: str) -> Optional[PlannedQuery]:
         """The cached plan for ``sql``, or None; a hit refreshes recency."""
@@ -175,4 +216,5 @@ class PlanCache:
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,
+                "texts": len(self._texts),
             }

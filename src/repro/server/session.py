@@ -14,6 +14,8 @@ boundary:
   (:class:`~repro.engine.evaluator.ExecutionContext`), so a self-join
   sees one consistent state even of a table the statement itself is not
   allowed to change.
+* Every statement is found through the cache's text memo: a text seen
+  before is not parsed, printed or fingerprinted again.
 * Queries go through the shared plan cache: the canonical SQL text is
   the key, a hit replays the stored plan with fresh parameters, and a
   miss plans cold and populates the cache.  A plan is replayed only while
@@ -35,9 +37,10 @@ from datetime import datetime, timezone
 from time import perf_counter
 from typing import Any, Optional, Sequence
 
+from repro.api import _fingerprint
 from repro.errors import SqlError
 from repro.result import Result
-from repro.server.plancache import PlanCache
+from repro.server.plancache import ParsedText, PlanCache
 from repro.sql import ast
 from repro.sql.printer import to_sql
 from repro.telemetry import current_session, current_traceparent
@@ -87,35 +90,33 @@ class Session:
         """
         start = perf_counter()  # before the parse: what the caller waits for
         with self._statement_scope(sql, traceparent):
-            watch = self._watch()
-            statement = self.db._parse(sql, watch, start=start)
-            return self._run(statement, sql, params, start, watch)
+            return self._run(sql, params, start)
 
     def prepare(self, sql: str) -> str:
         """Parse (and for queries, plan) ``sql``; returns a handle.
 
-        The plan lands in the shared cache keyed by its canonical text —
-        preparing is priming the cache plus pinning the parse.  If the
-        cache later drops the plan (DDL, eviction), execution transparently
-        replans; the handle never dangles.
+        The parse lands in the text memo and the plan in the shared cache
+        keyed by its canonical text — preparing is priming both.  If the
+        cache later drops either (DDL, eviction), execution transparently
+        parses or replans; the handle never dangles.
         """
         start = perf_counter()
         with self._statement_scope(sql):
-            statement = self.db._parse(sql, start=start)
-            if isinstance(statement, ast.QueryStatement) and not isinstance(
-                statement.query, ast.ShowStats
-            ):
-                key = to_sql(statement)
+            parsed, _ = self._parsed(sql, start)
+            if parsed.key is not None:
                 with self.db.rwlock.read():
                     try:
-                        self._planned(statement, key)
+                        self._planned(parsed)
                     except SqlError as exc:
                         # A query that cannot be planned fails here, not at
                         # execution: journal it where it happened.
-                        self.db._emit(statement, key, start=start, error=exc)
+                        self.db._emit(
+                            parsed.statement, parsed.key, start=start,
+                            error=exc, fingerprint=parsed.fingerprint,
+                        )
                         raise
             handle = f"{self.id}_p{next(self._prepared_seq)}"
-            self._prepared[handle] = (sql, statement)
+            self._prepared[handle] = sql
             return handle
 
     def execute_prepared(
@@ -128,11 +129,11 @@ class Session:
         """Run a prepared statement, binding ``params`` to its ``?``s."""
         start = perf_counter()
         try:
-            sql, statement = self._prepared[handle]
+            sql = self._prepared[handle]
         except KeyError:
             raise SqlError(f"unknown prepared statement {handle!r}") from None
         with self._statement_scope(sql, traceparent):
-            return self._run(statement, sql, params, start)
+            return self._run(sql, params, start)
 
     def deallocate(self, handle: str) -> None:
         self._prepared.pop(handle, None)
@@ -175,45 +176,68 @@ class Session:
         cover what the client waited for; telemetry is what reads them."""
         return None if self.db.telemetry is None else self.db._watch()
 
-    def _run(
-        self, statement: ast.Statement, sql: str, params: Sequence[Any], start, watch=None
-    ) -> Result:
+    def _parsed(self, sql: str, start: float):
+        """``(ParsedText, watch)`` for the client text ``sql``: from the
+        text memo, or parsed under a fresh watcher and memoized.  The
+        watcher is None on a memo hit (nothing was parsed).  A parse error
+        is emitted and raised, and not memoized."""
+        cache = self.manager.plan_cache
+        parsed = cache.text(sql)
+        if parsed is not None:
+            return parsed, None
+        watch = self._watch()
+        statement = self.db._parse(sql, watch, start=start)
+        cached = isinstance(statement, ast.QueryStatement) and not isinstance(
+            statement.query, ast.ShowStats
+        )
+        key = to_sql(statement) if cached else None
+        return cache.remember(
+            sql, ParsedText(statement, key, _fingerprint(statement))
+        ), watch
+
+    def _run(self, sql: str, params: Sequence[Any], start: float) -> Result:
         """``start`` is the entry point's clock, handed down to the emit
         step so the statement's wall time includes the lock wait.  A write
         runs alone and tells nobody: what it wrote carries its stamp."""
-        if isinstance(statement, ast.QueryStatement):
-            return self._run_read(statement, sql, params, start, watch)
+        parsed, watch = self._parsed(sql, start)
+        if isinstance(parsed.statement, ast.QueryStatement):
+            return self._run_read(parsed, sql, params, start, watch)
         with self.db.rwlock.write():
-            return self.db._execute_observed(statement, params, sql=sql, start=start)
+            return self.db._execute_observed(
+                parsed.statement, params, sql=sql, start=start,
+                fingerprint=parsed.fingerprint,
+            )
 
     def _run_read(
         self,
-        statement: ast.QueryStatement,
+        parsed: ParsedText,
         sql: str,
         params: Sequence[Any],
         start: float,
         watch,
     ) -> Result:
         db = self.db
-        if watch is None:  # a prepared statement: nothing was parsed
+        if watch is None:  # a memoized text: nothing was parsed
             watch = self._watch()
+        statement = parsed.statement
         with db.rwlock.read():
-            if isinstance(statement.query, ast.ShowStats):
-                # Answered from the registry; no plan, nothing to cache.
+            if parsed.key is None:
+                # SHOW STATS: answered from the registry; no plan, nothing
+                # to cache.
                 return db._execute_observed(
-                    statement, params, sql=sql, watch=watch, start=start
+                    statement, params, sql=sql, watch=watch, start=start,
+                    fingerprint=parsed.fingerprint,
                 )
             self.manager.sync_plan_flips()
-            # The plan_cache phase: printing the key, the lookup and, on a
-            # miss, the planning phases under it.  _planned closes it.
+            # The plan_cache phase: the lookup and, on a miss, the planning
+            # phases under it.  _planned closes it.
             span = None if watch is None else watch.tracer.begin("plan_cache", "phase")
-            key = to_sql(statement)
             result = db._execute_observed(
                 statement,
                 params,
-                sql=key,
+                sql=parsed.key,
                 watch=watch,
-                run=lambda watch: self._replay(statement, key, params, watch, span),
+                run=lambda watch: self._replay(parsed, params, watch, span),
                 start=start,
             )
             # If that observation flipped the plan, evict the fingerprint's
@@ -221,22 +245,23 @@ class Session:
             self.manager.sync_plan_flips()
             return result
 
-    def _replay(self, statement: ast.QueryStatement, key: str, params, watch, span):
+    def _replay(self, parsed: ParsedText, params, watch, span):
         """The session's plan -> run step: the plan comes from the shared
         cache.  Returns what ``Database._run_query`` returns."""
-        planned = self._planned(statement, key, watch, span)
+        planned = self._planned(parsed, watch, span)
         result, profile = self.db.execute_planned(
             planned, params, cancel_event=self.cancel_event, watch=watch
         )
         return result, planned, profile
 
-    def _planned(self, statement: ast.QueryStatement, key: str, watch=None, span=None):
-        """The statement's plan from the shared cache (``key`` is its
-        canonical text), planned cold and cached on a miss; ``span`` is the
-        open ``plan_cache`` phase of ``watch``, closed here."""
+    def _planned(self, parsed: ParsedText, watch=None, span=None):
+        """The statement's plan from the shared cache (keyed by
+        ``parsed.key``, its canonical text), planned cold and cached on a
+        miss; ``span`` is the open ``plan_cache`` phase of ``watch``, closed
+        here."""
         cache = self.manager.plan_cache
         telemetry = self.db.telemetry
-        planned = cache.get(key)
+        planned = cache.get(parsed.key)
         if span is not None:
             span.meta["cache"] = "miss" if planned is None else "hit"
         if planned is not None:
@@ -245,7 +270,10 @@ class Session:
         else:
             if telemetry is not None:
                 telemetry.plan_cache_misses_total.inc()
-            planned = self.db.plan_query(statement.query, sql=key, watch=watch)
+            planned = self.db.plan_query(
+                parsed.statement.query, sql=parsed.key, watch=watch,
+                fingerprint=parsed.fingerprint,
+            )
             # A cache hit never re-runs the rewriter, so the cached copy drops
             # the cold run's reports: replaying them would double-count summary
             # hits.  Its strategy and plan shape stay, keeping the plan hash

@@ -493,3 +493,52 @@ class TestVisiblePlanIsOnlyRead:
         for seen, answer in zip(counters, expected):
             assert seen["visible.groups"] == len(answer)
             assert seen["visible.residual_rows"] == 0
+
+
+# -- one memoized text, many threads ---------------------------------------------
+
+
+class TestOneTextManyThreads:
+    THREADS = 4
+    RUNS = 200
+
+    def test_one_text_from_four_threads_is_byte_identical(self):
+        """Every execution of one text, from every session, reads the same
+        memoized statement; none may see another's work on it."""
+        import sys
+
+        from repro.server.protocol import dumps_line, encode_result
+        from repro.workloads.listings import SETUP
+        from repro.workloads.paper_data import load_paper_tables
+
+        db = Database(telemetry=True)
+        load_paper_tables(db)
+        for ddl in SETUP.values():
+            db.execute(ddl)
+        sql = (
+            "SELECT prodName, profitMargin, profitMargin AT (ALL prodName) "
+            "FROM EnhancedOrders GROUP BY prodName ORDER BY prodName"
+        )
+        expected = dumps_line(encode_result(db.execute(sql)))
+        manager = SessionManager(db)
+        sessions = [manager.open_session() for _ in range(self.THREADS)]
+        barrier = threading.Barrier(self.THREADS)
+        seen: list = [None] * self.THREADS
+
+        def run(i):
+            barrier.wait(timeout=30)
+            seen[i] = {
+                dumps_line(encode_result(sessions[i].execute(sql)))
+                for _ in range(self.RUNS)
+            }
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(self.THREADS, run)
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [{expected}] * self.THREADS
+        stats = manager.plan_cache.stats()
+        assert stats["texts"] == 1
+        assert stats["hits"] + stats["misses"] == self.THREADS * self.RUNS

@@ -284,9 +284,11 @@ def test_progress_rows_and_the_operator_tree_are_the_same_entries():
 
 
 def test_a_served_statements_phases_cover_what_the_client_waited_for():
-    """A session's watcher exists before the parse: a plan-cache-hot read
-    reports parse, plan_cache and execute, a miss plans under plan_cache, and
-    the phases never sum to more than the statement's wall time."""
+    """A session's watcher exists before the parse: a new text reports
+    parse, plan_cache and execute, a repeated text (memoized, like a
+    prepared handle) only plan_cache and execute, a miss plans under
+    plan_cache, and the phases never sum to more than the statement's wall
+    time."""
     from repro.server import SessionManager
 
     db = Database(telemetry=True, slow_query_ms=0.0)
@@ -300,8 +302,8 @@ def test_a_served_statements_phases_cover_what_the_client_waited_for():
     events = [e for e in db.events() if e["event"] == "query"][-3:]
     assert [list(e["phases"]) for e in events] == [
         ["parse", "plan_cache", "execute"],
-        ["parse", "plan_cache", "execute"],
-        ["plan_cache", "execute"],  # parsed when it was prepared
+        ["plan_cache", "execute"],  # the text was parsed once, above
+        ["plan_cache", "execute"],
     ]
     for event in events:
         assert sum(event["phases"].values()) <= event["duration_ms"]

@@ -252,7 +252,9 @@ class TestPlanCacheInvalidation:
         session.execute("SELECT SUM(x) FROM t")
         session.execute("SELECT SUM(x) FROM t")
         stats = manager.plan_cache.stats()
-        assert stats == {"capacity": 128, "size": 1, "hits": 1, "misses": 1}
+        assert stats == {
+            "capacity": 128, "size": 1, "hits": 1, "misses": 1, "texts": 1,
+        }
         assert db.telemetry.plan_cache_hits_total.value() == 1
 
     def test_dml_evicts_plans_over_the_table(self):
@@ -393,6 +395,170 @@ class TestPlanCacheInvalidation:
         session.execute("SELECT SUM(x) FROM t")  # now most recently used
         queries = [row[1] for row in manager.plan_cache.rows()]
         assert queries[-1] == "SELECT SUM(x) FROM t"
+
+
+# -- the text memo: one parse per text, not per execution ----------------------
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """One entry per statement the parser parses."""
+    from repro.sql import parser
+
+    calls = []
+    parse = parser._Parser.parse_statement
+    monkeypatch.setattr(
+        parser._Parser,
+        "parse_statement",
+        lambda self: calls.append(1) or parse(self),
+    )
+    return calls
+
+
+class TestTextMemo:
+    READ = "SELECT SUM(x) FROM t"
+
+    def _manager(self, capacity: int = 128, **db_kwargs):
+        db = Database(telemetry=True, **db_kwargs)
+        db.execute("CREATE TABLE t (x INTEGER)")
+        db.execute("INSERT INTO t VALUES (1), (2), (3)")
+        return db, SessionManager(db, plan_cache_capacity=capacity)
+
+    def test_one_text_is_parsed_once_across_sessions(self, parses):
+        db, manager = self._manager()
+        parses.clear()  # the setup's own statements
+        sessions = [manager.open_session(), manager.open_session()]
+        for i in range(5):
+            assert sessions[i % 2].execute(self.READ).scalar() == 6
+        assert len(parses) == 1
+        stats = manager.plan_cache.stats()
+        assert (stats["texts"], stats["hits"], stats["misses"]) == (1, 4, 1)
+
+    def test_whitespace_variants_are_two_parses_and_one_plan(self, parses):
+        db, manager = self._manager()
+        parses.clear()  # the setup's own statements
+        session = manager.open_session()
+        session.execute(self.READ)
+        session.execute("SELECT  SUM(x)\n  FROM t  -- spelled apart")
+        assert len(parses) == 2
+        stats = manager.plan_cache.stats()
+        assert (stats["texts"], stats["size"]) == (2, 1)
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+
+    def test_a_parse_error_is_raised_and_journaled_every_time(
+        self, parses, tmp_path
+    ):
+        from repro.errors import SqlError
+        from repro.history import read_journal
+
+        journal = tmp_path / "journal.jsonl"
+        db, manager = self._manager(record_to=str(journal))
+        parses.clear()  # the setup's own statements
+        session = manager.open_session()
+        for _ in range(3):
+            with pytest.raises(SqlError):
+                session.execute("SELEC 1")
+        assert len(parses) == 3
+        assert manager.plan_cache.stats()["texts"] == 0
+        _, entries = read_journal(str(journal))
+        failed = [e for e in entries if e.sql == "SELEC 1"]
+        assert [e.outcome for e in failed] == ["error"] * 3
+
+    def test_a_write_evicts_the_plan_but_keeps_the_parse(self, parses):
+        from repro.introspect.fingerprint import fingerprint_statement
+        from repro.sql.parser import parse_statement
+
+        db, manager = self._manager()
+        parses.clear()  # the setup's own statements
+        session = manager.open_session()
+        insert = "INSERT INTO t VALUES (?)"
+        session.execute(self.READ)
+        session.execute(insert, (4,))
+        assert session.execute(self.READ).scalar() == 10
+        assert len(parses) == 2
+        parses.clear()
+        session.execute(insert, (5,))
+        assert session.execute(self.READ).scalar() == 15  # re-planned
+        assert parses == []
+        assert db.telemetry.plan_cache_evictions_total.value(reason="dml") == 2
+        assert manager.plan_cache.stats()["misses"] == 3
+        # The memoized fingerprint is the one a fresh parse gives.
+        (expected, _) = fingerprint_statement(parse_statement(insert))
+        written = [
+            e["fingerprint"] for e in db.events()
+            if e["event"] == "statement" and e.get("kind") == "insert"
+        ]
+        assert written[-2:] == [expected, expected]
+
+    def test_the_memo_is_bounded_by_the_capacity(self):
+        db, manager = self._manager(capacity=4)
+        session = manager.open_session()
+        for i in range(8):
+            session.execute(f"SELECT SUM(x) + {i} FROM t")
+        stats = manager.plan_cache.stats()
+        assert stats["texts"] <= 4 and stats["size"] <= 4
+
+    def test_a_prepared_handle_reparses_once_its_text_is_dropped(self, parses):
+        db, manager = self._manager(capacity=1)
+        parses.clear()  # the setup's own statements
+        session = manager.open_session()
+        handle = session.prepare(self.READ)
+        session.execute("SELECT COUNT(*) FROM t")  # drops the handle's text
+        assert session.execute_prepared(handle).scalar() == 6
+        assert session.execute_prepared(handle).scalar() == 6
+        assert len(parses) == 3
+
+
+class TestMemoizedStatementsStayPristine:
+    """Planning, expanding and running a statement must not change its
+    AST: the memo hands the same object to every later execution."""
+
+    def _run_twice(self, session, statements) -> None:
+        from repro.sql.parser import parse_statement
+        from repro.sql.printer import to_sql
+
+        for _ in range(2):
+            for sql, params in statements:
+                session.execute(sql, params)
+        for sql, _ in statements:
+            memoized = session.manager.plan_cache.text(sql).statement
+            fresh = parse_statement(sql)
+            assert memoized == fresh, sql
+            assert to_sql(memoized) == to_sql(fresh), sql
+
+    def test_listings_dml_and_ddl(self):
+        db = _paper_database()
+        session = SessionManager(db).open_session()
+        listings = all_listing_sql(db)
+        assert len(listings) == 15
+        self._run_twice(session, [(sql, ()) for sql in listings.values()])
+        self._run_twice(session, [
+            ("CREATE TABLE g (k INTEGER, v VARCHAR)", ()),
+            ("INSERT INTO g VALUES (?, ?)", (1, "a")),
+            ("UPDATE g SET v = ? WHERE k = ?", ("b", 1)),
+            ("DELETE FROM g WHERE k = ?", (1,)),
+            ("CREATE OR REPLACE TABLE g2 AS "
+             "SELECT prodName, SUM(revenue) AS r FROM Orders GROUP BY prodName", ()),
+            ("CREATE OR REPLACE VIEW gv AS SELECT prodName, "
+             "SUM(revenue) AS MEASURE r FROM Orders", ()),
+            ("EXPLAIN SELECT prodName, r FROM gv GROUP BY prodName", ()),
+            ("EXPLAIN EXPAND SELECT prodName, r, r AT (ALL prodName) "
+             "FROM gv GROUP BY prodName", ()),
+            ("DROP TABLE g", ()),
+        ])
+
+    @pytest.mark.parametrize("summaries", [True, False])
+    def test_tpch_queries_summary_answered_and_cold(self, summaries):
+        from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
+
+        db = tpch_measure_database(0.001, summaries=summaries, telemetry=True)
+        session = SessionManager(db).open_session()
+        assert len(TPCH_QUERIES) == 7
+        self._run_twice(session, [(sql, ()) for sql in TPCH_QUERIES.values()])
+        strategies = {
+            e["strategy"] for e in db.events() if e["event"] == "query"
+        }
+        assert ("summary" in strategies) is summaries
 
 
 # -- what a session's statements report (via sessions, no sockets) -------------
