@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Sequence, Union
+from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "Span",
@@ -90,8 +90,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A 1-based source position attached to an AST node by the parser.
 
     ``line``/``column`` point at the first token of the construct;
@@ -144,8 +143,10 @@ def node_span(node: Optional[Node]) -> Optional[Span]:
     """The best-known source span for ``node``.
 
     Falls back to the first descendant that carries a span, because compound
-    nodes built by the precedence-climbing parser (Binary chains and the
-    like) inherit their position from their leftmost leaf.
+    nodes built by the parser's precedence-climbing loop (Binary chains,
+    IS / BETWEEN / IN / LIKE, prefix NOT and minus) get no span of their own
+    unless they are a whole expression: they inherit their position from
+    their leftmost leaf.
     """
     if node is None:
         return None

@@ -1,177 +1,110 @@
-"""Hand-written SQL tokenizer.
+"""SQL tokenizer: one compiled master regex.
 
 Supports:
 
 * line comments (``--``) and block comments (``/* ... */``),
 * single-quoted string literals with ``''`` escaping,
-* double-quoted and backquoted identifiers,
+* double-quoted identifiers with ``""`` escaping, and backquoted identifiers,
 * integer and decimal numeric literals (with exponents),
 * the operator set in :data:`repro.sql.tokens.OPERATORS`.
+
+Every alternative of :data:`_TOKEN` is one lexeme kind; the scan is one
+``finditer`` over the text, and a token's line and column come from the
+newlines counted in the lexemes before it.  A doubled quote inside a string
+or quoted identifier is always an escape (a closing quote is never followed
+by another), as in a left-to-right scan.  The last alternative matches any
+one character, so the scan never skips input: an unterminated ``/*``, ``'``
+or ``"`` lands there and is reported at its opening position.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import LexerError
 from repro.sql.tokens import KEYWORDS, OPERATORS, Token, TokenType
 
-__all__ = ["tokenize"]
+__all__ = ["tokenize", "is_bare_identifier"]
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+#: A bare (unquoted) word: an identifier, or a keyword when its upper-cased
+#: text is in :data:`KEYWORDS`.
+_WORD = "[A-Za-z_][A-Za-z0-9_$]*"
+
+_TOKEN = re.compile(
+    rf"""
+      (?P<trivia>(?:[ \t\r\n]+|--[^\n]*|/\*.*?\*/)+)
+    | (?P<word>{_WORD})
+    | (?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+    | (?P<integer>[0-9]+)
+    | '(?P<string>[^']*(?:''[^']*)*)'(?!')
+    | "(?P<quoted>[^"]*(?:""[^"]*)*)"(?!")
+    | `(?P<backquoted>[^`]*)`
+    | (?P<operator>{"|".join(re.escape(op) for op in OPERATORS if op != "/")}|/(?!\*))
+    | (?P<error>.)
+    """,
+    re.VERBOSE | re.DOTALL,
 )
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
+
+_BARE = re.compile(_WORD)
+
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+    "`": "unterminated quoted identifier",
+    "/": "unterminated block comment",  # a "/" the operator refused opens "/*"
+}
+
+_KEYWORD = TokenType.KEYWORD
+_IDENT = TokenType.IDENT
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def error(self, message: str) -> LexerError:
-        return LexerError(message, self.line, self.column)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.text):
-                return
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "-" and self.peek(1) == "-":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            elif ch == "/" and self.peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self.advance(2)
-                while self.pos < len(self.text) and not (
-                    self.peek() == "*" and self.peek(1) == "/"
-                ):
-                    self.advance()
-                if self.pos >= len(self.text):
-                    raise LexerError(
-                        "unterminated block comment", start_line, start_col
-                    )
-                self.advance(2)
-            else:
-                return
-
-    def lex_string(self) -> Token:
-        line, column = self.line, self.column
-        self.advance()  # opening quote
-        parts: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise LexerError("unterminated string literal", line, column)
-            ch = self.peek()
-            if ch == "'":
-                if self.peek(1) == "'":
-                    parts.append("'")
-                    self.advance(2)
-                    continue
-                self.advance()
-                break
-            parts.append(ch)
-            self.advance()
-        value = "".join(parts)
-        return Token(TokenType.STRING, value, value, line, column)
-
-    def lex_quoted_ident(self, quote: str) -> Token:
-        line, column = self.line, self.column
-        self.advance()
-        parts: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise LexerError("unterminated quoted identifier", line, column)
-            ch = self.peek()
-            if ch == quote:
-                self.advance()
-                break
-            parts.append(ch)
-            self.advance()
-        name = "".join(parts)
-        return Token(TokenType.IDENT, name, name, line, column)
-
-    def lex_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        is_float = False
-        while self.peek() in _DIGITS:
-            self.advance()
-        if self.peek() == "." and self.peek(1) in _DIGITS:
-            is_float = True
-            self.advance()
-            while self.peek() in _DIGITS:
-                self.advance()
-        if self.peek() in ("e", "E") and (
-            self.peek(1) in _DIGITS
-            or (self.peek(1) in "+-" and self.peek(2) in _DIGITS)
-        ):
-            is_float = True
-            self.advance()
-            if self.peek() in "+-":
-                self.advance()
-            while self.peek() in _DIGITS:
-                self.advance()
-        text = self.text[start : self.pos]
-        value = float(text) if is_float else int(text)
-        return Token(TokenType.NUMBER, text, value, line, column)
-
-    def lex_word(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while self.peek() in _IDENT_CONT:
-            self.advance()
-        text = self.text[start : self.pos]
-        upper = text.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, text, line, column)
-        return Token(TokenType.IDENT, text, text, line, column)
-
-    def next_token(self) -> Token:
-        self.skip_trivia()
-        if self.pos >= len(self.text):
-            return Token(TokenType.EOF, "", None, self.line, self.column)
-        ch = self.peek()
-        if ch == "'":
-            return self.lex_string()
-        if ch == '"':
-            return self.lex_quoted_ident('"')
-        if ch == "`":
-            return self.lex_quoted_ident("`")
-        if ch in _DIGITS:
-            return self.lex_number()
-        if ch in _IDENT_START:
-            return self.lex_word()
-        for op in OPERATORS:
-            if self.text.startswith(op, self.pos):
-                line, column = self.line, self.column
-                self.advance(len(op))
-                return Token(TokenType.OPERATOR, op, op, line, column)
-        raise self.error(f"unexpected character {ch!r}")
+def is_bare_identifier(name: str) -> bool:
+    """Does ``name`` lex back as itself, unquoted, as an identifier?"""
+    return _BARE.fullmatch(name) is not None and name.upper() not in KEYWORDS
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text`` into a list ending with a single EOF token."""
-    lexer = _Lexer(text)
     tokens: list[Token] = []
-    while True:
-        token = lexer.next_token()
-        tokens.append(token)
-        if token.type is TokenType.EOF:
-            return tokens
+    append = tokens.append
+    line = 1
+    line_start = 0  # index of the first character of the current line
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        start = match.start()
+        if kind == "word":
+            word = match.group()
+            upper = word.upper()
+            if upper in KEYWORDS:
+                append(Token(_KEYWORD, upper, word, line, start - line_start + 1))
+            else:
+                append(Token(_IDENT, word, word, line, start - line_start + 1))
+            continue
+        if kind == "operator":
+            op = match.group()
+            append(Token(TokenType.OPERATOR, op, op, line, start - line_start + 1))
+            continue
+        if kind == "integer" or kind == "float":
+            number = match.group()
+            value = int(number) if kind == "integer" else float(number)
+            append(Token(TokenType.NUMBER, number, value, line, start - line_start + 1))
+            continue
+        if kind == "error":
+            ch = match.group()
+            message = _UNTERMINATED.get(ch) or f"unexpected character {ch!r}"
+            raise LexerError(message, line, start - line_start + 1)
+        if kind == "string":
+            value = match.group(kind).replace("''", "'")
+            append(Token(TokenType.STRING, value, value, line, start - line_start + 1))
+        elif kind != "trivia":
+            value = match.group(kind)
+            if kind == "quoted":
+                value = value.replace('""', '"')
+            append(Token(_IDENT, value, value, line, start - line_start + 1))
+        end = match.end()
+        newlines = text.count("\n", start, end)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", start, end) + 1
+    append(Token(TokenType.EOF, "", None, line, len(text) - line_start + 1))
+    return tokens

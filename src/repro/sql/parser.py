@@ -1,8 +1,9 @@
 """Recursive-descent parser for the supported SQL dialect.
 
 The grammar covers the subset in DESIGN.md plus the paper's measure
-extensions.  Expression parsing is precedence-climbing with these levels,
-loosest first::
+extensions.  Expression parsing is precedence climbing: one binding-power
+table (:data:`_POWER`) and one loop (:meth:`_Parser._binary`), with these
+levels, loosest first::
 
     OR  <  AND  <  NOT  <  comparison/IS/IN/BETWEEN/LIKE  <  + - ||  <  * / %
        <  unary +/-  <  postfix AT  <  primary
@@ -26,9 +27,30 @@ __all__ = ["parse_statement", "parse_statements", "parse_query", "parse_expressi
 #: Keywords that may also appear as function names (``AGGREGATE(m)`` etc.).
 _KEYWORD_FUNCTIONS = frozenset({"AGGREGATE", "EVAL", "GROUPING", "IF", "LEFT", "RIGHT", "REPLACE"})
 
-_COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
+#: Non-reserved keywords that may also appear in identifier position.
+_IDENT_KEYWORDS = frozenset(
+    {"AGGREGATE", "DATE", "EVAL", "FIRST", "LAST", "ROW", "SETS", "VALUES", "VISIBLE"}
+)
 
-_JOIN_KEYWORDS = frozenset({"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "CROSS", "NATURAL"})
+_KEYWORD = TokenType.KEYWORD
+_OPERATOR = TokenType.OPERATOR
+
+#: Binding powers, loosest first.  ``NOT`` is also the prefix operator's
+#: power: its operand takes comparisons and arithmetic but stops at AND / OR.
+_OR, _AND, _NOT, _COMPARISON, _ADDITIVE, _MULTIPLICATIVE = range(1, 7)
+
+#: The infix operators' binding powers, keyed by (token type, token text).
+#: All are left-associative.  The keywords at the comparison level (IS,
+#: BETWEEN, IN, LIKE, and NOT before the last three) build their own nodes in
+#: :meth:`_Parser._keyword_comparison`.
+_POWER = {
+    (_KEYWORD, "OR"): _OR,
+    (_KEYWORD, "AND"): _AND,
+    **{(_KEYWORD, word): _COMPARISON for word in ("IS", "BETWEEN", "IN", "LIKE", "NOT")},
+    **{(_OPERATOR, op): _COMPARISON for op in ("=", "<>", "!=", "<", "<=", ">", ">=")},
+    **{(_OPERATOR, op): _ADDITIVE for op in ("+", "-", "||")},
+    **{(_OPERATOR, op): _MULTIPLICATIVE for op in ("*", "/", "%")},
+}
 
 
 class _Parser:
@@ -53,7 +75,7 @@ class _Parser:
         return ParseError(f"{message} (found {found!r})", token.line, token.column)
 
     def advance(self) -> Token:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.type is not TokenType.EOF:
             self.pos += 1
         return token
@@ -65,54 +87,56 @@ class _Parser:
                 token.line,
                 token.column,
                 token.line,
-                token.column + max(len(token.text), 1),
+                token.column + (len(token.text) or 1),
             )
         return node
 
+    # Keyword and operator tokens are never EOF, so a match may step past
+    # them without advance()'s EOF check.
+
     def at_keyword(self, *words: str) -> bool:
-        return self.current.is_keyword(*words)
+        token = self.tokens[self.pos]
+        return token.type is _KEYWORD and token.text in words
 
     def accept_keyword(self, *words: str) -> bool:
-        if self.at_keyword(*words):
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.type is _KEYWORD and token.text in words:
+            self.pos += 1
             return True
         return False
 
     def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
+        token = self.tokens[self.pos]
+        if token.type is not _KEYWORD or token.text != word:
             raise self.error(f"expected {word}")
-        return self.advance()
+        self.pos += 1
+        return token
 
     def at_operator(self, *ops: str) -> bool:
-        return self.current.type is TokenType.OPERATOR and self.current.text in ops
+        token = self.tokens[self.pos]
+        return token.type is _OPERATOR and token.text in ops
 
     def accept_operator(self, *ops: str) -> bool:
-        if self.at_operator(*ops):
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.type is _OPERATOR and token.text in ops:
+            self.pos += 1
             return True
         return False
 
     def expect_operator(self, op: str) -> Token:
-        if not self.at_operator(op):
+        token = self.tokens[self.pos]
+        if token.type is not _OPERATOR or token.text != op:
             raise self.error(f"expected {op!r}")
-        return self.advance()
+        self.pos += 1
+        return token
 
     def expect_ident(self, what: str = "identifier") -> str:
-        if self.current.type is TokenType.IDENT:
-            return str(self.advance().value)
-        # Allow a few non-reserved keywords in identifier position.
-        if self.current.type is TokenType.KEYWORD and self.current.text in (
-            "AGGREGATE",
-            "DATE",
-            "EVAL",
-            "FIRST",
-            "LAST",
-            "ROW",
-            "SETS",
-            "VALUES",
-            "VISIBLE",
+        token = self.tokens[self.pos]
+        if token.type is TokenType.IDENT or (
+            token.type is _KEYWORD and token.text in _IDENT_KEYWORDS
         ):
-            return str(self.advance().value)
+            self.pos += 1
+            return token.value
         raise self.error(f"expected {what}")
 
     # -- entry points --------------------------------------------------
@@ -766,119 +790,94 @@ class _Parser:
     # -- expressions ------------------------------------------------------
 
     def _expr(self) -> ast.Expression:
-        start = self.current
-        return self._mark(self._or_expr(), start)
+        start = self.tokens[self.pos]
+        return self._mark(self._binary(_OR), start)
 
-    def _or_expr(self) -> ast.Expression:
-        left = self._and_expr()
-        while self.accept_keyword("OR"):
-            left = ast.Binary("OR", left, self._and_expr())
-        return left
+    def _binary(self, min_power: int) -> ast.Expression:
+        """Precedence climbing: the expression whose infix operators all
+        bind at least as tightly as ``min_power`` (see :data:`_POWER`).
 
-    def _and_expr(self) -> ast.Expression:
-        left = self._not_expr()
-        while self.accept_keyword("AND"):
-            left = ast.Binary("AND", left, self._not_expr())
-        return left
-
-    def _not_expr(self) -> ast.Expression:
-        if self.accept_keyword("NOT"):
-            return ast.Unary("NOT", self._not_expr())
-        return self._predicate()
-
-    def _predicate(self) -> ast.Expression:
-        left = self._additive()
+        No operator may bind tighter than the one just applied (``ceiling``):
+        ``a IS NULL + 1`` and ``NOT a IS NULL * 2`` stop before the
+        arithmetic, as the grammar's levels require."""
+        tokens = self.tokens
+        token = tokens[self.pos]
+        if min_power <= _NOT and token.type is _KEYWORD and token.text == "NOT":
+            self.pos += 1
+            left: ast.Expression = ast.Unary("NOT", self._binary(_NOT))
+            ceiling = _NOT
+        else:
+            left = self._unary()
+            ceiling = _MULTIPLICATIVE
         while True:
-            if self.current.type is TokenType.OPERATOR and self.current.text in _COMPARISON_OPS:
-                op = self.advance().text
-                if op == "!=":
-                    op = "<>"
-                right = self._additive()
-                left = ast.Binary(op, left, right)
-                continue
-            if self.at_keyword("IS"):
-                self.advance()
-                negated = bool(self.accept_keyword("NOT"))
-                if self.accept_keyword("NULL"):
-                    left = ast.IsNull(left, negated)
-                elif self.accept_keyword("DISTINCT"):
-                    self.expect_keyword("FROM")
-                    right = self._additive()
-                    left = ast.IsDistinctFrom(left, right, negated)
-                elif self.accept_keyword("TRUE"):
-                    result = ast.Binary("=", left, ast.Literal(True))
-                    left = ast.Unary("NOT", result) if negated else result
-                elif self.accept_keyword("FALSE"):
-                    result = ast.Binary("=", left, ast.Literal(False))
-                    left = ast.Unary("NOT", result) if negated else result
-                else:
-                    raise self.error("expected NULL, TRUE, FALSE or DISTINCT FROM after IS")
-                continue
-            negated = False
-            if self.at_keyword("NOT") and self.peek(1).is_keyword("BETWEEN", "IN", "LIKE"):
-                self.advance()
-                negated = True
-            if self.accept_keyword("BETWEEN"):
-                low = self._additive()
-                self.expect_keyword("AND")
-                high = self._additive()
-                left = ast.Between(left, low, high, negated)
-                continue
-            if self.accept_keyword("IN"):
-                self.expect_operator("(")
-                if self.at_keyword("SELECT", "WITH", "VALUES"):
-                    query = self._query()
-                    self.expect_operator(")")
-                    left = ast.InSubquery(left, query, negated)
-                else:
-                    items = [self._expr()]
-                    while self.accept_operator(","):
-                        items.append(self._expr())
-                    self.expect_operator(")")
-                    left = ast.InList(left, items, negated)
-                continue
-            if self.accept_keyword("LIKE"):
-                pattern = self._additive()
-                escape = None
-                if self.accept_keyword("ESCAPE"):
-                    escape = self._additive()
-                left = ast.Like(left, pattern, negated, escape)
-                continue
-            if negated:
-                raise self.error("expected BETWEEN, IN or LIKE after NOT")
-            return left
-
-    def _additive(self) -> ast.Expression:
-        left = self._multiplicative()
-        while True:
-            if self.at_operator("+", "-"):
-                op = self.advance().text
-                left = ast.Binary(op, left, self._multiplicative())
-            elif self.at_operator("||"):
-                self.advance()
-                left = ast.Binary("||", left, self._multiplicative())
-            else:
+            token = tokens[self.pos]
+            power = _POWER.get((token.type, token.text), 0)
+            if not min_power <= power <= ceiling:
                 return left
+            ceiling = power
+            if token.type is _OPERATOR or power != _COMPARISON:
+                self.pos += 1
+                op = "<>" if token.text == "!=" else token.text
+                left = ast.Binary(op, left, self._binary(power + 1))
+            elif token.text == "NOT" and not tokens[self.pos + 1].is_keyword(
+                "BETWEEN", "IN", "LIKE"
+            ):
+                return left
+            else:
+                left = self._keyword_comparison(left)
 
-    def _multiplicative(self) -> ast.Expression:
-        left = self._unary()
-        while self.at_operator("*", "/", "%"):
-            op = self.advance().text
-            left = ast.Binary(op, left, self._unary())
-        return left
+    def _keyword_comparison(self, left: ast.Expression) -> ast.Expression:
+        """``left`` IS ... / [NOT] BETWEEN / [NOT] IN / [NOT] LIKE ...: the
+        keyword forms of the comparison level."""
+        if self.accept_keyword("IS"):
+            negated = self.accept_keyword("NOT")
+            if self.accept_keyword("NULL"):
+                return ast.IsNull(left, negated)
+            if self.accept_keyword("DISTINCT"):
+                self.expect_keyword("FROM")
+                return ast.IsDistinctFrom(left, self._binary(_ADDITIVE), negated)
+            if self.accept_keyword("TRUE", "FALSE"):
+                truth = self.tokens[self.pos - 1].text == "TRUE"
+                result = ast.Binary("=", left, ast.Literal(truth))
+                return ast.Unary("NOT", result) if negated else result
+            raise self.error("expected NULL, TRUE, FALSE or DISTINCT FROM after IS")
+        negated = self.accept_keyword("NOT")
+        if self.accept_keyword("BETWEEN"):
+            low = self._binary(_ADDITIVE)
+            self.expect_keyword("AND")
+            return ast.Between(left, low, self._binary(_ADDITIVE), negated)
+        if self.accept_keyword("IN"):
+            self.expect_operator("(")
+            if self.at_keyword("SELECT", "WITH", "VALUES"):
+                query = self._query()
+                self.expect_operator(")")
+                return ast.InSubquery(left, query, negated)
+            items = [self._expr()]
+            while self.accept_operator(","):
+                items.append(self._expr())
+            self.expect_operator(")")
+            return ast.InList(left, items, negated)
+        self.expect_keyword("LIKE")
+        pattern = self._binary(_ADDITIVE)
+        escape = self._binary(_ADDITIVE) if self.accept_keyword("ESCAPE") else None
+        return ast.Like(left, pattern, negated, escape)
 
     def _unary(self) -> ast.Expression:
-        if self.at_operator("-"):
-            self.advance()
-            return ast.Unary("-", self._unary())
-        if self.at_operator("+"):
-            self.advance()
-            return self._unary()
-        return self._postfix()
-
-    def _postfix(self) -> ast.Expression:
+        """Prefix ``-`` / ``+`` over a primary and its postfix ``AT (...)``."""
+        token = self.tokens[self.pos]
+        if token.type is _OPERATOR:
+            if token.text == "-":
+                self.pos += 1
+                return ast.Unary("-", self._unary())
+            if token.text == "+":
+                self.pos += 1
+                return self._unary()
         expr = self._primary()
-        while self.at_keyword("AT") and self.peek(1).type is TokenType.OPERATOR and self.peek(1).text == "(":
+        while (
+            self.at_keyword("AT")
+            and self.peek(1).type is _OPERATOR
+            and self.peek(1).text == "("
+        ):
             at_token = self.advance()
             self.expect_operator("(")
             modifiers = self._at_modifiers()
@@ -895,7 +894,7 @@ class _Parser:
                 dims: list[ast.Expression] = []
                 while self._starts_dimension():
                     dim_start = self.current
-                    dims.append(self._mark(self._additive(), dim_start))
+                    dims.append(self._mark(self._binary(_ADDITIVE), dim_start))
                     if not (
                         self.at_operator(",")
                         and not self.peek(1).is_keyword("ALL", "SET", "VISIBLE", "WHERE")
@@ -906,9 +905,9 @@ class _Parser:
             elif self.at_keyword("SET"):
                 self.advance()
                 dim_start = self.current
-                dim = self._mark(self._additive(), dim_start)
+                dim = self._mark(self._binary(_ADDITIVE), dim_start)
                 self.expect_operator("=")
-                value = self._additive()
+                value = self._binary(_ADDITIVE)
                 modifiers.append(self._mark(ast.SetModifier(dim, value), start))
             elif self.at_keyword("VISIBLE"):
                 self.advance()
@@ -1103,7 +1102,7 @@ class _Parser:
             self.advance()
             self.expect_keyword("ROW")
             return ast.FrameBound("CURRENT_ROW")
-        offset = self._additive()
+        offset = self._binary(_ADDITIVE)
         if self.accept_keyword("PRECEDING"):
             return ast.FrameBound("PRECEDING", offset)
         self.expect_keyword("FOLLOWING")

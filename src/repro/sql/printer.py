@@ -14,6 +14,7 @@ from typing import Any
 
 from repro.errors import UnsupportedError
 from repro.sql import ast
+from repro.sql.lexer import is_bare_identifier
 
 __all__ = ["to_sql", "format_literal"]
 
@@ -37,7 +38,9 @@ def format_literal(value: Any) -> str:
 
 
 def _ident(name: str) -> str:
-    if name.isidentifier():
+    """``name`` as the lexer reads it back: bare when it lexes as itself,
+    double-quoted (``"`` doubled) when it is a keyword or not a bare word."""
+    if is_bare_identifier(name):
         return name
     escaped = name.replace('"', '""')
     return f'"{escaped}"'

@@ -10,7 +10,6 @@ distinguishes KEYWORD from IDENT for words in :data:`KEYWORDS`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any
 
 
@@ -23,15 +22,21 @@ class TokenType(enum.Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
 class Token:
-    """A single lexical token with its source position (1-based)."""
+    """A single lexical token with its source position (1-based).
 
-    type: TokenType
-    text: str
-    value: Any
-    line: int
-    column: int
+    A plain ``__slots__`` class: the lexer makes one per lexeme, so it is
+    kept cheap to construct.
+    """
+
+    __slots__ = ("type", "text", "value", "line", "column")
+
+    def __init__(self, type: TokenType, text: str, value: Any, line: int, column: int):
+        self.type = type
+        self.text = text
+        self.value = value
+        self.line = line
+        self.column = column
 
     def is_keyword(self, *words: str) -> bool:
         return self.type is TokenType.KEYWORD and self.text in words

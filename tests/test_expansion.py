@@ -513,6 +513,26 @@ def test_the_listings_expand_to_the_interpreters_rows_on_sqlite(
     _four_ways(listings_db, sqlite_paper, LISTINGS[name])
 
 
+def test_keyword_named_columns_expand_to_runnable_sql(db):
+    """Columns named ``from`` and ``order`` print quoted in the expansion,
+    so both engines can read it back."""
+    rows = [(1, 10), (1, 20), (2, 5)]
+    ddl = 'CREATE TABLE t ("from" INTEGER, "order" INTEGER)'
+    db.execute(ddl)
+    db.execute("INSERT INTO t VALUES (1, 10), (1, 20), (2, 5)")
+    db.execute('CREATE VIEW v AS SELECT "from", SUM("order") AS MEASURE s FROM t')
+    sqlite = sqlite3.connect(":memory:")
+    sqlite.execute(ddl)
+    sqlite.executemany("INSERT INTO t VALUES (?, ?)", rows)
+    sql = 'SELECT "from", s FROM v GROUP BY "from"'
+    expanded = db.expand(sql)
+    assert 'i1."order"' in expanded
+    interpreted = db.execute(sql).rows
+    assert interpreted == [(1, 30), (2, 5)]
+    assert db.execute(expanded).rows == interpreted
+    assert _canonical(sqlite.execute(expanded).fetchall()) == _canonical(interpreted)
+
+
 def test_listing4_still_reads_like_the_papers_listing5(listings_db):
     expanded = listings_db.expand(LISTINGS["listing4"])
     assert expanded.count("(SELECT") == 2  # the measure, and the stripped view

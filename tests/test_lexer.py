@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LexerError
 from repro.sql.lexer import tokenize
-from repro.sql.tokens import TokenType
+from repro.sql.tokens import KEYWORDS, OPERATORS, TokenType
 
 
 def kinds(sql: str) -> list[str]:
@@ -106,6 +108,29 @@ def test_unterminated_block_comment_raises():
         tokenize("SELECT /* oops")
 
 
+@pytest.mark.parametrize(
+    "sql, message",
+    [
+        ("SELECT 1,\n  'it''s\n", "unterminated string literal"),
+        ('SELECT 1,\n  "a""b\n', "unterminated quoted identifier"),
+        ("SELECT 1,\n  `ab\n", "unterminated quoted identifier"),
+        ("SELECT 1,\n  /* a * / b\n", "unterminated block comment"),
+        ("SELECT 1,\n  /*/", "unterminated block comment"),
+    ],
+)
+def test_unterminated_lexeme_raises_at_its_opening(sql, message):
+    """Never an operator, never a later position: the opening character."""
+    with pytest.raises(LexerError) as exc:
+        tokenize(sql)
+    assert str(exc.value) == f"{message} at line 2, column 3"
+
+
+def test_doubled_quote_inside_quoted_identifier():
+    token = tokenize('"a""b"')[0]
+    assert (token.type, token.value) == (TokenType.IDENT, 'a"b')
+    assert [t.value for t in tokenize('"" x')[:-1]] == ["", "x"]
+
+
 def test_multichar_operators_lex_greedily():
     assert texts("<> <= >= != || ->") == ["<>", "<=", ">=", "!=", "||", "->"]
 
@@ -144,3 +169,54 @@ def test_identifier_with_underscore_and_dollar():
 
 def test_adjacent_tokens_without_spaces():
     assert texts("a+b*(c)") == ["a", "+", "b", "*", "(", "c", ")"]
+
+
+def test_eof_sits_after_trailing_trivia():
+    eof = tokenize("SELECT 1 -- done\n  /* x\ny */ ")[-1]
+    assert (eof.type, eof.line, eof.column) == (TokenType.EOF, 3, 6)
+
+
+# -- property: trivia never changes the tokens, positions point at lexemes ----
+
+_CHARS = "abc XYZ_09$\n\t;,()*-/'\"`é"
+
+_LEXEMES = st.one_of(
+    st.sampled_from(sorted(KEYWORDS)).flatmap(
+        lambda word: st.sampled_from([word, word.lower(), word.title()])
+    ),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_$]{0,6}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,3})?([eE][+-]?[0-9]{1,2})?", fullmatch=True),
+    st.text(_CHARS, max_size=6).map(lambda s: "'" + s.replace("'", "''") + "'"),
+    st.text(_CHARS, max_size=6).map(lambda s: '"' + s.replace('"', '""') + '"'),
+    st.text(_CHARS.replace("`", ""), max_size=6).map(lambda s: "`" + s + "`"),
+    st.sampled_from(OPERATORS),
+)
+
+_TRIVIA = st.one_of(
+    st.sampled_from([" ", "  ", "\t", "\r\n", "\n"]),
+    st.text("ab -*/'\"\t", max_size=8).map(lambda s: "--" + s + "\n"),
+    st.text("ab -/'\"\n\t", max_size=8).map(lambda s: "/*" + s + "*/"),
+)
+
+# A whitespace character first, so no trivia merges with the token before
+# it (``-`` then ``--`` would read as one comment).
+_SEPARATOR = st.tuples(
+    st.sampled_from([" ", "\t", "\n", "\r\n"]), st.lists(_TRIVIA, max_size=3)
+).map(lambda parts: parts[0] + "".join(parts[1]))
+
+
+def _triples(sql: str) -> list[tuple]:
+    return [(t.type, t.text, t.value) for t in tokenize(sql)[:-1]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_SEPARATOR, _LEXEMES), min_size=1, max_size=12), _SEPARATOR)
+def test_trivia_changes_nothing_and_positions_point_at_lexemes(pairs, tail):
+    lexemes = [lexeme for _, lexeme in pairs]
+    source = "".join(separator + lexeme for separator, lexeme in pairs) + tail
+    tokens = tokenize(source)[:-1]
+    assert _triples(source) == _triples(" ".join(lexemes))
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    for token, lexeme in zip(tokens, lexemes, strict=True):
+        offset = line_starts[token.line - 1] + token.column - 1
+        assert source.startswith(lexeme, offset), (token, lexeme)

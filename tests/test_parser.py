@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import datetime
+import sys
 
 import pytest
 
 from repro.errors import ParseError
 from repro.sql import ast, parse_expression, parse_query, parse_statement, parse_statements
+from repro.workloads.listings import SETUP, all_listing_sql
 
 
 # -- expressions --------------------------------------------------------------
@@ -62,6 +64,24 @@ def test_not_equal_normalized():
 
 def test_concat_operator():
     assert parse_expression("a || b").op == "||"
+
+
+def test_comparison_level_chains_left_to_right():
+    expr = parse_expression("a < b = c IS NULL")
+    assert isinstance(expr, ast.IsNull)
+    assert expr.operand.op == "=" and expr.operand.left.op == "<"
+
+
+@pytest.mark.parametrize(
+    "sql, found",
+    [("a IS NULL + 1", "+"), ("a IN (1) * 2", "*"), ("NOT a IS TRUE * 2", "*")],
+)
+def test_nothing_binds_tighter_after_a_comparison(sql, found):
+    """After IS / IN (or a prefix NOT), arithmetic does not continue the
+    expression: the grammar's levels stop there."""
+    with pytest.raises(ParseError) as exc:
+        parse_expression(sql)
+    assert f"unexpected input after expression (found {found!r})" in str(exc.value)
 
 
 def test_between():
@@ -439,3 +459,53 @@ def test_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_statement("SELECT FROM t")
     assert "line 1" in str(exc.value)
+
+
+# -- cost guard -----------------------------------------------------------------
+
+#: Python-level calls made to parse the paper's 15 listings (13 listings and
+#: the expansions of Listings 4 and 10): 10 672 on CPython 3.11, plus 5 %.
+#: The character-at-a-time lexer and the six-level expression ladder made
+#: 38 876.  No clock: a change that brings back per-character or per-level
+#: method calls fails here deterministically.
+PARSE_LISTINGS_CALL_CEILING = 11_205
+
+
+def _python_calls(run) -> int:
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_the_ladder_and_the_character_lexer_are_gone():
+    from repro.sql import lexer, parser
+
+    assert not hasattr(lexer, "_Lexer")
+    for name in ("_or_expr", "_and_expr", "_not_expr", "_predicate", "_additive",
+                 "_multiplicative", "_postfix"):
+        assert not hasattr(parser._Parser, name), name
+
+
+def test_parsing_the_listings_stays_within_its_call_budget(paper_db):
+    for ddl in SETUP.values():
+        paper_db.execute(ddl)
+    texts = list(all_listing_sql(paper_db).values())
+    assert len(texts) == 15
+
+    def parse_all():
+        for text in texts:
+            parse_statement(text)
+
+    parse_all()  # warm: nothing lazily built is counted
+    assert _python_calls(parse_all) <= PARSE_LISTINGS_CALL_CEILING

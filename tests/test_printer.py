@@ -77,6 +77,20 @@ def test_quoted_identifier_in_output():
     assert '"weird name"' in to_sql(stmt)
 
 
+@pytest.mark.parametrize("name", ["from", "order", "select", "date", "é", 'a"b', "a b"])
+def test_every_identifier_prints_as_the_lexer_reads_it(name):
+    """Keywords, non-ASCII letters and quotes are quoted, ``"`` doubled."""
+    quoted = '"' + name.replace('"', '""') + '"'
+    sql = f"SELECT {quoted}, t.{quoted} AS {quoted} FROM {quoted} AS t GROUP BY {quoted}"
+    parsed = parse_statement(sql)
+    assert parsed.query.items[0].expr.parts == (name,)
+    assert parse_statement(to_sql(parsed)) == parsed
+
+
+def test_plain_identifiers_print_bare():
+    assert to_sql(parse_statement("SELECT a$1, _b FROM t")) == "SELECT a$1, _b FROM t"
+
+
 def test_expression_precedence_preserved():
     """The printer parenthesizes, so precedence survives the round trip."""
     expr = parse_expression("1 + 2 * 3")
