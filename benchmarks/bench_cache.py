@@ -2,9 +2,9 @@
 
 The paper's "localized self-join" strategy caches per-context aggregate
 results in memory.  ``Database(cache=False)`` disables both the context memo
-AND the per-dimension source indexes, so every output row re-aggregates its
-context from a full source scan — O(groups x source) work; with caching on,
-each distinct context costs an index intersection and is computed once.  The
+AND the groupings of the source relation, so every output row re-aggregates
+its context from a full source scan — O(groups x source) work; with caching
+on, each distinct context costs one lookup and is computed once.  The
 counters make the asymptotic difference deterministic; wall clock is
 reported by pytest-benchmark.
 """

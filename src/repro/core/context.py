@@ -100,8 +100,8 @@ class EqTerm(Term):
     WHERE-derived terms carry ``dim_key`` None: they are predicate terms for
     the modifier algebra (``ALL dim`` does not remove them — the context's
     meaning must not depend on how its predicate was spelled, paper section
-    3.5) while still being servable from the dimension indexes via their
-    source-expression fingerprint.
+    3.5) while still being servable from a grouping of the source relation
+    by their source expression.
     """
 
     dim_key: Optional[str]

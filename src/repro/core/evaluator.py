@@ -6,10 +6,13 @@ the formula's aggregates over that slice of the source relation.  Results
 are memoized per (measure, context) — value-based keys mean that e.g. ``AT
 (ALL)`` grand totals are computed once per query, and repeated group contexts
 are computed once per group.  Below the memo, what contexts over one source
-have in common is computed once per statement and kept with the relation:
-the per-dimension hash indexes that turn a context into positions, and the
-aggregates' argument columns (:class:`~repro.engine.compile.Relation`), which
-depend on the source row and not on the context that asks.  Together they are
+have in common is computed once per statement and kept with the relation
+(:class:`~repro.engine.compile.Relation`): the groupings of its rows by the
+expressions equality terms name — one lookup turns such a context into
+positions, and the query's own Aggregate, grouping the same relation by the
+same expressions, has usually built the grouping already — and the
+aggregates' argument columns, which depend on the source row and not on the
+context that asks.  Together they are
 the engine's realization of the paper's "localized self-join" execution
 strategy (section 5.1); disable them with ``Database(cache=False)`` to see
 the quadratic behaviour the paper's rewrite avoids (benchmarks/bench_cache.py).
@@ -17,7 +20,7 @@ the quadratic behaviour the paper's rewrite avoids (benchmarks/bench_cache.py).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.core.context import (
     ContextSpec,
@@ -34,7 +37,6 @@ from repro.engine.compile import (
     compile_expr,
     compile_formula,
     relation_of,
-    slot_key,
 )
 from repro.engine.evaluator import EvalEnv, ExecutionContext
 from repro.engine.executor import execute_plan
@@ -130,42 +132,27 @@ def _evaluate_measure_impl(
 def _context_slice(measure, terms: list[Term], ctx: ExecutionContext) -> Slice:
     """The slice of the measure's source relation satisfying the context.
 
-    Equality terms are served from per-dimension hash indexes built once per
-    measure source (the 'localized self-join' of paper section 5.1 made
-    concrete): a context of k EqTerms costs an index intersection instead of
-    a full scan per evaluation.  A VISIBLE term with join keys is served the
-    same way from the group side — the source rows carrying a key value some
-    row of the group carries — so grouping by another relation's column
-    costs a lookup per group row, not a test per source row per group.
-    Whatever the indexes do not decide filters the candidates.  Positions
+    Equality terms are one lookup in a grouping of the source relation by
+    their expressions (the 'localized self-join' of paper section 5.1 made
+    concrete: when every term is an equality the context is a key), built
+    once per statement by :meth:`~repro.engine.compile.Relation.groups` —
+    the grouping the query's Aggregate made, when it grouped the same
+    relation by the same expressions.  A VISIBLE term with join keys is
+    served from the same kind of grouping, its key dimensions after the
+    equality terms: one lookup per key some row of the group carries.
+    Whatever the grouping does not decide tests the candidates.  Positions
     stay ascending throughout: aggregate input order is source row order.
-    With ``enable_cache`` off the relation keeps no columns either
-    (:func:`~repro.engine.compile.relation_of`): every evaluation computes
-    its arguments over the rows it selected.
+    With ``enable_cache`` off the relation keeps no columns and no groupings
+    either (:func:`~repro.engine.compile.relation_of`) and every row is
+    tested: every evaluation computes its arguments over the rows it
+    selected.
     """
     relation = relation_of(
         measure.group.source_plan, source_rows_for(measure, ctx), ctx
     )
-    buckets: list = []
-    tests: list[Term] = []
-    for term in terms:
-        positions = None
-        if ctx.enable_cache:
-            positions = _indexed_positions(term, ctx, relation)
-        if positions is not None:
-            buckets.append(positions)
-        # Positions decide an equality term; a VISIBLE term's local and
-        # residual conjuncts still test each candidate.
-        if positions is None or not isinstance(term, EqTerm):
-            tests.append(term)
-
-    candidates = None  # every row
-    if buckets:
-        buckets.sort(key=len)
-        candidates = buckets[0]
-        for bucket in buckets[1:]:
-            as_set = set(bucket)
-            candidates = [i for i in candidates if i in as_set]
+    candidates, tests = None, terms  # every row, every term
+    if ctx.enable_cache:
+        candidates, tests = _grouped_positions(terms, ctx, relation)
     if tests:
         # A term's test may itself scan (VISIBLE's residual conjuncts, over
         # the group's rows): this loop checkpoints like the executor's row
@@ -187,63 +174,54 @@ def _context_slice(measure, terms: list[Term], ctx: ExecutionContext) -> Slice:
     return Slice(relation, candidates)
 
 
-def _indexed_positions(
-    term: Term, ctx: ExecutionContext, relation: Relation
-) -> Optional[list[int]]:
-    """Ascending positions of the only source rows ``term`` can accept, read
-    off a per-statement index; None when no index serves the term."""
-    if isinstance(term, EqTerm):
-        index = _dimension_index((term.source_expr,), ctx, relation)
-        if index is None:
-            return None
-        try:
-            return index.get(term.value, ())
-        except TypeError:  # unhashable context value
-            return None
-    if not isinstance(term, VisibleTerm):
-        return None
-    # The source rows whose key dimensions equal the key of some surviving
-    # row of the term's group.
-    keys = term.probe_keys(ctx)
-    if keys is None:
-        return None
-    if not keys:
-        return []
-    index = _dimension_index(tuple(term.key_dims), ctx, relation)
-    if index is None:
-        return None
-    positions: list[int] = []
-    for key in keys:
-        positions += index.get(key, ())
-    positions.sort()
-    return positions
+def _grouped_positions(
+    terms: list[Term], ctx: ExecutionContext, relation: Relation
+) -> tuple[Optional[Sequence[int]], list[Term]]:
+    """``(ascending positions of the only source rows the context can
+    accept — None: any row —, the terms still to test on them)``.
 
-
-def _dimension_index(exprs: tuple, ctx: ExecutionContext, relation: Relation):
-    """value -> ascending row positions for one dimension of one measure
-    source (``relation``, the statement's: it has its owner), or tuple of
-    values -> positions for several; built once per statement from the
-    relation's columns.  None when a value is unhashable: no index."""
-    names = tuple([slot_key(expr) for expr in exprs])
-    key = (id(relation.owner), names[0] if len(names) == 1 else names)
-    cache = ctx.dim_indexes
-    if key in cache:
-        return cache[key]
-    columns = [relation.column(expr, None, ctx).values for expr in exprs]
-    index: dict = {}
-    watched = ctx.watched
+    The lookup decides every equality term: a dict compares keys as IS NOT
+    DISTINCT FROM does, and as SQL ``=`` does on anything but NULL — a
+    strict term whose value is NULL accepts nothing.  A VISIBLE term's
+    local and residual conjuncts are still tested.  An unhashable value
+    leaves every term to the test.
+    """
+    equal: list[EqTerm] = []
+    tests: list[Term] = []
+    visible, probe = None, None
+    for term in terms:
+        if isinstance(term, EqTerm):
+            if term.strict and term.value is None:
+                return (), []
+            equal.append(term)
+            continue
+        if visible is None and isinstance(term, VisibleTerm):
+            probe = term.probe_keys(ctx)
+            if probe is not None:
+                visible = term
+        tests.append(term)
+    if visible is not None and not probe:
+        return (), tests  # no row of the group carries a key
+    exprs = [term.source_expr for term in equal]
+    if visible is not None:
+        exprs += visible.key_dims
+    if not exprs:
+        return None, tests
+    grouping = relation.groups(exprs, None, ctx)
+    if grouping is None:
+        return None, terms
+    values = tuple([term.value for term in equal])
     try:
-        for position, value in enumerate(
-            columns[0] if len(columns) == 1 else zip(*columns)
-        ):
-            if watched and not position & 0xFF:
-                ctx.checkpoint(buffered_rows=position)
-            index.setdefault(value, []).append(position)
-    except TypeError:
-        cache[key] = None  # unhashable dimension values: no index
-        return None
-    cache[key] = index
-    return index
+        if visible is None:
+            return grouping.get(values, ()), tests
+        composite = len(visible.key_dims) > 1
+        positions: list[int] = []
+        for key in probe:
+            positions += grouping.get(values + (key if composite else (key,)), ())
+    except TypeError:  # an unhashable context value
+        return None, terms
+    positions.sort()
+    return positions, tests
 
 
 def _first_modifier_replaces(spec: ContextSpec) -> bool:

@@ -49,7 +49,7 @@ expanded AST; the printed text shows one ``?`` per *use*.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.catalog.objects import View
@@ -560,14 +560,19 @@ class Expander:
         nested = [here if here is level.row else None] + level.outer
         # No group keys: the subquery is the same for every input row, but
         # the query must stay an aggregate query so that it returns exactly
-        # one row.  ANY_VALUE keeps that shape.
+        # one row.  ANY_VALUE keeps that shape; over no input row it is NULL,
+        # and the subquery itself is the value.
         lone = grouped and level.bound.group_exprs == []
 
         def visit(node: ast.Node):
             site = self.binder.sites.get(id(node))
             if site is not None:
                 subquery = self.measure_subquery(site, level, frames)
-                return ast.FunctionCall("ANY_VALUE", [subquery]) if lone else subquery
+                if not lone:
+                    return subquery
+                any_value = ast.FunctionCall("ANY_VALUE", [subquery])
+                again = self.measure_subquery(site, level, frames)
+                return ast.FunctionCall("COALESCE", [any_value, again])
             if isinstance(node, _QUERY_HOLDERS):
                 self._rewrite_query(node.query, nested, top=True)
             return None
@@ -741,11 +746,12 @@ class _SqlTerms:
 
 class _GroupingSetBranch:
     """Rewrites one grouping-set branch: inactive keys -> NULL, GROUPING ->
-    constants."""
+    constants; inside ``AT (...)`` only the call site's references."""
 
     def __init__(self, registry: dict[str, ast.Expression], active: set[str]):
         self.registry = registry
         self.active = active
+        self.inactive = [expr for key, expr in registry.items() if key not in active]
 
     def transform(self, expr: ast.Expression) -> ast.Expression:
         def visit(node: ast.Node):
@@ -762,6 +768,15 @@ class _GroupingSetBranch:
                         )
                     bitmap = (bitmap << 1) | (0 if key in self.active else 1)
                 return ast.Literal(bitmap)
+            if isinstance(node, ast.At):
+                return replace(
+                    node,
+                    operand=transform_topdown(node.operand, visit),
+                    modifiers=[
+                        transform_topdown(modifier, self._call_site)
+                        for modifier in node.modifiers
+                    ],
+                )
             if isinstance(node, ast.Expression):
                 key = to_sql(node)
                 if key in self.registry and key not in self.active:
@@ -769,3 +784,18 @@ class _GroupingSetBranch:
             return None
 
         return transform_topdown(copy.deepcopy(expr), visit)  # type: ignore[return-value]
+
+    def _call_site(self, node: ast.Node):
+        """Inside ``AT (...)`` a bare name is the measure's dimension and
+        ``CURRENT dim`` reads the branch's own context; only a qualified
+        reference is the call site's column — NULL when its key is inactive
+        (by text, or by name against a bare key)."""
+        if isinstance(node, ast.ColumnRef) and node.qualifier is not None:
+            for key in self.inactive:
+                if to_sql(key) == to_sql(node) or (
+                    isinstance(key, ast.ColumnRef)
+                    and key.qualifier is None
+                    and key.name.lower() == node.name.lower()
+                ):
+                    return ast.Literal(None)
+        return None

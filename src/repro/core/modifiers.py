@@ -99,8 +99,8 @@ class BoundWhere(BoundModifier):
     memoization; ``label`` is the predicate's fingerprint.
 
     Equality conjuncts of the form ``source_expr = call_site_expr`` are
-    decomposed at bind time into ``eq_pairs`` so that evaluation can use the
-    per-dimension source indexes; ``pred`` holds the residual conjuncts
+    decomposed at bind time into ``eq_pairs`` so that evaluation can look
+    them up in a grouping of the source; ``pred`` holds the residual conjuncts
     (None when fully decomposed).
     """
 

@@ -17,8 +17,9 @@ its scalar closure per row, so the vector form is total and has no semantics
 of its own.  A :class:`Relation` keeps the columns computed over all of its
 rows, keyed by the expression's fingerprint, so every reader of
 ``extendedprice * (1 - discount)`` over one relation shares one pass of
-arithmetic; a :class:`Slice` is the subset of a relation's rows an aggregate
-reads.  :func:`compile_rows` (an operator's expression list, over a relation),
+arithmetic, and its rows grouped by expressions (:meth:`Relation.groups`), so
+an Aggregate and a measure's equality contexts share one grouping pass; a
+:class:`Slice` is the subset of a relation's rows an aggregate reads.  :func:`compile_rows` (an operator's expression list, over a relation),
 :func:`compile_aggregate` (an aggregate call, over a slice) and
 :func:`compile_formula` (a measure formula, over the slice of source rows its
 context selects) are built on them.
@@ -68,6 +69,7 @@ __all__ = [
     "Relation",
     "Slice",
     "relation_of",
+    "row_pure",
     "slot_key",
     "row_getter",
     "memo",
@@ -685,13 +687,27 @@ _ROW_PURE = (
 )
 
 
+def row_pure(expr: b.BoundExpr) -> bool:
+    """Whether ``expr`` is made only of :data:`_ROW_PURE` nodes (memoized on
+    the node as ``_pure``): the same value over the same row whoever asks."""
+    return memo(
+        expr, "_pure", lambda expr: all(isinstance(n, _ROW_PURE) for n in b.walk(expr))
+    )
+
+
 def _computed_from_row(expr: b.BoundExpr) -> bool:
     """Whether a relation keeps ``expr``'s column (memoized on the node as
     ``_slot``, its key or ""): it is row-pure, and more than a reference to
     a column the rows already hold."""
-    return _offset(expr) is None and all(
-        isinstance(node, _ROW_PURE) for node in b.walk(expr)
-    )
+    return _offset(expr) is None and row_pure(expr)
+
+
+def _grouping_key(expr: b.BoundExpr) -> str:
+    """What a relation's groupings are keyed by, one name per expression
+    (memoized on the node as ``_grouped``): its :func:`slot_key` when it is
+    row-pure, else "" (grouped for the caller alone)."""
+    key = expr._grouped = slot_key(expr) if row_pure(expr) else ""
+    return key
 
 
 def slot_key(expr: b.BoundExpr) -> str:
@@ -705,8 +721,8 @@ _UNBUILT = object()
 
 
 class Relation:
-    """A list of rows and, when it has an ``owner``, the columns computed
-    over all of them so far.
+    """A list of rows and, when it has an ``owner``, the columns and the
+    groupings computed over all of them so far.
 
     ``owner`` is the plan node that holds the rows for more than one reader:
     a measure's ``[shared]`` source, whose relation the statement keeps in
@@ -714,12 +730,16 @@ class Relation:
     groups all read its input.  ``slots`` then maps :func:`slot_key` to the
     column of a row-pure expression — or to None when evaluating it raised on
     some row, a row no reader may ever select, so nothing is raised here —
-    and the columns' bytes are charged to the owner.  A relation without one
-    (a Project's or a Sort's input, what is left of a slice after FILTER) is
-    read once and keeps nothing.  Either way it belongs to one execution.
+    and the columns' bytes are charged to the owner.  A shared source also
+    keeps ``groupings``, a tuple of slot keys -> the rows grouped by those
+    expressions (:meth:`groups`), charged the same way; an Aggregate's own
+    relation groups once per grouping set and keeps none.  A relation
+    without an owner (a Project's or a Sort's input, what is left of a slice
+    after FILTER) is read once and keeps nothing.  Either way it belongs to
+    one execution.
     """
 
-    __slots__ = ("rows", "owner", "slots")
+    __slots__ = ("rows", "owner", "slots", "groupings")
 
     def __init__(self, rows: Sequence[tuple], owner=None):
         self.rows = rows
@@ -727,6 +747,66 @@ class Relation:
         self.slots: Optional[dict[str, Optional[Column]]] = (
             None if owner is None else {}
         )
+        self.groupings: Optional[dict[tuple, Optional[dict]]] = (
+            {} if owner is not None and owner.shared else None
+        )
+
+    def groups(self, exprs: Sequence[b.BoundExpr], outer, ctx) -> Optional[dict]:
+        """``{key: ascending positions}``: the rows grouped by the values of
+        ``exprs`` (a key is the tuple of them, one per expression; groups in
+        order of first occurrence), or None when a value is unhashable.
+
+        The one grouping routine: an Aggregate's grouping sets, an equality
+        context and VISIBLE's key probe all read their groups here.  Over a
+        shared source and row-pure ``exprs`` a grouping is built once per
+        execution, keyed by the expressions' slot keys (:func:`slot_key`),
+        and its bytes are charged to the owner once; otherwise it is built
+        for the caller alone.  Nobody may mutate what this returns.
+        """
+        groupings = self.groupings
+        if groupings is None:
+            return self._group(exprs, outer, ctx)
+        key = tuple([e.__dict__.get("_grouped") or _grouping_key(e) for e in exprs])
+        if "" in key:
+            return self._group(exprs, outer, ctx)
+        grouping = groupings.get(key, _UNBUILT)
+        if grouping is _UNBUILT:
+            grouping = groupings[key] = self._group(exprs, outer, ctx)
+            if grouping and ctx.watch is not None:
+                # The table, a key and a list per group, a slot per row.
+                ctx.watch.account_bytes(
+                    self.owner,
+                    sys.getsizeof(grouping)
+                    + len(grouping) * sys.getsizeof(next(iter(grouping)))
+                    + sum(map(sys.getsizeof, grouping.values())),
+                )
+        return grouping
+
+    def _group(self, exprs: Sequence[b.BoundExpr], outer, ctx) -> Optional[dict]:
+        """One pass over the rows for :meth:`groups`, checkpointing every 256."""
+        rows = self.rows
+        offsets = [_offset(expr) for expr in exprs]
+        if offsets and None not in offsets:
+            getter = itemgetter(*offsets)  # a bare value for one offset
+            keys = map(getter, rows) if len(offsets) > 1 else zip(map(getter, rows))
+        elif exprs:
+            keys = zip(*[self.column(expr, outer, ctx).values for expr in exprs])
+        else:
+            keys = repeat((), len(rows))
+        table: dict[tuple, list[int]] = {}
+        get, watched = table.get, ctx.watched
+        try:
+            for position, key in enumerate(keys):
+                if watched and not position & 0xFF:
+                    ctx.checkpoint(buffered_rows=position)
+                group = get(key)
+                if group is None:
+                    table[key] = [position]
+                else:
+                    group.append(position)
+        except TypeError:
+            return None
+        return table
 
     def column(self, expr: b.BoundExpr, outer, ctx, positions=None) -> Column:
         """``expr`` over the rows at ``positions`` (None: every row).
@@ -795,13 +875,14 @@ class Relation:
         return column
 
 
-def relation_of(plan, rows: list[tuple], ctx) -> Relation:
+def relation_of(plan, rows: list[tuple], ctx, owner=None) -> Relation:
     """The relation over ``rows``, the output of ``plan``.  A measure's
     ``[shared]`` source has one per statement, so the query's own operators
-    and every measure evaluation read the same columns — under the same
-    ``enable_cache`` gate as the measure memo and the dimension indexes."""
+    and every measure evaluation read the same columns and groupings — under
+    the same ``enable_cache`` gate as the measure memo.  Any other relation
+    is new, owned by ``owner`` (None: by nobody)."""
     if not (plan.shared and ctx.enable_cache):
-        return Relation(rows)
+        return Relation(rows, owner)
     relation = ctx.relations.get(id(plan))
     if relation is None:
         relation = ctx.relations[id(plan)] = Relation(rows, plan)

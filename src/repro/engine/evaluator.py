@@ -82,11 +82,9 @@ class ExecutionContext:
         self.source_rows_cache: dict = {}
         #: id(``[shared]`` source node) -> its
         #: :class:`~repro.engine.compile.Relation`: those rows with the
-        #: columns computed over them so far (aggregate arguments,
-        #: dimensions), shared by every reader in the statement.
+        #: columns (aggregate arguments, dimensions) and groupings computed
+        #: over them so far, shared by every reader in the statement.
         self.relations: dict = {}
-        #: (source plan id, dimension key) -> {value: [row positions]}.
-        self.dim_indexes: dict = {}
         #: System-table name -> rows materialized at first scan, so every
         #: scan in one execution sees the same snapshot (repro.introspect).
         self.system_snapshots: dict = {}
@@ -113,16 +111,15 @@ class ExecutionContext:
 
     def release(self) -> None:
         """Drop what the execution materialized — snapshots, source rows and
-        their columns, indexes, memos — and keep the counters.  The Database
-        calls it once a statement's rows are out: ``last_stats`` is this
-        object, and would otherwise carry one statement's working set
+        their columns and groupings, memos — and keep the counters.  The
+        Database calls it once a statement's rows are out: ``last_stats`` is
+        this object, and would otherwise carry one statement's working set
         through the next one's peak."""
         for cache in (
             self.subquery_cache,
             self.measure_cache,
             self.source_rows_cache,
             self.relations,
-            self.dim_indexes,
             self.system_snapshots,
             self.table_snapshots,
             self.pinned,

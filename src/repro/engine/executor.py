@@ -155,10 +155,27 @@ def _execute_filter(plan: plans.Filter, ctx: ExecutionContext, outer_env) -> lis
 
 def _execute_project(plan: plans.Project, ctx: ExecutionContext, outer_env) -> list[tuple]:
     rows = execute_plan(plan.input, ctx, outer_env)
-    project = memo(plan, "_project", lambda plan: compile_rows(plan.exprs))
+    project = memo(plan, "_project", _compile_project)
     # Over a measure's source this reads (and fills) the statement's columns:
-    # a dimension computed here is not computed again for its index.
+    # a dimension computed here is not computed again for its grouping.
     return project(relation_of(plan.input, rows, ctx), outer_env, ctx)
+
+
+def _compile_project(plan: plans.Project):
+    """``fn(relation, outer, ctx) -> rows``; a Project whose expressions are
+    its input's columns, in order, returns the input list itself (no
+    operator mutates its input)."""
+    exprs = plan.exprs
+    if len(exprs) == plan.input.arity and all(
+        type(expr) is b.BoundColumn and expr.offset == index
+        for index, expr in enumerate(exprs)
+    ):
+        return _pass_through
+    return compile_rows(exprs)
+
+
+def _pass_through(relation: Relation, outer_env, ctx: ExecutionContext) -> list[tuple]:
+    return relation.rows
 
 
 def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tuple]:
@@ -408,47 +425,29 @@ def _match_loop(plan: plans.Join, left_rows, right_rows, candidates, test, ctx, 
 
 def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) -> list[tuple]:
     input_rows = execute_plan(plan.input, ctx, outer_env)
-    group_keys, aggregates = memo(plan, "_aggregate", lambda plan: (
-        compile_rows(plan.group_exprs),
-        [compile_aggregate(call) for call in plan.agg_calls],
-    ))
-    key_count = len(plan.group_exprs)
+    aggregates, sets = memo(plan, "_aggregate", _compile_aggregate)
+    # A group is a list of positions into the input relation, grouped by the
+    # one routine: over a measure's shared source that is the statement's
+    # relation, and the measure's equality contexts read the same groups.
+    relation = relation_of(plan.input, input_rows, ctx, owner=plan)
+    keys = range(len(plan.group_exprs))
     output: list[tuple] = []
-
-    # Every group expression once per input row; the aggregates' arguments
-    # once per input row too, as columns of the same relation: a group is a
-    # list of positions into it.
-    relation = Relation(input_rows, plan)
-    keys_of_rows = group_keys(relation, outer_env, ctx)
-
     watched = ctx.watched
-    for active in plan.grouping_sets:
-        bitmap = 0
-        for position in range(key_count):
-            if position not in active:
-                bitmap |= 1 << position
-        # A grouping set over every key, in order, groups by the keys as is.
-        pick = None if list(active) == list(range(key_count)) else row_getter(active)
-        groups: dict[tuple, list[int]] = {}
-        for position, keys in enumerate(keys_of_rows):
-            group_key = keys if pick is None else pick(keys)
-            group = groups.get(group_key)
-            if group is None:
-                groups[group_key] = [position]
-            else:
-                group.append(position)
+    for active, exprs, bitmap, whole in sets:
+        groups = relation.groups(exprs, outer_env, ctx)
+        if groups is None:
+            raise ExecutionError("cannot group by an unhashable value")
         if not groups and not active:
             # A global grouping set emits one row even over empty input.
-            groups[()] = []
-
+            groups = {(): []}
         for group_index, (group_key, positions) in enumerate(groups.items()):
             if watched and not group_index & 0xFF:
                 ctx.checkpoint(plan, len(output))
-            if pick is None:
+            if whole:
                 row_out = group_key
             else:
                 key_by_position = dict(zip(active, group_key))
-                row_out = tuple([key_by_position.get(i) for i in range(key_count)])
+                row_out = tuple([key_by_position.get(i) for i in keys])
             # Ascending and distinct, so as many as the input is all of it.
             members = Slice(
                 relation, positions if len(positions) < len(input_rows) else None
@@ -464,6 +463,22 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
     if ctx.watch is not None:
         ctx.watch.operator_count(plan, "groups", len(output))
     return output
+
+
+def _compile_aggregate(plan: plans.Aggregate) -> tuple:
+    """``(aggregate closures, per grouping set (its key offsets, their
+    expressions, its GROUPING bitmap, whether it is every key in order))``."""
+    count = len(plan.group_exprs)
+    sets = [
+        (
+            active,
+            [plan.group_exprs[index] for index in active],
+            sum(1 << index for index in range(count) if index not in active),
+            list(active) == list(range(count)),
+        )
+        for active in plan.grouping_sets
+    ]
+    return [compile_aggregate(call) for call in plan.agg_calls], sets
 
 
 def _execute_window(plan: plans.Window, ctx: ExecutionContext, outer_env) -> list[tuple]:

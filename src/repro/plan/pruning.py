@@ -11,6 +11,12 @@ what is read above the join.  Any other ``Scan`` is left alone: its rows are
 the stored tuples (a pipeline reads them by offset), and narrowing them
 would only allocate.
 
+An ``Aggregate`` over its own row-pure ``Project`` groups the Project's
+input instead, the Project's expressions substituted into its keys and
+arguments (:func:`_groups_through`): no row of the Project is built, and a
+computed key such as ``YEAR(orderdate)`` is the same slot of a measure's
+source relation as the measure's dimension.
+
 "Above" goes *through* measure evaluations.  A measure's source relation is
 read by the main tree (when the query's FROM is that same node) and by the
 evaluator, so what is required of it is the union of what its main-tree
@@ -36,6 +42,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from repro.core.definition import Dimension
+from repro.engine.compile import row_pure
 from repro.engine.executor import pipeline_keys
 from repro.errors import InternalError
 from repro.plan import logical as plans
@@ -79,6 +86,23 @@ def _narrows_itself(plan: plans.LogicalPlan) -> bool:
     while isinstance(plan, (plans.Filter, plans.Sort, plans.Limit)):
         plan = plan.input
     return isinstance(plan, (plans.Project, plans.Join, plans.JoinPipeline))
+
+
+def _groups_through(node: plans.Aggregate) -> bool:
+    """Whether ``node`` can group its input Project's input instead, so that
+    no row of the Project is built: the Project is the Aggregate's own (not
+    a shared source) and row-pure, so its expressions compute the same
+    values wherever they are evaluated, over the same rows; no call has a
+    FILTER, under which an argument is evaluated on fewer rows than the
+    Project evaluates it; and no captured row is read by position."""
+    project = node.input
+    return (
+        isinstance(project, plans.Project)
+        and not project.shared
+        and not node.capture_rows
+        and all(call.filter_where is None for call in node.agg_calls)
+        and all(map(row_pure, project.exprs))
+    )
 
 
 def _chain(top: plans.Join) -> Optional[tuple]:
@@ -136,6 +160,8 @@ class _Pruner:
         #: -> (after, before, the map), which also pins the ids.
         self.built: dict[int, tuple] = {}
         self.moved: dict[tuple, tuple] = {}
+        #: id(Aggregate) of those that group their Project's input instead.
+        self.inlined: set[int] = set()
 
     # -- what is read ---------------------------------------------------------
 
@@ -193,6 +219,9 @@ class _Pruner:
                 base += source.arity
         elif isinstance(node, plans.Aggregate):
             read = self.reads([*node.group_exprs, *node.agg_calls])
+            if read is not ALL and _groups_through(node):
+                self.inlined.add(id(node))
+                self.narrows = True
             # VISIBLE substitutes into the captured rows by position.
             self.visit(node.input, ALL if node.capture_rows else read)
         elif isinstance(node, plans.Window):
@@ -319,6 +348,8 @@ class _Pruner:
             return self._build_join(node)
         if isinstance(node, plans.Window):
             return self._build_window(node)
+        if id(node) in self.inlined:
+            return self._build_inlined(node), None
         built = [self.build(child) for child in node.inputs()]
         rebuilt = node.with_inputs(*[child for child, _ in built])
         if rebuilt is node:
@@ -329,6 +360,22 @@ class _Pruner:
         moved = built[0][1]
         rebuilt = rebuilt.map_expressions(lambda expr: self.remap(expr, moved))
         return rebuilt, None if isinstance(node, plans.Aggregate) else moved
+
+    def _build_inlined(self, node: plans.Aggregate) -> plans.Aggregate:
+        """``node`` over its Project's input, each of the Project's columns
+        it reads replaced by the expression that computes it."""
+        project, moved = self.build(node.input)
+        exprs = project.exprs
+
+        def inline(expr: b.BoundExpr) -> b.BoundExpr:
+            def visit(node: b.BoundExpr) -> Optional[b.BoundExpr]:
+                if isinstance(node, b.BoundColumn):
+                    return exprs[node.offset if moved is None else moved[node.offset]]
+                return None
+
+            return transform_expr(expr, visit)
+
+        return node.with_inputs(project.input).map_expressions(inline)
 
     def _build_window(self, node: plans.Window) -> tuple:
         """The input's columns, then one per call."""

@@ -632,7 +632,7 @@ class ExprBinder:
     ) -> BoundWhere:
         bound = _AtWhereBinder(self, relation).bind(predicate)
         # Decompose equality conjuncts `source = call_site` so that the
-        # evaluator can serve them from the per-dimension source indexes.
+        # evaluator can serve them from a grouping of the source relation.
         eq_pairs: list[tuple[b.BoundExpr, b.BoundExpr]] = []
         residual: list[b.BoundExpr] = []
         for conjunct in b.conjuncts(bound):

@@ -637,13 +637,14 @@ def test_a_dimension_is_computed_once_for_the_keys_and_the_index(tpch):
     rows, relation = source_relation(tpch, sql, ctx)
     assert len(rows) == 35
     years = [key for key in relation.slots if key.startswith("YEAR(")]
-    assert len(years) == 1  # the Project's key and the EqTerm's index: one slot
+    assert len(years) == 1  # the Aggregate's key and the EqTerms': one slot
     counters = ctx.watch.counters
     # YEAR(orderdate) + the revenue argument; quantity and region are bare.
     assert counters["column.builds"] == 2
-    # The index read the year the Project built; 35 contexts x 2 measures
-    # read their arguments, one of which is a kept column.
-    assert counters["column.reads"] == 1 + 35 - 1
+    # The contexts look up the Aggregate's own grouping, so nothing reads
+    # the year again; 35 contexts x 2 measures read their arguments, one of
+    # which is a kept column.
+    assert counters["column.reads"] == 35 - 1
 
 
 def test_without_the_cache_nothing_is_kept_and_nothing_changes(tpch):
@@ -726,14 +727,16 @@ def test_progress_accounts_a_columns_bytes_once(tpch):
     execute_plan(planned.plan, ctx)
     (relation,) = ctx.relations.values()
     mine = [nbytes for plan, nbytes in accounted if plan is source]
-    assert len(mine) == 1 and mine[0] >= 32 * len(relation.rows)
+    # The grouping by region, then the argument column: each charged once.
+    assert len(mine) == 2 and mine[1] >= 32 * len(relation.rows)
+    assert list(relation.groupings) == [("$2",)]
 
 
 def test_release_drops_the_working_set_and_keeps_the_counters(tpch):
     tpch.execute(TPCH_QUERIES["revenue_share_by_region"])
     stats = tpch.last_stats
     assert stats.hash_joins == 5 and stats.measure_evaluations == 15
-    assert not (stats.relations or stats.source_rows_cache or stats.dim_indexes
+    assert not (stats.relations or stats.source_rows_cache
                 or stats.measure_cache or stats.table_snapshots)
 
 

@@ -112,6 +112,34 @@ def test_visible_under_rollup(gdb):
     )
 
 
+def test_at_modifiers_keep_their_names_in_a_rolled_up_branch(gdb):
+    # In the grand-total branch the call site's v.prodName is NULL, while
+    # the SET target and CURRENT y still name the measure's dimension.
+    expanded = check(
+        gdb,
+        """SELECT prodName, rev AT (WHERE prodName = v.prodName) AS a,
+                  rev AT (SET y = CURRENT y - 1) AS b
+           FROM eo AS v GROUP BY ROLLUP(prodName)""",
+    )
+    assert "NULL IS NOT DISTINCT FROM" not in expanded
+    check(
+        gdb,
+        """SELECT y, rev AT (SET y = CURRENT y + 0) AS same FROM eo AS v
+           GROUP BY ROLLUP(y)""",
+    )
+
+
+def test_a_grand_total_over_no_row_is_still_the_measure(gdb):
+    # The WHERE leaves nothing, the grand-total row is still emitted, and a
+    # bare measure ignores the WHERE: it is the total over every order.
+    expanded = check(
+        gdb,
+        """SELECT prodName, rev AS r FROM eo WHERE custName = 'Nobody'
+           GROUP BY ROLLUP(prodName)""",
+    )
+    assert gdb.execute(expanded).rows == [(None, 25)]
+
+
 def test_rollup_without_measures_also_expands(paper_db):
     check(
         paper_db,
