@@ -13,7 +13,9 @@ many-reader lock.  Code in the server layer that reaches into the Database
 — the catalog, or any of the execute/plan entry points — outside such a
 scope is a data race with concurrent DDL unless its caller provably holds
 the lock.  Those proven cases go in :data:`ALLOWLIST`, each with a
-one-line justification that the checker prints on request.
+one-line justification that the checker prints on request.  An entry
+whose file or function no longer exists is a finding too: it would
+silently exempt the next function given that name.
 
 Scope rules:
 
@@ -128,6 +130,8 @@ class _Visitor(ast.NodeVisitor):
         self.stack: list[str] = []
         self.lock_depth = 0
         self.findings: list[LockFinding] = []
+        #: The dotted name of every class and function the file defines.
+        self.defined: set[str] = set()
 
     def _qualname(self) -> str:
         return ".".join(self.stack) or "<module>"
@@ -144,6 +148,7 @@ class _Visitor(ast.NodeVisitor):
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self.stack.append(node.name)
+        self.defined.add(self._qualname())
         self.generic_visit(node)
         self.stack.pop()
 
@@ -151,6 +156,7 @@ class _Visitor(ast.NodeVisitor):
         # A closure body runs when called, not where defined: whatever lock
         # was held around the def does not guard it.
         self.stack.append(node.name)
+        self.defined.add(self._qualname())
         saved, self.lock_depth = self.lock_depth, 0
         self.generic_visit(node)
         self.lock_depth = saved
@@ -194,12 +200,16 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def check_file(path: pathlib.Path, rel_path: str) -> list[LockFinding]:
-    """Check one Python source file; returns its findings."""
+def _visit_file(path: pathlib.Path, rel_path: str) -> _Visitor:
     tree = ast.parse(path.read_text(), filename=str(path))
     visitor = _Visitor(rel_path)
     visitor.visit(tree)
-    return visitor.findings
+    return visitor
+
+
+def check_file(path: pathlib.Path, rel_path: str) -> list[LockFinding]:
+    """Check one Python source file; returns its findings."""
+    return _visit_file(path, rel_path).findings
 
 
 def _package_root() -> pathlib.Path:
@@ -209,11 +219,12 @@ def _package_root() -> pathlib.Path:
 
 
 def run_lock_check(*, verbose: bool = False) -> int:
-    """Check ``repro/server/``, ``repro/introspect/`` and ``repro/profile/``;
-    print findings
-    and return their count (the CLI exit-status contribution)."""
+    """Check ``repro/server/``, ``repro/introspect/`` and ``repro/profile/``
+    and the allowlist's entries; print findings and return their count (the
+    CLI exit-status contribution)."""
     root = _package_root()
     findings: list[LockFinding] = []
+    defined: set[str] = set()
     checked = 0
     for subdir in ("server", "introspect", "profile"):
         directory = root / subdir
@@ -221,15 +232,24 @@ def run_lock_check(*, verbose: bool = False) -> int:
             continue
         for path in sorted(directory.glob("*.py")):
             rel = f"{subdir}/{path.name}"
-            findings.extend(check_file(path, rel))
+            visitor = _visit_file(path, rel)
+            findings.extend(visitor.findings)
+            defined.update(f"{rel}::{name}" for name in visitor.defined)
             checked += 1
+    stale = sorted(set(ALLOWLIST) - defined)
     for finding in findings:
         print(finding.render())
+    for entry in stale:
+        print(
+            f"{entry}: stale allowlist entry — no such function in a "
+            f"checked file; delete or rename it"
+        )
     if verbose:
         for entry, reason in sorted(ALLOWLIST.items()):
             print(f"allowlisted {entry}: {reason}")
     print(
         f"lock-check: {checked} files checked, "
-        f"{len(ALLOWLIST)} allowlisted scopes, {len(findings)} findings"
+        f"{len(ALLOWLIST)} allowlisted scopes, "
+        f"{len(findings) + len(stale)} findings"
     )
-    return len(findings)
+    return len(findings) + len(stale)

@@ -46,6 +46,7 @@ import time
 from typing import Optional
 
 from repro.api import Database
+from repro.core.expansion import EXPANSION_STRATEGIES
 from repro.errors import SqlError
 
 __all__ = ["Shell", "main"]
@@ -87,9 +88,6 @@ _HELP = """Meta commands:
                      SQL then runs in a server session
   \\disconnect        close the server session
 """
-
-_EXPAND_STRATEGIES = ("subquery", "inline", "window", "winmagic", "auto")
-
 
 class Shell:
     """A small line-oriented shell around :class:`~repro.api.Database`."""
@@ -165,7 +163,7 @@ class Shell:
         elif command == "\\expand":
             strategy = "subquery"
             prefix, colon, rest = argument.partition(":")
-            if colon and prefix.strip().lower() in _EXPAND_STRATEGIES:
+            if colon and prefix.strip().lower() in EXPANSION_STRATEGIES:
                 strategy = prefix.strip().lower()
                 argument = rest.strip()
             try:

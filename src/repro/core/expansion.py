@@ -70,7 +70,15 @@ from repro.sql.visitor import and_all, transform_topdown
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
 
-__all__ = ["expand_to_sql", "expand_query_ast", "Expander"]
+__all__ = [
+    "EXPANSION_STRATEGIES",
+    "expand_to_sql",
+    "expand_query_ast",
+    "Expander",
+]
+
+#: The strategy names :func:`expand_query_ast` dispatches on.
+EXPANSION_STRATEGIES = ("subquery", "inline", "window", "winmagic", "auto")
 
 
 def expand_to_sql(
@@ -345,16 +353,12 @@ class Expander:
         """Rewrite ROLLUP/CUBE/GROUPING SETS as a UNION ALL of plain GROUP BY
         branches, each bound and printed like any other query (so measures
         work under grouping sets too — the paper's Listing 8 becomes
-        statically expandable).
+        statically expandable).  Under DISTINCT the branches are joined by
+        UNION: the grouping sets are one bag of rows, deduplicated whole.
 
         Per branch: inactive grouping keys become NULL literals in the
         projection and GROUPING/GROUPING_ID calls become constants.
         """
-        if select.distinct:
-            raise UnsupportedError(
-                "expansion of DISTINCT with grouping sets is not supported"
-            )
-
         registry: dict[str, ast.Expression] = {}
 
         def register(expr: ast.Expression) -> str:
@@ -424,7 +428,9 @@ class Expander:
 
         union: ast.Query = branches[0]
         for branch in branches[1:]:
-            union = ast.SetOp("UNION", True, union, branch)
+            union = ast.SetOp("UNION", not select.distinct, union, branch)
+        if isinstance(union, ast.Select):
+            union.distinct = select.distinct
 
         if select.order_by and isinstance(union, ast.Select):
             # A single grouping set degenerates to one plain branch.

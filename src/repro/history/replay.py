@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.core.expansion import EXPANSION_STRATEGIES
 from repro.errors import SqlError
 from repro.history.journal import JournalEntry, read_journal, result_digest
 from repro.server.protocol import error_payload
@@ -36,11 +37,6 @@ __all__ = [
     "build_bootstrap_database",
     "replay_journal",
 ]
-
-#: Strategy labels that replay through ``execute_with_strategy`` (the
-#: journal also contains "interpreter"/"summary"/None entries, which
-#: replay through the plain execute path).
-EXPANSION_STRATEGIES = ("subquery", "inline", "window", "winmagic", "auto")
 
 
 def build_bootstrap_database(bootstrap: Optional[str], **db_kwargs):
@@ -123,6 +119,8 @@ def _error_text(error: Optional[dict]) -> Optional[str]:
 
 def _replay_entry(db, entry: JournalEntry, report: ReplayReport, diff: bool):
     try:
+        # The journal also holds "interpreter" / "summary" / None entries,
+        # which replay through the plain execute path.
         if entry.strategy in EXPANSION_STRATEGIES:
             result = db.execute_with_strategy(
                 entry.sql, entry.params, strategy=entry.strategy

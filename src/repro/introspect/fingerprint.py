@@ -4,8 +4,8 @@ A **fingerprint** identifies a statement up to its constants: literals are
 replaced by ``?`` placeholders and IN-lists collapse to a single ``?``, so
 ``WHERE x = 1`` and ``WHERE x = 2`` — or ``IN (1, 2)`` and ``IN (1, 2, 3)``
 — aggregate under one ``repro_stat_statements`` row, pg_stat_statements
-style.  Normalization is a pure AST transform rendered back through the
-canonical printer, so two spellings of the same statement (whitespace,
+style.  Normalization is one pass of the canonical printer with those two
+renderings overridden, so two spellings of the same statement (whitespace,
 comments, redundant parens the parser drops) share a fingerprint too.
 
 A **plan hash** identifies *how* a statement ran: the chosen execution
@@ -16,14 +16,12 @@ fingerprint; a change is the "why did this query get slow" primitive.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from typing import Optional
 
 from repro.plan import logical as plans
 from repro.sql import ast
-from repro.sql.printer import to_sql
-from repro.sql.visitor import transform
+from repro.sql.printer import _Printer
 
 __all__ = [
     "fingerprint_statement",
@@ -39,19 +37,21 @@ _FINGERPRINT_LEN = 16
 _PLAN_HASH_LEN = 12
 
 
-def _normalize_expr(expr: ast.Expression) -> ast.Expression:
-    if isinstance(expr, ast.Literal):
-        return ast.Parameter(0)
-    if isinstance(expr, ast.InList) and len(expr.items) != 1:
-        # Children were already normalized (bottom-up), so the items are
-        # all ``?`` now; collapsing them makes the list length irrelevant.
-        return dataclasses.replace(expr, items=[ast.Parameter(0)])
-    return expr
+class _Normalizer(_Printer):
+    """The canonical printer with every literal printed as ``?`` and every
+    IN list of other than one item as ``IN (?)``, so the list's length is
+    irrelevant; a one-item list keeps its (normalized) item."""
+
+    def _render_Literal(self, node: ast.Literal) -> str:
+        return "?"
+
+    def _in_items(self, items: list) -> str:
+        return super()._in_items(items) if len(items) == 1 else "?"
 
 
 def normalize_statement(statement: ast.Node) -> str:
     """The canonical, literal-free SQL text of ``statement``."""
-    return to_sql(transform(statement, _normalize_expr))
+    return _Normalizer().render(statement)
 
 
 def fingerprint_statement(statement: ast.Node) -> tuple[str, str]:

@@ -9,8 +9,9 @@ fingerprint deliberately is NOT the key: it collapses literals to ``?``,
 and two queries that differ only in literals can have genuinely different
 semantics here (ordinal ``ORDER BY 2`` vs ``ORDER BY 3``, measure
 expansions that print-and-reparse constants), so each literal variant
-gets its own entry.  The fingerprint groups those variants for plan-flip
-eviction and for the ``repro_plan_cache`` system table.
+gets its own entry, and each keeps its own plan: variants that plan
+differently (one matches a summary, one does not) never evict each other.
+The fingerprint groups them only in the ``repro_plan_cache`` system table.
 
 Nobody tells the cache about a write.  An entry is replayed only while
 :meth:`~repro.api.PlannedQuery.invalidated` says it is valid — nothing it
@@ -28,9 +29,6 @@ Eviction reasons (the ``reason`` label on ``plan_cache_evictions_total``):
 ``dml``
     A write stamped a table the entry read or rejected (a REFRESH writes
     the summary; a write to a summary's source counts as one to it).
-``flip``
-    The flip detector saw this fingerprint's plan change; all of the
-    fingerprint's entries are dropped so the next execution replans.
 ``clear``
     Explicit administrative clear.
 
@@ -179,19 +177,6 @@ class PlanCache:
             self._entries.clear()
         self._notify("clear", count)
         return count
-
-    def evict_fingerprint(self, fingerprint: str, reason: str = "flip") -> int:
-        """Drop every entry of one statement fingerprint (plan flipped)."""
-        with self._lock:
-            doomed = [
-                sql
-                for sql, entry in self._entries.items()
-                if entry.planned.fingerprint == fingerprint
-            ]
-            for sql in doomed:
-                del self._entries[sql]
-        self._notify(reason, len(doomed))
-        return len(doomed)
 
     def rows(self) -> list:
         """Rows for the ``repro_plan_cache`` system table, LRU-first;

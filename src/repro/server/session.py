@@ -20,8 +20,7 @@ boundary:
   the key, a hit replays the stored plan with fresh parameters, and a
   miss plans cold and populates the cache.  A plan is replayed only while
   nothing it read was stamped by a write since it was planned, whoever
-  wrote (:mod:`repro.server.plancache`), and detected plan flips evict
-  every cached variant of the flipped fingerprint.
+  wrote (:mod:`repro.server.plancache`).
 
 Sessions can be used directly (the benchmark does) or through the
 asyncio server in :mod:`repro.server.server`.
@@ -228,11 +227,10 @@ class Session:
                     statement, params, sql=sql, watch=watch, start=start,
                     fingerprint=parsed.fingerprint,
                 )
-            self.manager.sync_plan_flips()
             # The plan_cache phase: the lookup and, on a miss, the planning
             # phases under it.  _planned closes it.
             span = None if watch is None else watch.tracer.begin("plan_cache", "phase")
-            result = db._execute_observed(
+            return db._execute_observed(
                 statement,
                 params,
                 sql=parsed.key,
@@ -240,10 +238,6 @@ class Session:
                 run=lambda watch: self._replay(parsed, params, watch, span),
                 start=start,
             )
-            # If that observation flipped the plan, evict the fingerprint's
-            # cached variants before anyone replays them.
-            self.manager.sync_plan_flips()
-            return result
 
     def _replay(self, parsed: ParsedText, params, watch, span):
         """The session's plan -> run step: the plan comes from the shared
@@ -293,8 +287,6 @@ class SessionManager:
         self._lock = threading.Lock()
         self._sessions: dict = {}
         self._session_seq = itertools.count(1)
-        #: Last plan-flip seq already translated into cache evictions.
-        self._flip_seq = 0
 
         def on_evict(reason: str, count: int) -> None:
             if db.telemetry is not None:
@@ -345,28 +337,6 @@ class SessionManager:
     def close_all(self) -> None:
         for session in self.sessions():
             self.close_session(session)
-
-    # -- plan-cache maintenance -------------------------------------------
-
-    def sync_plan_flips(self) -> None:
-        """Translate newly detected plan flips into cache evictions.
-
-        Any session (or direct Database use) may record a flip; whichever
-        session next looks at the cache applies the pending evictions.
-        The watermark is the statement ring's monotonic flip seq, which
-        survives ``reset_stats()``, so a reset never replays or skips
-        evictions; the ring is read only when that seq moved.
-        """
-        telemetry = self.db.telemetry
-        if telemetry is None or telemetry.ring.last_flip_seq <= self._flip_seq:
-            return
-        with self._lock:
-            after, upto = self._flip_seq, telemetry.ring.last_flip_seq
-            self._flip_seq = max(after, upto)
-        for flip in telemetry.plan_flips(after=after):
-            # A flip past ``upto`` is the next sync's to apply.
-            if flip["seq"] <= upto:
-                self.plan_cache.evict_fingerprint(flip["fingerprint"], "flip")
 
     # -- system tables -----------------------------------------------------
 

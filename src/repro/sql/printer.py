@@ -101,8 +101,10 @@ class _Printer:
 
     def _render_InList(self, node: ast.InList) -> str:
         word = "NOT IN" if node.negated else "IN"
-        items = ", ".join(self.render(item) for item in node.items)
-        return f"({self.render(node.operand)} {word} ({items}))"
+        return f"({self.render(node.operand)} {word} ({self._in_items(node.items)}))"
+
+    def _in_items(self, items: list) -> str:
+        return ", ".join(self.render(item) for item in items)
 
     def _render_InSubquery(self, node: ast.InSubquery) -> str:
         word = "NOT IN" if node.negated else "IN"

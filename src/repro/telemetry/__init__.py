@@ -126,7 +126,7 @@ class Telemetry:
         self.slow_query_ms = (
             None if slow_query_ms is None else float(slow_query_ms)
         )
-        #: The newest flip seq at the last reset_stats(): plan_flips()
+        #: The ring's newest seq at the last reset_stats(): plan_flips()
         #: lists only the flips after it.
         self._reset_seq = 0
 
@@ -307,7 +307,7 @@ class Telemetry:
         history."""
         with self.ring.lock:
             self.statements.reset()
-            self._reset_seq = self.ring.last_flip_seq
+            self._reset_seq = self.ring._seq
 
     # -- subsystem feeds -----------------------------------------------------
 
@@ -378,11 +378,10 @@ class Telemetry:
             entries = [e for e in ring._entries if isinstance(e, Entry)]
             return stats, entries, self._reset_seq
 
-    def plan_flips(self, after: Optional[int] = None) -> List[Dict[str, Any]]:
-        """The plan flips still in the ring, oldest first: those since the
-        last :meth:`reset_stats`, or those with a seq over ``after``."""
-        if after is None:
-            after = self._reset_seq
+    def plan_flips(self) -> List[Dict[str, Any]]:
+        """The plan flips still in the ring since the last
+        :meth:`reset_stats`, oldest first."""
+        after = self._reset_seq
         return [
             e.flip()
             for e in self.ring.entries()

@@ -176,9 +176,7 @@ class Ring:
     """The bounded ring of statement entries and other events.
 
     ``seq`` is assigned under the ring's one :attr:`lock`, so concurrent
-    sessions never share a seq or tear a read.  ``last_flip_seq`` is the seq
-    of the newest entry that flipped a plan: a reader that remembers it can
-    tell whether any flip happened since without reading the ring.
+    sessions never share a seq or tear a read.
     """
 
     def __init__(self, sink: Any = None):
@@ -193,15 +191,12 @@ class Ring:
         self.traced: deque = deque()
         #: Traces released to keep the bound.
         self.traces_dropped = 0
-        self.last_flip_seq = 0
 
     def add(self, entry: Entry) -> None:
         """Append one statement entry; the caller holds :attr:`lock`."""
         self._seq += 1
         entry.seq = self._seq
         self._entries.append(entry)
-        if entry.old_plan_hash is not None:
-            self.last_flip_seq = entry.seq
         if entry.slow:
             self._hold(self.slow, entry)
         if entry.profile is not None and entry.outcome == "ok":

@@ -469,6 +469,22 @@ class TestLockCheck:
         out = capsys.readouterr().out
         assert "0 finding" in out
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "server/session.py::Session._no_such_method",
+            "server/gone.py::main",
+            "analysis/lockcheck.py::run_lock_check",  # a file it does not check
+        ],
+    )
+    def test_a_stale_allowlist_entry_is_a_finding(self, monkeypatch, capsys, entry):
+        from repro.analysis import lockcheck
+
+        monkeypatch.setitem(lockcheck.ALLOWLIST, entry, "left behind")
+        assert lockcheck.run_lock_check() == 1
+        out = capsys.readouterr().out
+        assert f"{entry}: stale allowlist entry" in out and "1 findings" in out
+
 
 # ---------------------------------------------------------------------------
 # Evaluator error spans (regression tests for the bugfix satellite)

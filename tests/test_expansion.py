@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, UnsupportedError
+from repro import Database, UnsupportedError, cli
+from repro.core.expansion import EXPANSION_STRATEGIES
+from repro.history import replay
 from repro.workloads.generator import WorkloadConfig, workload_database
 
 
@@ -541,6 +543,26 @@ def test_listing4_still_reads_like_the_papers_listing5(listings_db):
         "FROM Orders AS i1 "
         "WHERE (i1.prodName IS NOT DISTINCT FROM EnhancedOrders.prodName))"
     ) in expanded
+
+
+@pytest.mark.parametrize("strategy", EXPANSION_STRATEGIES)
+def test_every_strategy_name_is_dispatched(listings_db, strategy):
+    sql = LISTINGS["listing4"]
+    try:
+        expanded = listings_db.expand(sql, strategy=strategy)
+    except UnsupportedError as exc:  # not the strategy's shape
+        assert "unknown expansion strategy" not in str(exc)
+    else:
+        assert sorted(listings_db.execute(expanded).rows, key=repr) == sorted(
+            listings_db.execute(sql).rows, key=repr
+        )
+
+
+def test_the_strategy_names_are_written_once(listings_db):
+    assert cli.EXPANSION_STRATEGIES is replay.EXPANSION_STRATEGIES
+    assert replay.EXPANSION_STRATEGIES is EXPANSION_STRATEGIES
+    with pytest.raises(UnsupportedError, match="unknown expansion strategy"):
+        listings_db.expand(LISTINGS["listing4"], strategy="bogus")
 
 
 # -- `?` survives expansion ------------------------------------------------------

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, UnsupportedError
+from repro import Database
+from tests.test_expansion import sqlite_paper  # noqa: F401 (a fixture)
 
 
 @pytest.fixture
@@ -148,11 +149,61 @@ def test_rollup_without_measures_also_expands(paper_db):
     )
 
 
-def test_distinct_with_grouping_sets_unsupported(gdb):
-    with pytest.raises(UnsupportedError):
-        gdb.expand(
-            """SELECT DISTINCT prodName, rev FROM eo GROUP BY ROLLUP(prodName)"""
+DISTINCT = {
+    "rollup": """SELECT DISTINCT prodName, COUNT(*) > 0 AS c FROM Orders
+                 GROUP BY ROLLUP(prodName, custName)""",
+    "rollup-measure": """SELECT DISTINCT prodName, rev AS r FROM eo
+                         GROUP BY ROLLUP(prodName, custName)""",
+    "rollup-measure-order-by": """
+        SELECT DISTINCT prodName, rev AT (ALL custName) AS r FROM eo
+        GROUP BY ROLLUP(prodName, custName) ORDER BY prodName NULLS LAST""",
+    "cube": """SELECT DISTINCT custName, COUNT(*) > 0 AS c FROM Orders
+               GROUP BY CUBE(custName, prodName)""",
+    "cube-measure": """SELECT DISTINCT y, rev AS r FROM eo
+                       GROUP BY CUBE(y, prodName)""",
+    "cube-order-by": """SELECT DISTINCT custName, COUNT(*) > 0 AS c FROM Orders
+                        GROUP BY CUBE(custName, prodName)
+                        ORDER BY custName NULLS FIRST""",
+    "grouping-sets": """
+        SELECT DISTINCT prodName, COUNT(*) > 0 AS c FROM Orders
+        GROUP BY GROUPING SETS ((prodName, custName), (prodName), ())""",
+    "grouping-sets-measure-order-by": """
+        SELECT DISTINCT prodName, rev AS r FROM eo
+        GROUP BY GROUPING SETS ((prodName, custName), (prodName))
+        ORDER BY 1 NULLS FIRST, 2""",
+    "one-grouping-set": """SELECT DISTINCT prodName, rev AS r FROM eo
+                           GROUP BY GROUPING SETS ((prodName))""",
+}
+
+
+def _numbers_as_floats(rows):
+    """SQLite has no booleans and divides money as REAL."""
+    return [
+        tuple(
+            round(float(v), 9) if isinstance(v, (int, float)) else v for v in row
         )
+        for row in rows
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(DISTINCT))
+def test_distinct_with_grouping_sets_is_a_union(gdb, sqlite_paper, name):
+    # The grouping sets are one bag of rows: DISTINCT over them joins the
+    # branches with UNION, not UNION ALL.
+    sql = DISTINCT[name]
+    ordered = "ORDER BY" in sql
+
+    def same(rows):
+        rows = _numbers_as_floats(rows)
+        return rows if ordered else sorted(rows, key=repr)
+
+    interpreted = gdb.execute(sql).rows
+    expanded = gdb.expand(sql)
+    assert "UNION ALL" not in expanded
+    assert same(gdb.execute(expanded).rows) == same(interpreted)
+    strategy = gdb.execute_with_strategy(sql, strategy="subquery").rows
+    assert same(strategy) == same(interpreted)
+    assert same(sqlite_paper.execute(expanded).fetchall()) == same(interpreted)
 
 
 def test_limit_applies_to_whole_union(gdb):

@@ -18,6 +18,9 @@ Covers the introspection subsystem end to end:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro import Database
@@ -29,7 +32,13 @@ from repro.introspect import (
     plan_hash,
     plan_shape,
 )
-from repro.sql.parser import parse_statement
+from repro.sql import ast
+from repro.sql.parser import parse_statement, parse_statements
+from repro.sql.printer import to_sql
+from repro.sql.visitor import transform
+from repro.workloads.listings import SETUP, all_listing_sql
+from repro.workloads.paper_data import load_paper_tables
+from tests import parse_corpus
 
 
 def tele_db(**kwargs) -> Database:
@@ -82,6 +91,57 @@ def test_normalized_text_shows_parameter_markers():
     )
     assert "5" not in text and "2" not in text
     assert "?" in text
+
+
+def _reference_normalize(statement) -> str:
+    """The normalizer as an AST rebuild, then the plain printer: the oracle
+    the one-pass normalizing printer must agree with byte for byte."""
+
+    def normalize(expr):
+        if isinstance(expr, ast.Literal):
+            return ast.Parameter(0)
+        if isinstance(expr, ast.InList) and len(expr.items) != 1:
+            return dataclasses.replace(expr, items=[ast.Parameter(0)])
+        return expr
+
+    return to_sql(transform(statement, normalize))
+
+
+def test_normalized_text_is_the_reference_over_the_parse_corpus():
+    statements = []
+    for text in parse_corpus.load():
+        try:
+            statements.extend(parse_statements(text))
+        except SqlError:
+            continue
+    assert len(statements) >= 1606
+    # The two quirks the corpus does not reach: a one-item list keeps its
+    # item, and a list of columns collapses like a list of literals.
+    statements += parse_statements(
+        "SELECT * FROM t WHERE k IN (v + 1) AND g NOT IN (k, v)"
+    )
+    differ = [
+        to_sql(s) for s in statements
+        if normalize_statement(s) != _reference_normalize(s)
+    ]
+    assert not differ, f"{len(differ)} statements normalize differently: {differ[:3]}"
+
+
+def test_listing_fingerprints_are_the_reference():
+    db = tele_db()
+    load_paper_tables(db)
+    for ddl in SETUP.values():
+        db.execute(ddl)
+    db.reset_stats()
+    expected = set()
+    for sql in all_listing_sql(db).values():
+        db.execute_script(sql)
+        for statement in parse_statements(sql):
+            text = _reference_normalize(statement)
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+            expected.add((digest, text))
+    got = db.execute("SELECT fingerprint, query FROM repro_stat_statements").rows
+    assert set(got) == expected and len(expected) >= 15
 
 
 def test_plan_hash_depends_on_strategy_and_shape():

@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro.api import Database
-from repro.result import Result
 from repro.server import (
     ClientError,
     Connection,
@@ -23,7 +22,6 @@ from repro.server import (
     connect,
 )
 from repro.server.protocol import dumps_line, encode_result
-from repro.telemetry import StatementRecord
 from repro.workloads.listings import SETUP, all_listing_sql
 from repro.workloads.paper_data import load_paper_tables
 
@@ -306,51 +304,17 @@ class TestPlanCacheInvalidation:
             db.telemetry.plan_cache_evictions_total.value(reason="dml") == 1
         )
 
-    def test_plan_flip_evicts_the_fingerprint(self):
+    def test_served_reads_never_walk_the_ring(self, monkeypatch):
+        """A served read never reads the statement ring: a plan is valid
+        by the write clock alone.  A flip is still detected and listed."""
         db, manager = self._manager()
         session = manager.open_session()
-        session.execute("SELECT SUM(x) FROM t")
-        (row,) = manager.plan_cache.rows()
-        fingerprint = row[0]
-        # Simulate a plan flip for that fingerprint (as EXPLAIN/summary
-        # strategy changes would record it).
-        db.telemetry.observe(
-            StatementRecord(
-                fingerprint=fingerprint,
-                query_text="q",
-                strategy="interpreter",
-                plan_hash="zzz",
-                wall_ms=1.0,
-                result=Result(),
-            )
-        )
-        # The next cache interaction applies the pending eviction, so the
-        # statement replans instead of replaying the flipped plan.
-        session.execute("SELECT SUM(x) FROM t")
-        stats = manager.plan_cache.stats()
-        assert stats["hits"] == 0 and stats["misses"] == 2
-        assert (
-            db.telemetry.plan_cache_evictions_total.value(reason="flip") >= 1
-        )
-
-    def test_served_reads_walk_the_ring_only_after_a_flip(self, monkeypatch):
-        """A served read compares one integer, the ring's last flip seq,
-        with the manager's watermark; the ring is walked once per flip."""
-        db, manager = self._manager()
-        session = manager.open_session()
-        ring, cache = db.telemetry.ring, manager.plan_cache
-        walks, evicted = [], []
-        entries, evict = ring.entries, cache.evict_fingerprint
+        ring = db.telemetry.ring
+        walks = []
+        entries = ring.entries
         monkeypatch.setattr(ring, "entries", lambda: walks.append(1) or entries())
-        monkeypatch.setattr(
-            cache,
-            "evict_fingerprint",
-            lambda fp, reason: evicted.append(fp) or evict(fp, reason),
-        )
         for _ in range(5):
             session.execute("SELECT SUM(x) FROM t")
-        assert walks == [] and evicted == []
-        ((fingerprint, *_),) = cache.rows()
         # A summary the read can use: its next cold plan flips the
         # fingerprint from the interpreter to the summary.
         session.execute(
@@ -359,10 +323,40 @@ class TestPlanCacheInvalidation:
         )
         for _ in range(5):
             session.execute("SELECT SUM(x) FROM t")
+        assert walks == []
         (flip,) = db.plan_flips()
         assert flip["new_strategy"] == "summary"
-        assert walks == [1, 1]  # the one walk, then plan_flips() above
-        assert evicted == [fingerprint]
+        assert walks == [1]  # plan_flips() above
+
+    def test_literal_variants_keep_their_plans(self):
+        """Two literal variants of one fingerprint that plan differently
+        (one matches the summary's predicate, one does not) each keep their
+        cached plan: the flips between them evict nothing."""
+        db = Database(telemetry=True)
+        db.execute("CREATE TABLE t (x INTEGER, y VARCHAR, z INTEGER)")
+        db.execute(
+            "INSERT INTO t VALUES (1, 'a', 10), (1, 'b', 20), "
+            "(2, 'a', 30), (2, 'b', 40)"
+        )
+        db.execute(
+            "CREATE MATERIALIZED VIEW s AS "
+            "SELECT y, SUM(z) AS sz FROM t WHERE x = 1 GROUP BY y"
+        )
+        manager = SessionManager(db)
+        session = manager.open_session()
+        rows = {}
+        for x in (1, 2) * 3:
+            result = session.execute(
+                f"SELECT y, SUM(z) FROM t WHERE x = {x} GROUP BY y ORDER BY y"
+            )
+            assert rows.setdefault(x, result.rows) == result.rows
+        assert rows == {1: [("a", 10), ("b", 20)], 2: [("a", 30), ("b", 40)]}
+        strategies = sorted(row[2] for row in manager.plan_cache.rows())
+        assert strategies == ["interpreter", "summary"]
+        stats = manager.plan_cache.stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (4, 2, 2)
+        assert db.telemetry.plan_cache_evictions_total.total() == 0
+        assert db.plan_flips()  # the detector still sees the variants flip
 
     def test_lru_eviction_at_capacity(self):
         db, manager = self._manager(capacity=2)
