@@ -58,8 +58,8 @@ def evaluate_measure(
     ``formula_slice`` is only set for inherited contexts: the outer measure's
     already-selected source rows.
 
-    Under a watcher that keeps spans, each evaluation is a
-    ``measure:<name>`` span annotated with the cache verdict; otherwise the
+    Under a watcher that keeps time, each evaluation adds to the measure's
+    evaluations, cache hits and time (``Watch.measures``); otherwise the
     wrapper is one early exit.
     """
     watch = ctx.watch

@@ -97,12 +97,10 @@ def _traced_attempt(tracer, name: str, thunk):
     try:
         result = thunk()
     except UnsupportedError:
-        if span is not None:
-            span.meta["outcome"] = "unsupported"
+        span.meta["outcome"] = "unsupported"
         tracer.end(span)
         raise
-    if span is not None:
-        span.meta["outcome"] = "ok"
+    span.meta["outcome"] = "ok"
     tracer.end(span)
     return result
 
@@ -158,7 +156,7 @@ def expand_query_ast(
                 expanded.from_clause = _collapse_identity_projection(
                     expanded.from_clause
                 )
-            return winmagic_rewrite(db, expanded, tracer=tracer)
+            return winmagic_rewrite(db, expanded)
 
         return _traced_attempt(tracer, "winmagic", _winmagic)
     raise UnsupportedError(f"unknown expansion strategy {strategy!r}")

@@ -108,7 +108,7 @@ def inline_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
     new_items = [
         ast.SelectItem(translate(item.expr), item.alias) for item in select.items
     ]
-    if tracer is not None and tracer.current is not None:
+    if tracer is not None:
         tracer.current.meta["inlined_items"] = len(new_items)
     conjuncts = [unbind(pred, src) for pred in source.where]
     if select.where is not None:
@@ -242,7 +242,7 @@ def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
 
     if not window_columns:
         raise UnsupportedError("query uses no measures; nothing to rewrite")
-    if tracer is not None and tracer.current is not None:
+    if tracer is not None:
         tracer.current.meta["window_columns"] = len(window_columns)
 
     dims = []

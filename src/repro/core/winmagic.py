@@ -48,16 +48,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["winmagic_rewrite"]
 
 
-def winmagic_rewrite(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query:
+def winmagic_rewrite(db: "Database", query: ast.Query) -> ast.Query:
     """Rewrite eligible correlated subqueries in ``query`` to window
-    aggregates.  Raises UnsupportedError when nothing is eligible.
-
-    With a tracer attached, the attempt runs under an ``expand:winmagic``
-    span annotated with how many window columns the rewrite introduced.
+    aggregates.  Raises UnsupportedError when nothing is eligible; each
+    outcome is counted on ``winmagic_total`` when telemetry is on.
     """
     telemetry = getattr(db, "telemetry", None)
     try:
-        result = _winmagic_rewrite_traced(db, query, tracer)
+        result = _winmagic_rewrite_impl(db, query)
     except UnsupportedError:
         if telemetry is not None:
             telemetry.record_winmagic("unsupported")
@@ -65,23 +63,6 @@ def winmagic_rewrite(db: "Database", query: ast.Query, *, tracer=None) -> ast.Qu
     if telemetry is not None:
         telemetry.record_winmagic("rewritten")
     return result
-
-
-def _winmagic_rewrite_traced(db: "Database", query: ast.Query, tracer) -> ast.Query:
-    if tracer is not None:
-        span = tracer.begin("expand:winmagic", "expand")
-        try:
-            result = _winmagic_rewrite_impl(db, query)
-        except UnsupportedError:
-            if span is not None:
-                span.meta["outcome"] = "unsupported"
-            tracer.end(span)
-            raise
-        if span is not None:
-            span.meta["outcome"] = "ok"
-        tracer.end(span)
-        return result
-    return _winmagic_rewrite_impl(db, query)
 
 
 def _winmagic_rewrite_impl(db: "Database", query: ast.Query) -> ast.Query:

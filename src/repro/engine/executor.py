@@ -44,10 +44,9 @@ def execute_plan(
     """Execute ``plan`` and return its rows.
 
     With a watcher attached, every operator execution is bracketed by one
-    ``enter`` / ``exit`` (``abort`` when it raises): an operator span and
-    the node's entry (rows in/out, calls, wall time, bytes buffered);
-    without one, the only overhead is a single ``is None`` check per
-    operator execution.
+    ``enter`` / ``exit`` (``abort`` when it raises) that updates the node's
+    one entry (rows in/out, calls, wall time, bytes buffered); without one,
+    the only overhead is a single ``is None`` check per operator execution.
     """
     method = _DISPATCH.get(type(plan))
     if method is None:
@@ -74,7 +73,7 @@ def execute_plan(
         try:
             rows = method(plan, ctx, outer_env)
             # Inside the try: a memory budget breached by this output
-            # aborts the operator, stamping the failure onto its span.
+            # aborts the operator, stamping the failure onto its entry.
             watch.exit(rows)
         except BaseException:
             watch.abort()

@@ -3,11 +3,11 @@ profiles.
 
 * :mod:`repro.profile.tracer` — a lightweight span tracer.  A
   :class:`~repro.profile.tracer.Span` covers one phase (parse, bind,
-  optimize, execute), one plan-operator execution, or one measure-context
-  evaluation; spans nest, so a finished trace is a tree.
+  optimize, execute) or one rewrite-strategy attempt; spans nest, so a
+  finished trace is a tree.
 * :mod:`repro.profile.watch` — :class:`~repro.profile.watch.Watch`, the one
-  object that watches a statement run (an entry per plan operator, the live
-  fields and memory budget of the running-queries tables, the span tree),
+  object that watches a statement run (one entry per plan operator, the live
+  fields and memory budget of the running-queries tables, the phase spans),
   and the :class:`~repro.profile.watch.QueryProfile` it freezes into: the
   stable, serializable artifact behind ``EXPLAIN ANALYZE``,
   ``Database.last_profile()``, the shell's ``\\profile`` and the slow log.

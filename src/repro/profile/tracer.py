@@ -1,16 +1,14 @@
 """A lightweight nesting span tracer.
 
-A :class:`Span` records one timed region — a query phase, one plan-operator
-execution, or one measure-context evaluation.  Spans form a tree: the
-:class:`Tracer` keeps an explicit stack, so ``begin``/``end`` pairs nest
-without any thread-local or context-variable machinery.  The explicit pair
-(rather than a context manager) keeps the instrumented hot path free of
-generator overhead; callers that prefer ``with`` can use :meth:`Tracer.span`.
+A :class:`Span` records one timed region of a statement — a phase (parse,
+bind, optimize, execute, ...) or one rewrite-strategy attempt.  Spans form a
+tree: the :class:`Tracer` keeps an explicit stack, so ``begin``/``end``
+pairs nest without any thread-local or context-variable machinery; callers
+that prefer ``with`` can use :meth:`Tracer.span`.
 
-Spans are bounded: once ``max_spans`` children have been allocated the
-tracer stops recording new ones (counters and operator metrics keep
-accumulating elsewhere), so a correlated subquery re-executed once per outer
-row cannot make a trace arbitrarily large.
+Operators and measure evaluations are not spans: the watcher records each
+in one entry however often it runs (:mod:`repro.profile.watch`), so a
+statement allocates a handful of spans whatever its plan does.
 """
 
 from __future__ import annotations
@@ -26,10 +24,9 @@ class Span:
     """One timed region of a query's lifetime.
 
     ``kind`` classifies the span: ``"query"`` (the root), ``"phase"``
-    (parse/bind/optimize/execute), ``"operator"`` (one plan-operator
-    execution), ``"measure"`` (one measure-context evaluation), or
-    ``"expand"`` (one rewrite-strategy attempt).  ``meta`` holds small
-    JSON-safe annotations (row counts, cache verdicts, strategy names).
+    (parse/bind/optimize/execute) or ``"expand"`` (one rewrite-strategy
+    attempt).  ``meta`` holds small JSON-safe annotations (cache verdicts,
+    summary names, strategy outcomes).
     """
 
     __slots__ = ("name", "kind", "start_ns", "end_ns", "children", "meta")
@@ -75,19 +72,6 @@ class Span:
             entry["children"] = [c.to_dict() for c in self.children]
         return entry
 
-    def tree_lines(self, indent: int = 0, *, timing: bool = True) -> list[str]:
-        """Render the span tree, one line per span."""
-        label = f"{'  ' * indent}{self.name}"
-        if timing:
-            label += f" [{self.duration_ms:.3f} ms]"
-        if self.meta:
-            pairs = " ".join(f"{k}={self.meta[k]}" for k in sorted(self.meta))
-            label += f" ({pairs})"
-        lines = [label]
-        for child in self.children:
-            lines.extend(child.tree_lines(indent + 1, timing=timing))
-        return lines
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Span({self.name!r}, {self.kind}, {self.duration_ms:.3f}ms)"
 
@@ -95,14 +79,10 @@ class Span:
 class Tracer:
     """Collects a tree of spans for one query execution."""
 
-    __slots__ = ("root", "_stack", "_clock", "_spans", "max_spans", "dropped")
+    __slots__ = ("root", "_stack", "_clock")
 
-    def __init__(self, *, max_spans: int = 20_000, clock=time.perf_counter_ns):
+    def __init__(self, *, clock=time.perf_counter_ns):
         self._clock = clock
-        self.max_spans = max_spans
-        self._spans = 0
-        #: Spans that could not be recorded because the budget ran out.
-        self.dropped = 0
         self.root = Span("query", "query")
         self.root.start_ns = clock()
         self._stack: list[Span] = [self.root]
@@ -111,26 +91,16 @@ class Tracer:
     def current(self) -> Span:
         return self._stack[-1]
 
-    def begin(self, name: str, kind: str = "phase") -> Optional[Span]:
-        """Open a child span of the current span.
-
-        Returns None when the span budget is exhausted; :meth:`end` accepts
-        None so call sites stay unconditional.
-        """
-        if self._spans >= self.max_spans:
-            self.dropped += 1
-            return None
-        self._spans += 1
+    def begin(self, name: str, kind: str = "phase") -> Span:
+        """Open a child span of the current span."""
         span = Span(name, kind)
         span.start_ns = self._clock()
         self._stack[-1].children.append(span)
         self._stack.append(span)
         return span
 
-    def end(self, span: Optional[Span]) -> None:
-        """Close ``span``; no-op for None (a dropped begin)."""
-        if span is None:
-            return
+    def end(self, span: Span) -> None:
+        """Close ``span``."""
         span.end_ns = self._clock()
         # Pop back to the span's parent even if callers leaked inner spans
         # (an exception unwound past their end() calls).

@@ -9,14 +9,18 @@ executor brackets every operator execution with :meth:`Watch.enter` /
 every 256 rows of a row loop, once per measure evaluation) lands in
 :meth:`Watch.tick`; phase timing (parse, plan_cache, rewrite, bind, optimize,
 dataflow, execute) goes through the embedded
-:class:`~repro.profile.tracer.Tracer`.
+:class:`~repro.profile.tracer.Tracer`, which holds nothing else.
 
-There is one :class:`OperatorEntry` per plan node, and whatever shows an
-operator reads it: :meth:`Watch.finish` freezes the entries into a
-:class:`QueryProfile`'s operator tree (``EXPLAIN ANALYZE``, the slow log,
-``last_profile()``), :meth:`Watch.operator_rows` projects them, live, as
-``repro_query_progress`` rows — estimated and actual rows cannot disagree
-between the two.
+There is one record per operator, its :class:`OperatorEntry`, however often
+the operator runs, and whatever shows an operator reads it:
+:meth:`Watch.finish` freezes every entry into a :class:`QueryProfile`'s
+operator tree (``EXPLAIN ANALYZE``, the slow log, ``last_profile()``, the
+exported trace's operator spans), :meth:`Watch.operator_rows` projects them,
+live, as ``repro_query_progress`` rows — the two show the same operators
+with the same numbers.  A plan first entered from inside an expression (a
+correlated subquery, a measure's source outside the FROM) is frozen under
+the ``subplans`` of the operator that ran it, never under its
+``children``, which stay the operator's plan inputs.
 
 One thread writes a watcher — the one executing the query — and any number
 read it without a lock (the running-queries tables, ``/queries``, ``\\top``).
@@ -105,8 +109,9 @@ class OperatorEntry(RowType):
     *measured*, not derived: when an operator finishes, its output
     cardinality is added to the enclosing operator's ``rows_in`` — but only
     if it is a direct plan input of that operator, so subqueries executed
-    from inside an expression do not pollute their host's input count.
-    ``state`` walks pending -> running -> done.
+    from inside an expression do not pollute their host's input count;
+    those are the host's ``subplans``.  ``state`` walks pending -> running
+    -> done.
     """
 
     #: The ``repro_query_progress`` columns after the leading ``query_id``.
@@ -139,8 +144,15 @@ class OperatorEntry(RowType):
         #: operator-at-a-time engine; kept explicit so a vectorized executor
         #: reports real batch counts through the same field).
         self.batches = 0
-        #: Wall time spent inside the operator, children included.
+        #: Wall time spent inside the operator, children included, and the
+        #: clock at its first enter and its last exit (None until then):
+        #: what the exported trace draws the operator's span between.
         self.time_ns = 0
+        self.first_ns: Optional[int] = None
+        self.last_ns: Optional[int] = None
+        #: Entries of the plans first entered from inside this operator's
+        #: expressions, in the order they first ran.
+        self.subplans: list["OperatorEntry"] = []
         #: Operator-specific counters (hash_probes, groups, errors, ...).
         self.counters: dict[str, int] = {}
         #: Sampled bytes per output row; None until a row was seen.
@@ -185,10 +197,9 @@ class Watch(RowType):
         *,
         spans: bool = True,
         memory_limit_bytes: Optional[int] = None,
-        max_spans: int = 20_000,
         clock=time.perf_counter_ns,
     ):
-        self.tracer = Tracer(max_spans=max_spans, clock=clock) if spans else None
+        self.tracer = Tracer(clock=clock) if spans else None
         self._clock = clock
         #: measure name -> {"evaluations", "cache_hits", "time_ns"}.
         self.measures: dict[str, dict[str, int]] = {}
@@ -203,7 +214,7 @@ class Watch(RowType):
         self.memory_limit_bytes = memory_limit_bytes
         #: id(plan node) -> OperatorEntry, insertion-ordered.
         self._operators: dict[int, OperatorEntry] = {}
-        #: ``(entry, span, start_ns)`` of the operators entered and not yet
+        #: ``(entry, start_ns)`` of the operators entered and not yet
         #: exited, innermost last: a finished nested operator (a measure's
         #: source plan, a correlated subquery) hands ``current_operator``
         #: back to the one that is still running.
@@ -233,21 +244,29 @@ class Watch(RowType):
     def enter(self, plan: Any) -> None:
         """Called by the executor before running ``plan``; exactly one
         :meth:`exit` or :meth:`abort` follows."""
-        entry = self._entry(plan)
+        running = self._running
+        entry = self._operators.get(id(plan))
+        if entry is None:
+            # Not under the attached root: run from inside an expression of
+            # the operator running now, whose subplan it is.
+            entry = self._entry(plan)
+            if running:
+                running[-1][0].subplans.append(entry)
         entry.state = "running"
         self.current_operator = entry.label
-        tracer = self.tracer
-        if tracer is None:
-            self._running.append((entry, None, 0))
+        if self.tracer is None:
+            running.append((entry, 0))
         else:
-            span = tracer.begin(entry.label, "operator")
-            self._running.append((entry, span, self._clock()))
+            now = self._clock()
+            if entry.first_ns is None:
+                entry.first_ns = now
+            running.append((entry, now))
 
     def exit(self, rows: list) -> None:
         """The innermost running operator produced ``rows``: account its
         materialized output against the memory budget, then record it."""
         running = self._running
-        entry, span, start_ns = running[-1]
+        entry, start_ns = running[-1]
         count = len(rows)
         if count:
             if entry.row_bytes is None:
@@ -266,21 +285,20 @@ class Watch(RowType):
             self.current_operator = running[-1][0].label
         self._feed_parent(entry.plan, count)
         if self.tracer is not None:
-            entry.time_ns += self._clock() - start_ns
-            if span is not None:
-                span.meta["rows"] = count
-                self.tracer.end(span)
+            self._stop(entry, start_ns)
 
     def abort(self) -> None:
         """The innermost running operator raised."""
-        entry, span, start_ns = self._running.pop()
+        entry, start_ns = self._running.pop()
         entry.calls += 1
         entry.count("errors")
         if self.tracer is not None:
-            entry.time_ns += self._clock() - start_ns
-            if span is not None:
-                span.meta["error"] = True
-                self.tracer.end(span)
+            self._stop(entry, start_ns)
+
+    def _stop(self, entry: OperatorEntry, start_ns: int) -> None:
+        now = self._clock()
+        entry.time_ns += now - start_ns
+        entry.last_ns = now
 
     def shared_hit(self, plan: Any, rows_out: int) -> None:
         """An operator asked for a shared input (a measure's source
@@ -340,11 +358,10 @@ class Watch(RowType):
     # -- measures ------------------------------------------------------------
 
     def enter_measure(self, name: str) -> tuple:
-        span = self.tracer.begin(f"measure:{name}", "measure")
-        return (name, span, self._clock())
+        return (name, self._clock())
 
     def exit_measure(self, token: tuple, *, cache_hit: bool) -> None:
-        name, span, start_ns = token
+        name, start_ns = token
         entry = self.measures.get(name)
         if entry is None:
             entry = {"evaluations": 0, "cache_hits": 0, "time_ns": 0}
@@ -353,9 +370,6 @@ class Watch(RowType):
         if cache_hit:
             entry["cache_hits"] += 1
         entry["time_ns"] += self._clock() - start_ns
-        if span is not None:
-            span.meta["cache"] = "hit" if cache_hit else "miss"
-            self.tracer.end(span)
 
     # -- global counters -----------------------------------------------------
 
@@ -382,9 +396,9 @@ class Watch(RowType):
         result_rows: Optional[int] = None,
         sql: Optional[str] = None,
     ) -> Optional["QueryProfile"]:
-        """Close all spans and freeze into a :class:`QueryProfile` — of a
-        failed execution too: what was seen up to the failing operator.
-        None from a watcher that kept no spans."""
+        """Close all spans and freeze every entry into a
+        :class:`QueryProfile` — of a failed execution too: what was seen up
+        to the failing operator.  None from a watcher that kept no spans."""
         tracer = self.tracer
         if tracer is None:
             return None
@@ -393,8 +407,6 @@ class Watch(RowType):
         if ctx is not None:
             for name in CTX_COUNTERS:
                 counters[name] = getattr(ctx, name)
-        if tracer.dropped:
-            counters["spans_dropped"] = tracer.dropped
         measures = {
             name: {
                 "evaluations": entry["evaluations"],
@@ -406,15 +418,18 @@ class Watch(RowType):
         return QueryProfile(
             sql=sql,
             root_span=root,
-            operator_tree=None if self.plan is None else self._freeze(self.plan),
+            operator_tree=None
+            if self.plan is None
+            else self._freeze(self._operators[id(self.plan)], root.start_ns),
             counters=counters,
             measures=measures,
             result_rows=result_rows,
-            spans_dropped=tracer.dropped,
         )
 
-    def _freeze(self, plan: Any) -> dict:
-        entry = self._operators[id(plan)]
+    def _freeze(self, entry: OperatorEntry, base_ns: int) -> dict:
+        """``entry`` and everything under it as plain dicts; ``start_ns`` /
+        ``end_ns`` (an operator that ran) are offsets from ``base_ns``, the
+        statement's start."""
         node: dict[str, Any] = {
             "label": entry.label,
             "calls": entry.calls,
@@ -423,17 +438,26 @@ class Watch(RowType):
             "batches": entry.batches,
             "time_ms": round(entry.time_ns / 1e6, 3),
         }
+        if entry.calls:
+            node["start_ns"] = entry.first_ns - base_ns
+            node["end_ns"] = entry.last_ns - base_ns
         if entry.counters:
             node["counters"] = {k: entry.counters[k] for k in sorted(entry.counters)}
-        if plan.facts is not None:
+        facts = entry.plan.facts
+        if facts is not None:
             # Static dataflow annotations (repro.analysis.dataflow), frozen
             # next to the observed numbers so a profile carries both the
             # predicted bounds and what actually happened.
             from repro.analysis.dataflow import facts_summary
 
-            node["facts"] = facts_summary(plan.facts)
+            node["facts"] = facts_summary(facts)
         if entry.inputs:
-            node["children"] = [self._freeze(child) for child in entry.inputs]
+            operators = self._operators
+            node["children"] = [
+                self._freeze(operators[id(child)], base_ns) for child in entry.inputs
+            ]
+        if entry.subplans:
+            node["subplans"] = [self._freeze(sub, base_ns) for sub in entry.subplans]
         return node
 
 
@@ -499,11 +523,10 @@ class QueryProfile:
         "counters",
         "measures",
         "result_rows",
-        "spans_dropped",
     )
 
     #: Bumped whenever the serialized layout changes incompatibly.
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     def __init__(
         self,
@@ -514,7 +537,6 @@ class QueryProfile:
         counters: dict[str, int],
         measures: dict[str, dict],
         result_rows: Optional[int],
-        spans_dropped: int = 0,
     ):
         self.sql = sql
         self.root_span = root_span
@@ -522,7 +544,6 @@ class QueryProfile:
         self.counters = counters
         self.measures = measures
         self.result_rows = result_rows
-        self.spans_dropped = spans_dropped
 
     @property
     def total_ms(self) -> float:
@@ -543,7 +564,6 @@ class QueryProfile:
             "sql": self.sql,
             "total_ms": round(self.total_ms, 3),
             "result_rows": self.result_rows,
-            "spans_dropped": self.spans_dropped,
             "phases": self.root_span.to_dict(),
             "plan": self.operator_tree,
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
@@ -556,7 +576,9 @@ class QueryProfile:
     # -- rendering -----------------------------------------------------------
 
     def plan_lines(self, *, timing: bool = True) -> list[str]:
-        """The annotated operator tree, one line per operator."""
+        """The annotated operator tree, one line per operator; a host's
+        subplans follow its children, each under a ``SubPlan`` line (its
+        ``calls`` are PostgreSQL's loops)."""
         if self.operator_tree is None:
             return []
         return self._render_node(self.operator_tree, 0, timing)
@@ -573,6 +595,9 @@ class QueryProfile:
         lines = [line]
         for child in node.get("children", ()):
             lines.extend(self._render_node(child, indent + 1, timing))
+        for sub in node.get("subplans", ()):
+            lines.append(f"{'  ' * (indent + 1)}SubPlan")
+            lines.extend(self._render_node(sub, indent + 2, timing))
         return lines
 
     def summary_lines(self, *, timing: bool = True) -> list[str]:
@@ -599,16 +624,7 @@ class QueryProfile:
                 f"cache_hits={entry['cache_hits']}"
                 + (f" time={entry['time_ms']:.3f}ms" if timing else "")
             )
-        if self.spans_dropped:
-            lines.append(
-                f"warning: trace truncated, {self.spans_dropped} spans "
-                "dropped (span budget exhausted)"
-            )
         return lines
-
-    def span_lines(self, *, timing: bool = True) -> list[str]:
-        """The raw span tree (the tracer view; ``\\profile`` shows it)."""
-        return self.root_span.tree_lines(timing=timing)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -34,7 +34,6 @@ from repro.telemetry.record import (
 from repro.telemetry.registry import (
     DEFAULT_DURATION_BUCKETS_MS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "Telemetry",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "Ring",
     "StatementRecord",
@@ -206,10 +204,6 @@ class Telemetry:
             "slow_queries_total",
             "Queries at or over the configured slow_query_ms threshold.",
         )
-        self.spans_dropped_total = reg.counter(
-            "spans_dropped_total",
-            "Trace spans dropped by the per-query span budget.",
-        )
         self.sessions_opened_total = reg.counter(
             "sessions_opened_total", "Server sessions opened."
         )
@@ -231,8 +225,8 @@ class Telemetry:
         )
         self.plan_cache_evictions_total = reg.counter(
             "plan_cache_evictions_total",
-            "Plan-cache entries evicted, by reason (lru, ddl, dml, flip, "
-            "clear); a REFRESH is a write to the summary, so dml.",
+            "Plan-cache entries evicted, by reason (lru, ddl, dml, clear); "
+            "a REFRESH is a write to the summary, so dml.",
             ("reason",),
         )
         self._profile_counters = tuple(
@@ -274,15 +268,12 @@ class Telemetry:
             kind = record.kind
             self.queries_total.inc(kind=kind, strategy=record.strategy_label)
             self.query_duration_ms.observe(record.wall_ms, kind=kind)
-            profile = record.profile
-            if profile is not None:
+            if record.profile is not None:
                 self.rows_returned_total.inc(record.rows)
                 for src, metric in self._profile_counters:
                     amount = record.counters.get(src, 0)
                     if amount:
                         metric.inc(amount)
-                if profile.spans_dropped:
-                    self.spans_dropped_total.inc(profile.spans_dropped)
             if slow:
                 self.slow_queries_total.inc()
         ring = self.ring
@@ -394,6 +385,6 @@ class Telemetry:
         return [e.slow_entry(self.slow_query_ms, p) for e, p in ring.held(ring.slow)]
 
     def export_traces(self) -> Dict[str, Any]:
-        """The ``repro-trace-v1`` envelope of the retained traces."""
+        """The ``repro-trace-v2`` envelope of the retained traces."""
         ring = self.ring
         return trace_envelope(ring.held(ring.traced), ring.traces_dropped)

@@ -53,7 +53,7 @@ class Entry:
     statement that is not slow."""
 
     __slots__ = _COPIED + (
-        "seq", "query", "summary", "error", "message", "spans_dropped",
+        "seq", "query", "summary", "error", "message", "profiled",
         "profile", "holds", "slow", "exhausted", "old_strategy", "old_plan_hash",
     )
 
@@ -72,8 +72,7 @@ class Entry:
             }
             for r in record.reports
         ]
-        # None: the statement was not profiled.
-        self.spans_dropped = None if profile is None else profile.spans_dropped
+        self.profiled = profile is not None
         self.slow = slow
         self.exhausted = exhausted
         if error is None:
@@ -145,12 +144,10 @@ class Entry:
             out.append({**self.flip(), "event": "plan_flip"})
         if self.error is not None:
             out.append(self._event("error", error_class=self.error, message=self.message))
-        elif self.spans_dropped is not None:
+        elif self.profiled:
             fields = self._event("query", rows=self.rows, phases=self.phases)
             if self.summary:
                 fields["summary"] = self.summary
-            if self.spans_dropped:
-                fields["spans_dropped"] = self.spans_dropped
             out.append(fields)
         else:
             out.append(self._event("statement", rowcount=self.rows))

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters and fixed-bucket histograms.
 
 The registry is deliberately passive: it never reads a clock and never
 allocates on the query hot path beyond a dictionary update, so the cost
@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_DURATION_BUCKETS_MS",
@@ -136,38 +135,6 @@ class Counter(_Metric):
         """Sum across every label combination."""
         with self._lock:
             return float(sum(self._series.values()))
-
-    def samples(self) -> Iterable[Tuple[LabelValues, float]]:
-        with self._lock:
-            snapshot = sorted(self._series.items())
-        for key, value in snapshot:
-            yield key, float(value)
-
-
-class Gauge(_Metric):
-    """A value that can go up and down (pool sizes, staleness flags...)."""
-
-    kind = "gauge"
-
-    __slots__ = ()
-
-    def set(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels: object) -> float:
-        key = self._key(labels)
-        with self._lock:
-            return float(self._series.get(key, 0.0))
 
     def samples(self) -> Iterable[Tuple[LabelValues, float]]:
         with self._lock:
@@ -296,11 +263,6 @@ class MetricsRegistry:
                 "(Prometheus naming convention)"
             )
         return self._register(Counter(name, help, labelnames))  # type: ignore[return-value]
-
-    def gauge(
-        self, name: str, help: str, labelnames: Sequence[str] = ()
-    ) -> Gauge:
-        return self._register(Gauge(name, help, labelnames))  # type: ignore[return-value]
 
     def histogram(
         self,

@@ -81,12 +81,6 @@ class TestCounterNaming:
             if metric.kind == "counter":
                 assert metric.name.endswith("_total"), metric.name
 
-    def test_gauges_are_not_forced_into_the_convention(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("queue_depth", "Current depth.")
-        gauge.set(3)
-        assert "queue_depth 3" in registry.render_prometheus()
-
 
 class TestLabelEscaping:
     def test_backslash_quote_and_newline_round_trip(self):
@@ -119,12 +113,12 @@ class TestLabelEscaping:
 class TestHelpEscaping:
     def test_newline_and_backslash_in_help_stay_on_one_line(self):
         registry = MetricsRegistry()
-        registry.gauge("g", "first line\nsecond \\ line")
+        registry.counter("g_total", "first line\nsecond \\ line")
         text = registry.render_prometheus()
         help_lines = [
-            line for line in text.splitlines() if line.startswith("# HELP g ")
+            line for line in text.splitlines() if line.startswith("# HELP g_total ")
         ]
-        assert help_lines == ["# HELP g first line\\nsecond \\\\ line"]
+        assert help_lines == ["# HELP g_total first line\\nsecond \\\\ line"]
 
 
 class TestHistogramBuckets:

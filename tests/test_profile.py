@@ -12,7 +12,7 @@ from repro import Database, SqlError
 from repro.profile import Span, Tracer, Watch
 
 
-# -- tracer: span nesting, budget, serialization ------------------------------
+# -- tracer: span nesting, serialization -------------------------------------
 
 
 def test_span_nesting_and_tree():
@@ -51,15 +51,31 @@ def test_span_to_dict_is_stable():
     json.dumps(entry)
 
 
-def test_span_budget_drops_not_crashes():
-    tracer = Tracer(max_spans=3)
-    spans = [tracer.begin(f"s{i}") for i in range(6)]
-    assert [s is None for s in spans] == [False, False, False, True, True, True]
-    assert tracer.dropped == 3
-    for span in reversed(spans):
-        tracer.end(span)  # None is accepted
-    root = tracer.finish()
-    assert sum(1 for _ in root.walk()) == 4  # root + 3 recorded
+def test_a_statement_records_its_phases_not_its_operators():
+    """Operators and measure evaluations are entries, not spans: over the
+    15 listings and the TPC-H queries, a watched statement's span tree is
+    its root, its phases and any expansion attempts, a handful of spans
+    however many rows its correlated subqueries run for."""
+    from repro.workloads.listings import SETUP, all_listing_sql
+    from repro.workloads.paper_data import load_paper_tables
+    from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
+
+    listings_db = Database(telemetry=True)
+    load_paper_tables(listings_db)
+    for ddl in SETUP.values():
+        listings_db.execute(ddl)
+    tpch_db = tpch_measure_database(0.001, telemetry=True)
+    workloads = [
+        (listings_db, all_listing_sql(listings_db)),
+        (tpch_db, TPCH_QUERIES),
+    ]
+    assert [len(queries) for _, queries in workloads] == [15, 7]
+    for db, queries in workloads:
+        for name, sql in queries.items():
+            db.execute(sql)
+            spans = list(db.last_profile().root_span.walk())
+            assert {span.kind for span in spans} <= {"query", "phase", "expand"}, name
+            assert len(spans) <= 10, name
 
 
 def test_end_closes_dangling_children():
@@ -109,8 +125,9 @@ def test_profiler_counts_per_operator(paper_db):
 
 
 def _walk_tree(node):
+    """Every node of a frozen operator tree, its subplans included."""
     yield node
-    for child in node.get("children", ()):
+    for child in [*node.get("children", ()), *node.get("subplans", ())]:
         yield from _walk_tree(child)
 
 
@@ -246,7 +263,9 @@ def test_abort_in_place_of_exit_for_the_operator_that_raises(orders_db):
 def test_progress_rows_and_the_operator_tree_are_the_same_entries():
     """After any run — the 15 listings — what ``repro_query_progress`` shows
     of an operator and what the profile's tree shows agree on its label,
-    calls, rows and estimate: both are read off the one entry."""
+    calls, rows and estimate: both are read off the one entry.  Every
+    progress row is one node of the tree, a correlated subquery's operators
+    (Listings 5, 11 and 12 q1) as its host's subplans."""
     from repro.sql import parse_query
     from repro.workloads.listings import SETUP, all_listing_sql
     from repro.workloads.paper_data import load_paper_tables
@@ -281,6 +300,10 @@ def test_progress_rows_and_the_operator_tree_are_the_same_entries():
 
         check(planned.plan, profile.operator_tree)
         assert profile.operator_tree["rows_out"] == profile.result_rows, name
+        assert sorted(row[2:3] + row[5:7] for row in rows) == sorted(
+            (node["label"], node["rows_out"], node["calls"])
+            for node in _walk_tree(profile.operator_tree)
+        ), name
 
 
 def test_a_served_statements_phases_cover_what_the_client_waited_for():
@@ -389,10 +412,11 @@ def test_profile_serialization_stability(paper_db):
     entry = profile.to_dict()
     assert list(entry) == [
         "schema_version", "sql", "total_ms", "result_rows",
-        "spans_dropped", "phases", "plan", "counters", "measures",
+        "phases", "plan", "counters", "measures",
     ]
-    assert entry["spans_dropped"] == 0
-    assert entry["schema_version"] == 1
+    assert entry["schema_version"] == 2
+    # The one operator ran inside the statement, and says when.
+    assert 0 <= entry["plan"]["start_ns"] <= entry["plan"]["end_ns"]
     assert list(entry["counters"]) == sorted(entry["counters"])
     # to_json round-trips to the same dict.
     assert json.loads(profile.to_json()) == entry
@@ -427,6 +451,39 @@ def test_explain_analyze_exact_output(paper_db):
         "nested_loop_joins=0 rows_scanned=5 subquery_cache_hits=0 "
         "subquery_executions=0",
     ]
+
+
+def test_explain_analyze_shows_the_correlated_subquery_it_ran(paper_db):
+    """Listing 5's measure reference is a correlated subquery (§4.2): its
+    four operators print as a SubPlan of the Project that evaluates it,
+    with calls as the subquery's executions, not as the Project's input."""
+    from repro.workloads.listings import SETUP, all_listing_sql
+
+    for ddl in SETUP.values():
+        paper_db.execute(ddl)
+    sql = all_listing_sql(paper_db)["listing5"]
+    result = paper_db.execute(f"EXPLAIN ANALYZE {sql}")
+    lines = [_TIME.sub("=<T>", line) for (line,) in result.rows]
+    assert lines[:9] == [
+        "Sort (rows=3 calls=1 rows_in=3 time=<T>)",
+        "  Project (rows=3 calls=1 rows_in=3 time=<T>)",
+        "    Aggregate(keys=1, aggs=1, sets=1) "
+        "(rows=3 calls=1 rows_in=5 time=<T> groups=3)",
+        "      Scan(Orders) (rows=5 calls=1 time=<T>)",
+        "    SubPlan",
+        "      Project (rows=3 calls=3 rows_in=3 time=<T>)",
+        "        Aggregate(keys=0, aggs=2, sets=1) "
+        "(rows=3 calls=3 rows_in=5 time=<T> groups=3)",
+        "          Filter (rows=5 calls=3 rows_in=15 time=<T>)",
+        "            Scan(Orders) (rows=15 calls=3 time=<T>)",
+    ]
+    assert "subquery_executions=3" in lines[10]
+    tree = paper_db.last_profile().operator_tree
+    project = tree["children"][0]
+    assert [n["label"] for n in project["children"]] == [
+        "Aggregate(keys=1, aggs=1, sets=1)",
+    ]
+    assert len(list(_walk_tree(tree))) == 8
 
 
 def test_explain_analyze_executes_the_query(paper_db):
@@ -604,3 +661,18 @@ def test_expand_auto_traced(orders_db):
     ]
     assert attempts, "auto cascade should record expand:* attempt spans"
     assert all("outcome" in s.meta for s in attempts)
+
+
+def test_winmagic_is_one_expand_span(orders_db):
+    orders_db.profile_enabled = True
+    orders_db.expand(
+        """SELECT o.prodName, o.orderDate FROM
+             (SELECT prodName, orderDate, revenue,
+                     AVG(revenue) AS MEASURE avgRevenue FROM Orders) AS o
+           WHERE o.revenue >= o.avgRevenue AT (WHERE prodName = o.prodName)""",
+        strategy="winmagic",
+    )
+    attempts = [
+        s for s in orders_db.last_profile().root_span.walk() if s.kind == "expand"
+    ]
+    assert [(s.name, s.meta["outcome"]) for s in attempts] == [("expand:winmagic", "ok")]

@@ -75,7 +75,7 @@ def check_cardinalities(profile, result) -> None:
 
 def walk(node):
     yield node
-    for child in node.get("children", ()):
+    for child in [*node.get("children", ()), *node.get("subplans", ())]:
         yield from walk(child)
 
 

@@ -9,6 +9,7 @@ run, with plan-cache hits and zero plan flips.
 
 from __future__ import annotations
 
+import re
 import threading
 
 import pytest
@@ -357,6 +358,23 @@ class TestPlanCacheInvalidation:
         assert (stats["hits"], stats["misses"], stats["size"]) == (4, 2, 2)
         assert db.telemetry.plan_cache_evictions_total.total() == 0
         assert db.plan_flips()  # the detector still sees the variants flip
+
+    def test_the_eviction_metric_names_the_reasons_the_cache_emits(self):
+        db, manager = self._manager(capacity=1)
+        session = manager.open_session()
+        session.execute("SELECT SUM(x) FROM t")
+        session.execute("SELECT COUNT(*) FROM t")  # lru
+        session.execute("INSERT INTO t VALUES (4)")  # dml
+        session.execute("SELECT SUM(x) FROM t")
+        session.execute("CREATE TABLE other (z INTEGER)")  # ddl
+        session.execute("SELECT SUM(x) FROM t")
+        manager.plan_cache.clear()  # clear
+        metric = db.telemetry.plan_cache_evictions_total
+        emitted = {labels["reason"] for labels in metric.labelsets()}
+        assert emitted == {"lru", "ddl", "dml", "clear"}
+        named = re.search(r"by reason \(([^)]*)\)", metric.help).group(1)
+        assert set(named.split(", ")) == emitted
+        assert f"({named})" in db.metrics_text()
 
     def test_lru_eviction_at_capacity(self):
         db, manager = self._manager(capacity=2)

@@ -69,15 +69,6 @@ def test_counter_rejects_decrease_and_bad_labels():
         c.inc()  # label missing entirely
 
 
-def test_gauge_up_and_down():
-    reg = MetricsRegistry()
-    g = reg.gauge("pool", "Pool size.")
-    g.set(5)
-    g.inc(2)
-    g.dec()
-    assert g.value() == 6
-
-
 def test_histogram_buckets_sum_to_count():
     reg = MetricsRegistry()
     h = reg.histogram("lat_ms", "Latency.", buckets=(1.0, 10.0, 100.0))
@@ -109,7 +100,7 @@ def test_registration_is_idempotent_but_conflicts_raise():
     with pytest.raises(ValueError):
         reg.counter("x_total", "X.", ("other",))
     with pytest.raises(ValueError):
-        reg.gauge("x_total", "X.", ("k",))
+        reg.histogram("x_total", "X.", ("k",))
 
 
 def test_prometheus_rendering():
@@ -202,9 +193,10 @@ def profiled_span_tree():
     watch = Watch()
     with watch.tracer.span("parse"):
         pass
+    with watch.tracer.span("rewrite") as span:
+        span.meta["summary"] = "sums"
     with watch.tracer.span("execute"):
-        with watch.tracer.span("scan", "operator") as span:
-            span.meta["table"] = "Orders"
+        pass
     return watch.finish(sql="SELECT 1", result_rows=1)
 
 
@@ -235,8 +227,8 @@ def test_trace_capture_and_export():
         assert span["parent_span_id"] in ids
         assert len(span["span_id"]) == 16
         assert span["end_ns"] >= span["start_ns"] >= 0
-    scan = next(s for s in spans if s["name"] == "scan")
-    assert scan["attributes"] == {"table": "Orders"}
+    rewrite = next(s for s in spans if s["name"] == "rewrite")
+    assert rewrite["attributes"] == {"summary": "sums"}
     # Flattened when read, the same ids every time.
     assert tele.export_traces() == export
 
@@ -365,7 +357,7 @@ def test_slow_query_log_captures_profile():
     entry = entries[-1]
     assert "Orders" in entry["sql"]
     assert entry["duration_ms"] >= 0.0
-    assert entry["profile"]["schema_version"] == 1
+    assert entry["profile"]["schema_version"] == 2
     assert entry["profile"]["result_rows"] == 5
     assert db.telemetry.slow_queries_total.value() >= 1
     assert any(e["event"] == "slow_query" for e in db.events())
@@ -379,9 +371,46 @@ def test_trace_export_roundtrip_from_database():
     assert export["trace_count"] >= 1
     trace = export["traces"][-1]
     assert "COUNT(*)" in trace["sql"]
-    assert trace["spans_dropped"] == 0
     names = {s["name"] for s in trace["spans"]}
     assert "execute" in names
+
+
+def test_a_trace_has_one_operator_span_per_frozen_node():
+    """The trace is a projection of the frozen profile: under ``execute``,
+    one ``operator`` span per node of the operator tree — Listing 5's
+    correlated subquery included — nested as the tree is, each between its
+    operator's first enter and last exit."""
+    from repro.workloads.listings import SETUP, all_listing_sql
+    from repro.workloads.paper_data import load_paper_tables
+
+    db = Database(telemetry=True)
+    load_paper_tables(db)
+    for ddl in SETUP.values():
+        db.execute(ddl)
+    for name, sql in all_listing_sql(db).items():
+        db.execute(sql)
+        tree = db.last_profile().operator_tree
+        spans = json.loads(db.export_traces())["traces"][-1]["spans"]
+        (execute,) = [s for s in spans if s["name"] == "execute"]
+        by_id = {s["span_id"]: s for s in spans}
+        operators = [s for s in spans if s["kind"] == "operator"]
+
+        def nodes(node, parent):
+            yield node, parent
+            for child in [*node.get("children", ()), *node.get("subplans", ())]:
+                yield from nodes(child, node)
+
+        frozen = list(nodes(tree, None))
+        assert len(operators) == len(frozen), name
+        for span, (node, parent) in zip(operators, frozen):
+            assert span["name"] == node["label"], name
+            assert span["attributes"] == {
+                "calls": node["calls"], "rows": node["rows_out"],
+                "time_ms": node["time_ms"],
+            }, name
+            above = by_id[span["parent_span_id"]]
+            assert above is execute if parent is None else above["name"] == parent["label"]
+            assert execute["start_ns"] <= span["start_ns"] <= span["end_ns"] <= execute["end_ns"]
 
 
 def test_show_stats_reflects_registry():
@@ -489,33 +518,25 @@ def test_internal_maintenance_invisible_to_query_metrics():
     ) == 1
 
 
-# -- spans_dropped surfacing --------------------------------------------------
+# -- the query event -----------------------------------------------------------
 
 
-def test_spans_dropped_recorded_and_surfaced():
-    watch = Watch(max_spans=4)
-    with watch.tracer.span("execute"):
-        for i in range(10):
-            with watch.tracer.span(f"s{i}", "operator"):
-                pass
-    profile = watch.finish(sql="SELECT 1", result_rows=0)
-    assert profile.spans_dropped > 0
-    assert profile.to_dict()["spans_dropped"] == profile.spans_dropped
-    assert any(
-        "spans dropped" in line for line in profile.summary_lines()
-    )
-
+def test_every_profiled_query_emits_its_query_event():
+    """A profiled success is a ``query`` event, an unprofiled one a
+    ``statement`` event."""
     tele = Telemetry()
-    tele.observe(
-        StatementRecord(
-            kind="select", sql="SELECT 1", profile=profile, result=Result()
-        )
-    )
-    assert tele.spans_dropped_total.value() == profile.spans_dropped
-    trace = tele.export_traces()["traces"][0]
-    assert trace["spans_dropped"] == profile.spans_dropped
-    event = tele.events()[-1]
-    assert event["spans_dropped"] == profile.spans_dropped
+    observe_profiled(tele, profiled_span_tree())
+    tele.observe(StatementRecord(kind="insert", sql="INSERT", result=Result()))
+    assert [e["event"] for e in tele.events()] == ["query", "statement"]
+
+    db = make_db(telemetry=True)
+    for sql in ("SELECT COUNT(*) FROM Orders", "SELECT prodName FROM Orders"):
+        db.execute(sql)
+    queries = [e for e in db.events() if e["event"] == "query"]
+    assert [e["sql"] for e in queries] == [
+        "SELECT COUNT(*) FROM Orders", "SELECT prodName FROM Orders",
+    ]
+    assert all(set(e["phases"]) >= {"parse", "execute"} for e in queries)
 
 
 # -- expansion / winmagic feeds ----------------------------------------------
