@@ -1144,8 +1144,10 @@ class Database:
         ``strategy`` selects the rewrite (paper section 6.4): ``"subquery"``
         (the general correlated-subquery expansion of section 4.2),
         ``"inline"`` (inline the formula into a simple GROUP BY query),
-        ``"window"`` (rewrite to window aggregates, section 5.1), or
-        ``"auto"`` (try inline, then window, then fall back to subquery).
+        ``"window"`` (rewrite to window aggregates, section 5.1),
+        ``"winmagic"`` (the subquery expansion, its correlated subqueries
+        then rewritten to window aggregates by WinMagic), or ``"auto"`` (try
+        inline, then window, then fall back to subquery).
 
         A ``?`` that the rewrite copies into a measure's subquery is printed
         once per *use*, so the text may hold more ``?`` than the query has

@@ -20,17 +20,26 @@ expands to::
     FROM (SELECT orderDate, prodName FROM Orders) AS EnhancedOrders
     GROUP BY prodName
 
-**The expansion is a projection of the bound query.**  There is one
-definition of a measure's context, the binder's; this module resolves no
-name and derives no context.  The query is prepared at the AST level (views
-inlined, FROM subqueries aliased, grouping sets rewritten to a UNION ALL of
-plain branches), bound once by the ordinary :class:`Binder`, and then every
-measure call site the binder recorded is printed from what it bound to:
-the formula from ``MeasureInstance.formula``, the FROM and baked WHERE from
-``MeasureGroup.source_sql``, the context from the site's ``ContextSpec``
-through the one modifier algebra (:func:`repro.core.modifiers.apply_modifiers`),
-each bound expression turned back into SQL by
-:func:`repro.semantics.unbind.unbind`.
+**The expansion prints the bind.**  There is one definition of a measure's
+context, the binder's; this module resolves no name and derives no context.
+The statement's own AST is bound once, by the :meth:`Binder.bind_query_top`
+call the interpreter makes, and a new tree is printed from what it bound; the
+input is never changed.
+
+* A measure call site becomes a correlated subquery: the formula from
+  ``MeasureInstance.formula``, the FROM and baked WHERE from
+  ``MeasureGroup.source_sql``, the context from the site's ``ContextSpec``
+  through the one modifier algebra (:func:`repro.core.modifiers.apply_modifiers`),
+  each bound expression turned back into SQL by
+  :func:`repro.semantics.unbind.unbind`.
+* A view becomes a FROM subquery printed from its own bound selects
+  (:meth:`Binder.bind_view`), under the view's column names.
+* A grouping-set query, bound as one Aggregate, becomes a UNION ALL of plain
+  GROUP BY branches, one per entry of the Aggregate's ``grouping_sets`` (a
+  grouping set is a union of GROUP BYs, Gray et al.'s data cube).  Each branch
+  prints the bound items and HAVING over the Aggregate row, decided by slot as
+  the evaluator decides them: an inactive key is NULL, ``GROUPING()`` is its
+  constant bitmap, and a measure's term on a rolled-up key is dropped.
 
 Scope: everything the interpreter runs whose context ``unbind`` can print —
 plain and grouped queries, GROUP BY aliases and ordinals, DISTINCT,
@@ -41,16 +50,16 @@ it cannot print — a measure composed from other measures, a subquery inside
 a measure definition or a VISIBLE conjunct — raises the one
 :class:`~repro.errors.UnsupportedError` of ``unbind``; it never prints
 different rows.  The ``inline`` and ``window`` strategies in
-:mod:`repro.core.strategies` cover the special shapes of paper section 6.4.
-A ``?`` copied into a measure's subquery keeps its parameter index in the
-expanded AST; the printed text shows one ``?`` per *use*.
+:mod:`repro.core.strategies` print the same bind for the special shapes of
+paper section 6.4.  A ``?`` copied into a measure's subquery keeps its
+parameter index in the expanded AST; the printed text shows one ``?`` per
+*use*.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Collection, Optional
 
 from repro.catalog.objects import View
 from repro.core.modifiers import BoundSet, BoundWhere, apply_modifiers
@@ -58,13 +67,13 @@ from repro.errors import UnsupportedError
 from repro.semantics import bound as b
 from repro.semantics.binder import (
     Binder,
+    BoundRelation,
     BoundSelect,
     FromSql,
     materialize_measures,
 )
 from repro.semantics.unbind import unbind
 from repro.sql import ast
-from repro.sql.printer import to_sql
 from repro.sql.visitor import and_all, transform_topdown
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,20 +81,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "EXPANSION_STRATEGIES",
-    "expand_to_sql",
     "expand_query_ast",
     "Expander",
 ]
 
 #: The strategy names :func:`expand_query_ast` dispatches on.
 EXPANSION_STRATEGIES = ("subquery", "inline", "window", "winmagic", "auto")
-
-
-def expand_to_sql(
-    db: "Database", query: ast.Query, *, strategy: str = "subquery", tracer=None
-) -> str:
-    """Expand ``query``'s measures and render the result as SQL text."""
-    return to_sql(expand_query_ast(db, query, strategy=strategy, tracer=tracer))
 
 
 def _traced_attempt(tracer, name: str, thunk):
@@ -108,6 +109,8 @@ def _traced_attempt(tracer, name: str, thunk):
 def expand_query_ast(
     db: "Database", query: ast.Query, *, strategy: str = "subquery", tracer=None
 ) -> ast.Query:
+    """``query`` with its measures expanded by ``strategy``, as a new tree;
+    ``query`` itself is left as it was."""
     if strategy == "auto":
         # Cheapest shape first: inline produces a plain GROUP BY, window a
         # single-pass window query, subquery the general (but correlated)
@@ -121,45 +124,29 @@ def expand_query_ast(
             except UnsupportedError:
                 continue
         return expand_query_ast(db, query, strategy="subquery", tracer=tracer)
-    if strategy == "subquery":
-        return _traced_attempt(
-            tracer,
-            "subquery",
-            lambda: Expander(db).expand_query(copy.deepcopy(query)),
-        )
-    if strategy == "inline":
-        from repro.core.strategies import inline_expand
+    from repro.core.strategies import inline_expand, window_expand
+    from repro.core.winmagic import winmagic_rewrite
 
-        return _traced_attempt(
-            tracer,
-            "inline",
-            lambda: inline_expand(db, copy.deepcopy(query), tracer=tracer),
-        )
-    if strategy == "window":
-        from repro.core.strategies import window_expand
-
-        return _traced_attempt(
-            tracer,
-            "window",
-            lambda: window_expand(db, copy.deepcopy(query), tracer=tracer),
-        )
-    if strategy == "winmagic":
+    def winmagic() -> ast.Query:
         # Section 6.3: expand to the general correlated-subquery form,
         # then de-correlate it into window aggregates.  Raises
         # UnsupportedError when the expanded shape is not a WinMagic
         # pattern, so the strategy composes with the others' contract.
-        from repro.core.winmagic import winmagic_rewrite
+        expanded = Expander(db).expand_query(query)
+        if isinstance(expanded, ast.Select):
+            source = _collapse_identity_projection(expanded.from_clause)
+            expanded = replace(expanded, from_clause=source)
+        return winmagic_rewrite(db, expanded)
 
-        def _winmagic() -> ast.Query:
-            expanded = Expander(db).expand_query(copy.deepcopy(query))
-            if isinstance(expanded, ast.Select):
-                expanded.from_clause = _collapse_identity_projection(
-                    expanded.from_clause
-                )
-            return winmagic_rewrite(db, expanded)
-
-        return _traced_attempt(tracer, "winmagic", _winmagic)
-    raise UnsupportedError(f"unknown expansion strategy {strategy!r}")
+    attempts = {
+        "subquery": lambda: Expander(db).expand_query(query),
+        "inline": lambda: inline_expand(db, query, tracer=tracer),
+        "window": lambda: window_expand(db, query, tracer=tracer),
+        "winmagic": winmagic,
+    }
+    if strategy not in attempts:
+        raise UnsupportedError(f"unknown expansion strategy {strategy!r}")
+    return _traced_attempt(tracer, strategy, attempts[strategy])
 
 
 def _collapse_identity_projection(
@@ -177,28 +164,46 @@ def _collapse_identity_projection(
     if not isinstance(from_clause, ast.SubqueryRef):
         return from_clause
     inner = from_clause.query
-    if not isinstance(inner, ast.Select):
-        return from_clause
-    if not isinstance(inner.from_clause, ast.TableName):
-        return from_clause
-    if (
-        inner.where is not None
-        or inner.group_by
-        or inner.having is not None
-        or inner.qualify is not None
-        or inner.order_by
-        or inner.limit is not None
-        or inner.offset is not None
-        or inner.distinct
-        or inner.from_clause.alias is not None
+    if not (
+        isinstance(inner, ast.Select)
+        and inner == ast.Select(inner.items, inner.from_clause)  # nothing else
+        and isinstance(inner.from_clause, ast.TableName)
+        and inner.from_clause.alias is None
     ):
         return from_clause
     for item in inner.items:
-        if not isinstance(item.expr, ast.ColumnRef) or len(item.expr.parts) != 1:
+        expr = item.expr
+        if not (isinstance(expr, ast.ColumnRef) and len(expr.parts) == 1):
             return from_clause
-        if item.alias is not None and item.alias.lower() != item.expr.name.lower():
+        if (item.alias or expr.name).lower() != expr.name.lower():
             return from_clause
     return ast.TableName(inner.from_clause.name, alias=from_clause.alias)
+
+
+def materialized(relation: BoundRelation) -> list:
+    """Per output column of ``relation``, what the binder's
+    ``materialize_measures`` evaluates it as (a measure column: over the
+    output's dimensions, at row grain); all None when it has no measure."""
+    if not relation.has_measures:
+        return [None] * len(relation.columns)
+    return materialize_measures(relation)[0].exprs
+
+
+def output_order(
+    bound: BoundSelect, hidden: Callable[[b.BoundExpr], ast.Expression]
+) -> list[ast.OrderItem]:
+    """An aggregate query's ORDER BY: a key the SELECT list computes as its
+    output ordinal, any other key as ``hidden`` prints it."""
+    positions = [b.fingerprint(expr) for expr in bound.item_exprs]
+
+    def key(expr: b.BoundExpr) -> ast.Expression:
+        fp = b.fingerprint(expr)
+        return ast.Literal(positions.index(fp) + 1) if fp in positions else hidden(expr)
+
+    return [
+        ast.OrderItem(key(spec.expr), spec.descending, spec.nulls_first)
+        for spec in bound.order_by
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +213,6 @@ def _collapse_identity_projection(
 #: How a row is spelled: offset -> the SQL expression reading that column.
 Names = Callable[[int], ast.Expression]
 
-#: Expression nodes that hold a nested query.
-_QUERY_HOLDERS = (ast.SubqueryRef, ast.ScalarSubquery, ast.Exists, ast.InSubquery)
-
-
-def _same_level(node: ast.Node):
-    """The nodes of one query level below ``node``: a nested query is
-    yielded, not entered."""
-    for child in node.children():
-        yield child
-        if not isinstance(child, ast.Query):
-            yield from _same_level(child)
-
 
 @dataclass
 class _Level:
@@ -228,9 +221,26 @@ class _Level:
     bound: BoundSelect
     row: Names  # its FROM row
     outer: list  # the rows of the enclosing levels, innermost first
-    #: The row a call site outside WHERE / ON sits on: the Aggregate's output
-    #: in an aggregate query (keys, then aggregate calls), else ``row``.
-    site: Names
+    #: The lowered name of each CTE in scope -> the name it prints under.
+    ctes: dict
+    #: The Aggregate's active key slots: all of them, or one grouping set's
+    #: (None: not an aggregate query).
+    active: Optional[Collection[int]] = None
+
+    def site(self, slot: int) -> ast.Expression:
+        """Column ``slot`` of the row a call site outside WHERE / ON sits
+        on: the Aggregate's output in an aggregate query (keys, an inactive
+        one NULL, then aggregate calls), else the FROM row."""
+        keys = self.bound.group_exprs
+        if keys is None:
+            return self.row(slot)
+        if slot >= len(keys):
+            expr = self.bound.agg_calls[slot - len(keys)]
+        elif slot in self.active:
+            expr = keys[slot]
+        else:
+            return ast.Literal(None)
+        return unbind(expr, [self.row] + self.outer)
 
 
 @dataclass
@@ -250,304 +260,156 @@ class Expander:
         self.db = db
         self._alias_counter = 0
         self.binder = Binder(db.catalog)
+        #: id(a FROM clause printed) -> the CTEs in scope where it stands,
+        #: for the copies of it a measure's subquery makes.
+        self._ctes_at: dict[int, dict] = {}
 
     def fresh_alias(self, prefix: str = "i") -> str:
         self._alias_counter += 1
         return f"{prefix}{self._alias_counter}"
 
     def expand_query(self, query: ast.Query) -> ast.Query:
-        query = self.bind(query)
-        self._rewrite_query(query, [], top=True)
-        return query
-
-    # -- prepare and bind -----------------------------------------------------
-
-    def bind(self, query: ast.Query) -> ast.Query:
-        """``query`` (changed in place) made ready — views inlined, every
-        FROM subquery aliased, grouping sets a UNION ALL of plain branches —
-        and bound once: ``self.binder`` then knows every SELECT of the
-        returned tree and every measure call site in it."""
-        query = self._prepare(query, {})
+        """``query`` bound once by ``self.binder`` and printed as a new,
+        measure-free tree."""
         self.binder.bind_query_top(query)
-        return query
-
-    def _prepare(self, query: ast.Query, ctes: dict) -> ast.Query:
-        """``ctes`` maps the lowered name of each CTE in scope to the name it
-        is printed under."""
-        if isinstance(query, ast.WithQuery):
-            for cte in query.ctes:
-                cte.query = self._prepare(cte.query, ctes)
-                name = cte.name
-                if self.db.catalog.get(name) is not None:
-                    # The printed SQL inlines views and names measure sources
-                    # where this CTE is in scope; those names mean the
-                    # catalog's objects, so the CTE takes a fresh name.
-                    cte.name = self._fresh_cte_name()
-                ctes = {**ctes, name.lower(): cte.name}
-            query.body = self._prepare(query.body, ctes)
-        elif isinstance(query, ast.SetOp):
-            query.left = self._prepare(query.left, ctes)
-            query.right = self._prepare(query.right, ctes)
-        elif isinstance(query, ast.Select):
-            views: set = set()
-            if query.from_clause is not None:
-                query.from_clause = self._prepare_from(query.from_clause, ctes, views)
-            for node in _same_level(query):
-                if isinstance(node, _QUERY_HOLDERS):
-                    # An inlined view's names resolve in the catalog, as the
-                    # binder binds it (Binder.bind_view): no CTE is in scope.
-                    scope = {} if id(node) in views else ctes
-                    node.query = self._prepare(node.query, scope)
-            if any(not isinstance(e, ast.SimpleGrouping) for e in query.group_by):
-                return self._expand_grouping_sets(query)
-        return query
-
-    def _fresh_cte_name(self) -> str:
-        name = self.fresh_alias("w")
-        while self.db.catalog.get(name) is not None:
-            name = self.fresh_alias("w")
-        return name
-
-    def _prepare_from(self, ref: ast.TableRef, ctes: dict, views: set) -> ast.TableRef:
-        """``views`` collects the ids of the refs that inline a view."""
-        if isinstance(ref, ast.Join):
-            ref.left = self._prepare_from(ref.left, ctes, views)
-            ref.right = self._prepare_from(ref.right, ctes, views)
-        elif isinstance(ref, ast.TableName):
-            printed = ctes.get(ref.name.lower())
-            if printed is not None:
-                if printed.lower() != ref.name.lower():
-                    ref.alias = ref.alias or ref.name
-                    ref.name = printed
-                return ref
-            view = self.db.catalog.get(ref.name)
-            if isinstance(view, View):
-                inlined = ast.SubqueryRef(self._view_query(view), ref.alias or view.name)
-                views.add(id(inlined))
-                return inlined
-        elif isinstance(ref, ast.SubqueryRef):
-            ref.alias = ref.alias or self.fresh_alias("t")
-        else:
-            raise UnsupportedError(f"cannot expand {type(ref).__name__} in FROM")
-        return ref
-
-    def _view_query(self, view: View) -> ast.Query:
-        """A private copy of the view's query, its items named as the view
-        names its columns (:meth:`Binder.bind_view`)."""
-        query = copy.deepcopy(view.query)
-        if view.column_names:
-            if not isinstance(query, ast.Select) or any(
-                isinstance(item.expr, ast.Star) for item in query.items
-            ):
-                raise UnsupportedError(
-                    f"cannot expand view {view.name!r}: its column list renames "
-                    "the columns of a * or of a set operation"
-                )
-            for item, column in zip(query.items, self.binder.bind_view(view).columns):
-                item.alias = column.name
-        return query
-
-    def _expand_grouping_sets(self, select: ast.Select) -> ast.Query:
-        """Rewrite ROLLUP/CUBE/GROUPING SETS as a UNION ALL of plain GROUP BY
-        branches, each bound and printed like any other query (so measures
-        work under grouping sets too — the paper's Listing 8 becomes
-        statically expandable).  Under DISTINCT the branches are joined by
-        UNION: the grouping sets are one bag of rows, deduplicated whole.
-
-        Per branch: inactive grouping keys become NULL literals in the
-        projection and GROUPING/GROUPING_ID calls become constants.
-        """
-        registry: dict[str, ast.Expression] = {}
-
-        def register(expr: ast.Expression) -> str:
-            key = to_sql(expr)
-            registry.setdefault(key, expr)
-            return key
-
-        element_sets: list[list[list[str]]] = []
-        for element in select.group_by:
-            if isinstance(element, ast.SimpleGrouping):
-                element_sets.append([[register(element.expr)]])
-            elif isinstance(element, ast.Rollup):
-                keys = [register(e) for e in element.exprs]
-                element_sets.append(
-                    [keys[:i] for i in range(len(keys), -1, -1)]
-                )
-            elif isinstance(element, ast.Cube):
-                keys = [register(e) for e in element.exprs]
-                sets = []
-                for mask in range(1 << len(keys)):
-                    sets.append(
-                        [keys[i] for i in range(len(keys)) if mask & (1 << i)]
-                    )
-                sets.sort(key=len, reverse=True)
-                element_sets.append(sets)
-            elif isinstance(element, ast.GroupingSets):
-                element_sets.append(
-                    [[register(e) for e in group] for group in element.sets]
-                )
-            else:  # pragma: no cover - parser guarantees
-                raise UnsupportedError(type(element).__name__)
-
-        grouping_sets: list[list[str]] = [[]]
-        for sets in element_sets:
-            grouping_sets = [
-                existing + candidate
-                for existing in grouping_sets
-                for candidate in sets
-            ]
-
-        branches: list[ast.Query] = []
-        for keys in grouping_sets:
-            active: list[str] = []
-            for key in keys:
-                if key not in active:
-                    active.append(key)
-            branch = ast.Select(
-                items=copy.deepcopy(select.items),
-                from_clause=copy.deepcopy(select.from_clause),
-                where=copy.deepcopy(select.where),
-                group_by=[
-                    ast.SimpleGrouping(copy.deepcopy(registry[key]))
-                    for key in active
-                ],
-                having=copy.deepcopy(select.having),
-                force_aggregate=True,
-            )
-            active_set = set(active)
-            transform = _GroupingSetBranch(registry, active_set).transform
-            branch.items = [
-                ast.SelectItem(transform(item.expr), item.alias, item.is_measure)
-                for item in branch.items
-            ]
-            if branch.having is not None:
-                branch.having = transform(branch.having)
-            branches.append(branch)
-
-        union: ast.Query = branches[0]
-        for branch in branches[1:]:
-            union = ast.SetOp("UNION", not select.distinct, union, branch)
-        if isinstance(union, ast.Select):
-            union.distinct = select.distinct
-
-        if select.order_by and isinstance(union, ast.Select):
-            # A single grouping set degenerates to one plain branch.
-            union.order_by = copy.deepcopy(select.order_by)
-        elif select.order_by:
-            item_keys = [to_sql(item.expr) for item in select.items]
-            mapped: list[ast.OrderItem] = []
-            for order_item in select.order_by:
-                expr = order_item.expr
-                if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                    mapped.append(order_item)
-                    continue
-                key = to_sql(expr)
-                if key in item_keys:
-                    mapped.append(
-                        ast.OrderItem(
-                            ast.Literal(item_keys.index(key) + 1),
-                            order_item.descending,
-                            order_item.nulls_first,
-                        )
-                    )
-                    continue
-                aliases = [
-                    (item.alias or "").lower() for item in select.items
-                ]
-                if (
-                    isinstance(expr, ast.ColumnRef)
-                    and len(expr.parts) == 1
-                    and expr.parts[0].lower() in aliases
-                ):
-                    mapped.append(
-                        ast.OrderItem(
-                            ast.Literal(aliases.index(expr.parts[0].lower()) + 1),
-                            order_item.descending,
-                            order_item.nulls_first,
-                        )
-                    )
-                    continue
-                raise UnsupportedError(
-                    "ORDER BY on a grouping-set expansion must reference "
-                    "output columns"
-                )
-            union.order_by = mapped
-        if select.limit is not None:
-            union.limit = copy.deepcopy(select.limit)  # type: ignore[union-attr]
-        if select.offset is not None:
-            union.offset = copy.deepcopy(select.offset)  # type: ignore[union-attr]
-        return union
+        return self._query(query, [], {}, top=True)
 
     # -- print what was bound ---------------------------------------------------
 
-    def _rewrite_query(self, query: ast.Query, outer: list, *, top: bool) -> None:
-        """Replace, in place, every measure call site of ``query`` by its
-        subquery.  ``top``: the binder materialized the query's measure
-        columns (``bind_query_top``: a statement, a set-operation branch, a
-        subquery in an expression); otherwise they stay virtual and are
-        dropped from the SELECT list (a FROM item, a CTE)."""
+    def _query(
+        self, query: ast.Query, outer: list, ctes: dict, *, top: bool, names=None
+    ) -> ast.Query:
+        """``query`` with every measure call site replaced by its subquery.
+        ``top``: the binder materialized the query's measure columns
+        (``bind_query_top``: a statement, a set-operation branch, a subquery
+        in an expression); otherwise they stay virtual and are dropped from
+        the SELECT list (a FROM item, a CTE).  ``names``: a view's column
+        list, which the output columns print under."""
         if isinstance(query, ast.WithQuery):
+            ctes = dict(ctes)
+            printed = []
             for cte in query.ctes:
-                self._rewrite_query(cte.query, outer, top=False)
-            self._rewrite_query(query.body, outer, top=top)
-        elif isinstance(query, ast.SetOp):
-            self._rewrite_query(query.left, outer, top=True)
-            self._rewrite_query(query.right, outer, top=True)
-        elif isinstance(query, ast.Select):
-            self._rewrite_select(query, outer, top)
+                body = self._query(cte.query, outer, ctes, top=False)
+                name = cte.name
+                while self.db.catalog.get(name) is not None:
+                    # The printed SQL inlines views and names measure
+                    # sources where this CTE is in scope; those names mean
+                    # the catalog's objects, so the CTE takes a fresh name.
+                    name = self.fresh_alias("w")
+                ctes[cte.name.lower()] = name
+                printed.append(replace(cte, name=name, query=body))
+            body = self._query(query.body, outer, ctes, top=top, names=names)
+            return replace(query, ctes=printed, body=body)
+        if isinstance(query, ast.SetOp):
+            return replace(
+                query,
+                left=self._query(query.left, outer, ctes, top=True, names=names),
+                right=self._query(query.right, outer, ctes, top=True),
+            )
+        if isinstance(query, ast.Select):
+            return self._select(query, outer, ctes, top, names)
+        return query
 
-    def _rewrite_select(self, select: ast.Select, outer: list, top: bool) -> None:
+    def _select(
+        self, select: ast.Select, outer: list, ctes: dict, top: bool, names
+    ) -> ast.Query:
         bound = self.binder.selects[id(select)]
-        row = self.names(bound)
-        site = row
-        if bound.group_exprs is not None:
-            slots = [*bound.group_exprs, *bound.agg_calls]
-            site = lambda slot: unbind(slots[slot], [row] + outer)  # noqa: E731
-        level = _Level(bound, row, outer, site)
+        self._ctes_at[id(select.from_clause)] = ctes
+        # An unaliased FROM subquery is named before anything inside it.
+        aliases = {
+            id(relation): self.fresh_alias("t")
+            for relation in bound.scope.relations
+            if relation.alias is None
+        }
+        keys = None if bound.group_exprs is None else range(len(bound.group_exprs))
+        level = _Level(bound, self.names(bound, aliases), outer, ctes, keys)
+        from_clause = None
         if select.from_clause is not None:
-            self._rewrite_from(select.from_clause, level)
+            relations = iter(bound.scope.relations)
+            from_clause = self._from(select.from_clause, level, aliases, relations)
+        if any(not isinstance(e, ast.SimpleGrouping) for e in select.group_by):
+            return self._grouping_sets(select, level, from_clause, names)
 
-        if bound.relation.has_measures:
-            self._rewrite_measure_columns(select, level, top)
+        if bound.relation.has_measures or names:
+            items = self._output_items(level, top, names)
         else:
-            for item in select.items:
-                if not isinstance(item.expr, ast.Star):
-                    item.expr = self._rewrite_expr(item.expr, level, grouped=True)
-        select.where = self._rewrite_expr(select.where, level)
-        select.having = self._rewrite_expr(select.having, level, grouped=True)
-        select.qualify = self._rewrite_expr(select.qualify, level, grouped=True)
-        for order_item in select.order_by:
-            order_item.expr = self._rewrite_expr(order_item.expr, level, grouped=True)
+            items = [
+                item
+                if isinstance(item.expr, ast.Star)
+                else replace(item, expr=self._rewrite_expr(item.expr, level, True))
+                for item in select.items
+            ]
+        return replace(
+            select,
+            items=items,
+            from_clause=from_clause,
+            where=self._rewrite_expr(select.where, level),
+            having=self._rewrite_expr(select.having, level, True),
+            qualify=self._rewrite_expr(select.qualify, level, True),
+            order_by=[
+                replace(o, expr=self._rewrite_expr(o.expr, level, True))
+                for o in select.order_by
+            ],
+        )
 
-    def _rewrite_measure_columns(self, select: ast.Select, level: _Level, top: bool):
-        """The SELECT list of a query that defines or re-exports measures,
-        ``*`` expanded: the measure columns dropped (they stay virtual), or,
-        at the top, evaluated the way the binder's ``materialize_measures``
-        does — over the *output's* dimensions, offset i of that row being
-        the i-th non-measure item."""
+    def _output_items(self, level: _Level, top: bool, names) -> list:
+        """The SELECT list, ``*`` expanded, each item under its output
+        column's name (or ``names``'): a measure column dropped (it stays
+        virtual), or, at the top, evaluated the way the binder's
+        ``materialize_measures`` does — over the *output's* dimensions,
+        offset i of that row being the i-th non-measure item."""
         bound = level.bound
-        plan, _ = materialize_measures(bound.relation)
         output = lambda i: unbind(  # noqa: E731
             bound.item_exprs[i], [level.row] + level.outer
         )
+        exprs, columns = materialized(bound.relation), bound.relation.columns
         items = []
-        for item, column, expr in zip(bound.items, bound.relation.columns, plan.exprs):
+        for index, (item, column) in enumerate(zip(bound.items, columns)):
             if not column.is_measure:
-                value = self._rewrite_expr(item.expr, level)
+                value = self._rewrite_expr(item.expr, level, True)
             elif top:
-                value = self.measure_subquery(expr, level, [output] + level.outer)
+                frames = [output] + level.outer
+                value = self.measure_subquery(exprs[index], level, frames)
             else:
                 continue
-            items.append(ast.SelectItem(value, column.name))
-        select.items = items
+            items.append(ast.SelectItem(value, names[index] if names else column.name))
+        return items
 
-    def _rewrite_from(self, ref: ast.TableRef, level: _Level) -> None:
+    def _from(
+        self, ref: ast.TableRef, level: _Level, aliases: dict, relations
+    ) -> ast.TableRef:
+        """The query's own FROM clause as written (a join keeps its ON,
+        USING or NATURAL); ``relations`` yields each leaf's relation."""
         if isinstance(ref, ast.Join):
-            self._rewrite_from(ref.left, level)
-            self._rewrite_from(ref.right, level)
-            ref.condition = self._rewrite_expr(ref.condition, level)
-        elif isinstance(ref, ast.SubqueryRef):
-            self._rewrite_query(ref.query, level.outer, top=False)
+            left = self._from(ref.left, level, aliases, relations)
+            right = self._from(ref.right, level, aliases, relations)
+            condition = self._rewrite_expr(ref.condition, level)
+            return replace(ref, left=left, right=right, condition=condition)
+        relation = next(relations)
+        alias = ref.alias or aliases.get(id(relation))  # type: ignore[union-attr]
+        return self._leaf(ref, alias, level.ctes, level.outer)
+
+    def _leaf(
+        self, ref: ast.TableRef, alias: Optional[str], ctes: dict, outer: list
+    ) -> ast.TableRef:
+        """One FROM item under ``alias`` (or its own name): a CTE under the
+        name it prints as, a view as a subquery printed from its own bind in
+        the catalog's scope, a subquery from its bound selects."""
+        if isinstance(ref, ast.SubqueryRef):
+            query = self._query(ref.query, outer, ctes, top=False)
+            return ast.SubqueryRef(query, alias)
+        if not isinstance(ref, ast.TableName):
+            raise UnsupportedError(f"cannot expand {type(ref).__name__} in FROM")
+        printed = ctes.get(ref.name.lower())
+        if printed is None:
+            view = self.db.catalog.get(ref.name)
+            if isinstance(view, View):
+                names = view.column_names
+                query = self._query(view.query, [], {}, top=False, names=names)
+                return ast.SubqueryRef(query, alias or view.name)
+        elif printed.lower() != ref.name.lower():
+            return ast.TableName(printed, alias or ref.name)
+        return ast.TableName(ref.name, alias)
 
     def _rewrite_expr(
         self, expr: Optional[ast.Expression], level: _Level, grouped: bool = False
@@ -556,44 +418,118 @@ class Expander:
         clause sits above the query's Aggregate, if it has one."""
         if expr is None:
             return None
-        here = level.site if grouped else level.row
-        frames = [here] + level.outer
+        aggregate = grouped and level.bound.group_exprs is not None
+        frames = [level.site if aggregate else level.row] + level.outer
         # What a subquery in this clause sees one level out: the FROM row —
         # the binder renumbers references into an Aggregate's output only in
         # the plan, not in the contexts this prints from.
-        nested = [here if here is level.row else None] + level.outer
-        # No group keys: the subquery is the same for every input row, but
-        # the query must stay an aggregate query so that it returns exactly
-        # one row.  ANY_VALUE keeps that shape; over no input row it is NULL,
-        # and the subquery itself is the value.
-        lone = grouped and level.bound.group_exprs == []
+        nested = [None if aggregate else level.row] + level.outer
+        lone = aggregate and not level.active
 
         def visit(node: ast.Node):
             site = self.binder.sites.get(id(node))
             if site is not None:
-                subquery = self.measure_subquery(site, level, frames)
-                if not lone:
-                    return subquery
-                any_value = ast.FunctionCall("ANY_VALUE", [subquery])
-                again = self.measure_subquery(site, level, frames)
-                return ast.FunctionCall("COALESCE", [any_value, again])
-            if isinstance(node, _QUERY_HOLDERS):
-                self._rewrite_query(node.query, nested, top=True)
+                return self._measure_call(site, level, frames, lone)
+            if isinstance(node, (ast.ScalarSubquery, ast.Exists, ast.InSubquery)):
+                query = self._query(node.query, nested, level.ctes, top=True)
+                if isinstance(node, ast.InSubquery):
+                    operand = transform_topdown(node.operand, visit)
+                    return replace(node, operand=operand, query=query)
+                return replace(node, query=query)
             return None
 
         return transform_topdown(expr, visit)  # type: ignore[return-value]
 
+    def _grouping_sets(
+        self, select: ast.Select, level: _Level, from_clause, names
+    ) -> ast.Query:
+        """One plain GROUP BY branch per grouping set of the bound Aggregate,
+        joined by UNION ALL — by UNION under DISTINCT: the grouping sets are
+        one bag of rows, deduplicated whole (paper Listing 8)."""
+        if select.qualify is not None:
+            raise UnsupportedError("cannot expand QUALIFY over grouping sets")
+        bound = level.bound
+        where = self._rewrite_expr(select.where, level)
+        columns = names or [column.name for column in bound.relation.columns]
+        union: Optional[ast.Query] = None
+        for active in bound.grouping_sets:
+            branch = replace(level, active=active)
+            printed = self._printer(branch)
+            select_branch = ast.Select(
+                items=[
+                    ast.SelectItem(printed(expr), name)
+                    for expr, name in zip(bound.item_exprs, columns)
+                ],
+                from_clause=from_clause,
+                where=where,
+                group_by=[ast.SimpleGrouping(branch.site(slot)) for slot in active],
+                having=None if bound.having is None else printed(bound.having),
+                force_aggregate=True,
+            )
+            union = (
+                select_branch
+                if union is None
+                else ast.SetOp("UNION", not select.distinct, union, select_branch)
+            )
+        if isinstance(union, ast.Select):
+            union = replace(union, distinct=select.distinct)
+
+        def hidden(expr: b.BoundExpr) -> ast.Expression:
+            if isinstance(union, ast.Select):  # one grouping set: one query
+                return printed(expr)
+            raise UnsupportedError(
+                "ORDER BY on a grouping-set expansion must reference output columns"
+            )
+
+        return replace(
+            union,  # type: ignore[arg-type]
+            order_by=output_order(bound, hidden),
+            limit=select.limit,
+            offset=select.offset,
+        )
+
+    def _printer(self, level: _Level) -> Callable[[b.BoundExpr], ast.Expression]:
+        """Prints an expression over ``level``'s Aggregate row, with its
+        measure calls and ``GROUPING()`` as the grouping set makes them."""
+        frames = [level.site] + level.outer
+
+        def hook(node: b.BoundExpr) -> Optional[ast.Expression]:
+            if isinstance(node, b.BoundMeasureEval):
+                return self._measure_call(node, level, frames, not level.active)
+            if isinstance(node, b.BoundGroupingId):
+                bitmap = 0
+                for slot in node.key_indexes:
+                    bitmap = bitmap << 1 | (slot not in level.active)
+                return ast.Literal(bitmap)
+            return None
+
+        return lambda expr: unbind(expr, frames, hook=hook)
+
     # -- one call site ----------------------------------------------------------
+
+    def _measure_call(
+        self, node: b.BoundMeasureEval, level: _Level, frames: list, lone: bool
+    ) -> ast.Expression:
+        """The call site ``node`` as its subquery.  ``lone``: it sits in an
+        aggregate query with no group key."""
+        subquery = self.measure_subquery(node, level, frames)
+        if not lone:
+            return subquery
+        # No group keys: the subquery is the same for every input row, but
+        # the query must stay an aggregate query so that it returns exactly
+        # one row.  ANY_VALUE keeps that shape; over no input row it is NULL,
+        # and the subquery itself is the value.
+        any_value = ast.FunctionCall("ANY_VALUE", [subquery])
+        again = self.measure_subquery(node, level, frames)
+        return ast.FunctionCall("COALESCE", [any_value, again])
 
     @staticmethod
     def names(bound: FromSql, aliases: Optional[dict] = None) -> Names:
         """How ``bound``'s FROM row is spelled: ``alias.column`` per offset,
-        under the relations' own aliases or ``aliases[id(relation)]``."""
+        under ``aliases[id(relation)]`` or else the relation's own alias."""
+        aliases = aliases or {}
         parts = {
-            column.offset: (
-                aliases[id(relation)] if aliases else relation.alias,
-                column.name,
-            )
+            column.offset: (aliases.get(id(relation), relation.alias), column.name)
             for relation in bound.scope.relations
             for column in relation.columns
             if column.offset is not None
@@ -607,6 +543,7 @@ class Expander:
         condition as the binder bound it, so USING / NATURAL become ON — and
         how a row of it is spelled."""
         relations, joins = iter(bound.scope.relations), iter(bound.joins)
+        ctes = self._ctes_at.get(id(bound.from_clause), {})
         aliases: dict[int, str] = {}
         conditions: list[tuple[ast.Join, Optional[b.BoundExpr]]] = []
 
@@ -616,9 +553,7 @@ class Expander:
                 conditions.append((join, next(joins)))
                 return join
             aliases[id(next(relations))] = alias = self.fresh_alias(prefix)
-            if isinstance(ref, ast.TableName):
-                return ast.TableName(ref.name, alias)
-            return ast.SubqueryRef(copy.deepcopy(ref.query), alias)
+            return self._leaf(ref, alias, ctes, list(outer))
 
         ref = bound.from_clause
         source = None if ref is None else copy_of(ref)
@@ -649,11 +584,14 @@ class Expander:
         self, spec, level: _Level, src: Names, site: list
     ) -> list[ast.Expression]:
         """The evaluation context ``spec`` builds, as predicates over the
-        source row ``src``: its group terms, then its modifiers."""
+        source row ``src``: its group terms, then its modifiers.  A term on
+        a key the grouping set rolls up pins nothing (the evaluator's
+        ``_base_terms``)."""
         make = _SqlTerms(self, level, src, site)
         terms = [
             make.pin(t.dim_key, t.source_expr, unbind(t.value_expr, site))
             for t in spec.group_terms
+            if t.grouping_bit is None or t.grouping_bit in level.active
         ]
         return [t.predicate for t in apply_modifiers(terms, spec, make)]
 
@@ -722,8 +660,9 @@ class _SqlTerms:
             frames = [substituted(level.row)] + level.outer
             return [_SqlTerm(None, unbind(pred, frames)) for pred in info.preds]
         # The semijoin the interpreter runs, in SQL: a row g of the query's
-        # own FROM that passed its WHERE, belongs to the outer row's group,
-        # and satisfies the conjuncts with the candidate substituted in.
+        # own FROM that passed its WHERE, belongs to the outer row's group
+        # (its active keys), and satisfies the conjuncts with the candidate
+        # substituted in.
         bound = level.bound
         source, g = self.expander.instantiate(bound, "g", level.outer)
         frames = [g] + level.outer
@@ -731,6 +670,7 @@ class _SqlTerms:
         conjuncts += [
             ast.IsDistinctFrom(unbind(expr, frames), level.site(slot), negated=True)
             for slot, expr in enumerate(bound.group_exprs)
+            if slot in level.active
         ]
         # (A WHERE conjunct that reads nothing of the measure relation is
         # already there, unsubstituted.)
@@ -746,60 +686,3 @@ class _SqlTerms:
             where=and_all(conjuncts),
         )
         return [_SqlTerm(None, ast.Exists(witness))]
-
-
-class _GroupingSetBranch:
-    """Rewrites one grouping-set branch: inactive keys -> NULL, GROUPING ->
-    constants; inside ``AT (...)`` only the call site's references."""
-
-    def __init__(self, registry: dict[str, ast.Expression], active: set[str]):
-        self.registry = registry
-        self.active = active
-        self.inactive = [expr for key, expr in registry.items() if key not in active]
-
-    def transform(self, expr: ast.Expression) -> ast.Expression:
-        def visit(node: ast.Node):
-            if isinstance(node, ast.FunctionCall) and node.name in (
-                "GROUPING",
-                "GROUPING_ID",
-            ):
-                bitmap = 0
-                for argument in node.args:
-                    key = to_sql(argument)
-                    if key not in self.registry:
-                        raise UnsupportedError(
-                            "GROUPING arguments must be grouping expressions"
-                        )
-                    bitmap = (bitmap << 1) | (0 if key in self.active else 1)
-                return ast.Literal(bitmap)
-            if isinstance(node, ast.At):
-                return replace(
-                    node,
-                    operand=transform_topdown(node.operand, visit),
-                    modifiers=[
-                        transform_topdown(modifier, self._call_site)
-                        for modifier in node.modifiers
-                    ],
-                )
-            if isinstance(node, ast.Expression):
-                key = to_sql(node)
-                if key in self.registry and key not in self.active:
-                    return ast.Literal(None)
-            return None
-
-        return transform_topdown(copy.deepcopy(expr), visit)  # type: ignore[return-value]
-
-    def _call_site(self, node: ast.Node):
-        """Inside ``AT (...)`` a bare name is the measure's dimension and
-        ``CURRENT dim`` reads the branch's own context; only a qualified
-        reference is the call site's column — NULL when its key is inactive
-        (by text, or by name against a bare key)."""
-        if isinstance(node, ast.ColumnRef) and node.qualifier is not None:
-            for key in self.inactive:
-                if to_sql(key) == to_sql(node) or (
-                    isinstance(key, ast.ColumnRef)
-                    and key.qualifier is None
-                    and key.name.lower() == node.name.lower()
-                ):
-                    return ast.Literal(None)
-        return None

@@ -15,29 +15,29 @@ shapes admit cheaper rewrites:
   becomes a window aggregate computed in a derived table (Listing 12's
   query 4 rewritten to query 3).
 
-Both read the same bound query the general strategy prints — the call
-sites' ``ContextSpec``\\ s, the relation's dimensions, the group's source —
-and raise :class:`~repro.errors.UnsupportedError` when the query does not
-match their shape, so callers can fall back to the general strategy.
+Both print the same bind the general strategy prints — the call sites'
+``ContextSpec``\\ s, the relation's dimensions, the group's source — through
+:func:`~repro.semantics.unbind.unbind`: inline over a name function that maps
+the measure relation's offsets to its dimension expressions, window with the
+formula's aggregate calls printed as window calls.  Each raises
+:class:`~repro.errors.UnsupportedError` when the query does not match its
+shape, so callers can fall back to the general strategy.
 """
 
 from __future__ import annotations
 
-import copy
-import dataclasses
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.expansion import Expander
+from repro.core.expansion import Expander, materialized, output_order
 from repro.core.modifiers import BoundVisible, BoundWhere
-from repro.engine.aggregates import is_aggregate_function
-from repro.errors import BindError, UnsupportedError
+from repro.errors import UnsupportedError
 from repro.semantics import bound as b
-from repro.semantics.binder import BoundSelect, materialize_measures
+from repro.semantics.binder import BoundSelect
 from repro.semantics.scope import Relation
 from repro.semantics.unbind import unbind
 from repro.sql import ast
-from repro.sql.printer import to_sql
-from repro.sql.visitor import and_all, transform, transform_topdown
+from repro.sql.visitor import and_all, transform_topdown
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
@@ -48,18 +48,20 @@ __all__ = ["inline_expand", "window_expand"]
 def _single_measure_relation(
     expander: Expander, query: ast.Query, strategy: str
 ) -> tuple[ast.Select, BoundSelect, Relation]:
-    """Bind ``query``: it must be one SELECT over exactly one
-    measure-bearing relation."""
-    select = expander.bind(query)
-    if not isinstance(select, ast.Select):
+    """Bind ``query``: it must be one SELECT with a plain GROUP BY, if any,
+    over exactly one measure-bearing relation."""
+    expander.binder.bind_query_top(query)
+    if not isinstance(query, ast.Select):
         raise UnsupportedError(f"{strategy} strategy requires a plain SELECT")
-    if select.from_clause is None or isinstance(select.from_clause, ast.Join):
+    if query.from_clause is None or isinstance(query.from_clause, ast.Join):
         raise UnsupportedError("strategy requires a single-table FROM clause")
-    bound = expander.binder.selects[id(select)]
+    if any(not isinstance(e, ast.SimpleGrouping) for e in query.group_by):
+        raise UnsupportedError(f"{strategy} strategy requires a plain GROUP BY")
+    bound = expander.binder.selects[id(query)]
     (relation,) = bound.scope.relations
     if relation.group is None:
         raise UnsupportedError("strategy requires one measure-bearing relation")
-    return select, bound, relation
+    return query, bound, relation
 
 
 def inline_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query:
@@ -73,59 +75,56 @@ def inline_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
     select, bound, relation = _single_measure_relation(expander, query, "inline")
     if bound.group_exprs is None:
         raise UnsupportedError("inline strategy requires an aggregate query")
-    source = relation.group.source_sql
-    src = [expander.names(source)]
+    if select.qualify is not None:
+        raise UnsupportedError("inline strategy does not support QUALIFY")
+    source_sql = relation.group.source_sql
+    source, src = expander.instantiate(source_sql, "i")
+    column_names = {column.offset: column.name for column in relation.columns}
 
-    def translate(expr: Optional[ast.Expression]) -> Optional[ast.Expression]:
-        """Rewrite exposed-column refs to source expressions; inline
-        AGGREGATE(m) to the measure formula."""
+    def dimension(offset: int) -> ast.Expression:
+        """The measure relation's column ``offset``, over the source row."""
+        dim = relation.dim_for_offset.get(offset)
+        if dim is None:
+            raise UnsupportedError(
+                f"inline strategy: {column_names[offset]!r} is not a dimension"
+            )
+        return unbind(dim, [src])
 
-        def visit(node: ast.Node):
-            site = expander.binder.sites.get(id(node))
-            if site is not None:
-                if [type(m) for m in site.context.modifiers] != [BoundVisible]:
-                    raise UnsupportedError(
-                        "inline strategy requires AGGREGATE(...) around "
-                        "measure uses and no AT modifiers (bare uses ignore "
-                        "the WHERE clause)"
-                    )
-                return unbind(site.measure.formula, src)
-            if isinstance(node, ast.ColumnRef):
-                try:
-                    column = bound.scope.resolve(node.parts).column
-                except BindError:
-                    return None  # an output name (ORDER BY, GROUP BY alias)
-                dim = relation.dim_for_offset.get(column.offset)
-                if dim is None:
-                    raise UnsupportedError(
-                        f"inline strategy: {column.name!r} is not a dimension"
-                    )
-                return unbind(dim, src)
+    def formula(node: b.BoundExpr) -> Optional[ast.Expression]:
+        if not isinstance(node, b.BoundMeasureEval):
             return None
+        if [type(m) for m in node.context.modifiers] != [BoundVisible]:
+            raise UnsupportedError(
+                "inline strategy requires AGGREGATE(...) around measure uses "
+                "and no AT modifiers (bare uses ignore the WHERE clause)"
+            )
+        return unbind(node.measure.formula, [src])
 
-        return None if expr is None else transform_topdown(expr, visit)
+    keys = bound.group_exprs
+    slots = [*keys, *bound.agg_calls]
 
-    new_items = [
-        ast.SelectItem(translate(item.expr), item.alias) for item in select.items
+    def group(slot: int) -> ast.Expression:
+        """Column ``slot`` of the Aggregate row, over the source row."""
+        return unbind(slots[slot], [dimension])
+
+    def printed(expr: b.BoundExpr) -> ast.Expression:
+        return unbind(expr, [group], hook=formula)
+
+    items = [
+        ast.SelectItem(printed(expr), column.name)
+        for expr, column in zip(bound.item_exprs, bound.relation.columns)
     ]
     if tracer is not None:
-        tracer.current.meta["inlined_items"] = len(new_items)
-    conjuncts = [unbind(pred, src) for pred in source.where]
-    if select.where is not None:
-        conjuncts.append(translate(select.where))
+        tracer.current.meta["inlined_items"] = len(items)
+    conjuncts = [unbind(pred, [src]) for pred in source_sql.where]
+    conjuncts += [unbind(pred, [dimension], hook=formula) for pred in bound.where]
     return ast.Select(
-        items=new_items,
-        from_clause=copy.deepcopy(source.from_clause),
+        items=items,
+        from_clause=source,
         where=and_all(conjuncts),
-        group_by=[
-            ast.SimpleGrouping(translate(element.expr))  # type: ignore[union-attr]
-            for element in select.group_by
-        ],
-        having=translate(select.having),
-        order_by=[
-            ast.OrderItem(translate(o.expr), o.descending, o.nulls_first)
-            for o in select.order_by
-        ],
+        group_by=[ast.SimpleGrouping(group(slot)) for slot in range(len(keys))],
+        having=None if bound.having is None else printed(bound.having),
+        order_by=output_order(bound, printed),
         limit=select.limit,
         offset=select.offset,
         distinct=select.distinct,
@@ -151,10 +150,11 @@ def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
         )
     if select.distinct:
         raise UnsupportedError("window strategy does not support DISTINCT")
-    source = relation.group.source_sql
-    src = [expander.names(source)]
+    source_sql = relation.group.source_sql
+    source, src = expander.instantiate(source_sql, "i")
+    alias = relation.alias or expander.fresh_alias("t")
     window_columns: list[tuple[str, ast.Expression]] = []  # (name, window expr)
-    column_keys: dict[str, str] = {}
+    column_keys: dict[tuple, str] = {}
 
     def partition_of(spec) -> list[b.BoundExpr]:
         """The context as an equality partition of the source: the group
@@ -183,35 +183,33 @@ def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
         return [dim for dim, _ in where.eq_pairs]
 
     def window_column_for(site: b.BoundMeasureEval) -> ast.Expression:
-        if site.measure.group.source_sql is not source:
+        if site.measure.group.source_sql is not source_sql:
             raise UnsupportedError(
                 "window strategy: the query's WHERE is baked into the "
                 "measures it re-exports"
             )
-        partition = [unbind(dim, src) for dim in partition_of(site.context)]
+        partition = partition_of(site.context)
 
-        def add_over(node: ast.Expression) -> ast.Expression:
-            if (
-                isinstance(node, ast.FunctionCall)
-                and is_aggregate_function(node.name)
-                and node.over is None
-            ):
-                if node.filter_where is not None or node.order_by or node.within_distinct:
-                    raise UnsupportedError(
-                        "window strategy: a window call takes no FILTER, "
-                        "ORDER BY or WITHIN DISTINCT"
-                    )
-                spec = ast.WindowSpec(partition_by=copy.deepcopy(partition))
-                return dataclasses.replace(node, over=spec)
-            return node
+        def over(node: b.BoundExpr) -> Optional[ast.Expression]:
+            """An aggregate call of the formula, as a window call."""
+            if not isinstance(node, b.BoundAggCall):
+                return None
+            if node.filter_where is not None or node.order_by or node.within_distinct:
+                raise UnsupportedError(
+                    "window strategy: a window call takes no FILTER, "
+                    "ORDER BY or WITHIN DISTINCT"
+                )
+            spec = ast.WindowSpec(partition_by=[unbind(d, [src]) for d in partition])
+            return replace(unbind(node, [src]), over=spec)
 
-        windowed = transform(unbind(site.measure.formula, src), add_over)
-        measure_name = site.measure.name
-        key = f"{measure_name.lower()}|{to_sql(windowed)}"
+        measure = site.measure
+        key = (measure.name.lower(), b.fingerprint(measure.formula),
+               *[b.fingerprint(d) for d in partition])
         if key not in column_keys:
-            column_keys[key] = f"__{measure_name}_{len(window_columns)}"
+            column_keys[key] = f"__{measure.name}_{len(window_columns)}"
+            windowed = unbind(measure.formula, [src], hook=over)
             window_columns.append((column_keys[key], windowed))
-        return ast.ColumnRef((relation.alias, column_keys[key]))
+        return ast.ColumnRef((alias, column_keys[key]))
 
     def rewrite(expr: Optional[ast.Expression]) -> Optional[ast.Expression]:
         def visit(node: ast.Node):
@@ -222,13 +220,10 @@ def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
 
     # A bare measure column of the query's own output is evaluated over the
     # output's dimensions: the binder's ``materialize_measures`` says which.
-    materialized = (
-        materialize_measures(bound.relation)[0].exprs
-        if bound.relation.has_measures
-        else [None] * len(bound.items)
-    )
     new_items = []
-    for item, column, expr in zip(bound.items, bound.relation.columns, materialized):
+    for item, column, expr in zip(
+        bound.items, bound.relation.columns, materialized(bound.relation)
+    ):
         if column.is_measure:
             new_items.append(ast.SelectItem(window_column_for(expr), column.name))
         else:
@@ -253,15 +248,15 @@ def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
                 raise UnsupportedError(
                     f"window strategy: {column.name!r} is not a dimension"
                 )
-            dims.append(ast.SelectItem(unbind(dim, src), column.name))
+            dims.append(ast.SelectItem(unbind(dim, [src]), column.name))
     derived = ast.Select(
         items=dims + [ast.SelectItem(expr, name) for name, expr in window_columns],
-        from_clause=copy.deepcopy(source.from_clause),
-        where=and_all([unbind(pred, src) for pred in source.where]),
+        from_clause=source,
+        where=and_all([unbind(pred, [src]) for pred in source_sql.where]),
     )
     return ast.Select(
         items=new_items,
-        from_clause=ast.SubqueryRef(derived, relation.alias),
+        from_clause=ast.SubqueryRef(derived, alias),
         where=new_where,
         qualify=new_qualify,
         windows=select.windows,

@@ -33,13 +33,12 @@ correlated subqueries (:mod:`repro.core.expansion`) and window aggregates
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 from typing import Optional, TYPE_CHECKING
 
 from repro.engine.aggregates import is_aggregate_function
 from repro.errors import UnsupportedError
 from repro.sql import ast
-from repro.sql.printer import to_sql
 from repro.sql.visitor import split_and, transform_topdown
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,24 +67,20 @@ def winmagic_rewrite(db: "Database", query: ast.Query) -> ast.Query:
 def _winmagic_rewrite_impl(db: "Database", query: ast.Query) -> ast.Query:
     if not isinstance(query, ast.Select):
         raise UnsupportedError("WinMagic requires a plain SELECT")
-    select = copy.deepcopy(query)
-    if not isinstance(select.from_clause, ast.TableName):
+    if not isinstance(query.from_clause, ast.TableName):
         raise UnsupportedError("WinMagic requires a single-table FROM clause")
-    if select.group_by or select.having is not None:
+    if query.group_by or query.having is not None:
         raise UnsupportedError("WinMagic applies to non-aggregate queries")
 
-    table = select.from_clause
+    table = query.from_clause
     outer_alias = table.alias or table.name
-    outer_conjuncts = split_and(select.where)
-
-    rewriter = _Rewriter(db, table.name, outer_alias, outer_conjuncts)
-    if select.where is not None:
-        select.where = rewriter.rewrite(select.where)
-    select.items = [
+    rewriter = _Rewriter(db, table.name, outer_alias, split_and(query.where))
+    where = None if query.where is None else rewriter.rewrite(query.where)
+    items = [
         item
         if isinstance(item.expr, ast.Star)
         else ast.SelectItem(rewriter.rewrite(item.expr), item.alias)
-        for item in select.items
+        for item in query.items
     ]
     if not rewriter.windows:
         raise UnsupportedError("no eligible correlated subquery found")
@@ -97,8 +92,12 @@ def _winmagic_rewrite_impl(db: "Database", query: ast.Query) -> ast.Query:
         for c in base.schema.columns
     ] + [ast.SelectItem(expr, name) for name, expr in rewriter.windows]
     derived = ast.Select(items=inner_items, from_clause=ast.TableName(table.name))
-    select.from_clause = ast.SubqueryRef(derived, outer_alias)
-    return select
+    return replace(
+        query,
+        items=items,
+        where=where,
+        from_clause=ast.SubqueryRef(derived, outer_alias),
+    )
 
 
 class _Rewriter:
@@ -108,7 +107,6 @@ class _Rewriter:
         self.outer_alias = outer_alias
         self.outer_conjuncts = outer_conjuncts
         self.windows: list[tuple[str, ast.Expression]] = []
-        self._keys: dict[str, str] = {}
 
     def rewrite(self, expr: ast.Expression) -> ast.Expression:
         def visit(node: ast.Node):
@@ -118,7 +116,7 @@ class _Rewriter:
                     return replacement
             return None
 
-        return transform_topdown(copy.deepcopy(expr), visit)  # type: ignore[return-value]
+        return transform_topdown(expr, visit)  # type: ignore[return-value]
 
     def _try_subquery(self, subquery: ast.Query) -> Optional[ast.Expression]:
         if not isinstance(subquery, ast.Select):
@@ -191,12 +189,13 @@ class _Rewriter:
         return left.name
 
     def _window_name(self, windowed: ast.FunctionCall) -> str:
-        key = to_sql(windowed)
-        if key not in self._keys:
-            name = f"__win{len(self.windows)}"
-            self._keys[key] = name
-            self.windows.append((name, windowed))
-        return self._keys[key]
+        """The column computing ``windowed``: one per distinct window call."""
+        for name, existing in self.windows:
+            if existing == windowed:
+                return name
+        name = f"__win{len(self.windows)}"
+        self.windows.append((name, windowed))
+        return name
 
 
 def _strip_qualifier(expr: ast.Expression, alias: str) -> ast.Expression:
@@ -209,4 +208,4 @@ def _strip_qualifier(expr: ast.Expression, alias: str) -> ast.Expression:
             return ast.ColumnRef((node.name,))
         return None
 
-    return transform_topdown(copy.deepcopy(expr), visit)  # type: ignore[return-value]
+    return transform_topdown(expr, visit)  # type: ignore[return-value]

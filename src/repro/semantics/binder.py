@@ -147,6 +147,9 @@ class BoundSelect(FromSql):
     #: not an aggregate query).
     group_exprs: Optional[list[b.BoundExpr]] = None
     agg_calls: Sequence[b.BoundAggCall] = ()
+    #: The key slots each grouping set keeps (one set, every slot, for a
+    #: plain GROUP BY).
+    grouping_sets: Sequence[Sequence[int]] = ()
     #: An aggregate query's HAVING and ORDER BY keys, over that row.
     having: Optional[b.BoundExpr] = None
     order_by: Sequence[b.SortSpec] = ()
@@ -1266,7 +1269,7 @@ class QueryBinder:
         filtered = self._filtered(from_plan)
 
         group_exprs, grouping_sets, offset_mapping = self._bind_group_by(items)
-        self.bound.group_exprs = group_exprs
+        self.bound.group_exprs, self.bound.grouping_sets = group_exprs, grouping_sets
         mapping = {b.fingerprint(e): i for i, e in enumerate(group_exprs)}
 
         select_binder = ExprBinder(
@@ -1687,10 +1690,13 @@ class QueryBinder:
                         expr = item.expr
                         break
         bound = binder.bind(expr)
-        if any(isinstance(n, b.BoundMeasureEval) for n in b.walk(bound)):
-            raise MeasureError("cannot GROUP BY a measure")
-        if any(isinstance(n, b.BoundAggCall) for n in b.walk(bound)):
-            raise BindError("aggregate functions are not allowed in GROUP BY")
+        for node in b.walk(bound):
+            if isinstance(node, b.BoundMeasureEval):
+                raise MeasureError("cannot GROUP BY a measure")
+            if isinstance(node, b.BoundAggCall):
+                raise BindError("aggregate functions are not allowed in GROUP BY")
+            if isinstance(node, b.BoundCall) and node.op == "$GROUPING":
+                raise BindError("GROUPING is not allowed in GROUP BY")
         return bound
 
 

@@ -43,8 +43,9 @@ _CONSTRUCTS = {
     b.BoundMeasureEval: "a measure evaluated inside another measure's "
     "formula or context (a composed measure)",
     b.BoundSubquery: "a subquery inside a measure definition or a VISIBLE "
-    "conjunct",
-    b.BoundWindowCall: "a window call inside a dimension or a context",
+    "conjunct, or in a grouping-set query's SELECT list or HAVING",
+    b.BoundWindowCall: "a window call inside a dimension or a context, or in "
+    "a grouping-set query",
     b.BoundGroupingId: "GROUPING() inside a context",
     b.BoundOuterColumn: "a correlated reference into an aggregate query",
 }
@@ -54,9 +55,12 @@ def unbind(
     expr: b.BoundExpr,
     names: Frames,
     current: Optional[Mapping[str, ast.Expression]] = None,
+    hook: Optional[Callable[[b.BoundExpr], Optional[ast.Expression]]] = None,
 ) -> ast.Expression:
     """``expr`` as SQL, its columns spelled by ``names``.  ``current`` gives
-    ``CURRENT dim`` its value by dimension key (NULL when absent)."""
+    ``CURRENT dim`` its value by dimension key (NULL when absent).  ``hook``
+    prints the nodes its caller prints itself (a measure call, ``GROUPING()``,
+    a windowed aggregate): it returns their SQL, or None for everything else."""
 
     def column(depth: int, offset: int) -> ast.Expression:
         name = names[depth] if depth < len(names) else None
@@ -65,6 +69,10 @@ def unbind(
         return name(offset)
 
     def go(node: b.BoundExpr) -> ast.Expression:
+        if hook is not None:
+            printed = hook(node)
+            if printed is not None:
+                return printed
         kind = type(node)
         if kind is b.BoundColumn:
             return column(0, node.offset)

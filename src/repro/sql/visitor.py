@@ -1,8 +1,11 @@
 """Generic AST traversal and transformation helpers.
 
-:func:`transform` rebuilds an AST bottom-up, calling a function on every
-expression node and replacing it with the function's result.  It is the
-workhorse of the measure expansion rewrites in :mod:`repro.core.expansion`.
+Both transforms build a new tree and never assign into the one they are
+given.  :func:`transform_topdown` lets a function replace a node before its
+children are visited; the measure expansion (:mod:`repro.core.expansion`)
+and WinMagic print their rewrites with it.  :func:`transform` rebuilds
+bottom-up, calling a function on every expression node (the fingerprint
+tests use it as their reference normalizer).
 """
 
 from __future__ import annotations

@@ -133,3 +133,14 @@ def test_rollup_of_expression(sales):
            ORDER BY 1 NULLS LAST"""
     ).rows
     assert rows == [("NORTH", 30), ("SOUTH", 12), (None, 42)]
+
+
+@pytest.mark.parametrize("key", ["1", "g"])
+def test_grouping_as_a_grouping_key_is_refused_at_bind_time(sales, key):
+    # By ordinal or by alias, the key is GROUPING(...) itself: refused with
+    # the GROUP BY's own checks, before a plan is built.
+    sql = f"SELECT GROUPING(region) AS g, COUNT(*) FROM sales GROUP BY {key}"
+    with pytest.raises(BindError, match="GROUPING is not allowed in GROUP BY"):
+        sales.execute(sql)
+    with pytest.raises(BindError, match="GROUPING is not allowed in GROUP BY"):
+        sales.execute(f"EXPLAIN {sql}")

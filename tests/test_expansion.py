@@ -604,3 +604,118 @@ def test_parameters_keep_their_index_through_every_strategy(
         assert "GROUP BY" in sql
         return
     assert got == expected
+
+
+# -- a view's column list ---------------------------------------------------------
+
+COLUMN_LIST_VIEWS = {
+    "star": (
+        "CREATE VIEW star (a, b, c, d, e) AS SELECT * FROM Orders",
+        "SELECT a, c, d FROM star WHERE e > 1 ORDER BY 1, 2, 3",
+    ),
+    "star-measure": (
+        "CREATE VIEW starm (a, b, c, d, e, m) AS "
+        "SELECT *, SUM(revenue) AS MEASURE m FROM Orders",
+        "SELECT a, AGGREGATE(m) AS t, m AT (ALL) AS total FROM starm "
+        "GROUP BY a ORDER BY 1",
+    ),
+    "union-all": (
+        "CREATE VIEW duo (who, amount) AS "
+        "SELECT prodName, revenue FROM Orders "
+        "UNION ALL SELECT custName, cost FROM Orders",
+        "SELECT who, SUM(amount) AS s FROM duo GROUP BY who ORDER BY 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_LIST_VIEWS))
+def test_a_view_column_list_expands_four_ways(listings_db, sqlite_paper, name):
+    """The view prints from its own bind, under the names its column list
+    declares — over a ``*``, beside a measure, over a set operation."""
+    ddl, sql = COLUMN_LIST_VIEWS[name]
+    listings_db.execute(ddl)
+    assert _four_ways(listings_db, sqlite_paper, sql)
+
+
+#: Grouping sets beside the one ROLLUP of SHAPES.
+GROUPING_SET_SHAPES = [
+    """SELECT prodName, custName, GROUPING(prodName, custName) AS g,
+              AGGREGATE(r) AS a, r AT (VISIBLE) AS v
+       FROM mv WHERE custName <> 'Bob' GROUP BY CUBE(prodName, custName)
+       HAVING AGGREGATE(r) > 0 ORDER BY a DESC""",
+    """SELECT DISTINCT orderYear, r FROM mv AS m
+       GROUP BY GROUPING SETS ((m.orderYear), ()) ORDER BY 1""",
+]
+
+
+def test_expansion_leaves_its_input_and_the_catalog_as_parsed(listings_db):
+    """Every strategy prints a new tree: the statement it was given and
+    every view it inlined still equal a fresh parse of their text."""
+    from repro.sql import ast, parse_query, parse_statement, to_sql
+
+    ddls = [*SETUP.values(), *(ddl for ddl, _ in COLUMN_LIST_VIEWS.values())]
+    for ddl in ddls[len(SETUP):]:
+        listings_db.execute(ddl)
+    queries = [
+        *LISTINGS.values(),
+        *SHAPES.values(),
+        *GROUPING_SET_SHAPES,
+        *(sql for _, sql in COLUMN_LIST_VIEWS.values()),
+    ]
+    accepted = set()
+    for sql in queries:
+        for strategy in EXPANSION_STRATEGIES:
+            query = parse_query(sql)
+            try:
+                listings_db.expand_query(query, strategy=strategy)
+            except UnsupportedError:
+                continue  # not the strategy's shape
+            accepted.add(strategy)
+            fresh = parse_query(sql)
+            assert query == fresh and to_sql(query) == to_sql(fresh), (strategy, sql)
+    assert accepted == set(EXPANSION_STRATEGIES)
+    for ddl in ddls:
+        statement = parse_statement(ddl)
+        assert isinstance(statement, ast.CreateView)
+        view = listings_db.catalog.get(statement.name)
+        assert view.query == statement.query
+        assert to_sql(view.query) == to_sql(statement.query)
+
+
+def test_the_ast_preparation_is_gone():
+    """The expansion binds the statement's own AST and prints a new tree:
+    no AST preparation, no deep copy, no key matched by its printed text."""
+    import ast as python_ast
+    import pathlib
+
+    import repro.core
+    from repro.core import expansion
+
+    for name in ("_prepare", "_prepare_from", "_fresh_cte_name", "_view_query",
+                 "_expand_grouping_sets"):
+        assert not hasattr(expansion.Expander, name), name
+    assert not hasattr(expansion, "_GroupingSetBranch")
+    for path in pathlib.Path(repro.core.__file__).parent.glob("*.py"):
+        tree = python_ast.parse(path.read_text())
+        imported = {
+            alias.name for node in python_ast.walk(tree)
+            if isinstance(node, python_ast.Import) for alias in node.names
+        } | {
+            node.module for node in python_ast.walk(tree)
+            if isinstance(node, python_ast.ImportFrom)
+        }
+        assert "copy" not in imported, path.name
+
+
+def test_a_measure_over_a_cte_named_like_a_table_reads_the_cte(paper_db):
+    """A measure source's FROM prints in the scope it was defined in: here
+    the renamed CTE, not the catalog's ``Orders``."""
+    sql = (
+        "WITH Orders AS (SELECT 'Happy' AS prodName, 1 AS revenue "
+        "UNION ALL SELECT 'Acme', 2), "
+        "m AS (SELECT prodName, SUM(revenue) AS MEASURE s FROM Orders) "
+        "SELECT prodName, AGGREGATE(s) AS t FROM m GROUP BY prodName"
+    )
+    interpreted = sorted(paper_db.execute(sql).rows)
+    assert interpreted == [("Acme", 2), ("Happy", 1)]
+    assert sorted(paper_db.execute(paper_db.expand(sql)).rows) == interpreted

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database
+from repro import Database, UnsupportedError
 from tests.test_expansion import sqlite_paper  # noqa: F401 (a fixture)
 
 
@@ -214,3 +214,69 @@ def test_limit_applies_to_whole_union(gdb):
     rows = gdb.execute(expanded).rows
     assert len(rows) == 2
     assert rows[0][1] == 25  # the grand total sorts first
+
+
+#: Grouping-set queries whose keys are spelled differently in GROUP BY and in
+#: the SELECT list: the expansion decides a branch's keys by slot, so each
+#: spelling prints the same branches.
+SPELLINGS = {
+    "qualified-key-bare-item": """
+        SELECT prodName, AGGREGATE(rev) AS r FROM eo AS v
+        GROUP BY ROLLUP(v.prodName)""",
+    "bare-key-qualified-item": """
+        SELECT v.prodName, AGGREGATE(rev) AS r FROM eo AS v
+        GROUP BY ROLLUP(prodName)""",
+    "ordinal-key": """
+        SELECT prodName, AGGREGATE(rev) AS r FROM eo AS v GROUP BY ROLLUP(1)""",
+    "alias-key": """
+        SELECT prodName AS p, AGGREGATE(rev) AS r FROM eo AS v
+        GROUP BY ROLLUP(p)""",
+    "key-inside-a-function": """
+        SELECT UPPER(prodName) AS u, AGGREGATE(rev) AS r FROM eo AS v
+        GROUP BY ROLLUP(v.prodName)""",
+    "key-inside-a-case": """
+        SELECT CASE WHEN v.prodName = 'Happy' THEN 'h' ELSE 'o' END AS h,
+               AGGREGATE(rev) AS r
+        FROM eo AS v GROUP BY ROLLUP(prodName)""",
+    "grouping-of-a-bare-name": """
+        SELECT prodName, GROUPING(prodName) AS g, AGGREGATE(rev) AS r
+        FROM eo AS v GROUP BY ROLLUP(v.prodName)""",
+    "no-measure": """
+        SELECT prodName, SUM(revenue) AS s FROM Orders AS o
+        GROUP BY ROLLUP(o.prodName)""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPELLINGS))
+def test_a_key_spelled_two_ways_expands_four_ways(gdb, sqlite_paper, name):
+    sql = SPELLINGS[name]
+    interpreted = sorted(_numbers_as_floats(gdb.execute(sql).rows), key=repr)
+    assert len(interpreted) > 1  # the grand total and some group
+    expanded = gdb.expand(sql)
+    assert "ROLLUP" not in expanded and "UNION ALL" in expanded
+    for rows in (
+        gdb.execute(expanded).rows,
+        gdb.execute_with_strategy(sql, strategy="subquery").rows,
+        sqlite_paper.execute(expanded).fetchall(),
+    ):
+        assert sorted(_numbers_as_floats(rows), key=repr) == interpreted
+
+
+def test_one_grouping_set_orders_by_a_key_it_does_not_return(gdb):
+    # One grouping set is one plain query: a sort key outside the SELECT
+    # list prints there, over the Aggregate row.
+    sql = """SELECT prodName, AGGREGATE(rev) AS r FROM eo
+             GROUP BY GROUPING SETS ((prodName)) ORDER BY MAX(y) DESC, 1"""
+    expanded = gdb.expand(sql)
+    assert "UNION" not in expanded
+    assert gdb.execute(expanded).rows == gdb.execute(sql).rows
+
+
+def test_qualify_over_grouping_sets_is_refused_not_dropped(gdb):
+    # The interpreter keeps the grand total and Happy only; a branch
+    # printed without the QUALIFY would return every product.
+    sql = """SELECT prodName, SUM(revenue) AS s FROM Orders
+             GROUP BY ROLLUP(prodName) QUALIFY SUM(revenue) > 5"""
+    assert sorted(gdb.execute(sql).rows, key=repr) == [("Happy", 17), (None, 25)]
+    with pytest.raises(UnsupportedError, match="QUALIFY"):
+        gdb.expand(sql)

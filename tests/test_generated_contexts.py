@@ -3,14 +3,16 @@
 A hypothesis generator of measure *queries* —
 
     SELECT dims, m [AT (ALL d | SET d = CURRENT d +/- k | WHERE d = v.d | WHERE d = ?)]
-    FROM v [WHERE ...] GROUP BY dims | ROLLUP(dims)
+    FROM v [WHERE ...] GROUP BY keys | ROLLUP(keys) | CUBE(keys)
+                              | GROUPING SETS ((keys), (last key), ())
 
-with one to three grouping dimensions — over the paper's Orders table and a
-small star whose fact rows are generated, NULL-heavy, and whose dimension
-table may be empty.  Every query must give the same rows from the
-interpreter, ``Database(cache=False)`` (no memo, no grouping: every row
-tested), ``Database(optimizer=False)`` and SQLite running ``db.expand()``'s
-text.  The only queries SQLite does not see are those the expansion refuses
+with one to three grouping dimensions, each spelled in GROUP BY as ``d``,
+``v.d`` or its ordinal whatever the SELECT list says — over the paper's
+Orders table and a small star whose fact rows are generated, NULL-heavy, and
+whose dimension table may be empty.  Every query must give the same rows
+from the interpreter, ``Database(cache=False)`` (no memo, no grouping: every
+row tested), ``Database(optimizer=False)`` and SQLite running
+``db.expand()``'s text.  The only queries SQLite does not see are those the expansion refuses
 by name (:data:`REFUSED`); any other error must be the same on every leg.
 Derandomized, so tier-1 sees the same examples on every run.
 """
@@ -118,7 +120,19 @@ def queries(draw):
             f" WHERE {dim} = {draw(st.sampled_from(constants[dim]))}",
         ]))
     keys = ", ".join(grouped)
-    group = f"ROLLUP({keys})" if draw(st.booleans()) else keys
+    # GROUP BY spells each key its own way, whatever the SELECT list says.
+    spelled = [
+        draw(st.sampled_from([dim, f"v.{dim}", str(index + 1)]))
+        for index, dim in enumerate(grouped)
+    ]
+    group = ", ".join(spelled)
+    form = draw(st.sampled_from(["plain", "rollup", "cube", "sets"]))
+    if form == "rollup":
+        group = f"ROLLUP({group})"
+    elif form == "cube":
+        group = f"CUBE({group})"
+    elif form == "sets":
+        group = f"GROUPING SETS (({group}), ({spelled[-1]}), ())"
     sql = f"SELECT {keys}, {', '.join(items)} FROM {view} AS v{where} GROUP BY {group}"
     return view, sql, tuple(params)
 

@@ -161,3 +161,12 @@ def test_multi_agg_formula_becomes_multiple_window_calls(sdb):
     windowed = sdb.expand(sql, strategy="window")
     assert windowed.count("OVER") >= 2
     assert sdb.execute(windowed).rows == sdb.execute(sql).rows
+
+
+def test_inline_refuses_qualify_instead_of_dropping_it(sdb):
+    sql = """SELECT prodName, AGGREGATE(rev) AS r FROM eo
+             GROUP BY prodName QUALIFY AGGREGATE(rev) > 5"""
+    assert sdb.execute(sql).rows == [("Happy", 17)]
+    with pytest.raises(UnsupportedError, match="QUALIFY"):
+        sdb.expand(sql, strategy="inline")
+    assert sdb.execute(sdb.expand(sql, strategy="auto")).rows == [("Happy", 17)]
