@@ -49,8 +49,11 @@ server-smoke:
 replay-smoke:
 	python scripts/replay_smoke.py replay/journal.jsonl
 
+# Run every example; any one that fails fails the target.
 examples:
-	@for f in examples/*.py; do echo "== $$f =="; python $$f > /dev/null && echo ok; done
+	@failed=0; for f in examples/*.py; do echo "== $$f =="; \
+		if python $$f > /dev/null; then echo ok; else echo FAILED; failed=1; fi; \
+	done; exit $$failed
 
 lint:
 	python -m repro.analysis --self-check

@@ -108,15 +108,11 @@ def test_a01_aggregate_site_strategies(benchmark, strategy, size):
 
 @pytest.mark.parametrize("size", [1000])
 def test_a01_winmagic_rewrite(benchmark, size):
-    """The classic WinMagic rewrite (section 5.1): q1's correlated subquery
-    becomes q3's window aggregate, eliminating the second pass."""
-    from repro.core.winmagic import winmagic_rewrite
-    from repro.sql import parse_query, to_sql
-
+    """The classic WinMagic rewrite (section 5.1): the window strategy
+    prints q1's correlated subquery as q3's window aggregate, eliminating
+    the second pass."""
     db = workload_db(size)
-    rewritten = to_sql(
-        winmagic_rewrite(db, parse_query(FORMULATIONS["q1-correlated-subquery"]))
-    )
+    rewritten = db.expand(FORMULATIONS["q1-correlated-subquery"], strategy="window")
     benchmark.group = f"A01 strategy n={size}"
     result = benchmark(db.execute, rewritten)
     original = db.execute(FORMULATIONS["q1-correlated-subquery"]).rows

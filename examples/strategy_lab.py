@@ -78,15 +78,12 @@ print("\n3. Subquery rewrite:")
 sub = db.expand(ROW_QUERY, strategy="subquery")
 timed("execute subquery SQL", db.execute, sub)
 
-print("\n4. WinMagic (Zuzarte et al. 2003): the expanded correlated subquery")
-print("   rewritten back to a window aggregate, closing the section 5.1 loop:")
-from repro.core.winmagic import winmagic_rewrite
-from repro.sql import parse_query, to_sql
-
+print("\n4. WinMagic (Zuzarte et al. 2003): the window rewrite of query 1's")
+print("   correlated subquery, closing the section 5.1 loop:")
 Q1 = """SELECT o.prodName, o.orderDate FROM Orders AS o
         WHERE o.revenue > (SELECT AVG(revenue) FROM Orders AS o1
                            WHERE o1.prodName = o.prodName)"""
-winmagicked = to_sql(winmagic_rewrite(db, parse_query(Q1)))
+winmagicked = db.expand(Q1, strategy="window")
 print(f"   {winmagicked[:110]}...")
 timed("execute WinMagic SQL", db.execute, winmagicked)
 timed("execute original q1", db.execute, Q1)

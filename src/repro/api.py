@@ -1144,9 +1144,8 @@ class Database:
         ``strategy`` selects the rewrite (paper section 6.4): ``"subquery"``
         (the general correlated-subquery expansion of section 4.2),
         ``"inline"`` (inline the formula into a simple GROUP BY query),
-        ``"window"`` (rewrite to window aggregates, section 5.1),
-        ``"winmagic"`` (the subquery expansion, its correlated subqueries
-        then rewritten to window aggregates by WinMagic), or ``"auto"`` (try
+        ``"window"`` (rewrite row-grain measure uses and correlated
+        subqueries to window aggregates, section 5.1), or ``"auto"`` (try
         inline, then window, then fall back to subquery).
 
         A ``?`` that the rewrite copies into a measure's subquery is printed
@@ -1190,7 +1189,7 @@ class Database:
 
         ``"interpreter"`` runs the query directly (the top-down measure
         interpreter).  Any expansion strategy (``"subquery"``,
-        ``"inline"``, ``"window"``, ``"winmagic"``, ``"auto"``) first
+        ``"inline"``, ``"window"``, ``"auto"``) first
         rewrites the query to measure-free SQL, then executes the
         rewritten form.  Timing is recorded in the statement statistics
         (``repro_stat_statements``) under the *original* statement's

@@ -11,7 +11,7 @@ Backslash meta-commands:
 ``\\profile``               toggle per-query profiling (annotated operator
                            tree, phase timings, and counters after each query)
 ``\\expand [STRAT:] QUERY`` show the measure-free SQL a query expands to
-                           (STRAT: subquery, inline, window, winmagic, auto)
+                           (STRAT: subquery, inline, window, auto)
 ``\\analyze [NAME]``        collect column statistics (ANALYZE) for one
                            table or every table
 ``\\record PATH``           start journaling statements to PATH
@@ -62,7 +62,7 @@ _HELP = """Meta commands:
   \\timing            toggle timing
   \\profile           toggle per-query profiling (plan tree + counters)
   \\expand [S:] QUERY; print the measure-free expansion of QUERY using
-                     strategy S (subquery, inline, window, winmagic, auto)
+                     strategy S (subquery, inline, window, auto)
   \\analyze [NAME]    collect column statistics for NAME or all tables
                      (ANALYZE in SQL; repro_table_stats/repro_column_stats)
   \\record PATH       journal every statement to PATH for later replay

@@ -86,7 +86,7 @@ __all__ = [
 ]
 
 #: The strategy names :func:`expand_query_ast` dispatches on.
-EXPANSION_STRATEGIES = ("subquery", "inline", "window", "winmagic", "auto")
+EXPANSION_STRATEGIES = ("subquery", "inline", "window", "auto")
 
 
 def _traced_attempt(tracer, name: str, thunk):
@@ -94,15 +94,13 @@ def _traced_attempt(tracer, name: str, thunk):
     recording whether the shape was supported."""
     if tracer is None:
         return thunk()
-    span = tracer.begin(f"expand:{name}", "expand")
-    try:
-        result = thunk()
-    except UnsupportedError:
-        span.meta["outcome"] = "unsupported"
-        tracer.end(span)
-        raise
-    span.meta["outcome"] = "ok"
-    tracer.end(span)
+    with tracer.span(f"expand:{name}", "expand") as span:
+        try:
+            result = thunk()
+        except UnsupportedError:
+            span.meta["outcome"] = "unsupported"
+            raise
+        span.meta["outcome"] = "ok"
     return result
 
 
@@ -125,59 +123,15 @@ def expand_query_ast(
                 continue
         return expand_query_ast(db, query, strategy="subquery", tracer=tracer)
     from repro.core.strategies import inline_expand, window_expand
-    from repro.core.winmagic import winmagic_rewrite
-
-    def winmagic() -> ast.Query:
-        # Section 6.3: expand to the general correlated-subquery form,
-        # then de-correlate it into window aggregates.  Raises
-        # UnsupportedError when the expanded shape is not a WinMagic
-        # pattern, so the strategy composes with the others' contract.
-        expanded = Expander(db).expand_query(query)
-        if isinstance(expanded, ast.Select):
-            source = _collapse_identity_projection(expanded.from_clause)
-            expanded = replace(expanded, from_clause=source)
-        return winmagic_rewrite(db, expanded)
 
     attempts = {
         "subquery": lambda: Expander(db).expand_query(query),
         "inline": lambda: inline_expand(db, query, tracer=tracer),
         "window": lambda: window_expand(db, query, tracer=tracer),
-        "winmagic": winmagic,
     }
     if strategy not in attempts:
         raise UnsupportedError(f"unknown expansion strategy {strategy!r}")
     return _traced_attempt(tracer, strategy, attempts[strategy])
-
-
-def _collapse_identity_projection(
-    from_clause: Optional[ast.TableRef],
-) -> Optional[ast.TableRef]:
-    """``(SELECT c AS c, ... FROM T) AS o`` -> ``T AS o`` when trivial.
-
-    The subquery expander wraps the source table in an identity
-    projection of the referenced columns; WinMagic wants the bare table.
-    Collapsing is only done when the inner query is a pure column-list
-    projection of a single base table — no predicate, grouping, DISTINCT,
-    ordering, or computed item — so it never changes row multiplicity or
-    values.
-    """
-    if not isinstance(from_clause, ast.SubqueryRef):
-        return from_clause
-    inner = from_clause.query
-    if not (
-        isinstance(inner, ast.Select)
-        and inner == ast.Select(inner.items, inner.from_clause)  # nothing else
-        and isinstance(inner.from_clause, ast.TableName)
-        and inner.from_clause.alias is None
-    ):
-        return from_clause
-    for item in inner.items:
-        expr = item.expr
-        if not (isinstance(expr, ast.ColumnRef) and len(expr.parts) == 1):
-            return from_clause
-        if (item.alias or expr.name).lower() != expr.name.lower():
-            return from_clause
-    return ast.TableName(inner.from_clause.name, alias=from_clause.alias)
 
 
 def materialized(relation: BoundRelation) -> list:

@@ -36,6 +36,9 @@ __all__ = [
 class Accumulator:
     """Base accumulator; subclasses override :meth:`add` and :meth:`result`."""
 
+    #: ``add(None)`` changes nothing: a NULL input is no input.
+    skips_nulls = True
+
     def add(self, value: Any) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -56,6 +59,8 @@ class _Count(Accumulator):
 
 
 class _CountStar(Accumulator):
+    skips_nulls = False
+
     def __init__(self) -> None:
         self.count = 0
 
@@ -223,6 +228,8 @@ class _StringAgg(Accumulator):
 class _FirstLast(Accumulator):
     """FIRST_VALUE / LAST_VALUE as aggregates (used for semi-additive
     measures, e.g. inventory-on-hand rolled up with LAST_VALUE over time)."""
+
+    skips_nulls = False
 
     def __init__(self, is_last: bool) -> None:
         self.is_last = is_last

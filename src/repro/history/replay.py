@@ -5,8 +5,8 @@
 sequence order against the fresh database:
 
 * entries recorded under an expansion strategy are replayed through
-  :meth:`Database.execute_with_strategy`, so inline/window/subquery/
-  winmagic runs are re-expanded the same way;
+  :meth:`Database.execute_with_strategy`, so inline/window/subquery
+  runs are re-expanded the same way;
 * cancelled entries are skipped — a cancellation is an artifact of the
   original run's timing, not of the workload;
 * entries that *errored* are replayed expecting the same error: the

@@ -3,9 +3,9 @@
 Both transforms build a new tree and never assign into the one they are
 given.  :func:`transform_topdown` lets a function replace a node before its
 children are visited; the measure expansion (:mod:`repro.core.expansion`)
-and WinMagic print their rewrites with it.  :func:`transform` rebuilds
-bottom-up, calling a function on every expression node (the fingerprint
-tests use it as their reference normalizer).
+and its window strategy print their rewrites with it.  :func:`transform`
+rebuilds bottom-up, calling a function on every expression node (the
+fingerprint tests use it as their reference normalizer).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from repro.sql import ast
 
-__all__ = ["transform", "find_all", "contains", "split_and", "and_all"]
+__all__ = ["transform", "find_all", "contains", "and_all"]
 
 NodeT = TypeVar("NodeT", bound=ast.Node)
 
@@ -122,19 +122,8 @@ def contains(node: ast.Node, node_type: type[ast.Node]) -> bool:
     return next(find_all(node, node_type), None) is not None
 
 
-def split_and(expr: Optional[ast.Expression]) -> list[ast.Expression]:
-    """The top-level AND conjuncts of a predicate, left to right (none for
-    an absent one)."""
-    if expr is None:
-        return []
-    if isinstance(expr, ast.Binary) and expr.op == "AND":
-        return split_and(expr.left) + split_and(expr.right)
-    return [expr]
-
-
 def and_all(conjuncts: Iterable[ast.Expression]) -> Optional[ast.Expression]:
-    """The left-deep AND of ``conjuncts`` (None for none): the inverse of
-    :func:`split_and`."""
+    """The left-deep AND of ``conjuncts`` (None for none)."""
     result: Optional[ast.Expression] = None
     for conjunct in conjuncts:
         result = conjunct if result is None else ast.Binary("AND", result, conjunct)

@@ -108,7 +108,7 @@ class Telemetry:
     the :class:`~repro.introspect.statements.StatementStatsStore`.  The
     Database hands :meth:`observe` one :class:`StatementRecord` per
     finished statement and calls the ``record_*`` feeds from the matview /
-    expansion / winmagic / lint paths; nothing here reads a clock except
+    expansion / lint paths; nothing here reads a clock except
     the timestamping of the non-statement events, which only happens when
     telemetry is on.
     """
@@ -189,11 +189,6 @@ class Telemetry:
             "expansions_total",
             "Measure expansions requested, by strategy.",
             ("strategy",),
-        )
-        self.winmagic_total = reg.counter(
-            "winmagic_total",
-            "WinMagic rewrite attempts, by outcome.",
-            ("outcome",),
         )
         self.lint_diagnostics_total = reg.counter(
             "lint_diagnostics_total",
@@ -326,9 +321,6 @@ class Telemetry:
 
     def record_expansion(self, strategy: str) -> None:
         self.expansions_total.inc(strategy=strategy)
-
-    def record_winmagic(self, outcome: str) -> None:
-        self.winmagic_total.inc(outcome=outcome)
 
     def record_lint(self, diagnostics: Iterable[Any]) -> None:
         codes: List[str] = []

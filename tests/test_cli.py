@@ -296,4 +296,4 @@ def test_help_lists_new_commands(shell):
     assert "\\analyze" in text
     assert "\\record" in text
     assert "\\watch" in text
-    assert "winmagic" in text
+    assert "window" in text

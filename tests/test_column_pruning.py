@@ -91,7 +91,7 @@ def test_tpch_queries_both_ways(tpch_pair, name):
 
 @pytest.mark.parametrize(
     "strategy, at_least",
-    [("subquery", 15), ("inline", 2), ("window", 1), ("winmagic", 2), ("auto", 15)],
+    [("subquery", 15), ("inline", 2), ("window", 2), ("auto", 15)],
 )
 def test_expansion_strategies_both_ways(listing_pair, tpch_pair, strategy, at_least):
     """The expanded SQL is all joins, derived tables and correlated

@@ -264,7 +264,7 @@ class TestServerRecording:
 class TestStrategyReplay:
     #: Every expansion strategy listing12_q4 supports (inline requires a
     #: plain aggregate shape — covered separately on listing 4).
-    STRATEGIES = ("subquery", "window", "winmagic", "auto")
+    STRATEGIES = ("subquery", "window", "auto")
 
     def test_paper_listing_replays_under_every_strategy(self, tmp_path):
         from repro.workloads.listings import LISTINGS

@@ -274,6 +274,7 @@ def test_e11_listing12_measure_rewrites(paper_db):
     sub = paper_db.expand(LISTING12_Q4, strategy="subquery")
     win = paper_db.expand(LISTING12_Q4, strategy="window")
     assert "OVER" not in sub and "OVER" in win
+    assert "(SELECT" not in win.replace("FROM (SELECT", "")  # one pass
     assert paper_db.execute(sub).rows == LISTING12_EXPECTED
     assert paper_db.execute(win).rows == LISTING12_EXPECTED
 

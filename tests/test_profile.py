@@ -664,15 +664,15 @@ def test_expand_auto_traced(orders_db):
 
 
 def test_winmagic_is_one_expand_span(orders_db):
+    """A correlated subquery rewritten to a window aggregate: one attempt."""
     orders_db.profile_enabled = True
     orders_db.expand(
-        """SELECT o.prodName, o.orderDate FROM
-             (SELECT prodName, orderDate, revenue,
-                     AVG(revenue) AS MEASURE avgRevenue FROM Orders) AS o
-           WHERE o.revenue >= o.avgRevenue AT (WHERE prodName = o.prodName)""",
-        strategy="winmagic",
+        """SELECT o.prodName, o.orderDate FROM Orders AS o
+           WHERE o.revenue >= (SELECT AVG(revenue) FROM Orders AS i
+                               WHERE i.prodName = o.prodName)""",
+        strategy="window",
     )
     attempts = [
         s for s in orders_db.last_profile().root_span.walk() if s.kind == "expand"
     ]
-    assert [(s.name, s.meta["outcome"]) for s in attempts] == [("expand:winmagic", "ok")]
+    assert [(s.name, s.meta["outcome"]) for s in attempts] == [("expand:window", "ok")]

@@ -1,8 +1,9 @@
 """Property tests: profiled cardinalities are self-consistent.
 
 For random data and the paper's Listing 12 query family, executed under
-``profile=True`` through three rewrite strategies (the general correlated
-subquery expansion, the window-aggregate rewrite, and the WinMagic rewrite),
+``profile=True`` through three rewrites (the general correlated subquery
+expansion and the window strategy of the measure query, and the window
+strategy of the correlated subquery, WinMagic's rewrite),
 the reported operator tree must satisfy:
 
 * the root operator's ``rows_out`` equals the result cardinality, and
@@ -19,8 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
-from repro.sql import parse_statement, to_sql
-from repro.sql.ast import QueryStatement
 
 rows_strategy = st.lists(
     st.tuples(
@@ -51,13 +50,12 @@ def make_db(rows) -> Database:
     return db
 
 
-def winmagic_sql(db: Database) -> str:
-    """The WinMagic rewrite of the correlated formulation, as SQL."""
-    from repro.core.winmagic import winmagic_rewrite
-
-    statement = parse_statement(CORRELATED_SQL)
-    assert isinstance(statement, QueryStatement)
-    return to_sql(winmagic_rewrite(db, statement.query))
+#: Each rewrite: the query it starts from and the strategy it expands by.
+REWRITES = {
+    "expand": (MEASURE_SQL, "subquery"),
+    "window": (MEASURE_SQL, "window"),
+    "winmagic": (CORRELATED_SQL, "window"),
+}
 
 
 def check_cardinalities(profile, result) -> None:
@@ -80,14 +78,9 @@ def walk(node):
 
 
 def run_strategy(db: Database, strategy: str):
-    """Execute the workload via one strategy; returns (result, profile)."""
-    if strategy == "expand":
-        sql = db.expand(MEASURE_SQL, strategy="subquery")
-    elif strategy == "window":
-        sql = db.expand(MEASURE_SQL, strategy="window")
-    else:  # winmagic
-        sql = winmagic_sql(db)
-    result = db.execute(sql)
+    """Execute the workload via one rewrite; returns (result, profile)."""
+    query, rewrite = REWRITES[strategy]
+    result = db.execute(db.expand(query, strategy=rewrite))
     return result, db.last_profile()
 
 
@@ -96,7 +89,7 @@ def run_strategy(db: Database, strategy: str):
 def test_cardinality_consistency_across_strategies(rows):
     db = make_db(rows)
     results = {}
-    for strategy in ("expand", "window", "winmagic"):
+    for strategy in REWRITES:
         result, profile = run_strategy(db, strategy)
         check_cardinalities(profile, result)
         results[strategy] = result.rows
@@ -129,7 +122,7 @@ def test_profile_counters_consistent(rows):
 
 
 @settings(max_examples=30, deadline=None)
-@given(rows_strategy, st.sampled_from(["expand", "window", "winmagic"]))
+@given(rows_strategy, st.sampled_from(sorted(REWRITES)))
 def test_profile_agrees_with_unprofiled_run(rows, strategy):
     """Profiling must not change results: the same strategy with profiling
     off returns identical rows."""
@@ -139,11 +132,6 @@ def test_profile_agrees_with_unprofiled_run(rows, strategy):
         "t", [("g", "VARCHAR"), ("v", "INTEGER")], rows
     )
     result, profile = run_strategy(profiled, strategy)
-    if strategy == "expand":
-        sql = plain.expand(MEASURE_SQL, strategy="subquery")
-    elif strategy == "window":
-        sql = plain.expand(MEASURE_SQL, strategy="window")
-    else:
-        sql = winmagic_sql(plain)
-    assert plain.execute(sql).rows == result.rows
+    query, rewrite = REWRITES[strategy]
+    assert plain.execute(plain.expand(query, strategy=rewrite)).rows == result.rows
     assert profile is not None and profile.result_rows == len(result.rows)

@@ -539,7 +539,7 @@ def test_every_profiled_query_emits_its_query_event():
     assert all(set(e["phases"]) >= {"parse", "execute"} for e in queries)
 
 
-# -- expansion / winmagic feeds ----------------------------------------------
+# -- expansion feeds ---------------------------------------------------------
 
 
 def test_expansion_counter():
@@ -550,28 +550,6 @@ def test_expansion_counter():
            GROUP BY prodName"""
     )
     assert db.telemetry.expansions_total.value(strategy="subquery") == 1
-
-
-def test_winmagic_counter_by_outcome():
-    from repro.core.winmagic import winmagic_rewrite
-    from repro.errors import UnsupportedError
-    from repro.sql import ast
-
-    db = make_db(telemetry=True)
-    supported = parse_statement(
-        """SELECT o.prodName FROM Orders AS o
-           WHERE o.revenue > (SELECT AVG(i.revenue) FROM Orders AS i
-                              WHERE i.prodName = o.prodName)"""
-    )
-    assert isinstance(supported, ast.QueryStatement)
-    winmagic_rewrite(db, supported.query)
-    assert db.telemetry.winmagic_total.value(outcome="rewritten") == 1
-
-    unsupported = parse_statement("SELECT COUNT(*) FROM Orders GROUP BY prodName")
-    assert isinstance(unsupported, ast.QueryStatement)
-    with pytest.raises(UnsupportedError):
-        winmagic_rewrite(db, unsupported.query)
-    assert db.telemetry.winmagic_total.value(outcome="unsupported") == 1
 
 
 # -- shell commands -----------------------------------------------------------

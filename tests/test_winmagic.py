@@ -1,16 +1,22 @@
-"""The WinMagic rewrite (paper section 5.1, Zuzarte et al. 2003)."""
+"""The WinMagic rewrite (paper section 5.1, Zuzarte et al. 2003): the window
+strategy prints a correlated subquery over the query's own table as a window
+aggregate, read off the bind."""
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
 from repro import Database, UnsupportedError
-from repro.core.winmagic import winmagic_rewrite
-from repro.sql import parse_query, to_sql
+from repro.core.expansion import EXPANSION_STRATEGIES
+from repro.errors import SqlError
 
 
 def rewrite(db: Database, sql: str) -> str:
-    return to_sql(winmagic_rewrite(db, parse_query(sql)))
+    rewritten = db.expand(sql, strategy="window")
+    assert "(SELECT" not in rewritten.replace("FROM (SELECT", "")
+    return rewritten
 
 
 Q1 = """SELECT o.prodName, o.orderDate FROM Orders AS o
@@ -21,8 +27,7 @@ Q1 = """SELECT o.prodName, o.orderDate FROM Orders AS o
 
 def test_listing12_q1_becomes_q3(paper_db):
     rewritten = rewrite(paper_db, Q1)
-    assert "OVER (PARTITION BY prodName)" in rewritten
-    assert "(SELECT" not in rewritten.replace("FROM (SELECT", "")
+    assert "OVER (PARTITION BY i1.prodName)" in rewritten
     assert paper_db.execute(rewritten).rows == paper_db.execute(Q1).rows
 
 
@@ -52,7 +57,18 @@ def test_multi_key_correlation(paper_db):
                                    AND i.custName = o.custName)
              ORDER BY 1"""
     rewritten = rewrite(paper_db, sql)
-    assert "PARTITION BY prodName, custName" in rewritten
+    assert "PARTITION BY i1.prodName, i1.custName" in rewritten
+    assert paper_db.execute(rewritten).rows == paper_db.execute(sql).rows
+
+
+def test_unqualified_inner_column_correlates(paper_db):
+    """The binder resolves ``prodName`` to the inner row; no alias is read."""
+    sql = """SELECT o.prodName FROM Orders AS o
+             WHERE o.revenue > (SELECT AVG(revenue) FROM Orders AS i
+                                WHERE prodName = o.prodName)
+             ORDER BY 1"""
+    rewritten = rewrite(paper_db, sql)
+    assert "OVER (PARTITION BY" in rewritten
     assert paper_db.execute(rewritten).rows == paper_db.execute(sql).rows
 
 
@@ -125,3 +141,97 @@ def test_winmagic_on_synthetic_workload():
     db = workload_database(WorkloadConfig(orders=500, products=10, customers=20))
     rewritten = rewrite(db, Q1)
     assert sorted(db.execute(rewritten).rows) == sorted(db.execute(Q1).rows)
+
+
+# -- what reading the bind instead of the printed SQL fixes ---------------------
+
+#: Two rows with a NULL product: ``i.prodName = o.prodName`` matches nothing
+#: for them, where ``PARTITION BY prodName`` would put both in one partition.
+NULL_KEY_ROWS = [
+    ("a", "x", 1, 1), ("a", "y", 5, 2), (None, "x", 3, 1), (None, "y", 9, 2),
+    ("b", "x", 4, 4),
+]
+NULL_KEY_FORMS = {
+    "correlated-subquery": """
+        SELECT o.prodName, o.revenue FROM Orders AS o
+        WHERE o.revenue > (SELECT AVG(revenue) FROM Orders AS i
+                           WHERE i.prodName = o.prodName)
+        ORDER BY 1, 2""",
+    "measure": """
+        SELECT o.prodName, o.revenue FROM
+          (SELECT prodName, revenue, AVG(revenue) AS MEASURE avgRevenue
+           FROM Orders) AS o
+        WHERE o.revenue > o.avgRevenue AT (WHERE prodName = o.prodName)
+        ORDER BY 1, 2""",
+}
+SHADOWED_ALIAS = """
+    SELECT o.prodName, o.revenue FROM Orders AS o
+    WHERE o.revenue > (SELECT AVG(revenue) FROM Orders AS o
+                       WHERE o.prodName = o.prodName)"""
+OUTER_ARGUMENT = """
+    SELECT o.prodName, o.revenue FROM Orders AS o
+    WHERE o.revenue > (SELECT MAX(o.cost + revenue) FROM Orders AS i
+                       WHERE i.prodName = o.prodName)"""
+
+
+@pytest.fixture
+def null_keys():
+    db = Database()
+    db.create_table_from_rows(
+        "Orders",
+        [("prodName", "VARCHAR"), ("custName", "VARCHAR"),
+         ("revenue", "INTEGER"), ("cost", "INTEGER")],
+        NULL_KEY_ROWS,
+    )
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE Orders (prodName TEXT, custName TEXT, revenue INTEGER, cost INTEGER)")
+    lite.executemany("INSERT INTO Orders VALUES (?, ?, ?, ?)", NULL_KEY_ROWS)
+    yield db, lite
+    lite.close()
+
+
+@pytest.mark.parametrize("strategy", ["window", "auto"])
+@pytest.mark.parametrize("form", sorted(NULL_KEY_FORMS))
+def test_a_null_key_matches_no_row(null_keys, form, strategy):
+    db, lite = null_keys
+    sql = NULL_KEY_FORMS[form]
+    assert db.execute(sql).rows == [("a", 5)]
+    rewritten = rewrite(db, sql)
+    assert db.execute(rewritten).rows == [("a", 5)]
+    assert db.expand(sql, strategy=strategy) == rewritten
+    assert lite.execute(rewritten).fetchall() == [("a", 5)]
+
+
+def _refused_or_the_interpreters(db, sql, strategy):
+    """``strategy`` refuses ``sql`` while expanding it, or its expansion
+    returns the interpreter's rows."""
+    try:
+        rewritten = db.expand(sql, strategy=strategy)
+    except UnsupportedError:
+        return False
+    assert sorted(db.execute(rewritten).rows, key=repr) == sorted(
+        db.execute(sql).rows, key=repr
+    )
+    return True
+
+
+@pytest.mark.parametrize("strategy", EXPANSION_STRATEGIES)
+def test_a_shadowed_alias_is_no_correlation(null_keys, strategy):
+    """The inner ``o`` hides the outer one: the subquery is uncorrelated."""
+    db, _ = null_keys
+    assert sorted(db.execute(SHADOWED_ALIAS).rows, key=repr) == [
+        ("a", 5), ("b", 4), (None, 9),
+    ]
+    _refused_or_the_interpreters(db, SHADOWED_ALIAS, strategy)
+
+
+@pytest.mark.parametrize("strategy", EXPANSION_STRATEGIES)
+def test_an_aggregate_of_the_outer_row_is_refused(null_keys, strategy):
+    db, _ = null_keys
+    try:
+        rewritten = _refused_or_the_interpreters(db, OUTER_ARGUMENT, strategy)
+    except SqlError as exc:  # expanded, then failed to run
+        pytest.fail(f"{strategy}: {type(exc).__name__}: {exc}")
+    assert rewritten or strategy in ("inline", "window")
+    with pytest.raises(UnsupportedError, match="reads the outer row"):
+        db.expand(OUTER_ARGUMENT, strategy="window")
