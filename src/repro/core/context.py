@@ -26,15 +26,18 @@ and the bound ``AT`` modifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
-from repro.engine.compile import compile_expr, row_getter, slot_key
-from repro.semantics.bound import BoundExpr
+from repro.engine.compile import compile_expr, memo, row_getter, row_pure, slot_key
+from repro.semantics.bound import BoundColumn, BoundExpr, BoundLiteral
+from repro.semantics.correlate import transform_expr
 from repro.types import is_not_distinct, sql_eq
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.modifiers import BoundModifier
+    from repro.engine.compile import Relation
     from repro.engine.evaluator import EvalEnv, ExecutionContext
 
 __all__ = [
@@ -159,7 +162,8 @@ class VisibleTerm(Term):
     the conjuncts by what they read (:class:`VisibleInfo`), and the ∃ factors
     over that split: *outer* conjuncts choose the group rows that can witness
     anything (once per term), *local* conjuncts are a function of ``s`` alone
-    (once per candidate), *key* conjuncts are one lookup in a hash table over
+    (one column over the source relation, read at the candidates:
+    :meth:`narrow`), *key* conjuncts are one lookup in a hash table over
     the surviving group rows, and only the *residual* conjuncts run over the
     rows of that bucket.  With no keys the bucket is every surviving row —
     the general case, candidates x group rows.
@@ -175,8 +179,9 @@ class VisibleTerm(Term):
 
     def __post_init__(self):
         #: ``test`` calls; group rows read to index the group; group rows a
-        #: residual conjunct ran on (what the scan's checkpoints count too).
-        self.probes = self.build_rows = self.residual_rows = 0
+        #: residual conjunct ran on (what the scan's checkpoints count too);
+        #: candidates the local conjuncts' columns were read at.
+        self.probes = self.build_rows = self.residual_rows = self.masked = 0
         #: The group rows that pass the outer conjuncts; None until the
         #: first use indexes the group.
         self._survivors: Optional[Sequence] = None
@@ -251,6 +256,38 @@ class VisibleTerm(Term):
             return ()
         return self._table
 
+    def narrow(
+        self, relation: "Relation", candidates: Optional[list], ctx: "ExecutionContext"
+    ) -> Optional[tuple[list, bool]]:
+        """``(the candidates the local conjuncts accept, whether nothing is
+        left to test)``, read off the columns of the conjuncts over the
+        source (:meth:`VisibleInfo.source_local`) at ``candidates`` (None:
+        every source row) — or None when a local conjunct is not row-pure and
+        :meth:`test` must run it per candidate.  ``relation`` builds each
+        column once per statement and takes it at the candidates, so a
+        conjunct raises iff it raises on a candidate.  Conjuncts run left to
+        right, each on what the one before accepted, as :meth:`test` runs
+        them; over an empty group nothing is evaluated and nothing accepted.
+        """
+        local = self.info.source_local()
+        if local is False:
+            return None
+        if self._survivors is None:
+            self._prepare(ctx)
+        if not self._survivors:
+            return [], True
+        for pred in local:
+            mask = relation.column(pred, None, ctx, candidates).values
+            if candidates is None:
+                candidates = range(len(mask))
+            self.masked += len(candidates)
+            candidates = list(compress(candidates, [value is True for value in mask]))
+            if not candidates:
+                break
+        self._local = []  # decided for every candidate left
+        info = self.info
+        return candidates, not (info.keys or info.residual)
+
     def test(self, source_row: tuple, ctx: "ExecutionContext") -> bool:
         if self._survivors is None:
             self._prepare(ctx)
@@ -317,6 +354,7 @@ class VisibleTerm(Term):
             "visible.build_rows": self.build_rows,
             "visible.probes": self.probes,
             "visible.residual_rows": self.residual_rows,
+            "visible.masked": self.masked,
         }
 
 
@@ -423,6 +461,30 @@ class VisibleInfo:
     def preds(self) -> list[BoundExpr]:
         return self.local + self.outer + self.key_preds + self.residual
 
+    def source_local(self):
+        """The ``local`` conjuncts over the measure's *source* row — each
+        column of the range replaced by its dimension expression, a column
+        that is no dimension by NULL, as a candidate substitutes them — or
+        False when one is not row-pure (a correlated reference, a measure).
+        Rewritten once per plan, on first use: after pruning renumbered both
+        sides (``ContextSpec.map_*_exprs`` forget it)."""
+        return memo(self, "_source_local", _local_over_source)
+
+
+def _local_over_source(info: VisibleInfo):
+    if not all(map(row_pure, info.local)):
+        return False
+    start, dims = info.range_start, info.offset_dim_exprs
+
+    def substitute(node: BoundExpr) -> Optional[BoundExpr]:
+        if not isinstance(node, BoundColumn):
+            return None
+        dim = dims[node.offset - start]
+        return BoundLiteral(None, node.dtype) if dim is None else dim
+
+    rewritten = [transform_expr(pred, substitute) for pred in info.local]
+    return rewritten if all(map(row_pure, rewritten)) else False
+
 
 @dataclass
 class ContextSpec:
@@ -463,6 +525,7 @@ class ContextSpec:
         for modifier in self.modifiers:
             modifier.map_source_exprs(fn)
         if self.visible is not None:
+            self.visible.__dict__.pop("_source_local", None)
             self.visible.offset_dim_exprs = [
                 None if e is None else fn(e, False)
                 for e in self.visible.offset_dim_exprs
@@ -480,6 +543,7 @@ class ContextSpec:
         for modifier in self.modifiers:
             modifier.map_site_exprs(fn)
         if self.visible is not None:
+            self.visible.__dict__.pop("_source_local", None)
             for name in ("local", "outer", "key_preds", "residual"):
                 preds = getattr(self.visible, name)
                 setattr(self.visible, name, [fn(pred, False) for pred in preds])

@@ -153,6 +153,9 @@ def _context_slice(measure, terms: list[Term], ctx: ExecutionContext) -> Slice:
     candidates, tests = None, terms  # every row, every term
     if ctx.enable_cache:
         candidates, tests = _grouped_positions(terms, ctx, relation)
+    counted = tests
+    if tests and ctx.enable_cache:
+        candidates, tests = _narrowed(tests, candidates, relation, ctx)
     if tests:
         # A term's test may itself scan (VISIBLE's residual conjuncts, over
         # the group's rows): this loop checkpoints like the executor's row
@@ -166,12 +169,32 @@ def _context_slice(measure, terms: list[Term], ctx: ExecutionContext) -> Slice:
                 ctx.checkpoint(buffered_rows=len(kept))
             if _accept(tests, rows[position], ctx):
                 kept.append(position)
-        if ctx.watch is not None:
-            for term in tests:
-                for name, count in term.counters().items():
-                    ctx.watch.bump(name, count)
         candidates = kept
+    if ctx.watch is not None:
+        for term in counted:
+            for name, count in term.counters().items():
+                ctx.watch.bump(name, count)
     return Slice(relation, candidates)
+
+
+def _narrowed(
+    tests: list[Term], candidates: Optional[list], relation: Relation, ctx: ExecutionContext
+) -> tuple[Optional[list], list[Term]]:
+    """The leading VISIBLE terms' local conjuncts, read as columns of the
+    source relation at the candidates (:meth:`VisibleTerm.narrow`): what is
+    left of the candidates, and of the terms to test on them — a term with
+    no keys and no residual conjuncts leaves entirely.  Only leading terms:
+    a candidate an earlier term rejects must not evaluate a later one."""
+    for index, term in enumerate(tests):
+        narrowed = None
+        if isinstance(term, VisibleTerm) and (candidates is None or candidates):
+            narrowed = term.narrow(relation, candidates, ctx)
+        if narrowed is None:
+            return candidates, tests[index:]
+        candidates, decided = narrowed
+        if not decided:
+            return candidates, tests[index:]
+    return candidates, []
 
 
 def _grouped_positions(

@@ -108,30 +108,33 @@ def expand_query_ast(
     db: "Database", query: ast.Query, *, strategy: str = "subquery", tracer=None
 ) -> ast.Query:
     """``query`` with its measures expanded by ``strategy``, as a new tree;
-    ``query`` itself is left as it was."""
+    ``query`` itself is left as it was.  The statement is bound once, and
+    every attempt prints that one bind."""
+    from repro.core.strategies import inline_expand, window_expand
+
+    attempts = {
+        "subquery": lambda expander: expander.print_query(query),
+        "inline": lambda expander: inline_expand(expander, query, tracer=tracer),
+        "window": lambda expander: window_expand(expander, query, tracer=tracer),
+    }
     if strategy == "auto":
         # Cheapest shape first: inline produces a plain GROUP BY, window a
         # single-pass window query, subquery the general (but correlated)
         # form.  The specialized strategies reject unsupported shapes with
         # UnsupportedError, so the cascade is safe.
-        for candidate in ("inline", "window"):
-            try:
-                return expand_query_ast(
-                    db, query, strategy=candidate, tracer=tracer
-                )
-            except UnsupportedError:
-                continue
-        return expand_query_ast(db, query, strategy="subquery", tracer=tracer)
-    from repro.core.strategies import inline_expand, window_expand
-
-    attempts = {
-        "subquery": lambda: Expander(db).expand_query(query),
-        "inline": lambda: inline_expand(db, query, tracer=tracer),
-        "window": lambda: window_expand(db, query, tracer=tracer),
-    }
-    if strategy not in attempts:
+        cascade = ["inline", "window", "subquery"]
+    elif strategy in attempts:
+        cascade = [strategy]
+    else:
         raise UnsupportedError(f"unknown expansion strategy {strategy!r}")
-    return _traced_attempt(tracer, strategy, attempts[strategy])
+    expander = Expander(db)
+    expander.binder.bind_query_top(query)
+    for name in cascade[:-1]:
+        try:
+            return _traced_attempt(tracer, name, lambda: attempts[name](expander))
+        except UnsupportedError:
+            continue
+    return _traced_attempt(tracer, cascade[-1], lambda: attempts[cascade[-1]](expander))
 
 
 def materialized(relation: BoundRelation) -> list:
@@ -212,8 +215,13 @@ class Expander:
 
     def __init__(self, db: "Database"):
         self.db = db
-        self._alias_counter = 0
         self.binder = Binder(db.catalog)
+        self.restart()
+
+    def restart(self) -> None:
+        """Forget what an earlier print numbered and recorded; the bind is
+        kept, so another strategy can print the same statement."""
+        self._alias_counter = 0
         #: id(a FROM clause printed) -> the CTEs in scope where it stands,
         #: for the copies of it a measure's subquery makes.
         self._ctes_at: dict[int, dict] = {}
@@ -226,6 +234,12 @@ class Expander:
         """``query`` bound once by ``self.binder`` and printed as a new,
         measure-free tree."""
         self.binder.bind_query_top(query)
+        return self.print_query(query)
+
+    def print_query(self, query: ast.Query) -> ast.Query:
+        """``query``, which ``self.binder`` has bound, printed as a new,
+        measure-free tree."""
+        self.restart()
         return self._query(query, [], {}, top=True)
 
     # -- print what was bound ---------------------------------------------------

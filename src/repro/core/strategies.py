@@ -52,9 +52,10 @@ __all__ = ["inline_expand", "window_expand"]
 def _single_relation(
     expander: Expander, query: ast.Query, strategy: str
 ) -> tuple[ast.Select, BoundSelect, Relation]:
-    """Bind ``query``: it must be one SELECT with a plain GROUP BY, if any,
-    over exactly one relation."""
-    expander.binder.bind_query_top(query)
+    """What ``expander`` bound of ``query``, which must be one SELECT with a
+    plain GROUP BY, if any, over exactly one relation; and a fresh start for
+    printing it."""
+    expander.restart()
     if not isinstance(query, ast.Select):
         raise UnsupportedError(f"{strategy} strategy requires a plain SELECT")
     if query.from_clause is None or isinstance(query.from_clause, ast.Join):
@@ -66,14 +67,13 @@ def _single_relation(
     return query, bound, relation
 
 
-def inline_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query:
+def inline_expand(expander: Expander, query: ast.Query, *, tracer=None) -> ast.Query:
     """Inline measure formulas into a simple GROUP BY query.
 
     Shape: ``SELECT g..., AGGREGATE(m)... FROM MT [WHERE w] GROUP BY g...``
     over a single measure table with no AT modifiers.  The result reads the
     source directly — one scan, no correlated subqueries.
     """
-    expander = Expander(db)
     select, bound, relation = _single_relation(expander, query, "inline")
     if relation.group is None:
         raise UnsupportedError("strategy requires one measure-bearing relation")
@@ -135,7 +135,7 @@ def inline_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
     )
 
 
-def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query:
+def window_expand(expander: Expander, query: ast.Query, *, tracer=None) -> ast.Query:
     """Rewrite row-grain measure uses and correlated subqueries to window
     aggregates (section 5.1).
 
@@ -157,7 +157,6 @@ def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
     where ``PARTITION BY`` would gather the NULL-key rows; so those calls
     aggregate ``CASE WHEN <every such key> IS NOT NULL THEN arg END``.
     """
-    expander = Expander(db)
     select, bound, relation = _single_relation(expander, query, "window")
     if bound.group_exprs is not None:
         raise UnsupportedError(
@@ -238,13 +237,13 @@ def window_expand(db: "Database", query: ast.Query, *, tracer=None) -> ast.Query
         query's own row, so its columns are spelled over ``src`` too."""
         subquery = node.query  # type: ignore[attr-defined]
         sub = expander.binder.selects.get(id(subquery))
-        table = _catalog_table(db, select.from_clause)
+        table = _catalog_table(expander.db, select.from_clause)
         if not (
             isinstance(node, ast.ScalarSubquery)
             and relation.group is None
             and table is not None
             and isinstance(subquery, ast.Select)
-            and _catalog_table(db, subquery.from_clause) is table
+            and _catalog_table(expander.db, subquery.from_clause) is table
             and sub.group_exprs == []
             and not any([sub.having, subquery.qualify, subquery.limit, subquery.offset])
         ):

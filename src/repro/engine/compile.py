@@ -9,20 +9,25 @@ node; a row loop only calls closures.
 
 :func:`compile_column` is the vector form of the same expression,
 ``fn(rows, outer, ctx) -> Column``: one value per row plus the set of their
-Python types.  Arithmetic over columns whose observed types are all ``int`` /
-``float`` maps the bare operator over them — what the checked ``sql_mul``
-would have done on every value, decided once per column; any other column
-maps the node's own checked function, and a node type without a kernel runs
-its scalar closure per row, so the vector form is total and has no semantics
-of its own.  A :class:`Relation` keeps the columns computed over all of its
-rows, keyed by the expression's fingerprint, so every reader of
-``extendedprice * (1 - discount)`` over one relation shares one pass of
-arithmetic, and its rows grouped by expressions (:meth:`Relation.groups`), so
-an Aggregate and a measure's equality contexts share one grouping pass; a
-:class:`Slice` is the subset of a relation's rows an aggregate reads.  :func:`compile_rows` (an operator's expression list, over a relation),
-:func:`compile_aggregate` (an aggregate call, over a slice) and
-:func:`compile_formula` (a measure formula, over the slice of source rows its
-context selects) are built on them.
+Python types.  One table of bare functions (:data:`_TWINS`) gives, for each
+checked function — SQL arithmetic, the comparisons (``IS [NOT] DISTINCT
+FROM`` among them), ``YEAR`` / ``MONTH`` / ``DAY`` / ``DAYOFWEEK`` — its bare
+twin and the argument kinds on which the two agree: over such columns the twin is mapped (what the checked
+``sql_mul`` or ``sql_lt`` would have done on every value, decided once per
+column); any other column maps the node's own checked function, and a node
+type without a kernel runs its scalar closure per row, so the vector form is
+total and has no semantics of its own.  A :class:`Relation` keeps the
+columns computed over all of its rows, keyed by the expression's
+fingerprint, so every reader of ``extendedprice * (1 - discount)`` over one
+relation shares one pass of arithmetic, and its rows grouped by expressions
+(:meth:`Relation.groups`), so an Aggregate and a measure's equality contexts
+share one grouping pass; a :class:`Slice` is the subset of a relation's rows
+an aggregate reads.  :func:`compile_rows` (an operator's expression list,
+over a relation), :func:`compile_aggregate` (an aggregate call, over a
+slice) and :func:`compile_formula` (a measure formula, over the slice of
+source rows its context selects) are built on them; a Filter's predicate
+and VISIBLE's local conjuncts are read as columns through
+:meth:`Relation.column`.
 
 Closures are memoized on the node they were compiled from, as a non-field
 instance attribute (like ``LogicalPlan.facts`` and ``BoundExpr.span``), the
@@ -35,26 +40,34 @@ and their columns belong to one execution and are never stored on a node.
 
 from __future__ import annotations
 
+import datetime
 import operator
 import sys
 from functools import partial, reduce
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Optional, Sequence
 
 from repro.engine.aggregates import make_accumulator
 from repro.engine.evaluator import EvalEnv, cast_value
+from repro.engine.functions import FUNCTIONS
 from repro.errors import ExecutionError, QueryCancelled, ResourceExhausted
 from repro.semantics import bound as b
 from repro.types import (
     NUMERIC_KINDS,
+    is_distinct,
     is_not_distinct,
     sort_rows,
     sql_add,
     sql_and,
     sql_div,
     sql_eq,
+    sql_ge,
+    sql_gt,
+    sql_le,
+    sql_lt,
     sql_mul,
+    sql_ne,
     sql_or,
     sql_sub,
 )
@@ -600,13 +613,14 @@ def _call_kernel(expr: b.BoundCall) -> Kernel:
     """A function or operator application over its argument columns: the
     node's function mapped over them, its failure located as the scalar
     closure locates it.  No argument list is built and no closure runs per
-    row; SQL arithmetic goes further (:func:`_arithmetic_kernel`)."""
+    row; a function with a bare twin goes further (:func:`_twin_kernel`)."""
     if expr.op in _SHORT_CIRCUIT or not expr.args:
         return _per_row(expr)
     fn, op, span = expr.fn, expr.op, expr.span
     args = [compile_column(arg) for arg in expr.args]
-    if fn in _BARE:
-        return _arithmetic_kernel(fn, op, span, *args)
+    twin = _TWINS.get(fn)
+    if twin is not None:
+        return _twin_kernel(fn, op, span, twin, args)
 
     def call(rows, outer, ctx):
         columns = [arg(rows, outer, ctx).values for arg in args]
@@ -618,48 +632,122 @@ def _call_kernel(expr: b.BoundCall) -> Kernel:
     return call
 
 
-#: checked operator -> (the bare one, whether its right side must be non-zero).
-_BARE = {
-    sql_add: (operator.add, False),
-    sql_sub: (operator.sub, False),
-    sql_mul: (operator.mul, False),
-    sql_div: (operator.truediv, True),
-}
+def _twin_kernel(fn, op: str, span, twin: tuple, args: list) -> Kernel:
+    """A checked function over columns on which its bare twin agrees with
+    it (:data:`_TWINS`): the twin is mapped instead — no Python frame per
+    row, one look at the columns' kinds in place of checks per value.  Any
+    other columns map the checked function itself, and say so in the
+    ``column.checked_values`` counter."""
+    bare, agrees, kinds = twin
+    derive = None if isinstance(kinds, frozenset) else kinds
 
+    if len(args) == 1:
+        (only,) = args
 
-def _arithmetic_kernel(fn, op: str, span, left: Kernel, right: Kernel) -> Kernel:
-    """``+ - * /`` over two columns.  When both hold only ``int`` / ``float``
-    values (no NULL, no BOOLEAN, no date — and for ``/`` no zero divisor),
-    the bare operator gives what the checked one would on every value, so it
-    is mapped instead: no Python frame per row, one look at each column's
-    kinds in place of two checks per value.  Any other pair of columns maps
-    the checked operator itself."""
-    bare, divides = _BARE[fn]
+        def unary(rows, outer, ctx):
+            xs = only(rows, outer, ctx)
+            unchecked = agrees(xs)
+            if ctx.watch is not None:
+                ctx.watch.bump("column.checked_values", 0 if unchecked else len(rows))
+            if unchecked:
+                return Column(list(map(bare, xs.values)), kinds)
+            try:
+                return Column(list(map(fn, xs.values)))
+            except _CALL_ERRORS as exc:
+                raise _call_error(op, span, exc) from None
 
-    def arithmetic(rows, outer, ctx):
+        return unary
+    left, right = args
+
+    def binary(rows, outer, ctx):
         xs = left(rows, outer, ctx)
         ys = right(rows, outer, ctx)
-        xk, yk = xs.kinds, ys.kinds
-        unchecked = (
-            xk <= NUMERIC_KINDS
-            and yk <= NUMERIC_KINDS
-            and not (divides and 0 in ys.values)
-        )
+        unchecked = agrees(xs, ys)
         if ctx.watch is not None:
             ctx.watch.bump("column.checked_values", 0 if unchecked else len(rows))
         if unchecked:
             values = list(map(bare, xs.values, ys.values))
-            # Derived, not assumed: true division and any float operand give
-            # floats, ints give ints, a mixed column is looked at again.
-            if divides or xk == _FLOAT or yk == _FLOAT:
-                return Column(values, _FLOAT)
-            return Column(values, _INT if xk == yk == _INT else None)
+            return Column(values, kinds if derive is None else derive(xs.kinds, ys.kinds))
         try:
             return Column(list(map(fn, xs.values, ys.values)))
         except _CALL_ERRORS as exc:
             raise _call_error(op, span, exc) from None
 
-    return arithmetic
+    return binary
+
+
+_BOOL, _DATE = frozenset({bool}), frozenset({datetime.date})
+
+#: The single kinds a comparison's bare twin orders as the checked one does
+#: (a number with a number, else the same type on both sides).
+_ORDERED = frozenset({frozenset({str}), _DATE, _BOOL})
+
+
+def _numeric(xs: Column, ys: Column) -> bool:
+    """Both columns hold only ``int`` / ``float``: no NULL, no BOOLEAN, no
+    date — what SQL arithmetic checks on each value."""
+    return xs.kinds <= NUMERIC_KINDS and ys.kinds <= NUMERIC_KINDS
+
+
+def _divisible(xs: Column, ys: Column) -> bool:
+    return _numeric(xs, ys) and 0 not in ys.values
+
+
+def _comparable_kinds(xs: Column, ys: Column) -> bool:
+    """No NULL, and a pair ``types.values._comparable`` passes as it is: numbers
+    with numbers, or one string, date or BOOLEAN kind on both sides."""
+    xk, yk = xs.kinds, ys.kinds
+    if xk == yk:
+        return xk <= NUMERIC_KINDS or xk in _ORDERED
+    return xk <= NUMERIC_KINDS and yk <= NUMERIC_KINDS
+
+
+def _dates(xs: Column) -> bool:
+    return xs.kinds == _DATE
+
+
+def _sum_kinds(xk: frozenset, yk: frozenset) -> Optional[frozenset]:
+    """``+ - *``: derived, not assumed — any float operand gives floats, ints
+    give ints, a mixed column is looked at again."""
+    if xk == _FLOAT or yk == _FLOAT:
+        return _FLOAT
+    return _INT if xk == yk == _INT else None
+
+
+def _twin_table() -> dict:
+    """checked function -> (its bare twin, whether the twin agrees with it
+    on these argument columns, the kinds of the twin's results: a set, or
+    a function of the arguments' kinds)."""
+    table = {
+        sql_add: (operator.add, _numeric, _sum_kinds),
+        sql_sub: (operator.sub, _numeric, _sum_kinds),
+        sql_mul: (operator.mul, _numeric, _sum_kinds),
+        sql_div: (operator.truediv, _divisible, _FLOAT),  # true division
+        sql_eq: (operator.eq, _comparable_kinds, _BOOL),
+        sql_ne: (operator.ne, _comparable_kinds, _BOOL),
+        sql_lt: (operator.lt, _comparable_kinds, _BOOL),
+        sql_le: (operator.le, _comparable_kinds, _BOOL),
+        sql_gt: (operator.gt, _comparable_kinds, _BOOL),
+        sql_ge: (operator.ge, _comparable_kinds, _BOOL),
+        # Without a NULL, IS [NOT] DISTINCT FROM is <> / =.
+        is_distinct: (operator.ne, _comparable_kinds, _BOOL),
+        is_not_distinct: (operator.eq, _comparable_kinds, _BOOL),
+    }
+    parts = {
+        "YEAR": attrgetter("year"),
+        "MONTH": attrgetter("month"),
+        "DAY": attrgetter("day"),
+        "DAYOFWEEK": datetime.date.isoweekday,
+    }
+    for name, bare in parts.items():
+        # Any other column keeps the NULL check and the DATE check's error.
+        table[FUNCTIONS[name].call] = (bare, _dates, _INT)
+    return table
+
+
+#: One table of bare functions: for each checked function, the bare one
+#: that gives what it would on every value of columns of the right kinds.
+_TWINS = _twin_table()
 
 
 _KERNELS = {

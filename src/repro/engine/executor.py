@@ -12,6 +12,7 @@ through their closure, passing the enclosing
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
 from typing import Optional
 
@@ -144,12 +145,19 @@ def _execute_values(plan: plans.ValuesPlan, ctx: ExecutionContext, outer_env) ->
 
 
 def _execute_filter(plan: plans.Filter, ctx: ExecutionContext, outer_env) -> list[tuple]:
+    """The predicate as one column over the input (over a measure's source,
+    the statement's own), and the rows where it is TRUE; a failure is the
+    first failing row's, as :meth:`Relation.column` reports it."""
     rows = execute_plan(plan.input, ctx, outer_env)
-    predicate = compile_expr(plan.predicate)
-    kept: list[tuple] = []
-    for batch in ctx.batches(rows, plan, kept):
-        kept += [row for row in batch if predicate(row, outer_env, ctx) is True]
-    return kept
+    mask = relation_of(plan.input, rows, ctx).column(plan.predicate, outer_env, ctx)
+    values = mask.values
+    if not mask.kinds <= _TRUTH_VALUES:  # only TRUE keeps a row, not 1 or 'x'
+        values = [value is True for value in values]
+    return list(compress(rows, values))
+
+
+#: The kinds of a predicate column whose truthiness is SQL's TRUE.
+_TRUTH_VALUES = frozenset({bool, type(None)})
 
 
 def _execute_project(plan: plans.Project, ctx: ExecutionContext, outer_env) -> list[tuple]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import BindError, ExecutionError
@@ -35,6 +35,15 @@ class ScalarFunction:
     min_args: int
     max_args: Optional[int]
     null_safe: bool = False
+    #: What a bound call runs: ``fn`` itself when null-safe, else ``fn``
+    #: behind a NULL check, built once here so that every call of one SQL
+    #: function holds the same object (the column kernels' table of bare
+    #: twins keys on it).
+    call: Callable[..., Any] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        call = self.fn if self.null_safe else _null_propagating(self.fn)
+        object.__setattr__(self, "call", call)
 
     def check_arity(self, count: int) -> None:
         if count < self.min_args or (self.max_args is not None and count > self.max_args):
@@ -47,6 +56,16 @@ class ScalarFunction:
             raise BindError(
                 f"{self.name} expects {expected} argument(s), got {count}"
             )
+
+
+def _null_propagating(fn):
+    def wrapper(*args):
+        for arg in args:
+            if arg is None:
+                return None
+        return fn(*args)
+
+    return wrapper
 
 
 FUNCTIONS: dict[str, ScalarFunction] = {}

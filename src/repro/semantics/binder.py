@@ -798,7 +798,7 @@ class QueryBinder:
         right_relations: list[Relation],
         using: list[str],
     ) -> b.BoundExpr:
-        from repro.types import BOOLEAN, sql_compare
+        from repro.types import BOOLEAN, sql_eq
 
         equalities = []
         for name in using:
@@ -812,7 +812,7 @@ class QueryBinder:
                         b.BoundColumn(right_col.offset, right_col.dtype, right_col.name),
                     ],
                     BOOLEAN,
-                    lambda a, c: sql_compare("=", a, c),
+                    sql_eq,
                 )
             )
         condition = b.conjoin(equalities)

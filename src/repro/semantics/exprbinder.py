@@ -38,6 +38,7 @@ from repro.semantics.scope import Relation, Scope
 from repro.sql import ast
 from repro.types import (
     BOOLEAN,
+    COMPARISONS,
     DOUBLE,
     INTEGER,
     UNKNOWN,
@@ -52,8 +53,10 @@ from repro.types import (
     parse_type_name,
     sql_add,
     sql_and,
-    sql_compare,
     sql_div,
+    sql_eq,
+    sql_ge,
+    sql_le,
     sql_mod,
     sql_mul,
     sql_neg,
@@ -94,16 +97,6 @@ class located:
         return False
 
 
-def _null_propagating(fn):
-    def wrapper(*args):
-        for arg in args:
-            if arg is None:
-                return None
-        return fn(*args)
-
-    return wrapper
-
-
 def _concat(left, right):
     if left is None or right is None:
         return None
@@ -111,7 +104,7 @@ def _concat(left, right):
 
 
 def _between(value, low, high):
-    return sql_and(sql_compare(">=", value, low), sql_compare("<=", value, high))
+    return sql_and(sql_ge(value, low), sql_le(value, high))
 
 
 def _not_between(value, low, high):
@@ -257,9 +250,8 @@ class ExprBinder:
             return b.BoundCall("AND", [left, right], BOOLEAN, sql_and)
         if op == "OR":
             return b.BoundCall("OR", [left, right], BOOLEAN, sql_or)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            fn = lambda a, c, op=op: sql_compare(op, a, c)  # noqa: E731
-            return b.BoundCall(op, [left, right], BOOLEAN, fn)
+        if op in COMPARISONS:
+            return b.BoundCall(op, [left, right], BOOLEAN, COMPARISONS[op])
         if op == "+":
             return b.BoundCall(
                 "+", [left, right], arithmetic_result(left.dtype, right.dtype), sql_add
@@ -333,7 +325,7 @@ class ExprBinder:
                     "=",
                     [self.bind(expr.operand), self.bind(when.condition)],
                     BOOLEAN,
-                    lambda a, c: sql_compare("=", a, c),
+                    sql_eq,
                 )
             else:
                 condition = self.bind(when.condition)
@@ -411,8 +403,9 @@ class ExprBinder:
             raise BindError(f"unknown function {name}")
         function.check_arity(len(expr.args))
         args = [self.bind(arg) for arg in expr.args]
-        fn = function.fn if function.null_safe else _null_propagating(function.fn)
-        return b.BoundCall(name, args, function.result_type([a.dtype for a in args]), fn)
+        return b.BoundCall(
+            name, args, function.result_type([a.dtype for a in args]), function.call
+        )
 
     def _bind_aggregate_call(self, expr: ast.FunctionCall) -> b.BoundExpr:
         name = expr.name.upper()
@@ -619,9 +612,9 @@ class ExprBinder:
                     raise BindError(f"unknown function {name} in SET value")
                 function.check_arity(len(expr.args))
                 args = [bind_with_current(arg) for arg in expr.args]
-                fn = function.fn if function.null_safe else _null_propagating(function.fn)
                 return b.BoundCall(
-                    name, args, function.result_type([a.dtype for a in args]), fn
+                    name, args, function.result_type([a.dtype for a in args]),
+                    function.call,
                 )
             return self.bind(expr)
 

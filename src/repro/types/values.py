@@ -22,7 +22,12 @@ __all__ = [
     "sql_or",
     "sql_not",
     "sql_eq",
-    "sql_compare",
+    "sql_ne",
+    "sql_lt",
+    "sql_le",
+    "sql_gt",
+    "sql_ge",
+    "COMPARISONS",
     "is_distinct",
     "is_not_distinct",
     "sql_add",
@@ -88,24 +93,56 @@ def sql_eq(left: Any, right: Any) -> Any:
     return a == b
 
 
-def sql_compare(op: str, left: Any, right: Any) -> Any:
-    """Evaluate one of ``= <> < <= > >=`` with SQL NULL propagation."""
+def sql_ne(left: Any, right: Any) -> Any:
+    """SQL ``<>``: NULL if either side is NULL."""
     if left is None or right is None:
         return None
     a, b = _comparable(left, right)
-    if op == "=":
-        return a == b
-    if op in ("<>", "!="):
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ExecutionError(f"unknown comparison operator {op!r}")
+    return a != b
+
+
+def sql_lt(left: Any, right: Any) -> Any:
+    """SQL ``<``: NULL if either side is NULL."""
+    if left is None or right is None:
+        return None
+    a, b = _comparable(left, right)
+    return a < b
+
+
+def sql_le(left: Any, right: Any) -> Any:
+    """SQL ``<=``: NULL if either side is NULL."""
+    if left is None or right is None:
+        return None
+    a, b = _comparable(left, right)
+    return a <= b
+
+
+def sql_gt(left: Any, right: Any) -> Any:
+    """SQL ``>``: NULL if either side is NULL."""
+    if left is None or right is None:
+        return None
+    a, b = _comparable(left, right)
+    return a > b
+
+
+def sql_ge(left: Any, right: Any) -> Any:
+    """SQL ``>=``: NULL if either side is NULL."""
+    if left is None or right is None:
+        return None
+    a, b = _comparable(left, right)
+    return a >= b
+
+
+#: Comparison operator -> its checked function: what a bound comparison
+#: calls, so no value dispatches on the operator's spelling.
+COMPARISONS = {
+    "=": sql_eq,
+    "<>": sql_ne,
+    "<": sql_lt,
+    "<=": sql_le,
+    ">": sql_gt,
+    ">=": sql_ge,
+}
 
 
 def is_distinct(left: Any, right: Any) -> bool:

@@ -96,7 +96,7 @@ def numeric_sql(draw, depth=0) -> str:
     )
     if depth >= 3 or draw(st.integers(0, 3)) == 0:
         return draw(leaf)
-    shape = draw(st.sampled_from(["binary"] * 6 + ["neg", "abs", "year", "length",
+    shape = draw(st.sampled_from(["binary"] * 6 + ["neg", "abs", "year", "part", "length",
                                                      "coalesce", "case", "cast"]))
     sub = numeric_sql(depth + 1)
     if shape == "binary":
@@ -108,6 +108,8 @@ def numeric_sql(draw, depth=0) -> str:
         return f"ABS({draw(sub)})"
     if shape == "year":
         return "YEAR(d)"
+    if shape == "part":
+        return f"{draw(st.sampled_from(['MONTH', 'DAY', 'DAYOFWEEK']))}(d)"
     if shape == "length":
         return "LENGTH(s)"
     if shape == "coalesce":
@@ -118,12 +120,27 @@ def numeric_sql(draw, depth=0) -> str:
     return f"CASE WHEN {draw(boolean_sql(depth + 1))} THEN {draw(sub)} ELSE {draw(sub)} END"
 
 
+#: Comparisons of the string, date and BOOLEAN columns with their own kind
+#: (the bare twin's other half) and with the wrong one (an error either way).
+TYPED_OPERANDS = [
+    ("s", "s"), ("s", "'abc'"), ("'7'", "s"), ("s", "''"),
+    ("d", "d"), ("d", "DATE '2010-06-15'"), ("DATE '1995-01-01'", "d"),
+    ("p", "p"), ("p", "TRUE"),
+    ("a", "s"), ("d", "a"), ("p", "b"),
+]
+
+
 @st.composite
 def boolean_sql(draw, depth=0) -> str:
     sub = numeric_sql(depth + 1)
-    shape = draw(st.sampled_from(["compare", "compare", "null", "in", "and", "or", "p"]))
-    if shape == "compare":
-        op = draw(st.sampled_from(["=", "<>", "<", ">="]))
+    shape = draw(st.sampled_from(["compare", "compare", "typed", "typed", "null", "in",
+                                  "and", "or", "p"]))
+    if shape in ("compare", "typed"):
+        op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">=",
+                                   "IS DISTINCT FROM", "IS NOT DISTINCT FROM"]))
+        if shape == "typed":
+            left, right = draw(st.sampled_from(TYPED_OPERANDS))
+            return f"({left} {op} {right})"
         return f"({draw(sub)} {op} {draw(sub)})"
     if shape == "null":
         return f"({draw(sub)} IS {draw(st.sampled_from(['', 'NOT ']))}NULL)"
@@ -194,9 +211,10 @@ def test_column_equals_scalar_value_for_value(rows, sql, params):
 
 
 def test_the_generator_reaches_both_paths():
-    """Guard on the property above: clean columns take the bare operator,
-    NULL-bearing and mixed ones the checked one, and both kinds of error
-    occur — or the property proves less than it says."""
+    """Guard on the property above: clean columns take the bare twin,
+    NULL-bearing and mixed ones the checked function — for arithmetic,
+    comparisons and date parts alike — and both kinds of error occur, or
+    the property proves less than it says."""
     expr = BOUND.expression("(a * (1 - c))")
     watch = Watch()
     ctx = ExecutionContext(BOUND.db.catalog, watch=watch)
@@ -210,6 +228,61 @@ def test_the_generator_reaches_both_paths():
                       ((2, 0, "x"), "numeric operator applied to str")):
         with pytest.raises(ExecutionError, match=text):
             Relation(clean + [bad + (None, None, None)]).column(expr, None, ctx)
+
+    day = datetime.date(2024, 3, 9)  # a Saturday
+    typed = [(1, 2, 0.5, day, "abc", True), (3, 2, 1.5, day, "x", False)]
+    with_null = typed + [(None, None, None, None, None, None)]
+    for sql, bare, checked in (
+        ("(a < c)", [False, False], [False, False, None]),
+        ("(s <> 'abc')", [False, True], [False, True, None]),
+        ("(d >= DATE '2024-01-01')", [True, True], [True, True, None]),
+        ("(p = p)", [True, True], [True, True, None]),
+        ("(s IS NOT DISTINCT FROM 'x')", [False, True], [False, True, False]),
+        ("MONTH(d)", [3, 3], [3, 3, None]),
+        ("DAY(d)", [9, 9], [9, 9, None]),
+        ("DAYOFWEEK(d)", [6, 6], [6, 6, None]),
+    ):
+        kernel = compile_column(BOUND.expression(sql))
+        before = watch.counters["column.checked_values"]
+        column = kernel(typed, None, ctx)
+        assert column.values == bare and column._kinds is not None, sql
+        assert watch.counters["column.checked_values"] == before, sql
+        assert kernel(with_null, None, ctx).values == checked, sql
+        assert watch.counters["column.checked_values"] == before + 3, sql
+    for sql, text in (("(a < s)", "cannot compare int with str"),
+                      ("(d = a)", "cannot compare date with int"),
+                      ("YEAR(s)", "YEAR expects a DATE, got str")):
+        with pytest.raises(ExecutionError, match=text):
+            Relation(typed).column(BOUND.expression(sql), None, ctx)
+
+
+def rows_where(sql: str, rows, params, watched: bool):
+    """``SELECT * FROM t WHERE <sql>`` over ``rows`` (fed to the scan as the
+    statement's snapshot of ``t``), through the whole plan."""
+    key = ("where", sql)
+    if key not in BOUND.cache:
+        BOUND.cache[key] = BOUND.db.plan_query(
+            parse_query(f"SELECT * FROM t WHERE (\n{sql})")
+        ).plan
+    plan = BOUND.cache[key]
+    ctx = ExecutionContext(BOUND.db.catalog, params=params,
+                           watch=Watch() if watched else None)
+    ctx.table_snapshots["t"] = rows
+    return execute_plan(plan, ctx)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tables(), boolean_sql(),
+       st.lists(st.one_of(_small, st.none(), st.just(2.5)), min_size=0, max_size=2))
+def test_filter_keeps_the_rows_the_row_loop_keeps(rows, sql, params):
+    """A Filter reads its predicate as one column: the rows the scalar row
+    loop keeps, in order, or the error it meets first — class, message,
+    line and column — watched and unwatched."""
+    scalar = compile_expr(BOUND.expression(sql))
+    ctx = BOUND.context(params)
+    expected = outcome(lambda: [row for row in rows if scalar(row, None, ctx) is True])
+    for watched in (False, True):
+        assert outcome(lambda: rows_where(sql, rows, params, watched)) == expected, sql
 
 
 def test_kinds_are_derived_and_exact():

@@ -38,13 +38,13 @@ def _join(condition, left_width, right_width=3, kind="INNER"):
 
 def test_extract_equi_keys():
     from repro.semantics import bound as b
-    from repro.types import BOOLEAN, INTEGER, sql_compare
+    from repro.types import BOOLEAN, INTEGER, sql_eq
 
     def col(offset):
         return b.BoundColumn(offset, INTEGER)
 
     def eq(x, y):
-        return b.BoundCall("=", [col(x), col(y)], BOOLEAN, lambda a, c: sql_compare("=", a, c))
+        return b.BoundCall("=", [col(x), col(y)], BOOLEAN, sql_eq)
 
     from repro.types import sql_and
 
@@ -58,19 +58,19 @@ def test_extract_equi_keys():
 
 def test_extract_keys_keeps_residual():
     from repro.semantics import bound as b
-    from repro.types import BOOLEAN, INTEGER, sql_and, sql_compare
+    from repro.types import BOOLEAN, INTEGER, sql_and, sql_eq, sql_lt
 
     eq = b.BoundCall(
         "=",
         [b.BoundColumn(0, INTEGER), b.BoundColumn(2, INTEGER)],
         BOOLEAN,
-        lambda a, c: sql_compare("=", a, c),
+        sql_eq,
     )
     lt = b.BoundCall(
         "<",
         [b.BoundColumn(1, INTEGER), b.BoundColumn(3, INTEGER)],
         BOOLEAN,
-        lambda a, c: sql_compare("<", a, c),
+        sql_lt,
     )
     condition = b.BoundCall("AND", [eq, lt], BOOLEAN, sql_and)
     join = _join(condition, 2)
@@ -82,13 +82,13 @@ def test_extract_keys_keeps_residual():
 
 def test_same_side_equality_is_residual_not_key():
     from repro.semantics import bound as b
-    from repro.types import BOOLEAN, INTEGER, sql_compare
+    from repro.types import BOOLEAN, INTEGER, sql_eq
 
     eq = b.BoundCall(
         "=",
         [b.BoundColumn(0, INTEGER), b.BoundColumn(1, INTEGER)],
         BOOLEAN,
-        lambda a, c: sql_compare("=", a, c),
+        sql_eq,
     )
     keys, residual = executor._compile_join(_join(eq, 2))
     assert keys == []

@@ -154,6 +154,28 @@ def test_auto_falls_back_to_subquery(sdb):
     assert sdb.execute(auto).rows == sdb.execute(sql).rows
 
 
+@pytest.mark.parametrize("strategy", ["auto", "subquery", "inline", "window"])
+def test_every_strategy_binds_the_statement_once(sdb, monkeypatch, strategy):
+    """``auto`` tries inline, then window, then subquery: every attempt
+    prints the one bind, whichever of them succeeds or refuses."""
+    from repro.semantics.binder import Binder
+
+    binds = []
+    bind = Binder.bind_query_top
+
+    def counted(self, query, *args, **kwargs):
+        binds.append(query)
+        return bind(self, query, *args, **kwargs)
+
+    monkeypatch.setattr(Binder, "bind_query_top", counted)
+    sql = "SELECT prodName, rev AT (ALL) AS t FROM eo GROUP BY prodName"
+    try:
+        sdb.expand(sql, strategy=strategy)
+    except UnsupportedError:
+        assert strategy in ("inline", "window")
+    assert len(binds) == 1
+
+
 def test_multi_agg_formula_becomes_multiple_window_calls(sdb):
     """(SUM(revenue)-SUM(cost))/SUM(revenue) needs each aggregate windowed."""
     sql = """SELECT prodName, margin AT (WHERE prodName = eo.prodName) AS m

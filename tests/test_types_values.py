@@ -27,10 +27,14 @@ from repro.types import (
     sort_rows,
     sql_add,
     sql_and,
-    sql_compare,
     sql_div,
     sql_eq,
+    sql_ge,
+    sql_gt,
+    sql_le,
+    sql_lt,
     sql_mod,
+    sql_ne,
     sql_neg,
     sql_not,
     sql_or,
@@ -93,10 +97,11 @@ def test_eq_propagates_null():
 
 
 def test_comparisons():
-    assert sql_compare("<", 1, 2) is True
-    assert sql_compare(">=", 2, 2) is True
-    assert sql_compare("<>", "a", "b") is True
-    assert sql_compare("<", None, 2) is None
+    assert sql_lt(1, 2) is True
+    assert sql_ge(2, 2) is True
+    assert sql_ne("a", "b") is True
+    assert sql_lt(None, 2) is None
+    assert sql_le(2, 1) is False and sql_gt(2, 1) is True
 
 
 def test_int_float_comparable():
@@ -110,11 +115,11 @@ def test_bool_not_comparable_with_int():
 
 def test_string_not_comparable_with_int():
     with pytest.raises(ExecutionError):
-        sql_compare("<", "a", 1)
+        sql_lt("a", 1)
 
 
 def test_dates_comparable():
-    assert sql_compare("<", datetime.date(2023, 1, 1), datetime.date(2024, 1, 1))
+    assert sql_lt(datetime.date(2023, 1, 1), datetime.date(2024, 1, 1))
 
 
 def test_is_distinct_null_handling():

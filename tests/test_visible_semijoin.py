@@ -12,6 +12,7 @@ optimizer off.  The work the semijoin does is asserted through the
 
 from __future__ import annotations
 
+import datetime
 import sqlite3
 from contextlib import contextmanager
 
@@ -48,6 +49,7 @@ def reference_visible():
     patch = pytest.MonkeyPatch()
     patch.setattr(VisibleTerm, "test", _reference_test)
     patch.setattr(VisibleTerm, "probe_keys", lambda term, ctx: None)
+    patch.setattr(VisibleTerm, "narrow", lambda term, relation, candidates, ctx: None)
     try:
         yield
     finally:
@@ -326,6 +328,152 @@ def test_unhashable_keys_scan_instead():
 
 # -- the work done, by count ---------------------------------------------------
 
+# -- local conjuncts, read as columns of the source -----------------------------
+#
+# A local conjunct reads only the measure relation, so it is rewritten once
+# over the source row and read as a column at the candidates.  Each shape
+# below must give what the cache-free and optimizer-free databases give (the
+# former tests every candidate), and what SQLite gives on the expansion.
+
+VISITS = [
+    ("Ann", datetime.date(2019, 5, 1), 10),
+    ("Ann", datetime.date(2021, 3, 2), 20),
+    ("Ann", datetime.date(2022, 7, 9), 5),
+    ("Ben", datetime.date(2020, 1, 1), 30),
+    ("Ben", datetime.date(2023, 2, 2), 12),
+    ("Cy", datetime.date(2021, 12, 31), 15),
+    ("Cy", None, 8),
+    ("Zed", datetime.date(2022, 1, 1), 7),  # 10.0 / (spend - 7) fails here
+]
+
+
+def build_local(**options) -> Database:
+    db = build(**options)
+    db.create_table_from_rows(
+        "visits", [("name", "VARCHAR"), ("day", "DATE"), ("spend", "INTEGER")], VISITS
+    )
+    db.execute(
+        """CREATE VIEW visits_m AS
+           SELECT name, YEAR(day) AS visitYear, spend,
+                  SUM(spend) AS MEASURE total, COUNT(*) AS MEASURE n
+           FROM visits"""
+    )
+    return db
+
+
+#: name -> (sql, params, whether the local conjuncts are read as columns).
+LOCAL_CASES: dict[str, tuple[str, tuple, bool]] = {
+    "expression dimension": (
+        """SELECT name, AGGREGATE(total), total, AGGREGATE(n)
+           FROM visits_m WHERE visitYear > 2020
+           GROUP BY name ORDER BY name""", (), True),
+    "range column that is no dimension": (
+        """SELECT nation, AGGREGATE(n), COUNT(*)
+           FROM tagged WHERE label > 1
+           GROUP BY nation ORDER BY nation NULLS LAST""", (), True),
+    "parameter": (
+        """SELECT visitYear, AGGREGATE(total), total
+           FROM visits_m WHERE spend > ?
+           GROUP BY visitYear ORDER BY visitYear NULLS LAST""", (9,), True),
+    "correlated": (
+        """SELECT v.name, v.spend,
+                  (SELECT AGGREGATE(w.total) FROM visits_m AS w
+                   WHERE w.spend > v.spend) AS above
+           FROM visits AS v ORDER BY v.name, v.spend""", (), False),
+    "fails only outside every candidate set": (
+        """SELECT name, AGGREGATE(n), AGGREGATE(total)
+           FROM visits_m WHERE name <> 'Zed' AND 10.0 / (spend - 7) > 0
+           GROUP BY name ORDER BY name""", (), True),
+}
+
+
+#: What SQLite runs where the expansion is not for it: SQLite takes an
+#: aggregate whose arguments read only outer columns for one of the outer
+#: query, so the expanded ``ANY_VALUE`` would collapse the outer rows.
+LOCAL_ORACLES = {
+    "correlated": """SELECT v.name, v.spend,
+                            (SELECT SUM(w.spend) FROM visits AS w WHERE w.spend > v.spend)
+                     FROM visits AS v ORDER BY v.name, v.spend""",
+}
+
+
+@pytest.fixture(scope="module")
+def sqlite_local():
+    """The same tables in SQLite (dates as ISO text, BOOLEAN as 0 / 1), with
+    the YEAR the expansion calls."""
+    connection = sqlite3.connect(":memory:")
+    for name, columns, rows in (
+        ("cust", "name, nation, seg, age, vip", CUST),
+        ("nations", "code, region, pop, flag", NATIONS),
+        ("segs", "seg, nation, weight", SEGS),
+        ("visits", "name, day, spend", VISITS),
+    ):
+        connection.execute(f"CREATE TABLE {name} ({columns})")
+        marks = ", ".join("?" for _ in columns.split(","))
+        connection.executemany(
+            f"INSERT INTO {name} VALUES ({marks})",
+            [tuple(v.isoformat() if isinstance(v, datetime.date) else v for v in row)
+             for row in rows],
+        )
+    connection.create_function("YEAR", 1, lambda text: None if text is None else int(text[:4]))
+    connection.create_aggregate("ANY_VALUE", 1, _AnyValue)
+    return connection
+
+
+class _AnyValue:
+    def __init__(self):
+        self.value = None
+
+    def step(self, value):
+        self.value = value
+
+    def finalize(self):
+        return self.value
+
+
+@pytest.mark.parametrize("name", LOCAL_CASES)
+def test_local_conjuncts_as_columns_agree_everywhere(name, sqlite_local):
+    sql, params, masked = LOCAL_CASES[name]
+    db = build_local(profile=True)
+    got = db.execute(sql, params).rows
+    assert got, "a case that returns nothing tests nothing"
+    for options in ({"cache": False}, {"optimizer": False}):
+        assert build_local(**options).execute(sql, params).rows == got, options
+    with reference_visible():
+        assert db.execute(sql, params).rows == got
+    expanded = LOCAL_ORACLES.get(name) or db.expand(sql)
+    # One ``?`` per use in the text: the one parameter, repeated.
+    assert sqlite_local.execute(expanded, params * expanded.count("?")).fetchall() == got
+    db.execute(sql, params)
+    counters = db.last_profile().counters
+    if masked:
+        assert counters["visible.masked"] > 0 and counters["visible.probes"] == 0
+    else:  # a correlated conjunct: still tested per candidate
+        assert counters["visible.masked"] == 0 and counters["visible.probes"] > 0
+
+
+def test_the_local_cases_mean_what_they_say():
+    db = build_local()
+
+    def run(name):
+        sql, params, _ = LOCAL_CASES[name]
+        return db.execute(sql, params).rows
+
+    # Ann visited after 2020 twice (20 + 5) of three visits; Cy's NULL year
+    # is not after 2020, so one of Cy's two visits is visible.
+    assert run("expression dimension") == [
+        ("Ann", 25, 35, 2), ("Ben", 12, 42, 1), ("Cy", 15, 23, 1), ("Zed", 7, 7, 1),
+    ]
+    # NULL > 1 is never TRUE: nobody is visible through ``label``.
+    assert {row[1] for row in run("range column that is no dimension")} == {0}
+    assert run("fails only outside every candidate set") == [
+        ("Ann", 2, 30), ("Ben", 2, 42), ("Cy", 2, 23),
+    ]
+    # And the conjunct does fail on Zed's row, once a candidate set holds it.
+    with pytest.raises(ExecutionError, match="division by zero"):
+        db.execute("SELECT AGGREGATE(n) FROM visits_m WHERE 10.0 / (spend - 7) > 0 OR name = 'Zed'")
+
+
 CANONICAL = TPCH_QUERIES["visible_orders_by_region"]
 JOINED = (
     "SELECT n.n_name, AGGREGATE(o.order_count) FROM tpch_orders_m AS o "
@@ -354,14 +502,16 @@ def tpch() -> Database:
 
 def test_canonical_query_is_one_probe_per_candidate(tpch):
     """One relation, one conjunct that reads nothing but the candidate: no
-    group row is ever scanned, and each region's evaluation probes exactly
-    that region's orders."""
+    group row is ever scanned, and each region's evaluation reads the
+    conjunct's column at exactly that region's orders — no per-candidate
+    test is left."""
     orders = tpch.execute("SELECT COUNT(*) FROM orders").rows[0][0]
     assert visible_counters(tpch, CANONICAL) == {
         "visible.groups": 5,
         "visible.build_rows": 0,
-        "visible.probes": orders,
+        "visible.probes": 0,
         "visible.residual_rows": 0,
+        "visible.masked": orders,
     }
 
 
