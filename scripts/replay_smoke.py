@@ -18,6 +18,7 @@ Run it as ``make replay-smoke`` or ``python scripts/replay_smoke.py``.
 
 from __future__ import annotations
 
+import faulthandler
 import json
 import os
 import sys
@@ -109,4 +110,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    # A crash in a server thread prints every thread's stack.
+    faulthandler.enable(all_threads=True)
     sys.exit(main())

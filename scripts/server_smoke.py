@@ -21,6 +21,7 @@ Run it as ``make server-smoke`` or ``python scripts/server_smoke.py``.
 
 from __future__ import annotations
 
+import faulthandler
 import json
 import os
 import sys
@@ -219,4 +220,6 @@ def check_observability(db, server, host: str, port: int) -> list[str]:
 
 
 if __name__ == "__main__":
+    # A crash in a server thread prints every thread's stack.
+    faulthandler.enable(all_threads=True)
     sys.exit(main())

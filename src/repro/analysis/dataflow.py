@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from repro.engine.aggregates import AGGREGATES
 from repro.errors import SqlError
 from repro.plan import logical as plans
 from repro.semantics import bound as b
@@ -74,11 +75,6 @@ STRICT_OPS = frozenset(
 _NEVER_NULL_OPS = frozenset(
     ["IS NULL", "IS NOT NULL", "IS DISTINCT", "IS NOT DISTINCT"]
 )
-
-#: Aggregate functions that never return NULL over a non-empty group with
-#: non-null inputs (COUNT is non-null even over empty groups).
-_COUNT_FUNCS = frozenset(["COUNT"])
-_STRICT_AGG_FUNCS = frozenset(["SUM", "MIN", "MAX", "AVG"])
 
 #: Window functions whose result is always non-null.
 _NON_NULL_WINDOW_FUNCS = frozenset(
@@ -328,11 +324,12 @@ def _infer_agg_call(
     group_never_empty: bool = False,
 ) -> ColumnFacts:
     func = call.func.upper()
-    if func in _COUNT_FUNCS:
+    nulls = AGGREGATES[func].nulls  # a call is bound, so its name is known
+    if nulls == "never":
         return ColumnFacts(func.lower(), call.dtype, nullable=False)
     if (
         group_never_empty
-        and func in _STRICT_AGG_FUNCS
+        and nulls == "strict"
         and call.filter_where is None
         and call.args
         and not infer_expr(call.args[0], input_facts, analyzer).nullable

@@ -1284,7 +1284,7 @@ class Database:
                 ],
                 "dimensions": [d.name for d in obj.definition.dimensions],
                 "measures": [
-                    {"name": m.name, "rollup": m.kind}
+                    {"name": m.name, "rollup": obj.definition.rollup(m)}
                     for m in obj.definition.measures
                 ],
             }

@@ -67,9 +67,10 @@ class MaterializedView(BaseTable):
     """A persistent summary table with its analyzed definition.
 
     ``table`` holds the materialized rows (dimensions, visible aggregates,
-    and hidden AVG companion columns).  ``definition`` carries what the
-    matcher needs: source relation, dimension keys, per-measure roll-up
-    kinds, WHERE conjuncts, and the refresh plan.  ``fresh_as`` is the write
+    and hidden ``__`` columns for the aggregate states no visible column
+    holds).  ``definition`` carries what the matcher needs: source
+    relation, dimension keys, each item over its states, WHERE conjuncts,
+    and the refresh plan.  ``fresh_as`` is the write
     clock when the rows were computed (CREATE, REFRESH) or last merged; the
     summary is :attr:`stale` — skipped until refreshed — once a relation in
     ``definition.depends_on`` was dropped, replaced or written after it.

@@ -499,18 +499,12 @@ class Shell:
                 f"materialized view {obj.name} over "
                 f"{obj.definition.source_name} ({len(obj.table)} rows, {state})"
             )
-            dimension_names = {d.name.lower() for d in obj.definition.dimensions}
-            rollups = {m.name.lower(): m.kind for m in obj.definition.measures}
-            for column in obj.schema.columns:
-                if column.name.startswith("__"):
-                    continue
-                key = column.name.lower()
-                note = (
-                    "dimension"
-                    if key in dimension_names
-                    else f"rollup: {rollups.get(key, '?')}"
-                )
-                self.write(f"  {column.name:20s} {column.dtype}  {note}")
+            info = self.db.describe(obj.name)
+            rollups = {m["name"].lower(): m["rollup"] for m in info["measures"]}
+            for column in info["columns"]:
+                name = column["name"]
+                note = f"rollup: {rollups[name.lower()]}" if column["measure"] else "dimension"
+                self.write(f"  {name:20s} {column['type']}  {note}")
             return
         if isinstance(obj, BaseTable):
             self.write(f"table {obj.name} ({len(obj.table)} rows)")

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.catalog.objects import BaseTable, View
 from repro.core.expansion import Expander, materialized, output_order
 from repro.core.modifiers import BoundVisible, BoundWhere
-from repro.engine.aggregates import make_accumulator
+from repro.engine.aggregates import AGGREGATES
 from repro.errors import UnsupportedError
 from repro.semantics import bound as b
 from repro.semantics.binder import BoundSelect
@@ -361,7 +361,7 @@ def _windowed(node: b.BoundExpr, partition: list, src) -> Optional[ast.Expressio
         # as no row.
         if node.star:
             call = replace(call, star_arg=False, args=[ast.Literal(1)])
-        elif not make_accumulator(node.func).skips_nulls:
+        elif not AGGREGATES[node.func].skips_nulls:
             raise UnsupportedError(
                 f"window strategy: {node.func} reads NULL inputs, so a NULL "
                 "key cannot be guarded"

@@ -5,39 +5,46 @@ input row (after FILTER and DISTINCT handling), ``result()`` at group end.
 ``COUNT`` of an empty group is 0; every other aggregate returns NULL, per the
 SQL standard.  These same accumulators evaluate measure formulas over
 context-filtered source rows (:mod:`repro.core.evaluator`).
+
+One table, :data:`AGGREGATES`, gives each aggregate its accumulator and
+result type and, for those that roll up, its states, finish and roll-up
+aggregate: the one algebra by which summary tables (:mod:`repro.matview`)
+store, merge and re-aggregate what they hold (:func:`finished`).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
+from repro.engine.functions import FUNCTIONS
 from repro.errors import BindError, ExecutionError
+from repro.semantics import bound as b
 from repro.types import (
+    BOOLEAN,
     DOUBLE,
     INTEGER,
     UNKNOWN,
     VARCHAR,
     DataType,
     SortKey,
-    common_type,
     is_numeric,
 )
 
 __all__ = [
+    "AGGREGATES",
     "Accumulator",
-    "make_accumulator",
+    "AggregateFunction",
     "aggregate_result_type",
+    "finished",
     "is_aggregate_function",
-    "AGGREGATE_NAMES",
+    "make_accumulator",
 ]
 
 
 class Accumulator:
     """Base accumulator; subclasses override :meth:`add` and :meth:`result`."""
-
-    #: ``add(None)`` changes nothing: a NULL input is no input.
-    skips_nulls = True
 
     def add(self, value: Any) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -59,8 +66,6 @@ class _Count(Accumulator):
 
 
 class _CountStar(Accumulator):
-    skips_nulls = False
-
     def __init__(self) -> None:
         self.count = 0
 
@@ -229,8 +234,6 @@ class _FirstLast(Accumulator):
     """FIRST_VALUE / LAST_VALUE as aggregates (used for semi-additive
     measures, e.g. inventory-on-hand rolled up with LAST_VALUE over time)."""
 
-    skips_nulls = False
-
     def __init__(self, is_last: bool) -> None:
         self.is_last = is_last
         self.value: Any = None
@@ -271,34 +274,106 @@ class _CountIf(Accumulator):
         return self.count
 
 
-_FACTORIES: dict[str, Callable[[], Accumulator]] = {
-    "COUNT": _Count,
-    "SUM": _Sum,
-    "AVG": _Avg,
-    "MIN": lambda: _MinMax(True),
-    "MAX": lambda: _MinMax(False),
-    "STDDEV": lambda: _Welford("STDDEV_SAMP"),
-    "STDDEV_SAMP": lambda: _Welford("STDDEV_SAMP"),
-    "STDDEV_POP": lambda: _Welford("STDDEV_POP"),
-    "VARIANCE": lambda: _Welford("VAR_SAMP"),
-    "VAR_SAMP": lambda: _Welford("VAR_SAMP"),
-    "VAR_POP": lambda: _Welford("VAR_POP"),
-    "BOOL_AND": lambda: _BoolCombine("AND"),
-    "BOOL_OR": lambda: _BoolCombine("OR"),
-    "ANY_VALUE": _AnyValue,
-    "ARRAY_AGG": _ArrayAgg,
-    "STRING_AGG": _StringAgg,
-    "FIRST_VALUE": lambda: _FirstLast(False),
-    "LAST_VALUE": lambda: _FirstLast(True),
-    "MEDIAN": _Median,
-    "COUNTIF": _CountIf,
-}
+# -- the table -----------------------------------------------------------------
 
-AGGREGATE_NAMES = frozenset(_FACTORIES)
+
+def _fixed(dtype: DataType) -> Callable[[Sequence[DataType]], DataType]:
+    return lambda args: dtype
+
+
+def _argument_type(args: Sequence[DataType]) -> DataType:
+    return args[0].unwrap() if args else UNKNOWN
+
+
+def _sum_type(args: Sequence[DataType]) -> DataType:
+    base = args[0].unwrap() if args else UNKNOWN
+    return base if base in (INTEGER, DOUBLE) else UNKNOWN
+
+
+def _call(name: str, *args: b.BoundExpr) -> b.BoundExpr:
+    function = FUNCTIONS[name]
+    return b.BoundCall(
+        name, list(args), function.result_type([a.dtype for a in args]), function.call
+    )
+
+
+@dataclass(frozen=True)
+class AggregateFunction:
+    """One aggregate: how it runs, what it returns, and how it rolls up.
+
+    Gray et al.'s *Data Cube* splits aggregates three ways.  A distributive
+    one (``SUM``, ``COUNT``, ``MIN``, ``MAX``) is its own one state; an
+    algebraic one (``AVG``) is finished from a fixed number of them; a
+    holistic one has no state of bounded size.  Only the first two have
+    ``states`` here (the ``VARIANCE`` family is algebraic too, but has no
+    merge yet): a coarser group's value is the finish over its finer groups'
+    states, each re-aggregated by its own ``rollup`` aggregate."""
+
+    accumulator: Callable[[], Accumulator]
+    result_type: Callable[[Sequence[DataType]], DataType]
+    #: ``add(None)`` changes nothing: a NULL input is no input.
+    skips_nulls: bool = True
+    #: What the dataflow analysis assumes of the result: ``"never"`` NULL,
+    #: or NULL only over an empty group or NULL inputs (``"strict"``).
+    nulls: Optional[str] = None
+    #: The aggregates of the same input this one is computed from; None: it
+    #: does not roll up.
+    states: Optional[tuple[str, ...]] = None
+    #: The value from its states (bound expressions, in ``states`` order).
+    #: An aggregate that is its own one state finishes to that state's value
+    #: over any group with rows.
+    finish: Callable[..., b.BoundExpr] = lambda state: state
+    #: As a state, the aggregate that re-aggregates it.
+    rollup: Optional[str] = None
+    #: Duplicates change nothing, so a DISTINCT call rolls up too.
+    idempotent: bool = False
+
+
+AGGREGATES: dict[str, AggregateFunction] = {
+    # Over no rows COUNT is 0, but the SUM that rolls its state up is NULL.
+    "COUNT": AggregateFunction(
+        _Count, _fixed(INTEGER), nulls="never", states=("COUNT",), rollup="SUM",
+        finish=lambda count: _call("COALESCE", count, b.BoundLiteral(0, INTEGER)),
+    ),
+    "SUM": AggregateFunction(
+        _Sum, _sum_type, nulls="strict", states=("SUM",), rollup="SUM"
+    ),
+    "AVG": AggregateFunction(
+        _Avg, _fixed(DOUBLE), nulls="strict", states=("SUM", "COUNT"),
+        finish=lambda total, count: _call("SAFE_DIVIDE", total, count),
+    ),
+    "MIN": AggregateFunction(
+        lambda: _MinMax(True), _argument_type, nulls="strict", states=("MIN",),
+        rollup="MIN", idempotent=True,
+    ),
+    "MAX": AggregateFunction(
+        lambda: _MinMax(False), _argument_type, nulls="strict", states=("MAX",),
+        rollup="MAX", idempotent=True,
+    ),
+    "STDDEV": AggregateFunction(lambda: _Welford("STDDEV_SAMP"), _fixed(DOUBLE)),
+    "STDDEV_SAMP": AggregateFunction(lambda: _Welford("STDDEV_SAMP"), _fixed(DOUBLE)),
+    "STDDEV_POP": AggregateFunction(lambda: _Welford("STDDEV_POP"), _fixed(DOUBLE)),
+    "VARIANCE": AggregateFunction(lambda: _Welford("VAR_SAMP"), _fixed(DOUBLE)),
+    "VAR_SAMP": AggregateFunction(lambda: _Welford("VAR_SAMP"), _fixed(DOUBLE)),
+    "VAR_POP": AggregateFunction(lambda: _Welford("VAR_POP"), _fixed(DOUBLE)),
+    "BOOL_AND": AggregateFunction(lambda: _BoolCombine("AND"), _fixed(BOOLEAN)),
+    "BOOL_OR": AggregateFunction(lambda: _BoolCombine("OR"), _fixed(BOOLEAN)),
+    "ANY_VALUE": AggregateFunction(_AnyValue, _argument_type),
+    "ARRAY_AGG": AggregateFunction(_ArrayAgg, _fixed(UNKNOWN)),
+    "STRING_AGG": AggregateFunction(_StringAgg, _fixed(VARCHAR)),
+    "FIRST_VALUE": AggregateFunction(
+        lambda: _FirstLast(False), _argument_type, skips_nulls=False
+    ),
+    "LAST_VALUE": AggregateFunction(
+        lambda: _FirstLast(True), _argument_type, skips_nulls=False
+    ),
+    "MEDIAN": AggregateFunction(_Median, _fixed(DOUBLE)),
+    "COUNTIF": AggregateFunction(_CountIf, _fixed(INTEGER)),
+}
 
 
 def is_aggregate_function(name: str) -> bool:
-    return name.upper() in _FACTORIES
+    return name.upper() in AGGREGATES
 
 
 def make_accumulator(func: str, star: bool = False) -> Accumulator:
@@ -307,7 +382,7 @@ def make_accumulator(func: str, star: bool = False) -> Accumulator:
     if name == "COUNT" and star:
         return _CountStar()
     try:
-        return _FACTORIES[name]()
+        return AGGREGATES[name].accumulator()
     except KeyError:
         raise ExecutionError(f"unknown aggregate function {name}") from None
 
@@ -315,32 +390,47 @@ def make_accumulator(func: str, star: bool = False) -> Accumulator:
 def aggregate_result_type(func: str, arg_types: Sequence[DataType]) -> DataType:
     """Static result type of an aggregate call."""
     name = func.upper()
-    if name in ("COUNT", "COUNTIF"):
-        return INTEGER
-    if name in (
-        "AVG",
-        "STDDEV",
-        "STDDEV_SAMP",
-        "STDDEV_POP",
-        "VARIANCE",
-        "VAR_SAMP",
-        "VAR_POP",
-        "MEDIAN",
-    ):
-        return DOUBLE
-    if name == "STRING_AGG":
-        return VARCHAR
-    if name == "SUM":
-        if not arg_types:
-            return UNKNOWN
-        base = arg_types[0].unwrap()
-        return base if base in (INTEGER, DOUBLE) else UNKNOWN
-    if name in ("MIN", "MAX", "ANY_VALUE", "FIRST_VALUE", "LAST_VALUE"):
-        return arg_types[0].unwrap() if arg_types else UNKNOWN
-    if name in ("BOOL_AND", "BOOL_OR"):
-        from repro.types import BOOLEAN
+    try:
+        return AGGREGATES[name].result_type(arg_types)
+    except KeyError:
+        raise BindError(f"unknown aggregate function {name}") from None
 
-        return BOOLEAN
-    if name == "ARRAY_AGG":
-        return UNKNOWN
-    raise BindError(f"unknown aggregate function {name}")
+
+# -- the algebra -----------------------------------------------------------------
+
+
+#: What a formula may combine its calls with and still roll up.
+_SCALAR = (b.BoundLiteral, b.BoundCall, b.BoundCase, b.BoundCast, b.BoundInList)
+
+
+class _Holistic(Exception):
+    pass
+
+
+def finished(expr: b.BoundExpr) -> Optional[b.BoundExpr]:
+    """``expr`` — an aggregate call, or scalar arithmetic over calls (a
+    measure's formula) — with each call replaced by its finish over its
+    states; None when some call does not roll up or ``expr`` reads anything
+    else (a column outside a call, a measure, a subquery)."""
+    try:
+        return _finish(expr)
+    except _Holistic:
+        return None
+
+
+def _finish(node: b.BoundExpr) -> b.BoundExpr:
+    if isinstance(node, b.BoundAggCall):
+        # A state is a call of the same input, FILTER and all.
+        row, types = AGGREGATES[node.func], [arg.dtype for arg in node.args]
+        if row.states is None or node.within_distinct or node.distinct and not row.idempotent:
+            raise _Holistic
+        return row.finish(*(
+            node if name == node.func
+            else replace(node, func=name, dtype=AGGREGATES[name].result_type(types))
+            for name in row.states
+        ))
+    if not isinstance(node, _SCALAR):
+        raise _Holistic
+    return replace(
+        node, **{name: b.map_exprs(getattr(node, name), _finish) for name in node.CHILDREN}
+    )

@@ -7,17 +7,19 @@ each dimension as the ``fingerprint`` of its bound grouping expression; each
 stored aggregate as the fingerprint of its ``BoundAggCall`` or, for a
 measure evaluated at the group (``AGGREGATE(m)``, a bare ``m``), by the
 bound measure's name (a view's column list renames the column, not the
-measure); the WHERE conjuncts; and the refresh plan.  How a stored aggregate
-re-aggregates when a query groups by a *subset* of the dimensions is read off
-the bound call (for a measure, its bound formula):
+measure); the WHERE conjuncts; and the refresh plan.
 
-* ``SUM`` / ``COUNT``: ``SUM`` of the partials; ``MIN`` / ``MAX``: ``MIN`` /
-  ``MAX`` of them;
-* ``AVG``: ``SUM(sum) / SUM(count)`` over hidden companion columns, the
-  same call as ``SUM`` and as ``COUNT``, which the refresh plan computes;
-* ``OPAQUE`` — a ratio such as the paper's ``profitMargin``, an ``AVG``
-  measure, a ``DISTINCT`` aggregate — does not roll up: it answers only a
-  query grouped by exactly the summary's dimensions (one row per group).
+A summary stores *states* (:mod:`repro.engine.aggregates`): an item that
+rolls up is kept as one bound expression over the states of its calls, each
+evaluated in the group's context and stored once — ``AVG(x)`` is
+``SAFE_DIVIDE`` over ``SUM(x)`` and ``COUNT(x)``, the paper's
+``profitMargin`` its formula over its ``SUM`` states.  A state lives in the
+column of an item whose value it is, else in a hidden ``__`` column.  A
+coarser query re-aggregates each state by its roll-up aggregate and
+finishes again; an INSERT folds the delta's states into the stored ones.
+An item with a call of any other kind (DISTINCT ``SUM``, ``MEDIAN``, …), or
+a measure whose formula holds a measure or a subquery, keeps only its value
+and answers only a query grouped by exactly the summary's dimensions.
 """
 
 from __future__ import annotations
@@ -27,16 +29,18 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.catalog.objects import MaterializedView, SystemTable
 from repro.catalog.schema import Column, TableSchema
+from repro.core.definition import MeasureInstance
 from repro.core.modifiers import BoundVisible
-from repro.engine.aggregates import aggregate_result_type
+from repro.engine.aggregates import AGGREGATES, finished
 from repro.errors import CatalogError, UnsupportedError
 from repro.plan import logical as plans
 from repro.semantics import bound as b
 from repro.semantics.binder import Binder, BoundSelect
+from repro.semantics.correlate import transform_expr
 from repro.semantics.unbind import unbind
 from repro.sql import ast
 from repro.sql.printer import to_sql
-from repro.types import INTEGER, UNKNOWN, VARCHAR
+from repro.types import UNKNOWN, VARCHAR
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import Database
@@ -58,13 +62,21 @@ class SummaryDimension:
 
 
 @dataclass
+class SummaryState:
+    column: str  # the summary column holding it: an item's own, or __item_func
+    rollup: str  # the aggregate that re-aggregates it: SUM, MIN or MAX
+
+
+@dataclass
 class SummaryMeasure:
-    name: str  # column name in the summary table (AVG: also __name_sum/_count)
-    kind: str  # SUM | COUNT | MIN | MAX | AVG | OPAQUE
+    name: str  # column name in the summary table
     #: The fingerprint of the call, or the :func:`measure_key` of the
     #: measure, a query must evaluate to read this column; None for a measure
     #: evaluated ``AT`` another context.
     key: Optional[str]
+    #: The value over the summary's states (``BoundColumn(i)`` reads
+    #: ``states[i]``); None when it answers only the summary's own grain.
+    expr: Optional[b.BoundExpr]
 
 
 @dataclass
@@ -73,9 +85,20 @@ class SummaryDefinition:
     depends_on: frozenset  # lowered names of every table and view its bind read
     dimensions: list[SummaryDimension]
     measures: list[SummaryMeasure]
+    states: list[SummaryState]
     where: dict[str, str]  # fingerprint -> SQL of each WHERE conjunct
-    plan: plans.LogicalPlan  # the refresh plan, AVG companions included
+    plan: plans.LogicalPlan  # the refresh plan: the states, then every column
     schema: TableSchema
+
+    def rollup(self, measure: SummaryMeasure) -> str:
+        """How ``measure`` rolls up, in *Data Cube*'s terms: ``distributive``
+        when its own column is its one state, ``algebraic`` when it is
+        finished from states, ``exact grain`` when it has none."""
+        if measure.expr is None:
+            return "exact grain"
+        if any(state.column == measure.name for state in self.states):
+            return "distributive"
+        return "algebraic"
 
 
 def analyze_definition(
@@ -110,7 +133,7 @@ def analyze_definition(
     if not isinstance(aggregate, plans.Aggregate) or aggregate.has_grouping_id:
         raise shape
     dimensions: dict[int, SummaryDimension] = {}
-    measures: list[SummaryMeasure] = []
+    items: list[tuple] = []  # (bound item, its measure, its value, its site)
     for item, expr, (column, _) in zip(bound.items, plan.exprs, plan.schema):
         if not item.alias and not isinstance(item.expr, ast.ColumnRef):
             raise CatalogError(
@@ -120,81 +143,124 @@ def analyze_definition(
         if isinstance(expr, b.BoundColumn):
             key = b.fingerprint(bound.group_exprs[expr.offset])
             dimensions.setdefault(expr.offset, SummaryDimension(column, key))
+            items.append((expr, None, None, None))
         elif isinstance(expr, b.BoundAggRef):
-            call = bound.agg_calls[expr.index - len(bound.group_exprs)]
-            measures.append(SummaryMeasure(column, _kind(call), b.fingerprint(call)))
+            call = aggregate.agg_calls[expr.index - len(bound.group_exprs)]
+            items.append((expr, SummaryMeasure(column, b.fingerprint(call), None), call, None))
         elif isinstance(expr, b.BoundMeasureEval):
             key = None if context_mismatch(expr, bound) else measure_key(expr)
-            kind = _kind(expr.measure.formula) if key else "OPAQUE"
-            # An AVG measure has no companions: its argument is no column of
-            # the relation the summary reads.
-            measures.append(
-                SummaryMeasure(column, "OPAQUE" if kind == "AVG" else kind, key)
-            )
+            formula = expr.measure.formula if key else None
+            items.append((expr, SummaryMeasure(column, key, None), formula, expr))
         else:
             raise CatalogError(
                 f"materialized view {name!r}: select items must be grouping "
                 f"columns or aggregates, got {to_sql(item.expr)}"
             )
+    measures = [measure for _, measure, _, _ in items if measure is not None]
     if len(dimensions) != len(bound.group_exprs) or not measures:
         raise CatalogError(
             f"materialized view {name!r} must select every GROUP BY "
             f"expression and at least one aggregate"
         )
-    plan = _with_companions(plan, bound, measures)
+    states, plan = _stored(aggregate, plan.schema, items)
     spell = spelling(bound)
     return SummaryDefinition(
         source_name=query.from_clause.name.lower(),
         depends_on=frozenset(binder.reads),
         dimensions=list(dimensions.values()),
         measures=measures,
+        states=states,
         where={b.fingerprint(c): spell(c) for c in bound.where},
         plan=db._optimize(plan),
         schema=table_schema(plan.schema),
     )
 
 
-def _with_companions(
-    plan: plans.Project, bound: BoundSelect, measures: list[SummaryMeasure]
-) -> plans.Project:
-    """``plan`` also computing each AVG call as a ``SUM`` and as a ``COUNT``
-    (FILTER and all) into hidden columns ``__name_sum`` / ``__name_count``."""
-    calls = {b.fingerprint(call): call for call in bound.agg_calls}
-    extra: list[tuple[str, b.BoundAggCall]] = []
-    for measure in measures:
-        if measure.kind == "AVG":
-            call = calls[measure.key]
-            total = aggregate_result_type("SUM", [arg.dtype for arg in call.args])
-            extra += [
-                (f"__{measure.name}_sum", replace(call, func="SUM", dtype=total)),
-                (f"__{measure.name}_count", replace(call, func="COUNT", dtype=INTEGER)),
-            ]
-    if not extra:
-        return plan
-    columns = [(column, call.dtype) for column, call in extra]
-    end = len(bound.group_exprs) + len(bound.agg_calls)
-    aggregate = replace(
-        plan.input,
-        agg_calls=[*bound.agg_calls, *(call for _, call in extra)],
-        schema=[*plan.input.schema[:end], *columns, *plan.input.schema[end:]],
+def _stored(aggregate: plans.Aggregate, schema, items: list[tuple]):
+    """Each state the items are finished from, stored once — in the column
+    of an item whose value it is, else a hidden one — and the refresh plan:
+    the grouping, with every state among its calls or, for a measure, as an
+    evaluation in the group's context; then a Project of every column."""
+    states: list[SummaryState] = []
+    sources: list[tuple] = []  # each state's call, and its measure's site
+    slots: dict[str, int] = {}
+    hidden: list[int] = []
+
+    def state(call: b.BoundAggCall, site, owner: str, own=False) -> b.BoundColumn:
+        # Every measure of the one FROM relation reads the same source row.
+        key = b.fingerprint(call) if site is None else f"measure {b.fingerprint(call)}"
+        if key not in slots:
+            column = owner if own else f"__{owner}_{call.func.lower()}"
+            if column in {s.column for s in states}:
+                column += str(len(states))
+            if not own:
+                hidden.append(len(states))
+            slots[key] = len(states)
+            states.append(SummaryState(column, AGGREGATES[call.func].rollup))
+            sources.append((call, site))
+        return b.BoundColumn(slots[key], call.dtype)
+
+    done = [(m, v, s, v if v is None else finished(v)) for _, m, v, s in items if m]
+    for measure, value, site, finish in done:  # an item whose value is its state
+        if finish is not None and isinstance(value, b.BoundAggCall):
+            if AGGREGATES[value.func].states == (value.func,):
+                state(value, site, measure.name, own=True)
+    for measure, _, site, finish in done:
+        if finish is not None:  # each state call read as its slot
+            measure.expr = transform_expr(finish, lambda node, site=site, m=measure: (
+                state(node, site, m.name) if isinstance(node, b.BoundAggCall) else None
+            ))
+    # A state no call of the grouping computes joins them, ahead of the
+    # group's captured rows, which VISIBLE reads at the grouping's offset.
+    group, calls = len(aggregate.group_exprs), list(aggregate.agg_calls)
+    known = {b.fingerprint(call) for call in calls}
+    end = group + len(calls)
+    calls += [c for c, site in sources if site is None and b.fingerprint(c) not in known]
+    aggregate = replace(aggregate, agg_calls=calls, schema=[
+        *aggregate.schema[:end],
+        *((f"$agg{i}", c.dtype) for i, c in enumerate(calls[end - group:], end - group)),
+        *aggregate.schema[end:],
+    ])
+    at = {b.fingerprint(call): group + i for i, call in enumerate(calls)}
+
+    # The grouping's row, then the measures' evaluations: with none, the
+    # Project is the identity the optimizer drops.
+    row = [b.BoundColumn(i, dtype) for i, (_, dtype) in enumerate(aggregate.schema)]
+
+    def evaluated(site: b.BoundMeasureEval, measure: MeasureInstance) -> b.BoundColumn:
+        context = site.context
+        if context.captured_rows_offset is not None:
+            context = replace(context, captured_rows_offset=aggregate.captured_rows_offset)
+        row.append(b.BoundMeasureEval(measure, context, measure.value_type))
+        return b.BoundColumn(len(row) - 1, measure.value_type)
+
+    held = [
+        b.BoundColumn(at[b.fingerprint(call)], call.dtype) if site is None
+        else evaluated(site, MeasureInstance(
+            site.measure.name, site.measure.group, call, call.dtype
+        ))
+        for call, site in sources
+    ]
+
+    def over_row(node: b.BoundExpr) -> Optional[b.BoundExpr]:
+        return held[node.offset] if isinstance(node, b.BoundColumn) else None
+
+    columns = [
+        expr if measure is None  # a grouping key
+        else transform_expr(measure.expr, over_row) if measure.expr is not None
+        else evaluated(expr, expr.measure) if isinstance(expr, b.BoundMeasureEval)
+        else b.BoundColumn(expr.index, expr.dtype)
+        for expr, measure, _, _ in items
+    ]
+    extra = row[len(aggregate.schema):]
+    grouped = plans.Project(
+        aggregate, row, [*aggregate.schema, *((f"$state{i}", e.dtype) for i, e in enumerate(extra))]
     )
-    for expr in plan.exprs:  # the captured group rows moved right
-        spec = getattr(expr, "context", None)
-        if spec is not None and spec.captured_rows_offset is not None:
-            spec.captured_rows_offset += len(extra)
-    refs = [b.BoundAggRef(end + i, dtype) for i, (_, dtype) in enumerate(columns)]
-    return plans.Project(aggregate, [*plan.exprs, *refs], [*plan.schema, *columns])
-
-
-def _kind(call: b.BoundExpr) -> str:
-    """How a stored aggregate re-aggregates over sub-groups: DISTINCT keeps
-    an extremum but makes the values of sub-groups overlap."""
-    if isinstance(call, b.BoundAggCall) and not call.within_distinct:
-        if call.func in ("MIN", "MAX") or not call.distinct and call.func in (
-            "SUM", "COUNT", "AVG"
-        ):
-            return call.func
-    return "OPAQUE"
+    return states, plans.Project(
+        grouped,
+        [*columns, *(held[i] for i in hidden)],
+        [*schema, *((states[i].column, held[i].dtype) for i in hidden)],
+    )
 
 
 def measure_key(site: b.BoundMeasureEval) -> str:

@@ -5,10 +5,11 @@ A summary's rows come from its stored refresh plan; only :func:`refresh`
 binds the definition again.  Nothing marks a summary stale: it reads its
 staleness off the write stamps of what it depends on
 (:attr:`~repro.catalog.objects.MaterializedView.stale`).  The one push is
-:func:`insert`, because a merge needs the delta: a mergeable summary that
-was fresh before the INSERT runs its plan over the inserted rows alone,
-folds the result in and is fresh again; any other stays stale until
-refreshed.
+:func:`insert`, because a merge needs the delta: a summary whose items are
+all finished from states and that was fresh before the INSERT runs its plan
+over the inserted rows alone, folds each state into the stored one by its
+roll-up aggregate, finishes every item again and is fresh again; any other
+stays stale until refreshed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.catalog.objects import BaseTable, MaterializedView
+from repro.engine.aggregates import make_accumulator
+from repro.engine.compile import compile_expr
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
 from repro.storage.table import MemoryTable, clock
@@ -26,9 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.matview.definition import SummaryDefinition
 
 __all__ = ["compute_rows", "insert", "refresh"]
-
-#: Aggregate kinds whose partials merge with a new partial in place.
-_MERGEABLE = frozenset({"SUM", "COUNT", "MIN", "MAX", "AVG"})
 
 
 def compute_rows(
@@ -75,11 +75,11 @@ def insert(
     it that was fresh before and can merge.
 
     A summary merges only when it reads the table directly (no intervening
-    view whose semantics the delta would have to reproduce) and every
-    aggregate merges additively."""
+    view whose semantics the delta would have to reproduce) and every item
+    is finished from states."""
     fresh = [
         view for view in db.catalog.materialized_views_over(table.name)
-        if not view.stale and all(m.kind in _MERGEABLE for m in view.definition.measures)
+        if not view.stale and all(m.expr is not None for m in view.definition.measures)
     ]
     count = table.table.insert_many(rows, columns)
     for view in fresh if count else ():
@@ -92,10 +92,15 @@ def insert(
 
 
 def _merge(view: MaterializedView, delta_rows: list[tuple]) -> None:
-    """Fold the partials of the inserted rows into the stored ones."""
-    table, columns = view.table, view.table.schema.columns
+    """Fold the states of the inserted rows into the stored ones, each by
+    its roll-up aggregate, and finish every item again."""
+    definition, table = view.definition, view.table
+    columns = table.schema.columns
     at = {column.name: i for i, column in enumerate(columns)}
-    keys = [at[d.name] for d in view.definition.dimensions]
+    keys = [at[d.name] for d in definition.dimensions]
+    states = [(at[s.column], s.rollup) for s in definition.states]
+    items = [(at[m.name], compile_expr(m.expr)) for m in definition.measures]
+    ctx = ExecutionContext(view.catalog)
     position_of = {
         tuple(row[i] for i in keys): p for p, row in enumerate(table.rows)
     }
@@ -108,25 +113,13 @@ def _merge(view: MaterializedView, delta_rows: list[tuple]) -> None:
             added.append(delta)
             continue
         row = merged[position] = list(table.rows[position])
-        for measure in view.definition.measures:
-            if measure.kind == "AVG":
-                total, count = (at[f"__{measure.name}_{p}"] for p in ("sum", "count"))
-                row[total] = _combine("SUM", row[total], delta[total])
-                row[count] = _combine("SUM", row[count], delta[count])
-                row[at[measure.name]] = row[total] / row[count] if row[count] else None
-            else:
-                i = at[measure.name]
-                row[i] = _combine(measure.kind, row[i], delta[i])
+        for i, rollup in states:
+            accumulator = make_accumulator(rollup)
+            accumulator.add(row[i])
+            accumulator.add(delta[i])
+            row[i] = accumulator.result()
+        held = tuple(row[i] for i, _ in states)
+        for i, finish in items:
+            row[i] = finish(held, None, ctx)
     table.update(list(merged), list(merged.values()))
     table.insert_many(added)
-
-
-def _combine(kind: str, old: Any, new: Any) -> Any:
-    """Merge one stored partial with the same partial over the delta.
-    Aggregates ignore NULL inputs, so a NULL partial on either side yields
-    the other side unchanged."""
-    if old is None or new is None:
-        return new if old is None else old
-    if kind in ("SUM", "COUNT"):
-        return old + new
-    return min(old, new) if kind == "MIN" else max(old, new)

@@ -8,7 +8,9 @@ expression it names); every ``BoundAggCall`` is stored, and every measure
 evaluation is stored and evaluated in exactly its group's context; the
 summary's WHERE conjuncts are among the query's; the rest read only
 dimensions.  On a hit the answer — a GROUP BY over the summary table that
-re-aggregates the stored partials — is printed from the bound query by
+reads each item's own column at the summary's grain and, at a coarser one,
+finishes the item over its states, each re-aggregated by its roll-up
+aggregate (:mod:`repro.matview.definition`) — is printed from the bound query by
 :func:`repro.semantics.unbind.unbind`, the way ``expand()`` prints; what
 ``unbind`` refuses is the ``unsupported-shape`` rejection.  Each candidate
 consulted gets a :class:`CandidateReport`, for EXPLAIN, lint and the
@@ -171,15 +173,22 @@ def _answer(view: MaterializedView, select: ast.Select, bound) -> ast.Select:
         return None
 
     def rollup(measure: Optional[SummaryMeasure], what: str) -> b.BoundExpr:
+        """The stored item: its own column at the summary's grain (one row a
+        group), else the finish over its states rolled up."""
         if measure is None:
             raise _NoMatch(f"{what} is not stored in the summary", "missing-aggregate")
-        if measure.kind == "OPAQUE" and not exact:
+        if exact:
+            return cell(ast.FunctionCall("MIN", [column(measure.name)]))
+        if measure.expr is None:
             raise _NoMatch(
-                f"{what} does not roll up ({measure.kind}); grouping must "
-                f"match the summary's dimensions exactly",
+                f"{what} does not roll up; grouping must match the summary's "
+                f"dimensions exactly",
                 "non-distributive-aggregate",
             )
-        return cell(_rollup(measure, column))
+        held = definition.states
+        return cell(unbind(measure.expr, [
+            lambda i: ast.FunctionCall(held[i].rollup, [column(held[i].column)])
+        ]))
 
     def over_groups(node: b.BoundExpr) -> Optional[b.BoundExpr]:
         """An item, HAVING or ORDER BY key, over the Aggregate output row."""
@@ -231,22 +240,3 @@ def _answer(view: MaterializedView, select: ast.Select, bound) -> ast.Select:
         force_aggregate=True,
     )
 
-
-def _rollup(measure: SummaryMeasure, column) -> ast.Expression:
-    """The expression that re-aggregates one stored column."""
-
-    def over(func: str, name: str = measure.name) -> ast.Expression:
-        return ast.FunctionCall(func, [column(name)])
-
-    if measure.kind == "AVG":
-        return ast.FunctionCall(
-            "SAFE_DIVIDE",
-            [over("SUM", f"__{measure.name}_{part}") for part in ("sum", "count")],
-        )
-    if measure.kind == "COUNT":
-        # SUM over no rows is NULL but a COUNT is 0 (the global grain can
-        # see zero summary rows).
-        return ast.FunctionCall("COALESCE", [over("SUM"), ast.Literal(0)])
-    # OPAQUE answers only at exact grain: each group is one summary row,
-    # whose value MIN returns.
-    return over("MIN" if measure.kind == "OPAQUE" else measure.kind)

@@ -584,9 +584,9 @@ TPCH_VIEWS: dict[str, str] = {
         JOIN nation AS n ON c.c_nationkey = n.n_nationkey
         JOIN region AS r ON n.n_regionkey = r.r_regionkey
     """,
-    # Lineitem-grain measures.  revenue is a single SUM, so summaries
-    # storing it roll up; margin is a ratio (OPAQUE: exact-grain summary
-    # matches only); avg_discount re-aggregates via hidden SUM/COUNT pairs.
+    # Lineitem-grain measures.  A summary stores each one's states: revenue
+    # and total_qty are their own SUM; margin, a ratio, is its formula over
+    # two SUM states; avg_discount is a SUM and a COUNT.  All four roll up.
     "tpch_sales_m": """
         CREATE VIEW tpch_sales_m AS
         SELECT region, nation, mktsegment, returnflag, shipmode,
@@ -674,8 +674,9 @@ TPCH_QUERIES: dict[str, str] = {
 #: Summary tables over the measure layer.  The summary match answers
 #: ``revenue_by_region``/``revenue_by_region_year`` from
 #: ``tpch_rev_by_region_year`` (SUM measures roll up from (region, year) to
-#: (region)); ``margin_by_returnflag`` needs the exact-grain
-#: ``tpch_margin_by_returnflag`` because a ratio measure is opaque.
+#: (region)) and ``margin_by_returnflag`` from ``tpch_margin_by_returnflag``
+#: at its own grain; that summary also stores the ratio ``margin``'s and
+#: ``avg_discount``'s states, so a coarser query of either rolls up too.
 TPCH_SUMMARIES: dict[str, str] = {
     "tpch_rev_by_region_year": """
         CREATE MATERIALIZED VIEW tpch_rev_by_region_year AS

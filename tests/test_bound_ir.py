@@ -733,6 +733,27 @@ def test_the_text_matcher_is_not_back():
     assert "transform_topdown" not in matview and "deepcopy" not in matview
 
 
+def test_the_roll_up_rules_are_one_table():
+    """The per-kind copies of the aggregate algebra are gone: summaries read
+    ``engine/aggregates.py::AGGREGATES`` (states, finish, roll-up)."""
+    from repro.matview.definition import SummaryMeasure
+
+    source = {path: path.read_text() for path in SRC.rglob("*.py")}
+    for gone in ("_kind", "_with_companions", "_rollup", "_MERGEABLE", "_combine", "_FACTORIES"):
+        defined = [
+            path.relative_to(SRC).as_posix()
+            for path, text in source.items()
+            for node in pyast.walk(pyast.parse(text))
+            if isinstance(node, (pyast.FunctionDef, pyast.Assign))
+            and gone in (
+                [node.name] if isinstance(node, pyast.FunctionDef)
+                else [t.id for t in node.targets if isinstance(t, pyast.Name)]
+            )
+        ]
+        assert not defined, (gone, defined)
+    assert "kind" not in {f.name for f in dataclasses.fields(SummaryMeasure)}
+
+
 def test_a_summary_match_reads_the_bind_the_query_already_does(monkeypatch):
     from repro.sql import parse_query
 

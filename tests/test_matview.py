@@ -290,11 +290,19 @@ def measure_truth(sql: str) -> list[tuple]:
 
 
 def test_distributive_measure_classified_and_answered(measure_mdb):
-    kinds = {m.name: m.kind for m in measure_mdb.catalog.get("eos").definition.measures}
-    assert kinds == {"rev": "SUM", "margin": "OPAQUE"}
-    sql = "SELECT prodName, AGGREGATE(rev) FROM eo GROUP BY prodName ORDER BY prodName"
-    assert answered_from(measure_mdb, sql, "eos")
-    assert measure_mdb.execute(sql).rows == measure_truth(sql)
+    definition = measure_mdb.catalog.get("eos").definition
+    kinds = {m.name: definition.rollup(m) for m in definition.measures}
+    assert kinds == {"rev": "distributive", "margin": "algebraic"}
+    # margin's SUM(revenue) is rev's column; only SUM(cost) is hidden.
+    assert [c.name for c in measure_mdb.catalog.get("eos").schema.columns] == [
+        "prodName", "rev", "margin", "__margin_sum",
+    ]
+    for sql in [
+        "SELECT prodName, AGGREGATE(rev) FROM eo GROUP BY prodName ORDER BY prodName",
+        "SELECT AGGREGATE(rev) FROM eo",
+    ]:
+        assert answered_from(measure_mdb, sql, "eos")
+        assert measure_mdb.execute(sql).rows == measure_truth(sql)
 
 
 def test_a_bare_measure_under_where_is_not_answered_from_a_summary():
@@ -343,8 +351,9 @@ def test_a_view_with_a_column_list_matches():
         "CREATE MATERIALIZED VIEW evs AS SELECT p, c, AGGREGATE(r) AS r "
         "FROM ev GROUP BY p, c"
     )
-    assert [(m.name, m.kind) for m in db.catalog.get("evs").definition.measures] == [
-        ("r", "SUM")
+    definition = db.catalog.get("evs").definition
+    assert [(m.name, definition.rollup(m)) for m in definition.measures] == [
+        ("r", "distributive")
     ]
     cold = make_db(summaries=False)
     cold.execute(
@@ -359,16 +368,59 @@ def test_a_view_with_a_column_list_matches():
         assert db.execute(sql).rows == cold.execute(sql).rows
 
 
-def test_opaque_measure_exact_grouping_only(measure_mdb):
-    exact = "SELECT prodName, AGGREGATE(margin) FROM eo GROUP BY prodName ORDER BY prodName"
-    assert answered_from(measure_mdb, exact, "eos")
-    assert measure_mdb.execute(exact).rows == measure_truth(exact)
+def test_ratio_measure_rolls_up_and_a_holistic_one_does_not(measure_mdb):
+    # The paper's profitMargin: its formula over the SUM states, rolled up.
+    for sql in [
+        "SELECT prodName, AGGREGATE(margin) FROM eo GROUP BY prodName ORDER BY prodName",
+        "SELECT AGGREGATE(margin) FROM eo",
+        "SELECT AGGREGATE(margin) FROM eo WHERE prodName <> 'B'",
+    ]:
+        assert answered_from(measure_mdb, sql, "eos")
+        assert measure_mdb.execute(sql).rows == measure_truth(sql)
 
-    coarser = "SELECT AGGREGATE(margin) FROM eo"
-    assert not answered_from(measure_mdb, coarser, "eos")
-    assert measure_mdb.execute(coarser).rows == measure_truth(coarser)
-    reason = measure_mdb.summary_stats()["eos"]["last_reject_reason"]
-    assert "does not roll up" in reason
+    holistic = """CREATE VIEW ed AS SELECT prodName, custName,
+                  COUNT(DISTINCT custName) AS MEASURE buyers FROM Orders"""
+    for db in (measure_mdb, cold := make_db(summaries=False)):
+        db.execute(holistic)
+    measure_mdb.execute(
+        "CREATE MATERIALIZED VIEW eds AS SELECT prodName, AGGREGATE(buyers) "
+        "AS buyers FROM ed GROUP BY prodName"
+    )
+    exact = "SELECT prodName, AGGREGATE(buyers) FROM ed GROUP BY prodName ORDER BY 1"
+    coarser = "SELECT AGGREGATE(buyers) FROM ed"
+    assert answered_from(measure_mdb, exact, "eds")
+    assert not answered_from(measure_mdb, coarser, "eds")
+    for sql in (exact, coarser):
+        assert measure_mdb.execute(sql).rows == cold.execute(sql).rows
+    stats = measure_mdb.summary_stats()["eds"]
+    assert stats["reject_reasons"] == {"non-distributive-aggregate": 1}
+    assert "does not roll up" in stats["last_reject_reason"]
+
+
+def test_states_join_a_grouping_that_captures_its_rows():
+    # AVG(r)'s SUM and COUNT states are no item: they join the grouping's
+    # calls, ahead of the group rows AGGREGATE(margin) reads for VISIBLE
+    # (read where the SUM now is, ('A', 'x')'s 0 would be an empty group).
+    ddl = [
+        """CREATE VIEW eq AS SELECT prodName, custName, cost - 4 AS r,
+           (SUM(revenue) - SUM(cost)) / SUM(revenue) AS MEASURE margin FROM Orders""",
+        """CREATE MATERIALIZED VIEW eqs AS SELECT prodName, custName, AVG(r) AS ar,
+           AGGREGATE(margin) AS margin FROM eq WHERE custName <> 'z'
+           GROUP BY prodName, custName""",
+    ]
+    db, cold = make_db(), make_db(summaries=False)
+    for statement in ddl:
+        db.execute(statement)
+        cold.execute(statement)
+    for sql in [
+        "SELECT prodName, custName, AVG(r), AGGREGATE(margin) FROM eq "
+        "WHERE custName <> 'z' GROUP BY 1, 2 ORDER BY 1, 2",
+        "SELECT prodName, AVG(r), AGGREGATE(margin) FROM eq "
+        "WHERE custName <> 'z' GROUP BY 1 ORDER BY 1",
+        "SELECT AVG(r), AGGREGATE(margin) FROM eq WHERE custName <> 'z' AND prodName <> 'A'",
+    ]:
+        assert answered_from(db, sql, "eqs")
+        assert db.execute(sql).rows == cold.execute(sql).rows
 
 
 # -- DML -> staleness / incremental maintenance ------------------------------
@@ -670,13 +722,16 @@ def test_describe_materialized_view(mdb):
     assert info["stale"] is False
     assert info["dimensions"] == ["prodName", "custName"]
     assert {m["name"]: m["rollup"] for m in info["measures"]} == {
-        "rev": "SUM",
-        "n": "COUNT",
-        "lo": "MIN",
-        "hi": "MAX",
-        "avg_rev": "AVG",
+        "rev": "distributive",
+        "n": "distributive",
+        "lo": "distributive",
+        "hi": "distributive",
+        "avg_rev": "algebraic",
     }
-    # hidden AVG companion columns stay hidden
+    # AVG's COUNT(revenue) state is no item's value: its column stays hidden
+    assert [s.column for s in mdb.catalog.get("prod_cust").definition.states] == [
+        "rev", "n", "lo", "hi", "__avg_rev_count",
+    ]
     assert all(not c["name"].startswith("__") for c in info["columns"])
 
 

@@ -219,6 +219,14 @@ class TestConcurrentListings:
         # Clean shutdown: every session closed.
         assert server.manager.sessions() == []
 
+    @pytest.mark.slow
+    def test_four_clients_twenty_times_in_a_row(self):
+        """The test above as a stress loop: one segfault in a server thread
+        was seen there once and never reproduced; should it recur, pytest's
+        faulthandler prints every thread's stack."""
+        for _ in range(20):
+            self.test_four_clients_byte_identical_with_cache_hits_no_flips()
+
     def test_abrupt_disconnect_closes_the_session(self, server):
         conn = _connect(server)
         conn.query("SELECT COUNT(*) FROM Orders")

@@ -287,6 +287,20 @@ def test_summary_answers_match_cold_to_the_cent(summary_db, sales_db):
                     assert va == vb
 
 
+def test_ratio_and_avg_measures_roll_up_from_a_finer_summary(summary_db, sales_db):
+    """``margin`` (a ratio) and ``avg_discount`` (an AVG) are stored as their
+    SUM and COUNT states, so the global grain rolls them up."""
+    sql = "SELECT AGGREGATE(margin), AGGREGATE(avg_discount) FROM tpch_sales_m"
+    lines = [row[0] for row in summary_db.execute("EXPLAIN " + sql).rows]
+    assert (
+        "summary: answered from materialized view tpch_margin_by_returnflag" in lines
+    ), lines
+    ((margin, discount),) = summary_db.execute(sql).rows
+    ((cold_margin, cold_discount),) = sales_db.execute(sql).rows
+    assert margin == pytest.approx(cold_margin, rel=1e-9)
+    assert discount == pytest.approx(cold_discount, rel=1e-9)
+
+
 def test_at_queries_never_hit_summaries():
     db = tpch_measure_database(0.001, summaries=True)
     before = {
