@@ -1264,9 +1264,7 @@ class Database:
         """
         obj = self.catalog.resolve(name)
         if isinstance(obj, MaterializedView):
-            visible = [
-                c for c in obj.schema.columns if not c.name.startswith("__")
-            ]
+            visible = obj.visible_columns
             dimension_names = {d.name.lower() for d in obj.definition.dimensions}
             return {
                 "name": obj.name,

@@ -99,6 +99,13 @@ class MaterializedView(BaseTable):
     def kind(self) -> str:
         return "MATERIALIZED VIEW"
 
+    @property
+    def visible_columns(self) -> list:
+        """The columns ``SELECT *``, ``describe()`` and ``\\d`` list: all
+        but the hidden aggregate states, which are stored last."""
+        columns = self.schema.columns
+        return columns[: len(columns) - self.definition.hidden]
+
 
 @dataclass
 class SystemTable:

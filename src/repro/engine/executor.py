@@ -12,7 +12,7 @@ through their closure, passing the enclosing
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import Optional
 
@@ -211,14 +211,21 @@ def _execute_join(plan: plans.Join, ctx: ExecutionContext, outer_env) -> list[tu
         return _nested_loop_join(plan, left_rows, right_rows, ctx, outer_env)
     _count_hash_steps(plan, [left_rows, right_rows], ctx)
     left, right = zip(*keys)
-    index = _hash_index(plan, right_rows, right, range(len(right_rows)), ctx)
-    if index is None:
+    built = _hash_table(plan, right_rows, right, range(len(right_rows)), ctx)
+    if built is None:
         return _nested_loop_join(plan, left_rows, right_rows, ctx, outer_env)
+    index, unique = built
+    if ctx.watch is not None:  # the steps that bound their one row
+        ctx.watch.operator_count(plan, "unique_steps", int(unique))
     left_key = itemgetter(*left)
-    return _match_loop(
-        plan, left_rows, right_rows, lambda left: index.get(left_key(left), ()),
-        residual, ctx, outer_env,
-    )
+    if unique:
+        def candidates(left):
+            found = index.get(left_key(left))
+            return () if found is None else (found,)
+    else:
+        def candidates(left):
+            return index.get(left_key(left), ())
+    return _match_loop(plan, left_rows, right_rows, candidates, residual, ctx, outer_env)
 
 
 def _execute_pipeline(plan: plans.JoinPipeline, ctx: ExecutionContext, outer_env) -> list[tuple]:
@@ -295,21 +302,29 @@ def _run_pipeline(plan, joins: list, emit, ctx: ExecutionContext, outer_env) -> 
     (left-deep, innermost first): index every right input, then one generated
     comprehension per batch of driving rows builds the columns ``emit``
     (offsets of the inputs side by side; None: all) and no other tuple, in the
-    nested binary joins' order: by driving row, then match positions."""
+    nested binary joins' order: by driving row, then match positions.  A step
+    whose build side has one row per key binds that row; the others loop over
+    their bucket."""
     sources = [joins[0].left, *[join.right for join in joins]]
     inputs = [execute_plan(source, ctx, outer_env) for source in sources]
     _count_hash_steps(plan, inputs, ctx)
-    loop, builds = memo(plan, "_steps", lambda plan: _compile_steps(joins, emit))
+    probes, emit_cells, builds = memo(plan, "_steps", lambda plan: _compile_steps(joins, emit))
     args: list = []
+    unique: list = []
     for rows, (key, unmatched) in zip(inputs[1:], builds):
-        index = _hash_index(plan, rows, key, rows, ctx)
-        if index is None:
+        built = _hash_table(plan, rows, key, rows, ctx)
+        if built is None:
             # An unhashable key value: the binary joins, pair by pair.
             rows = inputs[0]
             for join, right_rows in zip(joins, inputs[1:]):
                 rows = _nested_loop_join(join, rows, right_rows, ctx, outer_env)
             return rows if emit is None else list(map(row_getter(emit), rows))
-        args += [index.get, unmatched]
+        index, alone = built
+        args += [index.get, unmatched[alone]]
+        unique.append(alone)
+    if ctx.watch is not None:  # the steps that bound their one row
+        ctx.watch.operator_count(plan, "unique_steps", sum(unique))
+    loop = _loop(probes, emit_cells, tuple(unique))
     output: list[tuple] = []
     for batch in ctx.batches(inputs[0], plan, output):
         output += loop(batch, *args)
@@ -324,56 +339,89 @@ def _count_hash_steps(plan, inputs: list, ctx: ExecutionContext) -> None:
         ctx.watch.operator_count(plan, "hash_probes", len(inputs[0]))
 
 
-def _hash_index(plan, rows: list, key: tuple, values, ctx: ExecutionContext):
-    """``{the columns key of a row: [the entry of values at each such row, in
-    order]}``, one column bare and several as a tuple; NULL keys never match
-    under SQL '=' and are left out.  None when a key value is unhashable."""
+def _hash_table(plan, rows: list, key: tuple, values, ctx: ExecutionContext):
+    """``(table, unique)``: ``{the columns key of a row: the entry of values
+    at that row}`` while no two rows share a key (``unique``), else ``{key:
+    [the entries of values at each such row, in order]}``; one column bare
+    and several as a tuple.  NULL keys never match under SQL '=' and are left
+    out.  None when a key value is unhashable.
+
+    A batch at a time (256 rows with a checkpoint before each when watched,
+    else all of them): a C-level ``dict.update`` per batch until the length
+    says some key repeated (``1``, ``1.0`` and ``True`` are one key); then
+    the rows so far are read once more, and the rest of the pass, into
+    buckets."""
+    get, composite = itemgetter(*key), len(key) > 1
+    watched, size = ctx.watched, 256 if ctx.watched else len(rows) or 1
+    pairs = zip(map(get, rows), values)
     table: dict = {}
-    watched, composite = ctx.watched, len(key) > 1
-    for position, (found, value) in enumerate(zip(map(itemgetter(*key), rows), values)):
-        if watched and not position & 0xFF:
-            ctx.checkpoint(plan, position)
-        if found is None or composite and None in found:
-            continue
-        try:
-            table.setdefault(found, []).append(value)
-        except TypeError:
-            return None
+    unique = True
+    try:
+        for start in range(0, len(rows), size):
+            if watched:
+                ctx.checkpoint(plan, start)
+            batch = islice(pairs, size)
+            if unique:
+                table.update(batch)
+                end = min(start + size, len(rows))
+                if len(table) == end:
+                    continue
+                # This batch repeats a key: its pairs are spent, so the rows
+                # so far are read again, into buckets.
+                unique, table = False, {}
+                batch = zip(map(get, rows[:end]), values[:end])
+            for found, value in batch:
+                if found is None or composite and None in found:
+                    continue
+                table.setdefault(found, []).append(value)
+    except TypeError:
+        return None
+    if unique:
+        if not composite:
+            table.pop(None, None)
+        elif None in chain.from_iterable(table):
+            table = {found: row for found, row in table.items() if None not in found}
     if ctx.watch is not None and rows:
-        # One key + list slot per build row: about 64 bytes of bucket state.
+        # One key + row (or list) slot per build row: about 64 bytes.
         ctx.watch.account_bytes(plan, 64 * len(rows))
-    return table
+    return table, unique
 
 
 def _compile_steps(joins: list, emit: Optional[list]) -> tuple:
-    """``(probe loop, per step (build key columns, what an unmatched probe
-    row pairs with))`` of a pipeline's joins."""
+    """``(each step's probe cells, the emitted cells, per step (build key
+    columns, what an unmatched probe row pairs with: (over buckets, over a
+    unique table)))`` of a pipeline's joins."""
     widths = [joins[0].left.arity] + [join.right.arity for join in joins]
     # Offset in the inputs' rows side by side -> (input, offset inside it).
     cells = [(k, offset) for k, width in enumerate(widths) for offset in range(width)]
     builds, probes = [], []
     for join in joins:
         left, right = zip(*pipeline_keys(join))
-        unmatched = ((None,) * join.right.arity,) if join.kind == "LEFT" else ()
-        builds.append((right, unmatched))
+        padding = (None,) * join.right.arity if join.kind == "LEFT" else None
+        builds.append((right, ((), None) if padding is None else ((padding,), padding)))
         probes.append(tuple([cells[offset] for offset in left]))
     emit_cells = None if emit is None else tuple([cells[offset] for offset in emit])
-    return _loop(tuple(probes), emit_cells), builds
+    return tuple(probes), emit_cells, builds
 
 
-def _loop_text(probes: tuple, emit: Optional[tuple]) -> str:
+def _loop_text(probes: tuple, emit: Optional[tuple], unique: tuple) -> str:
     """The source of a probe loop, from integers only: ``probes[k]`` are the
     ``(input, offset)`` cells step k's key is read from, ``emit`` those of the
-    output row (None: every input's row, whole).  ``r<k>`` is the current row
-    of input k, ``g<k>`` step k's index lookup, ``e<k>`` what an unmatched row
-    pairs with: nothing (``INNER``) or the one NULL-padding row (``LEFT``)."""
+    output row (None: every input's row, whole), ``unique[k]`` whether step
+    k's table holds one row per key.  ``r<k>`` is the current row of input k,
+    ``g<k>`` step k's index lookup, ``e<k>`` what an unmatched row pairs with:
+    nothing (``INNER``: ``()``, or None at a unique step) or the one
+    NULL-padding row (``LEFT``: in a 1-tuple, or bare at a unique step)."""
     params, clauses = "batch", "for r0 in batch"
-    for step, cells in enumerate(probes, 1):
+    for step, (cells, alone) in enumerate(zip(probes, unique), 1):
         key = ", ".join([f"r{source}[{offset}]" for source, offset in cells])
         if len(cells) > 1:
             key = f"({key})"
         params += f", g{step}, e{step}"
-        clauses += f" for r{step} in g{step}({key}, e{step})"
+        if alone:
+            clauses += f" if (r{step} := g{step}({key}, e{step})) is not None"
+        else:
+            clauses += f" for r{step} in g{step}({key}, e{step})"
     if emit is None:
         row = " + ".join([f"r{source}" for source in range(len(probes) + 1)])
     else:
@@ -382,12 +430,12 @@ def _loop_text(probes: tuple, emit: Optional[tuple]) -> str:
 
 
 @lru_cache(maxsize=512)
-def _loop(probes: tuple, emit: Optional[tuple]):
-    """:func:`_loop_text` compiled, once per shape per process (statements
-    over different tables share it) and under this file's name, so tracebacks
-    and profiles charge the loop to the engine."""
+def _loop(probes: tuple, emit: Optional[tuple], unique: tuple):
+    """:func:`_loop_text` compiled, once per shape and uniqueness per process
+    (statements over different tables share it) and under this file's name,
+    so tracebacks and profiles charge the loop to the engine."""
     scope: dict = {"__builtins__": {}}
-    exec(compile(_loop_text(probes, emit), __file__, "exec"), scope)
+    exec(compile(_loop_text(probes, emit, unique), __file__, "exec"), scope)
     return scope["loop"]
 
 

@@ -25,6 +25,7 @@ and answers only a query grouped by exactly the summary's dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.catalog.objects import MaterializedView, SystemTable
@@ -99,6 +100,13 @@ class SummaryDefinition:
         if any(state.column == measure.name for state in self.states):
             return "distributive"
         return "algebraic"
+
+    @cached_property
+    def hidden(self) -> int:
+        """How many states no item's column holds: the hidden ``__`` columns
+        that end the stored row."""
+        names = {measure.name for measure in self.measures}
+        return sum(state.column not in names for state in self.states)
 
 
 def analyze_definition(

@@ -29,7 +29,13 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.catalog.catalog import Catalog
-from repro.catalog.objects import BaseTable, CatalogObject, SystemTable, View
+from repro.catalog.objects import (
+    BaseTable,
+    CatalogObject,
+    MaterializedView,
+    SystemTable,
+    View,
+)
 from repro.core.context import ContextSpec, GroupTermSpec, VisibleInfo
 from repro.core.definition import Dimension, MeasureGroup, MeasureInstance
 from repro.core.modifiers import BoundSet, BoundVisible, BoundWhere
@@ -673,6 +679,8 @@ class QueryBinder:
             if cte is not None:
                 return [c.name for c in cte.columns if not c.is_measure]
             obj = self.binder.catalog.resolve(ref.name)
+            if isinstance(obj, MaterializedView):
+                return [c.name for c in obj.visible_columns]
             if isinstance(obj, (BaseTable, SystemTable)):
                 return [c.name for c in obj.schema.columns]
             assert isinstance(obj, View)
@@ -708,8 +716,14 @@ class QueryBinder:
             )
             plan = plan_cls(obj.name, schema)
             start = self.next_offset
+            # A summary's hidden states bind by name but are no part of *.
+            shown = (
+                len(obj.visible_columns)
+                if isinstance(obj, MaterializedView)
+                else len(schema)
+            )
             columns = [
-                RelColumn(c.name, c.dtype, start + i)
+                RelColumn(c.name, c.dtype, start + i, hidden=i >= shown)
                 for i, c in enumerate(obj.schema.columns)
             ]
             relation = Relation(
@@ -849,6 +863,8 @@ class QueryBinder:
                     raise BindError(f"unknown relation {qualifier!r} in {qualifier}.*")
             for relation in relations:
                 for column in relation.columns:
+                    if column.hidden:
+                        continue
                     if column.is_measure and has_measure_defs:
                         # Measures of the input cannot be dimensions of the
                         # measures being defined; skip them in the expansion.

@@ -27,13 +27,15 @@ class RelColumn:
     """One column exposed by a FROM-clause relation.
 
     Measure columns have ``offset`` None (they are virtual) and carry their
-    :class:`~repro.core.definition.MeasureInstance`.
+    :class:`~repro.core.definition.MeasureInstance`.  A ``hidden`` column (a
+    summary's aggregate state) binds by name but ``*`` leaves it out.
     """
 
     name: str
     dtype: DataType
     offset: Optional[int]
     measure: Optional["MeasureInstance"] = None
+    hidden: bool = False
 
     @property
     def is_measure(self) -> bool:

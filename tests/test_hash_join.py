@@ -307,7 +307,7 @@ def test_unhashable_keys_fall_back_to_the_binary_joins():
     """No SQL type holds an unhashable value in a hash-compatible column, so
     the pipeline is built by hand: the key columns carry Python lists."""
     from repro.semantics import bound as b
-    from repro.types import BOOLEAN, INTEGER, VARCHAR, sql_eq
+    from repro.types import BOOLEAN, INTEGER, VARCHAR, sql_and, sql_eq
 
     def side(name, rows):
         cells = [[b.BoundLiteral(k, INTEGER), b.BoundLiteral(tag, VARCHAR)] for k, tag in rows]
@@ -328,6 +328,10 @@ def test_unhashable_keys_fall_back_to_the_binary_joins():
     ctx = ExecutionContext(None)
     assert execute_plan(pipeline, ctx) == [("a1", "b1", "c1'"), ("a1", "b1'", "c1'")]
     assert (ctx.hash_joins, ctx.nested_loop_joins) == (2, 0)  # it bailed out
+    # A binary join with a residual bails out of its hash table the same way.
+    residual = b.BoundCall("AND", [eq(0, 2), b.BoundLiteral(True, BOOLEAN)], BOOLEAN, sql_and)
+    join = plans.Join("INNER", sources[0], sources[2], residual)
+    assert execute_plan(join, ExecutionContext(None)) == [([1], "a1", [1], "c1'"), ([4], "a4", [4], "c4")]
 
 
 # -- the generated loop ----------------------------------------------------------
@@ -335,20 +339,27 @@ def test_unhashable_keys_fall_back_to_the_binary_joins():
 LOOP_TEXT = re.compile(
     r"def loop\(batch(, g\d+, e\d+)*\):\n"
     r"    return \[(\((r\d+\[\d+\], )*\)|r\d+( \+ r\d+)*) for r0 in batch"
-    r"( for r\d+ in g\d+\((r\d+\[\d+\]|\(r\d+\[\d+\](, r\d+\[\d+\])+\)), e\d+\))*\]\n"
+    r"( (for r\d+ in g\d+\((?P<k1>KEY), e\d+\)|if \(r\d+ := g\d+\((?P<k2>KEY), e\d+\)\) is not None))*\]\n"
+    .replace("(?P<k1>KEY)", r"(r\d+\[\d+\]|\(r\d+\[\d+\](, r\d+\[\d+\])+\))")
+    .replace("(?P<k2>KEY)", r"(r\d+\[\d+\]|\(r\d+\[\d+\](, r\d+\[\d+\])+\))")
 )
 cell = st.tuples(st.integers(0, 9), st.integers(0, 99))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    st.lists(st.lists(cell, min_size=1, max_size=3).map(tuple), min_size=1, max_size=6).map(tuple),
+    st.lists(
+        st.tuples(st.lists(cell, min_size=1, max_size=3).map(tuple), st.booleans()),
+        min_size=1, max_size=6,
+    ),
     st.none() | st.lists(cell, max_size=8).map(tuple),
 )
-def test_generated_text_is_offsets_and_fixed_names(probes, emit):
-    text = executor._loop_text(probes, emit)
+def test_generated_text_is_offsets_and_fixed_names(steps, emit):
+    probes, unique = tuple(p for p, _ in steps), tuple(u for _, u in steps)
+    text = executor._loop_text(probes, emit, unique)
     assert LOOP_TEXT.fullmatch(text), text
-    assert set(text) <= set("def loop(batch):\n return[] for in +,0123456789rge")
+    assert set(text) <= set("def loop(batch):\n return[] for in +,0123456789rge if := is not None")
+    assert text.count(" is not None") == sum(unique)
 
 
 def test_statements_of_one_shape_share_one_compiled_loop(db):
@@ -363,13 +374,172 @@ def test_statements_of_one_shape_share_one_compiled_loop(db):
     second = "SELECT o.day, d.holiday FROM orders2 AS o LEFT JOIN days AS d ON d.label = o.amount"
     assert db.execute(first).rows == [("p1", "q1")]
     assert db.execute(second).rows == []
+    # One shape, both build sides unique: one compiled loop.
     info = executor._loop.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     loops = [pipelines(planned(db, sql))[0] for sql in (first, second)]
     for pipeline in loops:
         execute_plan(pipeline, ExecutionContext(db.catalog))
-    assert loops[0]._steps[0] is loops[1]._steps[0]
-    assert loops[0]._steps[0].__code__.co_filename == executor.__file__
+    info = executor._loop.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    # A repeated key is the same shape over a bucket: a second loop, shared
+    # by every statement of that shape and uniqueness.
+    db.execute("INSERT INTO q VALUES (1, 'q2')")
+    assert db.execute(first).rows == [("p1", "q1"), ("p1", "q2")]
+    execute_plan(loops[0], ExecutionContext(db.catalog))
+    info = executor._loop.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+    probes, emit, _ = loops[0]._steps
+    for unique in (True,), (False,):
+        assert executor._loop(probes, emit, unique).__code__.co_filename == executor.__file__
+
+
+# -- unique build sides: one row bound, or a bucket looped over -------------------
+#
+# Pipelines of 1-3 INNER / LEFT steps built by hand (``ValuesPlan`` sources,
+# so a key column can hold ``1``, ``1.0`` and ``True`` at once), each source
+# ``(a, b, id)``: a step's key is ``a`` or ``(a, b)`` of its build side, read
+# from ``a`` / ``(a, b)`` of an earlier input.  The reference is the binary
+# nested loop joins written out: Python ``==``, which is what hashing decides,
+# and a NULL key never matches.
+
+NUMERIC_ONES = (1, 1.0, True)
+
+
+@st.composite
+def build_side(draw, composite: bool, driving: bool = False):
+    """``(rows, shape)``: rows ``(a, b, id)`` whose keys are unique, or
+    unique but for one repeated key (at the second row, the last row, or
+    past row 256), or carry NULL keys, or ``1`` / ``1.0`` / ``True``."""
+    if driving:
+        values = st.none() | st.sampled_from([0, 1, 1.0, True, 2, 299])
+        pairs = draw(st.lists(st.tuples(values, values), max_size=12))
+        return [(a, b, index) for index, (a, b) in enumerate(pairs)], "driving"
+    size = draw(st.sampled_from([0, 1, 2, 7, 300]))
+    keys = draw(st.permutations(range(size)))
+    pairs = [(key % 5, key // 5) if composite else (key, key % 3) for key in keys]
+    shapes = ["unique", "one NULL", "NULLs", "ones"]
+    if size >= 2:
+        shapes += ["repeat first", "repeat last"]
+    if size > 256:
+        shapes.append("repeat mid-batch")
+    shape = draw(st.sampled_from(shapes))
+    if shape.startswith("repeat"):
+        at = {"repeat first": 1, "repeat last": size - 1}.get(shape) or draw(st.integers(257, size - 1))
+        pairs[at] = pairs[draw(st.integers(0, at - 1))]
+    elif "NULL" in shape:
+        for at in draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=1 if shape == "one NULL" else 4)) if size else ():
+            a, b = pairs[at]
+            pairs[at] = (None, b) if not composite or draw(st.booleans()) else (a, None)
+    elif shape == "ones" and size:
+        for at in draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3, unique=True)):
+            pairs[at] = (draw(st.sampled_from(NUMERIC_ONES)), 0 if composite else pairs[at][1])
+    return [(a, b, index) for index, (a, b) in enumerate(pairs)], shape
+
+
+@st.composite
+def unique_pipelines(draw):
+    """``(inputs, steps)``: a driving input and 1-3 steps ``(kind, input the
+    key is read from, key columns)``."""
+    steps, inputs = [], [draw(build_side(False, driving=True))[0]]
+    for index in range(1, draw(st.integers(1, 3)) + 1):
+        columns = (0, 1) if draw(st.booleans()) else (0,)
+        inputs.append(draw(build_side(len(columns) > 1))[0])
+        steps.append((draw(st.sampled_from(["INNER", "LEFT"])), draw(st.integers(0, index - 1)), columns))
+    return inputs, steps
+
+
+def nested_loop_joins(inputs, steps) -> list[tuple]:
+    combos = [(row,) for row in inputs[0]]
+    for right_rows, (kind, source, columns) in zip(inputs[1:], steps):
+        joined = []
+        for combo in combos:
+            probe = [combo[source][column] for column in columns]
+            matches = [
+                combo + (right,) for right in right_rows
+                if all(value is not None and value == right[column] for value, column in zip(probe, columns))
+            ]
+            joined += matches or ([combo + ((None,) * 3,)] if kind == "LEFT" else [])
+        combos = joined
+    return [sum(combo, ()) for combo in combos]
+
+
+def hand_built(inputs, steps, residual: bool = False):
+    """The steps as a ``JoinPipeline``, or (``residual``) as binary ``Join``s
+    whose condition also holds a TRUE conjunct, so each runs ``_match_loop``
+    over the same hash table."""
+    from repro.semantics import bound as b
+    from repro.types import BOOLEAN, INTEGER, sql_and, sql_eq
+
+    def source(rows):
+        cells = [[b.BoundLiteral(value, INTEGER) for value in row] for row in rows]
+        return plans.ValuesPlan(cells, [("a", INTEGER), ("b", INTEGER), ("id", INTEGER)])
+
+    sources = [source(rows) for rows in inputs]
+    conditions = []
+    for index, (_, earlier, columns) in enumerate(steps, 1):
+        pairs = [
+            b.BoundCall("=", [b.BoundColumn(3 * earlier + c, INTEGER), b.BoundColumn(3 * index + c, INTEGER)], BOOLEAN, sql_eq)
+            for c in columns
+        ]
+        if residual:
+            pairs.append(b.BoundLiteral(True, BOOLEAN))
+        conditions.append(pairs[0] if len(pairs) == 1 else b.BoundCall("AND", pairs, BOOLEAN, sql_and))
+    width = 3 * len(sources)
+    schema = [(f"c{i}", INTEGER) for i in range(width)]
+    if not residual:
+        return plans.JoinPipeline(sources, [kind for kind, _, _ in steps], conditions, list(range(width)), schema)
+    plan = sources[0]
+    for (kind, _, _), right, condition in zip(steps, sources[1:], conditions):
+        plan = plans.Join(kind, plan, right, condition)
+    return plan
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(unique_pipelines())
+def test_unique_and_bucketed_steps_are_the_nested_loop_joins_in_order(pipeline):
+    inputs, steps = pipeline
+    expected = nested_loop_joins(inputs, steps)
+    for residual in (False, True):
+        for watched in (False, True):
+            plan = hand_built(inputs, steps, residual)
+            watch = None
+            if watched:  # 256-row batches, a checkpoint before each
+                watch = Watch(spans=False)
+                watch.attach(plan)
+            ctx = ExecutionContext(None, watch=watch)
+            assert execute_plan(plan, ctx) == expected
+            assert (ctx.hash_joins, ctx.nested_loop_joins) == (len(steps), 0)
+
+
+def test_a_build_side_is_unique_until_its_first_repeated_key():
+    """The table and its uniqueness, read directly: NULL keys are left out
+    (so several of them may still leave it unique), ``1`` / ``1.0`` /
+    ``True`` are one key, and a repeat past row 256 under a watcher turns
+    the whole table into buckets, rows in order."""
+    plan = plans.ValuesPlan([], [])
+
+    def table(rows, key=(0,), watched=False):
+        watch = None
+        if watched:
+            watch = Watch(spans=False)
+            watch.attach(plan)
+        return executor._hash_table(plan, rows, key, rows, ExecutionContext(None, watch=watch))
+
+    rows = [(k, k % 2) for k in range(300)]
+    for watched in (False, True):
+        assert table(rows, watched=watched) == ({row[0]: row for row in rows}, True)
+        assert table(rows, (0, 1), watched) == ({row: row for row in rows}, True)
+        repeated = rows + [(260, "again")]
+        index, unique = table(repeated, watched=watched)
+        assert not unique and index[260] == [(260, 0), (260, "again")] and index[0] == [(0, 0)]
+    assert table([(None, 0), (1, 0)]) == ({1: (1, 0)}, True)
+    assert table([(None, 0), (None, 1), (1, 0)]) == ({1: [(1, 0)]}, False)  # may fall to buckets
+    assert table([(None, 0), (1, None), (1, 0)], (0, 1)) == ({(1, 0): (1, 0)}, True)
+    assert table([(1, "a"), (1.0, "b")]) == ({1: [(1, "a"), (1.0, "b")]}, False)
+    assert table([(True, "a"), (2, "b")]) == ({1: (True, "a"), 2: (2, "b")}, True)
+    assert table([([1], "a")]) is None  # unhashable: the caller's nested loop
+    assert table([]) == ({}, True)
 
 
 # -- watched runs: every checkpoint is still there ---------------------------------
@@ -459,6 +629,24 @@ def test_a_views_joins_are_one_pipeline_over_its_tables(name, tables, parent):
     below = lines[at + 1 :]
     assert len(below) == tables  # the stored tables themselves: no Project(k of n) cut
     assert all(re.fullmatch(rf" {{{indent + 2}}}Scan\(\w+\)", line) for line in below)
+
+
+def join_line(db: Database, sql: str) -> str:
+    (line,) = [line for line in db.execute("EXPLAIN ANALYZE " + sql).pretty().splitlines() if "Join" in line]
+    return line
+
+
+def test_explain_analyze_counts_the_steps_that_bound_their_row(jdb):
+    from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
+
+    line = join_line(tpch_measure_database(0.002), TPCH_QUERIES["revenue_by_region"])
+    assert "hash_build_rows=4930 hash_probes=11751 unique_steps=5" in line
+    # r repeats k = 1: a pipeline step and a binary hash join over buckets.
+    assert "unique_steps=0" in join_line(jdb, "SELECT lv, rv FROM l JOIN r ON l.k = r.k")
+    assert "unique_steps=0" in join_line(jdb, "SELECT lv, rv FROM l JOIN r ON l.k = r.k AND rv > 100")
+    # r.rv is unique: a FULL join binds its one row too.
+    line = join_line(jdb, "SELECT lv, rv FROM l FULL JOIN r ON l.lv = r.rv")
+    assert line.lstrip().startswith("Join(FULL)") and "unique_steps=1" in line
 
 
 # -- a mistyped key is an error, not an empty result -----------------------------------

@@ -735,6 +735,35 @@ def test_describe_materialized_view(mdb):
     assert all(not c["name"].startswith("__") for c in info["columns"])
 
 
+def test_select_star_over_a_summary_lists_what_describe_lists():
+    from repro.workloads.tpch import tpch_measure_database
+
+    db = Database()
+    db.execute("CREATE TABLE t (k VARCHAR, c INTEGER)")
+    db.execute("INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5)")
+    db.execute("CREATE MATERIALIZED VIEW s AS SELECT k, AVG(c) AS ac, SUM(c) AS sc FROM t GROUP BY k")
+    assert [c.name for c in db.catalog.get("s").schema.columns] == ["k", "ac", "sc", "__ac_count"]
+    described = [c["name"] for c in db.describe("s")["columns"]]
+    assert described == ["k", "ac", "sc"]
+    for sql in ("SELECT * FROM s ORDER BY k", "SELECT s.* FROM s ORDER BY k"):
+        result = db.execute(sql)
+        assert [c.name for c in result.columns] == described
+        assert result.rows == [("a", 1.5, 3), ("b", 5.0, 5)]
+    # Hidden, not gone: the state still binds by name.
+    assert db.execute("SELECT k, __ac_count FROM s ORDER BY k").rows == [("a", 2), ("b", 1)]
+
+    tpch = tpch_measure_database(0.002, summaries=True)
+    name = "tpch_margin_by_returnflag"
+    described = [c["name"] for c in tpch.describe(name)["columns"]]
+    assert described == ["returnflag", "margin", "avg_discount"]
+    assert len(tpch.catalog.get(name).schema.columns) == 7  # four hidden states
+    result = tpch.execute(f"SELECT * FROM {name} ORDER BY returnflag")
+    assert [c.name for c in result.columns] == described
+    assert result.rows == tpch.execute(
+        f"SELECT returnflag, margin, avg_discount FROM {name} ORDER BY returnflag"
+    ).rows
+
+
 def test_printer_round_trips_ddl():
     from repro.sql import parse_statement
     from repro.sql.printer import to_sql
