@@ -6,8 +6,8 @@ invariants that must hold after binding and after every optimizer rewrite:
 * every operator's schema arity is consistent with its definition
   (``Project`` emits one column per expression, ``Join`` emits left ++ right,
   a ``JoinPipeline`` the columns it lists, ``Aggregate`` emits keys ++ aggs
-  ++ optional grouping id ++ optional captured rows, ``Window`` appends one
-  column per call, set operations have equal-arity inputs);
+  ++ optional grouping id, ``Window`` appends one column per call, set
+  operations have equal-arity inputs);
 * every :class:`~repro.semantics.bound.BoundColumn` offset is in range for
   the row the expression is evaluated over — the classic post-rewrite bug is
   a filter pushed below a join without re-shifting its ordinals;
@@ -23,13 +23,16 @@ claims progress while leaving the plan semantically identical — the
 non-convergence bug class that otherwise surfaces as an opaque
 "fixpoint not reached" :class:`~repro.errors.InternalError` 50 passes later.
 
-A :class:`BoundMeasureEval` is checked in both of its frames: what it reads
+A :class:`BoundMeasureEval` is checked in all of its frames: what it reads
 of the call-site row (group-term values, ``SET`` values, the hidden
-grouping-id and captured-rows slots) against the current operator's input,
-and everything evaluated over the measure's *source* relation (the formula,
-group-term and ``SET`` dimensions, ``AT WHERE`` predicates, VISIBLE's and
-inherited dimension maps, the group's dimensions) against
-``source_plan.arity`` — the one thing column pruning can get wrong.  Each
+grouping-id slot) against the current operator's input; what its VISIBLE
+reads of a group's rows (outer, key and residual conjuncts, and the range
+they substitute into) against the input of the Aggregate whose
+:class:`~repro.plan.logical.GroupRef` it names; and everything evaluated
+over the measure's *source* relation (the formula, group-term and ``SET``
+dimensions, ``AT WHERE`` predicates, VISIBLE's and inherited dimension
+maps, the group's dimensions) against ``source_plan.arity``.  The last two
+are what column pruning narrows, so what it can get wrong.  Each
 source plan is itself checked once, with no enclosing scope: it must be
 self-contained.
 """
@@ -67,6 +70,9 @@ class _Checker:
         #: Measure evaluations, source plans and (formula, source) pairs
         #: already checked, by id; the plan under check keeps them alive.
         self.seen: set = set()
+        #: GroupRef -> the arity of its Aggregate's input: the rows a VISIBLE
+        #: above reads of a group (operators are checked inputs first).
+        self.group_inputs: dict = {}
 
     def fail(self, where: str, message: str) -> None:
         self.violations.append(f"{where}: {message}")
@@ -159,16 +165,15 @@ class _Checker:
             self.check_formula(
                 measure.formula, width, arity, outer, f"{where} formula"
             )
-        for slot, offset in (
-            ("grouping id", spec.grouping_id_offset),
-            ("captured rows", spec.captured_rows_offset),
-        ):
-            if offset is not None and not (0 <= offset < arity):
-                self.fail(
-                    where,
-                    f"{slot} offset {offset} out of range for call-site "
-                    f"arity {arity}",
-                )
+        offset = spec.grouping_id_offset
+        if offset is not None and not (0 <= offset < arity):
+            self.fail(
+                where,
+                f"grouping id offset {offset} out of range for call-site "
+                f"arity {arity}",
+            )
+        if spec.groups is not None:
+            self.check_group_rows(spec, outer, where)
         for expr in spec.child_exprs():
             self.check_expr(expr, arity, outer, where)
 
@@ -187,6 +192,26 @@ class _Checker:
                         f"inherited offset {offset} out of range for the "
                         f"enclosing source arity {inside}",
                     )
+
+    def check_group_rows(self, spec, outer: list[int], where: str) -> None:
+        """VISIBLE at a group: its Aggregate is below the call site, and every
+        offset its conjuncts read of a group row — and the range a candidate
+        substitutes into — lies inside that Aggregate's input."""
+        width = self.group_inputs.get(spec.groups)
+        if width is None:
+            self.fail(where, "VISIBLE reads the groups of no Aggregate below it")
+            return
+        info = spec.visible
+        if not info.reads_group_rows:
+            return  # only whether the group is empty: no row is read
+        if info.range_end > width:
+            self.fail(
+                where,
+                f"VISIBLE substitutes into offsets {info.range_start}-"
+                f"{info.range_end - 1} of group rows of arity {width}",
+            )
+        for pred in info.outer + info.key_preds + info.residual:
+            self.check_expr(pred, width, outer, f"{where} VISIBLE")
 
     def check_formula(
         self, expr: b.BoundExpr, width: int, arity: int, outer: list[int], where: str
@@ -255,7 +280,6 @@ class _Checker:
                 len(plan.group_exprs)
                 + len(plan.agg_calls)
                 + (1 if plan.has_grouping_id else 0)
-                + (1 if plan.capture_rows else 0)
             )
             if plan.arity != expected:
                 self.fail(
@@ -263,6 +287,8 @@ class _Checker:
                     f"schema arity {plan.arity} != keys+aggs+hidden "
                     f"{expected}",
                 )
+            if plan.groups is not None:
+                self.group_inputs[plan.groups] = plan.input.arity
             for gset in plan.grouping_sets:
                 for index in gset:
                     if not (0 <= index < len(plan.group_exprs)):

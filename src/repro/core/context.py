@@ -19,8 +19,8 @@ accepts it.  Term kinds:
 
 :class:`ContextSpec` is the *bind-time* description of how a call site builds
 its context: which group keys map onto the measure's dimensions, where the
-hidden grouping-id and captured-rows columns live, what VISIBLE would add,
-and the bound ``AT`` modifiers.
+hidden grouping-id column lives, which Aggregate's groups VISIBLE reads, what
+VISIBLE would add, and the bound ``AT`` modifiers.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from repro.types import is_not_distinct, sql_eq
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.modifiers import BoundModifier
-    from repro.engine.compile import Relation
+    from repro.engine.compile import Relation, Slice
     from repro.engine.evaluator import EvalEnv, ExecutionContext
+    from repro.plan.logical import GroupRef
 
 __all__ = [
     "Term",
@@ -156,7 +157,8 @@ class VisibleTerm(Term):
     """VISIBLE, evaluated as a hash semijoin against the current group.
 
     A candidate source row ``s`` is accepted iff there exists a row ``g`` in
-    ``group_rows`` (the current group's joined input rows) such that every
+    ``group`` (the current group's joined input rows, as positions into the
+    Aggregate's input — or the call-site row itself) such that every
     conjunct of ``info.preds`` holds on ``g`` *with the measure relation's
     column positions replaced by* ``s``'s dimension values.  The binder split
     the conjuncts by what they read (:class:`VisibleInfo`), and the ∃ factors
@@ -166,14 +168,16 @@ class VisibleTerm(Term):
     :meth:`narrow`), *key* conjuncts are one lookup in a hash table over
     the surviving group rows, and only the *residual* conjuncts run over the
     rows of that bucket.  With no keys the bucket is every surviving row —
-    the general case, candidates x group rows.
+    the general case, candidates x group rows.  With only local conjuncts
+    (:attr:`VisibleInfo.reads_group_rows` false) no row of the group is read:
+    all that matters is whether it has one.
 
     One term is built per evaluation, so the probe side lives here; the plan
     (and its ``VisibleInfo``) is shared between sessions and is only read.
     """
 
     info: "VisibleInfo"
-    group_rows: tuple
+    group: "Slice"
     parent_env: Optional["EvalEnv"]
     dim_key: Optional[str] = None
 
@@ -193,7 +197,10 @@ class VisibleTerm(Term):
         and an unhashable key sends the key conjuncts back to the residual.
         """
         info, parent, watched = self.info, self.parent_env, ctx.watched
-        survivors: Sequence = self.group_rows
+        # Only a conjunct that reads the group's rows gathers them; else the
+        # Slice stands in for them and only its length is read (the local
+        # conjuncts decide everything but whether anything is visible).
+        survivors: Sequence = self.group.rows() if info.reads_group_rows else self.group
         if info.outer:
             outer = [compile_expr(pred) for pred in info.outer]
             self.build_rows += len(survivors)
@@ -344,7 +351,7 @@ class VisibleTerm(Term):
             self.residual_rows = visited
 
     def cache_key(self) -> tuple:
-        return ("vis", id(self.group_rows))
+        return ("vis", id(self.group))
 
     def counters(self) -> dict[str, int]:
         if self._survivors is None:
@@ -364,12 +371,13 @@ class SemiMatchTerm(Term):
 
     A candidate source row is accepted iff its projection through
     ``dim_exprs`` matches (IS NOT DISTINCT FROM, per column) some row of
-    ``rows`` restricted to ``offsets`` — membership in the set of those
-    restrictions, built once per term (tuple equality with ``None == None``
-    is the per-column comparison); unhashable values scan instead.
+    ``members`` (the enclosing measure's selected source rows, as positions)
+    restricted to ``offsets`` — membership in the set of those restrictions,
+    built once per term (tuple equality with ``None == None`` is the
+    per-column comparison); unhashable values scan instead.
     """
 
-    rows: tuple
+    members: "Slice"
     offsets: list[int]
     dim_exprs: list[BoundExpr]
     dim_key: Optional[str] = None
@@ -382,7 +390,7 @@ class SemiMatchTerm(Term):
     def test(self, source_row: tuple, ctx: "ExecutionContext") -> bool:
         if self._dims is None:
             try:
-                self._keys = set(map(row_getter(self.offsets), self.rows))
+                self._keys = set(map(row_getter(self.offsets), self.members.rows()))
             except TypeError:
                 self._keys = None
             self._dims = [compile_expr(expr) for expr in self.dim_exprs]
@@ -393,7 +401,7 @@ class SemiMatchTerm(Term):
                 return projection in self._keys
             except TypeError:
                 pass
-        for row in self.rows:
+        for row in self.members.rows():
             if all(
                 is_not_distinct(row[offset], value)
                 for offset, value in zip(self.offsets, projection)
@@ -402,7 +410,7 @@ class SemiMatchTerm(Term):
         return False
 
     def cache_key(self) -> tuple:
-        return ("semi", id(self.rows), tuple(self.offsets))
+        return ("semi", id(self.members), tuple(self.offsets))
 
     def counters(self) -> dict[str, int]:
         return {"semimatch.probes": self.probes}
@@ -461,6 +469,12 @@ class VisibleInfo:
     def preds(self) -> list[BoundExpr]:
         return self.local + self.outer + self.key_preds + self.residual
 
+    @property
+    def reads_group_rows(self) -> bool:
+        """Whether a conjunct reads the rows of the group (outer, key or
+        residual); with only local ones, VISIBLE asks whether it has any."""
+        return bool(self.outer or self.keys or self.residual)
+
     def source_local(self):
         """The ``local`` conjuncts over the measure's *source* row — each
         column of the range replaced by its dimension expression, a column
@@ -498,7 +512,8 @@ class ContextSpec:
     kind: str
     group_terms: list[GroupTermSpec] = field(default_factory=list)
     grouping_id_offset: Optional[int] = None
-    captured_rows_offset: Optional[int] = None
+    #: The Aggregate whose current group VISIBLE reads (group kind only).
+    groups: Optional["GroupRef"] = None
     #: Set only where a VISIBLE modifier has conjuncts to conjoin.
     visible: Optional[VisibleInfo] = None
     modifiers: list["BoundModifier"] = field(default_factory=list)

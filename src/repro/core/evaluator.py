@@ -104,9 +104,9 @@ def _evaluate_measure_impl(
             # Terms keyed by object identity must keep that object alive for
             # the whole execution, or a recycled id would alias cache entries.
             if isinstance(term, SemiMatchTerm):
-                ctx.pinned.append(term.rows)
+                ctx.pinned.append(term.members)
             elif isinstance(term, VisibleTerm):
-                ctx.pinned.append(term.group_rows)
+                ctx.pinned.append(term.group)
         try:
             cache_key = (
                 id(node.measure),
@@ -275,9 +275,7 @@ def _base_terms(
                 "inherited measure context evaluated outside a formula"
             )
         return [
-            SemiMatchTerm(
-                tuple(formula_slice.rows()), spec.inherit_offsets, spec.inherit_dim_exprs
-            )
+            SemiMatchTerm(formula_slice, spec.inherit_offsets, spec.inherit_dim_exprs)
         ]
 
     terms: list[Term] = []

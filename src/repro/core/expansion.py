@@ -484,12 +484,16 @@ class Expander:
         if not lone:
             return subquery
         # No group keys: the subquery is the same for every input row, but
-        # the query must stay an aggregate query so that it returns exactly
-        # one row.  ANY_VALUE keeps that shape; over no input row it is NULL,
-        # and the subquery itself is the value.
-        any_value = ast.FunctionCall("ANY_VALUE", [subquery])
-        again = self.measure_subquery(node, level, frames)
-        return ast.FunctionCall("COALESCE", [any_value, again])
+        # the query must stay an aggregate query, one row over no input row
+        # too.  COUNT(*), never negative, is this query's aggregate even
+        # where the subquery reads only an enclosing query's columns (an
+        # aggregate of those alone belongs to that query, by the standard).
+        count = ast.FunctionCall("COUNT", star_arg=True)
+        return ast.Case(
+            None,
+            [ast.CaseWhen(ast.Binary(">=", count, ast.Literal(0)), subquery)],
+            None,
+        )
 
     @staticmethod
     def names(bound: FromSql, aliases: Optional[dict] = None) -> Names:
@@ -620,11 +624,11 @@ class _SqlTerms:
 
             return name
 
-        if spec.captured_rows_offset is None or not (
-            info.outer or info.keys or info.residual
-        ):
+        if spec.groups is None or not (info.reads_group_rows or not level.active):
             # The witness is the call-site row itself (row grain), or no
-            # conjunct reads anything but the candidate: no group to search.
+            # conjunct reads anything but the candidate and the group, of a
+            # grouping set with keys, is never empty: no group to search.
+            # (The global set's is empty over an empty input.)
             frames = [substituted(level.row)] + level.outer
             return [_SqlTerm(None, unbind(pred, frames)) for pred in info.preds]
         # The semijoin the interpreter runs, in SQL: a row g of the query's

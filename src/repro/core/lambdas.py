@@ -101,9 +101,9 @@ def explain_lambda_semantics(db: "Database", sql: str) -> str:
     for index, use in enumerate(expander.uses):
         call = f"compute{_title(use.measure_name)}(r -> {use.predicate_sql})"
         body = body.replace(f"APPLY_LAMBDA({index})", call)
-        # ANY_VALUE wrapping (global aggregates) reads oddly in the lambda
-        # exposition; the paper presents the bare call.
-        body = body.replace(f"ANY_VALUE({call})", call)
+        # The aggregate wrapper of a global measure reads oddly in the
+        # lambda exposition; the paper presents the bare call.
+        body = body.replace(f"CASE WHEN (COUNT(*) >= 0) THEN {call} END", call)
 
     lines: list[str] = []
     seen_types: set[str] = set()

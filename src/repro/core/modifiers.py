@@ -23,7 +23,7 @@ from repro.core.context import (
     Term,
     VisibleTerm,
 )
-from repro.engine.compile import compile_expr
+from repro.engine.compile import Relation, Slice, compile_expr
 from repro.errors import MeasureError
 from repro.semantics import bound as b
 
@@ -221,17 +221,17 @@ class ValueTerms:
         spec: ContextSpec, env: Optional["EvalEnv"], ctx: "ExecutionContext"
     ) -> list[Term]:
         """The VISIBLE term for the current call site.  The visible row set
-        is the current group's input rows (captured by the Aggregate
-        operator) or, at row-grain call sites, the current row itself."""
+        is the current group's input rows — positions into the input of the
+        Aggregate that produced the call-site row, looked up in what its
+        execution left in ``ctx.groups`` — or, at row-grain call sites, the
+        current row itself."""
         info = spec.visible
         if info is None:
             # Nothing filters the query; VISIBLE adds no constraint.
             return []
-        if spec.captured_rows_offset is not None and env is not None:
-            group_rows = env.row[spec.captured_rows_offset]
-        elif env is not None:
-            group_rows = (env.row,)
+        if spec.groups is not None and env is not None:
+            group = ctx.groups[spec.groups].members(env.row)
         else:
-            group_rows = ()
+            group = Slice(Relation(() if env is None else (env.row,)))
         parent = env.parent if env is not None else None
-        return [VisibleTerm(info, group_rows, parent)]
+        return [VisibleTerm(info, group, parent)]

@@ -81,6 +81,7 @@ __all__ = [
     "Column",
     "Relation",
     "Slice",
+    "Groups",
     "relation_of",
     "row_pure",
     "slot_key",
@@ -997,6 +998,34 @@ class Slice:
         if self.positions is None:
             return self.relation.rows
         return _gather(self.relation.rows, self.positions)
+
+
+class Groups:
+    """One execution's groups of an Aggregate: ``relation``, its input, and
+    per grouping set — by GROUPING bitmap — the getter of an output row's
+    active keys and ``{key: ascending positions}``.  What VISIBLE reads the
+    current group through (:meth:`members`): positions, no row copied."""
+
+    __slots__ = ("relation", "sets", "gid", "slices")
+
+    def __init__(self, relation: Relation, sets: dict, gid: Optional[int]):
+        self.relation = relation
+        self.sets = sets
+        #: Where an output row holds its bitmap (None: one grouping set, 0).
+        self.gid = gid
+        #: id(positions) -> their Slice, one per group: the object a VISIBLE
+        #: term's memo key names, whichever call site asks.
+        self.slices: dict[int, Slice] = {}
+
+    def members(self, row: tuple) -> Slice:
+        """The group ``row`` of the Aggregate's output stands for; empty
+        for the global grouping set over empty input."""
+        active, groups = self.sets[0 if self.gid is None else row[self.gid]]
+        positions = groups.get(active(row), ())
+        found = self.slices.get(id(positions))
+        if found is None:
+            found = self.slices[id(positions)] = Slice(self.relation, positions)
+        return found
 
 
 # -- measure formulas ---------------------------------------------------------

@@ -85,6 +85,10 @@ class ExecutionContext:
         #: columns (aggregate arguments, dimensions) and groupings computed
         #: over them so far, shared by every reader in the statement.
         self.relations: dict = {}
+        #: :class:`~repro.plan.logical.GroupRef` -> the
+        #: :class:`~repro.engine.compile.Groups` of that Aggregate's latest
+        #: execution: what the VISIBLE call sites above it read.
+        self.groups: dict = {}
         #: System-table name -> rows materialized at first scan, so every
         #: scan in one execution sees the same snapshot (repro.introspect).
         self.system_snapshots: dict = {}
@@ -120,6 +124,7 @@ class ExecutionContext:
             self.measure_cache,
             self.source_rows_cache,
             self.relations,
+            self.groups,
             self.system_snapshots,
             self.table_snapshots,
             self.pinned,

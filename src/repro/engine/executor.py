@@ -18,6 +18,7 @@ from typing import Optional
 
 from repro.catalog.objects import BaseTable, SystemTable
 from repro.engine.compile import (
+    Groups,
     Relation,
     Slice,
     compile_aggregate,
@@ -488,10 +489,13 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
     keys = range(len(plan.group_exprs))
     output: list[tuple] = []
     watched = ctx.watched
+    published: Optional[dict] = None if plan.groups is None else {}
     for active, exprs, bitmap, whole in sets:
         groups = relation.groups(exprs, outer_env, ctx)
         if groups is None:
             raise ExecutionError("cannot group by an unhashable value")
+        if published is not None:
+            published.setdefault(bitmap, (row_getter(active), groups))
         if not groups and not active:
             # A global grouping set emits one row even over empty input.
             groups = {(): []}
@@ -512,9 +516,11 @@ def _execute_aggregate(plan: plans.Aggregate, ctx: ExecutionContext, outer_env) 
             )
             if plan.has_grouping_id:
                 row_out += (bitmap,)
-            if plan.capture_rows:
-                row_out += (tuple(members.rows()),)
             output.append(row_out)
+    if published is not None:
+        # Where the VISIBLE call sites above find this execution's groups.
+        gid = plan.grouping_id_offset if plan.has_grouping_id else None
+        ctx.groups[plan.groups] = Groups(relation, published, gid)
     if ctx.watch is not None:
         ctx.watch.operator_count(plan, "groups", len(output))
     return output

@@ -219,7 +219,7 @@ def _stored(aggregate: plans.Aggregate, schema, items: list[tuple]):
                 state(node, site, m.name) if isinstance(node, b.BoundAggCall) else None
             ))
     # A state no call of the grouping computes joins them, ahead of the
-    # group's captured rows, which VISIBLE reads at the grouping's offset.
+    # grouping id.
     group, calls = len(aggregate.group_exprs), list(aggregate.agg_calls)
     known = {b.fingerprint(call) for call in calls}
     end = group + len(calls)
@@ -236,10 +236,7 @@ def _stored(aggregate: plans.Aggregate, schema, items: list[tuple]):
     row = [b.BoundColumn(i, dtype) for i, (_, dtype) in enumerate(aggregate.schema)]
 
     def evaluated(site: b.BoundMeasureEval, measure: MeasureInstance) -> b.BoundColumn:
-        context = site.context
-        if context.captured_rows_offset is not None:
-            context = replace(context, captured_rows_offset=aggregate.captured_rows_offset)
-        row.append(b.BoundMeasureEval(measure, context, measure.value_type))
+        row.append(b.BoundMeasureEval(measure, site.context, measure.value_type))
         return b.BoundColumn(len(row) - 1, measure.value_type)
 
     held = [

@@ -7,8 +7,9 @@ executor interprets them.  Every node knows its output schema as a list of
 The :class:`Aggregate` node is grouping-sets aware: ``grouping_sets`` lists,
 for each output grouping, which positions of ``group_exprs`` are active.  When
 more than one grouping set exists (ROLLUP/CUBE), a hidden grouping-id column
-is appended; when any projection above needs measure VISIBLE semantics, a
-hidden column capturing the group's input rows is appended as well.
+is appended.  A group's input rows are not copied into its output row: the
+VISIBLE call sites above an Aggregate read them as positions into its input,
+through the :class:`GroupRef` they share with it.
 
 **A node describes itself once.**  Each class is a dataclass and names which
 of its fields are input plans (``INPUTS``) and which hold bound expressions
@@ -51,6 +52,7 @@ __all__ = [
     "Join",
     "JoinPipeline",
     "Aggregate",
+    "GroupRef",
     "Window",
     "Sort",
     "Limit",
@@ -306,6 +308,28 @@ class JoinPipeline(LogicalPlan):
         return f"JoinPipeline({', '.join(self.kinds)}: {len(self.emit)} of {width})"
 
 
+class GroupRef:
+    """How the VISIBLE call sites above an :class:`Aggregate` find their
+    group: each execution of the Aggregate leaves its groups
+    (:class:`~repro.engine.compile.Groups`, positions into its input) in
+    ``ctx.groups`` under this object, and a call site looks its output row
+    up there.  Nothing is copied into the row.
+
+    ``rows_read``: some VISIBLE reads a group's rows (a key, outer or
+    residual conjunct), not only whether it has any.  It reads them by
+    offset in the query's FROM row, so column pruning keeps the Aggregate's
+    input whole.
+    """
+
+    __slots__ = ("rows_read",)
+
+    def __init__(self, rows_read: bool = False):
+        self.rows_read = rows_read
+
+    def fingerprint(self) -> str:
+        return "rows" if self.rows_read else "groups"
+
+
 @dataclass
 class Aggregate(LogicalPlan):
     """Hash aggregation with grouping sets.
@@ -317,9 +341,10 @@ class Aggregate(LogicalPlan):
     2. one column per entry of ``agg_calls``,
     3. if ``len(grouping_sets) > 1`` or ``emit_grouping_id``: the grouping id
        (bitmap, most-significant bit = first group expr; bit set = column
-       absent from the grouping set),
-    4. if ``capture_rows``: a tuple of the group's input rows (hidden column
-       used by measure VISIBLE evaluation).
+       absent from the grouping set).
+
+    ``groups`` is set when a VISIBLE call site above reads the current
+    group (:class:`GroupRef`).
     """
 
     input: LogicalPlan
@@ -328,7 +353,7 @@ class Aggregate(LogicalPlan):
     grouping_sets: list[list[int]]
     schema: Schema
     emit_grouping_id: bool = False
-    capture_rows: bool = False
+    groups: Optional[GroupRef] = None
 
     INPUTS = ("input",)
     EXPRS = ("group_exprs", "agg_calls")
@@ -340,12 +365,6 @@ class Aggregate(LogicalPlan):
     @property
     def grouping_id_offset(self) -> int:
         return len(self.group_exprs) + len(self.agg_calls)
-
-    @property
-    def captured_rows_offset(self) -> int:
-        return len(self.group_exprs) + len(self.agg_calls) + (
-            1 if self.has_grouping_id else 0
-        )
 
     def name(self) -> str:
         return (

@@ -15,7 +15,10 @@ An ``Aggregate`` over its own row-pure ``Project`` groups the Project's
 input instead, the Project's expressions substituted into its keys and
 arguments (:func:`_groups_through`): no row of the Project is built, and a
 computed key such as ``YEAR(orderdate)`` is the same slot of a measure's
-source relation as the measure's dimension.
+source relation as the measure's dimension.  A ``Filter`` between the two
+goes along when the Project's columns it and the Aggregate read are plain
+references: it then filters the measure's source itself, and its predicate
+is the same slot as VISIBLE's local copy of it.
 
 "Above" goes *through* measure evaluations.  A measure's source relation is
 read by the main tree (when the query's FROM is that same node) and by the
@@ -30,11 +33,13 @@ per expression object.
 
 The pass stops — asks for every column, which leaves a subtree's numbering
 alone — wherever offsets are interpreted outside the plan or it cannot see
-every reader: under an ``Aggregate`` that captures its input rows (VISIBLE
-substitutes into them by position), under ``Distinct`` and set operations
-(every column is the value), and under any node whose expressions hold a
-subquery, a measure evaluation or an aggregate-output slot (their call-site
-offsets and outer references point into that node's input row).
+every reader: under an ``Aggregate`` whose group rows a VISIBLE above reads
+(``GroupRef.rows_read``: it substitutes into them by position; one that
+only asks whether a group is empty reads none), under ``Distinct`` and set
+operations (every column is the value), and under any node whose
+expressions hold a subquery, a measure evaluation or an aggregate-output
+slot (their call-site offsets and outer references point into that node's
+input row).
 """
 
 from __future__ import annotations
@@ -88,21 +93,42 @@ def _narrows_itself(plan: plans.LogicalPlan) -> bool:
     return isinstance(plan, (plans.Project, plans.Join, plans.JoinPipeline))
 
 
-def _groups_through(node: plans.Aggregate) -> bool:
+def _groups_through(node: plans.Aggregate, read: set) -> bool:
     """Whether ``node`` can group its input Project's input instead, so that
     no row of the Project is built: the Project is the Aggregate's own (not
     a shared source) and row-pure, so its expressions compute the same
-    values wherever they are evaluated, over the same rows; no call has a
-    FILTER, under which an argument is evaluated on fewer rows than the
-    Project evaluates it; and no captured row is read by position."""
+    values wherever they are evaluated, over the same rows; and no call has
+    a FILTER, under which an argument is evaluated on fewer rows than the
+    Project evaluates it.  (Where a VISIBLE reads the group rows by
+    position, the caller asks for every column and does not ask this.)
+
+    A row-pure ``Filter`` between them goes along when every column of the
+    Project that it or the Aggregate reads (``read``, with the predicate's)
+    is a plain reference: nothing the Project computes is then evaluated on
+    fewer rows than before, and the Filter runs over the Project's input."""
     project = node.input
+    if isinstance(project, plans.Filter):
+        predicate, project = project.predicate, project.input
+        if not (
+            isinstance(project, plans.Project)
+            and row_pure(predicate)
+            and all(
+                type(project.exprs[offset]) is b.BoundColumn
+                for offset in read | _offsets(predicate)
+            )
+        ):
+            return False
     return (
         isinstance(project, plans.Project)
         and not project.shared
-        and not node.capture_rows
         and all(call.filter_where is None for call in node.agg_calls)
         and all(map(row_pure, project.exprs))
     )
+
+
+def _offsets(expr: b.BoundExpr) -> set:
+    """The offsets of the current row a row-pure ``expr`` reads."""
+    return {node.offset for node in b.walk(expr) if type(node) is b.BoundColumn}
 
 
 def _chain(top: plans.Join) -> Optional[tuple]:
@@ -219,11 +245,12 @@ class _Pruner:
                 base += source.arity
         elif isinstance(node, plans.Aggregate):
             read = self.reads([*node.group_exprs, *node.agg_calls])
-            if read is not ALL and _groups_through(node):
+            if node.groups is not None and node.groups.rows_read:
+                read = ALL  # VISIBLE substitutes into a group's rows by position
+            if read is not ALL and _groups_through(node, read):
                 self.inlined.add(id(node))
                 self.narrows = True
-            # VISIBLE substitutes into the captured rows by position.
-            self.visit(node.input, ALL if node.capture_rows else read)
+            self.visit(node.input, read)
         elif isinstance(node, plans.Window):
             read = self.reads(node.calls)
             if need is not ALL and read is not ALL:
@@ -363,8 +390,10 @@ class _Pruner:
 
     def _build_inlined(self, node: plans.Aggregate) -> plans.Aggregate:
         """``node`` over its Project's input, each of the Project's columns
-        it reads replaced by the expression that computes it."""
-        project, moved = self.build(node.input)
+        it reads replaced by the expression that computes it — and so is the
+        predicate of a Filter between them, which moves down with it."""
+        filtered = node.input if isinstance(node.input, plans.Filter) else None
+        project, moved = self.build(node.input if filtered is None else filtered.input)
         exprs = project.exprs
 
         def inline(expr: b.BoundExpr) -> b.BoundExpr:
@@ -375,7 +404,10 @@ class _Pruner:
 
             return transform_expr(expr, visit)
 
-        return node.with_inputs(project.input).map_expressions(inline)
+        below = project.input
+        if filtered is not None:
+            below = plans.Filter(below, inline(filtered.predicate))
+        return node.with_inputs(below).map_expressions(inline)
 
     def _build_window(self, node: plans.Window) -> tuple:
         """The input's columns, then one per call."""

@@ -1328,7 +1328,7 @@ class QueryBinder:
             order_pre.append((kind, payload, order_item))
 
         # Collect aggregate calls from every clause, then lay out the
-        # aggregate output row: keys ++ aggs ++ [grouping id] ++ [rows].
+        # aggregate output row: keys ++ aggs ++ [grouping id].
         agg_calls: list[b.BoundAggCall] = []
         self.bound.agg_calls = agg_calls
         agg_index: dict[str, int] = {}
@@ -1350,9 +1350,9 @@ class QueryBinder:
             if kind == "expr":
                 collect(payload)  # type: ignore[arg-type]
 
-        # Only VISIBLE reads the group's input rows, and only when the query
-        # has predicates for it to conjoin.
-        reads_group_rows = bool(self._visible_preds()) and any(
+        # Only VISIBLE reads the current group, and only when the query has
+        # predicates for it to conjoin.
+        reads_groups = bool(self._visible_preds()) and any(
             isinstance(node, b.BoundMeasureEval)
             and any(isinstance(m, BoundVisible) for m in node.context.modifiers)
             for expr in [
@@ -1373,11 +1373,7 @@ class QueryBinder:
         has_gid = len(grouping_sets) > 1 or uses_grouping_fn
         key_count = len(group_exprs)
         gid_offset = key_count + len(agg_calls) if has_gid else None
-        captured_offset = (
-            key_count + len(agg_calls) + (1 if has_gid else 0)
-            if reads_group_rows
-            else None
-        )
+        groups = plans.GroupRef() if reads_groups else None
 
         lifter = _Lifter(
             self,
@@ -1387,7 +1383,7 @@ class QueryBinder:
             agg_index,
             key_count,
             gid_offset,
-            captured_offset,
+            groups,
         )
         lifted_items = []
         for item, expr in zip(items, bound_items):
@@ -1406,8 +1402,6 @@ class QueryBinder:
             agg_schema.append((f"$agg{i}", call.dtype))
         if has_gid:
             agg_schema.append(("$grouping_id", INTEGER))
-        if captured_offset is not None:
-            agg_schema.append(("$group_rows", UNKNOWN))
 
         aggregate = plans.Aggregate(
             filtered,
@@ -1416,7 +1410,7 @@ class QueryBinder:
             grouping_sets,
             agg_schema,
             emit_grouping_id=has_gid,
-            capture_rows=captured_offset is not None,
+            groups=groups,
         )
         plan: plans.LogicalPlan = aggregate
         if lifted_having is not None:
@@ -1750,7 +1744,7 @@ class _Lifter:
         agg_index: dict[str, int],
         key_count: int,
         gid_offset: Optional[int],
-        captured_offset: Optional[int],
+        groups: Optional[plans.GroupRef],
     ):
         self.qb = qb
         self.group_exprs = group_exprs
@@ -1763,7 +1757,7 @@ class _Lifter:
         self.agg_index = agg_index
         self.key_count = key_count
         self.gid_offset = gid_offset
-        self.captured_offset = captured_offset
+        self.groups = groups
 
     def lift(self, expr: b.BoundExpr) -> b.BoundExpr:
         def visit(node: b.BoundExpr) -> Optional[b.BoundExpr]:
@@ -1818,8 +1812,11 @@ class _Lifter:
         relation = self.qb.relation_for_spec(spec)
         spec.kind = "group"
         spec.grouping_id_offset = self.gid_offset
-        spec.captured_rows_offset = self.captured_offset
         spec.visible = self.qb._make_visible_info(spec, relation)
+        if spec.visible is not None:
+            spec.groups = self.groups
+            if spec.visible.reads_group_rows:
+                self.groups.rows_read = True
         terms: list[GroupTermSpec] = []
         for index, group_expr in enumerate(self.group_exprs):
             rewritten = self.qb.rewrite_to_source(group_expr, relation)

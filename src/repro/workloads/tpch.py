@@ -659,10 +659,9 @@ TPCH_QUERIES: dict[str, str] = {
         FROM tpch_sales_m GROUP BY orderYear ORDER BY orderYear
     """,
     # VISIBLE at the order grain.  Its one conjunct reads only the measure's
-    # own relation, so the interpreter tests each candidate order once (the
-    # VISIBLE semijoin's "local" case); the *subquery expansion* of the same
-    # query is still quadratic in orders — the pair the strategy chooser
-    # (ROADMAP) has to tell apart.
+    # own relation (the VISIBLE semijoin's "local" case): the WHERE's Filter
+    # runs over the measure's shared source, and the interpreter reads its
+    # `<>` column there for VISIBLE too, reading no row of a region's group.
     "visible_orders_by_region": """
         SELECT region, order_count AT (VISIBLE) AS visibleOrders,
                order_count

@@ -185,12 +185,14 @@ def test_aggregate_layout_offsets():
         [col(0)],
         [b.BoundAggCall("COUNT", [], False, True, None, INTEGER)],
         [[0], []],
-        [("k", INTEGER), ("c", INTEGER), ("$gid", INTEGER), ("$rows", INTEGER)],
-        capture_rows=True,
+        [("k", INTEGER), ("c", INTEGER), ("$gid", INTEGER)],
+        groups=plans.GroupRef(),
     )
     assert agg.has_grouping_id
     assert agg.grouping_id_offset == 2
-    assert agg.captured_rows_offset == 3
+    # VISIBLE reads a group's rows as positions, through ``groups``: the
+    # output row carries no column for them.
+    assert agg.arity == 3
 
 
 # -- every field is classified ------------------------------------------------
@@ -264,6 +266,7 @@ SAMPLES = {
     "LogicalPlan": lambda: [scan("t"), scan("u")],
     "list[LogicalPlan]": lambda: [[scan("t"), scan("u")], [scan("t"), scan("v")]],
     "MeasureInstance": lambda: [measure("m"), measure("m")],
+    "Optional[GroupRef]": lambda: [plans.GroupRef(), plans.GroupRef(rows_read=True), None],
     "ContextSpec": lambda: [
         ContextSpec("group", [GroupTermSpec("$0", col(0), col(1))]),
         ContextSpec("group", [GroupTermSpec("$0", col(0), col(2))]),

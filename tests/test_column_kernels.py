@@ -536,7 +536,7 @@ def test_measure_shapes_agree_whatever_is_switched_off(kwargs):
     assert db.execute(
         "SELECT k, twice, kinds, heavy, top, n, twice AT (ALL k) FROM m GROUP BY k ORDER BY k"
     ).rows == [("a", 12, 2, 1, 1.5, 3, 30), ("b", 18, 2, 7, 2.0, 3, 30)]
-    # capture_rows: AGGREGATE() under a WHERE sees only the visible rows.
+    # VISIBLE: AGGREGATE() under a WHERE sees only the visible rows.
     assert db.execute(
         "SELECT k, AGGREGATE(twice), twice FROM m WHERE g = 'v' GROUP BY k ORDER BY k"
     ).rows == [("a", 8, 12), ("b", 18, 18)]

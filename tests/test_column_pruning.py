@@ -292,21 +292,32 @@ def test_scan_feeding_no_join_keeps_its_schema(listing_pair):
 
 
 def test_stops_keep_full_width(tpch_pair):
-    """Under an Aggregate that captures its input rows for VISIBLE nothing
-    is renumbered; the source relation below is still cut to what the
-    dimension Project and the formula read."""
-    hot, _ = tpch_pair
-    plan = planned(hot, TPCH_QUERIES["visible_orders_by_region"])
+    """Under an Aggregate whose group rows a keyed VISIBLE reads nothing is
+    renumbered: the join below it emits every column; the source relation
+    below is still cut to what the dimension Project and the formula read.
+    A VISIBLE whose conjuncts read only the measure's relation is no stop."""
+    hot, cold = tpch_pair
+    joined = """SELECT n.n_name, AGGREGATE(o.order_count) FROM tpch_orders_m AS o
+                JOIN nation AS n ON o.nation = n.n_name
+                WHERE n.n_regionkey < 3 GROUP BY n.n_name ORDER BY n.n_name"""
+    plan = planned(hot, joined)
     aggregate = next(n for n in plan.walk() if isinstance(n, plans.Aggregate))
-    assert aggregate.capture_rows
-    dims = aggregate.input.input  # Aggregate <- Filter <- Project
+    assert aggregate.groups.rows_read
+    join = aggregate.input
+    assert join.arity == sum(source.arity for source in join.sources) == 9
+    dims = join.sources[0]
     assert isinstance(dims, plans.Project) and dims.of is None and dims.arity == 5
     assert dims.input.shared and dims.input.label() == "Project(5 of 7) [shared]"
+    assert hot.execute(joined).rows == cold.execute(joined).rows
 
+    local = planned(hot, TPCH_QUERIES["visible_orders_by_region"])
+    aggregate = next(n for n in local.walk() if isinstance(n, plans.Aggregate))
+    assert not aggregate.groups.rows_read
+    assert aggregate.input.input.label() == "Project(2 of 7) [shared]"
     plain = planned(hot, TPCH_QUERIES["orders_by_year"])
-    assert not next(
+    assert next(
         n for n in plain.walk() if isinstance(n, plans.Aggregate)
-    ).capture_rows  # only VISIBLE reads the group's rows
+    ).groups is None  # only VISIBLE reads the current group
 
 
 def test_distinct_and_set_operations_keep_every_column(tpch_pair):
@@ -377,3 +388,26 @@ def test_validator_names_the_measure_of_a_bad_remap(tpch_pair):
     source.exprs[0] = b.BoundOuterColumn(1, 0, INTEGER, "stray")
     with pytest.raises(ValidationError, match="measure 'revenue' source.*depth 1"):
         check_plan(plan, "test")
+
+
+def test_validator_checks_what_visible_reads_of_a_group(tpch_pair):
+    """A keyed VISIBLE reads its group's rows at FROM-row offsets: the
+    Aggregate whose ``GroupRef`` it names must be below it, and its input
+    must still hold every offset those conjuncts read."""
+    hot, _ = tpch_pair
+    sql = """SELECT n.n_name, AGGREGATE(o.order_count) FROM tpch_orders_m AS o
+             JOIN nation AS n ON o.nation = n.n_name
+             WHERE n.n_regionkey < 3 GROUP BY n.n_name"""
+    plan = planned(hot, sql)
+    check_plan(plan, "test")  # as pruned: valid
+    aggregate = next(n for n in plan.walk() if isinstance(n, plans.Aggregate))
+    whole = aggregate.input
+    # The input cut as if pruning had narrowed it to the group key alone.
+    aggregate.input = plans.Project(whole, [b.BoundColumn(0, INTEGER)], whole.schema[:1])
+    with pytest.raises(ValidationError, match="measure 'order_count'.*of group rows of arity 1"):
+        check_plan(plan, "test")
+    aggregate.input, groups, aggregate.groups = whole, aggregate.groups, None
+    with pytest.raises(ValidationError, match="reads the groups of no Aggregate below it"):
+        check_plan(plan, "test")
+    aggregate.groups = groups
+    check_plan(plan, "test")

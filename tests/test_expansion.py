@@ -333,11 +333,8 @@ SHAPES = {
         FROM Orders AS o ORDER BY 1, 2""",
 }
 SHAPE_PARAMS = {"parameter": ("Bob",)}
-#: The other three ways still run: SQLite has no QUALIFY, and it takes an
-#: aggregate call whose only column references are outer ones (the ANY_VALUE
-#: around a global measure, here correlated) for an aggregate of the *outer*
-#: query, as the standard says.
-NOT_ON_SQLITE = {"reexport-qualify", "measure-in-a-correlated-subquery"}
+#: The other three ways still run: SQLite has no QUALIFY.
+NOT_ON_SQLITE = {"reexport-qualify"}
 
 #: What the expansion cannot print: it says so, by construct.
 REFUSED = {

@@ -613,7 +613,7 @@ def test_memory_budget_is_checked_while_the_loop_buffers(fan_out):
     "name, tables, parent",
     [
         ("revenue_by_region", 6, "Project(3 of 11) [shared]"),
-        ("visible_orders_by_region", 4, "Project(5 of 7) [shared]"),
+        ("visible_orders_by_region", 4, "Project(2 of 7) [shared]"),
     ],
 )
 def test_a_views_joins_are_one_pipeline_over_its_tables(name, tables, parent):

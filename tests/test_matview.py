@@ -399,8 +399,9 @@ def test_ratio_measure_rolls_up_and_a_holistic_one_does_not(measure_mdb):
 
 def test_states_join_a_grouping_that_captures_its_rows():
     # AVG(r)'s SUM and COUNT states are no item: they join the grouping's
-    # calls, ahead of the group rows AGGREGATE(margin) reads for VISIBLE
-    # (read where the SUM now is, ('A', 'x')'s 0 would be an empty group).
+    # calls, and AGGREGATE(margin)'s VISIBLE still finds its group (through
+    # the Aggregate's GroupRef, where it once read a column after the calls
+    # that the new ones would have shifted).
     ddl = [
         """CREATE VIEW eq AS SELECT prodName, custName, cost - 4 AS r,
            (SUM(revenue) - SUM(cost)) / SUM(revenue) AS MEASURE margin FROM Orders""",

@@ -20,9 +20,26 @@ import pytest
 
 from repro import Database
 from repro.core.context import VisibleTerm
-from repro.engine.compile import compile_expr
+from repro.engine.compile import Relation, Slice, compile_expr, slot_key
 from repro.errors import ExecutionError
-from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
+from repro.workloads.tpch import (
+    TPCH_QUERIES,
+    TPCH_TABLES,
+    TpchConfig,
+    generate_tpch,
+    tpch_measure_database,
+)
+from tests.test_differential_tpch import ORACLES
+
+
+def _group_rows(term: VisibleTerm) -> list:
+    """``R`` as FROM rows.  Where every conjunct reads only ``ι``, ``g``
+    outside ``ι`` is never read — the engine groups no FROM row for it (the
+    Aggregate may group the measure's source instead) — so each row of the
+    group stands as a row of NULLs."""
+    if term.info.reads_group_rows:
+        return list(term.group.rows())
+    return [(None,) * term.info.range_end] * len(term.group)
 
 
 def _reference_test(term: VisibleTerm, source_row: tuple, ctx) -> bool:
@@ -33,7 +50,7 @@ def _reference_test(term: VisibleTerm, source_row: tuple, ctx) -> bool:
         None if expr is None else compile_expr(expr)(source_row, None, ctx)
         for expr in info.offset_dim_exprs
     )
-    for g in term.group_rows:
+    for g in _group_rows(term):
         substituted = g[: info.range_start] + dims + g[info.range_end :]
         if all(
             compile_expr(pred)(substituted, term.parent_env, ctx) is True
@@ -301,9 +318,9 @@ def test_unhashable_keys_scan_instead():
     candidates = [([1],), ([2],), (None,), ([3],)]
 
     def verdicts(group_rows):
-        term = VisibleTerm(info, group_rows, None)
+        term = VisibleTerm(info, Slice(Relation(group_rows)), None)
         assert [term.test(row, ctx) for row in candidates] == [
-            _reference_test(VisibleTerm(info, group_rows, None), row, ctx)
+            _reference_test(VisibleTerm(info, Slice(Relation(group_rows)), None), row, ctx)
             for row in candidates
         ]
         return term
@@ -315,7 +332,7 @@ def test_unhashable_keys_scan_instead():
 
     # Hashable group rows, unhashable candidates: the lookup itself fails,
     # and comparing a list with an integer is the definition's type error.
-    term = VisibleTerm(info, ((9, 1), (9, 3)), None)
+    term = VisibleTerm(info, Slice(Relation(((9, 1), (9, 3)))), None)
     assert list(term.probe_keys(ctx)) == [1, 3]
     for row in ([1],), ([2],):
         with pytest.raises(ExecutionError, match="cannot compare"):
@@ -387,16 +404,6 @@ LOCAL_CASES: dict[str, tuple[str, tuple, bool]] = {
 }
 
 
-#: What SQLite runs where the expansion is not for it: SQLite takes an
-#: aggregate whose arguments read only outer columns for one of the outer
-#: query, so the expanded ``ANY_VALUE`` would collapse the outer rows.
-LOCAL_ORACLES = {
-    "correlated": """SELECT v.name, v.spend,
-                            (SELECT SUM(w.spend) FROM visits AS w WHERE w.spend > v.spend)
-                     FROM visits AS v ORDER BY v.name, v.spend""",
-}
-
-
 @pytest.fixture(scope="module")
 def sqlite_local():
     """The same tables in SQLite (dates as ISO text, BOOLEAN as 0 / 1), with
@@ -441,7 +448,7 @@ def test_local_conjuncts_as_columns_agree_everywhere(name, sqlite_local):
         assert build_local(**options).execute(sql, params).rows == got, options
     with reference_visible():
         assert db.execute(sql, params).rows == got
-    expanded = LOCAL_ORACLES.get(name) or db.expand(sql)
+    expanded = db.expand(sql)
     # One ``?`` per use in the text: the one parameter, repeated.
     assert sqlite_local.execute(expanded, params * expanded.count("?")).fetchall() == got
     db.execute(sql, params)
@@ -531,6 +538,45 @@ def test_joined_aggregate_enumerates_from_the_group_side(tpch):
         "WHERE n.n_regionkey < 3 GROUP BY n.n_name ORDER BY n.n_name"
     ).rows
     assert tpch.execute(JOINED).rows == plain
+
+
+def test_the_canonical_query_reads_one_column_of_the_shared_source(tpch, monkeypatch):
+    """The Aggregate copies no group row and its VISIBLE reads none, so
+    pruning narrows through it: the view's unread ``YEAR(orderdate)`` is
+    never computed, the WHERE's Filter runs over the measure's shared source
+    (no Project of the view's columns between them), and its ``<>`` is the
+    one column VISIBLE's local conjunct reads too.  Rows as with the cache
+    or the optimizer off, and as SQLite's."""
+    built: list[str] = []  # every whole column computed, a slot's or not
+    whole = Relation._whole
+
+    def spy(relation, expr, outer, ctx):
+        built.append(slot_key(expr))
+        return whole(relation, expr, outer, ctx)
+
+    monkeypatch.setattr(Relation, "_whole", spy)
+    for segment in ("MACHINERY", "BUILDING"):
+        sql = CANONICAL.replace("'MACHINERY'", f"'{segment}'")
+        built.clear()
+        tpch.execute(sql)
+        assert not [key for key in built if "YEAR" in key], built
+        assert len([key for key in built if "<>" in key]) == 1, built
+
+    lines = [line.strip() for line in tpch.execute("EXPLAIN " + CANONICAL).pretty().splitlines()]
+    assert lines[lines.index("Filter") + 1] == "Project(2 of 7) [shared]"
+
+    got = tpch.execute(CANONICAL).rows
+    for options in ({"cache": False}, {"optimizer": False}):
+        assert tpch_measure_database(0.002, **options).execute(CANONICAL).rows == got
+    tables = generate_tpch(TpchConfig(sf=0.002))
+    oracle = sqlite3.connect(":memory:")
+    for name in ("orders", "customer", "nation", "region"):
+        columns = TPCH_TABLES[name]
+        oracle.execute(f"CREATE TABLE {name} ({', '.join(col for col, _ in columns)})")
+        oracle.executemany(
+            f"INSERT INTO {name} VALUES ({', '.join('?' for _ in columns)})", tables[name]
+        )
+    assert oracle.execute(ORACLES["visible_orders_by_region"]).fetchall() == got
 
 
 def test_work_is_linear_in_the_orders(tpch):
