@@ -18,7 +18,10 @@ from repro.errors import CatalogError
 from repro.sql import ast
 from repro.storage.table import MemoryTable, clock
 
-__all__ = ["Catalog"]
+__all__ = ["Catalog", "JOIN_VERDICTS"]
+
+#: How many join shapes' verdicts a catalog keeps.
+JOIN_VERDICTS = 1024
 
 
 class Catalog:
@@ -38,6 +41,9 @@ class Catalog:
         self._snapshot_groups: dict[str, object] = {}
         #: ``ANALYZE`` results, keyed by lowered table name.
         self._table_stats: dict[str, TableStats] = {}
+        #: Join facts found in the data (:meth:`join_verdict`), one entry per
+        #: join shape.
+        self._join_verdicts: dict[tuple, tuple] = {}
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._objects
@@ -118,6 +124,27 @@ class Catalog:
     def discard_table_stats(self, name: str) -> None:
         """Drop stored statistics (the table was dropped or replaced)."""
         self._table_stats.pop(name.lower(), None)
+
+    # -- facts of the data ----------------------------------------------------
+
+    def join_verdict(self, shape: tuple, stamps: tuple) -> Optional[bool]:
+        """What the executor found of a join ``shape`` (whether each probe
+        row pairs with exactly one build row) while its tables were at the
+        write ``stamps``; None when never asked or a table was written
+        since."""
+        found = self._join_verdicts.get(shape)
+        return found[1] if found is not None and found[0] == stamps else None
+
+    def keep_join_verdict(self, shape: tuple, stamps: tuple, verdict: bool) -> None:
+        """Keep ``verdict`` for ``shape`` at ``stamps``, replacing the
+        shape's older one: one entry per shape, at most
+        :data:`JOIN_VERDICTS` of them (past that, all are forgotten).  No
+        lock: an entry is only read at the stamps it was found at, so a
+        store lost to a racing reader costs a recomputation, never a wrong
+        verdict."""
+        if shape not in self._join_verdicts and len(self._join_verdicts) >= JOIN_VERDICTS:
+            self._join_verdicts = {}
+        self._join_verdicts[shape] = (stamps, verdict)
 
     def _stamp(self) -> int:
         self.stamp = clock.tick()

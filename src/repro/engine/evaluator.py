@@ -97,6 +97,10 @@ class ExecutionContext:
         #: self-join sees one table state (snapshot-at-statement-start,
         #: the user-table generalization of system_snapshots).
         self.table_snapshots: dict = {}
+        #: Base-table name -> its write stamp when its snapshot above was
+        #: taken; none for rows handed in as a table's snapshot (a summary's
+        #: INSERT delta), which are no state of the table.
+        self.snapshot_stamps: dict = {}
         #: Keeps row tuples referenced by id()-based cache keys alive for the
         #: duration of the execution (an id may otherwise be reused by a new
         #: object after garbage collection, aliasing unrelated cache entries).
@@ -127,6 +131,7 @@ class ExecutionContext:
             self.groups,
             self.system_snapshots,
             self.table_snapshots,
+            self.snapshot_stamps,
             self.pinned,
         ):
             cache.clear()

@@ -91,19 +91,27 @@ def _execute_scan(plan: plans.Scan, ctx: ExecutionContext, outer_env) -> list[tu
         raise ExecutionError(
             f"{plan.table_name!r} is not a base table at execution time"
         )
-    # Snapshot-at-statement-start: the first scan of a table materializes
-    # its rows for the whole execution, so a self-join (or any repeated
-    # scan) sees one consistent table state.  Combined with the session
-    # layer's reader/writer lock this gives statement-level snapshot
-    # reads: a query observes either the complete pre-statement or the
-    # complete post-statement state of every table, never a mix.
-    key = plan.table_name.lower()
-    rows = ctx.table_snapshots.get(key)
-    if rows is None:
-        rows = list(obj.table.rows)
-        ctx.table_snapshots[key] = rows
+    rows = _snapshot(ctx, plan.table_name, obj.table)
     ctx.rows_scanned += len(rows)
     return rows  # the snapshot itself: no operator mutates its input
+
+
+def _snapshot(ctx: ExecutionContext, name: str, table) -> list[tuple]:
+    """The rows of base table ``name`` (``table``, its storage) as this
+    statement reads them.
+
+    Snapshot-at-statement-start: the first read of a table materializes its
+    rows for the whole execution, so a self-join (or any repeated scan) sees
+    one consistent table state.  Combined with the session layer's
+    reader/writer lock this gives statement-level snapshot reads: a query
+    observes either the complete pre-statement or the complete
+    post-statement state of every table, never a mix."""
+    key = name.lower()
+    rows = ctx.table_snapshots.get(key)
+    if rows is None:
+        rows = ctx.table_snapshots[key] = list(table.rows)
+        ctx.snapshot_stamps[key] = table.stamp
+    return rows
 
 
 def _execute_system_scan(
@@ -305,31 +313,171 @@ def _run_pipeline(plan, joins: list, emit, ctx: ExecutionContext, outer_env) -> 
     (offsets of the inputs side by side; None: all) and no other tuple, in the
     nested binary joins' order: by driving row, then match positions.  A step
     whose build side has one row per key binds that row; the others loop over
-    their bucket."""
+    their bucket.  A step that pairs every probe row with exactly one row and
+    whose row nobody reads is not run at all (:func:`_kept_inputs`)."""
     sources = [joins[0].left, *[join.right for join in joins]]
-    inputs = [execute_plan(source, ctx, outer_env) for source in sources]
-    _count_hash_steps(plan, inputs, ctx)
     probes, emit_cells, builds = memo(plan, "_steps", lambda plan: _compile_steps(joins, emit))
+    kept, tables = _kept_inputs(plan, sources, joins, builds, probes, emit_cells, ctx)
+    inputs = [execute_plan(sources[k], ctx, outer_env) for k in kept]
+    _count_hash_steps(plan, inputs, ctx)
     args: list = []
     unique: list = []
-    for rows, (key, unmatched) in zip(inputs[1:], builds):
-        built = _hash_table(plan, rows, key, rows, ctx)
+    for k, rows in zip(kept[1:], inputs[1:]):
+        key, unmatched = builds[k - 1]
+        built = tables.get(k) or _hash_table(plan, rows, key, rows, ctx)
         if built is None:
-            # An unhashable key value: the binary joins, pair by pair.
+            # An unhashable key value: the binary joins, pair by pair, over
+            # every input.
+            ran = dict(zip(kept, inputs))
             rows = inputs[0]
-            for join, right_rows in zip(joins, inputs[1:]):
-                rows = _nested_loop_join(join, rows, right_rows, ctx, outer_env)
+            for step, join in enumerate(joins, 1):
+                right = ran[step] if step in ran else execute_plan(sources[step], ctx, outer_env)
+                rows = _nested_loop_join(join, rows, right, ctx, outer_env)
             return rows if emit is None else list(map(row_getter(emit), rows))
         index, alone = built
         args += [index.get, unmatched[alone]]
         unique.append(alone)
-    if ctx.watch is not None:  # the steps that bound their one row
+    if ctx.watch is not None:  # the steps that bound their one row, and those not run
         ctx.watch.operator_count(plan, "unique_steps", sum(unique))
-    loop = _loop(probes, emit_cells, tuple(unique))
+        ctx.watch.operator_count(plan, "eliminated_steps", len(sources) - len(kept))
+    loop = _loop(*_renumbered(probes, emit_cells, kept), tuple(unique))
     output: list[tuple] = []
     for batch in ctx.batches(inputs[0], plan, output):
         output += loop(batch, *args)
     return output
+
+
+def _kept_inputs(plan, sources, joins, builds, probes, emit_cells, ctx: ExecutionContext) -> tuple:
+    """``(the inputs a pipeline runs, the driving one first; {kept step: the
+    build table its verdict made})``: all inputs but those of the steps whose
+    row nothing reads — no emitted cell, no kept later step's key — and that
+    the data says pair every probe row with exactly one row
+    (:func:`_pairs_once`).  Walked from the last step down, so that dropping
+    a step frees the input its key read (region, then nation).  A kept step
+    probes the table its verdict built rather than building it again."""
+    every, emitted, rules = memo(
+        plan, "_drops", lambda plan: _drop_rules(sources, joins, builds, probes, emit_cells)
+    )
+    tables: dict = {}
+    if not rules:
+        return every, tables
+    read, kept = set(emitted), []
+    for k in range(len(rules), 0, -1):
+        rule, probed = rules[k - 1]
+        if rule is not None and k not in read:
+            pairs_once, table = _pairs_once(rule, plan, ctx)
+            if pairs_once:
+                continue
+            if table is not None:
+                tables[k] = table
+        kept.append(k)
+        read |= probed
+    kept.append(0)
+    return tuple(reversed(kept)), tables
+
+
+def _drop_rules(sources, joins, builds, probes, emit_cells) -> tuple:
+    """``(every input, the inputs an emitted cell reads, per step (its rule
+    or None, the inputs its key reads))`` of a pipeline, the steps empty when
+    none has a rule.
+
+    A step has a rule when its build input is a bare base-table Scan and,
+    for ``INNER``, its key reads one input that is a bare base-table Scan too
+    and not a ``LEFT`` step's (that input's NULL padding is no row of the
+    table): ``(probe table, its key columns, build table, its key columns)``,
+    the probe table None for ``LEFT``, whose step needs only that the build
+    table holds one row per key (an unmatched row pairs with its padding)."""
+    every = tuple(range(len(sources)))
+    if emit_cells is None:  # every column of every input is emitted
+        return every, frozenset(every), ()
+    input_of, offset_of = itemgetter(0), itemgetter(1)
+    steps, padded, any_rule = [], set(), False
+    for k, (join, cells, (right, _)) in enumerate(zip(joins, probes, builds), 1):
+        probed = frozenset(map(input_of, cells))
+        build, probe = sources[k], sources[cells[0][0]]
+        stored, rule = type(build) is plans.Scan, None
+        if stored and join.kind == "LEFT":
+            rule = (None, (), build.table_name.lower(), right)
+        elif stored and len(probed) == 1 and type(probe) is plans.Scan and cells[0][0] not in padded:
+            left = tuple(map(offset_of, cells))
+            rule = (probe.table_name.lower(), left, build.table_name.lower(), right)
+        if join.kind == "LEFT":
+            padded.add(k)
+        any_rule = any_rule or rule is not None
+        steps.append((rule, probed))
+    emitted = frozenset(map(input_of, emit_cells))
+    return every, emitted, tuple(steps) if any_rule else ()
+
+
+def _pairs_once(rule: tuple, plan, ctx: ExecutionContext) -> tuple:
+    """``(verdict, the build table it made or None)``: whether the build
+    table of ``rule`` holds one row per key and, for ``INNER``, every key of
+    the probe table is among them; then the step pairs each probe row with
+    exactly one row.  The verdict holds while neither table is written, so
+    the catalog keeps it under both tables' write stamps — unless a table's
+    rows were handed in as its snapshot (a summary's INSERT delta), which
+    are no state of the table (``cache=False``: computed per execution, kept
+    nowhere)."""
+    probe, _, build, _ = rule
+    catalog = ctx.catalog
+    build_table = catalog.get(build)
+    probe_table = build_table if probe is None else catalog.get(probe)
+    if not (isinstance(build_table, BaseTable) and isinstance(probe_table, BaseTable)):
+        return False, None  # its scan raises what it raises
+    build_table, probe_table = build_table.table, probe_table.table
+    read = ((build, build_table),) if probe is None else ((probe, probe_table), (build, build_table))
+    stamps = tuple([_read_stamp(ctx, name, table) for name, table in read])
+    kept = ctx.enable_cache and None not in stamps
+    verdict = catalog.join_verdict(rule, stamps) if kept else None
+    if verdict is not None:
+        return verdict, None
+    verdict, table = _verdict(rule, probe_table, build_table, plan, ctx)
+    if kept:
+        catalog.keep_join_verdict(rule, stamps, verdict)
+    return verdict, table
+
+
+def _read_stamp(ctx: ExecutionContext, name: str, table) -> Optional[int]:
+    """The write stamp of the state of base table ``name`` (``table``) this
+    statement reads: when :func:`_snapshot` took it, or now; None for rows
+    handed in as its snapshot."""
+    if name in ctx.table_snapshots:
+        return ctx.snapshot_stamps.get(name)
+    return table.stamp
+
+
+def _verdict(rule: tuple, probe_table, build_table, plan, ctx: ExecutionContext) -> tuple:
+    """:func:`_pairs_once` read from the statement's snapshots of both
+    tables, through the build table :func:`_hash_table` makes (NULL keys,
+    whole or in part, are not in it, so several of them leave it unique;
+    ``1``, ``1.0`` and ``True`` are one key) and in batches with checkpoints
+    when watched."""
+    probe, probe_key, build, build_key = rule
+    rows = _snapshot(ctx, build, build_table)
+    built = _hash_table(plan, rows, build_key, rows, ctx)
+    if built is None:
+        return False, None
+    index, unique = built
+    if not (unique or all(len(bucket) == 1 for bucket in index.values())):
+        return False, built
+    if probe is None:
+        return True, built
+    has, get = index.__contains__, itemgetter(*probe_key)
+    return all(
+        all(map(has, map(get, batch)))
+        for batch in ctx.batches(_snapshot(ctx, probe, probe_table), plan)
+    ), built
+
+
+@lru_cache(maxsize=512)
+def _renumbered(probes: tuple, emit: Optional[tuple], kept: tuple) -> tuple:
+    """``(probes, emit)`` of the steps of the inputs ``kept``, those inputs
+    numbered 0, 1, … in order."""
+    if len(kept) == len(probes) + 1:
+        return probes, emit
+    at = {source: index for index, source in enumerate(kept)}
+    probes = tuple([tuple([(at[s], offset) for s, offset in probes[k - 1]]) for k in kept[1:]])
+    return probes, tuple([(at[s], offset) for s, offset in emit])
 
 
 def _count_hash_steps(plan, inputs: list, ctx: ExecutionContext) -> None:

@@ -808,7 +808,8 @@ def test_progress_accounts_a_columns_bytes_once(tpch):
 def test_release_drops_the_working_set_and_keeps_the_counters(tpch):
     tpch.execute(TPCH_QUERIES["revenue_share_by_region"])
     stats = tpch.last_stats
-    assert stats.hash_joins == 5 and stats.measure_evaluations == 15
+    # The view's five joins but partsupp's, which nothing reads, run once.
+    assert stats.hash_joins == 4 and stats.measure_evaluations == 15
     assert not (stats.relations or stats.source_rows_cache
                 or stats.measure_cache or stats.table_snapshots)
 

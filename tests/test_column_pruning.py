@@ -240,7 +240,11 @@ def test_view_joins_and_scans_run_once(optimizer):
     db.execute(TPCH_QUERIES["revenue_by_region"])
     sizes = table_cardinalities(SF)
     tables = ("lineitem", "orders", "partsupp", "customer", "nation", "region")
-    assert db.last_stats.hash_joins == 5
+    if optimizer:
+        # Nothing above reads partsupp, and every lineitem finds exactly one
+        # of its rows: that step is not run, and its table is not scanned.
+        tables = tuple(table for table in tables if table != "partsupp")
+    assert db.last_stats.hash_joins == len(tables) - 1
     assert db.last_stats.rows_scanned == sum(
         len(db.catalog.resolve(table).table.rows) for table in tables
     )
@@ -342,11 +346,12 @@ def test_planned_query_replays_into_a_fresh_context(tpch_pair):
         TPCH_QUERIES["revenue_share_by_region"]
     ).rows
     # Nothing of an execution outlives its context: a third one starts empty
-    # and still runs the view's joins, once.
+    # and still runs the view's joins, once: the four whose rows are read
+    # (partsupp's is not, and pairs every lineitem with one row).
     ctx = ExecutionContext(hot.catalog)
     assert not ctx.source_rows_cache
     execute_plan(planned_query.plan, ctx)
-    assert ctx.hash_joins == 5 and len(ctx.source_rows_cache) == 1
+    assert ctx.hash_joins == 4 and len(ctx.source_rows_cache) == 1
 
 
 # -- the validator can see a bad remap -------------------------------------------

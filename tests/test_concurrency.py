@@ -331,6 +331,81 @@ class TestNoTornReads:
         assert mismatches == []
 
 
+# -- a join step left out only while the data says so ------------------------------
+
+
+class TestJoinVerdictsUnderWrites:
+    ROWS = 20
+    READERS = 4
+    CYCLES = 25
+    SQL = "SELECT a.v, a.k FROM t AS a JOIN t AS b ON a.k = b.id"
+
+    def test_readers_never_see_a_stale_verdict(self):
+        """``b`` is read by nothing above the join, so its step is left out
+        while ``t.id`` is a key and every ``t.k`` is an id.  A writer session
+        breaks and restores both facts while reader sessions run the query;
+        every result must be the join's for some whole table state, which
+        the rows themselves say: a dangling ``k = 99`` row never appears, and
+        the rows of ``k = 5`` appear twice exactly when the duplicate id 5
+        (the row ``v = 1000``) is there."""
+        import sys
+
+        db = Database()
+        db.create_table_from_rows(
+            "t", [("id", "INTEGER"), ("k", "INTEGER"), ("v", "INTEGER")],
+            [(i, (7 * i) % self.ROWS, i) for i in range(self.ROWS)],
+        )
+        clean = db.execute(self.SQL).rows
+        assert db.last_stats.hash_joins == 0  # the step is left out
+        manager = SessionManager(db)
+        wrong, done = [], threading.Event()
+
+        def writer():
+            session = manager.open_session()
+            try:
+                for _ in range(self.CYCLES):
+                    session.execute("UPDATE t SET k = 99 WHERE id = 0")
+                    session.execute("UPDATE t SET k = 0 WHERE id = 0")
+                    session.execute("INSERT INTO t VALUES (5, 5, 1000)")
+                    session.execute("DELETE FROM t WHERE v = 1000")
+            finally:
+                done.set()
+                session.close()
+
+        def reader(i):
+            session = manager.open_session()
+            while not done.is_set():
+                rows = session.execute(self.SQL).rows
+                twice = any(v == 1000 for v, _ in rows)
+                counts = {}
+                for row in rows:
+                    counts[row] = counts.get(row, 0) + 1
+                if any(k == 99 for _, k in rows) or any(
+                    count != (2 if twice and k == 5 else 1)
+                    for (_, k), count in counts.items()
+                ):
+                    wrong.append(rows)
+            session.close()
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(i,)) for i in range(self.READERS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        # Restored: left out again, under one verdict entry for the shape.
+        assert db.execute(self.SQL).rows == clean
+        assert db.last_stats.hash_joins == 0 and len(db.catalog._join_verdicts) == 1
+
+
 # -- satellite: racing first executions of one cached plan ----------------------
 
 
@@ -381,8 +456,9 @@ class TestSharedSourcePerExecution:
         """The query's FROM and the measure evaluator meet at one plan node
         and run it once — per ``ExecutionContext``.  Two sessions replaying
         the cached plan at the same time each build their own rows: equal
-        results, and each execution's counters show the view's five joins
-        once (a slot kept on the plan would show five and zero)."""
+        results, and each execution's counters show the view's joins once:
+        four, partsupp's, which nothing reads, not run (a slot kept on the
+        plan would show four and zero)."""
         import sys
 
         from repro.profile import Watch
@@ -421,7 +497,7 @@ class TestSharedSourcePerExecution:
         assert rows == [[expected] * 3] * 2
         assert manager.plan_cache.stats()["hits"] >= 5
         for seen in counters:
-            assert seen["hash_joins"] == 5
+            assert seen["hash_joins"] == 4
             assert seen["rows_scanned"] == counters[0]["rows_scanned"]
 
 

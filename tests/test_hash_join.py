@@ -179,6 +179,7 @@ def test_hash_join_matches_sqlite(left, right, kind):
 import re
 import sqlite3
 from contextlib import contextmanager
+from typing import Optional
 
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
@@ -205,21 +206,55 @@ def chains(draw):
     residual conjunct — wherever in the chain it falls."""
     count = draw(st.integers(2, 5))
     tables = [draw(table_rows) for _ in range(count)]
-    from_clause = "t0"
+    from_clause, steps = "t0", []
     for index in range(1, count):
         kind = draw(st.sampled_from(["JOIN", "JOIN", "LEFT JOIN", "LEFT JOIN", "RIGHT JOIN"]))
-        conjuncts = []
+        conjuncts, keys = [], []
         for _ in range(draw(st.integers(1, 2))):
             earlier = draw(st.integers(0, index - 1))
             left, right = draw(st.sampled_from(KEY_COLUMNS)), draw(st.sampled_from(KEY_COLUMNS))
             sides = [f"t{earlier}.{left}", f"t{index}.{right}"]
             conjuncts.append(" = ".join(sides if draw(st.booleans()) else sides[::-1]))
+            keys.append((earlier, KEY_COLUMNS.index(left), KEY_COLUMNS.index(right)))
+        fuses = kind != "RIGHT JOIN"
         if draw(st.integers(0, 5)) == 0:
             conjuncts.append(f"t{index - 1}.id <= t{index}.id + 1")
+            fuses = False
         from_clause += f" {kind} t{index} ON {' AND '.join(conjuncts)}"
+        steps.append((kind, keys, fuses))
     every = [f"t{index}.{name}" for index in range(count) for name, _ in COLUMNS]
     select = draw(st.just(["*"]) | st.lists(st.sampled_from(every), min_size=1, max_size=5))
-    return tables, from_clause, ", ".join(select)
+    return tables, from_clause, ", ".join(select), steps
+
+
+def chain_eliminated(tables, steps, select) -> Optional[int]:
+    """The steps of a chain left out, by :func:`expected_eliminated`'s rule
+    written out over its conjuncts; None unless every step fuses into one
+    pipeline.  An INNER step has a probe table only when all its keys read
+    one earlier table; a LEFT step needs none."""
+    if not all(fuses for _, _, fuses in steps):
+        return None
+    if select == "*":
+        return 0
+    read, dropped = set(map(int, re.findall(r"t(\d+)\.", select))), 0
+    for index in range(len(steps), 0, -1):
+        kind, keys, _ = steps[index - 1]
+        probed = {earlier for earlier, _, _ in keys}
+        built = [tuple(row[right] for _, _, right in keys) for row in tables[index]]
+        built = [key for key in built if None not in key]
+        goes = index not in read and len(set(built)) == len(built)
+        if goes and kind == "JOIN":
+            probe = min(probed)
+            padded = probe > 0 and steps[probe - 1][0] == "LEFT JOIN"
+            probe_keys = [tuple(row[left] for _, left, _ in keys) for row in tables[probe]]
+            goes = len(probed) == 1 and not padded and all(
+                None not in key and key in set(built) for key in probe_keys
+            )
+        if goes:
+            dropped += 1
+        else:
+            read |= probed
+    return dropped
 
 
 def chain_database(tables, **options) -> Database:
@@ -247,13 +282,18 @@ def bag(rows):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(chains())
 def test_join_chain_is_the_binary_joins_in_order(chain):
-    tables, from_clause, select = chain
+    tables, from_clause, select, chain_steps = chain
     sql = f"SELECT {select} FROM {from_clause}"
     steps = len(tables) - 1
 
     fused = chain_database(tables)
     rows = fused.execute(sql).rows
-    assert fused.last_stats.hash_joins == steps  # one per step, fused or not
+    # One per step, fused or not, but for the steps found not needed: in a
+    # chain of one pipeline, those the rule names.
+    eliminated = eliminated_steps(fused, sql)
+    assert fused.last_stats.hash_joins == steps - eliminated
+    expected = chain_eliminated(tables, chain_steps, select)
+    assert expected is None or eliminated == expected, (sql, tables)
 
     binary = chain_database(tables, optimizer=False)
     assert binary.execute(sql).rows == rows  # same rows, same order
@@ -269,6 +309,12 @@ def test_join_chain_is_the_binary_joins_in_order(chain):
         connection.execute(f"CREATE TABLE t{index} (k INTEGER, j INTEGER, f REAL, id INTEGER)")
         connection.executemany(f"INSERT INTO t{index} VALUES (?, ?, ?, ?)", table)
     assert bag(connection.execute(sql).fetchall()) == bag(rows)
+
+
+def eliminated_steps(db: Database, sql: str) -> int:
+    """The pipeline steps EXPLAIN ANALYZE reports not run."""
+    text = db.execute("EXPLAIN ANALYZE " + sql).pretty()
+    return sum(map(int, re.findall(r"eliminated_steps=(\d+)", text)))
 
 
 def planned(db: Database, sql: str) -> plans.LogicalPlan:
@@ -332,6 +378,24 @@ def test_unhashable_keys_fall_back_to_the_binary_joins():
     residual = b.BoundCall("AND", [eq(0, 2), b.BoundLiteral(True, BOOLEAN)], BOOLEAN, sql_and)
     join = plans.Join("INNER", sources[0], sources[2], residual)
     assert execute_plan(join, ExecutionContext(None)) == [([1], "a1", [1], "c1'"), ([4], "a4", [4], "c4")]
+
+
+def test_the_fallback_runs_a_left_out_step_too(db, monkeypatch):
+    """No stored value is unhashable, so the fallback is forced: ``u``'s
+    table is refused after ``t``'s step was left out, and the binary joins
+    then run over every input, ``t`` scanned after all."""
+    db.create_table_from_rows("s", [("k", "INTEGER"), ("j", "INTEGER"), ("v", "INTEGER")], [(1, 1, 10), (2, 1, 20), (2, 2, 30)])
+    db.create_table_from_rows("t", [("k", "INTEGER"), ("w", "INTEGER")], [(1, 0), (2, 0)])
+    db.create_table_from_rows("u", [("j", "INTEGER"), ("x", "INTEGER")], [(1, 5), (1, 6), (3, 7)])
+    sql = "SELECT s.v, u.x FROM s JOIN t ON s.k = t.k JOIN u ON s.j = u.j"
+    rows = db.execute(sql).rows
+    assert rows == [(10, 5), (10, 6), (20, 5), (20, 6)] and db.last_stats.rows_scanned == 6
+    u_rows = db.catalog.resolve("u").table.rows
+    build = executor._hash_table
+    monkeypatch.setattr(executor, "_hash_table", lambda plan, rows, *rest: (
+        None if rows == u_rows else build(plan, rows, *rest)))
+    assert db.execute(sql).rows == rows
+    assert db.last_stats.rows_scanned == 3 + 2 + 3
 
 
 # -- the generated loop ----------------------------------------------------------
@@ -542,6 +606,286 @@ def test_a_build_side_is_unique_until_its_first_repeated_key():
     assert table([]) == ({}, True)
 
 
+# -- steps nobody reads, over keys the data holds: not run --------------------------
+#
+# A step whose row no emitted cell and no kept later step reads is left out
+# when its build table holds one row per key and, for INNER, every key of the
+# table it probes is among them.  Tables t0..tn are ``(a INTEGER, b INTEGER,
+# f DOUBLE, id INTEGER)``; a step's key is ``a``, ``(a, b)`` or ``a = f``
+# (``1 = 1.0``), read from one earlier table: the one before it (a snowflake
+# chain) or any other.  The reference is ``optimizer=False``, whose binary
+# joins emit every column and so leave no step out, and the rule below,
+# written out over the stored rows.
+
+ELIMINATION_COLUMNS = [("a", "INTEGER"), ("b", "INTEGER"), ("f", "DOUBLE"), ("id", "INTEGER")]
+#: Key name -> (probe columns, build columns), as offsets into a row.
+ELIMINATION_KEYS = {"a": ((0,), (0,)), "ab": ((0, 1), (0, 1)), "af": ((0,), (2,))}
+
+
+def elimination_sql(steps, read) -> str:
+    """``steps``: per step (kind, probe table, key name); ``read``: the
+    tables whose ``id`` the query selects."""
+    names = ("a", "b", "f")
+    from_clause = "t0"
+    for index, (kind, probe, key) in enumerate(steps, 1):
+        left, right = ELIMINATION_KEYS[key]
+        conjuncts = [f"t{probe}.{names[l]} = t{index}.{names[r]}" for l, r in zip(left, right)]
+        from_clause += f" {kind} JOIN t{index} ON {' AND '.join(conjuncts)}"
+    return f"SELECT {', '.join(f't{table}.id' for table in sorted(read))} FROM {from_clause}"
+
+
+def expected_eliminated(tables, steps, read) -> int:
+    """The rule, written out: last step first; a step goes when nothing
+    reads its table, its build keys (NULLs aside; ``1 == 1.0``) are
+    distinct, and, for INNER, the table it probes is no LEFT step's and
+    every one of its rows has a key, wholly non-NULL, among them."""
+    read, dropped = set(read), 0
+    for index in range(len(steps), 0, -1):
+        kind, probe, key = steps[index - 1]
+        left, right = ELIMINATION_KEYS[key]
+        keys = [tuple(row[c] for c in right) for row in tables[index]]
+        keys = [k for k in keys if None not in k]
+        goes = index not in read and len(set(keys)) == len(keys)
+        if goes and kind == "INNER":
+            padded = probe > 0 and steps[probe - 1][0] == "LEFT"
+            probed = [tuple(row[c] for c in left) for row in tables[probe]]
+            goes = not padded and all(None not in k and k in set(keys) for k in probed)
+        if goes:
+            dropped += 1
+        else:
+            read.add(probe)
+    return dropped
+
+
+@st.composite
+def keyed_tables(draw):
+    """Rows ``(a, b, f, id)``: half the time distinct non-NULL keys in every
+    column (``f`` = ``a``), else anything over a small domain."""
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.integers(0, 2), unique=True, max_size=3))
+        rows = [(a, a % 2, float(a)) for a in keys]
+    else:
+        rows = draw(st.lists(
+            st.tuples(st.none() | st.integers(0, 2), st.none() | st.integers(0, 1),
+                      st.none() | st.sampled_from([0.0, 1.0, 2.0])),
+            max_size=4,
+        ))
+    return [row + (index,) for index, row in enumerate(rows)]
+
+
+@st.composite
+def eliminations(draw):
+    """``(tables, steps, read)``: 1-3 INNER / LEFT steps."""
+    count = draw(st.integers(1, 3))
+    tables = [draw(keyed_tables()) for _ in range(count + 1)]
+    steps = [
+        (draw(st.sampled_from(["INNER", "LEFT"])),
+         index - 1 if draw(st.booleans()) else draw(st.integers(0, index - 1)),
+         draw(st.sampled_from(sorted(ELIMINATION_KEYS))))
+        for index in range(1, count + 1)
+    ]
+    read = draw(st.sets(st.integers(0, count), min_size=1))
+    return tables, steps, read
+
+
+def check_elimination(tables, steps, read) -> int:
+    sql = elimination_sql(steps, read)
+
+    def database(**options):
+        db = Database(**options)
+        for index, rows in enumerate(tables):
+            db.create_table_from_rows(f"t{index}", ELIMINATION_COLUMNS, rows)
+        return db
+
+    fused, binary = database(), database(optimizer=False)
+    rows = fused.execute(sql).rows
+    expected = expected_eliminated(tables, steps, read)
+    where = f"{sql}\n{tables}"
+    assert rows == binary.execute(sql).rows, where  # same rows, same order
+    assert fused.last_stats.hash_joins == len(steps) - expected, where
+    assert eliminated_steps(fused, sql) == expected, where
+    assert binary.last_stats.hash_joins == len(steps)
+    return expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(eliminations())
+def test_steps_nobody_reads_go_exactly_when_the_rule_says(case):
+    check_elimination(*case)
+
+
+#: Each trap, once by name: ``(tables, steps, read, steps left out)``.
+UNIQUE = [(0, 0, 0.0, 0), (1, 1, 1.0, 1), (2, 0, 2.0, 2)]
+ELIMINATION_CASES = {
+    "every key holds": ([[(1, 1, 1.0, 0), (2, 0, 2.0, 1)], UNIQUE], [("INNER", 0, "a")], {0}, 1),
+    "the build side is read": ([[(1, 1, 1.0, 0)], UNIQUE], [("INNER", 0, "a")], {1}, 0),
+    "a dangling key": ([[(1, 1, 1.0, 0), (7, 0, 2.0, 1)], UNIQUE], [("INNER", 0, "a")], {0}, 0),
+    "a NULL key": ([[(1, 1, 1.0, 0), (None, 0, 2.0, 1)], UNIQUE], [("INNER", 0, "a")], {0}, 0),
+    "a composite key half NULL": (
+        [[(1, 1, 1.0, 0), (2, None, 2.0, 1)], UNIQUE], [("INNER", 0, "ab")], {0}, 0),
+    "a composite key that holds": (
+        [[(1, 1, 1.0, 0), (2, 0, 2.0, 1)], UNIQUE], [("INNER", 0, "ab")], {0}, 1),
+    "a repeated build key": (
+        [[(1, 1, 1.0, 0)], UNIQUE + [(1, 0, 1.0, 3)]], [("INNER", 0, "a")], {0}, 0),
+    "1 and 1.0 are one key": (
+        [[(1, 1, 1.0, 0)], [(1, 1, 1.0, 0), (5, 0, 1.0, 1)]], [("INNER", 0, "af")], {0}, 0),
+    "1 finds 1.0": ([[(1, 1, 1.0, 0)], UNIQUE], [("INNER", 0, "af")], {0}, 1),
+    "an empty probe table": ([[], UNIQUE], [("INNER", 0, "a")], {0}, 1),
+    "an empty build table": ([[(1, 1, 1.0, 0)], []], [("INNER", 0, "a")], {0}, 0),
+    "LEFT needs only the key": (
+        [[(7, 1, 1.0, 0), (None, 0, 2.0, 1)], UNIQUE], [("LEFT", 0, "a")], {0}, 1),
+    "LEFT over a repeated key": (
+        [[(1, 1, 1.0, 0)], UNIQUE + [(1, 0, 1.0, 3)]], [("LEFT", 0, "a")], {0}, 0),
+    "an INNER step probing a LEFT input": (
+        [[(1, 1, 1.0, 0), (7, 0, 2.0, 1)], UNIQUE, UNIQUE],
+        [("LEFT", 0, "a"), ("INNER", 1, "a")], {0}, 0),
+    "a snowflake chain, last first": (
+        [[(1, 1, 1.0, 0), (2, 0, 2.0, 1)], UNIQUE, UNIQUE, UNIQUE],
+        [("INNER", 0, "a"), ("INNER", 1, "a"), ("INNER", 2, "a")], {0}, 3),
+    "a snowflake chain read at its end": (
+        [[(1, 1, 1.0, 0), (2, 0, 2.0, 1)], UNIQUE, UNIQUE, UNIQUE],
+        [("INNER", 0, "a"), ("INNER", 1, "a"), ("INNER", 2, "a")], {0, 3}, 0),
+}
+
+
+@pytest.mark.parametrize("name", ELIMINATION_CASES)
+def test_each_elimination_trap(name):
+    tables, steps, read, left_out = ELIMINATION_CASES[name]
+    assert expected_eliminated(tables, steps, read) == left_out
+    assert check_elimination(tables, steps, read) == left_out
+
+
+def test_the_verdict_reads_the_build_table_as_the_hash_table_does():
+    """``1``, ``1.0`` and ``True`` are one key of the build table, a NULL
+    (or a composite key holding one) is none, and a probe key is found
+    exactly when the loop would find it."""
+    from types import SimpleNamespace
+
+    def verdict(probe_rows, build_rows, key=(0,)):
+        probe = SimpleNamespace(rows=probe_rows, stamp=0)
+        build = SimpleNamespace(rows=build_rows, stamp=0)
+        rule = (None if probe_rows is None else "s", key, "t", key)
+        found, table = executor._verdict(rule, probe, build, plans.ValuesPlan([], []), ExecutionContext(None))
+        assert table == executor._hash_table(None, build_rows, key, build_rows, ExecutionContext(None))
+        return found
+
+    assert verdict([(1,), (True,)], [(1.0,), (2,)])
+    assert not verdict([(1,)], [(1,), (True,)]) and not verdict(None, [(1.0,), (1,)])
+    assert verdict(None, [(None,), (None,), (1,)])  # NULL keys are left out
+    assert not verdict([(None,)], [(None,), (1,)])
+    assert not verdict([(1, None)], [(1, None), (1, 0)], key=(0, 1))
+    assert verdict([(1, 0)], [(1, None), (1, 0)], key=(0, 1))
+    assert verdict([], []) and not verdict([(0,)], [])
+
+
+def test_a_write_that_breaks_a_key_brings_the_step_back():
+    """One planned query, replayed: each write that breaks the key or the
+    inclusion brings the step back with the rows the binary joins return,
+    and the write that restores it lets the step go again."""
+    from repro.profile import Watch
+    from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
+
+    db = tpch_measure_database(0.001)
+    plain = tpch_measure_database(0.001, optimizer=False)
+    queries = {name: db.plan_query(parse_query(TPCH_QUERIES[name])) for name in (
+        "revenue_by_region", "margin_by_returnflag")}
+
+    def run(name):
+        watch = Watch(spans=False)
+        result, _ = db.execute_planned(queries[name], watch=watch)
+        (pipeline,) = pipelines(queries[name].plan)
+        counters = watch._operators[id(pipeline)].counters
+        assert result.rows == plain.execute(TPCH_QUERIES[name]).rows, name
+        return counters["eliminated_steps"]
+
+    def both(sql, params=()):
+        db.execute(sql, params)
+        plain.execute(sql, params)
+
+    def insert(table, row):
+        both(f"INSERT INTO {table} VALUES ({', '.join('?' * len(row))})", row)
+
+    assert (run("revenue_by_region"), run("margin_by_returnflag")) == (1, 4)
+    (line,) = db.execute("SELECT * FROM lineitem LIMIT 1").rows
+    insert("lineitem", (line[0], line[1], -1, 99) + line[4:])  # no partsupp (partkey, -1)
+    assert run("revenue_by_region") == 0
+    both("DELETE FROM lineitem WHERE l_suppkey = -1")
+    assert run("revenue_by_region") == 1
+    (order,) = db.execute("SELECT * FROM orders WHERE o_orderkey = ?", (line[0],)).rows
+    both("DELETE FROM orders WHERE o_orderkey = ?", (line[0],))  # its lineitems dangle
+    assert run("margin_by_returnflag") == 3
+    insert("orders", order)
+    assert run("margin_by_returnflag") == 4
+    both("UPDATE nation SET n_nationkey = 99 WHERE n_nationkey = 0")  # customers dangle
+    assert run("margin_by_returnflag") == 1  # region's step only
+    both("UPDATE nation SET n_nationkey = 0 WHERE n_nationkey = 99")
+    assert run("margin_by_returnflag") == 4
+    both("UPDATE nation SET n_nationkey = 1 WHERE n_nationkey = 0")  # a repeated key
+    assert run("margin_by_returnflag") == 1
+    # One verdict per join shape, whatever the writes: none kept per write.
+    assert len(db.catalog._join_verdicts) == 5
+
+    uncached = tpch_measure_database(0.001, cache=False)
+    rows = uncached.execute(TPCH_QUERIES["margin_by_returnflag"]).rows
+    assert rows == tpch_measure_database(0.001, optimizer=False).execute(
+        TPCH_QUERIES["margin_by_returnflag"]).rows
+    assert uncached.last_stats.hash_joins == 1 and not uncached.catalog._join_verdicts
+
+
+def test_a_kept_step_probes_the_table_its_verdict_built(db):
+    """A verdict found false hands its build table to the step it keeps:
+    that table is built, and charged to the memory budget, once, so the run
+    that finds the verdict accounts as many bytes as the run that reads it
+    from the catalog."""
+    db.create_table_from_rows("s", [("k", "INTEGER"), ("v", "INTEGER")], [(1, 10), (7, 20)])
+    db.create_table_from_rows("t", [("k", "INTEGER"), ("w", "INTEGER")], [(1, 0), (2, 0)])
+    query = db.plan_query(parse_query("SELECT s.v FROM s JOIN t ON s.k = t.k"))
+    used = []
+    for _ in range(2):
+        watch = Watch(spans=False)
+        result, _ = db.execute_planned(query, watch=watch)
+        assert result.rows == [(10,)]
+        used.append(watch.memory_bytes)
+    assert used[0] == used[1]
+
+
+#: A summary whose WHERE joins its source to the other table, the table an
+#: INSERT goes into, and the rows that break the key or the inclusion there.
+MERGE_CASES = {
+    "a dangling row stays behind": (
+        "SELECT v, SUM(id) AS n FROM s WHERE id IN (SELECT x.id FROM s x JOIN t y ON x.fk = y.k) GROUP BY v",
+        [(1, 1, 10), (2, 9, 20)], [(1, 0), (2, 0)], "s", (3, 2, 30)),
+    "a repeated key comes in": (
+        "SELECT w, SUM(k) AS n FROM t WHERE k IN (SELECT x.fk FROM s x JOIN t y ON x.fk = y.k) GROUP BY w",
+        [(1, 1, 10)], [(1, 0), (2, 0)], "t", (1, 5)),
+}
+
+
+@pytest.mark.parametrize("name", MERGE_CASES)
+def test_a_summary_merge_keeps_no_verdict_of_its_delta(name):
+    """An INSERT runs a fresh summary's plan over the inserted rows alone,
+    handed in as its source table's snapshot.  A verdict found over them is
+    no fact of the table, so it is not kept under the table's stamp: the
+    plain join after the INSERT still runs the step."""
+    summary, s_rows, t_rows, into, row = MERGE_CASES[name]
+
+    def database(**options):
+        db = Database(**options)
+        db.create_table_from_rows("s", [("id", "INTEGER"), ("fk", "INTEGER"), ("v", "INTEGER")], s_rows)
+        db.create_table_from_rows("t", [("k", "INTEGER"), ("w", "INTEGER")], t_rows)
+        return db
+
+    db, plain = database(), database(optimizer=False)
+    db.execute(f"CREATE MATERIALIZED VIEW sv AS {summary}")
+    insert = f"INSERT INTO {into} VALUES ({', '.join('?' * len(row))})"
+    db.execute(insert, row)
+    plain.execute(insert, row)
+    assert db.summary_stats()["sv"]["incremental_merges"] == 1
+    sql = "SELECT x.id FROM s x JOIN t ON x.fk = t.k"
+    assert db.execute(sql).rows == plain.execute(sql).rows
+    assert eliminated_steps(db, sql) == 0
+
+
 # -- watched runs: every checkpoint is still there ---------------------------------
 
 FAN_OUT = "SELECT a.id, b.id FROM a JOIN b ON a.k = b.k JOIN c ON b.j = c.j"
@@ -571,21 +915,24 @@ class CancelAfter:
 
 
 def test_progress_ticks_once_per_batch_of_driving_rows(fan_out):
-    progress = Watch(spans=False)
-    progress.attach(fan_out)
-    rows = execute_plan(fan_out, ExecutionContext(fan_out.catalog, watch=progress))
-    assert len(rows) == 600 * 20
-    # Three batches of driving rows and one checkpoint per build.
-    assert progress.rows_processed == (3 + 2) * TICK_ROWS + 600 + 20 + 2 + len(rows)
-    entry = progress._operators[id(fan_out)]
-    assert (entry.label, entry.rows_out, entry.state) == (fan_out.label(), len(rows), "done")
+    rows_out = 600 + 20  # a and b; c is read by nothing, and not run
+    for verdict_checks in (2, 0):  # one checkpoint over c's keys, one over b's: once
+        progress = Watch(spans=False)
+        progress.attach(fan_out)
+        rows = execute_plan(fan_out, ExecutionContext(fan_out.catalog, watch=progress))
+        assert len(rows) == 600 * 20
+        # Three batches of driving rows and one checkpoint per build.
+        assert progress.rows_processed == (3 + 1 + verdict_checks) * TICK_ROWS + rows_out + len(rows)
+        entry = progress._operators[id(fan_out)]
+        assert (entry.label, entry.rows_out, entry.state) == (fan_out.label(), len(rows), "done")
 
 
 def test_cancel_lands_between_two_batches(fan_out):
+    execute_plan(fan_out, ExecutionContext(fan_out.catalog))  # c's step: found not needed
     counting = CancelAfter(float("inf"))
     execute_plan(fan_out, ExecutionContext(fan_out.catalog, cancel_event=counting))
-    # Asked at four operators, two builds and three batches; stop at the last.
-    assert counting.asked == 4 + 2 + 3
+    # Asked at three operators, one build and three batches; stop at the last.
+    assert counting.asked == 3 + 1 + 3
     progress = Watch(spans=False)
     progress.attach(fan_out)
     cancel = CancelAfter(counting.asked - 1)
@@ -640,9 +987,12 @@ def test_explain_analyze_counts_the_steps_that_bound_their_row(jdb):
     from repro.workloads.tpch import TPCH_QUERIES, tpch_measure_database
 
     line = join_line(tpch_measure_database(0.002), TPCH_QUERIES["revenue_by_region"])
-    assert "hash_build_rows=4930 hash_probes=11751 unique_steps=5" in line
+    # partsupp's step is not run (nothing reads it): 4 930 build rows less
+    # its 1 600; the other four bind their one row.
+    assert "eliminated_steps=1 hash_build_rows=3330 hash_probes=11751 unique_steps=4" in line
     # r repeats k = 1: a pipeline step and a binary hash join over buckets.
-    assert "unique_steps=0" in join_line(jdb, "SELECT lv, rv FROM l JOIN r ON l.k = r.k")
+    line = join_line(jdb, "SELECT lv, rv FROM l JOIN r ON l.k = r.k")
+    assert "eliminated_steps=0" in line and "unique_steps=0" in line
     assert "unique_steps=0" in join_line(jdb, "SELECT lv, rv FROM l JOIN r ON l.k = r.k AND rv > 100")
     # r.rv is unique: a FULL join binds its one row too.
     line = join_line(jdb, "SELECT lv, rv FROM l FULL JOIN r ON l.lv = r.rv")
