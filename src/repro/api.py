@@ -38,7 +38,7 @@ from repro.catalog import (
     View,
 )
 from repro.catalog.schema import Column
-from repro.engine.compile import compile_expr
+from repro.engine.compile import compile_expr, row_list
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
 from repro.errors import CatalogError, SqlError
@@ -677,7 +677,7 @@ class Database:
         tracer = watch.tracer if watch is not None else None
         span = tracer.begin("execute", "phase") if tracer is not None else None
         try:
-            rows = execute_plan(planned.plan, ctx)
+            rows = row_list(execute_plan(planned.plan, ctx))
         finally:
             if listed:
                 current_query_id.reset(token)

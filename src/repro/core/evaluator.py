@@ -37,6 +37,7 @@ from repro.engine.compile import (
     compile_expr,
     compile_formula,
     relation_of,
+    row_list,
 )
 from repro.engine.evaluator import EvalEnv, ExecutionContext
 from repro.engine.executor import execute_plan
@@ -160,7 +161,7 @@ def _context_slice(measure, terms: list[Term], ctx: ExecutionContext) -> Slice:
         # A term's test may itself scan (VISIBLE's residual conjuncts, over
         # the group's rows): this loop checkpoints like the executor's row
         # loops, and that scan checkpoints on its own count.
-        rows, watched = relation.rows, ctx.watched
+        rows, watched = row_list(relation.rows), ctx.watched
         kept: list[int] = []
         for index, position in enumerate(
             range(len(rows)) if candidates is None else candidates

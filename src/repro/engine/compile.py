@@ -44,7 +44,7 @@ import datetime
 import operator
 import sys
 from functools import partial, reduce
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Optional, Sequence
 
@@ -79,6 +79,7 @@ __all__ = [
     "compile_aggregate",
     "compile_formula",
     "Column",
+    "ColumnRows",
     "Relation",
     "Slice",
     "Groups",
@@ -86,6 +87,7 @@ __all__ = [
     "row_pure",
     "slot_key",
     "row_getter",
+    "row_list",
     "memo",
 ]
 
@@ -170,22 +172,28 @@ def compile_rows(exprs: Sequence[b.BoundExpr]) -> Callable[["Relation", Any, Any
         def pick(relation, outer, ctx):
             output: list[tuple] = []
             for batch in ctx.batches(relation.rows, buffered=output):
-                output += project(batch)
+                if type(batch) is ColumnRows and offsets:
+                    output += zip(*[batch.cells[offset] for offset in offsets])
+                else:
+                    output += project(batch)
             return output
 
         return pick
-    # A reference inside a mixed list is read off the rows as the zip
-    # consumes it; everything else is a column of the relation.
+    # A reference inside a mixed list is read off the rows (or is the column
+    # itself) as the zip consumes it; everything else is a column of the
+    # relation.
     readers = [
-        (expr, None if offset is None else itemgetter(offset))
+        (expr, offset, None if offset is None else itemgetter(offset))
         for expr, offset in zip(exprs, offsets)
     ]
 
     def project(relation, outer, ctx):
         rows = relation.rows
+        cells = rows.cells if type(rows) is ColumnRows else None
         return list(zip(*[
-            relation.column(expr, outer, ctx).values if getter is None else map(getter, rows)
-            for expr, getter in readers
+            relation.column(expr, outer, ctx).values if getter is None
+            else map(getter, rows) if cells is None else cells[offset]
+            for expr, offset, getter in readers
         ]))
 
     return project
@@ -544,6 +552,8 @@ class Column:
 def _gather(values: Sequence, positions: Sequence[int]) -> Sequence:
     """``values`` at ``positions``, in that order, without a frame per item
     (``itemgetter`` returns a bare value for one position and rejects none)."""
+    if type(values) is ColumnRows:
+        return values.take(positions)
     if len(positions) > 1:
         return itemgetter(*positions)(values)
     return [values[position] for position in positions]
@@ -591,8 +601,17 @@ def _per_row(expr: b.BoundExpr) -> Kernel:
 
 
 def _item_kernel(expr: b.BoundExpr) -> Kernel:
-    getter = itemgetter(_offset(expr))
-    return lambda rows, outer, ctx: Column(list(map(getter, rows)))
+    """A reference: over column-major rows the column itself, else one
+    ``itemgetter`` mapped over the rows."""
+    offset = _offset(expr)
+    getter = itemgetter(offset)
+
+    def item(rows, outer, ctx):
+        if type(rows) is ColumnRows:
+            return Column(rows.cells[offset])
+        return Column(list(map(getter, rows)))
+
+    return item
 
 
 def _broadcast_kernel(expr: b.BoundExpr) -> Kernel:
@@ -809,9 +828,80 @@ def slot_key(expr: b.BoundExpr) -> str:
 _UNBUILT = object()
 
 
+class ColumnRows:
+    """Rows held column by column: ``cells[i]`` is column i of every row, in
+    row order, and ``length`` how many rows there are (a zero-width row
+    still counts).  What a join pipeline emits (``engine/executor.py``): the
+    readers that know it — a reference's kernel, :meth:`Relation._group`,
+    :meth:`Relation.column` at positions, :func:`compile_rows` and the
+    Filter — read its columns, and build no row.  To anything else it is a
+    ``Sequence[tuple]`` whose tuples are built once, on the first row access
+    (iteration, ``==``; an index builds its one row), and kept; a slice or a
+    gather of it is column-major again until then.  Nobody mutates it."""
+
+    __slots__ = ("cells", "length", "_tuples")
+
+    def __init__(self, cells: list, length: int):
+        self.cells = cells
+        self.length = length
+        self._tuples: Optional[list[tuple]] = None
+
+    def tuples(self) -> list[tuple]:
+        """The rows as tuples, built on the first call."""
+        built = self._tuples
+        if built is None:
+            cells = self.cells
+            built = self._tuples = list(zip(*cells)) if cells else [()] * self.length
+        return built
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self):
+        return iter(self.tuples())
+
+    def __getitem__(self, index):
+        if self._tuples is not None:
+            return self._tuples[index]
+        if type(index) is slice:
+            cells = [column[index] for column in self.cells]
+            return ColumnRows(cells, len(range(self.length)[index]))
+        range(self.length)[index]  # an IndexError past the end
+        return tuple([column[index] for column in self.cells])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is ColumnRows:
+            other = other.tuples()
+        return self.tuples() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def take(self, positions: Sequence[int]) -> Sequence[tuple]:
+        """The rows at ``positions``, in that order."""
+        if self._tuples is not None:
+            return _gather(self._tuples, positions)
+        cells = [_gather(column, positions) for column in self.cells]
+        return ColumnRows(cells, len(positions))
+
+    def compress(self, mask: Sequence) -> Sequence[tuple]:
+        """The rows where ``mask`` is true (``itertools.compress``)."""
+        if self._tuples is not None:
+            return list(compress(self._tuples, mask))
+        cells = [list(compress(column, mask)) for column in self.cells]
+        length = len(cells[0]) if cells else len(list(compress(mask, mask)))
+        return ColumnRows(cells, length)
+
+
+def row_list(rows: Sequence[tuple]) -> list[tuple]:
+    """``rows`` as a list of tuples, for a reader that indexes them one by
+    one: a :class:`ColumnRows`' tuples, built once, or the list itself."""
+    return rows.tuples() if type(rows) is ColumnRows else rows
+
+
 class Relation:
-    """A list of rows and, when it has an ``owner``, the columns and the
-    groupings computed over all of them so far.
+    """A list of rows (or a join pipeline's :class:`ColumnRows`) and, when
+    it has an ``owner``, the columns and the groupings computed over all of
+    them so far.
 
     ``owner`` is the plan node that holds the rows for more than one reader:
     a measure's ``[shared]`` source, whose relation the statement keeps in
@@ -875,7 +965,9 @@ class Relation:
         """One pass over the rows for :meth:`groups`, checkpointing every 256."""
         rows = self.rows
         offsets = [_offset(expr) for expr in exprs]
-        if offsets and None not in offsets:
+        if offsets and None not in offsets and type(rows) is ColumnRows:
+            keys = zip(*[rows.cells[offset] for offset in offsets])
+        elif offsets and None not in offsets:
             getter = itemgetter(*offsets)  # a bare value for one offset
             keys = map(getter, rows) if len(offsets) > 1 else zip(map(getter, rows))
         elif exprs:
@@ -921,7 +1013,12 @@ class Relation:
                     ctx.watch.bump("column.reads")
                 if whole is not None:
                     return whole if positions is None else whole.take(positions)
-        rows = self.rows if positions is None else _gather(self.rows, positions)
+        rows = self.rows
+        if positions is not None:
+            offset = _offset(expr) if type(rows) is ColumnRows else None
+            if offset is not None:  # a reference: its column, gathered
+                return Column(_gather(rows.cells[offset], positions))
+            rows = _gather(rows, positions)
         try:
             if positions is None:
                 return self._whole(expr, outer, ctx)

@@ -6,10 +6,10 @@ binds the definition again.  Nothing marks a summary stale: it reads its
 staleness off the write stamps of what it depends on
 (:attr:`~repro.catalog.objects.MaterializedView.stale`).  The one push is
 :func:`insert`, because a merge needs the delta: a summary whose items are
-all finished from states and that was fresh before the INSERT runs its plan
-over the inserted rows alone, folds each state into the stored one by its
-roll-up aggregate, finishes every item again and is fresh again; any other
-stays stale until refreshed.
+all finished from states, whose plan scans the table once and that was
+fresh before the INSERT runs its plan over the inserted rows alone, folds
+each state into the stored one by its roll-up aggregate, finishes every
+item again and is fresh again; any other stays stale until refreshed.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.catalog.objects import BaseTable, MaterializedView
 from repro.engine.aggregates import make_accumulator
-from repro.engine.compile import compile_expr
+from repro.engine.compile import compile_expr, row_list
 from repro.engine.evaluator import ExecutionContext
 from repro.engine.executor import execute_plan
+from repro.plan import logical as plans
+from repro.semantics import bound as b
 from repro.storage.table import MemoryTable, clock
 from repro.types import coerce_value
 
@@ -46,7 +48,7 @@ def compute_rows(
         # plan's scan of the source reads just the inserted rows.
         ctx.table_snapshots[definition.source_name] = list(delta)
     try:
-        return execute_plan(definition.plan, ctx)
+        return row_list(execute_plan(definition.plan, ctx))
     finally:
         ctx.release()
 
@@ -75,11 +77,15 @@ def insert(
     it that was fresh before and can merge.
 
     A summary merges only when it reads the table directly (no intervening
-    view whose semantics the delta would have to reproduce) and every item
-    is finished from states."""
+    view whose semantics the delta would have to reproduce), its refresh
+    plan scans the table once (a second scan, a subquery over the table,
+    would read the delta too, not the table) and every item is finished
+    from states."""
     fresh = [
         view for view in db.catalog.materialized_views_over(table.name)
-        if not view.stale and all(m.expr is not None for m in view.definition.measures)
+        if not view.stale
+        and all(m.expr is not None for m in view.definition.measures)
+        and _scans(view.definition.plan, view.definition.source_name) == 1
     ]
     count = table.table.insert_many(rows, columns)
     for view in fresh if count else ():
@@ -88,6 +94,20 @@ def insert(
         view.stats.incremental_merges += 1
         if db.telemetry is not None:
             db.telemetry.record_maintenance("incremental_merge", view.name)
+    return count
+
+
+def _scans(plan: plans.LogicalPlan, name: str) -> int:
+    """How many times ``plan`` reads base table ``name``: its Scans and
+    those of the subquery plans inside its expressions."""
+    count = 0
+    for node in plan.walk():
+        if type(node) is plans.Scan and node.table_name.lower() == name:
+            count += 1
+        for expr in node.expressions():
+            for inner in b.walk(expr):
+                if type(inner) is b.BoundSubquery:
+                    count += _scans(inner.plan, name)
     return count
 
 

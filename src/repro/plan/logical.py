@@ -275,12 +275,12 @@ class Join(LogicalPlan):
 
 @dataclass
 class JoinPipeline(LogicalPlan):
-    """A left-deep chain of ``INNER`` / ``LEFT`` hash joins run as one loop:
+    """A left-deep chain of ``INNER`` / ``LEFT`` hash joins run as one walk:
     ``((sources[0] kinds[0] sources[1]) kinds[1] sources[2]) …`` (:attr:`joins`).
 
     ``conditions[k]``, all hashable equi-keys, reads ``sources[0 .. k + 1]``
     side by side; ``emit`` lists the offsets of *all* the sources side by side
-    that make the output row, the only tuple the executor builds.  Created by
+    that make the output row, the only columns the executor builds.  Created by
     column pruning (:mod:`repro.plan.pruning`), which knows what is read above.
     """
 
